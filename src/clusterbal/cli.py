@@ -26,6 +26,7 @@ from .diagnostics import imbalance_report
 from .errors import ClusterbalError, InfeasibleFit, ParseError
 from .estimators import (
     balancing_fit,
+    build_design,
     exposure_collapsed_ipw,
     ipw_fit,
     projection_fit,
@@ -237,9 +238,7 @@ def write_csv_artifact(path, rows, fieldnames, manifest):
 
 
 def _fmt(v):
-    if isinstance(v, float):
-        return repr(v)
-    if isinstance(v, (np.floating,)):
+    if isinstance(v, (float, np.floating)):
         return repr(float(v))
     return v
 
@@ -266,9 +265,11 @@ def _cmd_estimate(args, argv):
         if args.propensity == "unknown"
         else propensity_from_json(_load_json_file(args.propensity))
     )
-    structure = None
+    structure = design = None
     if args.structure:
         structure = build_structure(_load_json_file(args.structure), dataset)
+        if {"balancing", "projection"} & set(args.estimator):
+            design = build_design(structure, dataset, weight)
     seed = _resolve_seed(args)
     inputs = {
         "dataset": args.dataset,
@@ -284,7 +285,7 @@ def _cmd_estimate(args, argv):
             fit = ipw_fit(dataset, weight, propensity)
             var = iid_cluster_variance(dataset, fit, args.level)
         elif name == "balancing":
-            fit = balancing_fit(dataset, structure, weight)
+            fit = balancing_fit(dataset, structure, weight, design=design)
             var = None
             if fit.feasible or args.allow_infeasible:
                 var = sandwich_variance(
@@ -305,7 +306,7 @@ def _cmd_estimate(args, argv):
                 if not args.allow_infeasible:
                     exit_code = EXIT_INFEASIBLE
         elif name == "projection":
-            fit = projection_fit(dataset, structure, weight, propensity)
+            fit = projection_fit(dataset, structure, weight, propensity, design=design)
             var = sandwich_variance(
                 dataset, structure, weight, fit, "proj",
                 propensity=propensity, level=args.level,

@@ -78,6 +78,7 @@ class DesignSystem:
     contributions: np.ndarray  # (n, d_h)
     slices: tuple
     label: str
+    pieces: tuple | None = None  # DesignOps blocks; None is the whole of phi
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
@@ -86,16 +87,44 @@ class DesignSystem:
 
     def ops(self, feas_tol=FEAS_TOL):
         if "ops" not in self._cache:
-            self._cache["ops"] = DesignOps(self.phi, feas_tol=feas_tol)
+            self._cache["ops"] = DesignOps(self.phi, feas_tol=feas_tol, pieces=self.pieces)
         return self._cache["ops"]
 
 
+def _block_pieces(structure, phi):
+    """One (rows, columns) DesignOps piece per effective treatment, or None.
+
+    Applies when the structure has a block layout and every row of phi is
+    non-zero in at most one block, so phi is block diagonal up to a row
+    permutation. Blocks no row reaches and all-zero rows join no piece.
+    """
+    layout = structure.block_layout
+    if layout is None or layout[0] * layout[1] != phi.shape[1]:
+        return None
+    n_blocks, width = layout
+    by_block = phi.reshape(phi.shape[0], n_blocks, width)
+    hit = by_block[:, :, 0] != 0
+    for j in range(1, width):  # about 3x faster than .any(axis=2) over a short axis
+        hit |= by_block[:, :, j] != 0
+    if (hit.sum(axis=1) > 1).any():
+        return None
+    rows = np.flatnonzero(hit.any(axis=1))
+    block = hit[rows].argmax(axis=1)
+    bounds = np.cumsum(np.bincount(block, minlength=n_blocks))[:-1]
+    groups = np.split(rows[np.argsort(block, kind="stable")], bounds)
+    return tuple(
+        (r, slice(b * width, (b + 1) * width)) for b, r in enumerate(groups) if r.size
+    )
+
+
 def build_design(structure, dataset, weight, cap=PATTERN_CAP):
+    phi = design_matrix(structure, dataset)
     return DesignSystem(
-        phi=design_matrix(structure, dataset),
+        phi=phi,
         contributions=target_contributions(structure, dataset, weight, cap),
         slices=tuple(dataset.cluster_slices()),
         label=structure.label,
+        pieces=_block_pieces(structure, phi),
     )
 
 
@@ -155,14 +184,6 @@ def ols_plugin(dataset, structure, weight, design=None, cap=PATTERN_CAP):
         design = build_design(structure, dataset, weight, cap)
     h_hat = design.ops().ols_coefficients(dataset.stacked_outcomes())
     return float(design.target @ h_hat / dataset.n)
-
-
-def fit_h_hat(dataset, structure, design=None):
-    """OLS coefficient vector phi^+ y of the observed design."""
-    if design is None:
-        phi = design_matrix(structure, dataset)
-        return DesignOps(phi).ols_coefficients(dataset.stacked_outcomes())
-    return design.ops().ols_coefficients(dataset.stacked_outcomes())
 
 
 def projection_fit(dataset, structure, weight, propensity, design=None, cap=PATTERN_CAP):

@@ -18,7 +18,7 @@ from .errors import (
 )
 from .estimators import balancing_fit, build_design, ipw_weights
 from .numerics import DesignOps
-from .structures import design_matrix, nested_rank_check
+from .structures import _nested_in_span, design_matrix
 
 __all__ = [
     "VarianceReport",
@@ -230,22 +230,22 @@ def select_structure(
     candidates = list(candidates)
     if not candidates:
         raise ValueError("need at least one candidate structure")
-    fits = [balancing_fit(dataset, s, weight, cap=cap) for s in candidates]
+    designs = [build_design(s, dataset, weight, cap) for s in candidates]
+    fits = [balancing_fit(dataset, s, weight, design=d) for s, d in zip(candidates, designs)]
     offenders = [s.label for s, f in zip(candidates, fits) if not f.feasible]
     if offenders:
         raise InfeasibleFit(f"infeasible balancing fits for candidates: {offenders}")
     if check_nesting:
-        for small, large in zip(candidates[:-1], candidates[1:]):
-            if not nested_rank_check(small, large, dataset):
+        for i in range(len(candidates) - 1):
+            if not _nested_in_span(designs[i].phi, designs[i + 1].phi):
+                small, large = candidates[i].label, candidates[i + 1].label
                 warnings.warn(
-                    f"candidate {small.label!r} is not nested in {large.label!r} "
+                    f"candidate {small!r} is not nested in {large!r} "
                     "on the observed design",
                     stacklevel=2,
                 )
     reference = candidates[-1]
-    sigma_hat = sigma_noise_hat(
-        dataset, reference, dof=dof, design=fits[-1]._context.get("design")
-    )
+    sigma_hat = sigma_noise_hat(dataset, reference, dof=dof, design=designs[-1])
     threshold = chi2.ppf(1.0 - alpha, df=1)
     stats, pvals = [], []
     chosen = len(candidates) - 1

@@ -198,7 +198,7 @@ def _expected_signal_from_x(cfg, gamma, x):
     nbrs = np.argsort(d2, axis=2, kind="stable")[:, :, :k]
     pik_nbrs = pik[np.arange(x.shape[0])[:, None, None], nbrs]
     if cfg.interference.startswith("knn"):
-        weights = 2.0 ** np.arange(k - 1, -1, -1)
+        weights = 2.0 ** np.arange(k)
         expected_slot = pik_nbrs @ weights
     else:
         expected_slot = pik_nbrs.sum(axis=2)

@@ -84,7 +84,7 @@ class LowRankStructure:
 
     regime = "fixed"
     label = "structure"
-    block_layout = None  # (n_blocks, width) for tensor structures
+    block_layout = None  # (n_blocks, width): feature columns as blocks of one width
 
     def dim(self, cluster=None, i=None):
         raise NotImplementedError
@@ -116,14 +116,6 @@ class LowRankStructure:
         """Sum of phi_ci(a) over all 2^m patterns (float)."""
         half = np.full(cluster.size, 0.5)
         return self.expected_rows(cluster, half, cap)[i] * 2.0 ** cluster.size
-
-    def active_blocks(self, cluster, i, pattern):
-        """Indices of nonzero feature blocks at a pattern (tensor structures)."""
-        if self.block_layout is None:
-            raise InvalidSpec(f"structure {self.label!r} has no block layout")
-        n_blocks, width = self.block_layout
-        row = self.feature_row(cluster, i, pattern)
-        return np.nonzero(row.reshape(n_blocks, width).any(axis=1))[0]
 
     def _check(self, cluster, i, pattern):
         self._check_index(cluster, i)
@@ -947,13 +939,6 @@ class TensorWithCovariates(LowRankStructure):
         x = self.covariate_rows(cluster)
         return np.einsum("ub,uw->ubw", inner, x).reshape(cluster.size, -1)
 
-    def active_blocks(self, cluster, i, pattern):
-        a = self._check(cluster, i, pattern)
-        return np.nonzero(self.inner.feature_row(cluster, i, a))[0]
-
-    def inner_pattern_totals(self, cluster, i, cap=PATTERN_CAP):
-        return self.inner.pattern_totals(cluster, i, cap)
-
 
 class PerUnitStructure(LowRankStructure):
     """Marks a feature map as carrying per-unit coefficient blocks."""
@@ -1086,8 +1071,11 @@ def target_vector(structure, dataset, weight, cap=PATTERN_CAP):
 
 def nested_rank_check(small, large, dataset, rcond=None):
     """True when the smaller structure's observed design lies in the larger's span."""
-    phi_s = design_matrix(small, dataset)
-    phi_l = design_matrix(large, dataset)
+    return _nested_in_span(design_matrix(small, dataset), design_matrix(large, dataset), rcond)
+
+
+def _nested_in_span(phi_s, phi_l, rcond=None):
+    """nested_rank_check on observed designs already built."""
     stacked = np.hstack([phi_s, phi_l])
     tol_l = _rank_tol(phi_l, rcond)
     tol_s = _rank_tol(stacked, rcond)

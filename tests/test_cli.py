@@ -119,6 +119,56 @@ def test_estimate_command_writes_artifacts(tmp_path):
     assert sidecar["output_digest"] == hashlib.sha256(csv_path.read_bytes()).hexdigest()
 
 
+def _knn_tensor(k):
+    return {"kind": "tensor", "inner": {"kind": "knn_pattern", "k": k}, "columns": [0, 1]}
+
+
+def _count_design_matrix_calls(monkeypatch):
+    from clusterbal import estimators, structures
+
+    calls = []
+    original = structures.design_matrix
+
+    def counted(structure, dataset):
+        calls.append(structure.label)
+        return original(structure, dataset)
+
+    monkeypatch.setattr(estimators, "design_matrix", counted)
+    monkeypatch.setattr(structures, "design_matrix", counted)
+    return calls
+
+
+def test_estimate_csv_cells_parse_as_json_floats(tmp_path, rng, monkeypatch):
+    d = make_dataset(rng, 30, sizes=(3, 5), p=2)
+    data = str(tmp_path / "d.csv")
+    write_dataset(d, data)
+    policy = write_json(tmp_path, "policy.json", {"kind": "uniform"})
+    structure = write_json(tmp_path, "structure.json", _knn_tensor(1))
+    propensity = write_json(tmp_path, "prop.json", {"kind": "bernoulli", "prob": 0.5})
+    calls = _count_design_matrix_calls(monkeypatch)
+    out = tmp_path / "out"
+    code = run(
+        [
+            "estimate", "--dataset", data, "--policy", policy,
+            "--structure", structure, "--propensity", propensity,
+            "--estimator", "ipw", "--estimator", "balancing", "--estimator", "projection",
+            "--seed", "7", "--out-dir", str(out),
+        ]
+    )
+    assert code == EXIT_OK
+    assert len(calls) == 1  # balancing and projection share one design
+    result = json.loads((out / "estimates.json").read_text())["result"]
+    with open(out / "estimates.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [r["estimator"] for r in rows] == ["ipw", "balancing", "projection"]
+    for row in rows:
+        entry = result[row["estimator"]]
+        assert float(row["point"]) == entry["point"]
+        assert float(row["level"]) == entry["variance"]["level"]
+        for key in ("sigma2_hat", "ci_low", "ci_high"):
+            assert float(row[key]) == entry["variance"][key]
+
+
 def infeasible_csv():
     rows = ["cluster_id,unit_id,treatment,outcome,x1"]
     for i in range(3):
@@ -208,6 +258,25 @@ def test_select_single_candidate(tmp_path, rng):
     doc = json.loads((out / "selection.json").read_text())
     assert doc["result"]["chosen"] == 0
     assert doc["result"]["statistics"] == []
+
+
+def test_select_builds_each_design_once(tmp_path, rng, monkeypatch):
+    d = make_dataset(rng, 30, sizes=(3, 5), p=2)
+    data = str(tmp_path / "d.csv")
+    write_dataset(d, data)
+    policy = write_json(tmp_path, "policy.json", {"kind": "uniform"})
+    candidates = write_json(tmp_path, "cands.json", [_knn_tensor(1), _knn_tensor(2)])
+    calls = _count_design_matrix_calls(monkeypatch)
+    out = tmp_path / "out"
+    code = run(
+        [
+            "select", "--dataset", data, "--policy", policy,
+            "--candidates", candidates, "--out-dir", str(out), "--seed", "5",
+        ]
+    )
+    assert code == EXIT_OK
+    assert calls == ["tensor[knn_pattern]"] * 2
+    assert len(json.loads((out / "selection.json").read_text())["result"]["statistics"]) == 1
 
 
 # ---------- simulate / calibrate ----------

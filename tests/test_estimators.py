@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from clusterbal.core import (
 from clusterbal.errors import PositivityViolation, PropensityUnavailable
 from clusterbal.estimators import (
     balancing_fit,
+    build_design,
     exposure_collapsed_ipw,
     ipw_fit,
     ipw_weights,
@@ -20,8 +23,12 @@ from clusterbal.estimators import (
     projection_fit,
     weighted_projection_fit,
 )
+from clusterbal.inference import sandwich_variance
 from clusterbal.structures import (
+    AdditiveTypes,
+    CoarsenedCount,
     FromExposureMapping,
+    KnnPattern,
     IdentityMapping,
     ConstantMapping,
     NoInterference,
@@ -327,3 +334,104 @@ def test_exposure_enumeration_matches_analytic(rng):
     w_fast = exposure_collapsed_ipw(d, OwnTreatment(), f, e)
     w_slow = exposure_collapsed_ipw(d, NoAnalytic(), f, e)
     assert np.allclose(w_fast.weights.values, w_slow.weights.values, atol=1e-12)
+
+
+# ---------- block-diagonal design factorization ----------
+
+
+def _with(d, covariates=None, treatments=None):
+    """Copy of a dataset with per-cluster covariates/treatments replaced."""
+    return Dataset(
+        clusters=tuple(
+            ClusterSample(
+                covariates=c.covariates if covariates is None else covariates(c),
+                treatments=c.treatments if treatments is None else treatments(c),
+                outcomes=c.outcomes,
+                cluster_id=c.cluster_id,
+            )
+            for c in d.clusters
+        )
+    )
+
+
+def _close(a, b):
+    a, b = np.asarray(a, float), np.asarray(b, float)
+    return np.allclose(a, b, rtol=1e-10, atol=1e-10 * max(np.abs(b).max(initial=0.0), 1.0))
+
+
+def _assert_block_path_matches_single_piece(d, structure):
+    f, e = uniform_intervention(), half_bernoulli()
+    blocks = build_design(structure, d, f)
+    assert blocks.pieces is not None
+    single = dataclasses.replace(blocks, pieces=None, _cache={})
+    bal = [balancing_fit(d, structure, f, design=s) for s in (blocks, single)]
+    proj = [projection_fit(d, structure, f, e, design=s) for s in (blocks, single)]
+    for got, want in (bal, proj):
+        assert got.feasible == want.feasible
+        assert got.design_rank == want.design_rank
+        assert _close(got.weights.values, want.weights.values)
+        assert _close(got.point, want.point)
+    assert _close(bal[0].imbalance, bal[1].imbalance)
+    ols = [ols_plugin(d, structure, f, design=s) for s in (blocks, single)]
+    assert _close(ols[0], ols[1])
+    var = [sandwich_variance(d, structure, f, fit, "proj", propensity=e) for fit in proj]
+    assert _close(var[0].sigma2_hat, var[1].sigma2_hat)
+    if bal[1].feasible:
+        var = [sandwich_variance(d, structure, f, fit, "bal") for fit in bal]
+        assert _close(var[0].sigma2_hat, var[1].sigma2_hat)
+    return bal[1]
+
+
+@pytest.mark.parametrize(
+    "inner", [KnnPattern(2), NoInterference(), StratifiedCount(2)], ids=lambda s: s.label
+)
+def test_block_path_random_one_hot(rng, inner):
+    d = make_dataset(rng, 40, sizes=(3, 5), p=2)
+    fit = _assert_block_path_matches_single_piece(d, TensorWithCovariates(inner, columns=[0, 1]))
+    assert fit.feasible
+
+
+def test_block_path_rank_deficient(rng):
+    d = _with(make_dataset(rng, 40, sizes=(3, 5), p=2),
+              covariates=lambda c: c.covariates[:, [0, 1, 1]])
+    structure = TensorWithCovariates(KnnPattern(2), columns=[0, 1, 2])
+    fit = _assert_block_path_matches_single_piece(d, structure)
+    assert fit.feasible
+    assert fit.design_rank == 4 * 2
+
+
+def test_block_path_empty_effective_treatment(rng):
+    d = _with(make_dataset(rng, 30, sizes=(3, 5), p=2),
+              treatments=lambda c: np.ones(c.size, dtype=np.int8))
+    fit = _assert_block_path_matches_single_piece(d, TensorWithCovariates(KnnPattern(2), columns=[0, 1]))
+    assert not fit.feasible
+
+
+def test_block_path_zero_covariate_rows(rng):
+    def zero_first(c):
+        x = c.covariates.copy()
+        x[0] = 0.0
+        return x
+
+    d = _with(make_dataset(rng, 40, sizes=(3, 5), p=2), covariates=zero_first)
+    structure = TensorWithCovariates(KnnPattern(2), columns=[0, 1])
+    _assert_block_path_matches_single_piece(d, structure)
+    rows = np.concatenate([r for r, _ in build_design(structure, d, uniform_intervention()).pieces])
+    assert rows.size == d.total_units - d.n
+
+
+def test_block_path_clusters_smaller_than_k_plus_one(rng):
+    d = make_dataset(rng, 40, sizes=(1, 4), p=2)
+    assert min(c.size for c in d.clusters) < 3
+    _assert_block_path_matches_single_piece(d, TensorWithCovariates(KnnPattern(2), columns=[0, 1]))
+
+
+@pytest.mark.parametrize(
+    "inner",
+    [AdditiveTypes(4), CoarsenedCount(order=1, thresholds=(0.0, 1.0), k=2)],
+    ids=lambda s: s.label,
+)
+def test_non_one_hot_tensors_take_single_piece_path(rng, inner):
+    d = make_dataset(rng, 20, sizes=(3, 4), p=2)
+    design = build_design(TensorWithCovariates(inner, columns=[0, 1]), d, uniform_intervention())
+    assert design.pieces is None

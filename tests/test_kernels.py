@@ -1,3 +1,4 @@
+import os
 import subprocess
 import sys
 
@@ -72,7 +73,11 @@ def test_env_flag_selects_numpy_backend():
     )
     out = subprocess.run(
         [sys.executable, "-c", code],
-        env={"PATH": "/usr/bin:/bin", "CLUSTERBAL_DISABLE_NUMBA": "1"},
+        env={
+            "PATH": "/usr/bin:/bin",
+            "PYTHONPATH": os.environ.get("PYTHONPATH", ""),
+            "CLUSTERBAL_DISABLE_NUMBA": "1",
+        },
         capture_output=True,
         text=True,
         check=True,

@@ -134,3 +134,56 @@ def test_design_ops_consistency(rng):
     r2 = min_norm_solve(phi.T, t)
     assert np.allclose(r.solution, r2.solution, atol=1e-10)
     assert ops.rank == r2.rank
+
+
+def _block_design(rng, blocks, width=3, zero_rows=2):
+    """Row-permuted block-diagonal matrix and its (rows, columns) pieces."""
+    sizes = [rows for rows, _ in blocks]
+    n = sum(sizes) + zero_rows
+    phi = np.zeros((n, len(blocks) * width))
+    perm = rng.permutation(n)
+    pieces, start = [], 0
+    for b, (rows, scale) in enumerate(blocks):
+        idx = np.sort(perm[start : start + rows])
+        cols = slice(b * width, (b + 1) * width)
+        phi[idx, cols] = scale * rng.standard_normal((rows, width))
+        if rows:
+            pieces.append((idx, cols))
+        start += rows
+    return phi, tuple(pieces)
+
+
+def _assert_ops_agree(phi, pieces, rng):
+    whole, split = DesignOps(phi), DesignOps(phi, pieces=pieces)
+    y = rng.standard_normal(phi.shape[0])
+    t = rng.standard_normal(phi.shape[1])
+    assert split.rank == whole.rank
+    assert np.allclose(split.ols_coefficients(y), whole.ols_coefficients(y), rtol=1e-10, atol=1e-12)
+    assert np.allclose(split.project(y), whole.project(y), rtol=1e-10, atol=1e-12)
+    r_split, r_whole = split.min_norm_row_solve(t), whole.min_norm_row_solve(t)
+    assert np.allclose(r_split.solution, r_whole.solution, rtol=1e-10, atol=1e-12)
+    assert r_split.feasible() == r_whole.feasible()
+    assert r_split.rank == r_whole.rank
+    return whole, split
+
+
+def test_design_ops_pieces_match_single_piece(rng):
+    phi, pieces = _block_design(rng, [(7, 1.0), (5, 2.0), (9, 0.5), (4, 1.0)])
+    whole, _ = _assert_ops_agree(phi, pieces, rng)
+    assert whole.rank == phi.shape[1]
+
+
+def test_design_ops_pieces_empty_block_and_zero_rows(rng):
+    # block 1 has no rows: its columns are zero, so phi^T w = t is infeasible
+    phi, pieces = _block_design(rng, [(6, 1.0), (0, 1.0), (8, 1.0)], zero_rows=3)
+    whole, split = _assert_ops_agree(phi, pieces, rng)
+    assert whole.rank == 6
+    assert not split.min_norm_row_solve(rng.standard_normal(phi.shape[1])).feasible()
+
+
+def test_design_ops_pieces_rank_cut_is_global(rng):
+    # a block whose singular values are all below rcond * sigma_max of the whole
+    # design is dropped on both paths, although it is well conditioned alone
+    phi, pieces = _block_design(rng, [(6, 1.0), (6, 1e-17), (2, 1.0)])
+    whole, split = _assert_ops_agree(phi, pieces, rng)
+    assert whole.rank == split.rank == 5
