@@ -35,6 +35,7 @@ from .estimators import (
 from .inference import iid_cluster_variance, sandwich_variance, select_structure
 from .simulate import (
     DEFAULT_ESTIMATORS,
+    PRESETS,
     DGPConfig,
     calibrate_snr,
     preset_config,
@@ -131,8 +132,7 @@ def load_dataset(path, fmt=None):
 
 
 def _load_json_dataset(path):
-    with open(path) as fh:
-        doc = json.load(fh)
+    doc = _load_json_file(path)
     if "clusters" not in doc or not doc["clusters"]:
         raise ParseError("no rows")
     clusters = []
@@ -245,7 +245,10 @@ def _fmt(v):
 
 def _load_json_file(path):
     with open(path) as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise json.JSONDecodeError(f"{path}: {exc.msg}", exc.doc, exc.pos) from None
 
 
 # ---------- subcommands ----------
@@ -563,7 +566,7 @@ def _build_parser():
 
     p_sim = sub.add_parser("simulate", help="Monte-Carlo sweep")
     common(p_sim)
-    p_sim.add_argument("--preset", choices=["fig1-left", "fig1-mid", "fig1-right", "stratified", "additive"])
+    p_sim.add_argument("--preset", choices=list(PRESETS))
     p_sim.add_argument("--config", help="DGP config JSON")
     p_sim.add_argument("--reps", type=int, default=500)
     p_sim.add_argument("--estimators", default=None, help="comma-separated estimator names")
@@ -575,7 +578,7 @@ def _build_parser():
 
     p_cal = sub.add_parser("calibrate", help="signal scale for an SNR target")
     common(p_cal)
-    p_cal.add_argument("--preset", choices=list(DGPConfig.__annotations__) and ["fig1-left", "fig1-mid", "fig1-right", "stratified", "additive"])
+    p_cal.add_argument("--preset", choices=list(PRESETS))
     p_cal.add_argument("--config", help="DGP config JSON")
     p_cal.add_argument("--snr-target", type=float, default=None)
     return parser
@@ -606,7 +609,10 @@ def run(argv):
     except InfeasibleFit as exc:
         sys.stderr.write(f"infeasible: {exc}\n")
         return EXIT_INFEASIBLE
-    except ClusterbalError as exc:
+    except json.JSONDecodeError as exc:
+        sys.stderr.write(f"error: invalid JSON: {exc}\n")
+        return EXIT_ERROR
+    except (ClusterbalError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_ERROR
 

@@ -53,10 +53,6 @@ class DegenerateDF(ClusterbalError):
     """No residual degrees of freedom for the noise-scale estimator."""
 
 
-class ScaleDegenerate(ClusterbalError):
-    """A relative-imbalance scale is zero (constant covariate block)."""
-
-
 class CalibrationFailed(ClusterbalError):
     """SNR calibration produced a degenerate variance estimate."""
 

@@ -9,8 +9,8 @@ import numpy as np
 
 from .core import PATTERN_CAP, enumerate_patterns, eval_propensity, pattern_index
 from .errors import PositivityViolation
-from .numerics import FEAS_TOL, DesignOps, project_colspace
-from .structures import design_matrix, target_contributions
+from .numerics import FEAS_TOL, DesignOps, _default_rcond, _validate, project_colspace
+from .structures import TensorWithCovariates, design_matrix, target_contributions
 
 __all__ = [
     "WeightSet",
@@ -99,9 +99,13 @@ def _block_pieces(structure, phi):
     permutation. Blocks no row reaches and all-zero rows join no piece.
     """
     layout = structure.block_layout
-    if layout is None or layout[0] * layout[1] != phi.shape[1]:
+    if layout is None:
         return None
     n_blocks, width = layout
+    if width is None:  # covariate width set by the dataset: read it off phi
+        width = phi.shape[1] // n_blocks
+    if width < 1 or n_blocks * width != phi.shape[1]:
+        return None
     by_block = phi.reshape(phi.shape[0], n_blocks, width)
     hit = by_block[:, :, 0] != 0
     for j in range(1, width):  # about 3x faster than .any(axis=2) over a short axis
@@ -201,13 +205,84 @@ def projection_fit(dataset, structure, weight, propensity, design=None, cap=PATT
     )
 
 
-def weighted_projection_fit(dataset, structure, weight, propensity, cap=PATTERN_CAP):
-    """Per-unit propensity-weighted projection of the potential IPW weights.
+def _unit_sizes(dataset):
+    """Cluster size M_c of every unit, in dataset unit order."""
+    sizes = np.array([c.size for c in dataset.clusters])
+    return np.repeat(sizes, sizes).astype(np.float64)
 
-    For each unit, the 2^{M_c} potential IPW weights are projected onto the
-    propensity-scaled span of the unit's per-pattern feature matrix; the
-    observed-pattern entry is that unit's weight.
+
+def _observed_class_sums(dataset, mapping, weight, propensity, cap=PATTERN_CAP):
+    """Exposure-class masses at each unit's observed class: (f_obs, e_obs, e_max).
+
+    f_obs and e_obs are the counterfactual weight's and the propensity's mass
+    on the unit's observed class; e_max is the unit's largest class mass
+    under the propensity. Both use the mapping's product-form class masses,
+    under `propensity.unit_probs` and `weight.marginal_probs`, when they
+    exist. Otherwise f sums over the weight's sparse support and e over the
+    propensity's 2^m pattern masses.
     """
+    f_obs, e_obs, e_max = (np.empty(dataset.total_units) for _ in range(3))
+    for (start, stop), c in zip(dataset.cluster_slices(), dataset.clusters):
+        units = np.arange(c.size)
+        obs = mapping.classes_at(c, c.treatments)
+        e_cls = None
+        if hasattr(propensity, "unit_probs"):
+            e_cls = mapping.class_masses(c, propensity.unit_probs(c))
+        if e_cls is not None:
+            e_obs[start:stop] = e_cls[units, obs]
+            e_max[start:stop] = e_cls.max(axis=1)
+        else:
+            bits = enumerate_patterns(c.size, cap)
+            masses = np.asarray(propensity.probabilities_for(bits, c), dtype=np.float64)
+            for i in units:
+                cls = np.bincount(mapping.classes_for(c, i, bits), weights=masses)
+                e_obs[start + i], e_max[start + i] = cls[obs[i]], cls.max()
+        empty = np.flatnonzero(e_obs[start:stop] <= 0.0)
+        if empty.size:
+            raise PositivityViolation(
+                f"exposure-class probability is 0 for unit {empty[0]} of cluster {c.cluster_id!r}"
+            )
+        probs = weight.marginal_probs(c)
+        f_cls = None if probs is None else mapping.class_masses(c, probs)
+        if f_cls is not None:
+            f_obs[start:stop] = f_cls[units, obs]
+            continue
+        support = weight.support(c, cap)
+        f_obs[start:stop] = 0.0
+        if support:
+            bits = np.array([pat for pat, _ in support], dtype=np.int8)
+            w = np.array([w for _, w in support], dtype=np.float64)
+            for i in units:
+                f_obs[start + i] = w[mapping.classes_for(c, i, bits) == obs[i]].sum()
+    return f_obs, e_obs, e_max
+
+
+def _wproj_closed_form(dataset, structure, mapping, weight, propensity, cap=PATTERN_CAP):
+    """Weighted-projection weights of a one-hot structure: f_class / (M_c e_class).
+
+    The unit's rows are e_class(a) (x) x_i, so the e-weighted projection onto
+    their span is the class-conditional mean of the potential IPW weights.
+    Two cases give 0, as in the per-unit SVD: an all-zero covariate row, and
+    an observed class cut by the SVD's rank rule, sqrt(e_class) <=
+    rcond * sqrt(max class mass) with rcond = max(2^m, d) * eps. Clusters
+    above `cap` have no such SVD and keep every class of positive mass.
+    """
+    f_obs, e_obs, e_max = _observed_class_sums(dataset, mapping, weight, propensity, cap)
+    keep = np.ones(dataset.total_units, dtype=bool)
+    for (start, stop), c in zip(dataset.cluster_slices(), dataset.clusters):
+        if c.size <= cap:
+            rcond = [_default_rcond((2**c.size, structure.dim(c, i))) for i in range(c.size)]
+            keep[start:stop] &= np.sqrt(e_obs[start:stop]) > rcond * np.sqrt(e_max[start:stop])
+        tensor = structure
+        while isinstance(tensor, TensorWithCovariates):
+            x = _validate(tensor.covariate_rows(c))
+            keep[start:stop] &= (x != 0).any(axis=1)
+            tensor = tensor.inner
+    return np.where(keep, f_obs / (_unit_sizes(dataset) * e_obs), 0.0)
+
+
+def _wproj_svd(dataset, structure, weight, propensity, cap=PATTERN_CAP):
+    """Weighted-projection weights by one 2^m x d SVD per unit (any structure)."""
     out = np.empty(dataset.total_units)
     for (start, stop), c in zip(dataset.cluster_slices(), dataset.clusters):
         bits = enumerate_patterns(c.size, cap)
@@ -222,8 +297,27 @@ def weighted_projection_fit(dataset, structure, weight, propensity, cap=PATTERN_
         obs = pattern_index(c.treatments)
         for i in range(c.size):
             lam = structure.all_pattern_rows(c, i, cap)
-            scaled = project_colspace(sqrt_e[:, None] * lam, sqrt_e * w_tilde)
+            # scaled in place: a second 2^m x d temporary made malloc re-fault pages per unit
+            lam *= sqrt_e[:, None]
+            scaled = project_colspace(lam, sqrt_e * w_tilde)
             out[start + i] = scaled[obs] / sqrt_e[obs]
+    return out
+
+
+def weighted_projection_fit(dataset, structure, weight, propensity, cap=PATTERN_CAP):
+    """Per-unit propensity-weighted projection of the potential IPW weights.
+
+    For each unit, the 2^{M_c} potential IPW weights are projected onto the
+    propensity-scaled span of the unit's per-pattern feature matrix; the
+    observed-pattern entry is that unit's weight. One-hot structures (those
+    with an `exposure_mapping`) take the exposure-class closed form; the
+    others take one SVD per unit.
+    """
+    mapping = structure.exposure_mapping
+    if mapping is None:
+        out = _wproj_svd(dataset, structure, weight, propensity, cap)
+    else:
+        out = _wproj_closed_form(dataset, structure, mapping, weight, propensity, cap)
     return EstimateReport(
         point=_point(dataset, out),
         weights=WeightSet(values=out, kind="weighted_projection"),
@@ -233,34 +327,12 @@ def weighted_projection_fit(dataset, structure, weight, propensity, cap=PATTERN_
 def exposure_collapsed_ipw(dataset, mapping, weight, propensity, cap=PATTERN_CAP):
     """IPW on exposure classes: w_ci = f_class / (M_c * e_class).
 
-    Class sums run over the counterfactual weight's sparse support for the
-    numerator; the denominator uses the propensity model's analytic class
-    probability when available and full enumeration otherwise.
+    The class masses come in product form when the mapping, the weight and
+    the propensity have one, and by enumeration otherwise (see
+    `_observed_class_sums`).
     """
-    out = np.empty(dataset.total_units)
-    for (start, stop), c in zip(dataset.cluster_slices(), dataset.clusters):
-        support = weight.support(c, cap)
-        bits_cache = None
-        e_cache = None
-        for i in range(c.size):
-            obs_class = mapping.class_of(c, i, c.treatments)
-            f_class = sum(
-                w for pat, w in support if mapping.class_of(c, i, pat) == obs_class
-            )
-            e_class = mapping.class_probability(c, i, c.treatments, propensity)
-            if e_class is None:
-                if bits_cache is None:
-                    bits_cache = enumerate_patterns(c.size, cap)
-                    e_cache = np.asarray(
-                        propensity.probabilities_for(bits_cache, c), dtype=np.float64
-                    )
-                classes = mapping.classes_for(c, i, bits_cache)
-                e_class = float(e_cache[classes == obs_class].sum())
-            if e_class <= 0.0:
-                raise PositivityViolation(
-                    f"exposure-class probability is 0 for unit {i} of cluster {c.cluster_id!r}"
-                )
-            out[start + i] = f_class / (c.size * e_class)
+    f_obs, e_obs, _ = _observed_class_sums(dataset, mapping, weight, propensity, cap)
+    out = f_obs / (_unit_sizes(dataset) * e_obs)
     return EstimateReport(
         point=_point(dataset, out),
         weights=WeightSet(values=out, kind="exposure_ipw"),

@@ -322,7 +322,7 @@ def _fit_one(name, dataset, structure, weight, propensity, level, design):
             dataset, structure, weight, fit, "wproj", propensity=propensity, level=level
         )
     elif name == "exposure-ipw":
-        mapping = getattr(structure, "exposure_mapping", None)
+        mapping = structure.exposure_mapping
         if mapping is None:
             raise InvalidSpec("exposure-ipw needs an exposure-mapping structure")
         fit = exposure_collapsed_ipw(dataset, mapping, weight, propensity)

@@ -25,6 +25,14 @@ from .core import (
 from .errors import InvalidSpec
 
 
+def spec_field(doc, key, what):
+    """doc[key]; InvalidSpec naming the field when the `what` spec lacks it."""
+    try:
+        return doc[key]
+    except (KeyError, TypeError):
+        raise InvalidSpec(f"{what} spec is missing required field {key!r}") from None
+
+
 def _bernoulli_probs_fn(doc):
     if "prob" in doc:
         prob = float(doc["prob"])
@@ -60,7 +68,7 @@ def weight_from_json(doc):
             return probit_intervention(float(doc.get("kappa", 0.0)))
         return BernoulliIntervention(_bernoulli_probs_fn(doc))
     if kind == "random_selection":
-        return RandomSelection(int(doc["count"]))
+        return RandomSelection(int(spec_field(doc, "count", "random_selection weight")))
     if kind == "deterministic":
         if "units" in doc:
             return DeterministicTarget([int(u) for u in doc["units"]])
@@ -72,20 +80,23 @@ def weight_from_json(doc):
             return DeterministicTarget(
                 _rank_selector(
                     int(doc["rank_column"]),
-                    int(doc["count"]),
+                    int(spec_field(doc, "count", "deterministic weight")),
                     largest=bool(doc.get("largest", True)),
                 )
             )
         raise InvalidSpec("deterministic spec needs units, units_by_cluster, or rank_column")
     if kind == "sparse":
         entries = {}
-        for row in doc["entries"]:
-            entries.setdefault(row["cluster_id"], []).append(
-                (row["pattern"], float(row["weight"]))
+        for row in spec_field(doc, "entries", "sparse weight"):
+            entries.setdefault(spec_field(row, "cluster_id", "sparse weight entry"), []).append(
+                (
+                    spec_field(row, "pattern", "sparse weight entry"),
+                    float(spec_field(row, "weight", "sparse weight entry")),
+                )
             )
         return SparseTable(entries)
     if kind == "direct_effect":
-        return DirectEffect(weight_from_json(doc["base"]))
+        return DirectEffect(weight_from_json(spec_field(doc, "base", "direct_effect weight")))
     raise InvalidSpec(f"unknown weight kind {kind!r}")
 
 
@@ -104,7 +115,7 @@ def propensity_from_json(doc):
         return IndependentBernoulli(_bernoulli_probs_fn(doc))
     if kind == "joint_table":
         tables = {}
-        for cid, table in doc["tables"].items():
+        for cid, table in spec_field(doc, "tables", "joint_table propensity").items():
             tables[cid] = {
                 tuple(int(ch) for ch in key): float(v) for key, v in table.items()
             }

@@ -16,6 +16,7 @@ import numpy as np
 from . import _kernels
 from .core import PATTERN_CAP, as_pattern, enumerate_patterns
 from .errors import CapExceeded, DimensionMismatch, InvalidSpec
+from .specio import spec_field
 
 # ---------- neighbor graphs ----------
 
@@ -85,6 +86,7 @@ class LowRankStructure:
     regime = "fixed"
     label = "structure"
     block_layout = None  # (n_blocks, width): feature columns as blocks of one width
+    exposure_mapping = None  # set on one-hot structures: the mapping whose class is the hot slot
 
     def dim(self, cluster=None, i=None):
         raise NotImplementedError
@@ -98,7 +100,7 @@ class LowRankStructure:
         raise NotImplementedError
 
     def all_pattern_rows(self, cluster, i, cap=PATTERN_CAP):
-        """Feature rows of unit i at every pattern: (2^m, d)."""
+        """Feature rows of unit i at every pattern: a new (2^m, d) float array."""
         bits = enumerate_patterns(cluster.size, cap)
         return np.stack([self.rows_at(cluster, bits[r])[i] for r in range(bits.shape[0])])
 
@@ -130,59 +132,6 @@ class LowRankStructure:
     def _check_index(cluster, i):
         if not 0 <= int(i) < cluster.size:
             raise DimensionMismatch(f"unit index {i} out of range for size {cluster.size}")
-
-
-class _SegmentedIndicator(LowRankStructure):
-    """Concatenation of one-hot indicator segments with vectorized assembly.
-
-    Subclasses describe segments via `_segment_dims()` and three vectorized
-    primitives; everything else (rows, enumeration, expectations) follows.
-    """
-
-    def _segment_dims(self):
-        raise NotImplementedError  # list of slot counts, cluster independent
-
-    def _segment_slots_at(self, cluster, pattern):
-        raise NotImplementedError  # list of (M_c,) slot vectors
-
-    def _segment_slots_all(self, cluster, i, bits):
-        raise NotImplementedError  # list of (P,) slot vectors
-
-    def _segment_slot_probs(self, cluster, probs):
-        raise NotImplementedError  # list of (M_c, n_slots) probability matrices
-
-    def dim(self, cluster=None, i=None):
-        return int(sum(self._segment_dims()))
-
-    def rows_at(self, cluster, pattern):
-        a = as_pattern(pattern)
-        if a.size != cluster.size:
-            raise DimensionMismatch("pattern length != cluster size")
-        m = cluster.size
-        dims = self._segment_dims()
-        out = np.zeros((m, sum(dims)))
-        offset = 0
-        rows = np.arange(m)
-        for d, slots in zip(dims, self._segment_slots_at(cluster, a)):
-            out[rows, offset + slots] = 1.0
-            offset += d
-        return out
-
-    def all_pattern_rows(self, cluster, i, cap=PATTERN_CAP):
-        self._check_index(cluster, i)
-        bits = enumerate_patterns(cluster.size, cap)
-        dims = self._segment_dims()
-        out = np.zeros((bits.shape[0], sum(dims)))
-        offset = 0
-        rows = np.arange(bits.shape[0])
-        for d, slots in zip(dims, self._segment_slots_all(cluster, i, bits)):
-            out[rows, offset + slots] = 1.0
-            offset += d
-        return out
-
-    def expected_rows(self, cluster, probs, cap=PATTERN_CAP):
-        probs = np.asarray(probs, dtype=np.float64)
-        return np.hstack(self._segment_slot_probs(cluster, probs))
 
 
 def _pad_neighbor_probs(nbrs, probs, k):
@@ -220,6 +169,10 @@ class NoInterference(LowRankStructure):
     def expected_rows(self, cluster, probs, cap=PATTERN_CAP):
         pi = np.asarray(probs, dtype=np.float64)
         return np.column_stack([1.0 - pi, pi])
+
+    @property
+    def exposure_mapping(self):
+        return OwnTreatment()
 
     # composition roles: own bit in, own-treatment indicator out
     def dep_units(self, cluster, i):
@@ -290,6 +243,10 @@ class StratifiedCount(LowRankStructure):
         out[:, : pmf.shape[1]] = pmf
         return out
 
+    @property
+    def exposure_mapping(self):
+        return NeighborCount(self.k, include_own=self.include_own, graph=self.graph)
+
 
 class KnnPattern(LowRankStructure):
     """Indicator of the exact treatment pattern among the k nearest neighbors.
@@ -353,6 +310,10 @@ class KnnPattern(LowRankStructure):
             p_t = slot_probs[:, t : t + 1]
             mass *= np.where(bits[:, t][None, :] == 1, p_t, 1.0 - p_t)
         return mass
+
+    @property
+    def exposure_mapping(self):
+        return NeighborPattern(self.k, graph=self.graph)
 
     # composition roles
     def dep_units(self, cluster, i):
@@ -477,7 +438,7 @@ class AdditiveTypes(LowRankStructure):
         return row
 
 
-class CoarsenedCount(_SegmentedIndicator):
+class CoarsenedCount(LowRankStructure):
     """Own-treatment block plus binned treated-neighbor counts.
 
     Order 1 bins the count of treated direct neighbors into three categories
@@ -549,29 +510,41 @@ class CoarsenedCount(_SegmentedIndicator):
         t1, t2 = self._require_thresholds()[lvl]
         return np.where(counts <= t1, 0, np.where(counts <= t2, 1, 2)).astype(np.int64)
 
-    def _segment_dims(self):
-        return [2] + [3] * self.order
+    def dim(self, cluster=None, i=None):
+        return 2 + 3 * self.order
 
-    def _segment_slots_at(self, cluster, a):
-        slots = [a.astype(np.int64)]
-        for lvl, units in enumerate(self._level_units(cluster)):
-            counts = np.array([a[u].sum() for u in units], dtype=np.int64)
-            slots.append(self._bin(counts, lvl))
-        return slots
+    def _one_hot(self, own, level_counts):
+        """Rows from own-treatment bits and per-level treated-neighbor counts."""
+        out = np.zeros((own.size, self.dim()))
+        rows = np.arange(own.size)
+        out[rows, own.astype(np.int64)] = 1.0
+        for lvl, counts in enumerate(level_counts):
+            out[rows, 2 + 3 * lvl + self._bin(counts, lvl)] = 1.0
+        return out
 
-    def _segment_slots_all(self, cluster, i, bits):
-        slots = [bits[:, i].astype(np.int64)]
-        for lvl, units in enumerate(self._level_units(cluster)):
-            counts = _kernels.count_slots(
-                np.ascontiguousarray(bits), np.ascontiguousarray(units[i])
-            )
-            slots.append(self._bin(counts, lvl))
-        return slots
+    def rows_at(self, cluster, pattern):
+        a = as_pattern(pattern)
+        if a.size != cluster.size:
+            raise DimensionMismatch("pattern length != cluster size")
+        counts = [
+            np.array([a[u].sum() for u in units], dtype=np.int64)
+            for units in self._level_units(cluster)
+        ]
+        return self._one_hot(a, counts)
 
-    def _segment_slot_probs(self, cluster, probs):
+    def all_pattern_rows(self, cluster, i, cap=PATTERN_CAP):
+        self._check_index(cluster, i)
+        bits = np.ascontiguousarray(enumerate_patterns(cluster.size, cap))
+        counts = [
+            _kernels.count_slots(bits, np.ascontiguousarray(units[i]))
+            for units in self._level_units(cluster)
+        ]
+        return self._one_hot(bits[:, i], counts)
+
+    def expected_rows(self, cluster, probs, cap=PATTERN_CAP):
+        probs = np.asarray(probs, dtype=np.float64)
         m = cluster.size
-        own = np.column_stack([1.0 - probs, probs])
-        mats = [own]
+        mats = [np.column_stack([1.0 - probs, probs])]
         for lvl, units in enumerate(self._level_units(cluster)):
             t1, t2 = self._require_thresholds()[lvl]
             mat = np.zeros((m, 3))
@@ -586,7 +559,7 @@ class CoarsenedCount(_SegmentedIndicator):
                 mat[i, 1] = pmf[(counts > t1) & (counts <= t2)].sum()
                 mat[i, 2] = pmf[counts > t2].sum()
             mats.append(mat)
-        return mats
+        return np.hstack(mats)
 
 
 # ---------- exposure mappings ----------
@@ -603,14 +576,20 @@ class ExposureMapping:
     def class_of(self, cluster, i, pattern):
         raise NotImplementedError
 
+    def classes_at(self, cluster, pattern):
+        """Class of every unit at one pattern: (M_c,) int64."""
+        a = as_pattern(pattern)
+        return np.array([self.class_of(cluster, i, a) for i in range(cluster.size)], dtype=np.int64)
+
     def classes_for(self, cluster, i, bits):
         return np.array(
             [self.class_of(cluster, i, bits[r]) for r in range(bits.shape[0])],
             dtype=np.int64,
         )
 
-    def class_probability(self, cluster, i, pattern, propensity):
-        """Analytic probability of the observed pattern's class, when available."""
+    def class_masses(self, cluster, probs):
+        """(M_c, n_classes) class probabilities under independent Bernoulli(probs)
+        treatments, in product form; None when the mapping has none."""
         return None
 
     fixed_dim = None  # class count when it does not vary with (cluster, i)
@@ -626,14 +605,14 @@ class OwnTreatment(ExposureMapping):
     def class_of(self, cluster, i, pattern):
         return int(as_pattern(pattern)[i])
 
+    def classes_at(self, cluster, pattern):
+        return as_pattern(pattern).astype(np.int64)
+
     def classes_for(self, cluster, i, bits):
         return bits[:, i].astype(np.int64)
 
-    def class_probability(self, cluster, i, pattern, propensity):
-        if not hasattr(propensity, "unit_probs"):
-            return None
-        pi = propensity.unit_probs(cluster)[i]
-        return pi if as_pattern(pattern)[i] == 1 else 1.0 - pi
+    def class_masses(self, cluster, probs):
+        return NoInterference().expected_rows(cluster, probs)
 
 
 class NeighborPattern(ExposureMapping):
@@ -653,18 +632,16 @@ class NeighborPattern(ExposureMapping):
         a = as_pattern(pattern)
         return int(self.inner._slots_at(cluster, a)[i])
 
+    def classes_at(self, cluster, pattern):
+        return self.inner._slots_at(cluster, as_pattern(pattern))
+
     def classes_for(self, cluster, i, bits):
         nbrs = self.inner._neighbors(cluster)[i]
         slots = _kernels.slot_indices(np.ascontiguousarray(bits), np.ascontiguousarray(nbrs))
         return slots << (self.k - nbrs.shape[0])
 
-    def class_probability(self, cluster, i, pattern, propensity):
-        if not hasattr(propensity, "unit_probs"):
-            return None
-        pi = propensity.unit_probs(cluster)
-        nbrs = self.inner._neighbors(cluster)[i]
-        a = as_pattern(pattern)[nbrs]
-        return float(np.prod(np.where(a == 1, pi[nbrs], 1.0 - pi[nbrs])))
+    def class_masses(self, cluster, probs):
+        return self.inner.expected_rows(cluster, probs)
 
 
 class NeighborCount(ExposureMapping):
@@ -685,17 +662,16 @@ class NeighborCount(ExposureMapping):
         units = self.inner._counted_units(cluster)[i]
         return int(a[units].sum())
 
+    def classes_at(self, cluster, pattern):
+        a = as_pattern(pattern).astype(np.int64)
+        return a[self.inner._counted_units(cluster)].sum(axis=1)
+
     def classes_for(self, cluster, i, bits):
         units = self.inner._counted_units(cluster)[i]
         return _kernels.count_slots(np.ascontiguousarray(bits), np.ascontiguousarray(units))
 
-    def class_probability(self, cluster, i, pattern, propensity):
-        if not hasattr(propensity, "unit_probs"):
-            return None
-        pi = propensity.unit_probs(cluster)
-        units = self.inner._counted_units(cluster)[i]
-        pmf = _kernels.pb_pmf(np.ascontiguousarray(pi[units]))
-        return float(pmf[self.class_of(cluster, i, pattern)])
+    def class_masses(self, cluster, probs):
+        return self.inner.expected_rows(cluster, probs)
 
 
 class IdentityMapping(ExposureMapping):
@@ -713,12 +689,12 @@ class IdentityMapping(ExposureMapping):
             idx = (idx << 1) | int(b)
         return idx
 
+    def classes_at(self, cluster, pattern):
+        return np.full(cluster.size, self.class_of(cluster, 0, pattern), dtype=np.int64)
+
     def classes_for(self, cluster, i, bits):
         deps = np.arange(cluster.size, dtype=np.int64)
         return _kernels.slot_indices(np.ascontiguousarray(bits), deps)
-
-    def class_probability(self, cluster, i, pattern, propensity):
-        return propensity.probability(pattern, cluster)
 
 
 class ConstantMapping(ExposureMapping):
@@ -731,11 +707,14 @@ class ConstantMapping(ExposureMapping):
     def class_of(self, cluster, i, pattern):
         return 0
 
+    def classes_at(self, cluster, pattern):
+        return np.zeros(cluster.size, dtype=np.int64)
+
     def classes_for(self, cluster, i, bits):
         return np.zeros(bits.shape[0], dtype=np.int64)
 
-    def class_probability(self, cluster, i, pattern, propensity):
-        return 1.0
+    def class_masses(self, cluster, probs):
+        return np.ones((cluster.size, 1))
 
 
 class FromExposureMapping(LowRankStructure):
@@ -746,6 +725,10 @@ class FromExposureMapping(LowRankStructure):
         self.label = f"exposure[{mapping.label}]"
         if mapping.fixed_dim is None:
             self.regime = "per_unit"
+
+    @property
+    def exposure_mapping(self):
+        return self.mapping
 
     def dim(self, cluster=None, i=None):
         if self.mapping.fixed_dim is not None:
@@ -900,10 +883,13 @@ class TensorWithCovariates(LowRankStructure):
 
     @property
     def block_layout(self):
-        width = len(self.columns) if self.columns is not None else None
-        if width is None:
-            return None
-        return (self.inner.dim(), width)
+        """(inner dimension, covariate width); the width is None when `columns`
+        is omitted, since it is then the dataset's covariate count."""
+        return (self.inner.dim(), None if self.columns is None else len(self.columns))
+
+    @property
+    def exposure_mapping(self):
+        return self.inner.exposure_mapping
 
     def width(self, cluster):
         return len(self._slots(cluster.p))
@@ -969,14 +955,18 @@ def build_structure(spec, dataset=None):
     if not isinstance(spec, dict) or "kind" not in spec:
         raise InvalidSpec("structure spec must be a dict with a 'kind' key")
     kind = spec["kind"]
+
+    def field(key):
+        return spec_field(spec, key, f"{kind} structure")
+
     if kind == "no_interference":
         inner = NoInterference()
     elif kind == "stratified_count":
-        inner = StratifiedCount(spec["k"], include_own=spec.get("include_own", False))
+        inner = StratifiedCount(field("k"), include_own=spec.get("include_own", False))
     elif kind == "knn_pattern":
-        inner = KnnPattern(spec["k"])
+        inner = KnnPattern(field("k"))
     elif kind == "additive_types":
-        inner = AdditiveTypes(spec["s"], type_source=spec.get("type_source", "unit_index"))
+        inner = AdditiveTypes(field("s"), type_source=spec.get("type_source", "unit_index"))
     elif kind == "coarsened_count":
         inner = CoarsenedCount(
             order=spec.get("order", 1),
@@ -988,19 +978,19 @@ def build_structure(spec, dataset=None):
                 raise InvalidSpec("coarsened_count default thresholds need a dataset")
             inner.fit_thresholds(dataset)
     elif kind == "exposure":
-        inner = FromExposureMapping(exposure_from_spec(spec["mapping"]))
+        inner = FromExposureMapping(exposure_from_spec(field("mapping")))
     elif kind == "compose":
         inner = Compose(
-            build_structure(spec["outer"], dataset), build_structure(spec["inner"], dataset)
+            build_structure(field("outer"), dataset), build_structure(field("inner"), dataset)
         )
     elif kind == "tensor":
         return TensorWithCovariates(
-            build_structure(spec["inner"], dataset),
+            build_structure(field("inner"), dataset),
             columns=spec.get("columns"),
             label=spec.get("label"),
         )
     elif kind == "per_unit":
-        return PerUnitStructure(build_structure(spec["inner"], dataset))
+        return PerUnitStructure(build_structure(field("inner"), dataset))
     else:
         raise InvalidSpec(f"unknown structure kind {kind!r}")
     if spec.get("tensor_covariates"):
@@ -1013,13 +1003,18 @@ def exposure_from_spec(spec):
         return spec
     if isinstance(spec, str):
         spec = {"name": spec}
+    if not isinstance(spec, dict):
+        raise InvalidSpec("exposure mapping spec must be a name or a dict with a 'name' key")
     name = spec.get("name")
     if name == "own_treatment":
         return OwnTreatment()
     if name == "neighbor_pattern":
-        return NeighborPattern(spec["k"])
+        return NeighborPattern(spec_field(spec, "k", "neighbor_pattern mapping"))
     if name == "neighbor_count":
-        return NeighborCount(spec["k"], include_own=spec.get("include_own", False))
+        return NeighborCount(
+            spec_field(spec, "k", "neighbor_count mapping"),
+            include_own=spec.get("include_own", False),
+        )
     if name == "identity":
         return IdentityMapping()
     if name == "constant":

@@ -5,8 +5,18 @@ import json
 import numpy as np
 import pytest
 
-from clusterbal.cli import EXIT_INFEASIBLE, EXIT_OK, EXIT_USAGE, load_dataset, run, write_dataset
-from clusterbal.errors import ParseError
+from clusterbal.cli import (
+    EXIT_ERROR,
+    EXIT_INFEASIBLE,
+    EXIT_OK,
+    EXIT_USAGE,
+    load_dataset,
+    run,
+    write_dataset,
+)
+from clusterbal.errors import InvalidSpec, ParseError
+from clusterbal.specio import propensity_from_json, weight_from_json
+from clusterbal.structures import build_structure, exposure_from_spec
 
 from conftest import make_dataset
 
@@ -330,3 +340,61 @@ def test_usage_errors_exit_64(tmp_path):
     assert run(["estimate"]) == EXIT_USAGE
     assert run(["simulate"]) == EXIT_USAGE
     assert run(["frobnicate"]) == EXIT_USAGE
+
+
+# ---------- malformed input: one stderr line, exit 1 ----------
+
+
+def _estimate_args(tmp_path, **paths):
+    files = {
+        "dataset": write(tmp_path, "d.csv", feasible_csv()),
+        "policy": write_json(tmp_path, "policy.json", {"kind": "gate"}),
+        "structure": write_json(tmp_path, "structure.json", {"kind": "no_interference"}),
+    }
+    files.update(paths)
+    args = ["estimate", "--estimator", "balancing", "--out-dir", str(tmp_path / "out")]
+    for name, path in files.items():
+        args += [f"--{name}", path]
+    return args
+
+
+@pytest.mark.parametrize(
+    "case, expect",
+    [
+        ("missing_key", "'k'"),
+        ("not_json", "bad.json"),
+        ("missing_file", "absent.csv"),
+    ],
+)
+def test_malformed_input_exits_1_with_one_line(tmp_path, capsys, case, expect):
+    if case == "missing_key":
+        paths = {"structure": write_json(tmp_path, "s.json", {"kind": "knn_pattern"})}
+    elif case == "not_json":
+        paths = {"policy": write(tmp_path, "bad.json", "{kind: gate")}
+    else:
+        paths = {"dataset": str(tmp_path / "absent.csv")}
+    assert run(_estimate_args(tmp_path, **paths)) == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
+    assert expect in err
+
+
+@pytest.mark.parametrize(
+    "build, doc, field",
+    [
+        (build_structure, {"kind": "knn_pattern"}, "k"),
+        (build_structure, {"kind": "tensor", "columns": [0]}, "inner"),
+        (exposure_from_spec, {"name": "neighbor_count"}, "k"),
+        (weight_from_json, {"kind": "random_selection"}, "count"),
+        (weight_from_json, {"kind": "sparse", "entries": [{"cluster_id": "a"}]}, "pattern"),
+        (propensity_from_json, {"kind": "joint_table"}, "tables"),
+    ],
+)
+def test_spec_builders_name_the_missing_field(build, doc, field):
+    with pytest.raises(InvalidSpec, match=f"missing required field '{field}'"):
+        build(doc)
+
+
+def test_calibrate_preset_choices():
+    assert run(["calibrate", "--preset", "fig1-sideways"]) == EXIT_USAGE

@@ -4,16 +4,24 @@ import numpy as np
 import pytest
 
 from clusterbal.core import (
+    PATTERN_CAP,
     BernoulliIntervention,
     ClusterSample,
     Dataset,
+    DirectEffect,
     Gate,
     IndependentBernoulli,
+    JointTable,
+    PropensityModel,
     UnknownPropensity,
+    enumerate_patterns,
+    pattern_index,
+    probit_intervention,
     uniform_intervention,
 )
-from clusterbal.errors import PositivityViolation, PropensityUnavailable
+from clusterbal.errors import CapExceeded, PositivityViolation, PropensityUnavailable
 from clusterbal.estimators import (
+    _wproj_svd,
     balancing_fit,
     build_design,
     exposure_collapsed_ipw,
@@ -27,14 +35,18 @@ from clusterbal.inference import sandwich_variance
 from clusterbal.structures import (
     AdditiveTypes,
     CoarsenedCount,
+    Compose,
     FromExposureMapping,
     KnnPattern,
     IdentityMapping,
     ConstantMapping,
+    NeighborCount,
+    NeighborPattern,
     NoInterference,
     OwnTreatment,
     StratifiedCount,
     TensorWithCovariates,
+    build_structure,
     design_matrix,
     target_vector,
 )
@@ -327,7 +339,7 @@ def test_exposure_enumeration_matches_analytic(rng):
     e = IndependentBernoulli(lambda c: probs[c.cluster_id])
 
     class NoAnalytic(OwnTreatment):
-        def class_probability(self, cluster, i, pattern, propensity):
+        def class_masses(self, cluster, probs):
             return None
 
     f = uniform_intervention()
@@ -426,6 +438,17 @@ def test_block_path_clusters_smaller_than_k_plus_one(rng):
     _assert_block_path_matches_single_piece(d, TensorWithCovariates(KnnPattern(2), columns=[0, 1]))
 
 
+def test_block_path_without_columns(rng):
+    # a spec without `columns` tensors every raw covariate column
+    d = make_dataset(rng, 40, sizes=(3, 5), p=3)
+    structure = build_structure({"kind": "tensor", "inner": {"kind": "knn_pattern", "k": 2}})
+    assert structure.columns is None
+    fit = _assert_block_path_matches_single_piece(d, structure)
+    assert fit.feasible
+    pieces = build_design(structure, d, uniform_intervention()).pieces
+    assert {cols.stop - cols.start for _, cols in pieces} == {3}
+
+
 @pytest.mark.parametrize(
     "inner",
     [AdditiveTypes(4), CoarsenedCount(order=1, thresholds=(0.0, 1.0), k=2)],
@@ -435,3 +458,180 @@ def test_non_one_hot_tensors_take_single_piece_path(rng, inner):
     d = make_dataset(rng, 20, sizes=(3, 4), p=2)
     design = build_design(TensorWithCovariates(inner, columns=[0, 1]), d, uniform_intervention())
     assert design.pieces is None
+
+
+# ---------- weighted projection: exposure-class closed form vs per-unit SVD ----------
+
+
+def _probs_in(low, high):
+    """Independent-Bernoulli propensity with per-cluster probabilities fixed on first use."""
+    rng = np.random.default_rng(7)
+    table = {}
+
+    def probs(c):
+        if c.cluster_id not in table:
+            table[c.cluster_id] = rng.uniform(low, high, c.size)
+        return table[c.cluster_id]
+
+    return IndependentBernoulli(probs)
+
+
+def _assert_closed_form_matches_svd(d, structure, f, e):
+    assert structure.exposure_mapping is not None
+    got = weighted_projection_fit(d, structure, f, e).weights.values
+    want = _wproj_svd(d, structure, f, e)
+    scale = max(np.abs(want).max(initial=0.0), 1.0)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * scale)
+    return got
+
+
+ONE_HOT = [
+    TensorWithCovariates(KnnPattern(2), columns=[0, 1]),
+    TensorWithCovariates(KnnPattern(3)),
+    StratifiedCount(2),
+    StratifiedCount(2, include_own=True),
+    TensorWithCovariates(StratifiedCount(1, include_own=True), columns=[1]),
+    NoInterference(),
+    FromExposureMapping(NeighborCount(2)),
+    FromExposureMapping(NeighborPattern(1)),
+]
+WEIGHTS = {
+    "gate": Gate(),
+    "uniform": uniform_intervention(),
+    "probit": probit_intervention(0.5),
+    "direct_effect": DirectEffect(uniform_intervention()),
+}
+
+
+@pytest.mark.parametrize("structure", ONE_HOT, ids=lambda s: s.label)
+@pytest.mark.parametrize("weight", list(WEIGHTS.values()), ids=list(WEIGHTS))
+def test_wproj_closed_form_matches_svd(rng, structure, weight):
+    d = make_dataset(rng, 6, sizes=(1, 5), p=2)
+    assert min(c.size for c in d.clusters) < 3  # clusters smaller than k+1
+    _assert_closed_form_matches_svd(d, structure, weight, _probs_in(0.2, 0.8))
+
+
+def _enumerated_class_ipw(d, mapping, f, e):
+    """f_class / (M_c e_class) from sums over all 2^m pattern masses, unit by unit."""
+    out = []
+    for c in d.clusters:
+        bits = enumerate_patterns(c.size)
+        e_all, f_all = e.probabilities_for(bits, c), f.weights_for(bits, c)
+        obs = pattern_index(c.treatments)
+        for i in range(c.size):
+            classes = mapping.classes_for(c, i, bits)
+            same = classes == classes[obs]
+            out.append(f_all[same].sum() / (c.size * e_all[same].sum()))
+    return np.array(out)
+
+
+@pytest.mark.parametrize("structure", ONE_HOT[:4], ids=lambda s: s.label)
+def test_wproj_closed_form_extreme_propensities(rng, structure):
+    d = make_dataset(rng, 6, sizes=(2, 4), p=2)
+    table = {c.cluster_id: np.where(rng.random(c.size) < 0.5, 1e-6, 1 - 1e-6) for c in d.clusters}
+    e = IndependentBernoulli(lambda c: table[c.cluster_id])
+    for f in (uniform_intervention(), Gate()):
+        got = weighted_projection_fit(d, structure, f, e).weights.values
+        want = _enumerated_class_ipw(d, structure.exposure_mapping, f, e)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+        # the SVD's own error grows with sqrt(largest / smallest class mass), here up
+        # to 1e9; 4e-11 relative was seen on tensor[knn_pattern] k=3
+        svd = _wproj_svd(d, structure, f, e)
+        np.testing.assert_allclose(got, svd, rtol=1e-9, atol=1e-12 * np.abs(svd).max())
+
+
+def test_wproj_closed_form_zero_covariate_rows(rng):
+    def zero_first(c):
+        x = c.covariates.copy()
+        x[0] = 0.0
+        return x
+
+    d = _with(make_dataset(rng, 6, sizes=(2, 4), p=2), covariates=zero_first)
+    structure = TensorWithCovariates(KnnPattern(2), columns=[0, 1])
+    w = _assert_closed_form_matches_svd(d, structure, uniform_intervention(), half_bernoulli())
+    starts = [start for start, _ in d.cluster_slices()]
+    assert (w[starts] == 0.0).all()
+    assert (np.delete(w, starts) != 0.0).all()
+
+
+def test_wproj_closed_form_rank_cut():
+    # the treated unit's class mass 1e-32 falls under the SVD's rank cut (sqrt(e) <= 4 eps);
+    # the 1e-20 class passes it
+    d = Dataset(clusters=(singleton(1, 1.0, 0), singleton(1, 1.0, 1)))
+    table = {0: np.array([1e-32]), 1: np.array([1e-20])}
+    e = IndependentBernoulli(lambda c: table[c.cluster_id])
+    w = _assert_closed_form_matches_svd(d, NoInterference(), uniform_intervention(), e)
+    assert w[0] == 0.0
+    assert w[1] == pytest.approx(0.5 / 1e-20)
+
+
+def test_wproj_closed_form_exposure_identity_is_ipw(rng):
+    d = make_dataset(rng, 4, sizes=(1, 4), p=1)
+    e, f = _probs_in(0.3, 0.7), uniform_intervention()
+    w = _assert_closed_form_matches_svd(d, FromExposureMapping(IdentityMapping()), f, e)
+    assert np.allclose(w, ipw_weights(d, f, e), rtol=1e-12, atol=0)
+
+
+def test_wproj_closed_form_joint_table_enumerates(rng):
+    d = make_dataset(rng, 4, sizes=(1, 4), p=2)
+    tables = {}
+    for c in d.clusters:
+        masses = rng.uniform(0.5, 1.5, 2**c.size)
+        masses /= masses.sum()
+        tables[c.cluster_id] = {tuple(a): p for a, p in zip(enumerate_patterns(c.size), masses)}
+    e = JointTable(tables)
+    assert not hasattr(e, "unit_probs")  # no product form: class masses by enumeration
+    for structure in (ONE_HOT[0], ONE_HOT[3], ONE_HOT[5]):
+        for f in (Gate(), uniform_intervention()):
+            w = _assert_closed_form_matches_svd(d, structure, f, e)
+            mapping = structure.exposure_mapping
+            assert np.allclose(w, exposure_collapsed_ipw(d, mapping, f, e).weights.values,
+                               rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize(
+    "structure",
+    [
+        TensorWithCovariates(AdditiveTypes(4), columns=[0, 1]),
+        CoarsenedCount(order=1, thresholds=(0.0, 1.0), k=2),
+        Compose(AdditiveTypes(2), KnnPattern(2)),
+    ],
+    ids=lambda s: s.label,
+)
+def test_wproj_non_one_hot_takes_svd_path(rng, monkeypatch, structure):
+    from clusterbal import estimators
+
+    assert structure.exposure_mapping is None
+    calls = []
+    monkeypatch.setattr(estimators, "_wproj_svd", lambda *a: calls.append(a) or _wproj_svd(*a))
+    d = make_dataset(rng, 3, sizes=(2, 4), p=2)
+    weighted_projection_fit(d, structure, uniform_intervention(), half_bernoulli())
+    assert len(calls) == 1
+
+
+def test_wproj_closed_form_above_pattern_cap(rng):
+    m = PATTERN_CAP + 1
+    d = Dataset(clusters=(make_cluster(rng, m, cluster_id=0), make_cluster(rng, 3, cluster_id=1)))
+    structure = TensorWithCovariates(KnnPattern(2), columns=[0, 1])
+    e, f = _probs_in(0.3, 0.7), probit_intervention(0.2)
+    w = weighted_projection_fit(d, structure, f, e).weights.values
+    expo = exposure_collapsed_ipw(d, structure.exposure_mapping, f, e).weights.values
+    assert np.array_equal(w, expo)
+    with pytest.raises(CapExceeded):
+        _wproj_svd(d, structure, f, e)
+
+
+def test_wproj_closed_form_positivity():
+    class NeverTreatFirst(PropensityModel):
+        def probability(self, pattern, cluster):
+            return 0.0 if pattern[0] == 1 else 0.5
+
+    c = ClusterSample(covariates=[[1.0], [2.0]], treatments=[1, 0], outcomes=[0.0, 0.0], cluster_id=0)
+    d = Dataset(clusters=(c,))
+    for fit in (
+        lambda: weighted_projection_fit(d, NoInterference(), uniform_intervention(), NeverTreatFirst()),
+        lambda: exposure_collapsed_ipw(d, OwnTreatment(), uniform_intervention(), NeverTreatFirst()),
+        lambda: _wproj_svd(d, NoInterference(), uniform_intervention(), NeverTreatFirst()),
+    ):
+        with pytest.raises(PositivityViolation):
+            fit()

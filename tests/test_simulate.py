@@ -3,6 +3,7 @@ import pytest
 
 from clusterbal.core import probit_mean_probs
 from clusterbal.errors import InvalidSpec
+from clusterbal.estimators import exposure_collapsed_ipw
 from clusterbal.simulate import (
     DGPConfig,
     _expected_signal_from_x,
@@ -17,6 +18,7 @@ from clusterbal.simulate import (
     sweep,
     true_mu,
 )
+from clusterbal.structures import NeighborPattern
 
 SMALL = dict(n=8, snr_target=0.2, kappa=0.2, seed=11, gamma=0.15)
 
@@ -201,6 +203,19 @@ def test_presets_resolve():
 
 
 def test_estimator_errors_recorded_not_fatal():
-    cfg = small_cfg(n=4)
+    # additive types have no exposure mapping, so exposure-ipw fails in every replicate
+    cfg = small_cfg(n=4, interference="additive")
     res = monte_carlo(cfg, reps=2, estimators=("exposure-ipw",), truth_draws=2000)
     assert res.metrics["exposure-ipw"]["errors"] == 2
+
+
+def test_exposure_ipw_replicate_matches_direct_fit():
+    cfg = small_cfg(n=6)
+    res = monte_carlo(cfg, reps=1, estimators=("exposure-ipw",), truth_draws=2000)
+    metrics = res.metrics["exposure-ipw"]
+    assert metrics["errors"] == 0
+    dataset, _, propensity, weight = gen_dataset(cfg, 0, truth=False)
+    mapping = dgp_structure(cfg).exposure_mapping
+    assert isinstance(mapping, NeighborPattern) and mapping.k == 5
+    direct = exposure_collapsed_ipw(dataset, mapping, weight, propensity).point
+    assert metrics["bias"] + res.true_mu == pytest.approx(direct, rel=1e-12, abs=1e-15)

@@ -436,24 +436,16 @@ def test_nested_rank_check_orthogonal_columns():
 def test_exposure_class_probabilities_match_enumeration(rng):
     c = make_cluster(rng, 5)
     probs = rng.uniform(0.2, 0.8, 5)
-
-    class P:
-        def unit_probs(self, cluster):
-            return probs
-
-        def probabilities_for(self, bits, cluster):
-            return np.prod(np.where(bits == 1, probs, 1 - probs), axis=1)
-
-    e = P()
     bits = enumerate_patterns(5)
-    masses = e.probabilities_for(bits, c)
+    masses = np.prod(np.where(bits == 1, probs, 1 - probs), axis=1)
     for mapping in (OwnTreatment(), NeighborCount(2), NeighborPattern(2)):
+        analytic = mapping.class_masses(c, probs)
+        obs = mapping.classes_at(c, c.treatments)
         for i in range(5):
-            obs = c.treatments
-            analytic = mapping.class_probability(c, i, obs, e)
+            assert obs[i] == mapping.class_of(c, i, c.treatments)
             classes = mapping.classes_for(c, i, bits)
-            brute = masses[classes == mapping.class_of(c, i, obs)].sum()
-            assert analytic == pytest.approx(brute, abs=1e-12)
+            brute = np.bincount(classes, weights=masses, minlength=analytic.shape[1])
+            assert np.allclose(analytic[i], brute, rtol=0, atol=1e-12)
 
 
 # ---------- builder ----------
