@@ -15,7 +15,7 @@ import json
 import os
 import sys
 import tempfile
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass, fields
 from datetime import datetime, timezone
 
 import numpy as np
@@ -23,7 +23,7 @@ import numpy as np
 from . import __version__
 from .core import ClusterSample, Dataset
 from .diagnostics import imbalance_report
-from .errors import ClusterbalError, InfeasibleFit, ParseError
+from .errors import ClusterbalError, InfeasibleFit, InvalidSpec, ParseError
 from .estimators import (
     balancing_fit,
     build_design,
@@ -133,10 +133,14 @@ def load_dataset(path, fmt=None):
 
 def _load_json_dataset(path):
     doc = _load_json_file(path)
-    if "clusters" not in doc or not doc["clusters"]:
+    entries = doc.get("clusters") if isinstance(doc, dict) else None
+    if not entries:
         raise ParseError("no rows")
     clusters = []
-    for entry in doc["clusters"]:
+    for r, entry in enumerate(entries):
+        for key in ("covariates", "treatments", "outcomes"):
+            if not isinstance(entry, dict) or key not in entry:
+                raise ParseError(f"cluster entry {r} is missing required field {key!r}")
         clusters.append(
             ClusterSample(
                 covariates=np.asarray(entry["covariates"], dtype=np.float64),
@@ -417,16 +421,27 @@ def _cmd_select(args, argv):
     return EXIT_OK
 
 
+def _config_from_file(path, seed):
+    """(DGPConfig, sweep axis, sweep values) of a --config document."""
+    doc = _load_json_file(path)
+    if not isinstance(doc, dict):
+        raise InvalidSpec(f"{path}: config document must be a JSON object")
+    axis = doc.pop("axis", "n")
+    values = tuple(doc.pop("values", (doc.get("n", 300),)))
+    doc.setdefault("n", 300)
+    doc["seed"] = seed
+    known = {f.name for f in fields(DGPConfig)}
+    for key in doc:
+        if key not in known:
+            raise InvalidSpec(f"{path}: unknown config field {key!r}")
+    return DGPConfig(**doc), axis, values
+
+
 def _simulate_config(args, seed):
     if args.preset:
         cfg, axis, values = preset_config(args.preset, seed=seed)
     else:
-        doc = _load_json_file(args.config)
-        axis = doc.pop("axis", "n")
-        values = tuple(doc.pop("values", (doc.get("n", 300),)))
-        doc.setdefault("n", 300)
-        doc["seed"] = seed
-        cfg = DGPConfig(**doc)
+        cfg, axis, values = _config_from_file(args.config, seed)
     if args.n is not None:
         axis, values = "n", tuple(args.n)
     return cfg, axis, values
@@ -475,12 +490,7 @@ def _cmd_calibrate(args, argv):
     if args.preset:
         cfg, _, _ = preset_config(args.preset, seed=seed)
     else:
-        doc = _load_json_file(args.config)
-        doc.pop("axis", None)
-        doc.pop("values", None)
-        doc.setdefault("n", 300)
-        doc["seed"] = seed
-        cfg = DGPConfig(**doc)
+        cfg, _, _ = _config_from_file(args.config, seed)
     if args.snr_target is not None:
         cfg = DGPConfig(**{**_cfg_dict(cfg), "snr_target": args.snr_target})
     report = calibrate_snr(cfg)

@@ -32,7 +32,7 @@ from .structures import (
     KnnPattern,
     StratifiedCount,
     TensorWithCovariates,
-    _knn_lists,
+    knn_order,
 )
 
 _STREAM_DATA = 0
@@ -177,13 +177,29 @@ def conditional_true_mu(cfg, dataset):
     return float(design.target @ h / dataset.n)
 
 
+# clusters per block of the closed-form truth; keeps its arrays near cache
+# size. A power of two: each row of the additive branch's `pik @ types` then
+# keeps its position modulo the BLAS kernel's row grouping, and so its bits.
+_TRUTH_BLOCK = 512
+
+
 def _expected_signal_from_x(cfg, gamma, x):
     """Closed-form per-cluster counterfactual means from covariates (B, m, p).
 
     Exploits the product form of the intervention and the count/pattern/
     additive encodings: the inner pattern sum reduces to per-neighbor
-    marginals, so no pattern enumeration is needed.
+    marginals, so no pattern enumeration is needed. Clusters are evaluated
+    in blocks of `_TRUTH_BLOCK`, which gives the values of one evaluation of
+    the whole batch.
     """
+    out = np.empty(x.shape[0])
+    for start in range(0, x.shape[0], _TRUTH_BLOCK):
+        stop = start + _TRUTH_BLOCK
+        out[start:stop] = _expected_signal_block(cfg, gamma, x[start:stop])
+    return out
+
+
+def _expected_signal_block(cfg, gamma, x):
     m = x.shape[1]
     cluster_term = x.mean(axis=1).sum(axis=1) / math.sqrt(cfg.p)
     pik = ndtr(cluster_term[:, None] + cfg.kappa * x.mean(axis=2))
@@ -192,13 +208,10 @@ def _expected_signal_from_x(cfg, gamma, x):
         types = np.arange(1, m + 1, dtype=np.float64)
         return gamma * (pik @ types) * s.mean(axis=1)
     k = int(cfg.interference[3:]) if cfg.interference.startswith("knn") else 5
-    d2 = ((x[:, :, None, :] - x[:, None, :, :]) ** 2).sum(axis=3)
-    idx = np.arange(m)
-    d2[:, idx, idx] = np.inf
-    nbrs = np.argsort(d2, axis=2, kind="stable")[:, :, :k]
+    nbrs = knn_order(x, k)
     pik_nbrs = pik[np.arange(x.shape[0])[:, None, None], nbrs]
     if cfg.interference.startswith("knn"):
-        weights = 2.0 ** np.arange(k)
+        weights = 2.0 ** np.arange(nbrs.shape[2])
         expected_slot = pik_nbrs @ weights
     else:
         expected_slot = pik_nbrs.sum(axis=2)

@@ -33,6 +33,18 @@ def spec_field(doc, key, what):
         raise InvalidSpec(f"{what} spec is missing required field {key!r}") from None
 
 
+def spec_int(doc, key, what):
+    """spec_field(doc, key, what) as an int; InvalidSpec naming the field otherwise."""
+    value = spec_field(doc, key, what)
+    try:
+        whole = not isinstance(value, bool) and int(value) == value
+    except (TypeError, ValueError):
+        whole = False
+    if not whole:
+        raise InvalidSpec(f"{what} spec field {key!r} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _bernoulli_probs_fn(doc):
     if "prob" in doc:
         prob = float(doc["prob"])
@@ -68,7 +80,7 @@ def weight_from_json(doc):
             return probit_intervention(float(doc.get("kappa", 0.0)))
         return BernoulliIntervention(_bernoulli_probs_fn(doc))
     if kind == "random_selection":
-        return RandomSelection(int(spec_field(doc, "count", "random_selection weight")))
+        return RandomSelection(spec_int(doc, "count", "random_selection weight"))
     if kind == "deterministic":
         if "units" in doc:
             return DeterministicTarget([int(u) for u in doc["units"]])
@@ -79,8 +91,8 @@ def weight_from_json(doc):
         if "rank_column" in doc:
             return DeterministicTarget(
                 _rank_selector(
-                    int(doc["rank_column"]),
-                    int(spec_field(doc, "count", "deterministic weight")),
+                    spec_int(doc, "rank_column", "deterministic weight"),
+                    spec_int(doc, "count", "deterministic weight"),
                     largest=bool(doc.get("largest", True)),
                 )
             )

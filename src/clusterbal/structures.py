@@ -16,7 +16,7 @@ import numpy as np
 from . import _kernels
 from .core import PATTERN_CAP, as_pattern, enumerate_patterns
 from .errors import CapExceeded, DimensionMismatch, InvalidSpec
-from .specio import spec_field
+from .specio import spec_field, spec_int
 
 # ---------- neighbor graphs ----------
 
@@ -37,6 +37,24 @@ def _knn_lists(cluster, k):
     order = np.argsort(d2, axis=1, kind="stable")[:, :k_eff].astype(np.int64)
     cluster._cache[key] = order
     return order
+
+
+def knn_order(x, k):
+    """The lists of `_knn_lists` for a batch of clusters (B, m, p): (B, m, min(k, m - 1)).
+
+    Batches take the squared distances one covariate at a time, which keeps
+    the arrays at (B, m, m) and gives the bits of the sum over the covariate
+    axis; a single cluster is faster with the one-shot sum of `_knn_lists`.
+    """
+    b, m, p = x.shape
+    d2 = np.zeros((b, m, m))
+    for q in range(p):
+        diff = x[:, :, None, q] - x[:, None, :, q]
+        diff *= diff
+        d2 += diff
+    idx = np.arange(m)
+    d2[:, idx, idx] = np.inf
+    return np.argsort(d2, axis=2, kind="stable")[:, :, : min(int(k), m - 1)]
 
 
 @dataclass(frozen=True)
@@ -959,14 +977,17 @@ def build_structure(spec, dataset=None):
     def field(key):
         return spec_field(spec, key, f"{kind} structure")
 
+    def int_field(key):
+        return spec_int(spec, key, f"{kind} structure")
+
     if kind == "no_interference":
         inner = NoInterference()
     elif kind == "stratified_count":
-        inner = StratifiedCount(field("k"), include_own=spec.get("include_own", False))
+        inner = StratifiedCount(int_field("k"), include_own=spec.get("include_own", False))
     elif kind == "knn_pattern":
-        inner = KnnPattern(field("k"))
+        inner = KnnPattern(int_field("k"))
     elif kind == "additive_types":
-        inner = AdditiveTypes(field("s"), type_source=spec.get("type_source", "unit_index"))
+        inner = AdditiveTypes(int_field("s"), type_source=spec.get("type_source", "unit_index"))
     elif kind == "coarsened_count":
         inner = CoarsenedCount(
             order=spec.get("order", 1),
@@ -1009,10 +1030,10 @@ def exposure_from_spec(spec):
     if name == "own_treatment":
         return OwnTreatment()
     if name == "neighbor_pattern":
-        return NeighborPattern(spec_field(spec, "k", "neighbor_pattern mapping"))
+        return NeighborPattern(spec_int(spec, "k", "neighbor_pattern mapping"))
     if name == "neighbor_count":
         return NeighborCount(
-            spec_field(spec, "k", "neighbor_count mapping"),
+            spec_int(spec, "k", "neighbor_count mapping"),
             include_own=spec.get("include_own", False),
         )
     if name == "identity":

@@ -364,6 +364,8 @@ def _estimate_args(tmp_path, **paths):
         ("missing_key", "'k'"),
         ("not_json", "bad.json"),
         ("missing_file", "absent.csv"),
+        ("wrong_type", "'k'"),
+        ("no_covariates", "'covariates'"),
     ],
 )
 def test_malformed_input_exits_1_with_one_line(tmp_path, capsys, case, expect):
@@ -371,6 +373,11 @@ def test_malformed_input_exits_1_with_one_line(tmp_path, capsys, case, expect):
         paths = {"structure": write_json(tmp_path, "s.json", {"kind": "knn_pattern"})}
     elif case == "not_json":
         paths = {"policy": write(tmp_path, "bad.json", "{kind: gate")}
+    elif case == "wrong_type":
+        paths = {"structure": write_json(tmp_path, "s.json", {"kind": "knn_pattern", "k": "abc"})}
+    elif case == "no_covariates":
+        entry = {"cluster_id": "a", "treatments": [1, 0], "outcomes": [1.0, 2.0]}
+        paths = {"dataset": write_json(tmp_path, "d.json", {"clusters": [entry]})}
     else:
         paths = {"dataset": str(tmp_path / "absent.csv")}
     assert run(_estimate_args(tmp_path, **paths)) == EXIT_ERROR
@@ -393,6 +400,31 @@ def test_malformed_input_exits_1_with_one_line(tmp_path, capsys, case, expect):
 )
 def test_spec_builders_name_the_missing_field(build, doc, field):
     with pytest.raises(InvalidSpec, match=f"missing required field '{field}'"):
+        build(doc)
+
+
+@pytest.mark.parametrize("command", ["simulate", "calibrate"])
+def test_config_unknown_field_exits_1_with_one_line(tmp_path, capsys, command):
+    cfg = write_json(tmp_path, "cfg.json", {"n": 10, "bogus": 1})
+    code = run([command, "--config", cfg, "--seed", "1", "--out-dir", str(tmp_path / "out")])
+    assert code == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
+    assert "'bogus'" in err
+
+
+@pytest.mark.parametrize(
+    "build, doc",
+    [
+        (build_structure, {"kind": "knn_pattern", "k": "abc"}),
+        (build_structure, {"kind": "additive_types", "s": 2.5}),
+        (exposure_from_spec, {"name": "neighbor_pattern", "k": True}),
+        (weight_from_json, {"kind": "random_selection", "count": [1]}),
+    ],
+)
+def test_spec_builders_reject_non_integer_fields(build, doc):
+    with pytest.raises(InvalidSpec, match="must be an integer"):
         build(doc)
 
 

@@ -1,10 +1,14 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from clusterbal.core import probit_mean_probs
+from clusterbal import simulate
+from clusterbal.core import ClusterSample, probit_mean_probs
 from clusterbal.errors import InvalidSpec
 from clusterbal.estimators import exposure_collapsed_ipw
 from clusterbal.simulate import (
+    _TRUTH_BLOCK,
     DGPConfig,
     _expected_signal_from_x,
     calibrate_snr,
@@ -77,23 +81,63 @@ def test_outcomes_follow_linear_signal():
         assert np.allclose(c.outcomes, g, atol=1e-4)
 
 
-@pytest.mark.parametrize("kind", ["knn5", "stratified5", "additive"])
-def test_closed_form_truth_matches_library_path(kind):
-    """Dual route: batched closed-form cluster means vs the structure API."""
-    cfg = small_cfg(interference=kind)
-    rng = np.random.default_rng(5)
-    from clusterbal.core import ClusterSample
+ALL_KINDS = ["knn1", "knn2", "knn3", "knn4", "knn5", "stratified5", "additive"]
 
-    x = rng.standard_normal((6, 10, 4))
-    got = _expected_signal_from_x(cfg, cfg.gamma, x)
-    structure = dgp_structure(cfg)
-    h = dgp_h(cfg, cfg.gamma)
-    for b in range(6):
-        c = ClusterSample(covariates=x[b], treatments=np.zeros(10, dtype=int),
-                          outcomes=np.zeros(10), cluster_id=b)
-        pik = probit_mean_probs(c, cfg.kappa)
-        expected = structure.expected_rows(c, pik).mean(axis=0) @ h
-        assert got[b] == pytest.approx(expected, abs=1e-10)
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_closed_form_truth_matches_library_path(kind):
+    """Dual route: batched closed-form cluster means vs the structure API.
+
+    Covers clusters with no more units than the kind has neighbors (m <= k)
+    and, for additive types, clusters smaller than the largest size.
+    """
+    rng = np.random.default_rng(5)
+    for m in (1, 2, 3, 5, 6, 10, 15):
+        cfg = small_cfg(interference=kind, cluster_sizes=((m, 0.5), (15, 0.5)))
+        x = rng.standard_normal((6, m, 4))
+        got = _expected_signal_from_x(cfg, cfg.gamma, x)
+        structure = dgp_structure(cfg)
+        h = dgp_h(cfg, cfg.gamma)
+        for b in range(6):
+            c = ClusterSample(covariates=x[b], treatments=np.zeros(m, dtype=int),
+                              outcomes=np.zeros(m), cluster_id=b)
+            pik = probit_mean_probs(c, cfg.kappa)
+            expected = structure.expected_rows(c, pik).mean(axis=0) @ h
+            assert got[b] == pytest.approx(expected, abs=1e-10), (m, b)
+
+
+@pytest.mark.parametrize("kind", ["knn1", "knn5", "stratified5"])
+def test_blocked_truth_equals_single_cluster_calls(kind):
+    cfg = small_cfg(interference=kind)
+    x = np.random.default_rng(8).standard_normal((1300, 15, 4))
+    assert x.shape[0] > 2 * _TRUTH_BLOCK
+    batch = _expected_signal_from_x(cfg, cfg.gamma, x)
+    single = [_expected_signal_from_x(cfg, cfg.gamma, x[b : b + 1])[0] for b in range(1300)]
+    assert np.array_equal(batch, np.array(single))
+
+
+@pytest.mark.parametrize("kind", ["knn5", "stratified5", "additive"])
+def test_blocked_truth_equals_unblocked_batch(kind, monkeypatch):
+    # additive rows go through one BLAS matrix-vector product, whose rounding
+    # depends on a row's position in the batch, so single-cluster calls can
+    # differ in the last bit; blocking must still match the whole batch
+    cfg = small_cfg(interference=kind)
+    x = np.random.default_rng(8).standard_normal((1300, 15, 4))
+    blocked = _expected_signal_from_x(cfg, cfg.gamma, x)
+    monkeypatch.setattr(simulate, "_TRUTH_BLOCK", x.shape[0])
+    assert np.array_equal(blocked, _expected_signal_from_x(cfg, cfg.gamma, x))
+
+
+def test_truth_integrand_memory_stays_small():
+    cfg = small_cfg(interference="knn5")
+    x = np.random.default_rng(9).standard_normal((20_000, 15, 4))
+    tracemalloc.start()
+    try:
+        _expected_signal_from_x(cfg, cfg.gamma, x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 def test_conditional_mu_equals_balancing_point_noiseless():

@@ -27,6 +27,7 @@ from clusterbal.structures import (
     design_matrix,
     feature_row,
     knn_graph,
+    knn_order,
     nested_rank_check,
     target_vector,
 )
@@ -381,6 +382,20 @@ def test_knn_graph_tie_break():
     d = Dataset(clusters=(c,))
     lists = knn_graph(d, 2).neighbors(c)
     assert lists[0].tolist() == [1, 2]  # ties by lower unit index
+
+
+@pytest.mark.parametrize("m, k", [(15, 5), (10, 3), (6, 5), (3, 5), (1, 2)])
+def test_knn_order_matches_full_distance_tensor(m, k):
+    rng = np.random.default_rng(m + k)
+    # integer covariates on a small grid give many tied distances
+    x = np.concatenate([rng.standard_normal((50, m, 4)), rng.integers(0, 3, (50, m, 4))])
+    d2 = ((x[:, :, None, :] - x[:, None, :, :]) ** 2).sum(axis=3)
+    d2[:, np.arange(m), np.arange(m)] = np.inf
+    oracle = np.argsort(d2, axis=2, kind="stable")[:, :, : min(k, m - 1)]
+    assert np.array_equal(knn_order(x, k), oracle)
+    for b in (0, 60, 99):
+        lists = knn_graph(Dataset(clusters=(cluster_with(x[b], [0] * m),)), k).lists[0]
+        assert np.array_equal(lists, oracle[b])
 
 
 # ---------- nesting ----------
