@@ -42,7 +42,7 @@ from .simulate import (
     resolve_gamma,
     sweep,
 )
-from .specio import propensity_from_json, weight_from_json
+from .specio import propensity_from_json, spec_float, spec_int, weight_from_json
 from .structures import build_structure, exposure_from_spec
 
 EXIT_OK = 0
@@ -427,14 +427,35 @@ def _config_from_file(path, seed):
     if not isinstance(doc, dict):
         raise InvalidSpec(f"{path}: config document must be a JSON object")
     axis = doc.pop("axis", "n")
-    values = tuple(doc.pop("values", (doc.get("n", 300),)))
+    values = doc.pop("values", (doc.get("n", 300),))
+    if not isinstance(values, (list, tuple)):
+        raise InvalidSpec(f"{path}: config field 'values' must be a list, got {values!r}")
     doc.setdefault("n", 300)
     doc["seed"] = seed
     known = {f.name for f in fields(DGPConfig)}
     for key in doc:
         if key not in known:
             raise InvalidSpec(f"{path}: unknown config field {key!r}")
-    return DGPConfig(**doc), axis, values
+    what = f"{path}: config"
+    for key in ("n", "p"):
+        if key in doc:
+            doc[key] = spec_int(doc, key, what)
+    for key in ("kappa", "snr_target", "sigma2", "rho", "gamma"):
+        if doc.get(key) is not None:
+            doc[key] = spec_float(doc, key, what)
+    if not isinstance(doc.get("interference", ""), str):
+        raise InvalidSpec(
+            f"{what} spec field 'interference' must be a string, got {doc['interference']!r}"
+        )
+    if "cluster_sizes" in doc:
+        try:
+            doc["cluster_sizes"] = tuple((int(m), float(q)) for m, q in doc["cluster_sizes"])
+        except (TypeError, ValueError):
+            raise InvalidSpec(
+                f"{what} spec field 'cluster_sizes' must be [[m, prob], ...], "
+                f"got {doc['cluster_sizes']!r}"
+            ) from None
+    return DGPConfig(**doc), axis, tuple(values)
 
 
 def _simulate_config(args, seed):

@@ -163,6 +163,11 @@ class CounterfactualWeight:
         """Per-unit Bernoulli probabilities when f factorizes; else None."""
         return None
 
+    def marginal_probs_batch(self, clusters):
+        """`marginal_probs` of clusters of one size m, stacked (B, m); else None."""
+        probs = [self.marginal_probs(c) for c in clusters]
+        return None if any(p is None for p in probs) else np.stack(probs)
+
     def _check(self, pattern, cluster):
         a = as_pattern(pattern)
         if a.size != cluster.size:
@@ -213,6 +218,10 @@ class BernoulliIntervention(CounterfactualWeight):
         pi = np.asarray(self.prob_fn(cluster), dtype=np.float64).ravel()
         if pi.size != cluster.size:
             raise DimensionMismatch("prob_fn returned wrong length")
+        return self._in_unit_interval(pi)
+
+    @staticmethod
+    def _in_unit_interval(pi):
         if ((pi < 0) | (pi > 1)).any():
             raise InvalidSpec("intervention probabilities must lie in [0, 1]")
         return pi
@@ -227,6 +236,13 @@ class BernoulliIntervention(CounterfactualWeight):
 
     def marginal_probs(self, cluster):
         return self._probs(cluster)
+
+    def marginal_probs_batch(self, clusters):
+        # one range check for the whole batch: per cluster it cost as much as the product form
+        rows = [np.asarray(self.prob_fn(c), dtype=np.float64).ravel() for c in clusters]
+        if any(r.size != c.size for r, c in zip(rows, clusters)):
+            raise DimensionMismatch("prob_fn returned wrong length")
+        return self._in_unit_interval(np.stack(rows))
 
 
 def uniform_intervention():

@@ -13,9 +13,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PATTERN_CAP
+from .core import PATTERN_CAP, uniform_intervention
 from .errors import InvalidSpec
-from .structures import TensorWithCovariates
+from .structures import (
+    TensorWithCovariates,
+    _observed_slots,
+    _one_hot_mapping,
+    target_contributions,
+)
 
 DEFAULT_THRESHOLD = 0.10
 
@@ -85,11 +90,11 @@ def imbalance_report(
             f"imbalance length {nu.size} != blocks*width = {ell}*{width}"
         )
 
-    # per-cluster counterfactual load of each coordinate, summed over patterns
-    z = np.empty((dataset.n, ell * width))
-    for ci, c in enumerate(dataset.clusters):
-        half = np.full(c.size, 0.5)
-        z[ci] = structure.expected_rows(c, half, cap).mean(axis=0) * 2.0**c.size
+    # per-cluster counterfactual load of each coordinate, summed over patterns:
+    # the mean load under probability 1/2 times the 2^M_c patterns
+    sizes = np.array([c.size for c in dataset.clusters])
+    z = target_contributions(structure, dataset, uniform_intervention(), cap)
+    z *= 2.0 ** sizes[:, None]
     sigma = z.std(axis=0, ddof=1) if dataset.n > 1 else np.zeros(ell * width)
 
     nu_mat = nu.reshape(ell, width)  # [j, t]
@@ -104,10 +109,13 @@ def imbalance_report(
                 nu_star[t, j] = nu_mat[j, t] / sig_mat[j, t]
 
     # observed incidences of each effective treatment
-    m_counts = np.zeros(ell)
-    for c in dataset.clusters:
-        inner_rows = structure.inner.rows_at(c, c.treatments)
-        m_counts += (inner_rows != 0).sum(axis=0)
+    if _one_hot_mapping(structure) is not None:
+        m_counts = np.bincount(_observed_slots(structure, dataset), minlength=ell).astype(float)
+    else:
+        m_counts = np.zeros(ell)
+        for c in dataset.clusters:
+            inner_rows = structure.inner.rows_at(c, c.treatments)
+            m_counts += (inner_rows != 0).sum(axis=0)
 
     omnibus = np.zeros(width)
     for t in range(width):

@@ -10,7 +10,13 @@ import numpy as np
 from .core import PATTERN_CAP, enumerate_patterns, eval_propensity, pattern_index
 from .errors import PositivityViolation
 from .numerics import FEAS_TOL, DesignOps, _default_rcond, _validate, project_colspace
-from .structures import TensorWithCovariates, design_matrix, target_contributions
+from .structures import (
+    TensorWithCovariates,
+    _observed_slots,
+    _one_hot_mapping,
+    design_matrix,
+    target_contributions,
+)
 
 __all__ = [
     "WeightSet",
@@ -91,29 +97,22 @@ class DesignSystem:
         return self._cache["ops"]
 
 
-def _block_pieces(structure, phi):
+def _block_pieces(structure, dataset, phi):
     """One (rows, columns) DesignOps piece per effective treatment, or None.
 
-    Applies when the structure has a block layout and every row of phi is
-    non-zero in at most one block, so phi is block diagonal up to a row
-    permutation. Blocks no row reaches and all-zero rows join no piece.
+    A one-hot tensor's design is block diagonal up to a row permutation:
+    each row lies in the block of its observed slot, read off the slot
+    vector. Blocks no row reaches and all-zero rows join no piece; other
+    structures get None (the whole of phi).
     """
-    layout = structure.block_layout
-    if layout is None:
+    if _one_hot_mapping(structure) is None:
         return None
-    n_blocks, width = layout
-    if width is None:  # covariate width set by the dataset: read it off phi
-        width = phi.shape[1] // n_blocks
-    if width < 1 or n_blocks * width != phi.shape[1]:
-        return None
-    by_block = phi.reshape(phi.shape[0], n_blocks, width)
-    hit = by_block[:, :, 0] != 0
-    for j in range(1, width):  # about 3x faster than .any(axis=2) over a short axis
-        hit |= by_block[:, :, j] != 0
-    if (hit.sum(axis=1) > 1).any():
-        return None
-    rows = np.flatnonzero(hit.any(axis=1))
-    block = hit[rows].argmax(axis=1)
+    slots = _observed_slots(structure, dataset)
+    n_rows, n_blocks = phi.shape[0], structure.inner.dim()
+    width = phi.shape[1] // n_blocks
+    hot = phi.reshape(n_rows, n_blocks, width)[np.arange(n_rows), slots]
+    rows = np.flatnonzero((hot != 0).any(axis=1))
+    block = slots[rows]
     bounds = np.cumsum(np.bincount(block, minlength=n_blocks))[:-1]
     groups = np.split(rows[np.argsort(block, kind="stable")], bounds)
     return tuple(
@@ -128,7 +127,7 @@ def build_design(structure, dataset, weight, cap=PATTERN_CAP):
         contributions=target_contributions(structure, dataset, weight, cap),
         slices=tuple(dataset.cluster_slices()),
         label=structure.label,
-        pieces=_block_pieces(structure, phi),
+        pieces=_block_pieces(structure, dataset, phi),
     )
 
 
@@ -282,7 +281,19 @@ def _wproj_closed_form(dataset, structure, mapping, weight, propensity, cap=PATT
 
 
 def _wproj_svd(dataset, structure, weight, propensity, cap=PATTERN_CAP):
-    """Weighted-projection weights by one 2^m x d SVD per unit (any structure)."""
+    """Weighted-projection weights by one 2^m x d SVD per unit (any structure).
+
+    A structure with `shared_rows`, or covariate tensors over one, takes one
+    SVD per cluster. Unit i's rows there are sqrt(e) * (inner (x) x_i) for
+    the shared inner rows, whose span is that of sqrt(e) * inner when x_i is
+    non-zero and {0} when it is zero. Their singular values are those of
+    sqrt(e) * inner times |x_i|, so the cut rcond = max(2^m, d) * eps
+    relative to the largest keeps the same directions.
+    """
+    tensors, base = [], structure
+    while isinstance(base, TensorWithCovariates):
+        tensors.append(base)
+        base = base.inner
     out = np.empty(dataset.total_units)
     for (start, stop), c in zip(dataset.cluster_slices(), dataset.clusters):
         bits = enumerate_patterns(c.size, cap)
@@ -295,6 +306,16 @@ def _wproj_svd(dataset, structure, weight, propensity, cap=PATTERN_CAP):
         w_tilde = f_all / (c.size * e_all)
         sqrt_e = np.sqrt(e_all)
         obs = pattern_index(c.treatments)
+        if base.shared_rows:
+            lam = base.all_pattern_rows(c, 0, cap)
+            lam *= sqrt_e[:, None]
+            rcond = _default_rcond((bits.shape[0], structure.dim(c)))
+            value = project_colspace(lam, sqrt_e * w_tilde, rcond)[obs] / sqrt_e[obs]
+            live = np.ones(c.size, dtype=bool)
+            for tensor in tensors:
+                live &= (_validate(tensor.covariate_rows(c)) != 0).any(axis=1)
+            out[start:stop] = np.where(live, value, 0.0)
+            continue
         for i in range(c.size):
             lam = structure.all_pattern_rows(c, i, cap)
             # scaled in place: a second 2^m x d temporary made malloc re-fault pages per unit

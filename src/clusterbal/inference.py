@@ -7,6 +7,8 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 from scipy.stats import chi2, norm
 
 from .core import PATTERN_CAP
@@ -213,6 +215,50 @@ def structure_test(dataset, weight, candidate, reference, sigma_hat, cap=PATTERN
     return stat, float(chi2.sf(stat, df=1))
 
 
+def _designs_nested(small, large):
+    """True when the observed design `small` lies in the column span of `large`.
+
+    The dense test (`_nested_in_span`) compares rank([phi_s, phi_l]) with
+    rank(phi_l). When both designs come in DesignOps pieces, the stacked
+    matrix is block diagonal up to permutations: its blocks are the connected
+    components of the bipartite graph whose edges are the (small piece,
+    large piece) pairs that share a row. Each component takes one SVD; the
+    tolerance stays global, matrix_rank's max(N, d_s + d_l) * eps times the
+    largest singular value over all components. rank(phi_l) is the rank of
+    the large design's DesignOps, whose cut is matrix_rank's rule.
+    """
+    if small.pieces is None or large.pieces is None:
+        return _nested_in_span(small.phi, large.phi)
+    n_rows = small.phi.shape[0]
+    blocks = []  # (phi, column slice) of every piece, small ones first
+    owner = []  # per design: each row's piece number in `blocks`, -1 when none
+    for design in (small, large):
+        piece_of = np.full(n_rows, -1)
+        for rows, cols in design.pieces:
+            piece_of[rows] = len(blocks)
+            blocks.append((design.phi, cols))
+        owner.append(piece_of)
+    both = (owner[0] >= 0) & (owner[1] >= 0)
+    edges = coo_matrix(
+        (np.ones(int(both.sum())), (owner[0][both], owner[1][both])),
+        shape=(len(blocks), len(blocks)),
+    )
+    n_comp, comp = connected_components(edges, directed=False)
+    piece = np.where(owner[0] >= 0, owner[0], owner[1])
+    live = np.flatnonzero(piece >= 0)
+    row_comp = comp[piece[live]]
+    bounds = np.cumsum(np.bincount(row_comp, minlength=n_comp))[:-1]
+    comp_rows = np.split(live[np.argsort(row_comp, kind="stable")], bounds)
+    svals = []
+    for c, rows in zip(range(n_comp), comp_rows):  # no pieces: no component
+        parts = [phi[rows, cols] for (phi, cols), cc in zip(blocks, comp) if cc == c]
+        svals.append(np.linalg.svd(np.hstack(parts), compute_uv=False))
+    s_max = max((s[0] for s in svals if s.size), default=0.0)
+    width = small.phi.shape[1] + large.phi.shape[1]
+    tol = s_max * max(n_rows, width) * np.finfo(np.float64).eps
+    return int(sum((s > tol).sum() for s in svals)) == large.ops().rank
+
+
 def select_structure(
     dataset,
     weight,
@@ -237,7 +283,7 @@ def select_structure(
         raise InfeasibleFit(f"infeasible balancing fits for candidates: {offenders}")
     if check_nesting:
         for i in range(len(candidates) - 1):
-            if not _nested_in_span(designs[i].phi, designs[i + 1].phi):
+            if not _designs_nested(designs[i], designs[i + 1]):
                 small, large = candidates[i].label, candidates[i + 1].label
                 warnings.warn(
                     f"candidate {small!r} is not nested in {large!r} "

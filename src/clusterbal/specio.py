@@ -45,12 +45,22 @@ def spec_int(doc, key, what):
     return int(value)
 
 
+def spec_float(doc, key, what, default=None):
+    """doc[key] as a float, or `default` when given and the key is absent;
+    InvalidSpec naming the field when the value is not a number."""
+    value = doc.get(key, default) if default is not None else spec_field(doc, key, what)
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise InvalidSpec(f"{what} spec field {key!r} must be a number, got {value!r}") from None
+
+
 def _bernoulli_probs_fn(doc):
     if "prob" in doc:
-        prob = float(doc["prob"])
+        prob = spec_float(doc, "prob", "bernoulli")
         return lambda c: np.full(c.size, prob)
     if doc.get("family") == "probit_mean":
-        kappa = float(doc.get("kappa", 0.0))
+        kappa = spec_float(doc, "kappa", "bernoulli", default=0.0)
         from .core import probit_mean_probs
 
         return lambda c: probit_mean_probs(c, kappa)
@@ -77,7 +87,7 @@ def weight_from_json(doc):
         return uniform_intervention()
     if kind == "bernoulli":
         if doc.get("family") == "probit_mean":
-            return probit_intervention(float(doc.get("kappa", 0.0)))
+            return probit_intervention(spec_float(doc, "kappa", "bernoulli weight", default=0.0))
         return BernoulliIntervention(_bernoulli_probs_fn(doc))
     if kind == "random_selection":
         return RandomSelection(spec_int(doc, "count", "random_selection weight"))
@@ -103,7 +113,7 @@ def weight_from_json(doc):
             entries.setdefault(spec_field(row, "cluster_id", "sparse weight entry"), []).append(
                 (
                     spec_field(row, "pattern", "sparse weight entry"),
-                    float(spec_field(row, "weight", "sparse weight entry")),
+                    spec_float(row, "weight", "sparse weight entry"),
                 )
             )
         return SparseTable(entries)
@@ -123,7 +133,7 @@ def propensity_from_json(doc):
         return UnknownPropensity()
     if kind == "bernoulli":
         if doc.get("family") == "probit_mean":
-            return probit_propensity(float(doc.get("kappa", 0.0)))
+            return probit_propensity(spec_float(doc, "kappa", "bernoulli propensity", default=0.0))
         return IndependentBernoulli(_bernoulli_probs_fn(doc))
     if kind == "joint_table":
         tables = {}

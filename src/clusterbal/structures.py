@@ -57,6 +57,25 @@ def knn_order(x, k):
     return np.argsort(d2, axis=2, kind="stable")[:, :, : min(int(k), m - 1)]
 
 
+def _stacked_neighbors(clusters, k, graph=None):
+    """Neighbor lists of clusters of one size, stacked: (B, m, k_eff) int64.
+
+    The lists come from `graph` when given. Otherwise each cluster's
+    ("knn", k) cache of `_knn_lists` supplies them, and one `knn_order` call
+    fills the caches still empty.
+    """
+    if graph is not None:
+        return np.stack([graph.neighbors(c)[:, :k] for c in clusters])
+    key = ("knn", int(k))
+    cold = [c for c in clusters if key not in c._cache]
+    if cold:
+        lists = np.ascontiguousarray(knn_order(np.stack([c.covariates for c in cold]), k),
+                                     dtype=np.int64)
+        for c, order in zip(cold, lists):
+            c._cache[key] = order
+    return np.stack([c._cache[key] for c in clusters])
+
+
 @dataclass(frozen=True)
 class NeighborGraph:
     """Per-cluster, per-unit ordered neighbor lists."""
@@ -103,8 +122,8 @@ class LowRankStructure:
 
     regime = "fixed"
     label = "structure"
-    block_layout = None  # (n_blocks, width): feature columns as blocks of one width
     exposure_mapping = None  # set on one-hot structures: the mapping whose class is the hot slot
+    shared_rows = False  # True when every unit of a cluster has the same rows
 
     def dim(self, cluster=None, i=None):
         raise NotImplementedError
@@ -374,6 +393,7 @@ class AdditiveTypes(LowRankStructure):
     """
 
     label = "additive_types"
+    shared_rows = True
 
     def __init__(self, s, type_source="unit_index"):
         if s < 1:
@@ -610,6 +630,16 @@ class ExposureMapping:
         treatments, in product form; None when the mapping has none."""
         return None
 
+    def classes_batch(self, clusters, patterns):
+        """`classes_at` of clusters of one size m: (B, m) patterns -> (B, m) int64."""
+        return np.stack([self.classes_at(c, a) for c, a in zip(clusters, patterns)])
+
+    def class_masses_batch(self, clusters, probs):
+        """`class_masses` of clusters of one size m: (B, m) probs -> (B, m,
+        n_classes), or None when the mapping has no product form."""
+        out = [self.class_masses(c, p) for c, p in zip(clusters, probs)]
+        return None if any(o is None for o in out) else np.stack(out)
+
     fixed_dim = None  # class count when it does not vary with (cluster, i)
 
 
@@ -631,6 +661,12 @@ class OwnTreatment(ExposureMapping):
 
     def class_masses(self, cluster, probs):
         return NoInterference().expected_rows(cluster, probs)
+
+    def classes_batch(self, clusters, patterns):
+        return patterns.astype(np.int64)
+
+    def class_masses_batch(self, clusters, probs):
+        return np.stack([1.0 - probs, probs], axis=2)
 
 
 class NeighborPattern(ExposureMapping):
@@ -661,6 +697,30 @@ class NeighborPattern(ExposureMapping):
     def class_masses(self, cluster, probs):
         return self.inner.expected_rows(cluster, probs)
 
+    def _neighbor_values(self, clusters, values):
+        """values[b, j] of every unit's neighbors, in list order: (B, m, k_eff)."""
+        nbrs = _stacked_neighbors(clusters, self.k, self.inner.graph)
+        return values[np.arange(len(clusters))[:, None, None], nbrs]
+
+    def classes_batch(self, clusters, patterns):
+        bits = self._neighbor_values(clusters, patterns).astype(np.int64)
+        k_eff = bits.shape[2]
+        if k_eff == 0:
+            return np.zeros(patterns.shape, dtype=np.int64)
+        return bits @ 2 ** np.arange(self.k - 1, self.k - 1 - k_eff, -1, dtype=np.int64)
+
+    def class_masses_batch(self, clusters, probs):
+        nbr_probs = self._neighbor_values(clusters, probs)
+        slot_probs = np.zeros(probs.shape + (self.k,))  # missing neighbors: probability 0
+        slot_probs[:, :, : nbr_probs.shape[2]] = nbr_probs
+        # slot index bits run first neighbor (most significant) to last: prepend
+        # one neighbor's (untreated, treated) halves at a time, last neighbor first
+        mass = np.ones(probs.shape + (1,))
+        for t in range(self.k - 1, -1, -1):
+            p_t = slot_probs[:, :, t, None]
+            mass = np.concatenate([(1.0 - p_t) * mass, p_t * mass], axis=2)
+        return mass
+
 
 class NeighborCount(ExposureMapping):
     """Number of treated units among the k nearest neighbors."""
@@ -690,6 +750,29 @@ class NeighborCount(ExposureMapping):
 
     def class_masses(self, cluster, probs):
         return self.inner.expected_rows(cluster, probs)
+
+    def _counted_values(self, clusters, values):
+        """values[b, j] of every unit's counted units: (B, m, counted)."""
+        units = _stacked_neighbors(clusters, self.k, self.inner.graph)
+        if self.inner.include_own:
+            b, m, _ = units.shape
+            own = np.broadcast_to(np.arange(m, dtype=np.int64)[:, None], (b, m, 1))
+            units = np.concatenate([own, units], axis=2)
+        return values[np.arange(len(clusters))[:, None, None], units]
+
+    def classes_batch(self, clusters, patterns):
+        return self._counted_values(clusters, patterns).astype(np.int64).sum(axis=2)
+
+    def class_masses_batch(self, clusters, probs):
+        counted = self._counted_values(clusters, probs)
+        b, m, n_counted = counted.shape
+        out = np.zeros((b, m, self.inner.dim()))
+        if n_counted == 0:
+            out[:, :, 0] = 1.0
+            return out
+        pmf = _kernels.pb_pmf_batch(np.ascontiguousarray(counted.reshape(b * m, n_counted)))
+        out[:, :, : n_counted + 1] = pmf.reshape(b, m, n_counted + 1)
+        return out
 
 
 class IdentityMapping(ExposureMapping):
@@ -733,6 +816,12 @@ class ConstantMapping(ExposureMapping):
 
     def class_masses(self, cluster, probs):
         return np.ones((cluster.size, 1))
+
+    def classes_batch(self, clusters, patterns):
+        return np.zeros(patterns.shape, dtype=np.int64)
+
+    def class_masses_batch(self, clusters, probs):
+        return np.ones(probs.shape + (1,))
 
 
 class FromExposureMapping(LowRankStructure):
@@ -900,12 +989,6 @@ class TensorWithCovariates(LowRankStructure):
         return out
 
     @property
-    def block_layout(self):
-        """(inner dimension, covariate width); the width is None when `columns`
-        is omitted, since it is then the dataset's covariate count."""
-        return (self.inner.dim(), None if self.columns is None else len(self.columns))
-
-    @property
     def exposure_mapping(self):
         return self.inner.exposure_mapping
 
@@ -1051,24 +1134,98 @@ def feature_row(structure, cluster, i, pattern):
     return structure.feature_row(cluster, i, pattern)
 
 
+def _one_hot_mapping(structure):
+    """The exposure mapping of a tensor over a one-hot encoding, else None.
+
+    Unit i's row of such a tensor is its covariate row in the block of its
+    exposure class (its slot), and zero elsewhere.
+    """
+    if isinstance(structure, TensorWithCovariates) and not isinstance(
+        structure.inner, TensorWithCovariates
+    ):
+        return structure.inner.exposure_mapping
+    return None
+
+
+def _size_groups(dataset):
+    """(clusters, cluster indices, (B, m) unit rows) for each cluster size m."""
+    sizes = np.array([c.size for c in dataset.clusters])
+    starts = np.cumsum(sizes) - sizes
+    for m in np.unique(sizes):
+        idx = np.flatnonzero(sizes == m)
+        yield [dataset.clusters[i] for i in idx], idx, starts[idx, None] + np.arange(m)
+
+
+def _observed_slots(structure, dataset):
+    """Each unit's observed slot of a one-hot tensor, in dataset unit order.
+
+    The slots (N,) int64 are taken for all clusters of one size at once.
+    """
+    mapping = _one_hot_mapping(structure)
+    slots = np.empty(dataset.total_units, dtype=np.int64)
+    for group, _, rows in _size_groups(dataset):
+        slots[rows] = mapping.classes_batch(group, np.stack([c.treatments for c in group]))
+    return slots
+
+
 def design_matrix(structure, dataset):
-    """Observed design: rows phi_ci(A_c) stacked in dataset unit order."""
+    """Observed design: rows phi_ci(A_c) stacked in dataset unit order.
+
+    A one-hot tensor's design is one scatter of the covariate rows into the
+    blocks of the units' observed slots; other structures stack `rows_at`
+    per cluster.
+    """
     if structure.regime != "fixed":
         raise InvalidSpec("design matrices need a fixed-dimension structure")
-    return np.vstack([structure.rows_at(c, c.treatments) for c in dataset.clusters])
+    if _one_hot_mapping(structure) is None:
+        return np.vstack([structure.rows_at(c, c.treatments) for c in dataset.clusters])
+    slots = _observed_slots(structure, dataset)
+    x = np.vstack([structure.covariate_rows(c) for c in dataset.clusters])
+    phi = np.zeros((x.shape[0], structure.inner.dim(), x.shape[1]))
+    phi[np.arange(x.shape[0]), slots] = x
+    return phi.reshape(x.shape[0], -1)
+
+
+def _one_hot_contributions(structure, dataset, weight, out):
+    """Fill the rows of `out` that a one-hot tensor's product form gives.
+
+    For the clusters of one size m, row c is (1/m) sum_i masses[c, i] (x)
+    x_ci, a (B, slots, m) @ (B, m, w) product, with the unit x slot masses
+    under the weight's marginal probabilities. Returns a mask of the rows
+    filled; clusters whose weight or mapping has no product form are left.
+    """
+    mapping = _one_hot_mapping(structure)
+    done = np.zeros(dataset.n, dtype=bool)
+    for group, idx, rows in _size_groups(dataset):
+        probs = weight.marginal_probs_batch(group)
+        if probs is None:
+            continue
+        masses = mapping.class_masses_batch(group, probs)
+        if masses is None:
+            continue
+        x = np.stack([structure.covariate_rows(c) for c in group])
+        loads = masses.transpose(0, 2, 1) @ x
+        out[idx] = loads.reshape(len(group), -1) / rows.shape[1]
+        done[idx] = True
+    return done
 
 
 def target_contributions(structure, dataset, weight, cap=PATTERN_CAP):
     """Per-cluster aggregated counterfactual feature loads: (n, d).
 
     Row c is (1/M_c) * sum_{a in support(f)} f(a, X_c) * sum_i phi_ci(a),
-    evaluated through the intervention's product form when it has one.
+    evaluated through the intervention's product form when it has one;
+    one-hot tensors take it for all clusters of one size at once.
     """
     if structure.regime != "fixed":
         raise InvalidSpec("target vectors need a fixed-dimension structure")
     d = structure.dim(dataset.clusters[0])
     out = np.zeros((dataset.n, d))
-    for ci, c in enumerate(dataset.clusters):
+    done = np.zeros(dataset.n, dtype=bool)
+    if _one_hot_mapping(structure) is not None:
+        done = _one_hot_contributions(structure, dataset, weight, out)
+    for ci in np.flatnonzero(~done):
+        c = dataset.clusters[ci]
         probs = weight.marginal_probs(c)
         if probs is not None:
             out[ci] = structure.expected_rows(c, probs, cap).mean(axis=0)

@@ -66,3 +66,71 @@ def mu_f_direct(dataset, weight, outcome_fn):
             g = outcome_fn(ci, c, a)
             total += w * g.sum() / c.size
     return total / dataset.n
+
+
+# ---------- per-cluster design assembly (the path the size-batched one replaces) ----------
+
+
+def fresh_copy(dataset):
+    """The same clusters with empty per-cluster caches (k-NN lists, covariate rows)."""
+    return Dataset(
+        clusters=tuple(
+            ClusterSample(
+                covariates=c.covariates,
+                treatments=c.treatments,
+                outcomes=c.outcomes,
+                cluster_id=c.cluster_id,
+            )
+            for c in dataset.clusters
+        )
+    )
+
+
+def per_cluster_design(structure, dataset):
+    """Observed design stacked from `rows_at`, one cluster at a time."""
+    return np.vstack([structure.rows_at(c, c.treatments) for c in dataset.clusters])
+
+
+def per_cluster_contributions(structure, dataset, weight):
+    """Target contributions from `expected_rows` (or the weight's support) per cluster."""
+    out = np.zeros((dataset.n, structure.dim(dataset.clusters[0])))
+    for ci, c in enumerate(dataset.clusters):
+        probs = weight.marginal_probs(c)
+        if probs is not None:
+            out[ci] = structure.expected_rows(c, probs).mean(axis=0)
+        else:
+            for pat, w in weight.support(c):
+                out[ci] += w * structure.rows_at(c, pat).sum(axis=0) / c.size
+    return out
+
+
+def scanned_pieces(phi, n_blocks):
+    """DesignOps pieces read off a dense design: rows grouped by their one non-zero block."""
+    width = phi.shape[1] // n_blocks
+    hit = (phi.reshape(phi.shape[0], n_blocks, width) != 0).any(axis=2)
+    assert (hit.sum(axis=1) <= 1).all()
+    pieces = []
+    for b in range(n_blocks):
+        rows = np.flatnonzero(hit[:, b])
+        if rows.size:
+            pieces.append((rows, slice(b * width, (b + 1) * width)))
+    return tuple(pieces)
+
+
+def per_cluster_imbalance_scales(structure, dataset):
+    """(sigma, m_counts) of the imbalance report, one cluster at a time.
+
+    sigma (d,) is the across-cluster spread of each coordinate's load summed
+    over all 2^M_c patterns; m_counts counts the units in each effective
+    treatment at the observed patterns.
+    """
+    z = np.array(
+        [
+            structure.expected_rows(c, np.full(c.size, 0.5)).mean(axis=0) * 2.0**c.size
+            for c in dataset.clusters
+        ]
+    )
+    m_counts = sum(
+        (structure.inner.rows_at(c, c.treatments) != 0).sum(axis=0) for c in dataset.clusters
+    )
+    return z.std(axis=0, ddof=1), np.asarray(m_counts, dtype=float)

@@ -414,6 +414,48 @@ def test_config_unknown_field_exits_1_with_one_line(tmp_path, capsys, command):
     assert "'bogus'" in err
 
 
+@pytest.mark.parametrize("command", ["simulate", "calibrate"])
+@pytest.mark.parametrize(
+    "doc, field",
+    [
+        ({"n": "abc"}, "'n'"),
+        ({"n": 10, "rho": "x"}, "'rho'"),
+        ({"n": 10, "gamma": [1.0]}, "'gamma'"),
+        ({"n": 10, "interference": 5}, "'interference'"),
+        ({"n": 10, "cluster_sizes": [[10]]}, "'cluster_sizes'"),
+        ({"n": 10, "values": 5}, "'values'"),
+    ],
+)
+def test_config_wrong_type_exits_1_with_one_line(tmp_path, capsys, command, doc, field):
+    cfg = write_json(tmp_path, "cfg.json", doc)
+    code = run([command, "--config", cfg, "--seed", "1", "--out-dir", str(tmp_path / "out")])
+    assert code == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
+    assert err.startswith("error:") and field in err
+
+
+@pytest.mark.parametrize(
+    "name, doc, field",
+    [
+        ("policy", {"kind": "bernoulli", "prob": "abc"}, "'prob'"),
+        ("policy", {"kind": "bernoulli", "family": "probit_mean", "kappa": "abc"}, "'kappa'"),
+        ("propensity", {"kind": "bernoulli", "prob": [0.5]}, "'prob'"),
+        ("propensity", {"kind": "bernoulli", "family": "probit_mean", "kappa": None}, "'kappa'"),
+        ("policy", {"kind": "sparse", "entries": [
+            {"cluster_id": "a", "pattern": [1], "weight": "w"}]}, "'weight'"),
+    ],
+)
+def test_non_numeric_spec_field_exits_1_with_one_line(tmp_path, capsys, name, doc, field):
+    paths = {name: write_json(tmp_path, f"bad_{name}.json", doc)}
+    assert run(_estimate_args(tmp_path, **paths)) == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
+    assert err.startswith("error:") and field in err
+
+
 @pytest.mark.parametrize(
     "build, doc",
     [

@@ -300,3 +300,23 @@ def test_probit_probs_shape_and_range(rng):
     # kappa = 0 removes unit-level variation
     pi0 = probit_mean_probs(c, 0.0)
     assert np.allclose(pi0, pi0[0])
+
+
+@pytest.mark.parametrize(
+    "probs, error",
+    [
+        (lambda c: np.full(c.size, 1.5), InvalidSpec),
+        (lambda c: np.full(c.size + 1, 0.5), DimensionMismatch),
+    ],
+    ids=["out_of_range", "wrong_length"],
+)
+def test_intervention_probabilities_checked_per_cluster_and_per_batch(rng, probs, error):
+    clusters = [make_cluster(rng, 3, cluster_id=i) for i in range(2)]
+    f = BernoulliIntervention(lambda c: probs(c) if c.cluster_id == 1 else np.full(c.size, 0.5))
+    assert f.marginal_probs(clusters[0]).shape == (3,)
+    with pytest.raises(error):
+        f.marginal_probs(clusters[1])
+    with pytest.raises(error):
+        f.marginal_probs_batch(clusters)
+    good = BernoulliIntervention(lambda c: np.full(c.size, 0.25))
+    assert np.array_equal(good.marginal_probs_batch(clusters), np.full((2, 3), 0.25))

@@ -32,6 +32,7 @@ from clusterbal.estimators import (
     weighted_projection_fit,
 )
 from clusterbal.inference import sandwich_variance
+from clusterbal.numerics import project_colspace
 from clusterbal.structures import (
     AdditiveTypes,
     CoarsenedCount,
@@ -635,3 +636,64 @@ def test_wproj_closed_form_positivity():
     ):
         with pytest.raises(PositivityViolation):
             fit()
+
+
+# ---------- weighted projection: one SVD per cluster for rows shared by every unit ----------
+
+
+def _wproj_per_unit(d, structure, f, e):
+    """Weighted-projection weights by one SVD of sqrt(e) * all_pattern_rows per unit."""
+    out = []
+    for c in d.clusters:
+        bits = enumerate_patterns(c.size)
+        e_all = e.probabilities_for(bits, c)
+        w_tilde = f.weights_for(bits, c) / (c.size * e_all)
+        sqrt_e = np.sqrt(e_all)
+        obs = pattern_index(c.treatments)
+        for i in range(c.size):
+            lam = structure.all_pattern_rows(c, i) * sqrt_e[:, None]
+            out.append(project_colspace(lam, sqrt_e * w_tilde)[obs] / sqrt_e[obs])
+    return np.array(out)
+
+
+def _zero_rows(c):
+    x = c.covariates.copy()
+    x[:: 2] = 0.0  # units 0, 2, ...
+    return x
+
+
+SHARED_ROWS = {  # structure, and whether zeroing a unit's covariates zeroes its rows
+    "additive": (AdditiveTypes(5), False),
+    "tensor": (TensorWithCovariates(AdditiveTypes(5), columns=[0, 1]), True),
+    "tensor_cluster_mean": (
+        TensorWithCovariates(AdditiveTypes(5), columns=[0, {"cluster_mean": 1}]), False
+    ),
+    "tensor_of_tensor": (
+        TensorWithCovariates(TensorWithCovariates(AdditiveTypes(5), columns=[1]), columns=[0]),
+        True,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(SHARED_ROWS))
+@pytest.mark.parametrize("zero_rows", [False, True])
+def test_wproj_shared_rows_one_svd_per_cluster(rng, monkeypatch, case, zero_rows):
+    from clusterbal import estimators
+
+    structure, zeroed = SHARED_ROWS[case]
+    d = make_dataset(rng, 8, sizes=(1, 5), p=2)
+    if zero_rows:
+        d = _with(d, covariates=_zero_rows)
+    e, f = _probs_in(0.2, 0.8), probit_intervention(0.4)
+    want = _wproj_per_unit(d, structure, f, e)
+    calls = []
+    monkeypatch.setattr(
+        estimators, "project_colspace", lambda *a: calls.append(a) or project_colspace(*a)
+    )
+    got = weighted_projection_fit(d, structure, f, e).weights.values
+    assert len(calls) == d.n
+    scale = max(np.abs(want).max(), 1.0)
+    np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-10 * scale)
+    assert (got[want == 0.0] == 0.0).all()
+    if zero_rows and zeroed:
+        assert (want[[start for start, _ in d.cluster_slices()]] == 0.0).all()

@@ -9,6 +9,7 @@ from clusterbal import _kernels
 from clusterbal.core import enumerate_patterns
 
 
+_PACKAGE_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(_kernels.__file__)))
 needs_numba = pytest.mark.skipif(not _kernels.NUMBA_OK, reason="numba unavailable")
 
 
@@ -75,7 +76,11 @@ def test_env_flag_selects_numpy_backend():
         [sys.executable, "-c", code],
         env={
             "PATH": "/usr/bin:/bin",
-            "PYTHONPATH": os.environ.get("PYTHONPATH", ""),
+            # the directory this package was imported from, whether it came
+            # through PYTHONPATH or pytest's `pythonpath` setting
+            "PYTHONPATH": os.pathsep.join(
+                filter(None, [_PACKAGE_ROOT, os.environ.get("PYTHONPATH", "")])
+            ),
             "CLUSTERBAL_DISABLE_NUMBA": "1",
         },
         capture_output=True,

@@ -1,0 +1,324 @@
+"""The size-batched one-hot design layer against its per-cluster oracle.
+
+Tensors over one-hot encodings (`KnnPattern`, `StratifiedCount`,
+`NoInterference`, `FromExposureMapping`) build their design, target,
+DesignOps pieces and imbalance scales from per-unit slot indices, all
+clusters of one size at once; `select_structure` decides nesting per
+connected block. Each is checked here against the per-cluster path.
+"""
+
+import warnings
+
+import numpy as np
+import pytest
+
+from clusterbal import inference
+from clusterbal.core import (
+    ClusterSample,
+    Dataset,
+    Gate,
+    probit_intervention,
+    uniform_intervention,
+)
+from clusterbal.diagnostics import imbalance_report
+from clusterbal.estimators import DesignSystem, balancing_fit, build_design
+from clusterbal.inference import _designs_nested, select_structure
+from clusterbal.simulate import DGPConfig, dgp_structure, gen_dataset
+from clusterbal.structures import (
+    AdditiveTypes,
+    ConstantMapping,
+    ExposureMapping,
+    FromExposureMapping,
+    KnnPattern,
+    NeighborCount,
+    NeighborPattern,
+    NoInterference,
+    OwnTreatment,
+    StratifiedCount,
+    TensorWithCovariates,
+    _knn_lists,
+    _nested_in_span,
+    design_matrix,
+    knn_graph,
+    target_contributions,
+)
+
+from conftest import make_dataset
+from oracles import (
+    fresh_copy,
+    per_cluster_contributions,
+    per_cluster_design,
+    per_cluster_imbalance_scales,
+    scanned_pieces,
+)
+
+
+class CountsWithoutProductForm(NeighborCount):
+    """Neighbor counts whose class masses are only known by enumeration."""
+
+    def class_masses(self, cluster, probs):
+        return None
+
+    class_masses_batch = ExposureMapping.class_masses_batch
+
+
+def _replaced(d, covariates=None, treatments=None):
+    return Dataset(
+        clusters=tuple(
+            ClusterSample(
+                covariates=c.covariates if covariates is None else covariates(c),
+                treatments=c.treatments if treatments is None else treatments(c),
+                outcomes=c.outcomes,
+                cluster_id=c.cluster_id,
+            )
+            for c in d.clusters
+        )
+    )
+
+
+def _zero_first_row(c):
+    x = c.covariates.copy()
+    x[0] = 0.0
+    return x
+
+
+def _datasets(rng):
+    """Mixed sizes 1..6 (m <= k included) and the edge cases of the design."""
+    base = make_dataset(rng, 40, sizes=(1, 6), p=3)
+    return {
+        "random": base,
+        "rank_deficient": _replaced(base, covariates=lambda c: c.covariates[:, [0, 1, 1]]),
+        "empty_slot": _replaced(base, treatments=lambda c: np.ones(c.size, dtype=np.int8)),
+        "zero_covariate_row": _replaced(base, covariates=_zero_first_row),
+        "small_clusters": make_dataset(rng, 30, sizes=(1, 3), p=3),
+    }
+
+
+INNERS = {
+    "knn1": lambda d: KnnPattern(1),
+    "knn3": lambda d: KnnPattern(3),
+    "knn2_graph": lambda d: KnnPattern(2, graph=knn_graph(d, 4)),
+    "stratified2": lambda d: StratifiedCount(2),
+    "stratified3_own": lambda d: StratifiedCount(3, include_own=True),
+    "stratified2_graph": lambda d: StratifiedCount(2, graph=knn_graph(d, 2)),
+    "no_interference": lambda d: NoInterference(),
+    "exposure_pattern": lambda d: FromExposureMapping(NeighborPattern(2)),
+    "exposure_count_own": lambda d: FromExposureMapping(NeighborCount(2, include_own=True)),
+    "exposure_own": lambda d: FromExposureMapping(OwnTreatment()),
+    "exposure_constant": lambda d: FromExposureMapping(ConstantMapping()),
+    "exposure_enumerated": lambda d: FromExposureMapping(CountsWithoutProductForm(2)),
+}
+COLUMNS = {"cols": [0, 1, 2], "cluster_mean": [0, {"cluster_mean": 1}], "all": None}
+DATA = ("random", "rank_deficient", "empty_slot", "zero_covariate_row", "small_clusters")
+
+
+def _case(rng, data, inner, columns):
+    d = _datasets(rng)[data]
+    return d, TensorWithCovariates(INNERS[inner](d), columns=COLUMNS[columns])
+
+
+def _assert_close(got, want, rtol=1e-12):
+    got, want = np.asarray(got, float), np.asarray(want, float)
+    scale = max(float(np.abs(want).max(initial=0.0)), 1.0)
+    assert np.allclose(got, want, rtol=rtol, atol=rtol * scale)
+
+
+@pytest.mark.parametrize("columns", list(COLUMNS))
+@pytest.mark.parametrize("inner", list(INNERS))
+@pytest.mark.parametrize("data", DATA)
+def test_design_equals_stacked_rows_at(rng, data, inner, columns):
+    d, s = _case(rng, data, inner, columns)
+    phi = design_matrix(s, d)
+    assert np.array_equal(phi, per_cluster_design(s, fresh_copy(d)))
+    assert np.array_equal(design_matrix(s, d), phi)  # again, on warm caches
+
+
+@pytest.mark.parametrize("weight", ["uniform", "probit", "gate"])
+@pytest.mark.parametrize("inner", list(INNERS))
+@pytest.mark.parametrize("data", DATA)
+def test_contributions_match_per_cluster(rng, data, inner, weight):
+    d, s = _case(rng, data, inner, "cluster_mean")
+    f = {"uniform": uniform_intervention(), "probit": probit_intervention(0.3), "gate": Gate()}[
+        weight
+    ]
+    want = per_cluster_contributions(s, fresh_copy(d), f)
+    _assert_close(target_contributions(s, d, f), want)
+
+
+@pytest.mark.parametrize("inner", list(INNERS))
+@pytest.mark.parametrize("data", DATA)
+def test_pieces_match_scan_of_dense_design(rng, data, inner):
+    d, s = _case(rng, data, inner, "cols")
+    design = build_design(s, d, uniform_intervention())
+    want = scanned_pieces(per_cluster_design(s, fresh_copy(d)), s.inner.dim())
+    assert len(design.pieces) == len(want)
+    for (rows, cols), (rows_w, cols_w) in zip(design.pieces, want):
+        assert np.array_equal(rows, rows_w)
+        assert cols == cols_w
+
+
+@pytest.mark.parametrize("inner", list(INNERS))
+@pytest.mark.parametrize("data", DATA)
+def test_imbalance_report_matches_per_cluster(rng, data, inner):
+    d, s = _case(rng, data, inner, "cols")
+    f = Gate()
+    fit = balancing_fit(d, s, f)
+    report = imbalance_report(d, s, f, fit)
+    sigma, m_counts = per_cluster_imbalance_scales(s, fresh_copy(d))
+    ell, width = s.inner.dim(), 3
+    sig_mat = sigma.reshape(ell, width).T
+    _assert_close(report.sigma_scale, sig_mat)
+    assert np.array_equal(report.m_counts, m_counts)
+    ok = sig_mat != 0.0
+    nu_star = fit.imbalance.reshape(ell, width).T[ok] / sig_mat[ok]
+    _assert_close(report.nu_star[ok], nu_star)
+    assert np.isnan(report.nu_star[~ok]).all()
+    omnibus = [
+        (report.nu_star[t, ok[t]] * m_counts[ok[t]]).sum() / m_counts[ok[t]].sum()
+        for t in range(width)
+    ]
+    _assert_close(report.omnibus, omnibus)
+
+
+def test_batched_knn_lists_fill_and_reuse_the_cluster_caches(rng):
+    d = make_dataset(rng, 30, sizes=(1, 6), p=3)
+    s = TensorWithCovariates(KnnPattern(3))
+    design_matrix(s, d)
+    cold = fresh_copy(d)
+    for c, c_cold in zip(d.clusters, cold.clusters):
+        assert np.array_equal(c._cache[("knn", 3)], _knn_lists(c_cold, 3))
+    # lists already cached are used as they are
+    planted = fresh_copy(d)
+    for c in planted.clusters:
+        c._cache[("knn", 3)] = _knn_lists(c, 3)[:, ::-1].copy()
+    assert np.array_equal(design_matrix(s, planted), per_cluster_design(s, planted))
+    assert not np.array_equal(design_matrix(s, planted), design_matrix(s, d))
+
+
+# ---------- block-wise nesting in select_structure ----------
+
+
+def _nesting_agrees(d, small, large):
+    f = uniform_intervention()
+    ds, dl = build_design(small, d, f), build_design(large, d, f)
+    got = _designs_nested(ds, dl)
+    assert got == _nested_in_span(ds.phi, dl.phi)
+    return got
+
+
+def _tensor(inner):
+    return TensorWithCovariates(inner, columns=[0, 1, 2])
+
+
+@pytest.mark.parametrize("data", DATA)
+def test_block_nesting_knn_ladder_and_reversed(rng, data):
+    d = _datasets(rng)[data]
+    ladder = [_tensor(KnnPattern(k)) for k in (1, 2, 3)]
+    for small, large in zip(ladder, ladder[1:]):
+        assert _nesting_agrees(d, small, large)
+        _nesting_agrees(d, large, small)
+    assert not _nesting_agrees(make_dataset(rng, 40, sizes=(3, 6), p=3), ladder[2], ladder[0])
+
+
+@pytest.mark.parametrize("data", DATA)
+def test_block_nesting_stratified_against_pattern(rng, data):
+    d = _datasets(rng)[data]
+    count, pattern = _tensor(StratifiedCount(2)), _tensor(KnnPattern(2))
+    assert _nesting_agrees(d, count, pattern)
+    _nesting_agrees(d, pattern, count)
+    _nesting_agrees(d, _tensor(NoInterference()), _tensor(StratifiedCount(1, include_own=True)))
+
+
+def _second_column(d, second):
+    """Two-column covariates: column 0 as drawn, column 1 = second(column 0)."""
+    return _replaced(d, covariates=lambda c: np.column_stack([c.covariates[:, 0],
+                                                              second(c.covariates[:, 0])]))
+
+
+def test_block_nesting_rows_only_the_smaller_design_reaches(rng):
+    # column 1 equals column 0 but on each cluster's first unit, where it is 0: that
+    # row is live in the small design and empty in the large one
+    def zero_first(x0):
+        x1 = x0.copy()
+        x1[0] = 0.0
+        return x1
+
+    d = _second_column(make_dataset(rng, 30, sizes=(2, 5), p=1), zero_first)
+    small = TensorWithCovariates(KnnPattern(1), columns=[0])
+    assert _nesting_agrees(d, small, TensorWithCovariates(KnnPattern(2), columns=[0]))
+    assert not _nesting_agrees(d, small, TensorWithCovariates(KnnPattern(2), columns=[1]))
+
+
+def test_block_nesting_keeps_small_singular_values_above_the_tolerance(rng):
+    # column 1 is column 0 scaled by 1 + 1e-7 * noise: the small design leaves the
+    # large one's span by singular values near 1e-7, far above max(N, d) * eps
+    d = _second_column(make_dataset(rng, 30, sizes=(2, 5), p=1),
+                       lambda x0: x0 * (1.0 + 1e-7 * rng.standard_normal(x0.size)))
+    small = TensorWithCovariates(KnnPattern(1), columns=[0])
+    assert not _nesting_agrees(d, small, TensorWithCovariates(KnnPattern(2), columns=[1]))
+
+
+def test_block_nesting_all_zero_covariates(rng):
+    d = _replaced(make_dataset(rng, 10, sizes=(2, 4), p=3),
+                  covariates=lambda c: np.zeros_like(c.covariates))
+    small, large = _tensor(KnnPattern(1)), _tensor(KnnPattern(2))
+    assert build_design(small, d, uniform_intervention()).pieces == ()
+    assert _nesting_agrees(d, small, large)
+
+
+def test_block_nesting_falls_back_to_dense_for_non_one_hot(rng, monkeypatch):
+    d = make_dataset(rng, 30, sizes=(3, 5), p=3)
+    calls = []
+
+    def spy(phi_s, phi_l, rcond=None):
+        calls.append((phi_s.shape, phi_l.shape))
+        return _nested_in_span(phi_s, phi_l, rcond)
+
+    monkeypatch.setattr(inference, "_nested_in_span", spy)
+    one_hot, additive = _tensor(KnnPattern(1)), _tensor(AdditiveTypes(5))
+    _nesting_agrees(d, one_hot, additive)
+    _nesting_agrees(d, additive, one_hot)
+    assert len(calls) == 2
+    _nesting_agrees(d, one_hot, _tensor(KnnPattern(2)))
+    assert len(calls) == 2
+
+
+def _oracle_design(structure, dataset, weight, cap=None):
+    """build_design from the per-cluster path, pieces scanned off the dense design."""
+    phi = per_cluster_design(structure, fresh_copy(dataset))
+    one_hot = structure.exposure_mapping is not None
+    return DesignSystem(
+        phi=phi,
+        contributions=per_cluster_contributions(structure, fresh_copy(dataset), weight),
+        slices=tuple(dataset.cluster_slices()),
+        label=structure.label,
+        pieces=scanned_pieces(phi, structure.inner.dim()) if one_hot else None,
+    )
+
+
+def _select(d, f, candidates):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        report = select_structure(d, f, candidates)
+    return report, [str(w.message) for w in caught]
+
+
+@pytest.mark.parametrize("order", [(0, 1, 2, 3, 4), (2, 0, 4)])
+def test_select_matches_per_cluster_dense_path(order, monkeypatch):
+    cfg = DGPConfig(n=150, interference="knn5", seed=3, gamma=1.0)
+    d = gen_dataset(cfg, 0, truth=False)[0]
+    columns = dgp_structure(cfg).columns
+    ladder = [TensorWithCovariates(KnnPattern(k), columns=columns) for k in range(1, 6)]
+    candidates = [ladder[i] for i in order]
+    f = probit_intervention(cfg.kappa)
+    got, got_warnings = _select(d, f, candidates)
+    monkeypatch.setattr(inference, "build_design", _oracle_design)
+    monkeypatch.setattr(
+        inference, "_designs_nested", lambda s, l: _nested_in_span(s.phi, l.phi)
+    )
+    want, want_warnings = _select(d, f, candidates)
+    assert got.chosen == want.chosen
+    assert got_warnings == want_warnings
+    assert bool(got_warnings) == (order != (0, 1, 2, 3, 4))
+    assert np.isclose(got.sigma_hat, want.sigma_hat, rtol=1e-10, atol=0.0)
+    assert np.allclose(got.statistics, want.statistics, rtol=1e-10, atol=0.0)
