@@ -12,6 +12,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import os
 import sys
 import tempfile
@@ -82,8 +83,8 @@ def load_dataset(path, fmt=None):
     if len(rows) == 1:
         raise ParseError("no rows")
 
-    groups = {}
-    order = []
+    cids, treatments, values = [], [], []
+    first_row = {}  # (cluster_id, unit_id) -> the row that gave it
     for r, row in enumerate(rows[1:], start=1):
         if len(row) != len(header):
             raise ParseError(f"expected {len(header)} fields, got {len(row)}", row=r)
@@ -112,23 +113,46 @@ def load_dataset(path, fmt=None):
                 xs.append(float(cell(col)))
             except ValueError:
                 raise ParseError("covariate is not numeric", row=r, column=col) from None
-        if cid not in groups:
-            groups[cid] = []
-            order.append(cid)
-        groups[cid].append((unit, int(treatment), outcome, xs))
+        if (cid, unit) in first_row:
+            raise ParseError(
+                f"duplicate unit: cluster_id {cid!r} with unit_id {cell('unit_id')} "
+                f"is already on row {first_row[cid, unit]}",
+                row=r,
+            )
+        first_row[cid, unit] = r
+        cids.append(cid)
+        treatments.append(int(treatment))
+        values.append([unit, outcome, *xs])
 
+    table = np.array(values)
+    _check_finite(table, ["unit_id", "outcome", *xcols])
+    groups = {}  # cluster_id -> its rows, clusters in file order
+    for i, cid in enumerate(cids):
+        groups.setdefault(cid, []).append(i)
+    treatments = np.array(treatments, dtype=np.int8)
     clusters = []
-    for cid in order:
-        rows_c = sorted(groups[cid], key=lambda t: t[0])
+    for cid, rows_c in groups.items():
+        rows_c = np.array(rows_c)
+        rows_c = rows_c[np.argsort(table[rows_c, 0], kind="stable")]  # by unit_id
         clusters.append(
             ClusterSample(
-                covariates=np.array([t[3] for t in rows_c], dtype=np.float64),
-                treatments=np.array([t[1] for t in rows_c], dtype=np.int8),
-                outcomes=np.array([t[2] for t in rows_c], dtype=np.float64),
+                covariates=table[rows_c, 2:],
+                treatments=treatments[rows_c],
+                outcomes=table[rows_c, 1],
                 cluster_id=cid,
             )
         )
     return Dataset(clusters=tuple(clusters))
+
+
+def _check_finite(table, columns):
+    """ParseError naming the first data row (then column) of `table` that is NaN
+    or infinite, in one vectorised pass over the parsed table."""
+    bad = ~np.isfinite(table)
+    if bad.any():
+        r = int(bad.any(axis=1).argmax())
+        col = columns[int(bad[r].argmax())]
+        raise ParseError(f"{col} is not finite", row=r + 1, column=col)
 
 
 def _load_json_dataset(path):
@@ -137,16 +161,34 @@ def _load_json_dataset(path):
     if not entries:
         raise ParseError("no rows")
     clusters = []
+    first_entry = {}  # cluster_id -> the entry that gave it
     for r, entry in enumerate(entries):
         for key in ("covariates", "treatments", "outcomes"):
             if not isinstance(entry, dict) or key not in entry:
                 raise ParseError(f"cluster entry {r} is missing required field {key!r}")
+        cid = entry.get("cluster_id")
+        if cid in first_entry:
+            raise ParseError(
+                f"cluster entry {r} repeats cluster_id {cid!r} of entry {first_entry[cid]}"
+            )
+        first_entry[cid] = r
+        arrays = {}
+        for key in ("outcomes", "covariates"):
+            try:
+                arrays[key] = np.asarray(entry[key], dtype=np.float64)
+            except (TypeError, ValueError):
+                raise ParseError(f"cluster entry {r}: {key} are not numeric") from None
+        x, y = arrays["covariates"], arrays["outcomes"]
+        for key, values in arrays.items():
+            bad = np.argwhere(~np.isfinite(np.atleast_1d(values)))
+            if bad.size:
+                raise ParseError(f"cluster entry {r}: {key} of unit {bad[0][0]} is not finite")
         clusters.append(
             ClusterSample(
-                covariates=np.asarray(entry["covariates"], dtype=np.float64),
+                covariates=x,
                 treatments=np.asarray(entry["treatments"]),
-                outcomes=np.asarray(entry["outcomes"], dtype=np.float64),
-                cluster_id=entry.get("cluster_id"),
+                outcomes=y,
+                cluster_id=cid,
             )
         )
     return Dataset(clusters=tuple(clusters))
@@ -222,11 +264,27 @@ def _digest(data):
     return hashlib.sha256(data).hexdigest()
 
 
+def _finite_or_null(obj):
+    """obj with every NaN or infinite float replaced by None, which JSON writes as null."""
+    if isinstance(obj, dict):
+        return {k: _finite_or_null(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        if all(type(v) is float and v - v == 0.0 for v in obj):  # finite floats: the weights
+            return obj
+        return [_finite_or_null(v) for v in obj]
+    if isinstance(obj, (float, np.floating)):
+        return float(obj) if math.isfinite(obj) else None
+    return obj
+
+
 def write_json_artifact(path, result, manifest):
-    payload = json.dumps(result, indent=1, sort_keys=True, default=float)
-    manifest.output_digest = _digest(payload.encode())
-    doc = json.dumps({"manifest": asdict(manifest), "result": result}, indent=1, sort_keys=True, default=float)
-    _atomic_write(path, doc.encode())
+    """Strict (RFC 8259) JSON: NaN and infinite floats are written as null."""
+    result = _finite_or_null(result)
+    dump = lambda doc: json.dumps(  # noqa: E731
+        doc, indent=1, sort_keys=True, default=float, allow_nan=False
+    )
+    manifest.output_digest = _digest(dump(result).encode())
+    _atomic_write(path, dump({"manifest": asdict(manifest), "result": result}).encode())
 
 
 def write_csv_artifact(path, rows, fieldnames, manifest):
@@ -238,7 +296,9 @@ def write_csv_artifact(path, rows, fieldnames, manifest):
     data = buf.getvalue().encode()
     _atomic_write(path, data)
     manifest.output_digest = _digest(data)
-    _atomic_write(path + ".manifest.json", json.dumps(asdict(manifest), indent=1).encode())
+    _atomic_write(
+        path + ".manifest.json", json.dumps(asdict(manifest), indent=1, allow_nan=False).encode()
+    )
 
 
 def _fmt(v):

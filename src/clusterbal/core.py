@@ -472,6 +472,17 @@ class IndependentBernoulli(PropensityModel):
         pi = np.asarray(self.prob_fn(cluster), dtype=np.float64).ravel()
         if pi.size != cluster.size:
             raise DimensionMismatch("prob_fn returned wrong length")
+        return self._in_open_interval(pi)
+
+    def unit_probs_batch(self, clusters):
+        """`unit_probs` of clusters of one size m, stacked (B, m), with one range check."""
+        rows = [np.asarray(self.prob_fn(c), dtype=np.float64).ravel() for c in clusters]
+        if any(r.size != c.size for r, c in zip(rows, clusters)):
+            raise DimensionMismatch("prob_fn returned wrong length")
+        return self._in_open_interval(np.stack(rows))
+
+    @staticmethod
+    def _in_open_interval(pi):
         if ((pi <= 0) | (pi >= 1)).any():
             raise InvalidSpec("propensity probabilities must lie strictly in (0, 1)")
         return pi

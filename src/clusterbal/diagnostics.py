@@ -36,9 +36,11 @@ class ImbalanceReport:
     degenerate: tuple  # ((covariate, effective treatment), ...) zero-scale entries
     threshold: float
     labels: tuple = ()
+    has_covariates: bool = True  # False: one row per coordinate, raw imbalance only
 
     def rows(self):
-        """Plot-ready rows: one per (covariate, effective treatment)."""
+        """Plot-ready rows: one per (covariate, effective treatment), or one per
+        coordinate (covariate left empty) for a structure without covariates."""
         p, ell = self.nu_star.shape
         nu_mat = self.nu.reshape(ell, p)
         out = []
@@ -46,7 +48,7 @@ class ImbalanceReport:
             for j in range(ell):
                 out.append(
                     {
-                        "covariate": t,
+                        "covariate": t if self.has_covariates else None,
                         "effective_treatment": j,
                         "nu": float(nu_mat[j, t]),
                         "sigma": float(self.sigma_scale[t, j]),
@@ -75,13 +77,19 @@ def imbalance_report(
 ):
     """Raw, relative, and omnibus imbalance of a balancing fit.
 
-    The structure must be a covariate tensor whose inner encoding defines the
-    effective treatments; the fit must carry its imbalance vector and target.
+    Any fixed-dimension structure gets its raw imbalance and the observed
+    incidence of each coordinate. The covariate scales, and with them the
+    relative and omnibus imbalance, need a covariate tensor, whose inner
+    encoding defines the effective treatments; other structures report them
+    as NaN and flag nothing. The fit must carry its imbalance vector and
+    target.
     """
-    if not isinstance(structure, TensorWithCovariates):
-        raise InvalidSpec("imbalance reporting needs a TensorWithCovariates structure")
+    if structure.regime != "fixed":
+        raise InvalidSpec("imbalance reporting needs a fixed-dimension structure")
     if fit.imbalance is None or fit.target is None:
         raise InvalidSpec("fit does not carry an imbalance vector (not a balancing fit?)")
+    if not isinstance(structure, TensorWithCovariates):
+        return _raw_imbalance_report(dataset, structure, fit, threshold)
     ell = structure.inner.dim(dataset.clusters[0])
     width = structure.covariate_rows(dataset.clusters[0]).shape[1]
     nu = np.asarray(fit.imbalance, dtype=np.float64)
@@ -139,4 +147,28 @@ def imbalance_report(
         degenerate=tuple(degenerate),
         threshold=threshold,
         labels=(structure.label,),
+    )
+
+
+def _raw_imbalance_report(dataset, structure, fit, threshold):
+    """The report of a structure without covariates: the raw imbalance and the
+    units with a non-zero entry in each coordinate, one row per coordinate."""
+    nu = np.asarray(fit.imbalance, dtype=np.float64)
+    d = structure.dim(dataset.clusters[0])
+    if nu.size != d:
+        raise InvalidSpec(f"imbalance length {nu.size} != structure dimension {d}")
+    m_counts = np.zeros(d)
+    for c in dataset.clusters:
+        m_counts += (structure.rows_at(c, c.treatments) != 0).sum(axis=0)
+    return ImbalanceReport(
+        nu=nu,
+        nu_star=np.full((1, d), np.nan),
+        sigma_scale=np.full((1, d), np.nan),
+        omnibus=np.full(1, np.nan),
+        m_counts=m_counts,
+        flagged=(),
+        degenerate=(),
+        threshold=threshold,
+        labels=(structure.label,),
+        has_covariates=False,
     )

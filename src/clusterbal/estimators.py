@@ -7,13 +7,20 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import PATTERN_CAP, enumerate_patterns, eval_propensity, pattern_index
+from .core import (
+    PATTERN_CAP,
+    IndependentBernoulli,
+    enumerate_patterns,
+    eval_propensity,
+    pattern_index,
+)
 from .errors import PositivityViolation
 from .numerics import FEAS_TOL, DesignOps, _default_rcond, _validate, project_colspace
 from .structures import (
     TensorWithCovariates,
     _observed_slots,
     _one_hot_mapping,
+    _size_groups,
     design_matrix,
     target_contributions,
 )
@@ -85,6 +92,7 @@ class DesignSystem:
     slices: tuple
     label: str
     pieces: tuple | None = None  # DesignOps blocks; None is the whole of phi
+    one_hot: tuple | None = None  # (unit slots (N,), slot count) of a one-hot design
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
@@ -97,18 +105,14 @@ class DesignSystem:
         return self._cache["ops"]
 
 
-def _block_pieces(structure, dataset, phi):
-    """One (rows, columns) DesignOps piece per effective treatment, or None.
+def _block_pieces(phi, slots, n_blocks):
+    """One (rows, columns) DesignOps piece per effective treatment of a one-hot design.
 
-    A one-hot tensor's design is block diagonal up to a row permutation:
-    each row lies in the block of its observed slot, read off the slot
-    vector. Blocks no row reaches and all-zero rows join no piece; other
-    structures get None (the whole of phi).
+    Such a design is block diagonal up to a row permutation: each row lies
+    in the block of its observed slot. Blocks no row reaches and all-zero
+    rows join no piece.
     """
-    if _one_hot_mapping(structure) is None:
-        return None
-    slots = _observed_slots(structure, dataset)
-    n_rows, n_blocks = phi.shape[0], structure.inner.dim()
+    n_rows = phi.shape[0]
     width = phi.shape[1] // n_blocks
     hot = phi.reshape(n_rows, n_blocks, width)[np.arange(n_rows), slots]
     rows = np.flatnonzero((hot != 0).any(axis=1))
@@ -121,13 +125,20 @@ def _block_pieces(structure, dataset, phi):
 
 
 def build_design(structure, dataset, weight, cap=PATTERN_CAP):
+    """Observed design and target; a one-hot tensor's comes with its slots and
+    DesignOps pieces, other structures' with neither."""
     phi = design_matrix(structure, dataset)
+    one_hot = pieces = None
+    if _one_hot_mapping(structure) is not None:
+        one_hot = (_observed_slots(structure, dataset), structure.inner.dim())
+        pieces = _block_pieces(phi, *one_hot)
     return DesignSystem(
         phi=phi,
         contributions=target_contributions(structure, dataset, weight, cap),
         slices=tuple(dataset.cluster_slices()),
         label=structure.label,
-        pieces=_block_pieces(structure, dataset, phi),
+        pieces=pieces,
+        one_hot=one_hot,
     )
 
 
@@ -135,17 +146,47 @@ def _point(dataset, values):
     return float(values @ dataset.stacked_outcomes() / dataset.n)
 
 
+def _observed_masses(group, probs, mass):
+    """Masses of the observed patterns of clusters of one size: (B,).
+
+    Product-form Bernoulli(probs) masses, probs (B, m), or mass(c) per
+    cluster when probs is None.
+    """
+    if probs is None:
+        return [mass(c) for c in group]
+    a = np.stack([c.treatments for c in group])
+    return np.prod(np.where(a == 1, probs, 1.0 - probs), axis=1)
+
+
 def ipw_weights(dataset, weight, propensity):
-    """Observed-pattern IPW weights f(A_c)/(M_c e(A_c)), one entry per unit."""
-    out = np.empty(dataset.total_units)
-    for (start, stop), c in zip(dataset.cluster_slices(), dataset.clusters):
-        e_obs = eval_propensity(propensity, c.treatments, c)
-        if e_obs <= 0.0:
-            raise PositivityViolation(
-                f"propensity {e_obs} <= 0 at the observed pattern of cluster {c.cluster_id!r}"
-            )
-        out[start:stop] = weight.weight(c.treatments, c) / (c.size * e_obs)
-    return out
+    """Observed-pattern IPW weights f(A_c)/(M_c e(A_c)), one entry per unit.
+
+    e comes in product form for all clusters of one size at once when the
+    propensity is an IndependentBernoulli, and f when the weight has
+    `marginal_probs_batch`; other models are evaluated per cluster.
+    """
+    f, e = np.empty(dataset.n), np.empty(dataset.n)
+    for group, idx, _ in _size_groups(dataset):
+        e_probs = (
+            propensity.unit_probs_batch(group)
+            if isinstance(propensity, IndependentBernoulli)
+            else None
+        )
+        e[idx] = _observed_masses(
+            group, e_probs, lambda c: eval_propensity(propensity, c.treatments, c)
+        )
+        f[idx] = _observed_masses(
+            group, weight.marginal_probs_batch(group), lambda c: weight.weight(c.treatments, c)
+        )
+    bad = np.flatnonzero(e <= 0.0)
+    if bad.size:
+        c = dataset.clusters[bad[0]]
+        raise PositivityViolation(
+            f"propensity {float(e[bad[0]])} <= 0 at the observed pattern of cluster "
+            f"{c.cluster_id!r}"
+        )
+    sizes = np.array([c.size for c in dataset.clusters])
+    return np.repeat(f / (sizes * e), sizes)
 
 
 def ipw_fit(dataset, weight, propensity):

@@ -91,10 +91,25 @@ def _per_cluster_sums(values, slices):
     return np.add.reduceat(values, starts)
 
 
-def _per_cluster_feature_loads(phi, weights, slices):
-    """Lambda_c(A_c)^T w_c per cluster: (n, d)."""
-    starts = np.array([s for s, _ in slices])
-    return np.add.reduceat(phi * weights[:, None], starts, axis=0)
+def _per_cluster_feature_loads(phi, weights, slices, one_hot=None):
+    """Lambda_c(A_c)^T w_c per cluster: (n, d).
+
+    With the (slots, slot count) of a one-hot design, each unit's w_i x_i is
+    scattered into its (cluster, slot) cell, without the N x d product
+    phi * w; the cells sum their units in unit order, as the dense path does.
+    """
+    if one_hot is None:
+        starts = np.array([s for s, _ in slices])
+        return np.add.reduceat(phi * weights[:, None], starts, axis=0)
+    slots, n_slots = one_hot
+    n_units, width = phi.shape[0], phi.shape[1] // n_slots
+    x = phi.reshape(n_units, n_slots, width)[np.arange(n_units), slots]
+    cluster = np.repeat(np.arange(len(slices)), [stop - start for start, stop in slices])
+    cells = (cluster * n_slots + slots)[:, None] * width + np.arange(width)
+    loads = np.bincount(
+        cells.ravel(), weights=(x * weights[:, None]).ravel(), minlength=len(slices) * phi.shape[1]
+    )
+    return loads.reshape(len(slices), phi.shape[1])
 
 
 def iid_cluster_variance(dataset, fit, level=0.95):
@@ -154,14 +169,14 @@ def sandwich_variance(
 
     h_hat = design.ops().ols_coefficients(y)
     w = fit.weights.values
-    loads = _per_cluster_feature_loads(phi, w, slices)
+    loads = _per_cluster_feature_loads(phi, w, slices, design.one_hot)
     if kind == "bal":
         v = design.contributions
     else:
         w_ipw = fit._context.get("w_ipw")
         if w_ipw is None:
             w_ipw = ipw_weights(dataset, weight, propensity)
-        v = _per_cluster_feature_loads(phi, w_ipw, slices)
+        v = _per_cluster_feature_loads(phi, w_ipw, slices, design.one_hot)
     s_c = _per_cluster_sums(w * y, slices)
     eta_dot_l = (loads - v) @ h_hat - (s_c - fit.point)
     sigma2 = float(np.mean(eta_dot_l**2))

@@ -9,8 +9,9 @@ counterfactual policy is a tilted intervention from the same probit family.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 import numpy as np
@@ -32,6 +33,10 @@ from .structures import (
     KnnPattern,
     StratifiedCount,
     TensorWithCovariates,
+    _observed_slots,
+    _one_hot_mapping,
+    _size_groups,
+    _unit_covariate_rows,
     knn_order,
 )
 
@@ -134,8 +139,59 @@ def _draw_sizes(cfg, rng, n):
 
 
 def _probit_terms(x, kappa):
-    cluster_term = x.mean(axis=0).sum() / math.sqrt(x.shape[1])
-    return ndtr(cluster_term + kappa * x.mean(axis=1))
+    """Probit masses of one cluster's covariates (m, p) or of a batch (B, m, p)."""
+    cluster_term = x.mean(axis=-2).sum(axis=-1) / math.sqrt(x.shape[-1])
+    return ndtr(cluster_term[..., None] + kappa * x.mean(axis=-1))
+
+
+def _draw_clusters(cfg, rng, sizes, noise):
+    """Covariates, treatments and outcome noise of clusters of the drawn sizes.
+
+    The RNG calls stay in one loop over clusters, in the order covariates,
+    uniforms, noise (noise=False draws none), which is the stream of a
+    per-cluster draw. The covariate transform, the probit masses and the
+    treatments are computed once per cluster size. Returns per-cluster lists
+    (x, a, eps); eps is empty when noise is False.
+    """
+    chol = _toeplitz_chol(cfg.rho, cfg.p)
+    z, u, eps = [], [], []
+    for m in sizes:
+        z.append(rng.standard_normal((m, cfg.p)))
+        u.append(rng.random(m))
+        if noise:
+            eps.append(rng.standard_normal(m))
+    x, a = [None] * len(sizes), [None] * len(sizes)
+    for m in np.unique(sizes):
+        idx = np.flatnonzero(sizes == m)
+        # a stacked (B, m, p) @ (p, p) keeps each cluster's bits; a (B*m, p) one does not
+        xm = np.stack([z[i] for i in idx]) @ chol.T
+        am = (np.stack([u[i] for i in idx]) < _probit_terms(xm, 0.0)).astype(np.int8)
+        for j, i in enumerate(idx):
+            x[i], a[i] = xm[j], am[j]
+    return x, a, eps
+
+
+def _signal(structure, h, dataset):
+    """rows_at(c, A_c) @ h of every cluster, in dataset unit order.
+
+    A one-hot DGP gathers the h block of each unit's observed slot and takes
+    its product with the unit's covariate row, without a dense design; that
+    gives the bits of the matrix-vector product of a cluster of two or more
+    units. A one-unit cluster's product is a dot product, whose bits can
+    differ, so it and AdditiveTypes (whose bits a stacked phi @ h changes)
+    keep the per-cluster product.
+    """
+    x = _unit_covariate_rows(structure, dataset)  # also fills the clusters' caches
+    one_hot = _one_hot_mapping(structure) is not None
+    if one_hot:
+        slots = _observed_slots(structure, dataset)
+        g = np.einsum("uw,uw->u", x, h.reshape(-1, x.shape[1])[slots])
+    else:
+        g = np.empty(dataset.total_units)
+    for c, (start, stop) in zip(dataset.clusters, dataset.cluster_slices()):
+        if not one_hot or c.size == 1:
+            g[start:stop] = structure.rows_at(c, c.treatments) @ h
+    return g
 
 
 def gen_dataset(cfg, replicate_index, truth=True):
@@ -147,23 +203,18 @@ def gen_dataset(cfg, replicate_index, truth=True):
     """
     cfg = resolve_gamma(cfg)
     rng = _rng(cfg, _STREAM_DATA, replicate_index)
-    chol = _toeplitz_chol(cfg.rho, cfg.p)
-    structure = dgp_structure(cfg)
-    h = dgp_h(cfg, cfg.gamma)
-    sigma = math.sqrt(cfg.sigma2)
     sizes = _draw_sizes(cfg, rng, cfg.n)
-    clusters = []
-    for ci, m in enumerate(sizes):
-        x = rng.standard_normal((m, cfg.p)) @ chol.T
-        pi0 = _probit_terms(x, 0.0)
-        a = (rng.random(m) < pi0).astype(np.int8)
-        tmp = ClusterSample(covariates=x, treatments=a, outcomes=np.zeros(m), cluster_id=ci)
-        g = structure.rows_at(tmp, a) @ h
-        y = g + sigma * rng.standard_normal(m)
-        cluster = ClusterSample(covariates=x, treatments=a, outcomes=y, cluster_id=ci)
-        cluster._cache.update(tmp._cache)
-        clusters.append(cluster)
-    dataset = Dataset(clusters=tuple(clusters))
+    x, a, eps = _draw_clusters(cfg, rng, sizes, noise=True)
+    dataset = Dataset(clusters=tuple(
+        ClusterSample(covariates=x[ci], treatments=a[ci], outcomes=np.zeros(m), cluster_id=ci)
+        for ci, m in enumerate(sizes)
+    ))
+    y = _signal(dgp_structure(cfg), dgp_h(cfg, cfg.gamma), dataset)
+    y += math.sqrt(cfg.sigma2) * np.concatenate(eps)
+    # the outcomes are filled in place: the signal needs the clusters' k-NN
+    # lists, which stay cached on them
+    for c, (start, stop) in zip(dataset.clusters, dataset.cluster_slices()):
+        c.outcomes[:] = y[start:stop]
     mu = true_mu(cfg)[0] if truth else None
     return dataset, mu, probit_propensity(0.0), probit_intervention(cfg.kappa)
 
@@ -201,8 +252,7 @@ def _expected_signal_from_x(cfg, gamma, x):
 
 def _expected_signal_block(cfg, gamma, x):
     m = x.shape[1]
-    cluster_term = x.mean(axis=1).sum(axis=1) / math.sqrt(cfg.p)
-    pik = ndtr(cluster_term[:, None] + cfg.kappa * x.mean(axis=2))
+    pik = _probit_terms(x, cfg.kappa)
     s = x[:, :, :3].sum(axis=2) + x[:, :, 3].mean(axis=1)[:, None]
     if cfg.interference == "additive":
         types = np.arange(1, m + 1, dtype=np.float64)
@@ -263,25 +313,44 @@ def calibrate_snr(cfg, draws=2000):
     gamma, so gamma = sqrt(target / SNR(1)) with both moments estimated from
     `draws` simulated clusters under the assignment law (fixed sub-seed).
     """
+    return _calibration_report(cfg, *_calibration_moments(cfg, draws))
+
+
+# simulated clusters per block of the calibration; the draws stay in stream
+# order, and a block's arrays and clusters stay a few hundred kB
+_CALIBRATION_BLOCK = 256
+
+
+def _calibration_moments(cfg, draws):
+    """Per-draw IPW signal g^T w and squared weight norm ||w||^2 at gamma = 1."""
     rng = _rng(cfg, _STREAM_CALIBRATION)
-    chol = _toeplitz_chol(cfg.rho, cfg.p)
-    structure = dgp_structure(cfg)
-    h1 = dgp_h(cfg, 1.0)
     sizes = _draw_sizes(cfg, rng, draws)
+    structure, h1 = dgp_structure(cfg), dgp_h(cfg, 1.0)
     signal = np.empty(draws)
     norm2 = np.empty(draws)
-    for r, m in enumerate(sizes):
-        x = rng.standard_normal((m, cfg.p)) @ chol.T
-        pi0 = _probit_terms(x, 0.0)
-        a = (rng.random(m) < pi0).astype(np.int8)
-        pik = _probit_terms(x, cfg.kappa)
-        af = a.astype(np.float64)
-        ratio = np.prod(np.where(af == 1, pik / pi0, (1.0 - pik) / (1.0 - pi0)))
-        w_scalar = ratio / m
-        tmp = ClusterSample(covariates=x, treatments=a, outcomes=np.zeros(m), cluster_id=r)
-        g = structure.rows_at(tmp, a) @ h1
-        signal[r] = w_scalar * g.sum()
-        norm2[r] = m * w_scalar**2
+    for start in range(0, draws, _CALIBRATION_BLOCK):
+        block = sizes[start : start + _CALIBRATION_BLOCK]
+        x, a, _ = _draw_clusters(cfg, rng, block, noise=False)
+        dataset = Dataset(clusters=tuple(
+            ClusterSample(covariates=x[r], treatments=a[r], outcomes=np.zeros(m), cluster_id=r)
+            for r, m in enumerate(block)
+        ))
+        g = _signal(structure, h1, dataset)
+        for group, idx, rows in _size_groups(dataset):
+            m = rows.shape[1]
+            xm = np.stack([c.covariates for c in group])
+            pi0 = _probit_terms(xm, 0.0)
+            pik = _probit_terms(xm, cfg.kappa)
+            af = np.stack([c.treatments for c in group]).astype(np.float64)
+            ratio = np.prod(np.where(af == 1, pik / pi0, (1.0 - pik) / (1.0 - pi0)), axis=1)
+            w_scalar = ratio / m
+            signal[start + idx] = w_scalar * g[rows].sum(axis=1)
+            norm2[start + idx] = m * w_scalar**2
+    return signal, norm2
+
+
+def _calibration_report(cfg, signal, norm2):
+    draws = signal.size
     num = float(signal.var(ddof=1))
     den = float(cfg.sigma2 * norm2.mean())
     if num <= 0 or den <= 0:
@@ -361,7 +430,7 @@ def _replicate(cfg, replicate_index, estimators, level):
         try:
             out[name] = _fit_one(name, dataset, structure, weight, propensity, level, design)
         except Exception as exc:  # per-replicate estimator failures are recorded
-            out[name] = {"error": f"{type(exc).__name__}: {exc}"}
+            out[name] = {"error": f"{type(exc).__name__}: {exc}", "error_class": type(exc).__name__}
     return out
 
 
@@ -378,6 +447,7 @@ class MCResult:
     true_mu: float
     true_mu_se: float
     config: DGPConfig
+    error_classes: dict = field(default_factory=dict)  # estimator -> {exception class: count}
 
     def rows(self, extra=None):
         out = []
@@ -403,7 +473,9 @@ def monte_carlo(
     """Replicated fits of the configured DGP with coverage bookkeeping.
 
     Balancing metrics are averaged over feasible replicates only; failed
-    estimator evaluations count as failed replicates for that estimator.
+    estimator evaluations count as failed replicates for that estimator
+    (`metrics[e]["errors"]`), and `error_classes[e]` counts them by exception
+    class.
     Deterministic in (cfg, reps) regardless of parallelism.
     """
     if reps < 1:
@@ -418,10 +490,12 @@ def monte_carlo(
     else:
         results = [_replicate_task(t) for t in tasks]
 
-    metrics = {}
+    metrics, error_classes = {}, {}
     for name in estimators:
         recs = [r[name] for r in results]
-        errors = sum(1 for r in recs if "error" in r)
+        failed = Counter(r["error_class"] for r in recs if "error" in r)
+        error_classes[name] = dict(sorted(failed.items()))
+        errors = sum(failed.values())
         ok = [r for r in recs if "error" not in r]
         feasible = [r for r in ok if r["feasible"]]
         used = feasible if name == "balancing" else ok
@@ -439,7 +513,14 @@ def monte_carlo(
             "n_used": len(used),
             "errors": errors,
         }
-    return MCResult(metrics=metrics, reps=reps, true_mu=mu, true_mu_se=mu_se, config=cfg)
+    return MCResult(
+        metrics=metrics,
+        reps=reps,
+        true_mu=mu,
+        true_mu_se=mu_se,
+        config=cfg,
+        error_classes=error_classes,
+    )
 
 
 # ---------- presets and sweeps ----------

@@ -973,20 +973,30 @@ class TensorWithCovariates(LowRankStructure):
 
     def covariate_rows(self, cluster):
         key = ("tensor_cov", str(self.columns))
-        if key in cluster._cache:
-            return cluster._cache[key]
-        slots = self._slots(cluster.p)
-        cols = []
-        for kind, j in slots:
-            if j >= cluster.p:
-                raise InvalidSpec(f"covariate column {j} out of range (p={cluster.p})")
-            if kind == "col":
-                cols.append(cluster.covariates[:, j])
-            else:
-                cols.append(np.full(cluster.size, cluster.covariates[:, j].mean()))
-        out = np.column_stack(cols)
-        cluster._cache[key] = out
-        return out
+        if key not in cluster._cache:
+            self._fill_covariate_rows([cluster], cluster.covariates[None], key)
+        return cluster._cache[key]
+
+    def stacked_covariate_rows(self, clusters):
+        """`covariate_rows` of clusters of one size, stacked: (B, m, width)."""
+        key = ("tensor_cov", str(self.columns))
+        cold = [c for c in clusters if key not in c._cache]
+        if cold:
+            self._fill_covariate_rows(cold, np.stack([c.covariates for c in cold]), key)
+        return np.stack([c._cache[key] for c in clusters])
+
+    def _fill_covariate_rows(self, clusters, x, key):
+        """Cache the covariate rows of clusters of one size from one evaluation
+        over their stacked covariates x (B, m, p); a cluster mean is the same
+        reduction for one cluster or many."""
+        slots = self._slots(x.shape[2])
+        rows = np.empty(x.shape[:2] + (len(slots),))
+        for t, (kind, j) in enumerate(slots):
+            if j >= x.shape[2]:
+                raise InvalidSpec(f"covariate column {j} out of range (p={x.shape[2]})")
+            rows[:, :, t] = x[:, :, j] if kind == "col" else x[:, :, j].mean(axis=1)[:, None]
+        for c, r in zip(clusters, rows):
+            c._cache[key] = r
 
     @property
     def exposure_mapping(self):
@@ -1156,6 +1166,14 @@ def _size_groups(dataset):
         yield [dataset.clusters[i] for i in idx], idx, starts[idx, None] + np.arange(m)
 
 
+def _unit_covariate_rows(tensor, dataset):
+    """A covariate tensor's rows of every unit, in dataset unit order: (N, width)."""
+    out = np.empty((dataset.total_units, tensor.width(dataset.clusters[0])))
+    for group, _, rows in _size_groups(dataset):
+        out[rows] = tensor.stacked_covariate_rows(group)
+    return out
+
+
 def _observed_slots(structure, dataset):
     """Each unit's observed slot of a one-hot tensor, in dataset unit order.
 
@@ -1180,7 +1198,7 @@ def design_matrix(structure, dataset):
     if _one_hot_mapping(structure) is None:
         return np.vstack([structure.rows_at(c, c.treatments) for c in dataset.clusters])
     slots = _observed_slots(structure, dataset)
-    x = np.vstack([structure.covariate_rows(c) for c in dataset.clusters])
+    x = _unit_covariate_rows(structure, dataset)
     phi = np.zeros((x.shape[0], structure.inner.dim(), x.shape[1]))
     phi[np.arange(x.shape[0]), slots] = x
     return phi.reshape(x.shape[0], -1)
@@ -1203,7 +1221,7 @@ def _one_hot_contributions(structure, dataset, weight, out):
         masses = mapping.class_masses_batch(group, probs)
         if masses is None:
             continue
-        x = np.stack([structure.covariate_rows(c) for c in group])
+        x = structure.stacked_covariate_rows(group)
         loads = masses.transpose(0, 2, 1) @ x
         out[idx] = loads.reshape(len(group), -1) / rows.shape[1]
         done[idx] = True

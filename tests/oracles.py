@@ -134,3 +134,74 @@ def per_cluster_imbalance_scales(structure, dataset):
         (structure.inner.rows_at(c, c.treatments) != 0).sum(axis=0) for c in dataset.clusters
     )
     return z.std(axis=0, ddof=1), np.asarray(m_counts, dtype=float)
+
+
+# ---------- per-cluster Monte-Carlo replicate (the path the size-batched one replaces) ----------
+
+
+def per_cluster_gen_dataset(cfg, replicate_index):
+    """simulate.gen_dataset's dataset, drawn and evaluated one cluster at a time."""
+    import math
+
+    from clusterbal import simulate
+
+    cfg = simulate.resolve_gamma(cfg)
+    rng = simulate._rng(cfg, simulate._STREAM_DATA, replicate_index)
+    chol = simulate._toeplitz_chol(cfg.rho, cfg.p)
+    structure = simulate.dgp_structure(cfg)
+    h = simulate.dgp_h(cfg, cfg.gamma)
+    sigma = math.sqrt(cfg.sigma2)
+    sizes = simulate._draw_sizes(cfg, rng, cfg.n)
+    clusters = []
+    for ci, m in enumerate(sizes):
+        x = rng.standard_normal((m, cfg.p)) @ chol.T
+        pi0 = simulate._probit_terms(x, 0.0)
+        a = (rng.random(m) < pi0).astype(np.int8)
+        tmp = ClusterSample(covariates=x, treatments=a, outcomes=np.zeros(m), cluster_id=ci)
+        g = structure.rows_at(tmp, a) @ h
+        y = g + sigma * rng.standard_normal(m)
+        cluster = ClusterSample(covariates=x, treatments=a, outcomes=y, cluster_id=ci)
+        cluster._cache.update(tmp._cache)
+        clusters.append(cluster)
+    return Dataset(clusters=tuple(clusters))
+
+
+def per_cluster_calibration_moments(cfg, draws=2000):
+    """(signal, norm2) of simulate.calibrate_snr, one simulated cluster at a time."""
+    from clusterbal import simulate
+
+    rng = simulate._rng(cfg, simulate._STREAM_CALIBRATION)
+    chol = simulate._toeplitz_chol(cfg.rho, cfg.p)
+    structure = simulate.dgp_structure(cfg)
+    h1 = simulate.dgp_h(cfg, 1.0)
+    sizes = simulate._draw_sizes(cfg, rng, draws)
+    signal = np.empty(draws)
+    norm2 = np.empty(draws)
+    for r, m in enumerate(sizes):
+        x = rng.standard_normal((m, cfg.p)) @ chol.T
+        pi0 = simulate._probit_terms(x, 0.0)
+        a = (rng.random(m) < pi0).astype(np.int8)
+        pik = simulate._probit_terms(x, cfg.kappa)
+        af = a.astype(np.float64)
+        ratio = np.prod(np.where(af == 1, pik / pi0, (1.0 - pik) / (1.0 - pi0)))
+        w_scalar = ratio / m
+        tmp = ClusterSample(covariates=x, treatments=a, outcomes=np.zeros(m), cluster_id=r)
+        g = structure.rows_at(tmp, a) @ h1
+        signal[r] = w_scalar * g.sum()
+        norm2[r] = m * w_scalar**2
+    return signal, norm2
+
+
+def per_cluster_ipw_weights(dataset, weight, propensity):
+    """Observed-pattern IPW weights f(A_c)/(M_c e(A_c)), one cluster at a time."""
+    from clusterbal.errors import PositivityViolation
+
+    out = np.empty(dataset.total_units)
+    for (start, stop), c in zip(dataset.cluster_slices(), dataset.clusters):
+        e_obs = eval_propensity(propensity, c.treatments, c)
+        if e_obs <= 0.0:
+            raise PositivityViolation(
+                f"propensity {e_obs} <= 0 at the observed pattern of cluster {c.cluster_id!r}"
+            )
+        out[start:stop] = weight.weight(c.treatments, c) / (c.size * e_obs)
+    return out

@@ -472,3 +472,139 @@ def test_spec_builders_reject_non_integer_fields(build, doc):
 
 def test_calibrate_preset_choices():
     assert run(["calibrate", "--preset", "fig1-sideways"]) == EXIT_USAGE
+
+
+# ---------- infeasible fits on structures without covariates ----------
+
+
+def test_estimate_infeasible_non_tensor_structure_exits_2_with_report(tmp_path, capsys):
+    rows = ["cluster_id,unit_id,treatment,outcome,x1"]
+    rows += [f"c{c},{u},1,{c + u},{0.5 * u}" for c in range(2) for u in range(2)]
+    data = write(tmp_path, "d.csv", "\n".join(rows) + "\n")
+    policy = write_json(tmp_path, "policy.json", {"kind": "gate"})
+    structure = write_json(tmp_path, "structure.json", {"kind": "knn_pattern", "k": 1})
+    out = tmp_path / "out"
+    code = run(
+        [
+            "estimate", "--dataset", data, "--policy", policy, "--structure", structure,
+            "--estimator", "balancing", "--seed", "1", "--out-dir", str(out),
+        ]
+    )
+    assert code == EXIT_INFEASIBLE
+    assert "error" not in capsys.readouterr().err
+    doc = json.loads((out / "estimates.json").read_text())
+    assert doc["result"]["balancing"]["feasible"] is False
+    report = doc["result"]["imbalance"]
+    assert report["nu"] == doc["result"]["balancing"]["imbalance"]
+    assert report["flagged"] == [] and report["m_counts"] == [0.0, 4.0]  # every neighbor treated
+    with open(out / "imbalance.csv") as fh:
+        table = list(csv.DictReader(fh))
+    assert [float(r["nu"]) for r in table] == report["nu"]
+    assert all(r["covariate"] == "" for r in table)
+
+
+# ---------- strict JSON artifacts ----------
+
+
+def _reject_constant(token):
+    raise ValueError(f"non-RFC 8259 token {token}")
+
+
+def test_json_artifacts_write_non_finite_floats_as_null(tmp_path):
+    cfg = sim_config(tmp_path)
+    out = tmp_path / "out"
+    code = run(
+        ["simulate", "--config", cfg, "--reps", "1", "--seed", "3", "--truth-draws", "2000",
+         "--out-dir", str(out)]
+    )
+    assert code == EXIT_OK
+    text = (out / "simulate.json").read_text()
+    doc = json.loads(text, parse_constant=_reject_constant)
+    assert all(row["sd"] is None for row in doc["result"])  # one replicate: no sd
+    payload = json.dumps(doc["result"], indent=1, sort_keys=True, default=float)
+    assert doc["manifest"]["output_digest"] == hashlib.sha256(payload.encode()).hexdigest()
+    with open(out / "simulate.csv") as fh:
+        assert all(r["sd"] == "nan" for r in csv.DictReader(fh))
+
+
+def test_balance_report_json_is_strict(tmp_path):
+    data = write(tmp_path, "d.csv", CSV_6ROWS)
+    policy = write_json(tmp_path, "policy.json", {"kind": "uniform"})
+    structure = write_json(tmp_path, "s.json", {"kind": "no_interference"})
+    out = tmp_path / "out"
+    code = run(["balance-report", "--dataset", data, "--policy", policy,
+                "--structure", structure, "--seed", "1", "--out-dir", str(out)])
+    assert code == EXIT_OK
+    doc = json.loads((out / "balance_report.json").read_text(), parse_constant=_reject_constant)
+    assert doc["result"]["nu_star"] == [[None, None]]
+
+
+# ---------- non-finite and duplicate data rows ----------
+
+
+@pytest.mark.parametrize(
+    "old, new, row, column",
+    [
+        ("a,1,0,2.5,0.3", "a,1,0,nan,0.3", 2, "outcome"),
+        ("b,0,0,1.0,0.7,0.8", "b,0,0,1.0,0.7,-inf", 4, "x2"),
+        ("b,1,1,2.0,0.9", "b,1,1,2.0,Infinity", 5, "x1"),
+        ("a,2,1", "a,nan,1", 3, "unit_id"),
+    ],
+)
+def test_non_finite_csv_cell_exits_1_naming_row_and_column(tmp_path, capsys, old, new, row, column):
+    bad = CSV_6ROWS.replace(old, new)
+    assert bad != CSV_6ROWS
+    with pytest.raises(ParseError) as err:
+        load_dataset(write(tmp_path, "d.csv", bad))
+    assert (err.value.row, err.value.column) == (row, column)
+    assert run(_estimate_args(tmp_path, dataset=write(tmp_path, "bad.csv", bad))) == EXIT_ERROR
+    msg = capsys.readouterr().err
+    assert "Traceback" not in msg and len(msg.strip().splitlines()) == 1
+    assert f"(row {row}, column '{column}')" in msg and "not finite" in msg
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("outcomes", float("nan"), "outcomes of unit 1 is not finite"),
+        ("covariates", float("inf"), "covariates of unit 1 is not finite"),
+        ("outcomes", "x", "outcomes are not numeric"),
+        ("covariates", [1.0, 2.0], "covariates are not numeric"),
+    ],
+)
+def test_non_finite_json_cell_is_a_parse_error(tmp_path, capsys, key, value, message):
+    entries = [
+        {"cluster_id": "a", "covariates": [[0.1], [0.2]], "treatments": [1, 0], "outcomes": [1.0, 2.0]},
+        {"cluster_id": "b", "covariates": [[0.3], [0.4]], "treatments": [0, 1], "outcomes": [3.0, 4.0]},
+    ]
+    if key == "outcomes":
+        entries[1]["outcomes"][1] = value
+    else:
+        entries[1]["covariates"][1][0] = value
+    path = write(tmp_path, "d.json", json.dumps({"clusters": entries}))  # NaN / Infinity tokens
+    with pytest.raises(ParseError, match=f"cluster entry 1: {message}"):
+        load_dataset(path)
+    assert run(_estimate_args(tmp_path, dataset=path)) == EXIT_ERROR
+    msg = capsys.readouterr().err
+    assert "Traceback" not in msg and len(msg.strip().splitlines()) == 1
+
+
+def test_duplicate_unit_rows_exit_1_naming_the_second_row(tmp_path, capsys):
+    bad = CSV_6ROWS.replace("b,2,0,3.0", "b,1.0,0,3.0")
+    with pytest.raises(ParseError, match="already on row 5") as err:
+        load_dataset(write(tmp_path, "d.csv", bad))
+    assert err.value.row == 6
+    assert run(_estimate_args(tmp_path, dataset=write(tmp_path, "bad.csv", bad))) == EXIT_ERROR
+    msg = capsys.readouterr().err
+    assert "Traceback" not in msg and len(msg.strip().splitlines()) == 1
+    assert "duplicate unit" in msg and "(row 6)" in msg
+
+
+def test_duplicate_json_cluster_entries_are_a_parse_error(tmp_path, capsys):
+    entry = {"cluster_id": "a", "covariates": [[0.1]], "treatments": [1], "outcomes": [1.0]}
+    other = dict(entry, cluster_id="b")
+    path = write(tmp_path, "d.json", json.dumps({"clusters": [entry, other, entry]}))
+    with pytest.raises(ParseError, match="cluster entry 2 repeats cluster_id 'a' of entry 0"):
+        load_dataset(path)
+    assert run(_estimate_args(tmp_path, dataset=path)) == EXIT_ERROR
+    assert len(capsys.readouterr().err.strip().splitlines()) == 1

@@ -7,6 +7,7 @@ from clusterbal.errors import InvalidSpec
 from clusterbal.estimators import balancing_fit
 from clusterbal.structures import (
     NoInterference,
+    PerUnitStructure,
     StratifiedCount,
     TensorWithCovariates,
     design_matrix,
@@ -134,12 +135,28 @@ def test_scale_degenerate_entries_excluded(rng):
     assert set(report.degenerate).isdisjoint(set(report.flagged))
 
 
-def test_imbalance_requires_tensor_structure(rng):
+def test_imbalance_report_without_covariates_reports_raw_imbalance_only(rng):
     d = make_dataset(rng, 3, sizes=(2, 3), p=2)
     f = Gate()
     fit = balancing_fit(d, NoInterference(), f)
-    with pytest.raises(InvalidSpec):
-        imbalance_report(d, NoInterference(), f, fit)
+    report = imbalance_report(d, NoInterference(), f, fit)
+    assert np.array_equal(report.nu, fit.imbalance)
+    assert np.isnan(report.nu_star).all() and np.isnan(report.sigma_scale).all()
+    assert report.flagged == () and report.degenerate == ()
+    treated = sum(int(c.treatments.sum()) for c in d.clusters)
+    assert np.array_equal(report.m_counts, [d.total_units - treated, treated])
+    rows = report.rows()
+    assert [r["effective_treatment"] for r in rows] == [0, 1]
+    assert all(r["covariate"] is None for r in rows)
+    assert [r["nu"] for r in rows] == list(fit.imbalance)
+
+
+def test_imbalance_requires_fixed_dimension_structure(rng):
+    d = make_dataset(rng, 3, sizes=(2, 3), p=2)
+    f = Gate()
+    fit = balancing_fit(d, NoInterference(), f)
+    with pytest.raises(InvalidSpec, match="fixed-dimension"):
+        imbalance_report(d, PerUnitStructure(NoInterference()), f, fit)
 
 
 def test_report_rows_shape(rng):
