@@ -13,7 +13,6 @@ from .core import (
     JointTable,
     RandomSelection,
     SparseTable,
-    StochasticIntervention,
     UnknownPropensity,
     enumerate_patterns,
     eval_propensity,

@@ -1,35 +1,15 @@
-"""Hot numeric kernels: numba-jitted with pure-numpy fallbacks.
+"""Hot numeric kernels of the pattern enumerations, in numpy.
 
-The active implementation is chosen at import time. Setting the environment
-variable ``CLUSTERBAL_DISABLE_NUMBA=1`` (or any non-empty value other than
-``0``) forces the numpy path; a missing/broken numba install falls back
-silently. Both implementations are kept importable so the benchmark and the
-equality tests can compare them.
+`IMPLS["numpy"]` maps each kernel's name to the module-level function of
+that name; `active_backend()` names the one backend.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-_flag = os.environ.get("CLUSTERBAL_DISABLE_NUMBA", "").strip()
-_WANT_NUMBA = _flag in ("", "0")
 
-try:
-    if _WANT_NUMBA:
-        from numba import njit
-
-        NUMBA_OK = True
-    else:
-        NUMBA_OK = False
-except ImportError:  # pragma: no cover - exercised only without numba
-    NUMBA_OK = False
-
-
-# ---------- pure-numpy implementations ----------
-
-def _np_pb_pmf(probs):
+def pb_pmf(probs):
     """Poisson-binomial pmf of sum of independent Bernoulli(probs)."""
     k = probs.shape[0]
     pmf = np.zeros(k + 1)
@@ -41,7 +21,7 @@ def _np_pb_pmf(probs):
     return pmf
 
 
-def _np_pb_pmf_batch(probs):
+def pb_pmf_batch(probs):
     """Row-wise Poisson-binomial pmf: (U, k) probs -> (U, k+1) pmf."""
     u, k = probs.shape
     pmf = np.zeros((u, k + 1))
@@ -53,13 +33,13 @@ def _np_pb_pmf_batch(probs):
     return pmf
 
 
-def _np_pattern_masses(bits, probs):
+def pattern_masses(bits, probs):
     """Product-Bernoulli mass of every pattern: (P, m) bits -> (P,) masses."""
     treated = bits.astype(np.float64)
     return np.prod(treated * probs + (1.0 - treated) * (1.0 - probs), axis=1)
 
 
-def _np_slot_indices(bits, deps):
+def slot_indices(bits, deps):
     """MSB-first binary encoding of bits[:, deps]: (P,) int64 slot per pattern."""
     k = deps.shape[0]
     if k == 0:
@@ -68,124 +48,29 @@ def _np_slot_indices(bits, deps):
     return bits[:, deps].astype(np.int64) @ weights
 
 
-def _np_count_slots(bits, deps):
+def count_slots(bits, deps):
     """Number of treated among deps for every pattern: (P,) int64."""
     if deps.shape[0] == 0:
         return np.zeros(bits.shape[0], dtype=np.int64)
     return bits[:, deps].astype(np.int64).sum(axis=1)
 
 
-def _np_weighted_slot_sums(slots, weights, n_slots):
+def weighted_slot_sums(slots, weights, n_slots):
     """Sum of weights per slot: scatter-add of (P,) weights into (n_slots,)."""
     return np.bincount(slots, weights=weights, minlength=n_slots)[:n_slots]
 
 
-# ---------- numba implementations ----------
-
-if NUMBA_OK:
-
-    @njit(cache=True)
-    def _nb_pb_pmf(probs):
-        k = probs.shape[0]
-        pmf = np.zeros(k + 1)
-        pmf[0] = 1.0
-        for j in range(k):
-            p = probs[j]
-            for t in range(j + 1, 0, -1):
-                pmf[t] = pmf[t] * (1.0 - p) + pmf[t - 1] * p
-            pmf[0] *= 1.0 - p
-        return pmf
-
-    @njit(cache=True)
-    def _nb_pb_pmf_batch(probs):
-        u, k = probs.shape
-        pmf = np.zeros((u, k + 1))
-        for r in range(u):
-            pmf[r, 0] = 1.0
-            for j in range(k):
-                p = probs[r, j]
-                for t in range(j + 1, 0, -1):
-                    pmf[r, t] = pmf[r, t] * (1.0 - p) + pmf[r, t - 1] * p
-                pmf[r, 0] *= 1.0 - p
-        return pmf
-
-    @njit(cache=True)
-    def _nb_pattern_masses(bits, probs):
-        n, m = bits.shape
-        out = np.empty(n)
-        for r in range(n):
-            acc = 1.0
-            for j in range(m):
-                if bits[r, j]:
-                    acc *= probs[j]
-                else:
-                    acc *= 1.0 - probs[j]
-            out[r] = acc
-        return out
-
-    @njit(cache=True)
-    def _nb_slot_indices(bits, deps):
-        n = bits.shape[0]
-        k = deps.shape[0]
-        out = np.zeros(n, dtype=np.int64)
-        for r in range(n):
-            idx = 0
-            for j in range(k):
-                idx = (idx << 1) | bits[r, deps[j]]
-            out[r] = idx
-        return out
-
-    @njit(cache=True)
-    def _nb_count_slots(bits, deps):
-        n = bits.shape[0]
-        k = deps.shape[0]
-        out = np.zeros(n, dtype=np.int64)
-        for r in range(n):
-            c = 0
-            for j in range(k):
-                c += bits[r, deps[j]]
-            out[r] = c
-        return out
-
-    @njit(cache=True)
-    def _nb_weighted_slot_sums(slots, weights, n_slots):
-        out = np.zeros(n_slots)
-        for r in range(slots.shape[0]):
-            out[slots[r]] += weights[r]
-        return out
-
-
-_NUMPY_IMPL = {
-    "pb_pmf": _np_pb_pmf,
-    "pb_pmf_batch": _np_pb_pmf_batch,
-    "pattern_masses": _np_pattern_masses,
-    "slot_indices": _np_slot_indices,
-    "count_slots": _np_count_slots,
-    "weighted_slot_sums": _np_weighted_slot_sums,
-}
-
-if NUMBA_OK:
-    _NUMBA_IMPL = {
-        "pb_pmf": _nb_pb_pmf,
-        "pb_pmf_batch": _nb_pb_pmf_batch,
-        "pattern_masses": _nb_pattern_masses,
-        "slot_indices": _nb_slot_indices,
-        "count_slots": _nb_count_slots,
-        "weighted_slot_sums": _nb_weighted_slot_sums,
+IMPLS = {
+    "numpy": {
+        "pb_pmf": pb_pmf,
+        "pb_pmf_batch": pb_pmf_batch,
+        "pattern_masses": pattern_masses,
+        "slot_indices": slot_indices,
+        "count_slots": count_slots,
+        "weighted_slot_sums": weighted_slot_sums,
     }
-    IMPLS = {"numpy": _NUMPY_IMPL, "numba": _NUMBA_IMPL}
-    _ACTIVE = _NUMBA_IMPL
-else:
-    IMPLS = {"numpy": _NUMPY_IMPL}
-    _ACTIVE = _NUMPY_IMPL
-
-pb_pmf = _ACTIVE["pb_pmf"]
-pb_pmf_batch = _ACTIVE["pb_pmf_batch"]
-pattern_masses = _ACTIVE["pattern_masses"]
-slot_indices = _ACTIVE["slot_indices"]
-count_slots = _ACTIVE["count_slots"]
-weighted_slot_sums = _ACTIVE["weighted_slot_sums"]
+}
 
 
 def active_backend():
-    return "numba" if _ACTIVE is not _NUMPY_IMPL else "numpy"
+    return "numpy"

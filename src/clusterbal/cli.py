@@ -25,15 +25,8 @@ from . import __version__
 from .core import ClusterSample, Dataset
 from .diagnostics import imbalance_report
 from .errors import ClusterbalError, InfeasibleFit, InvalidSpec, ParseError
-from .estimators import (
-    balancing_fit,
-    build_design,
-    exposure_collapsed_ipw,
-    ipw_fit,
-    projection_fit,
-    weighted_projection_fit,
-)
-from .inference import iid_cluster_variance, sandwich_variance, select_structure
+from .estimators import balancing_fit, build_design
+from .inference import ESTIMATORS, fit_estimator, select_structure
 from .simulate import (
     DEFAULT_ESTIMATORS,
     PRESETS,
@@ -332,11 +325,13 @@ def _cmd_estimate(args, argv):
         if args.propensity == "unknown"
         else propensity_from_json(_load_json_file(args.propensity))
     )
-    structure = design = None
+    structure = design = mapping = None
     if args.structure:
         structure = build_structure(_load_json_file(args.structure), dataset)
-        if {"balancing", "projection"} & set(args.estimator):
+        if any(ESTIMATORS[name].shared_design for name in args.estimator):
             design = build_design(structure, dataset, weight)
+    if args.exposure_mapping:
+        mapping = exposure_from_spec(_load_json_file(args.exposure_mapping))
     seed = _resolve_seed(args)
     inputs = {
         "dataset": args.dataset,
@@ -348,48 +343,22 @@ def _cmd_estimate(args, argv):
     results = {}
     rows = []
     for name in args.estimator:
-        if name == "ipw":
-            fit = ipw_fit(dataset, weight, propensity)
-            var = iid_cluster_variance(dataset, fit, args.level)
-        elif name == "balancing":
-            fit = balancing_fit(dataset, structure, weight, design=design)
-            var = None
-            if fit.feasible or args.allow_infeasible:
-                var = sandwich_variance(
-                    dataset, structure, weight, fit, "bal",
-                    level=args.level, allow_infeasible=args.allow_infeasible,
-                )
-            if not fit.feasible:
-                report = imbalance_report(dataset, structure, weight, fit)
-                results["imbalance"] = report.to_dict()
-                rows_i = report.rows()
-                manifest = _new_manifest(argv, inputs, seed)
-                write_csv_artifact(
-                    os.path.join(args.out_dir, "imbalance.csv"),
-                    rows_i,
-                    list(rows_i[0].keys()),
-                    manifest,
-                )
-                if not args.allow_infeasible:
-                    exit_code = EXIT_INFEASIBLE
-        elif name == "projection":
-            fit = projection_fit(dataset, structure, weight, propensity, design=design)
-            var = sandwich_variance(
-                dataset, structure, weight, fit, "proj",
-                propensity=propensity, level=args.level,
+        fit, var = fit_estimator(
+            name, dataset, weight, propensity, structure, design, mapping,
+            level=args.level, allow_infeasible=args.allow_infeasible,
+        )
+        if not fit.feasible:
+            report = imbalance_report(dataset, structure, weight, fit)
+            results["imbalance"] = report.to_dict()
+            rows_i = report.rows()
+            write_csv_artifact(
+                os.path.join(args.out_dir, "imbalance.csv"),
+                rows_i,
+                list(rows_i[0].keys()),
+                _new_manifest(argv, inputs, seed),
             )
-        elif name == "wproj":
-            fit = weighted_projection_fit(dataset, structure, weight, propensity)
-            var = sandwich_variance(
-                dataset, structure, weight, fit, "wproj",
-                propensity=propensity, level=args.level,
-            )
-        elif name == "exposure-ipw":
-            mapping = exposure_from_spec(_load_json_file(args.exposure_mapping))
-            fit = exposure_collapsed_ipw(dataset, mapping, weight, propensity)
-            var = iid_cluster_variance(dataset, fit, args.level)
-        else:
-            raise ClusterbalError(f"unknown estimator {name!r}")
+            if not args.allow_infeasible:
+                exit_code = EXIT_INFEASIBLE
         entry = fit.to_dict()
         if var is not None:
             entry["variance"] = var.to_dict()
@@ -636,7 +605,7 @@ def _build_parser():
         "--estimator",
         action="append",
         required=True,
-        choices=["ipw", "balancing", "projection", "wproj", "exposure-ipw"],
+        choices=list(ESTIMATORS),
     )
     p_est.add_argument("--level", type=float, default=0.95)
     p_est.add_argument("--allow-infeasible", action="store_true")

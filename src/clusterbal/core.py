@@ -250,19 +250,6 @@ def uniform_intervention():
     return BernoulliIntervention(lambda c: np.full(c.size, 0.5), label="uniform")
 
 
-class StochasticIntervention(CounterfactualWeight):
-    """Generic stochastic intervention given by an arbitrary mass function."""
-
-    kind = "stochastic"
-
-    def __init__(self, mass_fn):
-        self.mass_fn = mass_fn
-
-    def weight(self, pattern, cluster):
-        a = self._check(pattern, cluster)
-        return float(self.mass_fn(a, cluster))
-
-
 class RandomSelection(CounterfactualWeight):
     """Uniformly random selection of a fixed number of treated units."""
 

@@ -1,10 +1,12 @@
 """Sandwich variance estimation, confidence intervals, noise-scale
-estimation, and the data-adaptive structure selection test."""
+estimation, the data-adaptive structure selection test, and the table that
+pairs each estimator with its variance."""
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 from scipy.sparse import coo_matrix
@@ -16,9 +18,18 @@ from .errors import (
     DegenerateContrast,
     DegenerateDF,
     InfeasibleFit,
+    InvalidSpec,
     PropensityUnavailable,
 )
-from .estimators import balancing_fit, build_design, ipw_weights
+from .estimators import (
+    balancing_fit,
+    build_design,
+    exposure_collapsed_ipw,
+    ipw_fit,
+    ipw_weights,
+    projection_fit,
+    weighted_projection_fit,
+)
 from .numerics import DesignOps
 from .structures import _nested_in_span, design_matrix
 
@@ -30,6 +41,9 @@ __all__ = [
     "sigma_noise_hat",
     "structure_test",
     "select_structure",
+    "Estimator",
+    "ESTIMATORS",
+    "fit_estimator",
 ]
 
 
@@ -337,3 +351,108 @@ def select_structure(
         sigma_hat=sigma_hat,
         labels=tuple(s.label for s in candidates),
     )
+
+
+# ---------- the estimator table ----------
+
+
+@dataclass(frozen=True)
+class _Inputs:
+    dataset: object
+    weight: object
+    propensity: object
+    structure: object
+    design: object
+    mapping: object
+    level: float
+    allow_infeasible: bool
+
+
+@dataclass(frozen=True)
+class Estimator:
+    """One entry of ESTIMATORS: a fit, its variance, and the inputs it needs.
+
+    `needs` names the inputs fit_estimator must be given ("structure",
+    "exposure mapping"); `shared_design` marks the fits that take the
+    caller's DesignSystem of the structure instead of building their own.
+    The functions call the fits and variances by their module names at call
+    time, so rebinding those names reaches every estimator.
+    """
+
+    fit: Callable  # _Inputs -> EstimateReport
+    variance: Callable  # (_Inputs, EstimateReport) -> VarianceReport
+    needs: tuple = ()
+    shared_design: bool = False
+
+
+def _iid(x, fit):
+    return iid_cluster_variance(x.dataset, fit, x.level)
+
+
+def _sandwich(kind):
+    def variance(x, fit):
+        return sandwich_variance(
+            x.dataset, x.structure, x.weight, fit, kind, propensity=x.propensity,
+            level=x.level, allow_infeasible=x.allow_infeasible,
+        )
+
+    return variance
+
+
+ESTIMATORS = {
+    "ipw": Estimator(lambda x: ipw_fit(x.dataset, x.weight, x.propensity), _iid),
+    "balancing": Estimator(
+        lambda x: balancing_fit(x.dataset, x.structure, x.weight, design=x.design),
+        _sandwich("bal"),
+        needs=("structure",),
+        shared_design=True,
+    ),
+    "projection": Estimator(
+        lambda x: projection_fit(x.dataset, x.structure, x.weight, x.propensity, design=x.design),
+        _sandwich("proj"),
+        needs=("structure",),
+        shared_design=True,
+    ),
+    "wproj": Estimator(
+        lambda x: weighted_projection_fit(x.dataset, x.structure, x.weight, x.propensity),
+        _sandwich("wproj"),
+        needs=("structure",),
+    ),
+    "exposure-ipw": Estimator(
+        lambda x: exposure_collapsed_ipw(x.dataset, x.mapping, x.weight, x.propensity),
+        _iid,
+        needs=("exposure mapping",),
+    ),
+}
+
+
+def fit_estimator(
+    name,
+    dataset,
+    weight,
+    propensity,
+    structure=None,
+    design=None,
+    mapping=None,
+    level=0.95,
+    allow_infeasible=False,
+):
+    """(EstimateReport, VarianceReport | None) of the estimator `name`.
+
+    `design` is the structure's DesignSystem, shared by the fits that take
+    one (they build it when it is None). The variance is computed only for a
+    feasible fit, or for any fit when `allow_infeasible` is set; only
+    balancing fits can be infeasible. A name not in ESTIMATORS, or a needed
+    input that is None, raises InvalidSpec.
+    """
+    entry = ESTIMATORS.get(name)
+    if entry is None:
+        raise InvalidSpec(f"unknown estimator {name!r}; choose from {list(ESTIMATORS)}")
+    given = {"structure": structure, "exposure mapping": mapping}
+    for need in entry.needs:
+        if given[need] is None:
+            raise InvalidSpec(f"estimator {name!r} needs the {need} input, and none was given")
+    x = _Inputs(dataset, weight, propensity, structure, design, mapping, level, allow_infeasible)
+    fit = entry.fit(x)
+    var = entry.variance(x, fit) if fit.feasible or allow_infeasible else None
+    return fit, var

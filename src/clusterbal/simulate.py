@@ -19,15 +19,8 @@ from scipy.special import ndtr
 
 from .core import ClusterSample, Dataset, probit_intervention, probit_propensity
 from .errors import CalibrationFailed, InvalidSpec
-from .estimators import (
-    balancing_fit,
-    build_design,
-    exposure_collapsed_ipw,
-    ipw_fit,
-    projection_fit,
-    weighted_projection_fit,
-)
-from .inference import iid_cluster_variance, sandwich_variance
+from .estimators import build_design
+from .inference import ESTIMATORS, fit_estimator
 from .structures import (
     AdditiveTypes,
     KnnPattern,
@@ -382,53 +375,25 @@ def resolve_gamma(cfg):
 # ---------- Monte Carlo ----------
 
 
-def _fit_one(name, dataset, structure, weight, propensity, level, design):
-    if name == "ipw":
-        fit = ipw_fit(dataset, weight, propensity)
-        var = iid_cluster_variance(dataset, fit, level)
-    elif name == "balancing":
-        fit = balancing_fit(dataset, structure, weight, design=design)
-        var = (
-            sandwich_variance(dataset, structure, weight, fit, "bal", level=level)
-            if fit.feasible
-            else None
-        )
-    elif name == "projection":
-        fit = projection_fit(dataset, structure, weight, propensity, design=design)
-        var = sandwich_variance(
-            dataset, structure, weight, fit, "proj", propensity=propensity, level=level
-        )
-    elif name == "wproj":
-        fit = weighted_projection_fit(dataset, structure, weight, propensity)
-        var = sandwich_variance(
-            dataset, structure, weight, fit, "wproj", propensity=propensity, level=level
-        )
-    elif name == "exposure-ipw":
-        mapping = structure.exposure_mapping
-        if mapping is None:
-            raise InvalidSpec("exposure-ipw needs an exposure-mapping structure")
-        fit = exposure_collapsed_ipw(dataset, mapping, weight, propensity)
-        var = iid_cluster_variance(dataset, fit, level)
-    else:
-        raise InvalidSpec(f"unknown estimator {name!r}")
-    return {
-        "point": fit.point,
-        "feasible": bool(fit.feasible),
-        "ci_low": var.ci_low if var is not None else float("nan"),
-        "ci_high": var.ci_high if var is not None else float("nan"),
-    }
-
-
 def _replicate(cfg, replicate_index, estimators, level):
     dataset, _, propensity, weight = gen_dataset(cfg, replicate_index, truth=False)
     structure = dgp_structure(cfg)
     design = None
-    if any(e in ("balancing", "projection") for e in estimators):
+    if any(ESTIMATORS[name].shared_design for name in estimators):
         design = build_design(structure, dataset, weight)
     out = {}
     for name in estimators:
         try:
-            out[name] = _fit_one(name, dataset, structure, weight, propensity, level, design)
+            fit, var = fit_estimator(
+                name, dataset, weight, propensity, structure, design,
+                structure.exposure_mapping, level,
+            )
+            out[name] = {
+                "point": fit.point,
+                "feasible": bool(fit.feasible),
+                "ci_low": var.ci_low if var is not None else float("nan"),
+                "ci_high": var.ci_high if var is not None else float("nan"),
+            }
         except Exception as exc:  # per-replicate estimator failures are recorded
             out[name] = {"error": f"{type(exc).__name__}: {exc}", "error_class": type(exc).__name__}
     return out
@@ -457,6 +422,7 @@ class MCResult:
             row.update(m)
             row["reps"] = self.reps
             row["true_mu"] = self.true_mu
+            row["error_classes"] = self.error_classes.get(name, {})
             out.append(row)
         return out
 
@@ -472,16 +438,20 @@ def monte_carlo(
 ):
     """Replicated fits of the configured DGP with coverage bookkeeping.
 
-    Balancing metrics are averaged over feasible replicates only; failed
-    estimator evaluations count as failed replicates for that estimator
-    (`metrics[e]["errors"]`), and `error_classes[e]` counts them by exception
-    class.
+    Metrics are averaged over feasible replicates only (only balancing fits
+    can be infeasible); failed estimator evaluations count as failed
+    replicates for that estimator (`metrics[e]["errors"]`), and
+    `error_classes[e]` counts them by exception class. An estimator name not
+    in ESTIMATORS raises InvalidSpec before any work.
     Deterministic in (cfg, reps) regardless of parallelism.
     """
     if reps < 1:
         raise InvalidSpec("reps must be >= 1")
-    cfg = resolve_gamma(cfg)
     estimators = tuple(estimators)
+    unknown = [name for name in estimators if name not in ESTIMATORS]
+    if unknown:
+        raise InvalidSpec(f"unknown estimators {unknown}; choose from {list(ESTIMATORS)}")
+    cfg = resolve_gamma(cfg)
     mu, mu_se = true_mu(cfg, truth_draws)
     tasks = [(cfg, r, estimators, level) for r in range(reps)]
     if parallel and reps > 1:
@@ -497,8 +467,7 @@ def monte_carlo(
         error_classes[name] = dict(sorted(failed.items()))
         errors = sum(failed.values())
         ok = [r for r in recs if "error" not in r]
-        feasible = [r for r in ok if r["feasible"]]
-        used = feasible if name == "balancing" else ok
+        used = [r for r in ok if r["feasible"]]
         points = np.array([r["point"] for r in used])
         lo = np.array([r["ci_low"] for r in used])
         hi = np.array([r["ci_high"] for r in used])
@@ -509,7 +478,7 @@ def monte_carlo(
             "sd": float(points.std(ddof=1)) if points.size > 1 else float("nan"),
             "coverage": float(covered.mean()) if covered.size else float("nan"),
             "ci_length": float((hi[with_ci] - lo[with_ci]).mean()) if with_ci.any() else float("nan"),
-            "feasibility_rate": (len(feasible) / len(ok)) if ok else float("nan"),
+            "feasibility_rate": (len(used) / len(ok)) if ok else float("nan"),
             "n_used": len(used),
             "errors": errors,
         }

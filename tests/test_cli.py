@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from clusterbal import simulate
 from clusterbal.cli import (
     EXIT_ERROR,
     EXIT_INFEASIBLE,
@@ -15,6 +16,7 @@ from clusterbal.cli import (
     write_dataset,
 )
 from clusterbal.errors import InvalidSpec, ParseError
+from clusterbal.inference import ESTIMATORS
 from clusterbal.specio import propensity_from_json, weight_from_json
 from clusterbal.structures import build_structure, exposure_from_spec
 
@@ -224,6 +226,37 @@ def test_estimate_unknown_propensity_rejects_ipw(tmp_path):
     assert code == 1
 
 
+
+@pytest.mark.parametrize(
+    "estimator, missing",
+    [
+        ("balancing", "structure"),
+        ("projection", "structure"),
+        ("wproj", "structure"),
+        ("exposure-ipw", "exposure mapping"),
+    ],
+)
+def test_estimate_missing_input_exits_1_with_one_line(tmp_path, capsys, estimator, missing):
+    data = write(tmp_path, "d.csv", feasible_csv())
+    policy = write_json(tmp_path, "policy.json", {"kind": "gate"})
+    propensity = write_json(tmp_path, "prop.json", {"kind": "bernoulli", "prob": 0.5})
+    code = run(
+        ["estimate", "--dataset", data, "--policy", policy, "--propensity", propensity,
+         "--estimator", estimator, "--out-dir", str(tmp_path / "out")]
+    )
+    assert code == EXIT_ERROR
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: estimator {estimator!r} needs the {missing} input, and none was given"
+    ]
+    assert not (tmp_path / "out").exists()
+
+
+def test_estimate_choices_are_the_estimator_table(tmp_path, capsys):
+    assert run(["estimate", "--help"]) == EXIT_OK
+    assert "{" + ",".join(ESTIMATORS) + "}" in capsys.readouterr().out
+    assert run(_estimate_args(tmp_path) + ["--estimator", "foo"]) == EXIT_USAGE
+
+
 # ---------- balance-report / select ----------
 
 
@@ -324,6 +357,24 @@ def test_simulate_deterministic_serial_vs_parallel(tmp_path):
         rows = list(csv.DictReader(fh))
     assert {r["estimator"] for r in rows} == {"ipw", "balancing", "projection"}
     assert {"sd", "coverage", "ci_length", "feasibility_rate"} <= set(rows[0])
+
+
+
+def test_simulate_unknown_estimator_exits_1_before_any_work(tmp_path, capsys, monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("ran before the estimator names were checked")
+
+    monkeypatch.setattr(simulate, "true_mu", forbidden)
+    monkeypatch.setattr(simulate, "resolve_gamma", forbidden)
+    out = tmp_path / "out"
+    code = run(
+        ["simulate", "--config", sim_config(tmp_path), "--reps", "2", "--seed", "1",
+         "--estimators", "ipw,foo", "--out-dir", str(out)]
+    )
+    assert code == EXIT_ERROR
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: unknown estimators ['foo']")
+    assert not out.exists()
 
 
 def test_calibrate_command(tmp_path, capsys):
@@ -521,10 +572,15 @@ def test_json_artifacts_write_non_finite_floats_as_null(tmp_path):
     text = (out / "simulate.json").read_text()
     doc = json.loads(text, parse_constant=_reject_constant)
     assert all(row["sd"] is None for row in doc["result"])  # one replicate: no sd
+    assert {r["estimator"]: r["error_classes"] for r in doc["result"]} == {
+        "ipw": {}, "balancing": {}, "projection": {}
+    }
     payload = json.dumps(doc["result"], indent=1, sort_keys=True, default=float)
     assert doc["manifest"]["output_digest"] == hashlib.sha256(payload.encode()).hexdigest()
     with open(out / "simulate.csv") as fh:
-        assert all(r["sd"] == "nan" for r in csv.DictReader(fh))
+        rows = list(csv.DictReader(fh))
+    assert all(r["sd"] == "nan" for r in rows)
+    assert "error_classes" not in rows[0]
 
 
 def test_balance_report_json_is_strict(tmp_path):

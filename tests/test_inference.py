@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from clusterbal import inference
 from clusterbal.core import (
     ClusterSample,
     Dataset,
@@ -12,11 +13,21 @@ from clusterbal.errors import (
     DegenerateContrast,
     DegenerateDF,
     InfeasibleFit,
+    InvalidSpec,
     PropensityUnavailable,
 )
-from clusterbal.estimators import balancing_fit, ipw_fit, projection_fit, weighted_projection_fit
+from clusterbal.estimators import (
+    balancing_fit,
+    build_design,
+    exposure_collapsed_ipw,
+    ipw_fit,
+    projection_fit,
+    weighted_projection_fit,
+)
 from clusterbal.inference import (
+    ESTIMATORS,
     _per_cluster_feature_loads,
+    fit_estimator,
     iid_cluster_variance,
     sandwich_variance,
     select_structure,
@@ -287,3 +298,106 @@ def test_iid_variance_single_cluster_is_nan(rng):
     fit = ipw_fit(d, Gate(), half_bernoulli())
     var = iid_cluster_variance(d, fit)
     assert np.isnan(var.sigma2_hat)
+
+
+# ---------- the estimator table ----------
+
+
+def _direct(name, d, structure, f, e, level):
+    """The fit and variance of `name`, called without the table."""
+    if name == "ipw":
+        fit = ipw_fit(d, f, e)
+        return fit, iid_cluster_variance(d, fit, level)
+    if name == "exposure-ipw":
+        fit = exposure_collapsed_ipw(d, structure.exposure_mapping, f, e)
+        return fit, iid_cluster_variance(d, fit, level)
+    if name == "balancing":
+        fit = balancing_fit(d, structure, f)
+        return fit, sandwich_variance(d, structure, f, fit, "bal", level=level)
+    if name == "projection":
+        fit = projection_fit(d, structure, f, e)
+        return fit, sandwich_variance(d, structure, f, fit, "proj", propensity=e, level=level)
+    fit = weighted_projection_fit(d, structure, f, e)
+    return fit, sandwich_variance(d, structure, f, fit, "wproj", propensity=e, level=level)
+
+
+@pytest.mark.parametrize("name", list(ESTIMATORS))
+@pytest.mark.parametrize("shared", [False, True])
+def test_fit_estimator_matches_the_direct_fit(rng, name, shared):
+    d = make_dataset(rng, 30, sizes=(2, 4), p=2)
+    structure = TensorWithCovariates(KnnPattern(1))
+    f, e = uniform_intervention(), half_bernoulli()
+    design = build_design(structure, d, f) if shared else None
+    fit, var = fit_estimator(
+        name, d, f, e, structure, design, structure.exposure_mapping, level=0.9
+    )
+    want_fit, want_var = _direct(name, d, structure, f, e, 0.9)
+    assert fit.feasible and fit.kind == want_fit.kind
+    np.testing.assert_allclose(fit.weights.values, want_fit.weights.values, rtol=1e-12, atol=1e-15)
+    assert (var.point, var.level) == (fit.point, 0.9)
+    assert var.sigma2_hat == pytest.approx(want_var.sigma2_hat, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "name, missing",
+    [
+        ("balancing", "structure"),
+        ("projection", "structure"),
+        ("wproj", "structure"),
+        ("exposure-ipw", "exposure mapping"),
+    ],
+)
+def test_fit_estimator_names_the_missing_input(rng, name, missing):
+    d = make_dataset(rng, 5)
+    with pytest.raises(InvalidSpec, match=f"estimator '{name}' needs the {missing} input"):
+        fit_estimator(name, d, Gate(), half_bernoulli())
+
+
+def test_fit_estimator_rejects_unknown_names(rng):
+    with pytest.raises(InvalidSpec, match="unknown estimator 'foo'"):
+        fit_estimator("foo", make_dataset(rng, 5), Gate(), half_bernoulli())
+
+
+def test_fit_estimator_infeasible_balancing_variance_only_when_allowed():
+    d = Dataset(
+        clusters=(
+            ClusterSample([[0.0]], [1], [1.0], cluster_id=0),
+            ClusterSample([[0.0]], [1], [2.0], cluster_id=1),
+        )
+    )
+    fit, var = fit_estimator("balancing", d, Gate(), half_bernoulli(), NoInterference())
+    assert not fit.feasible and var is None
+    fit, var = fit_estimator(
+        "balancing", d, Gate(), half_bernoulli(), NoInterference(), allow_infeasible=True
+    )
+    assert not fit.feasible and np.isfinite(var.sigma2_hat)
+
+
+@pytest.mark.parametrize(
+    "name, names",
+    [
+        ("ipw", ("ipw_fit", "iid_cluster_variance")),
+        ("balancing", ("balancing_fit", "sandwich_variance")),
+        ("projection", ("projection_fit", "sandwich_variance")),
+        ("wproj", ("weighted_projection_fit", "sandwich_variance")),
+        ("exposure-ipw", ("exposure_collapsed_ipw", "iid_cluster_variance")),
+    ],
+)
+def test_table_calls_the_module_names_at_call_time(rng, monkeypatch, name, names):
+    # per-layer tracing rebinds these module attributes after import
+    called = []
+
+    def recording(attr, real):
+        def wrapper(*args, **kwargs):
+            called.append(attr)
+            return real(*args, **kwargs)
+
+        return wrapper
+
+    for attr in names:
+        monkeypatch.setattr(inference, attr, recording(attr, getattr(inference, attr)))
+    d = make_dataset(rng, 12)
+    structure = TensorWithCovariates(KnnPattern(1))
+    fit_estimator(name, d, uniform_intervention(), half_bernoulli(), structure,
+                  mapping=structure.exposure_mapping)
+    assert called == list(names)

@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from clusterbal import simulate
+from clusterbal import inference, simulate
 from clusterbal.core import (
     ClusterSample,
     Dataset,
@@ -239,14 +239,15 @@ def _forced(dataset):
 
 def test_monte_carlo_reports_failures_by_exception_class(monkeypatch):
     cfg = DGPConfig(n=20, interference="additive", seed=2, gamma=0.5)
-    real = simulate.balancing_fit
+    real = inference.balancing_fit
 
     def flaky(dataset, *args, **kwargs):
         if _forced(dataset):
             raise FloatingPointError("forced")
         return real(dataset, *args, **kwargs)
 
-    monkeypatch.setattr(simulate, "balancing_fit", flaky)
+    # the estimator table calls the fits by their inference-module names
+    monkeypatch.setattr(inference, "balancing_fit", flaky)
     res = monte_carlo(cfg, 6, estimators=("ipw", "balancing", "exposure-ipw"), truth_draws=2000)
     forced = sum(_forced(gen_dataset(cfg, r, truth=False)[0]) for r in range(6))
     assert 0 < forced < 6

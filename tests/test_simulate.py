@@ -253,6 +253,25 @@ def test_estimator_errors_recorded_not_fatal():
     assert res.metrics["exposure-ipw"]["errors"] == 2
 
 
+
+def test_unknown_estimator_names_rejected_before_any_work(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("ran before the estimator names were checked")
+
+    monkeypatch.setattr(simulate, "true_mu", forbidden)
+    monkeypatch.setattr(simulate, "_replicate", forbidden)
+    with pytest.raises(InvalidSpec, match=r"unknown estimators \['foo', 'bar'\]"):
+        monte_carlo(small_cfg(n=4), reps=2, estimators=("ipw", "foo", "bar"))
+
+
+def test_rows_carry_the_failures_by_class():
+    cfg = small_cfg(n=4, interference="additive")
+    res = monte_carlo(cfg, reps=2, estimators=("ipw", "exposure-ipw"), truth_draws=2000)
+    rows = res.rows()
+    assert [r["error_classes"] for r in rows] == [{}, {"InvalidSpec": 2}]
+    assert [r["errors"] for r in rows] == [0, 2]
+
+
 def test_exposure_ipw_replicate_matches_direct_fit():
     cfg = small_cfg(n=6)
     res = monte_carlo(cfg, reps=1, estimators=("exposure-ipw",), truth_draws=2000)
