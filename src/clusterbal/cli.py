@@ -325,10 +325,11 @@ def _cmd_estimate(args, argv):
         if args.propensity == "unknown"
         else propensity_from_json(_load_json_file(args.propensity))
     )
+    names = list(dict.fromkeys(args.estimator))  # a repeated estimator is fitted once
     structure = design = mapping = None
     if args.structure:
         structure = build_structure(_load_json_file(args.structure), dataset)
-        if any(ESTIMATORS[name].shared_design for name in args.estimator):
+        if any(ESTIMATORS[name].shared_design for name in names):
             design = build_design(structure, dataset, weight)
     if args.exposure_mapping:
         mapping = exposure_from_spec(_load_json_file(args.exposure_mapping))
@@ -338,11 +339,12 @@ def _cmd_estimate(args, argv):
         "policy": args.policy,
         "propensity": args.propensity,
         "structure": args.structure,
+        "exposure_mapping": args.exposure_mapping,
     }
     exit_code = EXIT_OK
     results = {}
     rows = []
-    for name in args.estimator:
+    for name in names:
         fit, var = fit_estimator(
             name, dataset, weight, propensity, structure, design, mapping,
             level=args.level, allow_infeasible=args.allow_infeasible,

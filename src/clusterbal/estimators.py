@@ -256,44 +256,49 @@ def _observed_class_sums(dataset, mapping, weight, propensity, cap=PATTERN_CAP):
 
     f_obs and e_obs are the counterfactual weight's and the propensity's mass
     on the unit's observed class; e_max is the unit's largest class mass
-    under the propensity. Both use the mapping's product-form class masses,
-    under `propensity.unit_probs` and `weight.marginal_probs`, when they
-    exist. Otherwise f sums over the weight's sparse support and e over the
-    propensity's 2^m pattern masses.
+    under the propensity. Both are taken for all clusters of one size at
+    once from the mapping's product-form class masses, under
+    `propensity.unit_probs_batch` and `weight.marginal_probs_batch`, when
+    they exist. Otherwise f sums over the weight's sparse support and e over
+    the propensity's 2^m pattern masses, one cluster at a time.
     """
     f_obs, e_obs, e_max = (np.empty(dataset.total_units) for _ in range(3))
-    for (start, stop), c in zip(dataset.cluster_slices(), dataset.clusters):
-        units = np.arange(c.size)
-        obs = mapping.classes_at(c, c.treatments)
+    for group, _, rows in _size_groups(dataset):
+        obs = mapping.classes_batch(group, np.stack([c.treatments for c in group]))
         e_cls = None
-        if hasattr(propensity, "unit_probs"):
-            e_cls = mapping.class_masses(c, propensity.unit_probs(c))
+        if isinstance(propensity, IndependentBernoulli):
+            e_cls = mapping.class_masses_batch(group, propensity.unit_probs_batch(group))
         if e_cls is not None:
-            e_obs[start:stop] = e_cls[units, obs]
-            e_max[start:stop] = e_cls.max(axis=1)
+            e_obs[rows] = np.take_along_axis(e_cls, obs[:, :, None], axis=2)[:, :, 0]
+            e_max[rows] = e_cls.max(axis=2)
         else:
-            bits = enumerate_patterns(c.size, cap)
-            masses = np.asarray(propensity.probabilities_for(bits, c), dtype=np.float64)
-            for i in units:
-                cls = np.bincount(mapping.classes_for(c, i, bits), weights=masses)
-                e_obs[start + i], e_max[start + i] = cls[obs[i]], cls.max()
-        empty = np.flatnonzero(e_obs[start:stop] <= 0.0)
-        if empty.size:
-            raise PositivityViolation(
-                f"exposure-class probability is 0 for unit {empty[0]} of cluster {c.cluster_id!r}"
-            )
-        probs = weight.marginal_probs(c)
-        f_cls = None if probs is None else mapping.class_masses(c, probs)
+            for c, units, o in zip(group, rows, obs):
+                bits = enumerate_patterns(c.size, cap)
+                masses = np.asarray(propensity.probabilities_for(bits, c), dtype=np.float64)
+                for i, u in enumerate(units):
+                    cls = np.bincount(mapping.classes_for(c, i, bits), weights=masses)
+                    e_obs[u], e_max[u] = cls[o[i]], cls.max()
+        probs = weight.marginal_probs_batch(group)
+        f_cls = None if probs is None else mapping.class_masses_batch(group, probs)
         if f_cls is not None:
-            f_obs[start:stop] = f_cls[units, obs]
+            f_obs[rows] = np.take_along_axis(f_cls, obs[:, :, None], axis=2)[:, :, 0]
             continue
-        support = weight.support(c, cap)
-        f_obs[start:stop] = 0.0
-        if support:
-            bits = np.array([pat for pat, _ in support], dtype=np.int8)
-            w = np.array([w for _, w in support], dtype=np.float64)
-            for i in units:
-                f_obs[start + i] = w[mapping.classes_for(c, i, bits) == obs[i]].sum()
+        for c, units, o in zip(group, rows, obs):
+            support = weight.support(c, cap)
+            f_obs[units] = 0.0
+            if support:
+                bits = np.array([pat for pat, _ in support], dtype=np.int8)
+                w = np.array([w for _, w in support], dtype=np.float64)
+                for i, u in enumerate(units):
+                    f_obs[u] = w[mapping.classes_for(c, i, bits) == o[i]].sum()
+    empty = np.flatnonzero(e_obs <= 0.0)
+    if empty.size:
+        starts = np.array([start for start, _ in dataset.cluster_slices()])
+        ci = int(np.searchsorted(starts, empty[0], side="right")) - 1
+        raise PositivityViolation(
+            f"exposure-class probability is 0 for unit {empty[0] - starts[ci]} of cluster "
+            f"{dataset.clusters[ci].cluster_id!r}"
+        )
     return f_obs, e_obs, e_max
 
 

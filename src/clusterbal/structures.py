@@ -21,30 +21,14 @@ from .specio import spec_field, spec_int
 # ---------- neighbor graphs ----------
 
 
-def _knn_lists(cluster, k):
-    """Per-unit k-nearest-neighbor index lists (within cluster, self excluded).
-
-    Euclidean metric on covariate rows; ties broken by lower unit index.
-    """
-    key = ("knn", int(k))
-    if key in cluster._cache:
-        return cluster._cache[key]
-    m = cluster.size
-    k_eff = min(int(k), m - 1)
-    x = cluster.covariates
-    d2 = ((x[:, None, :] - x[None, :, :]) ** 2).sum(axis=2)
-    np.fill_diagonal(d2, np.inf)
-    order = np.argsort(d2, axis=1, kind="stable")[:, :k_eff].astype(np.int64)
-    cluster._cache[key] = order
-    return order
-
-
 def knn_order(x, k):
-    """The lists of `_knn_lists` for a batch of clusters (B, m, p): (B, m, min(k, m - 1)).
+    """Per-unit k-nearest-neighbor lists of a batch of clusters (B, m, p):
+    (B, m, min(k, m - 1)) unit indices within each cluster, self excluded.
 
-    Batches take the squared distances one covariate at a time, which keeps
-    the arrays at (B, m, m) and gives the bits of the sum over the covariate
-    axis; a single cluster is faster with the one-shot sum of `_knn_lists`.
+    Euclidean metric on covariate rows, ties broken by lower unit index (a
+    stable argsort), so the lists at any k are a prefix of those at m - 1.
+    The squared distances are summed one covariate at a time, which keeps
+    the arrays at (B, m, m).
     """
     b, m, p = x.shape
     d2 = np.zeros((b, m, m))
@@ -57,23 +41,33 @@ def knn_order(x, k):
     return np.argsort(d2, axis=2, kind="stable")[:, :, : min(int(k), m - 1)]
 
 
+def _knn_orders(clusters):
+    """Each cluster's full stable neighbor order (m, m - 1) int64, from its
+    cache; one `knn_order` call fills the clusters of one size still cold."""
+    cold = [c for c in clusters if "knn_order" not in c._cache]
+    if cold:
+        x = np.stack([c.covariates for c in cold])
+        orders = knn_order(x, x.shape[1] - 1).astype(np.int64, copy=False)
+        for c, order in zip(cold, orders):
+            c._cache["knn_order"] = order
+    return [c._cache["knn_order"] for c in clusters]
+
+
 def _stacked_neighbors(clusters, k, graph=None):
     """Neighbor lists of clusters of one size, stacked: (B, m, k_eff) int64.
 
-    The lists come from `graph` when given. Otherwise each cluster's
-    ("knn", k) cache of `_knn_lists` supplies them, and one `knn_order` call
-    fills the caches still empty.
+    The lists come from `graph` when given (all of its lists when k is
+    None), and otherwise are the first k columns of each cluster's full
+    order, so every k reads the same sort.
     """
-    if graph is not None:
-        return np.stack([graph.neighbors(c)[:, :k] for c in clusters])
-    key = ("knn", int(k))
-    cold = [c for c in clusters if key not in c._cache]
-    if cold:
-        lists = np.ascontiguousarray(knn_order(np.stack([c.covariates for c in cold]), k),
-                                     dtype=np.int64)
-        for c, order in zip(cold, lists):
-            c._cache[key] = order
-    return np.stack([c._cache[key] for c in clusters])
+    lists = [graph.neighbors(c) for c in clusters] if graph is not None else _knn_orders(clusters)
+    return np.stack([nbrs[:, :k] for nbrs in lists])
+
+
+def _cluster_neighbors(cluster, k, graph=None):
+    """`_stacked_neighbors` of one cluster, unstacked: (M_c, k_eff) int64."""
+    nbrs = graph.neighbors(cluster) if graph is not None else _knn_orders([cluster])[0]
+    return nbrs[:, :k]
 
 
 @dataclass(frozen=True)
@@ -93,10 +87,10 @@ def knn_graph(dataset, k):
     """k-nearest-neighbor graph for every cluster of a dataset."""
     if k < 1:
         raise InvalidSpec("k must be >= 1")
-    return NeighborGraph(
-        order=int(k),
-        lists={c.cluster_id: _knn_lists(c, k) for c in dataset.clusters},
-    )
+    lists = {}
+    for group, _, _ in _size_groups(dataset):
+        lists.update(zip((c.cluster_id for c in group), _stacked_neighbors(group, int(k))))
+    return NeighborGraph(order=int(k), lists=lists)
 
 
 def second_order_lists(cluster, nbrs):
@@ -233,9 +227,7 @@ class StratifiedCount(LowRankStructure):
         self.graph = graph
 
     def _neighbors(self, cluster):
-        if self.graph is not None:
-            return self.graph.neighbors(cluster)[:, : self.k]
-        return _knn_lists(cluster, self.k)
+        return _cluster_neighbors(cluster, self.k, self.graph)
 
     def _counted_units(self, cluster):
         nbrs = self._neighbors(cluster)
@@ -304,9 +296,7 @@ class KnnPattern(LowRankStructure):
         self.graph = graph
 
     def _neighbors(self, cluster):
-        if self.graph is not None:
-            return self.graph.neighbors(cluster)[:, : self.k]
-        return _knn_lists(cluster, self.k)
+        return _cluster_neighbors(cluster, self.k, self.graph)
 
     def dim(self, cluster=None, i=None):
         return 2**self.k
@@ -510,9 +500,8 @@ class CoarsenedCount(LowRankStructure):
         return arr
 
     def _neighbors(self, cluster):
-        if self.graph is not None:
-            return self.graph.neighbors(cluster)
-        return _knn_lists(cluster, self.k)
+        # a given graph's lists are used whole; k sizes only the k-NN lists
+        return _cluster_neighbors(cluster, None if self.graph is not None else self.k, self.graph)
 
     def _level_units(self, cluster):
         key = ("coarsened_units", self.order, self.k, id(self.graph))
@@ -614,31 +603,24 @@ class ExposureMapping:
     def class_of(self, cluster, i, pattern):
         raise NotImplementedError
 
-    def classes_at(self, cluster, pattern):
-        """Class of every unit at one pattern: (M_c,) int64."""
-        a = as_pattern(pattern)
-        return np.array([self.class_of(cluster, i, a) for i in range(cluster.size)], dtype=np.int64)
-
     def classes_for(self, cluster, i, bits):
         return np.array(
             [self.class_of(cluster, i, bits[r]) for r in range(bits.shape[0])],
             dtype=np.int64,
         )
 
-    def class_masses(self, cluster, probs):
-        """(M_c, n_classes) class probabilities under independent Bernoulli(probs)
-        treatments, in product form; None when the mapping has none."""
-        return None
-
     def classes_batch(self, clusters, patterns):
-        """`classes_at` of clusters of one size m: (B, m) patterns -> (B, m) int64."""
-        return np.stack([self.classes_at(c, a) for c, a in zip(clusters, patterns)])
+        """Class of every unit of clusters of one size m: (B, m) patterns -> (B, m) int64."""
+        return np.array(
+            [[self.class_of(c, i, a) for i in range(c.size)] for c, a in zip(clusters, patterns)],
+            dtype=np.int64,
+        ).reshape(patterns.shape)
 
     def class_masses_batch(self, clusters, probs):
-        """`class_masses` of clusters of one size m: (B, m) probs -> (B, m,
-        n_classes), or None when the mapping has no product form."""
-        out = [self.class_masses(c, p) for c, p in zip(clusters, probs)]
-        return None if any(o is None for o in out) else np.stack(out)
+        """Class probabilities of every unit of clusters of one size m under
+        independent Bernoulli(probs) treatments, in product form: (B, m) probs
+        -> (B, m, n_classes), or None when the mapping has no product form."""
+        return None
 
     fixed_dim = None  # class count when it does not vary with (cluster, i)
 
@@ -653,14 +635,8 @@ class OwnTreatment(ExposureMapping):
     def class_of(self, cluster, i, pattern):
         return int(as_pattern(pattern)[i])
 
-    def classes_at(self, cluster, pattern):
-        return as_pattern(pattern).astype(np.int64)
-
     def classes_for(self, cluster, i, bits):
         return bits[:, i].astype(np.int64)
-
-    def class_masses(self, cluster, probs):
-        return NoInterference().expected_rows(cluster, probs)
 
     def classes_batch(self, clusters, patterns):
         return patterns.astype(np.int64)
@@ -686,16 +662,10 @@ class NeighborPattern(ExposureMapping):
         a = as_pattern(pattern)
         return int(self.inner._slots_at(cluster, a)[i])
 
-    def classes_at(self, cluster, pattern):
-        return self.inner._slots_at(cluster, as_pattern(pattern))
-
     def classes_for(self, cluster, i, bits):
         nbrs = self.inner._neighbors(cluster)[i]
         slots = _kernels.slot_indices(np.ascontiguousarray(bits), np.ascontiguousarray(nbrs))
         return slots << (self.k - nbrs.shape[0])
-
-    def class_masses(self, cluster, probs):
-        return self.inner.expected_rows(cluster, probs)
 
     def _neighbor_values(self, clusters, values):
         """values[b, j] of every unit's neighbors, in list order: (B, m, k_eff)."""
@@ -740,16 +710,9 @@ class NeighborCount(ExposureMapping):
         units = self.inner._counted_units(cluster)[i]
         return int(a[units].sum())
 
-    def classes_at(self, cluster, pattern):
-        a = as_pattern(pattern).astype(np.int64)
-        return a[self.inner._counted_units(cluster)].sum(axis=1)
-
     def classes_for(self, cluster, i, bits):
         units = self.inner._counted_units(cluster)[i]
         return _kernels.count_slots(np.ascontiguousarray(bits), np.ascontiguousarray(units))
-
-    def class_masses(self, cluster, probs):
-        return self.inner.expected_rows(cluster, probs)
 
     def _counted_values(self, clusters, values):
         """values[b, j] of every unit's counted units: (B, m, counted)."""
@@ -790,8 +753,10 @@ class IdentityMapping(ExposureMapping):
             idx = (idx << 1) | int(b)
         return idx
 
-    def classes_at(self, cluster, pattern):
-        return np.full(cluster.size, self.class_of(cluster, 0, pattern), dtype=np.int64)
+    def classes_batch(self, clusters, patterns):
+        m = patterns.shape[1]
+        idx = patterns.astype(np.int64) @ 2 ** np.arange(m - 1, -1, -1, dtype=np.int64)
+        return np.repeat(idx[:, None], m, axis=1)
 
     def classes_for(self, cluster, i, bits):
         deps = np.arange(cluster.size, dtype=np.int64)
@@ -808,14 +773,8 @@ class ConstantMapping(ExposureMapping):
     def class_of(self, cluster, i, pattern):
         return 0
 
-    def classes_at(self, cluster, pattern):
-        return np.zeros(cluster.size, dtype=np.int64)
-
     def classes_for(self, cluster, i, bits):
         return np.zeros(bits.shape[0], dtype=np.int64)
-
-    def class_masses(self, cluster, probs):
-        return np.ones((cluster.size, 1))
 
     def classes_batch(self, clusters, patterns):
         return np.zeros(patterns.shape, dtype=np.int64)
@@ -1037,25 +996,6 @@ class TensorWithCovariates(LowRankStructure):
         return np.einsum("ub,uw->ubw", inner, x).reshape(cluster.size, -1)
 
 
-class PerUnitStructure(LowRankStructure):
-    """Marks a feature map as carrying per-unit coefficient blocks."""
-
-    regime = "per_unit"
-
-    def __init__(self, base):
-        self.base = base
-        self.label = f"per_unit[{base.label}]"
-
-    def dim(self, cluster=None, i=None):
-        return self.base.dim(cluster, i)
-
-    def feature_row(self, cluster, i, pattern):
-        return self.base.feature_row(cluster, i, pattern)
-
-    def all_pattern_rows(self, cluster, i, cap=PATTERN_CAP):
-        return self.base.all_pattern_rows(cluster, i, cap)
-
-
 # ---------- builders ----------
 
 
@@ -1103,8 +1043,6 @@ def build_structure(spec, dataset=None):
             columns=spec.get("columns"),
             label=spec.get("label"),
         )
-    elif kind == "per_unit":
-        return PerUnitStructure(build_structure(field("inner"), dataset))
     else:
         raise InvalidSpec(f"unknown structure kind {kind!r}")
     if spec.get("tensor_covariates"):

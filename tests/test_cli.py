@@ -181,6 +181,48 @@ def test_estimate_csv_cells_parse_as_json_floats(tmp_path, rng, monkeypatch):
             assert float(row[key]) == entry["variance"][key]
 
 
+def test_estimate_manifest_names_every_input_spec(tmp_path):
+    data = write(tmp_path, "d.csv", feasible_csv())
+    policy = write_json(tmp_path, "policy.json", {"kind": "gate"})
+    propensity = write_json(tmp_path, "prop.json", {"kind": "bernoulli", "prob": 0.5})
+    mapping = write_json(tmp_path, "mapping.json", {"name": "own_treatment"})
+    out = tmp_path / "out"
+    code = run(
+        [
+            "estimate", "--dataset", data, "--policy", policy, "--propensity", propensity,
+            "--exposure-mapping", mapping, "--estimator", "exposure-ipw",
+            "--seed", "7", "--out-dir", str(out),
+        ]
+    )
+    assert code == EXIT_OK
+    want = {"dataset": data, "policy": policy, "propensity": propensity,
+            "structure": None, "exposure_mapping": mapping}
+    assert json.loads((out / "estimates.json").read_text())["manifest"]["inputs"] == want
+    sidecar = json.loads((out / "estimates.csv.manifest.json").read_text())
+    assert sidecar["inputs"] == want
+
+
+def test_repeated_estimator_is_fitted_once(tmp_path):
+    data = write(tmp_path, "d.csv", feasible_csv())
+    policy = write_json(tmp_path, "policy.json", {"kind": "gate"})
+    propensity = write_json(tmp_path, "prop.json", {"kind": "bernoulli", "prob": 0.5})
+    out = tmp_path / "out"
+    code = run(
+        [
+            "estimate", "--dataset", data, "--policy", policy, "--propensity", propensity,
+            "--estimator", "ipw", "--estimator", "ipw", "--seed", "7", "--out-dir", str(out),
+        ]
+    )
+    assert code == EXIT_OK
+    result = json.loads((out / "estimates.json").read_text())["result"]
+    with open(out / "estimates.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert list(result) == ["ipw"]
+    assert [r["estimator"] for r in rows] == ["ipw"]
+    assert float(rows[0]["point"]) == result["ipw"]["point"]
+    assert float(rows[0]["sigma2_hat"]) == result["ipw"]["variance"]["sigma2_hat"]
+
+
 def infeasible_csv():
     rows = ["cluster_id,unit_id,treatment,outcome,x1"]
     for i in range(3):

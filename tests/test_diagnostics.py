@@ -6,8 +6,9 @@ from clusterbal.diagnostics import imbalance_report
 from clusterbal.errors import InvalidSpec
 from clusterbal.estimators import balancing_fit
 from clusterbal.structures import (
+    FromExposureMapping,
+    IdentityMapping,
     NoInterference,
-    PerUnitStructure,
     StratifiedCount,
     TensorWithCovariates,
     design_matrix,
@@ -156,7 +157,7 @@ def test_imbalance_requires_fixed_dimension_structure(rng):
     f = Gate()
     fit = balancing_fit(d, NoInterference(), f)
     with pytest.raises(InvalidSpec, match="fixed-dimension"):
-        imbalance_report(d, PerUnitStructure(NoInterference()), f, fit)
+        imbalance_report(d, FromExposureMapping(IdentityMapping()), f, fit)
 
 
 def test_report_rows_shape(rng):

@@ -340,7 +340,7 @@ def test_exposure_enumeration_matches_analytic(rng):
     e = IndependentBernoulli(lambda c: probs[c.cluster_id])
 
     class NoAnalytic(OwnTreatment):
-        def class_masses(self, cluster, probs):
+        def class_masses_batch(self, clusters, probs):
             return None
 
     f = uniform_intervention()
@@ -636,6 +636,36 @@ def test_wproj_closed_form_positivity():
     ):
         with pytest.raises(PositivityViolation):
             fit()
+
+
+def test_exposure_positivity_names_the_first_cluster_in_dataset_order():
+    """Size groups run smallest first; the error still names the dataset's first offender."""
+
+    def cluster(cid, x, a):
+        return ClusterSample(covariates=[[v] for v in x], treatments=a,
+                             outcomes=[0.0] * len(a), cluster_id=cid)
+
+    # enumeration: units marked here have no mass on being treated
+    never = {"a": (), "b": (2,), "c": (0,)}
+
+    class NeverTreat(PropensityModel):
+        def probability(self, pattern, cluster):
+            return 0.0 if any(pattern[i] for i in never[cluster.cluster_id]) else 0.5
+
+    d = Dataset(clusters=(cluster("a", [0, 1], [1, 1]), cluster("b", [0, 1, 2], [0, 0, 1]),
+                          cluster("c", [0, 1], [1, 0])))
+    with pytest.raises(PositivityViolation, match="unit 2 of cluster 'b'"):
+        exposure_collapsed_ipw(d, OwnTreatment(), uniform_intervention(), NeverTreat())
+
+    # product form: two treated neighbors of mass 1e-200 each underflow to class mass 0
+    tiny = 1e-200
+    probs = {"a": [0.5] * 3, "b": [0.5, 0.5, tiny, tiny, tiny], "c": [tiny] * 3}
+    e = IndependentBernoulli(lambda c: np.array(probs[c.cluster_id]))
+    d = Dataset(clusters=(cluster("a", [0, 1, 2], [1, 1, 1]),
+                          cluster("b", [-10, -9, 0, 1, 2], [1, 0, 1, 1, 1]),
+                          cluster("c", [0, 1, 2], [1, 1, 1])))
+    with pytest.raises(PositivityViolation, match="unit 2 of cluster 'b'"):
+        exposure_collapsed_ipw(d, NeighborPattern(2), uniform_intervention(), e)
 
 
 # ---------- weighted projection: one SVD per cluster for rows shared by every unit ----------

@@ -12,7 +12,7 @@ import warnings
 import numpy as np
 import pytest
 
-from clusterbal import inference
+from clusterbal import inference, structures
 from clusterbal.core import (
     ClusterSample,
     Dataset,
@@ -27,7 +27,6 @@ from clusterbal.simulate import DGPConfig, dgp_structure, gen_dataset
 from clusterbal.structures import (
     AdditiveTypes,
     ConstantMapping,
-    ExposureMapping,
     FromExposureMapping,
     KnnPattern,
     NeighborCount,
@@ -36,7 +35,6 @@ from clusterbal.structures import (
     OwnTreatment,
     StratifiedCount,
     TensorWithCovariates,
-    _knn_lists,
     _nested_in_span,
     design_matrix,
     knn_graph,
@@ -56,10 +54,8 @@ from oracles import (
 class CountsWithoutProductForm(NeighborCount):
     """Neighbor counts whose class masses are only known by enumeration."""
 
-    def class_masses(self, cluster, probs):
+    def class_masses_batch(self, clusters, probs):
         return None
-
-    class_masses_batch = ExposureMapping.class_masses_batch
 
 
 def _replaced(d, covariates=None, treatments=None):
@@ -180,19 +176,46 @@ def test_imbalance_report_matches_per_cluster(rng, data, inner):
     _assert_close(report.omnibus, omnibus)
 
 
+def _full_order(c):
+    """Brute-force stable order of all other units by squared distance: (m, m - 1)."""
+    x = c.covariates
+    d2 = ((x[:, None, :] - x[None, :, :]) ** 2).sum(axis=2)
+    np.fill_diagonal(d2, np.inf)
+    return np.argsort(d2, axis=1, kind="stable")[:, : c.size - 1]
+
+
 def test_batched_knn_lists_fill_and_reuse_the_cluster_caches(rng):
     d = make_dataset(rng, 30, sizes=(1, 6), p=3)
-    s = TensorWithCovariates(KnnPattern(3))
-    design_matrix(s, d)
-    cold = fresh_copy(d)
-    for c, c_cold in zip(d.clusters, cold.clusters):
-        assert np.array_equal(c._cache[("knn", 3)], _knn_lists(c_cold, 3))
-    # lists already cached are used as they are
+    design_matrix(TensorWithCovariates(KnnPattern(3)), d)
+    for c in d.clusters:
+        assert np.array_equal(c._cache["knn_order"], _full_order(c))
+    # an order already cached is used as it is, at every k
     planted = fresh_copy(d)
     for c in planted.clusters:
-        c._cache[("knn", 3)] = _knn_lists(c, 3)[:, ::-1].copy()
-    assert np.array_equal(design_matrix(s, planted), per_cluster_design(s, planted))
-    assert not np.array_equal(design_matrix(s, planted), design_matrix(s, d))
+        c._cache["knn_order"] = _full_order(c)[:, ::-1].copy()
+    for k in (1, 3, 7):
+        s = TensorWithCovariates(KnnPattern(k))
+        assert np.array_equal(design_matrix(s, planted), per_cluster_design(s, planted))
+        assert not np.array_equal(design_matrix(s, planted), design_matrix(s, d))
+        graph = knn_graph(planted, k)
+        for c in planted.clusters:
+            assert np.array_equal(graph.neighbors(c), c._cache["knn_order"][:, :k])
+
+
+def test_knn_ladder_sorts_each_cluster_size_once(rng, monkeypatch):
+    d = make_dataset(rng, 40, sizes=(1, 6), p=3)
+    calls = []
+    sort = structures.knn_order
+
+    def counted(x, k):
+        calls.append(x.shape[1])
+        return sort(x, k)
+
+    monkeypatch.setattr(structures, "knn_order", counted)
+    for k in range(1, 6):
+        build_design(TensorWithCovariates(KnnPattern(k), columns=[0, 1, 2]), d,
+                     uniform_intervention())
+    assert sorted(calls) == sorted({c.size for c in d.clusters})
 
 
 # ---------- block-wise nesting in select_structure ----------

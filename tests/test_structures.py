@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from clusterbal.core import (
+    PATTERN_CAP,
     BernoulliIntervention,
     ClusterSample,
     Dataset,
@@ -15,7 +16,9 @@ from clusterbal.structures import (
     AdditiveTypes,
     CoarsenedCount,
     Compose,
+    ConstantMapping,
     FromExposureMapping,
+    IdentityMapping,
     KnnPattern,
     NeighborCount,
     NeighborPattern,
@@ -330,14 +333,24 @@ def test_target_vector_product_path_matches_support_path(rng):
     probs_by_id = {c.cluster_id: rng.uniform(0.2, 0.8, c.size) for c in d.clusters}
     fast = BernoulliIntervention(lambda c: probs_by_id[c.cluster_id])
 
+    supported = []
+
     class NoProductForm(BernoulliIntervention):
         def marginal_probs(self, cluster):
             return None
+
+        def marginal_probs_batch(self, clusters):
+            return None
+
+        def support(self, cluster, cap=PATTERN_CAP):
+            supported.append(cluster.cluster_id)
+            return super().support(cluster, cap)
 
     slow = NoProductForm(lambda c: probs_by_id[c.cluster_id])
     assert np.allclose(
         target_vector(s, d, fast), target_vector(s, d, slow), atol=1e-10
     )
+    assert sorted(supported) == [c.cluster_id for c in d.clusters]
 
 
 def test_target_vector_cap_propagates(rng):
@@ -449,18 +462,27 @@ def test_nested_rank_check_orthogonal_columns():
 
 
 def test_exposure_class_probabilities_match_enumeration(rng):
-    c = make_cluster(rng, 5)
-    probs = rng.uniform(0.2, 0.8, 5)
-    bits = enumerate_patterns(5)
-    masses = np.prod(np.where(bits == 1, probs, 1 - probs), axis=1)
-    for mapping in (OwnTreatment(), NeighborCount(2), NeighborPattern(2)):
-        analytic = mapping.class_masses(c, probs)
-        obs = mapping.classes_at(c, c.treatments)
-        for i in range(5):
-            assert obs[i] == mapping.class_of(c, i, c.treatments)
-            classes = mapping.classes_for(c, i, bits)
-            brute = np.bincount(classes, weights=masses, minlength=analytic.shape[1])
-            assert np.allclose(analytic[i], brute, rtol=0, atol=1e-12)
+    d = make_dataset(rng, 12, sizes=(1, 6), p=2)
+    for m in sorted({c.size for c in d.clusters}):
+        group = [c for c in d.clusters if c.size == m]
+        a = np.stack([c.treatments for c in group])
+        probs = rng.uniform(0.2, 0.8, a.shape)
+        bits = enumerate_patterns(m)
+        for mapping in (OwnTreatment(), NeighborCount(2), NeighborCount(2, include_own=True),
+                        NeighborPattern(2), ConstantMapping()):
+            obs = mapping.classes_batch(group, a)
+            analytic = mapping.class_masses_batch(group, probs)
+            assert obs.shape == a.shape and analytic.shape[:2] == a.shape
+            for b, c in enumerate(group):
+                masses = np.prod(np.where(bits == 1, probs[b], 1 - probs[b]), axis=1)
+                for i in range(m):
+                    assert obs[b, i] == mapping.class_of(c, i, c.treatments)
+                    classes = mapping.classes_for(c, i, bits)
+                    brute = np.bincount(classes, weights=masses, minlength=analytic.shape[2])
+                    assert np.allclose(analytic[b, i], brute, rtol=0, atol=1e-12)
+        identity = IdentityMapping().classes_batch(group, a)
+        for b, c in enumerate(group):
+            assert identity[b].tolist() == [IdentityMapping().class_of(c, 0, c.treatments)] * m
 
 
 # ---------- builder ----------
