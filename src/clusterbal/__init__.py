@@ -40,7 +40,7 @@ from .inference import (
     sigma_noise_hat,
     structure_test,
 )
-from .numerics import SolveReport, min_norm_solve, pinv, project_colspace
+from .numerics import SolveReport, project_colspace
 from .simulate import (
     DGPConfig,
     MCResult,

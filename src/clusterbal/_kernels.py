@@ -39,15 +39,6 @@ def pattern_masses(bits, probs):
     return np.prod(treated * probs + (1.0 - treated) * (1.0 - probs), axis=1)
 
 
-def slot_indices(bits, deps):
-    """MSB-first binary encoding of bits[:, deps]: (P,) int64 slot per pattern."""
-    k = deps.shape[0]
-    if k == 0:
-        return np.zeros(bits.shape[0], dtype=np.int64)
-    weights = 2 ** np.arange(k - 1, -1, -1, dtype=np.int64)
-    return bits[:, deps].astype(np.int64) @ weights
-
-
 def count_slots(bits, deps):
     """Number of treated among deps for every pattern: (P,) int64."""
     if deps.shape[0] == 0:
@@ -65,7 +56,6 @@ IMPLS = {
         "pb_pmf": pb_pmf,
         "pb_pmf_batch": pb_pmf_batch,
         "pattern_masses": pattern_masses,
-        "slot_indices": slot_indices,
         "count_slots": count_slots,
         "weighted_slot_sums": weighted_slot_sums,
     }

@@ -272,12 +272,17 @@ def _finite_or_null(obj):
 
 def write_json_artifact(path, result, manifest):
     """Strict (RFC 8259) JSON: NaN and infinite floats are written as null."""
-    result = _finite_or_null(result)
     dump = lambda doc: json.dumps(  # noqa: E731
         doc, indent=1, sort_keys=True, default=float, allow_nan=False
     )
-    manifest.output_digest = _digest(dump(result).encode())
-    _atomic_write(path, dump({"manifest": asdict(manifest), "result": result}).encode())
+    text = dump(_finite_or_null(result))
+    manifest.output_digest = _digest(text.encode())
+    # the document is {"manifest": ..., "result": ...} dumped the same way; a
+    # value one level down is its own dump indented by one more space (JSON
+    # escapes newlines inside strings, so every newline is a line break)
+    nest = lambda t: t.replace("\n", "\n ")  # noqa: E731
+    doc = f'{{\n "manifest": {nest(dump(asdict(manifest)))},\n "result": {nest(text)}\n}}'
+    _atomic_write(path, doc.encode())
 
 
 def write_csv_artifact(path, rows, fieldnames, manifest):

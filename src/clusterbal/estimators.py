@@ -21,6 +21,7 @@ from .structures import (
     _observed_slots,
     _one_hot_mapping,
     _size_groups,
+    _unit_covariate_rows,
     design_matrix,
     target_contributions,
 )
@@ -314,15 +315,21 @@ def _wproj_closed_form(dataset, structure, mapping, weight, propensity, cap=PATT
     """
     f_obs, e_obs, e_max = _observed_class_sums(dataset, mapping, weight, propensity, cap)
     keep = np.ones(dataset.total_units, dtype=bool)
-    for (start, stop), c in zip(dataset.cluster_slices(), dataset.clusters):
-        if c.size <= cap:
-            rcond = [_default_rcond((2**c.size, structure.dim(c, i))) for i in range(c.size)]
-            keep[start:stop] &= np.sqrt(e_obs[start:stop]) > rcond * np.sqrt(e_max[start:stop])
-        tensor = structure
-        while isinstance(tensor, TensorWithCovariates):
-            x = _validate(tensor.covariate_rows(c))
-            keep[start:stop] &= (x != 0).any(axis=1)
-            tensor = tensor.inner
+    for group, _, rows in _size_groups(dataset):
+        m = rows.shape[1]
+        if m > cap:
+            continue
+        if structure.regime == "fixed":
+            rcond = _default_rcond((2**m, structure.dim(group[0])))
+        else:
+            rcond = np.array(
+                [[_default_rcond((2**m, structure.dim(c, i))) for i in range(m)] for c in group]
+            )
+        keep[rows] &= np.sqrt(e_obs[rows]) > rcond * np.sqrt(e_max[rows])
+    tensor = structure
+    while isinstance(tensor, TensorWithCovariates):
+        keep &= (_validate(_unit_covariate_rows(tensor, dataset)) != 0).any(axis=1)
+        tensor = tensor.inner
     return np.where(keep, f_obs / (_unit_sizes(dataset) * e_obs), 0.0)
 
 

@@ -1,4 +1,4 @@
-"""SVD-backed pseudoinverse, minimum-norm least squares, and projections.
+"""SVD-backed design solves (minimum-norm, OLS) and column-space projections.
 
 All decompositions are deterministic (LAPACK SVD, no randomization) so
 replicated runs are bit-stable on a given platform.
@@ -37,32 +37,6 @@ class SolveReport:
 
     def feasible(self, tol=FEAS_TOL):
         return self.relative_residual <= tol
-
-
-def pinv(a, rcond=None):
-    """Moore-Penrose pseudoinverse; singular values <= rcond*sigma_max dropped."""
-    a = _validate(a)
-    if rcond is None:
-        rcond = _default_rcond(a.shape)
-    return np.linalg.pinv(a, rcond=rcond)
-
-
-def min_norm_solve(a, b, rcond=None, feas_tol=FEAS_TOL):
-    """Minimum-Euclidean-norm least-squares solution of a x = b."""
-    a = _validate(a)
-    b = _validate(b).ravel()
-    if a.shape[0] != b.size:
-        raise InvalidInput(f"shape mismatch: {a.shape} vs rhs {b.size}")
-    if rcond is None:
-        rcond = _default_rcond(a.shape)
-    u, s, vt = np.linalg.svd(a, full_matrices=False)
-    keep = s > rcond * (s[0] if s.size else 0.0)
-    rank = int(keep.sum())
-    coef = (u[:, keep].T @ b) / s[keep]
-    x = vt[keep].T @ coef
-    resid = float(np.linalg.norm(a @ x - b))
-    rel = resid / max(float(np.linalg.norm(b)), 1.0)
-    return SolveReport(solution=x, residual_norm=resid, relative_residual=rel, rank=rank)
 
 
 def project_colspace(b, v, rcond=None):

@@ -8,7 +8,6 @@ only through the unit's own cluster (partial interference).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -108,6 +107,30 @@ def second_order_lists(cluster, nbrs):
     return out
 
 
+# ---------- k-NN pattern slots ----------
+
+
+def _msb_slots(bits, k):
+    """Slot of each bit row among 2^k slots: bits (..., k_eff) read first bit
+    most significant, the k - k_eff missing low bits zero: (...,) int64."""
+    k_eff = bits.shape[-1]
+    return bits.astype(np.int64) @ 2 ** np.arange(k - 1, k - 1 - k_eff, -1, dtype=np.int64)
+
+
+def _msb_slot_masses(probs, k):
+    """Mass of each `_msb_slots` slot under independent Bernoulli(probs)
+    bits, probs (..., k_eff); missing bits have probability 0: (..., 2^k)."""
+    slot_probs = np.zeros(probs.shape[:-1] + (k,))
+    slot_probs[..., : probs.shape[-1]] = probs
+    # the first bit is the most significant: prepend one bit's (untreated,
+    # treated) halves at a time, last bit first
+    mass = np.ones(probs.shape[:-1] + (1,))
+    for t in range(k - 1, -1, -1):
+        p_t = slot_probs[..., t, None]
+        mass = np.concatenate([(1.0 - p_t) * mass, p_t * mass], axis=-1)
+    return mass
+
+
 # ---------- structure base ----------
 
 
@@ -145,13 +168,12 @@ class LowRankStructure:
                 out += masses[r] * self.rows_at(cluster, bits[r])
         return out
 
-    def pattern_totals(self, cluster, i, cap=PATTERN_CAP):
-        """Sum of phi_ci(a) over all 2^m patterns (float)."""
-        half = np.full(cluster.size, 0.5)
-        return self.expected_rows(cluster, half, cap)[i] * 2.0 ** cluster.size
-
     def _check(self, cluster, i, pattern):
         self._check_index(cluster, i)
+        return self._check_pattern(cluster, pattern)
+
+    @staticmethod
+    def _check_pattern(cluster, pattern):
         a = as_pattern(pattern)
         if a.size != cluster.size:
             raise DimensionMismatch(
@@ -165,52 +187,253 @@ class LowRankStructure:
             raise DimensionMismatch(f"unit index {i} out of range for size {cluster.size}")
 
 
-def _pad_neighbor_probs(nbrs, probs, k):
-    """(M, k) per-slot probabilities; missing neighbor slots get probability 0."""
-    m = nbrs.shape[0]
-    out = np.zeros((m, k))
-    if nbrs.shape[1]:
-        out[:, : nbrs.shape[1]] = probs[nbrs]
+# ---------- exposure mappings ----------
+
+
+class ExposureMapping:
+    """Finite-valued function of the cluster pattern, per unit.
+
+    A mapping defines `class_of` or `classes_for`; each defaults to the other.
+    """
+
+    label = "exposure"
+    fixed_dim = None  # class count when it does not vary with (cluster, i)
+
+    def n_classes(self, cluster, i):
+        return self.fixed_dim
+
+    def class_of(self, cluster, i, pattern):
+        return int(self.classes_for(cluster, i, as_pattern(pattern)[None, :])[0])
+
+    def classes_for(self, cluster, i, bits):
+        """Class of unit i at every pattern row of bits (P, m): (P,) int64."""
+        return np.array(
+            [self.class_of(cluster, i, bits[r]) for r in range(bits.shape[0])],
+            dtype=np.int64,
+        )
+
+    def classes_batch(self, clusters, patterns):
+        """Class of every unit of clusters of one size m: (B, m) patterns -> (B, m) int64."""
+        return np.array(
+            [[self.class_of(c, i, a) for i in range(c.size)] for c, a in zip(clusters, patterns)],
+            dtype=np.int64,
+        ).reshape(patterns.shape)
+
+    def class_masses_batch(self, clusters, probs):
+        """Class probabilities of every unit of clusters of one size m under
+        independent Bernoulli(probs) treatments, in product form: (B, m) probs
+        -> (B, m, n_classes), or None when the mapping has no product form."""
+        return None
+
+
+class OwnTreatment(ExposureMapping):
+    label = "own_treatment"
+    fixed_dim = 2
+
+    def classes_for(self, cluster, i, bits):
+        return bits[:, i].astype(np.int64)
+
+    def classes_batch(self, clusters, patterns):
+        return patterns.astype(np.int64)
+
+    def class_masses_batch(self, clusters, probs):
+        return np.stack([1.0 - probs, probs], axis=2)
+
+
+class NeighborPattern(ExposureMapping):
+    """Exact treatment pattern of the k nearest neighbors: the `_msb_slots`
+    slot of their bits in neighbor-list order."""
+
+    label = "neighbor_pattern"
+
+    def __init__(self, k, graph=None):
+        if k < 1:
+            raise InvalidSpec("k must be >= 1")
+        if k > PATTERN_CAP:
+            raise CapExceeded(k, PATTERN_CAP)
+        self.k = int(k)
+        self.graph = graph
+        self.fixed_dim = 2**self.k
+
+    def classes_for(self, cluster, i, bits):
+        return _msb_slots(bits[:, _cluster_neighbors(cluster, self.k, self.graph)[i]], self.k)
+
+    def _neighbor_values(self, clusters, values):
+        """values[b, j] of every unit's neighbors, in list order: (B, m, k_eff)."""
+        nbrs = _stacked_neighbors(clusters, self.k, self.graph)
+        return values[np.arange(len(clusters))[:, None, None], nbrs]
+
+    def classes_batch(self, clusters, patterns):
+        return _msb_slots(self._neighbor_values(clusters, patterns), self.k)
+
+    def class_masses_batch(self, clusters, probs):
+        return _msb_slot_masses(self._neighbor_values(clusters, probs), self.k)
+
+
+class NeighborCount(ExposureMapping):
+    """Number of treated units among the k nearest neighbors, and the unit
+    itself too with `include_own`."""
+
+    label = "neighbor_count"
+
+    def __init__(self, k, include_own=False, graph=None):
+        if k < 1:
+            raise InvalidSpec("k must be >= 1")
+        self.k = int(k)
+        self.include_own = bool(include_own)
+        self.graph = graph
+        self.fixed_dim = self.k + 1 + int(self.include_own)
+
+    def _counted(self, nbrs):
+        """Counted units from neighbor lists (..., m, k_eff), the unit itself
+        first when included."""
+        if not self.include_own:
+            return nbrs
+        own = np.arange(nbrs.shape[-2], dtype=np.int64)[:, None]
+        return np.concatenate([np.broadcast_to(own, nbrs.shape[:-1] + (1,)), nbrs], axis=-1)
+
+    def classes_for(self, cluster, i, bits):
+        units = self._counted(_cluster_neighbors(cluster, self.k, self.graph))[i]
+        return _kernels.count_slots(bits, units)
+
+    def _counted_values(self, clusters, values):
+        """values[b, j] of every unit's counted units: (B, m, counted)."""
+        units = self._counted(_stacked_neighbors(clusters, self.k, self.graph))
+        return values[np.arange(len(clusters))[:, None, None], units]
+
+    def classes_batch(self, clusters, patterns):
+        return self._counted_values(clusters, patterns).astype(np.int64).sum(axis=2)
+
+    def class_masses_batch(self, clusters, probs):
+        counted = self._counted_values(clusters, probs)
+        b, m, n_counted = counted.shape
+        out = np.zeros((b, m, self.fixed_dim))
+        if n_counted == 0:
+            out[:, :, 0] = 1.0
+            return out
+        pmf = _kernels.pb_pmf_batch(np.ascontiguousarray(counted.reshape(b * m, n_counted)))
+        out[:, :, : n_counted + 1] = pmf.reshape(b, m, n_counted + 1)
+        return out
+
+
+class IdentityMapping(ExposureMapping):
+    """Each pattern is its own class (lexicographic index)."""
+
+    label = "identity"
+
+    def n_classes(self, cluster, i):
+        return 2**cluster.size
+
+    def classes_for(self, cluster, i, bits):
+        return _msb_slots(bits, bits.shape[1])
+
+    def classes_batch(self, clusters, patterns):
+        m = patterns.shape[1]
+        return np.repeat(_msb_slots(patterns, m)[:, None], m, axis=1)
+
+
+class ConstantMapping(ExposureMapping):
+    label = "constant"
+    fixed_dim = 1
+
+    def classes_for(self, cluster, i, bits):
+        return np.zeros(bits.shape[0], dtype=np.int64)
+
+    def classes_batch(self, clusters, patterns):
+        return np.zeros(patterns.shape, dtype=np.int64)
+
+    def class_masses_batch(self, clusters, probs):
+        return np.ones(probs.shape + (1,))
+
+
+# ---------- one-hot structures ----------
+
+
+def _one_hot_rows(slots, n_slots):
+    """Indicator rows of (U,) slots: (U, n_slots) float."""
+    out = np.zeros((slots.shape[0], n_slots))
+    out[np.arange(slots.shape[0]), slots] = 1.0
     return out
 
 
-class NoInterference(LowRankStructure):
+class FromExposureMapping(LowRankStructure):
+    """Indicator structure over an exposure mapping's classes.
+
+    The mapping is where the classes and class masses are computed: the
+    observed, all-pattern and expected rows all read them from it.
+    """
+
+    def __init__(self, mapping):
+        self.mapping = mapping
+        if mapping.fixed_dim is None:
+            self.regime = "per_unit"
+
+    @property
+    def label(self):
+        return f"exposure[{self.mapping.label}]"
+
+    @property
+    def exposure_mapping(self):
+        return self.mapping
+
+    def dim(self, cluster=None, i=None):
+        if self.mapping.fixed_dim is not None:
+            return self.mapping.fixed_dim
+        if cluster is None or i is None:
+            raise InvalidSpec("per-unit structure dimension needs (cluster, i)")
+        return self.mapping.n_classes(cluster, i)
+
+    def feature_row(self, cluster, i, pattern):
+        a = self._check(cluster, i, pattern)
+        row = np.zeros(self.dim(cluster, i))
+        row[self.mapping.class_of(cluster, i, a)] = 1.0
+        return row
+
+    def _require_fixed(self):
+        if self.regime != "fixed":
+            raise InvalidSpec("per-unit structure has no stacked design rows")
+
+    def rows_at(self, cluster, pattern):
+        self._require_fixed()
+        a = self._check_pattern(cluster, pattern)
+        return _one_hot_rows(self.mapping.classes_batch([cluster], a[None])[0], self.dim())
+
+    def all_pattern_rows(self, cluster, i, cap=PATTERN_CAP):
+        self._check_index(cluster, i)
+        classes = self.mapping.classes_for(cluster, i, enumerate_patterns(cluster.size, cap))
+        return _one_hot_rows(classes, self.dim(cluster, i))
+
+    def expected_rows(self, cluster, probs, cap=PATTERN_CAP):
+        """Class masses in the mapping's product form, else by enumeration."""
+        self._require_fixed()
+        probs = np.asarray(probs, dtype=np.float64)
+        masses = self.mapping.class_masses_batch([cluster], probs[None])
+        if masses is not None:
+            return masses[0]
+        bits = enumerate_patterns(cluster.size, cap)
+        pattern_mass = _kernels.pattern_masses(np.ascontiguousarray(bits), probs)
+        return np.stack([
+            _kernels.weighted_slot_sums(
+                self.mapping.classes_for(cluster, i, bits), pattern_mass, self.dim()
+            )
+            for i in range(cluster.size)
+        ])
+
+
+class NoInterference(FromExposureMapping):
     """Outcome depends on the unit's own treatment only: rows (1-a_i, a_i)."""
 
     label = "no_interference"
 
-    def dim(self, cluster=None, i=None):
-        return 2
-
-    def rows_at(self, cluster, pattern):
-        a = as_pattern(pattern)
-        if a.size != cluster.size:
-            raise DimensionMismatch("pattern length != cluster size")
-        out = np.zeros((cluster.size, 2))
-        out[np.arange(cluster.size), a.astype(np.int64)] = 1.0
-        return out
-
-    def all_pattern_rows(self, cluster, i, cap=PATTERN_CAP):
-        self._check_index(cluster, i)
-        bits = enumerate_patterns(cluster.size, cap)
-        out = np.zeros((bits.shape[0], 2))
-        out[np.arange(bits.shape[0]), bits[:, i].astype(np.int64)] = 1.0
-        return out
-
-    def expected_rows(self, cluster, probs, cap=PATTERN_CAP):
-        pi = np.asarray(probs, dtype=np.float64)
-        return np.column_stack([1.0 - pi, pi])
-
-    @property
-    def exposure_mapping(self):
-        return OwnTreatment()
+    def __init__(self):
+        super().__init__(OwnTreatment())
 
     # composition roles: own bit in, own-treatment indicator out
     def dep_units(self, cluster, i):
         return np.array([i], dtype=np.int64)
 
 
-class StratifiedCount(LowRankStructure):
+class StratifiedCount(FromExposureMapping):
     """Count-of-treated indicator over each unit's neighborhood.
 
     Counts run over the k nearest neighbors (optionally the unit itself too);
@@ -220,64 +443,13 @@ class StratifiedCount(LowRankStructure):
     label = "stratified_count"
 
     def __init__(self, k, include_own=False, graph=None):
-        if k < 1:
-            raise InvalidSpec("k must be >= 1")
-        self.k = int(k)
-        self.include_own = bool(include_own)
+        super().__init__(NeighborCount(k, include_own=include_own, graph=graph))
+        self.k = self.mapping.k
+        self.include_own = self.mapping.include_own
         self.graph = graph
 
-    def _neighbors(self, cluster):
-        return _cluster_neighbors(cluster, self.k, self.graph)
 
-    def _counted_units(self, cluster):
-        nbrs = self._neighbors(cluster)
-        if not self.include_own:
-            return nbrs
-        own = np.arange(cluster.size, dtype=np.int64)[:, None]
-        return np.hstack([own, nbrs])
-
-    def dim(self, cluster=None, i=None):
-        return self.k + 1 + (1 if self.include_own else 0)
-
-    def rows_at(self, cluster, pattern):
-        a = as_pattern(pattern)
-        if a.size != cluster.size:
-            raise DimensionMismatch("pattern length != cluster size")
-        units = self._counted_units(cluster)
-        counts = a[units].sum(axis=1).astype(np.int64) if units.shape[1] else np.zeros(
-            cluster.size, dtype=np.int64
-        )
-        out = np.zeros((cluster.size, self.dim()))
-        out[np.arange(cluster.size), counts] = 1.0
-        return out
-
-    def all_pattern_rows(self, cluster, i, cap=PATTERN_CAP):
-        self._check_index(cluster, i)
-        bits = enumerate_patterns(cluster.size, cap)
-        deps = np.ascontiguousarray(self._counted_units(cluster)[i])
-        counts = _kernels.count_slots(np.ascontiguousarray(bits), deps)
-        out = np.zeros((bits.shape[0], self.dim()))
-        out[np.arange(bits.shape[0]), counts] = 1.0
-        return out
-
-    def expected_rows(self, cluster, probs, cap=PATTERN_CAP):
-        probs = np.asarray(probs, dtype=np.float64)
-        units = self._counted_units(cluster)
-        d = self.dim()
-        out = np.zeros((cluster.size, d))
-        if units.shape[1] == 0:
-            out[:, 0] = 1.0
-            return out
-        pmf = _kernels.pb_pmf_batch(np.ascontiguousarray(probs[units]))
-        out[:, : pmf.shape[1]] = pmf
-        return out
-
-    @property
-    def exposure_mapping(self):
-        return NeighborCount(self.k, include_own=self.include_own, graph=self.graph)
-
-
-class KnnPattern(LowRankStructure):
+class KnnPattern(FromExposureMapping):
     """Indicator of the exact treatment pattern among the k nearest neighbors.
 
     Slot index is the binary encoding of the neighbors' treatments in
@@ -288,90 +460,35 @@ class KnnPattern(LowRankStructure):
     label = "knn_pattern"
 
     def __init__(self, k, graph=None, cap_bits=PATTERN_CAP):
-        if k < 1:
-            raise InvalidSpec("k must be >= 1")
         if k > cap_bits:
             raise CapExceeded(k, cap_bits)
-        self.k = int(k)
+        super().__init__(NeighborPattern(k, graph=graph))
+        self.k = self.mapping.k
         self.graph = graph
-
-    def _neighbors(self, cluster):
-        return _cluster_neighbors(cluster, self.k, self.graph)
-
-    def dim(self, cluster=None, i=None):
-        return 2**self.k
-
-    def _slots_at(self, cluster, a):
-        nbrs = self._neighbors(cluster)
-        k_eff = nbrs.shape[1]
-        if k_eff == 0:
-            return np.zeros(cluster.size, dtype=np.int64)
-        weights = 2 ** np.arange(self.k - 1, self.k - 1 - k_eff, -1, dtype=np.int64)
-        return a[nbrs].astype(np.int64) @ weights
-
-    def rows_at(self, cluster, pattern):
-        a = as_pattern(pattern)
-        if a.size != cluster.size:
-            raise DimensionMismatch("pattern length != cluster size")
-        out = np.zeros((cluster.size, self.dim()))
-        out[np.arange(cluster.size), self._slots_at(cluster, a)] = 1.0
-        return out
-
-    def all_pattern_rows(self, cluster, i, cap=PATTERN_CAP):
-        self._check_index(cluster, i)
-        bits = enumerate_patterns(cluster.size, cap)
-        nbrs = self._neighbors(cluster)[i]
-        slots = _kernels.slot_indices(np.ascontiguousarray(bits), np.ascontiguousarray(nbrs))
-        slots <<= self.k - nbrs.shape[0]
-        out = np.zeros((bits.shape[0], self.dim()))
-        out[np.arange(bits.shape[0]), slots] = 1.0
-        return out
-
-    def expected_rows(self, cluster, probs, cap=PATTERN_CAP):
-        probs = np.asarray(probs, dtype=np.float64)
-        nbrs = self._neighbors(cluster)
-        slot_probs = _pad_neighbor_probs(nbrs, probs, self.k)
-        bits = enumerate_patterns(self.k, max(self.k, PATTERN_CAP))
-        mass = np.ones((cluster.size, bits.shape[0]))
-        for t in range(self.k):
-            p_t = slot_probs[:, t : t + 1]
-            mass *= np.where(bits[:, t][None, :] == 1, p_t, 1.0 - p_t)
-        return mass
-
-    @property
-    def exposure_mapping(self):
-        return NeighborPattern(self.k, graph=self.graph)
 
     # composition roles
     def dep_units(self, cluster, i):
-        return self._neighbors(cluster)[i]
+        return _cluster_neighbors(cluster, self.k, self.graph)[i]
 
     def slot_dim(self, k_in):
         return 2**self.k
 
     def row_on_bits(self, bits_vec):
-        b = np.zeros(self.k, dtype=np.int64)
-        take = min(self.k, bits_vec.size)
-        b[:take] = bits_vec[:take]
-        idx = 0
-        for t in range(self.k):
-            idx = (idx << 1) | int(b[t])
-        row = np.zeros(self.dim())
-        row[idx] = 1.0
+        row = np.zeros(2**self.k)
+        row[_msb_slots(np.asarray(bits_vec[: self.k]), self.k)] = 1.0
         return row
 
     def expected_row_on_probs(self, probs_vec):
-        p = np.zeros(self.k)
-        take = min(self.k, probs_vec.size)
-        p[:take] = probs_vec[:take]
-        bits = enumerate_patterns(self.k, max(self.k, PATTERN_CAP))
-        return _kernels.pattern_masses(np.ascontiguousarray(bits), p)
+        return _msb_slot_masses(np.asarray(probs_vec[: self.k], dtype=np.float64), self.k)
 
     def bits_out_on_bits(self, bits_vec):
         b = np.zeros(self.k, dtype=np.int8)
         take = min(self.k, bits_vec.size)
         b[:take] = bits_vec[:take]
         return b
+
+
+# ---------- other structures ----------
 
 
 class AdditiveTypes(LowRankStructure):
@@ -424,9 +541,7 @@ class AdditiveTypes(LowRankStructure):
         return row
 
     def rows_at(self, cluster, pattern):
-        a = as_pattern(pattern)
-        if a.size != cluster.size:
-            raise DimensionMismatch("pattern length != cluster size")
+        a = self._check_pattern(cluster, pattern)
         return np.tile(self._row(cluster, a), (cluster.size, 1))
 
     def all_pattern_rows(self, cluster, i, cap=PATTERN_CAP):
@@ -550,9 +665,7 @@ class CoarsenedCount(LowRankStructure):
         return out
 
     def rows_at(self, cluster, pattern):
-        a = as_pattern(pattern)
-        if a.size != cluster.size:
-            raise DimensionMismatch("pattern length != cluster size")
+        a = self._check_pattern(cluster, pattern)
         counts = [
             np.array([a[u].sum() for u in units], dtype=np.int64)
             for units in self._level_units(cluster)
@@ -589,252 +702,6 @@ class CoarsenedCount(LowRankStructure):
         return np.hstack(mats)
 
 
-# ---------- exposure mappings ----------
-
-
-class ExposureMapping:
-    """Finite-valued function of the cluster pattern, per unit."""
-
-    label = "exposure"
-
-    def n_classes(self, cluster, i):
-        raise NotImplementedError
-
-    def class_of(self, cluster, i, pattern):
-        raise NotImplementedError
-
-    def classes_for(self, cluster, i, bits):
-        return np.array(
-            [self.class_of(cluster, i, bits[r]) for r in range(bits.shape[0])],
-            dtype=np.int64,
-        )
-
-    def classes_batch(self, clusters, patterns):
-        """Class of every unit of clusters of one size m: (B, m) patterns -> (B, m) int64."""
-        return np.array(
-            [[self.class_of(c, i, a) for i in range(c.size)] for c, a in zip(clusters, patterns)],
-            dtype=np.int64,
-        ).reshape(patterns.shape)
-
-    def class_masses_batch(self, clusters, probs):
-        """Class probabilities of every unit of clusters of one size m under
-        independent Bernoulli(probs) treatments, in product form: (B, m) probs
-        -> (B, m, n_classes), or None when the mapping has no product form."""
-        return None
-
-    fixed_dim = None  # class count when it does not vary with (cluster, i)
-
-
-class OwnTreatment(ExposureMapping):
-    label = "own_treatment"
-    fixed_dim = 2
-
-    def n_classes(self, cluster, i):
-        return 2
-
-    def class_of(self, cluster, i, pattern):
-        return int(as_pattern(pattern)[i])
-
-    def classes_for(self, cluster, i, bits):
-        return bits[:, i].astype(np.int64)
-
-    def classes_batch(self, clusters, patterns):
-        return patterns.astype(np.int64)
-
-    def class_masses_batch(self, clusters, probs):
-        return np.stack([1.0 - probs, probs], axis=2)
-
-
-class NeighborPattern(ExposureMapping):
-    """Exact treatment pattern of the k nearest neighbors."""
-
-    label = "neighbor_pattern"
-
-    def __init__(self, k, graph=None):
-        self.inner = KnnPattern(k, graph=graph)
-        self.k = int(k)
-        self.fixed_dim = 2**self.k
-
-    def n_classes(self, cluster, i):
-        return 2**self.k
-
-    def class_of(self, cluster, i, pattern):
-        a = as_pattern(pattern)
-        return int(self.inner._slots_at(cluster, a)[i])
-
-    def classes_for(self, cluster, i, bits):
-        nbrs = self.inner._neighbors(cluster)[i]
-        slots = _kernels.slot_indices(np.ascontiguousarray(bits), np.ascontiguousarray(nbrs))
-        return slots << (self.k - nbrs.shape[0])
-
-    def _neighbor_values(self, clusters, values):
-        """values[b, j] of every unit's neighbors, in list order: (B, m, k_eff)."""
-        nbrs = _stacked_neighbors(clusters, self.k, self.inner.graph)
-        return values[np.arange(len(clusters))[:, None, None], nbrs]
-
-    def classes_batch(self, clusters, patterns):
-        bits = self._neighbor_values(clusters, patterns).astype(np.int64)
-        k_eff = bits.shape[2]
-        if k_eff == 0:
-            return np.zeros(patterns.shape, dtype=np.int64)
-        return bits @ 2 ** np.arange(self.k - 1, self.k - 1 - k_eff, -1, dtype=np.int64)
-
-    def class_masses_batch(self, clusters, probs):
-        nbr_probs = self._neighbor_values(clusters, probs)
-        slot_probs = np.zeros(probs.shape + (self.k,))  # missing neighbors: probability 0
-        slot_probs[:, :, : nbr_probs.shape[2]] = nbr_probs
-        # slot index bits run first neighbor (most significant) to last: prepend
-        # one neighbor's (untreated, treated) halves at a time, last neighbor first
-        mass = np.ones(probs.shape + (1,))
-        for t in range(self.k - 1, -1, -1):
-            p_t = slot_probs[:, :, t, None]
-            mass = np.concatenate([(1.0 - p_t) * mass, p_t * mass], axis=2)
-        return mass
-
-
-class NeighborCount(ExposureMapping):
-    """Number of treated units among the k nearest neighbors."""
-
-    label = "neighbor_count"
-
-    def __init__(self, k, include_own=False, graph=None):
-        self.inner = StratifiedCount(k, include_own=include_own, graph=graph)
-        self.k = int(k)
-        self.fixed_dim = self.inner.dim()
-
-    def n_classes(self, cluster, i):
-        return self.inner.dim()
-
-    def class_of(self, cluster, i, pattern):
-        a = as_pattern(pattern)
-        units = self.inner._counted_units(cluster)[i]
-        return int(a[units].sum())
-
-    def classes_for(self, cluster, i, bits):
-        units = self.inner._counted_units(cluster)[i]
-        return _kernels.count_slots(np.ascontiguousarray(bits), np.ascontiguousarray(units))
-
-    def _counted_values(self, clusters, values):
-        """values[b, j] of every unit's counted units: (B, m, counted)."""
-        units = _stacked_neighbors(clusters, self.k, self.inner.graph)
-        if self.inner.include_own:
-            b, m, _ = units.shape
-            own = np.broadcast_to(np.arange(m, dtype=np.int64)[:, None], (b, m, 1))
-            units = np.concatenate([own, units], axis=2)
-        return values[np.arange(len(clusters))[:, None, None], units]
-
-    def classes_batch(self, clusters, patterns):
-        return self._counted_values(clusters, patterns).astype(np.int64).sum(axis=2)
-
-    def class_masses_batch(self, clusters, probs):
-        counted = self._counted_values(clusters, probs)
-        b, m, n_counted = counted.shape
-        out = np.zeros((b, m, self.inner.dim()))
-        if n_counted == 0:
-            out[:, :, 0] = 1.0
-            return out
-        pmf = _kernels.pb_pmf_batch(np.ascontiguousarray(counted.reshape(b * m, n_counted)))
-        out[:, :, : n_counted + 1] = pmf.reshape(b, m, n_counted + 1)
-        return out
-
-
-class IdentityMapping(ExposureMapping):
-    """Each pattern is its own class (lexicographic index)."""
-
-    label = "identity"
-
-    def n_classes(self, cluster, i):
-        return 2**cluster.size
-
-    def class_of(self, cluster, i, pattern):
-        a = as_pattern(pattern)
-        idx = 0
-        for b in a:
-            idx = (idx << 1) | int(b)
-        return idx
-
-    def classes_batch(self, clusters, patterns):
-        m = patterns.shape[1]
-        idx = patterns.astype(np.int64) @ 2 ** np.arange(m - 1, -1, -1, dtype=np.int64)
-        return np.repeat(idx[:, None], m, axis=1)
-
-    def classes_for(self, cluster, i, bits):
-        deps = np.arange(cluster.size, dtype=np.int64)
-        return _kernels.slot_indices(np.ascontiguousarray(bits), deps)
-
-
-class ConstantMapping(ExposureMapping):
-    label = "constant"
-    fixed_dim = 1
-
-    def n_classes(self, cluster, i):
-        return 1
-
-    def class_of(self, cluster, i, pattern):
-        return 0
-
-    def classes_for(self, cluster, i, bits):
-        return np.zeros(bits.shape[0], dtype=np.int64)
-
-    def classes_batch(self, clusters, patterns):
-        return np.zeros(patterns.shape, dtype=np.int64)
-
-    def class_masses_batch(self, clusters, probs):
-        return np.ones(probs.shape + (1,))
-
-
-class FromExposureMapping(LowRankStructure):
-    """Indicator structure over an exposure mapping's classes."""
-
-    def __init__(self, mapping):
-        self.mapping = mapping
-        self.label = f"exposure[{mapping.label}]"
-        if mapping.fixed_dim is None:
-            self.regime = "per_unit"
-
-    @property
-    def exposure_mapping(self):
-        return self.mapping
-
-    def dim(self, cluster=None, i=None):
-        if self.mapping.fixed_dim is not None:
-            return self.mapping.fixed_dim
-        if cluster is None or i is None:
-            raise InvalidSpec("per-unit structure dimension needs (cluster, i)")
-        return self.mapping.n_classes(cluster, i)
-
-    def feature_row(self, cluster, i, pattern):
-        a = self._check(cluster, i, pattern)
-        row = np.zeros(self.dim(cluster, i))
-        row[self.mapping.class_of(cluster, i, a)] = 1.0
-        return row
-
-    def rows_at(self, cluster, pattern):
-        if self.regime != "fixed":
-            raise InvalidSpec("per-unit structure has no stacked design rows")
-        a = as_pattern(pattern)
-        return np.stack([self.feature_row(cluster, i, a) for i in range(cluster.size)])
-
-    def all_pattern_rows(self, cluster, i, cap=PATTERN_CAP):
-        bits = enumerate_patterns(cluster.size, cap)
-        classes = self.mapping.classes_for(cluster, i, bits)
-        out = np.zeros((bits.shape[0], self.dim(cluster, i)))
-        out[np.arange(bits.shape[0]), classes] = 1.0
-        return out
-
-    def expected_rows(self, cluster, probs, cap=PATTERN_CAP):
-        if self.regime != "fixed":
-            raise InvalidSpec("per-unit structure has no stacked design rows")
-        probs = np.asarray(probs, dtype=np.float64)
-        bits = enumerate_patterns(cluster.size, cap)
-        masses = _kernels.pattern_masses(np.ascontiguousarray(bits), probs)
-        out = np.zeros((cluster.size, self.dim()))
-        for i in range(cluster.size):
-            classes = self.mapping.classes_for(cluster, i, bits)
-            out[i] = _kernels.weighted_slot_sums(classes, masses, self.dim())
-        return out
-
-
 class Compose(LowRankStructure):
     """Chained structure per the product-of-encodings construction.
 
@@ -866,9 +733,7 @@ class Compose(LowRankStructure):
         return self.outer.row_on_bits(a[deps])
 
     def rows_at(self, cluster, pattern):
-        a = as_pattern(pattern)
-        if a.size != cluster.size:
-            raise DimensionMismatch("pattern length != cluster size")
+        a = self._check_pattern(cluster, pattern)
         return np.stack(
             [self.outer.row_on_bits(a[self.inner.dep_units(cluster, i)]) for i in range(cluster.size)]
         )

@@ -205,3 +205,46 @@ def per_cluster_ipw_weights(dataset, weight, propensity):
             )
         out[start:stop] = weight.weight(c.treatments, c) / (c.size * e_obs)
     return out
+
+
+# ---------- k-NN one-hot encodings (the slot encoding the exposure mappings compute) ----------
+
+
+def knn_lists(cluster, k):
+    """Each unit's k nearest other units, ordered by (squared distance, index)."""
+    x = cluster.covariates.tolist()
+    lists = []
+    for i, xi in enumerate(x):
+        def key(j):
+            d2 = 0.0
+            for a, b in zip(xi, x[j]):
+                d2 += (a - b) * (a - b)
+            return (d2, j)
+
+        lists.append(sorted((j for j in range(len(x)) if j != i), key=key)[:k])
+    return lists
+
+
+def knn_one_hot_rows(cluster, pattern, kind, k=1, include_own=False):
+    """Rows of a named one-hot structure at one pattern, unit by unit.
+
+    kind "own": slot a_i of 2. "count": the number of treated units among
+    the k nearest neighbors (and i itself with include_own), of k + 1 (+ 1).
+    "pattern": the neighbors' bits read first neighbor most significant,
+    the missing low bits of a unit with fewer than k neighbors zero, of 2^k.
+    """
+    a = [int(b) for b in pattern]
+    lists = knn_lists(cluster, k)
+    n_slots = {"own": 2, "count": k + 1 + int(include_own), "pattern": 2**k}[kind]
+    rows = np.zeros((len(a), n_slots))
+    for i, nbrs in enumerate(lists):
+        if kind == "own":
+            slot = a[i]
+        elif kind == "count":
+            slot = sum(a[j] for j in nbrs) + (a[i] if include_own else 0)
+        else:
+            slot = 0
+            for t in range(k):
+                slot = 2 * slot + (a[nbrs[t]] if t < len(nbrs) else 0)
+        rows[i, slot] = 1.0
+    return rows

@@ -11,9 +11,11 @@ from clusterbal.cli import (
     EXIT_INFEASIBLE,
     EXIT_OK,
     EXIT_USAGE,
+    RunManifest,
     load_dataset,
     run,
     write_dataset,
+    write_json_artifact,
 )
 from clusterbal.errors import InvalidSpec, ParseError
 from clusterbal.inference import ESTIMATORS
@@ -623,6 +625,38 @@ def test_json_artifacts_write_non_finite_floats_as_null(tmp_path):
         rows = list(csv.DictReader(fh))
     assert all(r["sd"] == "nan" for r in rows)
     assert "error_classes" not in rows[0]
+
+
+def test_json_artifact_bytes_match_two_dump_construction(tmp_path):
+    rng = np.random.default_rng(5)
+    result = {
+        "rows": [
+            {"point": np.float64(0.25), "sd": float("nan"), "ci": [np.float64(-1.5), float("inf")]},
+            {"label": "two\nlines \"quoted\"", "nested": {"empty": [], "none": None, "z": {}}},
+        ],
+        "weights": rng.standard_normal(2000).tolist(),
+        "count": 3,
+    }
+    manifest = RunManifest(
+        command="clusterbal estimate", inputs={"dataset": "d.csv", "policy": None},
+        seed=1, version="0", timestamp="t",
+    )
+    path = str(tmp_path / "out.json")
+    write_json_artifact(path, result, manifest)
+
+    def dump(doc):
+        return json.dumps(doc, indent=1, sort_keys=True, default=float, allow_nan=False)
+
+    finite = dict(result, rows=[{"point": 0.25, "sd": None, "ci": [-1.5, None]}, result["rows"][1]])
+    want_digest = hashlib.sha256(dump(finite).encode()).hexdigest()
+    assert manifest.output_digest == want_digest
+    manifest_doc = {
+        "command": "clusterbal estimate", "inputs": {"dataset": "d.csv", "policy": None},
+        "seed": 1, "version": "0", "timestamp": "t", "output_digest": want_digest,
+    }
+    want = dump({"manifest": manifest_doc, "result": finite}).encode()
+    with open(path, "rb") as fh:
+        assert fh.read() == want
 
 
 def test_balance_report_json_is_strict(tmp_path):

@@ -3,6 +3,7 @@ import pytest
 
 from clusterbal import _kernels
 from clusterbal.core import enumerate_patterns
+from clusterbal.structures import _msb_slots
 
 
 def test_active_backend_reported():
@@ -32,8 +33,9 @@ def test_pattern_masses_sum_to_one(rng):
 
 
 def test_slot_indices_msb_first():
-    bits = np.ascontiguousarray(enumerate_patterns(3))
-    deps = np.array([0, 1, 2], dtype=np.int64)
-    assert _kernels.slot_indices(bits, deps).tolist() == list(range(8))
+    bits = enumerate_patterns(3)
+    assert _msb_slots(bits, 3).tolist() == list(range(8))
     rev = np.array([2, 1, 0], dtype=np.int64)
-    assert _kernels.slot_indices(bits, rev)[1] == 4  # pattern 001 reversed -> 100
+    assert _msb_slots(bits[:, rev], 3)[1] == 4  # pattern 001 reversed -> 100
+    # two bits of three slots: the missing low bit is zero
+    assert _msb_slots(bits[:, :2], 3).tolist() == [0, 0, 2, 2, 4, 4, 6, 6]

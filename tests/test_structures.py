@@ -20,6 +20,7 @@ from clusterbal.structures import (
     FromExposureMapping,
     IdentityMapping,
     KnnPattern,
+    LowRankStructure,
     NeighborCount,
     NeighborPattern,
     NoInterference,
@@ -32,10 +33,12 @@ from clusterbal.structures import (
     knn_graph,
     knn_order,
     nested_rank_check,
+    target_contributions,
     target_vector,
 )
 
 from conftest import make_cluster, make_dataset
+from oracles import fresh_copy, knn_lists, knn_one_hot_rows
 
 
 def cluster_with(x, a):
@@ -79,7 +82,7 @@ def test_knn_pattern_slot_is_binary_encoding(rng):
     # active slot index equals the binary encoding of neighbor treatments
     c = make_cluster(rng, 6)
     s = KnnPattern(3)
-    nbrs = s._neighbors(c)
+    nbrs = knn_lists(c, 3)
     for _ in range(10):
         a = rng.integers(0, 2, 6).astype(np.int8)
         for i in range(6):
@@ -87,6 +90,86 @@ def test_knn_pattern_slot_is_binary_encoding(rng):
             assert row.sum() == 1.0
             expected_slot = int("".join(str(int(a[j])) for j in nbrs[i]), 2)
             assert row[expected_slot] == 1.0
+
+
+# ---------- one-hot structures against the brute-force k-NN oracle ----------
+
+
+ONE_HOT_CASES = (
+    [("own", 1, False)]
+    + [("count", k, own) for k in (1, 2, 5) for own in (False, True)]
+    + [("pattern", k, False) for k in (1, 2, 3, 4, 5)]
+)
+
+
+def _named_one_hot(kind, k, include_own):
+    if kind == "own":
+        return NoInterference()
+    if kind == "count":
+        return StratifiedCount(k, include_own=include_own)
+    return KnnPattern(k)
+
+
+def _tied_mixed_dataset(seed):
+    """Two clusters of each size 1-8 on a 0/1 covariate grid, so many distances tie."""
+    rng = np.random.default_rng(seed)
+    clusters = []
+    for ci, m in enumerate(list(range(1, 9)) * 2):
+        x = rng.integers(0, 2, (m, 2)).astype(float)
+        a = rng.integers(0, 2, m)
+        clusters.append(
+            ClusterSample(covariates=x, treatments=a, outcomes=np.zeros(m), cluster_id=ci)
+        )
+    return Dataset(clusters=tuple(clusters))
+
+
+@pytest.mark.parametrize("kind, k, include_own", ONE_HOT_CASES)
+def test_one_hot_rows_match_knn_oracle(kind, k, include_own):
+    d = _tied_mixed_dataset(10 * k + include_own)
+    s = _named_one_hot(kind, k, include_own)
+    for c in d.clusters:
+        bits = enumerate_patterns(c.size)
+        oracle = np.stack([knn_one_hot_rows(c, b, kind, k, include_own) for b in bits])
+        for r in range(bits.shape[0]):
+            assert np.array_equal(s.rows_at(c, bits[r]), oracle[r])
+        for i in range(c.size):
+            assert np.array_equal(s.all_pattern_rows(c, i), oracle[:, i])
+    want = np.vstack([knn_one_hot_rows(c, c.treatments, kind, k, include_own) for c in d.clusters])
+    assert np.array_equal(design_matrix(s, fresh_copy(d)), want)
+    # the size-batched path of a one-hot tensor takes the same slots
+    x = np.vstack([c.covariates for c in d.clusters])
+    tensor = TensorWithCovariates(s)
+    want = (want[:, :, None] * x[:, None, :]).reshape(x.shape[0], -1)
+    assert np.array_equal(design_matrix(tensor, fresh_copy(d)), want)
+
+
+@pytest.mark.parametrize("kind, k, include_own", ONE_HOT_CASES)
+def test_named_one_hot_structure_is_its_mapping_indicator(kind, k, include_own):
+    d = _tied_mixed_dataset(10 * k + include_own)
+    named = _named_one_hot(kind, k, include_own)
+    mapping = {
+        "own": OwnTreatment(),
+        "count": NeighborCount(k, include_own=include_own),
+        "pattern": NeighborPattern(k),
+    }[kind]
+    generic = FromExposureMapping(mapping)
+    assert named.dim() == generic.dim()
+    rng = np.random.default_rng(k)
+    for c in d.clusters:
+        bits = enumerate_patterns(c.size)
+        for r in range(bits.shape[0]):
+            assert np.array_equal(named.rows_at(c, bits[r]), generic.rows_at(c, bits[r]))
+        for i in range(c.size):
+            assert np.array_equal(named.all_pattern_rows(c, i), generic.all_pattern_rows(c, i))
+        probs = rng.uniform(0.1, 0.9, c.size)
+        assert np.array_equal(named.expected_rows(c, probs), generic.expected_rows(c, probs))
+    weight = BernoulliIntervention(lambda c: np.linspace(0.2, 0.8, c.size))
+    for s, t in ((named, generic), (TensorWithCovariates(named), TensorWithCovariates(generic))):
+        assert np.array_equal(design_matrix(s, fresh_copy(d)), design_matrix(t, fresh_copy(d)))
+        assert np.array_equal(
+            target_contributions(s, fresh_copy(d), weight),
+            target_contributions(t, fresh_copy(d), weight),
+        )
 
 
 def test_feature_row_index_errors(rng):
@@ -219,7 +302,8 @@ def test_pattern_totals_match_enumeration(rng):
     for s in (StratifiedCount(2), KnnPattern(2), AdditiveTypes(5)):
         for i in range(c.size):
             brute = s.all_pattern_rows(c, i).sum(axis=0)
-            assert np.allclose(s.pattern_totals(c, i), brute, atol=1e-10)
+            totals = s.expected_rows(c, np.full(c.size, 0.5))[i] * 2.0**c.size
+            assert np.allclose(totals, brute, atol=1e-10)
 
 
 def test_all_pattern_rows_match_feature_row(rng):
@@ -355,9 +439,16 @@ def test_target_vector_product_path_matches_support_path(rng):
 
 def test_target_vector_cap_propagates(rng):
     d = make_dataset(rng, 1, sizes=(6, 6))
-    # enumeration path of a structure without a closed product form
+
+    # enumeration path of a mapping without a closed product form
+    class OwnTreatmentByEnumeration(OwnTreatment):
+        def class_masses_batch(self, clusters, probs):
+            return None
+
     with pytest.raises(CapExceeded):
-        target_vector(FromExposureMapping(OwnTreatment()), d, uniform_intervention(), cap=4)
+        target_vector(
+            FromExposureMapping(OwnTreatmentByEnumeration()), d, uniform_intervention(), cap=4
+        )
 
     # enumeration path of a weight without a product form
     class NoProductForm(BernoulliIntervention):
@@ -441,19 +532,20 @@ def test_nested_rank_check_orthogonal_columns():
     c2 = ClusterSample(covariates=[[1.0]], treatments=[0], outcomes=[0.0], cluster_id=1)
     d = Dataset(clusters=(c1, c2))
 
-    class FirstColumn(NoInterference):
+    class FirstColumn(LowRankStructure):
+        """The untreated indicator 1 - a_i."""
+
         def rows_at(self, cluster, pattern):
-            return super().rows_at(cluster, pattern)[:, :1]
+            return 1.0 - np.asarray(pattern, dtype=float)[:, None]
 
         def dim(self, cluster=None, i=None):
             return 1
 
-    class SecondColumn(NoInterference):
-        def rows_at(self, cluster, pattern):
-            return super().rows_at(cluster, pattern)[:, 1:]
+    class SecondColumn(FirstColumn):
+        """The treated indicator a_i."""
 
-        def dim(self, cluster=None, i=None):
-            return 1
+        def rows_at(self, cluster, pattern):
+            return np.asarray(pattern, dtype=float)[:, None]
 
     assert not nested_rank_check(FirstColumn(), SecondColumn(), d)
 
