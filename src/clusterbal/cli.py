@@ -16,7 +16,7 @@ import math
 import os
 import sys
 import tempfile
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 from datetime import datetime, timezone
 
 import numpy as np
@@ -549,7 +549,7 @@ def _cmd_calibrate(args, argv):
     else:
         cfg, _, _ = _config_from_file(args.config, seed)
     if args.snr_target is not None:
-        cfg = DGPConfig(**{**_cfg_dict(cfg), "snr_target": args.snr_target})
+        cfg = replace(cfg, snr_target=args.snr_target)
     report = calibrate_snr(cfg)
     doc = {
         "gamma": report.gamma,
@@ -565,21 +565,6 @@ def _cmd_calibrate(args, argv):
     )
     print(f"gamma = {report.gamma!r} (snr at gamma=1: {report.snr_at_unit_gamma!r})")
     return EXIT_OK
-
-
-def _cfg_dict(cfg):
-    return {
-        "n": cfg.n,
-        "interference": cfg.interference,
-        "kappa": cfg.kappa,
-        "snr_target": cfg.snr_target,
-        "sigma2": cfg.sigma2,
-        "rho": cfg.rho,
-        "cluster_sizes": cfg.cluster_sizes,
-        "p": cfg.p,
-        "seed": cfg.seed,
-        "gamma": cfg.gamma,
-    }
 
 
 # ---------- parser ----------

@@ -26,17 +26,17 @@ from .errors import (
 PATTERN_CAP = 20
 
 
-def enumerate_patterns(m, cap=PATTERN_CAP):
+def enumerate_patterns(m):
     """All 2^m treatment patterns of a size-m cluster, lexicographic order.
 
     Row j is the binary expansion of j (first unit = most significant bit).
-    Raises CapExceeded for m > cap.
+    Raises CapExceeded for m > PATTERN_CAP.
     """
     m = int(m)
     if m < 1:
         raise DimensionMismatch(f"cluster size must be >= 1, got {m}")
-    if m > cap:
-        raise CapExceeded(m, cap)
+    if m > PATTERN_CAP:
+        raise CapExceeded(m, PATTERN_CAP)
     idx = np.arange(2**m, dtype=np.int64)
     shifts = np.arange(m - 1, -1, -1, dtype=np.int64)
     return ((idx[:, None] >> shifts) & 1).astype(np.int8)
@@ -152,9 +152,9 @@ class CounterfactualWeight:
         """Vectorized weight over a (P, m) pattern bit matrix."""
         return np.array([self.weight(bits[r], cluster) for r in range(bits.shape[0])])
 
-    def support(self, cluster, cap=PATTERN_CAP):
+    def support(self, cluster):
         """Nonzero (pattern, weight) pairs; falls back to full enumeration."""
-        bits = enumerate_patterns(cluster.size, cap)
+        bits = enumerate_patterns(cluster.size)
         w = self.weights_for(bits, cluster)
         nz = np.nonzero(w)[0]
         return [(bits[r], float(w[r])) for r in nz]
@@ -194,7 +194,7 @@ class Gate(CounterfactualWeight):
         s = bits.sum(axis=1)
         return np.where(s == bits.shape[1], 1.0, np.where(s == 0, -1.0, 0.0))
 
-    def support(self, cluster, cap=PATTERN_CAP):
+    def support(self, cluster):
         m = cluster.size
         return [
             (np.ones(m, dtype=np.int8), 1.0),
@@ -277,11 +277,11 @@ class RandomSelection(CounterfactualWeight):
         w = 1.0 / math.comb(cluster.size, k)
         return np.where(bits.sum(axis=1) == k, w, 0.0)
 
-    def support(self, cluster, cap=PATTERN_CAP):
+    def support(self, cluster):
         m, k = cluster.size, self._count(cluster)
         n_pat = math.comb(m, k)
-        if n_pat > 2**cap:
-            raise CapExceeded(m, cap)
+        if n_pat > 2**PATTERN_CAP:
+            raise CapExceeded(m, PATTERN_CAP)
         w = 1.0 / n_pat
         out = []
         for idx in combinations(range(m), k):
@@ -323,7 +323,7 @@ class DeterministicTarget(CounterfactualWeight):
         a = self._check(pattern, cluster)
         return 1.0 if np.array_equal(a, self._pattern(cluster)) else 0.0
 
-    def support(self, cluster, cap=PATTERN_CAP):
+    def support(self, cluster):
         return [(self._pattern(cluster), 1.0)]
 
 
@@ -365,7 +365,7 @@ class SparseTable(CounterfactualWeight):
                 return w
         return 0.0
 
-    def support(self, cluster, cap=PATTERN_CAP):
+    def support(self, cluster):
         return [(a, w) for a, w in self._rows(cluster) if w != 0.0]
 
 
@@ -379,9 +379,8 @@ class DirectEffect(CounterfactualWeight):
 
     kind = "direct_effect"
 
-    def __init__(self, base, cap=PATTERN_CAP):
+    def __init__(self, base):
         self.base = base
-        self.cap = cap
 
     def _marginals(self, cluster):
         key = ("direct_effect_marginals", id(self.base))
@@ -389,7 +388,7 @@ class DirectEffect(CounterfactualWeight):
             return cluster._cache[key]
         m = cluster.size
         marg = np.zeros((m, 2))
-        for pat, w in self.base.support(cluster, self.cap):
+        for pat, w in self.base.support(cluster):
             for j in range(m):
                 marg[j, int(pat[j])] += w
         if (marg == 0).any():
@@ -410,9 +409,9 @@ class DirectEffect(CounterfactualWeight):
         signs = np.where(a == 1, 1.0, -1.0)
         return float(h * np.sum(signs / marg[np.arange(a.size), a]))
 
-    def support(self, cluster, cap=PATTERN_CAP):
+    def support(self, cluster):
         out = []
-        for pat, _ in self.base.support(cluster, min(cap, self.cap)):
+        for pat, _ in self.base.support(cluster):
             w = self.weight(pat, cluster)
             if w != 0.0:
                 out.append((pat, w))
@@ -424,9 +423,9 @@ def eval_weight(f, pattern, cluster):
     return f.weight(pattern, cluster)
 
 
-def sparse_support(f, cluster, cap=PATTERN_CAP):
+def sparse_support(f, cluster):
     """Nonzero (pattern, weight) pairs of f on this cluster."""
-    return f.support(cluster, cap)
+    return f.support(cluster)
 
 
 # ---------- propensity models ----------

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PATTERN_CAP, uniform_intervention
+from .core import uniform_intervention
 from .errors import InvalidSpec
 from .structures import (
     TensorWithCovariates,
@@ -72,9 +72,7 @@ class ImbalanceReport:
         }
 
 
-def imbalance_report(
-    dataset, structure, weight, fit, threshold=DEFAULT_THRESHOLD, cap=PATTERN_CAP
-):
+def imbalance_report(dataset, structure, weight, fit, threshold=DEFAULT_THRESHOLD):
     """Raw, relative, and omnibus imbalance of a balancing fit.
 
     Any fixed-dimension structure gets its raw imbalance and the observed
@@ -101,7 +99,7 @@ def imbalance_report(
     # per-cluster counterfactual load of each coordinate, summed over patterns:
     # the mean load under probability 1/2 times the 2^M_c patterns
     sizes = np.array([c.size for c in dataset.clusters])
-    z = target_contributions(structure, dataset, uniform_intervention(), cap)
+    z = target_contributions(structure, dataset, uniform_intervention())
     z *= 2.0 ** sizes[:, None]
     sigma = z.std(axis=0, ddof=1) if dataset.n > 1 else np.zeros(ell * width)
 

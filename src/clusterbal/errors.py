@@ -6,14 +6,14 @@ class ClusterbalError(Exception):
 
 
 class CapExceeded(ClusterbalError):
-    """A full 2^m pattern enumeration was requested beyond the configured cap."""
+    """A full 2^m pattern enumeration was requested beyond `core.PATTERN_CAP`."""
 
     def __init__(self, m, cap):
         self.m = int(m)
         self.cap = int(cap)
         super().__init__(
             f"cluster size {self.m} exceeds the pattern enumeration cap {self.cap}; "
-            "use a sparse-support weight/structure or raise the cap"
+            "use a sparse-support weight/structure"
         )
 
 

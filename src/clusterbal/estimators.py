@@ -15,7 +15,7 @@ from .core import (
     pattern_index,
 )
 from .errors import PositivityViolation
-from .numerics import FEAS_TOL, DesignOps, _default_rcond, _validate, project_colspace
+from .numerics import DesignOps, _default_rcond, _validate, project_colspace
 from .structures import (
     TensorWithCovariates,
     _observed_slots,
@@ -100,9 +100,9 @@ class DesignSystem:
     def target(self):
         return self.contributions.sum(axis=0)
 
-    def ops(self, feas_tol=FEAS_TOL):
+    def ops(self):
         if "ops" not in self._cache:
-            self._cache["ops"] = DesignOps(self.phi, feas_tol=feas_tol, pieces=self.pieces)
+            self._cache["ops"] = DesignOps(self.phi, pieces=self.pieces)
         return self._cache["ops"]
 
 
@@ -125,7 +125,7 @@ def _block_pieces(phi, slots, n_blocks):
     )
 
 
-def build_design(structure, dataset, weight, cap=PATTERN_CAP):
+def build_design(structure, dataset, weight):
     """Observed design and target; a one-hot tensor's comes with its slots and
     DesignOps pieces, other structures' with neither."""
     phi = design_matrix(structure, dataset)
@@ -135,7 +135,7 @@ def build_design(structure, dataset, weight, cap=PATTERN_CAP):
         pieces = _block_pieces(phi, *one_hot)
     return DesignSystem(
         phi=phi,
-        contributions=target_contributions(structure, dataset, weight, cap),
+        contributions=target_contributions(structure, dataset, weight),
         slices=tuple(dataset.cluster_slices()),
         label=structure.label,
         pieces=pieces,
@@ -199,7 +199,7 @@ def ipw_fit(dataset, weight, propensity):
     )
 
 
-def balancing_fit(dataset, structure, weight, design=None, feas_tol=FEAS_TOL, cap=PATTERN_CAP):
+def balancing_fit(dataset, structure, weight, design=None):
     """Minimum-norm solution of the balancing equations phi^T w = t.
 
     The point estimate is reported even when the equations are infeasible
@@ -207,15 +207,14 @@ def balancing_fit(dataset, structure, weight, design=None, feas_tol=FEAS_TOL, ca
     be assessed per the imbalance diagnostics.
     """
     if design is None:
-        design = build_design(structure, dataset, weight, cap)
-    ops = design.ops(feas_tol)
+        design = build_design(structure, dataset, weight)
     t = design.target
-    report = ops.min_norm_row_solve(t)
+    report = design.ops().min_norm_row_solve(t)
     w = report.solution
     nu = (design.phi.T @ w - t) / dataset.n
     return EstimateReport(
         point=_point(dataset, w),
-        weights=WeightSet(values=w, kind="balancing", feasible=report.feasible(feas_tol)),
+        weights=WeightSet(values=w, kind="balancing", feasible=report.feasible()),
         imbalance=nu,
         target=t,
         design_rank=report.rank,
@@ -223,18 +222,18 @@ def balancing_fit(dataset, structure, weight, design=None, feas_tol=FEAS_TOL, ca
     )
 
 
-def ols_plugin(dataset, structure, weight, design=None, cap=PATTERN_CAP):
+def ols_plugin(dataset, structure, weight, design=None):
     """Plug-in estimate (1/n) t^T (phi^+ y) from the fitted coefficient vector."""
     if design is None:
-        design = build_design(structure, dataset, weight, cap)
+        design = build_design(structure, dataset, weight)
     h_hat = design.ops().ols_coefficients(dataset.stacked_outcomes())
     return float(design.target @ h_hat / dataset.n)
 
 
-def projection_fit(dataset, structure, weight, propensity, design=None, cap=PATTERN_CAP):
+def projection_fit(dataset, structure, weight, propensity, design=None):
     """IPW weights projected onto the observed design's column space."""
     if design is None:
-        design = build_design(structure, dataset, weight, cap)
+        design = build_design(structure, dataset, weight)
     w_ipw = ipw_weights(dataset, weight, propensity)
     w = design.ops().project(w_ipw)
     return EstimateReport(
@@ -252,7 +251,7 @@ def _unit_sizes(dataset):
     return np.repeat(sizes, sizes).astype(np.float64)
 
 
-def _observed_class_sums(dataset, mapping, weight, propensity, cap=PATTERN_CAP):
+def _observed_class_sums(dataset, mapping, weight, propensity):
     """Exposure-class masses at each unit's observed class: (f_obs, e_obs, e_max).
 
     f_obs and e_obs are the counterfactual weight's and the propensity's mass
@@ -274,7 +273,7 @@ def _observed_class_sums(dataset, mapping, weight, propensity, cap=PATTERN_CAP):
             e_max[rows] = e_cls.max(axis=2)
         else:
             for c, units, o in zip(group, rows, obs):
-                bits = enumerate_patterns(c.size, cap)
+                bits = enumerate_patterns(c.size)
                 masses = np.asarray(propensity.probabilities_for(bits, c), dtype=np.float64)
                 for i, u in enumerate(units):
                     cls = np.bincount(mapping.classes_for(c, i, bits), weights=masses)
@@ -285,7 +284,7 @@ def _observed_class_sums(dataset, mapping, weight, propensity, cap=PATTERN_CAP):
             f_obs[rows] = np.take_along_axis(f_cls, obs[:, :, None], axis=2)[:, :, 0]
             continue
         for c, units, o in zip(group, rows, obs):
-            support = weight.support(c, cap)
+            support = weight.support(c)
             f_obs[units] = 0.0
             if support:
                 bits = np.array([pat for pat, _ in support], dtype=np.int8)
@@ -303,7 +302,7 @@ def _observed_class_sums(dataset, mapping, weight, propensity, cap=PATTERN_CAP):
     return f_obs, e_obs, e_max
 
 
-def _wproj_closed_form(dataset, structure, mapping, weight, propensity, cap=PATTERN_CAP):
+def _wproj_closed_form(dataset, structure, mapping, weight, propensity):
     """Weighted-projection weights of a one-hot structure: f_class / (M_c e_class).
 
     The unit's rows are e_class(a) (x) x_i, so the e-weighted projection onto
@@ -311,13 +310,13 @@ def _wproj_closed_form(dataset, structure, mapping, weight, propensity, cap=PATT
     Two cases give 0, as in the per-unit SVD: an all-zero covariate row, and
     an observed class cut by the SVD's rank rule, sqrt(e_class) <=
     rcond * sqrt(max class mass) with rcond = max(2^m, d) * eps. Clusters
-    above `cap` have no such SVD and keep every class of positive mass.
+    above PATTERN_CAP have no such SVD and keep every class of positive mass.
     """
-    f_obs, e_obs, e_max = _observed_class_sums(dataset, mapping, weight, propensity, cap)
+    f_obs, e_obs, e_max = _observed_class_sums(dataset, mapping, weight, propensity)
     keep = np.ones(dataset.total_units, dtype=bool)
     for group, _, rows in _size_groups(dataset):
         m = rows.shape[1]
-        if m > cap:
+        if m > PATTERN_CAP:
             continue
         if structure.regime == "fixed":
             rcond = _default_rcond((2**m, structure.dim(group[0])))
@@ -333,7 +332,7 @@ def _wproj_closed_form(dataset, structure, mapping, weight, propensity, cap=PATT
     return np.where(keep, f_obs / (_unit_sizes(dataset) * e_obs), 0.0)
 
 
-def _wproj_svd(dataset, structure, weight, propensity, cap=PATTERN_CAP):
+def _wproj_svd(dataset, structure, weight, propensity):
     """Weighted-projection weights by one 2^m x d SVD per unit (any structure).
 
     A structure with `shared_rows`, or covariate tensors over one, takes one
@@ -349,7 +348,7 @@ def _wproj_svd(dataset, structure, weight, propensity, cap=PATTERN_CAP):
         base = base.inner
     out = np.empty(dataset.total_units)
     for (start, stop), c in zip(dataset.cluster_slices(), dataset.clusters):
-        bits = enumerate_patterns(c.size, cap)
+        bits = enumerate_patterns(c.size)
         e_all = np.asarray(propensity.probabilities_for(bits, c), dtype=np.float64)
         if (e_all <= 0.0).any():
             raise PositivityViolation(
@@ -360,7 +359,7 @@ def _wproj_svd(dataset, structure, weight, propensity, cap=PATTERN_CAP):
         sqrt_e = np.sqrt(e_all)
         obs = pattern_index(c.treatments)
         if base.shared_rows:
-            lam = base.all_pattern_rows(c, 0, cap)
+            lam = base.all_pattern_rows(c, 0)
             lam *= sqrt_e[:, None]
             rcond = _default_rcond((bits.shape[0], structure.dim(c)))
             value = project_colspace(lam, sqrt_e * w_tilde, rcond)[obs] / sqrt_e[obs]
@@ -370,7 +369,7 @@ def _wproj_svd(dataset, structure, weight, propensity, cap=PATTERN_CAP):
             out[start:stop] = np.where(live, value, 0.0)
             continue
         for i in range(c.size):
-            lam = structure.all_pattern_rows(c, i, cap)
+            lam = structure.all_pattern_rows(c, i)
             # scaled in place: a second 2^m x d temporary made malloc re-fault pages per unit
             lam *= sqrt_e[:, None]
             scaled = project_colspace(lam, sqrt_e * w_tilde)
@@ -378,7 +377,7 @@ def _wproj_svd(dataset, structure, weight, propensity, cap=PATTERN_CAP):
     return out
 
 
-def weighted_projection_fit(dataset, structure, weight, propensity, cap=PATTERN_CAP):
+def weighted_projection_fit(dataset, structure, weight, propensity):
     """Per-unit propensity-weighted projection of the potential IPW weights.
 
     For each unit, the 2^{M_c} potential IPW weights are projected onto the
@@ -389,23 +388,23 @@ def weighted_projection_fit(dataset, structure, weight, propensity, cap=PATTERN_
     """
     mapping = structure.exposure_mapping
     if mapping is None:
-        out = _wproj_svd(dataset, structure, weight, propensity, cap)
+        out = _wproj_svd(dataset, structure, weight, propensity)
     else:
-        out = _wproj_closed_form(dataset, structure, mapping, weight, propensity, cap)
+        out = _wproj_closed_form(dataset, structure, mapping, weight, propensity)
     return EstimateReport(
         point=_point(dataset, out),
         weights=WeightSet(values=out, kind="weighted_projection"),
     )
 
 
-def exposure_collapsed_ipw(dataset, mapping, weight, propensity, cap=PATTERN_CAP):
+def exposure_collapsed_ipw(dataset, mapping, weight, propensity):
     """IPW on exposure classes: w_ci = f_class / (M_c * e_class).
 
     The class masses come in product form when the mapping, the weight and
     the propensity have one, and by enumeration otherwise (see
     `_observed_class_sums`).
     """
-    f_obs, e_obs, _ = _observed_class_sums(dataset, mapping, weight, propensity, cap)
+    f_obs, e_obs, _ = _observed_class_sums(dataset, mapping, weight, propensity)
     out = f_obs / (_unit_sizes(dataset) * e_obs)
     return EstimateReport(
         point=_point(dataset, out),

@@ -13,7 +13,6 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 from scipy.stats import chi2, norm
 
-from .core import PATTERN_CAP
 from .errors import (
     DegenerateContrast,
     DegenerateDF,
@@ -151,7 +150,6 @@ def sandwich_variance(
     propensity=None,
     level=0.95,
     allow_infeasible=False,
-    cap=PATTERN_CAP,
 ):
     """Z-estimator sandwich variance for the design-based weighting fits.
 
@@ -175,7 +173,7 @@ def sandwich_variance(
 
     design = fit._context.get("design")
     if design is None:
-        design = build_design(structure, dataset, weight, cap)
+        design = build_design(structure, dataset, weight)
     slices = design.slices
     phi = design.phi
     y = dataset.stacked_outcomes()
@@ -220,7 +218,7 @@ def sigma_noise_hat(dataset, structure, dof="units", design=None):
     return float(np.sqrt(resid @ resid / denom))
 
 
-def structure_test(dataset, weight, candidate, reference, sigma_hat, cap=PATTERN_CAP, fits=None):
+def structure_test(dataset, weight, candidate, reference, sigma_hat, fits=None):
     """Chi-square(1) specification test of `candidate` against `reference`.
 
     Returns (statistic, p_value) for the squared normalized contrast of the
@@ -228,8 +226,8 @@ def structure_test(dataset, weight, candidate, reference, sigma_hat, cap=PATTERN
     """
     if fits is None:
         fits = (
-            balancing_fit(dataset, candidate, weight, cap=cap),
-            balancing_fit(dataset, reference, weight, cap=cap),
+            balancing_fit(dataset, candidate, weight),
+            balancing_fit(dataset, reference, weight),
         )
     fit_l, fit_ref = fits
     bad = [f.kind for f in (fit_l, fit_ref) if not f.feasible]
@@ -288,15 +286,7 @@ def _designs_nested(small, large):
     return int(sum((s > tol).sum() for s in svals)) == large.ops().rank
 
 
-def select_structure(
-    dataset,
-    weight,
-    candidates,
-    alpha=0.05,
-    dof="units",
-    cap=PATTERN_CAP,
-    check_nesting=True,
-):
+def select_structure(dataset, weight, candidates, alpha=0.05, dof="units"):
     """Most informative candidate that the specification test does not reject.
 
     Candidates are ordered informative -> flexible; the last one is the
@@ -305,20 +295,18 @@ def select_structure(
     candidates = list(candidates)
     if not candidates:
         raise ValueError("need at least one candidate structure")
-    designs = [build_design(s, dataset, weight, cap) for s in candidates]
+    designs = [build_design(s, dataset, weight) for s in candidates]
     fits = [balancing_fit(dataset, s, weight, design=d) for s, d in zip(candidates, designs)]
     offenders = [s.label for s, f in zip(candidates, fits) if not f.feasible]
     if offenders:
         raise InfeasibleFit(f"infeasible balancing fits for candidates: {offenders}")
-    if check_nesting:
-        for i in range(len(candidates) - 1):
-            if not _designs_nested(designs[i], designs[i + 1]):
-                small, large = candidates[i].label, candidates[i + 1].label
-                warnings.warn(
-                    f"candidate {small!r} is not nested in {large!r} "
-                    "on the observed design",
-                    stacklevel=2,
-                )
+    for i in range(len(candidates) - 1):
+        if not _designs_nested(designs[i], designs[i + 1]):
+            small, large = candidates[i].label, candidates[i + 1].label
+            warnings.warn(
+                f"candidate {small!r} is not nested in {large!r} on the observed design",
+                stacklevel=2,
+            )
     reference = candidates[-1]
     sigma_hat = sigma_noise_hat(dataset, reference, dof=dof, design=designs[-1])
     threshold = chi2.ppf(1.0 - alpha, df=1)
@@ -328,13 +316,7 @@ def select_structure(
     for l in range(len(candidates) - 1):
         try:
             stat, p = structure_test(
-                dataset,
-                weight,
-                candidates[l],
-                reference,
-                sigma_hat,
-                cap=cap,
-                fits=(fits[l], fits[-1]),
+                dataset, weight, candidates[l], reference, sigma_hat, fits=(fits[l], fits[-1])
             )
         except DegenerateContrast:
             stat, p = 0.0, 1.0

@@ -35,8 +35,8 @@ class SolveReport:
     relative_residual: float
     rank: int
 
-    def feasible(self, tol=FEAS_TOL):
-        return self.relative_residual <= tol
+    def feasible(self):
+        return self.relative_residual <= FEAS_TOL
 
 
 def project_colspace(b, v, rcond=None):
@@ -63,16 +63,13 @@ class DesignOps:
     rows and columns are disjoint, with phi zero outside them; each block
     takes its own SVD. The default is one piece holding all of phi. The
     singular values of a block-diagonal matrix are the union of its blocks',
-    so the rank cut stays global: rcond (default max(N, d)*eps) times the
-    largest singular value over all blocks.
+    so the rank cut stays global: max(N, d) * eps times the largest singular
+    value over all blocks.
     """
 
-    def __init__(self, phi, rcond=None, feas_tol=FEAS_TOL, pieces=None):
+    def __init__(self, phi, pieces=None):
         phi = _validate(phi)
-        if rcond is None:
-            rcond = _default_rcond(phi.shape)
         self.phi = phi
-        self.feas_tol = feas_tol
         if pieces is None:
             pieces = ((slice(None), slice(None)),)
         svds = [
@@ -80,18 +77,20 @@ class DesignOps:
             for rows, cols in pieces
         ]
         s_max = max((s[0] for _, _, _, s, _ in svds if s.size), default=0.0)
+        cut = _default_rcond(phi.shape) * s_max
         self._pieces = []
         for rows, cols, u, s, vt in svds:
-            keep = s > rcond * s_max
+            keep = s > cut
             self._pieces.append((rows, cols, u[:, keep], s[keep], vt[keep]))
         self.rank = int(sum(s.size for _, _, _, s, _ in self._pieces))
 
     def ols_coefficients(self, y):
-        """phi^+ y: minimum-norm least-squares coefficients."""
+        """phi^+ y: minimum-norm least-squares coefficients, y (N,) or (N, q)."""
         y = np.asarray(y, float)
         out = np.zeros((self.phi.shape[1],) + y.shape[1:])
         for rows, cols, u, s, vt in self._pieces:
-            out[cols] = vt.T @ ((u.T @ y[rows]) / s)
+            # one singular value per row of u.T @ y: divide along the first axis
+            out[cols] = vt.T @ ((u.T @ y[rows]) / s.reshape((-1,) + (1,) * (y.ndim - 1)))
         return out
 
     def min_norm_row_solve(self, t):

@@ -153,14 +153,14 @@ class LowRankStructure:
         """Feature rows of every unit at one pattern: (M_c, d)."""
         raise NotImplementedError
 
-    def all_pattern_rows(self, cluster, i, cap=PATTERN_CAP):
+    def all_pattern_rows(self, cluster, i):
         """Feature rows of unit i at every pattern: a new (2^m, d) float array."""
-        bits = enumerate_patterns(cluster.size, cap)
+        bits = enumerate_patterns(cluster.size)
         return np.stack([self.rows_at(cluster, bits[r])[i] for r in range(bits.shape[0])])
 
-    def expected_rows(self, cluster, probs, cap=PATTERN_CAP):
+    def expected_rows(self, cluster, probs):
         """E[phi_ci(A)] under independent Bernoulli(probs) treatments: (M_c, d)."""
-        bits = enumerate_patterns(cluster.size, cap)
+        bits = enumerate_patterns(cluster.size)
         masses = _kernels.pattern_masses(np.ascontiguousarray(bits), np.asarray(probs, float))
         out = np.zeros((cluster.size, self.dim(cluster)))
         for r in range(bits.shape[0]):
@@ -398,19 +398,19 @@ class FromExposureMapping(LowRankStructure):
         a = self._check_pattern(cluster, pattern)
         return _one_hot_rows(self.mapping.classes_batch([cluster], a[None])[0], self.dim())
 
-    def all_pattern_rows(self, cluster, i, cap=PATTERN_CAP):
+    def all_pattern_rows(self, cluster, i):
         self._check_index(cluster, i)
-        classes = self.mapping.classes_for(cluster, i, enumerate_patterns(cluster.size, cap))
+        classes = self.mapping.classes_for(cluster, i, enumerate_patterns(cluster.size))
         return _one_hot_rows(classes, self.dim(cluster, i))
 
-    def expected_rows(self, cluster, probs, cap=PATTERN_CAP):
+    def expected_rows(self, cluster, probs):
         """Class masses in the mapping's product form, else by enumeration."""
         self._require_fixed()
         probs = np.asarray(probs, dtype=np.float64)
         masses = self.mapping.class_masses_batch([cluster], probs[None])
         if masses is not None:
             return masses[0]
-        bits = enumerate_patterns(cluster.size, cap)
+        bits = enumerate_patterns(cluster.size)
         pattern_mass = _kernels.pattern_masses(np.ascontiguousarray(bits), probs)
         return np.stack([
             _kernels.weighted_slot_sums(
@@ -459,9 +459,7 @@ class KnnPattern(FromExposureMapping):
 
     label = "knn_pattern"
 
-    def __init__(self, k, graph=None, cap_bits=PATTERN_CAP):
-        if k > cap_bits:
-            raise CapExceeded(k, cap_bits)
+    def __init__(self, k, graph=None):
         super().__init__(NeighborPattern(k, graph=graph))
         self.k = self.mapping.k
         self.graph = graph
@@ -470,9 +468,6 @@ class KnnPattern(FromExposureMapping):
     def dep_units(self, cluster, i):
         return _cluster_neighbors(cluster, self.k, self.graph)[i]
 
-    def slot_dim(self, k_in):
-        return 2**self.k
-
     def row_on_bits(self, bits_vec):
         row = np.zeros(2**self.k)
         row[_msb_slots(np.asarray(bits_vec[: self.k]), self.k)] = 1.0
@@ -480,12 +475,6 @@ class KnnPattern(FromExposureMapping):
 
     def expected_row_on_probs(self, probs_vec):
         return _msb_slot_masses(np.asarray(probs_vec[: self.k], dtype=np.float64), self.k)
-
-    def bits_out_on_bits(self, bits_vec):
-        b = np.zeros(self.k, dtype=np.int8)
-        take = min(self.k, bits_vec.size)
-        b[:take] = bits_vec[:take]
-        return b
 
 
 # ---------- other structures ----------
@@ -544,9 +533,9 @@ class AdditiveTypes(LowRankStructure):
         a = self._check_pattern(cluster, pattern)
         return np.tile(self._row(cluster, a), (cluster.size, 1))
 
-    def all_pattern_rows(self, cluster, i, cap=PATTERN_CAP):
+    def all_pattern_rows(self, cluster, i):
         self._check_index(cluster, i)
-        bits = enumerate_patterns(cluster.size, cap)
+        bits = enumerate_patterns(cluster.size)
         units = self._type_units(cluster)
         out = np.zeros((bits.shape[0], 2 * self.s))
         rows = np.arange(bits.shape[0])
@@ -554,7 +543,7 @@ class AdditiveTypes(LowRankStructure):
             out[rows, 2 * t + bits[:, units[t]].astype(np.int64)] = 1.0
         return out
 
-    def expected_rows(self, cluster, probs, cap=PATTERN_CAP):
+    def expected_rows(self, cluster, probs):
         probs = np.asarray(probs, dtype=np.float64)
         units = self._type_units(cluster)
         row = np.zeros(2 * self.s)
@@ -564,9 +553,6 @@ class AdditiveTypes(LowRankStructure):
         return np.tile(row, (cluster.size, 1))
 
     # composition role: additive encoding of ordered slot bits
-    def slot_dim(self, k_in):
-        return 2 * self.s
-
     def row_on_bits(self, bits_vec):
         row = np.zeros(2 * self.s)
         for t in range(min(self.s, bits_vec.size)):
@@ -672,16 +658,16 @@ class CoarsenedCount(LowRankStructure):
         ]
         return self._one_hot(a, counts)
 
-    def all_pattern_rows(self, cluster, i, cap=PATTERN_CAP):
+    def all_pattern_rows(self, cluster, i):
         self._check_index(cluster, i)
-        bits = np.ascontiguousarray(enumerate_patterns(cluster.size, cap))
+        bits = np.ascontiguousarray(enumerate_patterns(cluster.size))
         counts = [
             _kernels.count_slots(bits, np.ascontiguousarray(units[i]))
             for units in self._level_units(cluster)
         ]
         return self._one_hot(bits[:, i], counts)
 
-    def expected_rows(self, cluster, probs, cap=PATTERN_CAP):
+    def expected_rows(self, cluster, probs):
         probs = np.asarray(probs, dtype=np.float64)
         m = cluster.size
         mats = [np.column_stack([1.0 - probs, probs])]
@@ -707,11 +693,12 @@ class Compose(LowRankStructure):
 
     The inner structure must be pattern valued (it exposes the ordered unit
     indices its features depend on); the outer structure re-encodes those
-    dependency bits. Realizes the matrix product of the two encodings.
+    dependency bits, and its dimension is the composition's. Realizes the
+    matrix product of the two encodings.
     """
 
     def __init__(self, outer, inner):
-        for attr in ("slot_dim", "row_on_bits", "expected_row_on_probs"):
+        for attr in ("row_on_bits", "expected_row_on_probs"):
             if not hasattr(outer, attr):
                 raise InvalidSpec(
                     f"outer structure {outer.label!r} does not support composition"
@@ -725,7 +712,7 @@ class Compose(LowRankStructure):
         self.label = f"compose[{outer.label} o {inner.label}]"
 
     def dim(self, cluster=None, i=None):
-        return self.outer.slot_dim(getattr(self.inner, "k", 1))
+        return self.outer.dim()
 
     def feature_row(self, cluster, i, pattern):
         a = self._check(cluster, i, pattern)
@@ -738,7 +725,7 @@ class Compose(LowRankStructure):
             [self.outer.row_on_bits(a[self.inner.dep_units(cluster, i)]) for i in range(cluster.size)]
         )
 
-    def expected_rows(self, cluster, probs, cap=PATTERN_CAP):
+    def expected_rows(self, cluster, probs):
         probs = np.asarray(probs, dtype=np.float64)
         return np.stack(
             [
@@ -747,16 +734,11 @@ class Compose(LowRankStructure):
             ]
         )
 
-    # composition roles (outer must itself be pattern valued)
+    # composition roles (outer must itself be pattern valued: it reads its first k bits)
     def dep_units(self, cluster, i):
-        deps = self.inner.dep_units(cluster, i)
-        if not hasattr(self.outer, "bits_out_on_bits"):
+        if not hasattr(self.outer, "k"):
             raise InvalidSpec(f"outer {self.outer.label!r} is not pattern valued")
-        keep = min(getattr(self.outer, "k"), deps.size)
-        return deps[:keep]
-
-    def slot_dim(self, k_in):
-        return self.outer.slot_dim(k_in)
+        return self.inner.dep_units(cluster, i)[: self.outer.k]
 
     def row_on_bits(self, bits_vec):
         return self.outer.row_on_bits(bits_vec)
@@ -849,14 +831,14 @@ class TensorWithCovariates(LowRankStructure):
         x = self.covariate_rows(cluster)
         return np.einsum("ub,uw->ubw", inner, x).reshape(cluster.size, -1)
 
-    def all_pattern_rows(self, cluster, i, cap=PATTERN_CAP):
-        inner = self.inner.all_pattern_rows(cluster, i, cap)
+    def all_pattern_rows(self, cluster, i):
+        inner = self.inner.all_pattern_rows(cluster, i)
         return np.kron(inner, self.covariate_rows(cluster)[i][None, :]).reshape(
             inner.shape[0], -1
         )
 
-    def expected_rows(self, cluster, probs, cap=PATTERN_CAP):
-        inner = self.inner.expected_rows(cluster, probs, cap)
+    def expected_rows(self, cluster, probs):
+        inner = self.inner.expected_rows(cluster, probs)
         x = self.covariate_rows(cluster)
         return np.einsum("ub,uw->ubw", inner, x).reshape(cluster.size, -1)
 
@@ -870,6 +852,10 @@ def build_structure(spec, dataset=None):
         return spec
     if not isinstance(spec, dict) or "kind" not in spec:
         raise InvalidSpec("structure spec must be a dict with a 'kind' key")
+    if "tensor_covariates" in spec:
+        raise InvalidSpec(
+            'tensor_covariates is not a structure field; use {"kind": "tensor", "inner": ...}'
+        )
     kind = spec["kind"]
 
     def field(key):
@@ -879,40 +865,37 @@ def build_structure(spec, dataset=None):
         return spec_int(spec, key, f"{kind} structure")
 
     if kind == "no_interference":
-        inner = NoInterference()
-    elif kind == "stratified_count":
-        inner = StratifiedCount(int_field("k"), include_own=spec.get("include_own", False))
-    elif kind == "knn_pattern":
-        inner = KnnPattern(int_field("k"))
-    elif kind == "additive_types":
-        inner = AdditiveTypes(int_field("s"), type_source=spec.get("type_source", "unit_index"))
-    elif kind == "coarsened_count":
-        inner = CoarsenedCount(
+        return NoInterference()
+    if kind == "stratified_count":
+        return StratifiedCount(int_field("k"), include_own=spec.get("include_own", False))
+    if kind == "knn_pattern":
+        return KnnPattern(int_field("k"))
+    if kind == "additive_types":
+        return AdditiveTypes(int_field("s"), type_source=spec.get("type_source", "unit_index"))
+    if kind == "coarsened_count":
+        coarsened = CoarsenedCount(
             order=spec.get("order", 1),
             thresholds=spec.get("thresholds"),
             k=spec.get("k"),
         )
-        if inner.thresholds is None:
+        if coarsened.thresholds is None:
             if dataset is None:
                 raise InvalidSpec("coarsened_count default thresholds need a dataset")
-            inner.fit_thresholds(dataset)
-    elif kind == "exposure":
-        inner = FromExposureMapping(exposure_from_spec(field("mapping")))
-    elif kind == "compose":
-        inner = Compose(
+            coarsened.fit_thresholds(dataset)
+        return coarsened
+    if kind == "exposure":
+        return FromExposureMapping(exposure_from_spec(field("mapping")))
+    if kind == "compose":
+        return Compose(
             build_structure(field("outer"), dataset), build_structure(field("inner"), dataset)
         )
-    elif kind == "tensor":
+    if kind == "tensor":
         return TensorWithCovariates(
             build_structure(field("inner"), dataset),
             columns=spec.get("columns"),
             label=spec.get("label"),
         )
-    else:
-        raise InvalidSpec(f"unknown structure kind {kind!r}")
-    if spec.get("tensor_covariates"):
-        return TensorWithCovariates(inner, columns=spec.get("columns"))
-    return inner
+    raise InvalidSpec(f"unknown structure kind {kind!r}")
 
 
 def exposure_from_spec(spec):
@@ -1031,7 +1014,7 @@ def _one_hot_contributions(structure, dataset, weight, out):
     return done
 
 
-def target_contributions(structure, dataset, weight, cap=PATTERN_CAP):
+def target_contributions(structure, dataset, weight):
     """Per-cluster aggregated counterfactual feature loads: (n, d).
 
     Row c is (1/M_c) * sum_{a in support(f)} f(a, X_c) * sum_i phi_ci(a),
@@ -1049,37 +1032,27 @@ def target_contributions(structure, dataset, weight, cap=PATTERN_CAP):
         c = dataset.clusters[ci]
         probs = weight.marginal_probs(c)
         if probs is not None:
-            out[ci] = structure.expected_rows(c, probs, cap).mean(axis=0)
+            out[ci] = structure.expected_rows(c, probs).mean(axis=0)
         else:
             acc = np.zeros(d)
-            for pat, w in weight.support(c, cap):
+            for pat, w in weight.support(c):
                 acc += w * structure.rows_at(c, pat).sum(axis=0)
             out[ci] = acc / c.size
     return out
 
 
-def target_vector(structure, dataset, weight, cap=PATTERN_CAP):
+def target_vector(structure, dataset, weight):
     """Aggregated target of the balancing equations."""
-    return target_contributions(structure, dataset, weight, cap).sum(axis=0)
+    return target_contributions(structure, dataset, weight).sum(axis=0)
 
 
-def nested_rank_check(small, large, dataset, rcond=None):
+def nested_rank_check(small, large, dataset):
     """True when the smaller structure's observed design lies in the larger's span."""
-    return _nested_in_span(design_matrix(small, dataset), design_matrix(large, dataset), rcond)
+    return _nested_in_span(design_matrix(small, dataset), design_matrix(large, dataset))
 
 
-def _nested_in_span(phi_s, phi_l, rcond=None):
-    """nested_rank_check on observed designs already built."""
+def _nested_in_span(phi_s, phi_l):
+    """nested_rank_check on observed designs already built, at matrix_rank's
+    default cut max(N, d) * eps times the largest singular value."""
     stacked = np.hstack([phi_s, phi_l])
-    tol_l = _rank_tol(phi_l, rcond)
-    tol_s = _rank_tol(stacked, rcond)
-    return int(np.linalg.matrix_rank(stacked, tol=tol_s)) == int(
-        np.linalg.matrix_rank(phi_l, tol=tol_l)
-    )
-
-
-def _rank_tol(a, rcond):
-    if rcond is None:
-        return None
-    s = np.linalg.svd(a, compute_uv=False)
-    return rcond * (s[0] if s.size else 1.0)
+    return int(np.linalg.matrix_rank(stacked)) == int(np.linalg.matrix_rank(phi_l))

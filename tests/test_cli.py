@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import hashlib
 import json
 
@@ -12,6 +13,7 @@ from clusterbal.cli import (
     EXIT_OK,
     EXIT_USAGE,
     RunManifest,
+    _config_from_file,
     load_dataset,
     run,
     write_dataset,
@@ -429,6 +431,33 @@ def test_calibrate_command(tmp_path, capsys):
     doc = json.loads((out / "calibration.json").read_text())
     assert doc["result"]["gamma"] > 0
     assert "gamma" in capsys.readouterr().out
+
+
+def test_calibrate_snr_target_replaces_only_that_field(tmp_path):
+    cfg_path = sim_config(tmp_path)
+
+    def calibrate(*extra):
+        out = tmp_path / f"cal{len(extra)}"
+        argv = ["calibrate", "--config", cfg_path, "--seed", "2", "--out-dir", str(out), *extra]
+        assert run(argv) == EXIT_OK
+        return json.loads((out / "calibration.json").read_text())["result"]
+
+    doc = calibrate("--snr-target", "0.5")
+    cfg, _, _ = _config_from_file(cfg_path, 2)
+    assert doc["snr_target"] == 0.5
+    assert doc["gamma"] == simulate.calibrate_snr(dataclasses.replace(cfg, snr_target=0.5)).gamma
+    # gamma = sqrt(target / SNR(1)), and nothing else of the config changed
+    assert np.isclose(doc["gamma"], calibrate()["gamma"] * np.sqrt(0.5 / 0.2), rtol=1e-12)
+
+
+def test_calibrate_non_positive_snr_target_exits_1_with_one_line(tmp_path, capsys):
+    out = tmp_path / "cal"
+    argv = ["calibrate", "--config", sim_config(tmp_path), "--seed", "2",
+            "--snr-target", "0", "--out-dir", str(out)]
+    assert run(argv) == EXIT_ERROR
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "snr_target" in err[0]
+    assert not out.exists()
 
 
 def test_usage_errors_exit_64(tmp_path):

@@ -622,6 +622,31 @@ def test_wproj_closed_form_above_pattern_cap(rng):
         _wproj_svd(d, structure, f, e)
 
 
+class _OwnTreatmentByEnumeration(OwnTreatment):
+    def class_masses_batch(self, clusters, probs):
+        return None
+
+
+# every 2^m enumeration path, called on a cluster of PATTERN_CAP + 1 units
+_BEYOND_CAP = {
+    "mapping_expected_rows": lambda c: FromExposureMapping(
+        _OwnTreatmentByEnumeration()).expected_rows(c, np.full(c.size, 0.5)),
+    "weight_support_fallback": lambda c: uniform_intervention().support(c),
+    "direct_effect_over_bernoulli": lambda c: DirectEffect(uniform_intervention()).support(c),
+    "wproj_svd": lambda c: _wproj_svd(
+        Dataset(clusters=(c,)), NoInterference(), uniform_intervention(), half_bernoulli()),
+    "knn_pattern": lambda c: KnnPattern(c.size),
+}
+
+
+@pytest.mark.parametrize("path", list(_BEYOND_CAP))
+def test_pattern_enumeration_raises_beyond_cap(rng, path):
+    c = make_cluster(rng, PATTERN_CAP + 1)
+    with pytest.raises(CapExceeded) as err:
+        _BEYOND_CAP[path](c)
+    assert (err.value.m, err.value.cap) == (PATTERN_CAP + 1, PATTERN_CAP)
+
+
 def test_wproj_closed_form_positivity():
     class NeverTreatFirst(PropensityModel):
         def probability(self, pattern, cluster):

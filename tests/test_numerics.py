@@ -17,9 +17,8 @@ def random_conditioned(rng, rows, cols, cond=1e3):
 
 
 def design_pinv(a):
-    """a^+ column by column: the OLS coefficients of each unit vector."""
-    ops = DesignOps(a)
-    return np.column_stack([ops.ols_coefficients(e) for e in np.eye(np.shape(a)[0])])
+    """a^+ as the OLS coefficients of the identity right-hand side."""
+    return DesignOps(a).ols_coefficients(np.eye(np.shape(a)[0]))
 
 
 def design_min_norm_solve(a, b):
@@ -190,6 +189,22 @@ def test_design_ops_pieces_empty_block_and_zero_rows(rng):
     whole, split = _assert_ops_agree(phi, pieces, rng)
     assert whole.rank == 6
     assert not split.min_norm_row_solve(rng.standard_normal(phi.shape[1])).feasible()
+
+
+@pytest.mark.parametrize("split", [False, True], ids=["whole", "pieces"])
+@pytest.mark.parametrize("q_minus_rank", [0, -1, 2])
+def test_ols_coefficients_of_a_matrix_rhs_are_pinv(rng, split, q_minus_rank):
+    # (N, q) outcomes, q equal to and other than the kept rank
+    if split:
+        phi, pieces = _block_design(rng, [(4, 1.0), (3, 2.0)], width=2, zero_rows=1)
+    else:
+        phi, pieces = rng.standard_normal((6, 3)), None
+    ops = DesignOps(phi, pieces=pieces)
+    assert ops.rank == phi.shape[1]
+    y = rng.standard_normal((phi.shape[0], ops.rank + q_minus_rank))
+    got = ops.ols_coefficients(y)
+    assert got.shape == (phi.shape[1], y.shape[1])
+    assert np.allclose(got, np.linalg.pinv(phi) @ y, rtol=1e-10, atol=1e-12)
 
 
 def test_design_ops_pieces_rank_cut_is_global(rng):

@@ -293,9 +293,9 @@ def test_block_nesting_falls_back_to_dense_for_non_one_hot(rng, monkeypatch):
     d = make_dataset(rng, 30, sizes=(3, 5), p=3)
     calls = []
 
-    def spy(phi_s, phi_l, rcond=None):
+    def spy(phi_s, phi_l):
         calls.append((phi_s.shape, phi_l.shape))
-        return _nested_in_span(phi_s, phi_l, rcond)
+        return _nested_in_span(phi_s, phi_l)
 
     monkeypatch.setattr(inference, "_nested_in_span", spy)
     one_hot, additive = _tensor(KnnPattern(1)), _tensor(AdditiveTypes(5))
@@ -306,7 +306,7 @@ def test_block_nesting_falls_back_to_dense_for_non_one_hot(rng, monkeypatch):
     assert len(calls) == 2
 
 
-def _oracle_design(structure, dataset, weight, cap=None):
+def _oracle_design(structure, dataset, weight):
     """build_design from the per-cluster path, pieces scanned off the dense design."""
     phi = per_cluster_design(structure, fresh_copy(dataset))
     one_hot = structure.exposure_mapping is not None

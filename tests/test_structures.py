@@ -362,6 +362,13 @@ def test_compose_rejects_unsupported():
         Compose(NoInterference(), StratifiedCount(2))
 
 
+def test_compose_inner_needs_a_pattern_valued_outer(rng):
+    # the inner composition's outer (additive types) has no k bits to pass on
+    d = make_dataset(rng, 3, sizes=(3, 4))
+    with pytest.raises(InvalidSpec, match="not pattern valued"):
+        design_matrix(Compose(KnnPattern(2), Compose(AdditiveTypes(2), KnnPattern(2))), d)
+
+
 # ---------- design matrices ----------
 
 
@@ -426,9 +433,9 @@ def test_target_vector_product_path_matches_support_path(rng):
         def marginal_probs_batch(self, clusters):
             return None
 
-        def support(self, cluster, cap=PATTERN_CAP):
+        def support(self, cluster):
             supported.append(cluster.cluster_id)
-            return super().support(cluster, cap)
+            return super().support(cluster)
 
     slow = NoProductForm(lambda c: probs_by_id[c.cluster_id])
     assert np.allclose(
@@ -438,7 +445,7 @@ def test_target_vector_product_path_matches_support_path(rng):
 
 
 def test_target_vector_cap_propagates(rng):
-    d = make_dataset(rng, 1, sizes=(6, 6))
+    d = make_dataset(rng, 1, sizes=(PATTERN_CAP + 1, PATTERN_CAP + 1))
 
     # enumeration path of a mapping without a closed product form
     class OwnTreatmentByEnumeration(OwnTreatment):
@@ -446,9 +453,7 @@ def test_target_vector_cap_propagates(rng):
             return None
 
     with pytest.raises(CapExceeded):
-        target_vector(
-            FromExposureMapping(OwnTreatmentByEnumeration()), d, uniform_intervention(), cap=4
-        )
+        target_vector(FromExposureMapping(OwnTreatmentByEnumeration()), d, uniform_intervention())
 
     # enumeration path of a weight without a product form
     class NoProductForm(BernoulliIntervention):
@@ -457,7 +462,7 @@ def test_target_vector_cap_propagates(rng):
 
     slow = NoProductForm(lambda c: np.full(c.size, 0.5))
     with pytest.raises(CapExceeded):
-        target_vector(NoInterference(), d, slow, cap=4)
+        target_vector(NoInterference(), d, slow)
 
 
 # ---------- knn graph ----------
@@ -601,6 +606,11 @@ def test_build_structure_from_specs(rng):
 def test_build_structure_knn_cap():
     with pytest.raises(CapExceeded):
         build_structure({"kind": "knn_pattern", "k": 25})
+
+
+def test_build_structure_refuses_the_tensor_covariates_flag():
+    with pytest.raises(InvalidSpec, match='"kind": "tensor"'):
+        build_structure({"kind": "knn_pattern", "k": 2, "tensor_covariates": True, "columns": [0]})
 
 
 def test_tensor_cluster_mean_column(rng):
