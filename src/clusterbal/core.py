@@ -16,14 +16,13 @@ from scipy.special import ndtr
 
 from . import _kernels
 from .errors import (
+    PATTERN_CAP,
     CapExceeded,
     DegenerateIntervention,
     DimensionMismatch,
     InvalidSpec,
     PropensityUnavailable,
 )
-
-PATTERN_CAP = 20
 
 
 def enumerate_patterns(m):
@@ -36,7 +35,7 @@ def enumerate_patterns(m):
     if m < 1:
         raise DimensionMismatch(f"cluster size must be >= 1, got {m}")
     if m > PATTERN_CAP:
-        raise CapExceeded(m, PATTERN_CAP)
+        raise CapExceeded(m, "cluster size")
     idx = np.arange(2**m, dtype=np.int64)
     shifts = np.arange(m - 1, -1, -1, dtype=np.int64)
     return ((idx[:, None] >> shifts) & 1).astype(np.int8)
@@ -140,6 +139,14 @@ class Dataset:
 # ---------- counterfactual weights ----------
 
 
+def _stacked_probs(prob_fn, clusters):
+    """prob_fn of clusters of one size m, stacked: (B, m) float."""
+    rows = [np.asarray(prob_fn(c), dtype=np.float64).ravel() for c in clusters]
+    if [r.size for r in rows] != [c.size for c in clusters]:
+        raise DimensionMismatch("prob_fn returned wrong length")
+    return np.array(rows)
+
+
 class CounterfactualWeight:
     """Function f(a_c, X_c) defining the estimand as a weighted outcome average."""
 
@@ -214,35 +221,27 @@ class BernoulliIntervention(CounterfactualWeight):
         self.prob_fn = prob_fn
         self.label = label
 
-    def _probs(self, cluster):
-        pi = np.asarray(self.prob_fn(cluster), dtype=np.float64).ravel()
-        if pi.size != cluster.size:
-            raise DimensionMismatch("prob_fn returned wrong length")
-        return self._in_unit_interval(pi)
-
-    @staticmethod
-    def _in_unit_interval(pi):
+    def _probs(self, clusters):
+        """prob_fn of clusters of one size m, stacked (B, m) and range checked;
+        private, so a subclass that turns `marginal_probs_batch` off keeps
+        its pattern masses."""
+        pi = _stacked_probs(self.prob_fn, clusters)
         if ((pi < 0) | (pi > 1)).any():
             raise InvalidSpec("intervention probabilities must lie in [0, 1]")
         return pi
 
     def weight(self, pattern, cluster):
         a = self._check(pattern, cluster)
-        pi = self._probs(cluster)
-        return float(np.prod(np.where(a == 1, pi, 1.0 - pi)))
+        return float(_kernels.pattern_masses(a[None], self._probs([cluster]))[0])
 
     def weights_for(self, bits, cluster):
-        return _kernels.pattern_masses(np.ascontiguousarray(bits), self._probs(cluster))
+        return _kernels.pattern_masses(bits, self._probs([cluster]))
 
     def marginal_probs(self, cluster):
-        return self._probs(cluster)
+        return self._probs([cluster])[0]
 
     def marginal_probs_batch(self, clusters):
-        # one range check for the whole batch: per cluster it cost as much as the product form
-        rows = [np.asarray(self.prob_fn(c), dtype=np.float64).ravel() for c in clusters]
-        if any(r.size != c.size for r, c in zip(rows, clusters)):
-            raise DimensionMismatch("prob_fn returned wrong length")
-        return self._in_unit_interval(np.stack(rows))
+        return self._probs(clusters)
 
 
 def uniform_intervention():
@@ -281,7 +280,7 @@ class RandomSelection(CounterfactualWeight):
         m, k = cluster.size, self._count(cluster)
         n_pat = math.comb(m, k)
         if n_pat > 2**PATTERN_CAP:
-            raise CapExceeded(m, PATTERN_CAP)
+            raise CapExceeded(m, "cluster size")
         w = 1.0 / n_pat
         out = []
         for idx in combinations(range(m), k):
@@ -444,6 +443,11 @@ class PropensityModel:
     def probabilities_for(self, bits, cluster):
         return np.array([self.probability(bits[r], cluster) for r in range(bits.shape[0])])
 
+    def unit_probs_batch(self, clusters):
+        """Per-unit Bernoulli probabilities of clusters of one size m, stacked
+        (B, m), when the model is a product form; else None."""
+        return None
+
 
 class IndependentBernoulli(PropensityModel):
     """Units treated independently with covariate-driven probabilities."""
@@ -454,34 +458,27 @@ class IndependentBernoulli(PropensityModel):
         self.prob_fn = prob_fn
         self.label = label
 
-    def unit_probs(self, cluster):
-        pi = np.asarray(self.prob_fn(cluster), dtype=np.float64).ravel()
-        if pi.size != cluster.size:
-            raise DimensionMismatch("prob_fn returned wrong length")
-        return self._in_open_interval(pi)
-
-    def unit_probs_batch(self, clusters):
-        """`unit_probs` of clusters of one size m, stacked (B, m), with one range check."""
-        rows = [np.asarray(self.prob_fn(c), dtype=np.float64).ravel() for c in clusters]
-        if any(r.size != c.size for r, c in zip(rows, clusters)):
-            raise DimensionMismatch("prob_fn returned wrong length")
-        return self._in_open_interval(np.stack(rows))
-
-    @staticmethod
-    def _in_open_interval(pi):
+    def _probs(self, clusters):
+        """prob_fn of clusters of one size m, stacked (B, m) and range checked."""
+        pi = _stacked_probs(self.prob_fn, clusters)
         if ((pi <= 0) | (pi >= 1)).any():
             raise InvalidSpec("propensity probabilities must lie strictly in (0, 1)")
         return pi
+
+    def unit_probs(self, cluster):
+        return self._probs([cluster])[0]
+
+    def unit_probs_batch(self, clusters):
+        return self._probs(clusters)
 
     def probability(self, pattern, cluster):
         a = as_pattern(pattern)
         if a.size != cluster.size:
             raise DimensionMismatch("pattern length != cluster size")
-        pi = self.unit_probs(cluster)
-        return float(np.prod(np.where(a == 1, pi, 1.0 - pi)))
+        return float(_kernels.pattern_masses(a[None], self._probs([cluster]))[0])
 
     def probabilities_for(self, bits, cluster):
-        return _kernels.pattern_masses(np.ascontiguousarray(bits), self.unit_probs(cluster))
+        return _kernels.pattern_masses(bits, self._probs([cluster]))
 
 
 class JointTable(PropensityModel):
@@ -550,20 +547,21 @@ def eval_propensity(e, pattern, cluster):
 # ---------- the probit probability family of the simulation design ----------
 
 
-def probit_mean_probs(cluster, kappa):
-    """Per-unit probit probabilities driven by cluster and unit covariate means.
+def _probit_terms(x, kappa):
+    """Probit probabilities of one cluster's covariates (m, p) or of a batch
+    (B, m, p): Phi(p^{-1/2} * sum_j mean_j(X_c) + kappa * rowmean(X_ci))."""
+    cluster_term = x.mean(axis=-2).sum(axis=-1) / math.sqrt(x.shape[-1])
+    return ndtr(cluster_term[..., None] + kappa * x.mean(axis=-1))
 
-    Phi(p^{-1/2} * sum_j mean_j(X_c) + kappa * rowmean(X_ci)); kappa tilts the
-    law toward units with high average covariates.
-    """
+
+def probit_mean_probs(cluster, kappa):
+    """Per-unit probit probabilities driven by cluster and unit covariate means,
+    cached on the cluster; kappa tilts the law toward units with high average
+    covariates."""
     key = ("probit_mean", float(kappa))
-    if key in cluster._cache:
-        return cluster._cache[key]
-    x = cluster.covariates
-    cluster_term = x.mean(axis=0).sum() / math.sqrt(x.shape[1])
-    out = ndtr(cluster_term + kappa * x.mean(axis=1))
-    cluster._cache[key] = out
-    return out
+    if key not in cluster._cache:
+        cluster._cache[key] = _probit_terms(cluster.covariates, kappa)
+    return cluster._cache[key]
 
 
 def probit_intervention(kappa):

@@ -5,14 +5,21 @@ class ClusterbalError(Exception):
     """Base class for all package errors."""
 
 
-class CapExceeded(ClusterbalError):
-    """A full 2^m pattern enumeration was requested beyond `core.PATTERN_CAP`."""
+# largest cluster size (and k-NN k) whose 2^m treatment patterns are enumerated;
+# defined beside the error whose message names it, and re-exported by `core`
+PATTERN_CAP = 20
 
-    def __init__(self, m, cap):
+
+class CapExceeded(ClusterbalError):
+    """A full 2^m pattern enumeration was requested beyond PATTERN_CAP.
+
+    `what` names the quantity over the cap: a cluster size or a k-NN k.
+    """
+
+    def __init__(self, m, what):
         self.m = int(m)
-        self.cap = int(cap)
         super().__init__(
-            f"cluster size {self.m} exceeds the pattern enumeration cap {self.cap}; "
+            f"{what} {self.m} exceeds the pattern enumeration cap {PATTERN_CAP}; "
             "use a sparse-support weight/structure"
         )
 

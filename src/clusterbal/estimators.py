@@ -7,13 +7,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (
-    PATTERN_CAP,
-    IndependentBernoulli,
-    enumerate_patterns,
-    eval_propensity,
-    pattern_index,
-)
+from . import _kernels
+from .core import PATTERN_CAP, enumerate_patterns, eval_propensity, pattern_index
 from .errors import PositivityViolation
 from .numerics import DesignOps, _default_rcond, _validate, project_colspace
 from .structures import (
@@ -155,26 +150,22 @@ def _observed_masses(group, probs, mass):
     """
     if probs is None:
         return [mass(c) for c in group]
-    a = np.stack([c.treatments for c in group])
-    return np.prod(np.where(a == 1, probs, 1.0 - probs), axis=1)
+    return _kernels.pattern_masses(np.stack([c.treatments for c in group]), probs)
 
 
 def ipw_weights(dataset, weight, propensity):
     """Observed-pattern IPW weights f(A_c)/(M_c e(A_c)), one entry per unit.
 
-    e comes in product form for all clusters of one size at once when the
-    propensity is an IndependentBernoulli, and f when the weight has
-    `marginal_probs_batch`; other models are evaluated per cluster.
+    e and f come in product form for all clusters of one size at once when
+    the propensity's `unit_probs_batch` and the weight's
+    `marginal_probs_batch` give one; other models are evaluated per cluster.
     """
     f, e = np.empty(dataset.n), np.empty(dataset.n)
     for group, idx, _ in _size_groups(dataset):
-        e_probs = (
-            propensity.unit_probs_batch(group)
-            if isinstance(propensity, IndependentBernoulli)
-            else None
-        )
         e[idx] = _observed_masses(
-            group, e_probs, lambda c: eval_propensity(propensity, c.treatments, c)
+            group,
+            propensity.unit_probs_batch(group),
+            lambda c: eval_propensity(propensity, c.treatments, c),
         )
         f[idx] = _observed_masses(
             group, weight.marginal_probs_batch(group), lambda c: weight.weight(c.treatments, c)
@@ -265,9 +256,8 @@ def _observed_class_sums(dataset, mapping, weight, propensity):
     f_obs, e_obs, e_max = (np.empty(dataset.total_units) for _ in range(3))
     for group, _, rows in _size_groups(dataset):
         obs = mapping.classes_batch(group, np.stack([c.treatments for c in group]))
-        e_cls = None
-        if isinstance(propensity, IndependentBernoulli):
-            e_cls = mapping.class_masses_batch(group, propensity.unit_probs_batch(group))
+        probs = propensity.unit_probs_batch(group)
+        e_cls = None if probs is None else mapping.class_masses_batch(group, probs)
         if e_cls is not None:
             e_obs[rows] = np.take_along_axis(e_cls, obs[:, :, None], axis=2)[:, :, 0]
             e_max[rows] = e_cls.max(axis=2)
@@ -275,8 +265,9 @@ def _observed_class_sums(dataset, mapping, weight, propensity):
             for c, units, o in zip(group, rows, obs):
                 bits = enumerate_patterns(c.size)
                 masses = np.asarray(propensity.probabilities_for(bits, c), dtype=np.float64)
+                classes = mapping.classes_batch([c], bits)
                 for i, u in enumerate(units):
-                    cls = np.bincount(mapping.classes_for(c, i, bits), weights=masses)
+                    cls = np.bincount(classes[:, i], weights=masses)
                     e_obs[u], e_max[u] = cls[o[i]], cls.max()
         probs = weight.marginal_probs_batch(group)
         f_cls = None if probs is None else mapping.class_masses_batch(group, probs)
@@ -289,8 +280,9 @@ def _observed_class_sums(dataset, mapping, weight, propensity):
             if support:
                 bits = np.array([pat for pat, _ in support], dtype=np.int8)
                 w = np.array([w for _, w in support], dtype=np.float64)
+                classes = mapping.classes_batch([c], bits)
                 for i, u in enumerate(units):
-                    f_obs[u] = w[mapping.classes_for(c, i, bits) == o[i]].sum()
+                    f_obs[u] = w[classes[:, i] == o[i]].sum()
     empty = np.flatnonzero(e_obs <= 0.0)
     if empty.size:
         starts = np.array([start for start, _ in dataset.cluster_slices()])

@@ -15,9 +15,8 @@ from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import ndtr
 
-from .core import ClusterSample, Dataset, probit_intervention, probit_propensity
+from .core import ClusterSample, Dataset, _probit_terms, probit_intervention, probit_propensity
 from .errors import CalibrationFailed, InvalidSpec
 from .estimators import build_design
 from .inference import ESTIMATORS, fit_estimator
@@ -129,12 +128,6 @@ def _draw_sizes(cfg, rng, n):
     sizes = np.array([m for m, _ in cfg.cluster_sizes])
     probs = np.array([q for _, q in cfg.cluster_sizes])
     return rng.choice(sizes, size=n, p=probs)
-
-
-def _probit_terms(x, kappa):
-    """Probit masses of one cluster's covariates (m, p) or of a batch (B, m, p)."""
-    cluster_term = x.mean(axis=-2).sum(axis=-1) / math.sqrt(x.shape[-1])
-    return ndtr(cluster_term[..., None] + kappa * x.mean(axis=-1))
 
 
 def _draw_clusters(cfg, rng, sizes, noise):

@@ -59,11 +59,6 @@ def _bernoulli_probs_fn(doc):
     if "prob" in doc:
         prob = spec_float(doc, "prob", "bernoulli")
         return lambda c: np.full(c.size, prob)
-    if doc.get("family") == "probit_mean":
-        kappa = spec_float(doc, "kappa", "bernoulli", default=0.0)
-        from .core import probit_mean_probs
-
-        return lambda c: probit_mean_probs(c, kappa)
     raise InvalidSpec("bernoulli spec needs 'prob' or family 'probit_mean'")
 
 

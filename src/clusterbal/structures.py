@@ -63,12 +63,6 @@ def _stacked_neighbors(clusters, k, graph=None):
     return np.stack([nbrs[:, :k] for nbrs in lists])
 
 
-def _cluster_neighbors(cluster, k, graph=None):
-    """`_stacked_neighbors` of one cluster, unstacked: (M_c, k_eff) int64."""
-    nbrs = graph.neighbors(cluster) if graph is not None else _knn_orders([cluster])[0]
-    return nbrs[:, :k]
-
-
 @dataclass(frozen=True)
 class NeighborGraph:
     """Per-cluster, per-unit ordered neighbor lists."""
@@ -112,9 +106,12 @@ def second_order_lists(cluster, nbrs):
 
 def _msb_slots(bits, k):
     """Slot of each bit row among 2^k slots: bits (..., k_eff) read first bit
-    most significant, the k - k_eff missing low bits zero: (...,) int64."""
-    k_eff = bits.shape[-1]
-    return bits.astype(np.int64) @ 2 ** np.arange(k - 1, k - 1 - k_eff, -1, dtype=np.int64)
+    most significant, the k - k_eff missing low bits zero: (...,) int64.
+    The bits are added one column at a time, so no int64 copy of them is made."""
+    slots = np.zeros(bits.shape[:-1], dtype=np.int64)
+    for t in range(bits.shape[-1]):
+        slots += bits[..., t].astype(np.int64) << (k - 1 - t)
+    return slots
 
 
 def _msb_slot_masses(probs, k):
@@ -193,7 +190,8 @@ class LowRankStructure:
 class ExposureMapping:
     """Finite-valued function of the cluster pattern, per unit.
 
-    A mapping defines `class_of` or `classes_for`; each defaults to the other.
+    A mapping defines `classes_batch`, and may define a product-form
+    `class_masses_batch`.
     """
 
     label = "exposure"
@@ -202,22 +200,11 @@ class ExposureMapping:
     def n_classes(self, cluster, i):
         return self.fixed_dim
 
-    def class_of(self, cluster, i, pattern):
-        return int(self.classes_for(cluster, i, as_pattern(pattern)[None, :])[0])
-
-    def classes_for(self, cluster, i, bits):
-        """Class of unit i at every pattern row of bits (P, m): (P,) int64."""
-        return np.array(
-            [self.class_of(cluster, i, bits[r]) for r in range(bits.shape[0])],
-            dtype=np.int64,
-        )
-
     def classes_batch(self, clusters, patterns):
-        """Class of every unit of clusters of one size m: (B, m) patterns -> (B, m) int64."""
-        return np.array(
-            [[self.class_of(c, i, a) for i in range(c.size)] for c, a in zip(clusters, patterns)],
-            dtype=np.int64,
-        ).reshape(patterns.shape)
+        """Class of every unit at every pattern row: (P, m) patterns -> (P, m)
+        int64. `clusters` holds one cluster of size m per row, or one cluster
+        for all P rows."""
+        raise NotImplementedError
 
     def class_masses_batch(self, clusters, probs):
         """Class probabilities of every unit of clusters of one size m under
@@ -229,9 +216,6 @@ class ExposureMapping:
 class OwnTreatment(ExposureMapping):
     label = "own_treatment"
     fixed_dim = 2
-
-    def classes_for(self, cluster, i, bits):
-        return bits[:, i].astype(np.int64)
 
     def classes_batch(self, clusters, patterns):
         return patterns.astype(np.int64)
@@ -250,18 +234,16 @@ class NeighborPattern(ExposureMapping):
         if k < 1:
             raise InvalidSpec("k must be >= 1")
         if k > PATTERN_CAP:
-            raise CapExceeded(k, PATTERN_CAP)
+            raise CapExceeded(k, "k-NN k")
         self.k = int(k)
         self.graph = graph
         self.fixed_dim = 2**self.k
 
-    def classes_for(self, cluster, i, bits):
-        return _msb_slots(bits[:, _cluster_neighbors(cluster, self.k, self.graph)[i]], self.k)
-
     def _neighbor_values(self, clusters, values):
-        """values[b, j] of every unit's neighbors, in list order: (B, m, k_eff)."""
+        """values[r, j] of every unit's neighbors, in list order: (P, m) values
+        -> (P, m, k_eff), from one cluster per row or one for all rows."""
         nbrs = _stacked_neighbors(clusters, self.k, self.graph)
-        return values[np.arange(len(clusters))[:, None, None], nbrs]
+        return values[np.arange(values.shape[0])[:, None, None], nbrs]
 
     def classes_batch(self, clusters, patterns):
         return _msb_slots(self._neighbor_values(clusters, patterns), self.k)
@@ -292,17 +274,14 @@ class NeighborCount(ExposureMapping):
         own = np.arange(nbrs.shape[-2], dtype=np.int64)[:, None]
         return np.concatenate([np.broadcast_to(own, nbrs.shape[:-1] + (1,)), nbrs], axis=-1)
 
-    def classes_for(self, cluster, i, bits):
-        units = self._counted(_cluster_neighbors(cluster, self.k, self.graph))[i]
-        return _kernels.count_slots(bits, units)
-
     def _counted_values(self, clusters, values):
-        """values[b, j] of every unit's counted units: (B, m, counted)."""
+        """values[r, j] of every unit's counted units: (P, m) values -> (P, m,
+        counted), from one cluster per row or one for all rows."""
         units = self._counted(_stacked_neighbors(clusters, self.k, self.graph))
-        return values[np.arange(len(clusters))[:, None, None], units]
+        return values[np.arange(values.shape[0])[:, None, None], units]
 
     def classes_batch(self, clusters, patterns):
-        return self._counted_values(clusters, patterns).astype(np.int64).sum(axis=2)
+        return self._counted_values(clusters, patterns).sum(axis=2, dtype=np.int64)
 
     def class_masses_batch(self, clusters, probs):
         counted = self._counted_values(clusters, probs)
@@ -324,9 +303,6 @@ class IdentityMapping(ExposureMapping):
     def n_classes(self, cluster, i):
         return 2**cluster.size
 
-    def classes_for(self, cluster, i, bits):
-        return _msb_slots(bits, bits.shape[1])
-
     def classes_batch(self, clusters, patterns):
         m = patterns.shape[1]
         return np.repeat(_msb_slots(patterns, m)[:, None], m, axis=1)
@@ -335,9 +311,6 @@ class IdentityMapping(ExposureMapping):
 class ConstantMapping(ExposureMapping):
     label = "constant"
     fixed_dim = 1
-
-    def classes_for(self, cluster, i, bits):
-        return np.zeros(bits.shape[0], dtype=np.int64)
 
     def classes_batch(self, clusters, patterns):
         return np.zeros(patterns.shape, dtype=np.int64)
@@ -386,7 +359,7 @@ class FromExposureMapping(LowRankStructure):
     def feature_row(self, cluster, i, pattern):
         a = self._check(cluster, i, pattern)
         row = np.zeros(self.dim(cluster, i))
-        row[self.mapping.class_of(cluster, i, a)] = 1.0
+        row[self.mapping.classes_batch([cluster], a[None])[0, i]] = 1.0
         return row
 
     def _require_fixed(self):
@@ -400,8 +373,8 @@ class FromExposureMapping(LowRankStructure):
 
     def all_pattern_rows(self, cluster, i):
         self._check_index(cluster, i)
-        classes = self.mapping.classes_for(cluster, i, enumerate_patterns(cluster.size))
-        return _one_hot_rows(classes, self.dim(cluster, i))
+        classes = self.mapping.classes_batch([cluster], enumerate_patterns(cluster.size))
+        return _one_hot_rows(classes[:, i], self.dim(cluster, i))
 
     def expected_rows(self, cluster, probs):
         """Class masses in the mapping's product form, else by enumeration."""
@@ -411,11 +384,10 @@ class FromExposureMapping(LowRankStructure):
         if masses is not None:
             return masses[0]
         bits = enumerate_patterns(cluster.size)
-        pattern_mass = _kernels.pattern_masses(np.ascontiguousarray(bits), probs)
+        pattern_mass = _kernels.pattern_masses(bits, probs)
+        classes = self.mapping.classes_batch([cluster], bits)
         return np.stack([
-            _kernels.weighted_slot_sums(
-                self.mapping.classes_for(cluster, i, bits), pattern_mass, self.dim()
-            )
+            np.bincount(classes[:, i], weights=pattern_mass, minlength=self.dim())
             for i in range(cluster.size)
         ])
 
@@ -466,7 +438,7 @@ class KnnPattern(FromExposureMapping):
 
     # composition roles
     def dep_units(self, cluster, i):
-        return _cluster_neighbors(cluster, self.k, self.graph)[i]
+        return _stacked_neighbors([cluster], self.k, self.graph)[0, i]
 
     def row_on_bits(self, bits_vec):
         row = np.zeros(2**self.k)
@@ -602,7 +574,7 @@ class CoarsenedCount(LowRankStructure):
 
     def _neighbors(self, cluster):
         # a given graph's lists are used whole; k sizes only the k-NN lists
-        return _cluster_neighbors(cluster, None if self.graph is not None else self.k, self.graph)
+        return _stacked_neighbors([cluster], self.k if self.graph is None else None, self.graph)[0]
 
     def _level_units(self, cluster):
         key = ("coarsened_units", self.order, self.k, id(self.graph))
@@ -660,10 +632,9 @@ class CoarsenedCount(LowRankStructure):
 
     def all_pattern_rows(self, cluster, i):
         self._check_index(cluster, i)
-        bits = np.ascontiguousarray(enumerate_patterns(cluster.size))
+        bits = enumerate_patterns(cluster.size)
         counts = [
-            _kernels.count_slots(bits, np.ascontiguousarray(units[i]))
-            for units in self._level_units(cluster)
+            bits[:, units[i]].sum(axis=1, dtype=np.int64) for units in self._level_units(cluster)
         ]
         return self._one_hot(bits[:, i], counts)
 
@@ -675,11 +646,7 @@ class CoarsenedCount(LowRankStructure):
             t1, t2 = self._require_thresholds()[lvl]
             mat = np.zeros((m, 3))
             for i in range(m):
-                u = units[i]
-                if u.size == 0:
-                    pmf = np.array([1.0])
-                else:
-                    pmf = _kernels.pb_pmf(np.ascontiguousarray(probs[u]))
+                pmf = _kernels.pb_pmf_batch(probs[units[i]][None])[0]
                 counts = np.arange(pmf.size)
                 mat[i, 0] = pmf[counts <= t1].sum()
                 mat[i, 1] = pmf[(counts > t1) & (counts <= t2)].sum()
@@ -703,10 +670,11 @@ class Compose(LowRankStructure):
                 raise InvalidSpec(
                     f"outer structure {outer.label!r} does not support composition"
                 )
-        if not hasattr(inner, "dep_units"):
-            raise InvalidSpec(
-                f"inner structure {inner.label!r} is not pattern valued"
-            )
+        # a composition is pattern valued when its outer has k bits to pass on
+        if not hasattr(inner, "dep_units") or (
+            isinstance(inner, Compose) and not hasattr(inner.outer, "k")
+        ):
+            raise InvalidSpec(f"inner structure {inner.label!r} is not pattern valued")
         self.outer = outer
         self.inner = inner
         self.label = f"compose[{outer.label} o {inner.label}]"
@@ -734,10 +702,8 @@ class Compose(LowRankStructure):
             ]
         )
 
-    # composition roles (outer must itself be pattern valued: it reads its first k bits)
+    # composition roles, as an inner whose outer is pattern valued: its first k bits
     def dep_units(self, cluster, i):
-        if not hasattr(self.outer, "k"):
-            raise InvalidSpec(f"outer {self.outer.label!r} is not pattern valued")
         return self.inner.dep_units(cluster, i)[: self.outer.k]
 
     def row_on_bits(self, bits_vec):

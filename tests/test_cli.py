@@ -511,6 +511,14 @@ def test_malformed_input_exits_1_with_one_line(tmp_path, capsys, case, expect):
     assert expect in err
 
 
+def test_knn_k_beyond_the_pattern_cap_exits_1_naming_k(tmp_path, capsys):
+    paths = {"structure": write_json(tmp_path, "s.json", {"kind": "knn_pattern", "k": 30})}
+    assert run(_estimate_args(tmp_path, **paths)) == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert err.startswith("error: k-NN k 30 exceeds the pattern enumeration cap 20")
+
+
 @pytest.mark.parametrize(
     "build, doc, field",
     [

@@ -519,9 +519,9 @@ def _enumerated_class_ipw(d, mapping, f, e):
         bits = enumerate_patterns(c.size)
         e_all, f_all = e.probabilities_for(bits, c), f.weights_for(bits, c)
         obs = pattern_index(c.treatments)
+        classes = mapping.classes_batch([c], bits)
         for i in range(c.size):
-            classes = mapping.classes_for(c, i, bits)
-            same = classes == classes[obs]
+            same = classes[:, i] == classes[obs, i]
             out.append(f_all[same].sum() / (c.size * e_all[same].sum()))
     return np.array(out)
 
@@ -644,7 +644,11 @@ def test_pattern_enumeration_raises_beyond_cap(rng, path):
     c = make_cluster(rng, PATTERN_CAP + 1)
     with pytest.raises(CapExceeded) as err:
         _BEYOND_CAP[path](c)
-    assert (err.value.m, err.value.cap) == (PATTERN_CAP + 1, PATTERN_CAP)
+    what = "k-NN k" if path == "knn_pattern" else "cluster size"
+    assert err.value.m == PATTERN_CAP + 1
+    assert f"{what} {PATTERN_CAP + 1} exceeds the pattern enumeration cap {PATTERN_CAP};" in str(
+        err.value
+    )
 
 
 def test_wproj_closed_form_positivity():

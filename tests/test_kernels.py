@@ -17,13 +17,16 @@ def test_impls_name_the_module_level_kernels():
 
 
 def test_pb_pmf_matches_convolution(rng):
-    probs = rng.uniform(0.1, 0.9, 6)
-    pmf = _kernels.pb_pmf(probs)
-    brute = np.array([1.0])
-    for p in probs:
-        brute = np.convolve(brute, [1 - p, p])
-    assert np.allclose(pmf, brute, atol=1e-14)
-    assert pmf.sum() == pytest.approx(1.0, abs=1e-12)
+    probs = rng.uniform(0.1, 0.9, (3, 6))
+    pmf = _kernels.pb_pmf_batch(probs)
+    for row, got in zip(probs, pmf):
+        brute = np.array([1.0])
+        for p in row:
+            brute = np.convolve(brute, [1 - p, p])
+        assert np.allclose(got, brute, atol=1e-14)
+        assert got.sum() == pytest.approx(1.0, abs=1e-12)
+    # no units: all mass on a count of zero
+    assert _kernels.pb_pmf_batch(np.empty((1, 0))).tolist() == [[1.0]]
 
 
 def test_pattern_masses_sum_to_one(rng):

@@ -9,6 +9,7 @@ from clusterbal.core import (
     Gate,
     SparseTable,
     enumerate_patterns,
+    pattern_index,
     uniform_intervention,
 )
 from clusterbal.errors import CapExceeded, DimensionMismatch, InvalidSpec
@@ -362,11 +363,19 @@ def test_compose_rejects_unsupported():
         Compose(NoInterference(), StratifiedCount(2))
 
 
-def test_compose_inner_needs_a_pattern_valued_outer(rng):
+def test_compose_inner_needs_a_pattern_valued_outer():
     # the inner composition's outer (additive types) has no k bits to pass on
-    d = make_dataset(rng, 3, sizes=(3, 4))
+    inner = Compose(AdditiveTypes(2), KnnPattern(2))
     with pytest.raises(InvalidSpec, match="not pattern valued"):
-        design_matrix(Compose(KnnPattern(2), Compose(AdditiveTypes(2), KnnPattern(2))), d)
+        Compose(KnnPattern(2), inner)
+    knn = {"kind": "knn_pattern", "k": 2}
+    spec = {
+        "kind": "compose",
+        "outer": knn,
+        "inner": {"kind": "compose", "outer": {"kind": "additive_types", "s": 2}, "inner": knn},
+    }
+    with pytest.raises(InvalidSpec, match="not pattern valued"):
+        build_structure(spec)
 
 
 # ---------- design matrices ----------
@@ -572,14 +581,39 @@ def test_exposure_class_probabilities_match_enumeration(rng):
             assert obs.shape == a.shape and analytic.shape[:2] == a.shape
             for b, c in enumerate(group):
                 masses = np.prod(np.where(bits == 1, probs[b], 1 - probs[b]), axis=1)
+                classes = mapping.classes_batch([c], bits)
+                assert np.array_equal(obs[b], classes[pattern_index(c.treatments)])
                 for i in range(m):
-                    assert obs[b, i] == mapping.class_of(c, i, c.treatments)
-                    classes = mapping.classes_for(c, i, bits)
-                    brute = np.bincount(classes, weights=masses, minlength=analytic.shape[2])
+                    brute = np.bincount(classes[:, i], weights=masses, minlength=analytic.shape[2])
                     assert np.allclose(analytic[b, i], brute, rtol=0, atol=1e-12)
         identity = IdentityMapping().classes_batch(group, a)
         for b, c in enumerate(group):
-            assert identity[b].tolist() == [IdentityMapping().class_of(c, 0, c.treatments)] * m
+            assert identity[b].tolist() == [pattern_index(c.treatments)] * m
+
+
+MAPPINGS = [
+    OwnTreatment(),
+    NeighborPattern(2),
+    NeighborPattern(3),
+    NeighborCount(2),
+    NeighborCount(2, include_own=True),
+    IdentityMapping(),
+    ConstantMapping(),
+]
+
+
+@pytest.mark.parametrize("mapping", MAPPINGS, ids=lambda mp: f"{mp.label}-{mp.fixed_dim}")
+@pytest.mark.parametrize("m", range(1, 7))
+def test_classes_batch_broadcasts_one_cluster_over_pattern_rows(rng, mapping, m):
+    """One cluster for all 2^m rows gives the classes of that cluster repeated per row."""
+    group = [make_cluster(rng, m, cluster_id=b) for b in range(3)]
+    obs = mapping.classes_batch(group, np.stack([c.treatments for c in group]))
+    bits = enumerate_patterns(m)
+    for b, c in enumerate(group):
+        one = mapping.classes_batch([c], bits)
+        assert one.shape == bits.shape and one.dtype == np.int64
+        assert np.array_equal(one, mapping.classes_batch([c] * bits.shape[0], bits))
+        assert np.array_equal(one[pattern_index(c.treatments)], obs[b])
 
 
 # ---------- builder ----------
