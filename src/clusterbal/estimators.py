@@ -12,11 +12,12 @@ from .core import PATTERN_CAP, enumerate_patterns, eval_propensity, pattern_inde
 from .errors import PositivityViolation
 from .numerics import DesignOps, _default_rcond, _validate, project_colspace
 from .structures import (
+    ConstantMapping,
+    FromExposureMapping,
     TensorWithCovariates,
     _observed_slots,
     _one_hot_mapping,
     _size_groups,
-    _unit_covariate_rows,
     design_matrix,
     target_contributions,
 )
@@ -236,54 +237,104 @@ def projection_fit(dataset, structure, weight, propensity, design=None):
     )
 
 
-def _unit_sizes(dataset):
-    """Cluster size M_c of every unit, in dataset unit order."""
-    sizes = np.array([c.size for c in dataset.clusters])
-    return np.repeat(sizes, sizes).astype(np.float64)
-
-
-def _observed_class_sums(dataset, mapping, weight, propensity):
-    """Exposure-class masses at each unit's observed class: (f_obs, e_obs, e_max).
+def _class_sums(group, mapping, bits, weight, propensity, f_probs, e_probs):
+    """Masses of one mapping's classes for the units of clusters of one size,
+    bits (B, m) their observed patterns: (f_obs, e_obs, e_max), each (B, m).
 
     f_obs and e_obs are the counterfactual weight's and the propensity's mass
     on the unit's observed class; e_max is the unit's largest class mass
-    under the propensity. Both are taken for all clusters of one size at
-    once from the mapping's product-form class masses, under
-    `propensity.unit_probs_batch` and `weight.marginal_probs_batch`, when
-    they exist. Otherwise f sums over the weight's sparse support and e over
-    the propensity's 2^m pattern masses, one cluster at a time.
+    under the propensity. They come from the mapping's product-form class
+    masses under e_probs (`propensity.unit_probs_batch`) and f_probs
+    (`weight.marginal_probs_batch`) when those exist. Otherwise f sums over
+    the weight's sparse support and e over the propensity's 2^m pattern
+    masses, one cluster at a time.
     """
-    f_obs, e_obs, e_max = (np.empty(dataset.total_units) for _ in range(3))
+    obs = mapping.classes_batch(group, bits)
+    e_cls = None if e_probs is None else mapping.class_masses_batch(group, e_probs)
+    if e_cls is not None:
+        e_obs = np.take_along_axis(e_cls, obs[:, :, None], axis=2)[:, :, 0]
+        e_max = e_cls.max(axis=2)
+    else:
+        e_obs, e_max = np.empty(obs.shape), np.empty(obs.shape)
+        for b, (c, o) in enumerate(zip(group, obs)):
+            patterns = enumerate_patterns(c.size)
+            masses = np.asarray(propensity.probabilities_for(patterns, c), dtype=np.float64)
+            classes = mapping.classes_batch([c], patterns)
+            for i in range(c.size):
+                cls = np.bincount(classes[:, i], weights=masses)
+                e_obs[b, i], e_max[b, i] = cls[o[i]], cls.max()
+    f_cls = None if f_probs is None else mapping.class_masses_batch(group, f_probs)
+    if f_cls is not None:
+        return np.take_along_axis(f_cls, obs[:, :, None], axis=2)[:, :, 0], e_obs, e_max
+    f_obs = np.zeros(obs.shape)
+    for b, (c, o) in enumerate(zip(group, obs)):
+        support = weight.support(c)
+        if support:
+            patterns = np.array([pat for pat, _ in support], dtype=np.int8)
+            w = np.array([w for _, w in support], dtype=np.float64)
+            classes = mapping.classes_batch([c], patterns)
+            for i in range(c.size):
+                f_obs[b, i] = w[classes[:, i] == o[i]].sum()
+    return f_obs, e_obs, e_max
+
+
+def _live_units(structure, clusters):
+    """Units of clusters of one size whose covariate rows, in every covariate
+    tensor around the base structure, are not all zero: (B, m) bool."""
+    live = np.ones((len(clusters), clusters[0].size), dtype=bool)
+    while isinstance(structure, TensorWithCovariates):
+        live &= (_validate(structure.stacked_covariate_rows(clusters)) != 0).any(axis=2)
+        structure = structure.inner
+    return live
+
+
+def _block_closed_form(dataset, structure, weight, propensity, rank_cut=True):
+    """Weighted-projection weights of a structure whose rows are sums of
+    indicator blocks (`indicator_blocks`), or None when a size group has no
+    such blocks, or has several without a product-form propensity.
+
+    Under a product-form propensity, blocks over disjoint units are
+    independent, and the e-weighted projection of f / (M_c e) onto sums of
+    their indicators is the ANOVA decomposition
+
+        w_ci = (F0 + sum_b [F_b(k_b) / e_b(k_b) - F0]) / M_c,
+
+    with k_b the unit's observed class in block b, F_b and e_b the weight's
+    and the propensity's class masses, and F0 the weight's total mass. One
+    block needs no product form; it gives f_class / (M_c e_class), taken
+    without the F0 round trip.
+
+    With `rank_cut`, a class with sqrt(e_b(k)) <= rcond * sqrt(largest class
+    mass of the block), rcond = max(2^m, d) * eps, contributes F_b / e_b = 0.
+    For one block this is the per-unit SVD's rank cut, which leaves such a
+    class's unit at 0. For several, with one class cut, it is the projection
+    onto the sums orthogonal to that class's indicator; the SVD's own value
+    at a unit in the class is not determined, as it divides by sqrt(e(A_c)),
+    and elsewhere it agrees when the weight's mass on the class is as small
+    as the propensity's. Clusters above
+    PATTERN_CAP have no such SVD and keep every class of positive mass. A
+    unit whose covariate row is zero in a covariate tensor gets 0.
+    """
+    groups = []
+    e_low = np.empty(dataset.total_units)
     for group, _, rows in _size_groups(dataset):
-        obs = mapping.classes_batch(group, np.stack([c.treatments for c in group]))
-        probs = propensity.unit_probs_batch(group)
-        e_cls = None if probs is None else mapping.class_masses_batch(group, probs)
-        if e_cls is not None:
-            e_obs[rows] = np.take_along_axis(e_cls, obs[:, :, None], axis=2)[:, :, 0]
-            e_max[rows] = e_cls.max(axis=2)
-        else:
-            for c, units, o in zip(group, rows, obs):
-                bits = enumerate_patterns(c.size)
-                masses = np.asarray(propensity.probabilities_for(bits, c), dtype=np.float64)
-                classes = mapping.classes_batch([c], bits)
-                for i, u in enumerate(units):
-                    cls = np.bincount(classes[:, i], weights=masses)
-                    e_obs[u], e_max[u] = cls[o[i]], cls.max()
-        probs = weight.marginal_probs_batch(group)
-        f_cls = None if probs is None else mapping.class_masses_batch(group, probs)
-        if f_cls is not None:
-            f_obs[rows] = np.take_along_axis(f_cls, obs[:, :, None], axis=2)[:, :, 0]
-            continue
-        for c, units, o in zip(group, rows, obs):
-            support = weight.support(c)
-            f_obs[units] = 0.0
-            if support:
-                bits = np.array([pat for pat, _ in support], dtype=np.int8)
-                w = np.array([w for _, w in support], dtype=np.float64)
-                classes = mapping.classes_batch([c], bits)
-                for i, u in enumerate(units):
-                    f_obs[u] = w[classes[:, i] == o[i]].sum()
-    empty = np.flatnonzero(e_obs <= 0.0)
+        blocks = structure.indicator_blocks(group)
+        e_probs = propensity.unit_probs_batch(group)
+        if blocks is None or (len(blocks) > 1 and e_probs is None):
+            return None
+        f_probs = weight.marginal_probs_batch(group)
+        bits = np.stack([c.treatments for c in group])
+        # (f_obs, e_obs, e_max), each (blocks, B, m)
+        sums = np.moveaxis(np.array([
+            _class_sums(group, mapping, bits, weight, propensity, f_probs, e_probs)
+            for mapping in blocks
+        ]), 1, 0)
+        f0 = None
+        if len(blocks) > 1:
+            f0 = _class_sums(group, ConstantMapping(), bits, weight, propensity, f_probs, e_probs)[0]
+        e_low[rows] = sums[1].min(axis=0)
+        groups.append((group, rows, sums, f0))
+    empty = np.flatnonzero(e_low <= 0.0)
     if empty.size:
         starts = np.array([start for start, _ in dataset.cluster_slices()])
         ci = int(np.searchsorted(starts, empty[0], side="right")) - 1
@@ -291,37 +342,25 @@ def _observed_class_sums(dataset, mapping, weight, propensity):
             f"exposure-class probability is 0 for unit {empty[0] - starts[ci]} of cluster "
             f"{dataset.clusters[ci].cluster_id!r}"
         )
-    return f_obs, e_obs, e_max
-
-
-def _wproj_closed_form(dataset, structure, mapping, weight, propensity):
-    """Weighted-projection weights of a one-hot structure: f_class / (M_c e_class).
-
-    The unit's rows are e_class(a) (x) x_i, so the e-weighted projection onto
-    their span is the class-conditional mean of the potential IPW weights.
-    Two cases give 0, as in the per-unit SVD: an all-zero covariate row, and
-    an observed class cut by the SVD's rank rule, sqrt(e_class) <=
-    rcond * sqrt(max class mass) with rcond = max(2^m, d) * eps. Clusters
-    above PATTERN_CAP have no such SVD and keep every class of positive mass.
-    """
-    f_obs, e_obs, e_max = _observed_class_sums(dataset, mapping, weight, propensity)
-    keep = np.ones(dataset.total_units, dtype=bool)
-    for group, _, rows in _size_groups(dataset):
+    out = np.empty(dataset.total_units)
+    for group, rows, (f_b, e_b, e_max), f0 in groups:
         m = rows.shape[1]
-        if m > PATTERN_CAP:
-            continue
-        if structure.regime == "fixed":
-            rcond = _default_rcond((2**m, structure.dim(group[0])))
+        keep = np.ones(e_b.shape, dtype=bool)
+        if rank_cut and m <= PATTERN_CAP:
+            if structure.regime == "fixed":
+                rcond = _default_rcond((2**m, structure.dim(group[0])))
+            else:
+                rcond = np.array(
+                    [[_default_rcond((2**m, structure.dim(c, i))) for i in range(m)] for c in group]
+                )
+            keep = np.sqrt(e_b) > rcond * np.sqrt(e_max)
+        if f0 is None:
+            w = np.where(keep[0], f_b[0] / (m * e_b[0]), 0.0)
         else:
-            rcond = np.array(
-                [[_default_rcond((2**m, structure.dim(c, i))) for i in range(m)] for c in group]
-            )
-        keep[rows] &= np.sqrt(e_obs[rows]) > rcond * np.sqrt(e_max[rows])
-    tensor = structure
-    while isinstance(tensor, TensorWithCovariates):
-        keep &= (_validate(_unit_covariate_rows(tensor, dataset)) != 0).any(axis=1)
-        tensor = tensor.inner
-    return np.where(keep, f_obs / (_unit_sizes(dataset) * e_obs), 0.0)
+            ratio = np.divide(f_b, e_b, out=np.zeros(f_b.shape), where=keep)
+            w = (f0 + (ratio - f0).sum(axis=0)) / m
+        out[rows] = np.where(_live_units(structure, group), w, 0.0)
+    return out
 
 
 def _wproj_svd(dataset, structure, weight, propensity):
@@ -334,9 +373,8 @@ def _wproj_svd(dataset, structure, weight, propensity):
     sqrt(e) * inner times |x_i|, so the cut rcond = max(2^m, d) * eps
     relative to the largest keeps the same directions.
     """
-    tensors, base = [], structure
+    base = structure
     while isinstance(base, TensorWithCovariates):
-        tensors.append(base)
         base = base.inner
     out = np.empty(dataset.total_units)
     for (start, stop), c in zip(dataset.cluster_slices(), dataset.clusters):
@@ -355,10 +393,7 @@ def _wproj_svd(dataset, structure, weight, propensity):
             lam *= sqrt_e[:, None]
             rcond = _default_rcond((bits.shape[0], structure.dim(c)))
             value = project_colspace(lam, sqrt_e * w_tilde, rcond)[obs] / sqrt_e[obs]
-            live = np.ones(c.size, dtype=bool)
-            for tensor in tensors:
-                live &= (_validate(tensor.covariate_rows(c)) != 0).any(axis=1)
-            out[start:stop] = np.where(live, value, 0.0)
+            out[start:stop] = np.where(_live_units(structure, [c])[0], value, 0.0)
             continue
         for i in range(c.size):
             lam = structure.all_pattern_rows(c, i)
@@ -374,15 +409,14 @@ def weighted_projection_fit(dataset, structure, weight, propensity):
 
     For each unit, the 2^{M_c} potential IPW weights are projected onto the
     propensity-scaled span of the unit's per-pattern feature matrix; the
-    observed-pattern entry is that unit's weight. One-hot structures (those
-    with an `exposure_mapping`) take the exposure-class closed form; the
-    others take one SVD per unit.
+    observed-pattern entry is that unit's weight. Structures whose rows are
+    sums of indicator blocks take the block closed form (one-hot structures
+    are its one-block case); the others, and several blocks under a
+    propensity without product form, take one SVD per unit.
     """
-    mapping = structure.exposure_mapping
-    if mapping is None:
+    out = _block_closed_form(dataset, structure, weight, propensity)
+    if out is None:
         out = _wproj_svd(dataset, structure, weight, propensity)
-    else:
-        out = _wproj_closed_form(dataset, structure, mapping, weight, propensity)
     return EstimateReport(
         point=_point(dataset, out),
         weights=WeightSet(values=out, kind="weighted_projection"),
@@ -392,12 +426,13 @@ def weighted_projection_fit(dataset, structure, weight, propensity):
 def exposure_collapsed_ipw(dataset, mapping, weight, propensity):
     """IPW on exposure classes: w_ci = f_class / (M_c * e_class).
 
-    The class masses come in product form when the mapping, the weight and
-    the propensity have one, and by enumeration otherwise (see
-    `_observed_class_sums`).
+    The one-block case of the weighted projection's closed form, without its
+    rank cut; the class masses come in product form when the mapping, the
+    weight and the propensity have one, and by enumeration otherwise.
     """
-    f_obs, e_obs, _ = _observed_class_sums(dataset, mapping, weight, propensity)
-    out = f_obs / (_unit_sizes(dataset) * e_obs)
+    out = _block_closed_form(
+        dataset, FromExposureMapping(mapping), weight, propensity, rank_cut=False
+    )
     return EstimateReport(
         point=_point(dataset, out),
         weights=WeightSet(values=out, kind="exposure_ipw"),

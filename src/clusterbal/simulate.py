@@ -215,8 +215,8 @@ def conditional_true_mu(cfg, dataset):
 
 
 # clusters per block of the closed-form truth; keeps its arrays near cache
-# size. A power of two: each row of the additive branch's `pik @ types` then
-# keeps its position modulo the BLAS kernel's row grouping, and so its bits.
+# size. Each cluster's value is reduced from its own rows alone, so it does
+# not depend on the cluster's position in the batch or the block.
 _TRUTH_BLOCK = 512
 
 
@@ -242,7 +242,7 @@ def _expected_signal_block(cfg, gamma, x):
     s = x[:, :, :3].sum(axis=2) + x[:, :, 3].mean(axis=1)[:, None]
     if cfg.interference == "additive":
         types = np.arange(1, m + 1, dtype=np.float64)
-        return gamma * (pik @ types) * s.mean(axis=1)
+        return gamma * (pik * types).sum(axis=1) * s.mean(axis=1)
     k = int(cfg.interference[3:]) if cfg.interference.startswith("knn") else 5
     nbrs = knn_order(x, k)
     pik_nbrs = pik[np.arange(x.shape[0])[:, None, None], nbrs]

@@ -155,6 +155,13 @@ class LowRankStructure:
         bits = enumerate_patterns(cluster.size)
         return np.stack([self.rows_at(cluster, bits[r])[i] for r in range(bits.shape[0])])
 
+    def indicator_blocks(self, clusters):
+        """The rows of clusters of one size as sums of indicator blocks: a list
+        of exposure mappings whose classes read disjoint sets of units, and so
+        are independent under a product-form propensity; None when the rows
+        have no such form. A one-hot structure is one block, its mapping."""
+        return None if self.exposure_mapping is None else [self.exposure_mapping]
+
     def expected_rows(self, cluster, probs):
         """E[phi_ci(A)] under independent Bernoulli(probs) treatments: (M_c, d)."""
         bits = enumerate_patterns(cluster.size)
@@ -452,6 +459,36 @@ class KnnPattern(FromExposureMapping):
 # ---------- other structures ----------
 
 
+class _TypeBit(ExposureMapping):
+    """One `AdditiveTypes` block: the treatment of the unit carrying type t,
+    the same class for every unit of the cluster. A cluster without the type
+    has class 0 with mass 1, which adds nothing to the block sum."""
+
+    fixed_dim = 2
+
+    def __init__(self, structure, t, clusters, units):
+        self.structure = structure
+        self.t = t
+        self.clusters = clusters  # the size group the block was made for
+        self.units = units  # and the type's unit in each of its clusters
+
+    def _units(self, clusters):
+        if clusters is self.clusters:
+            return self.units
+        return np.array([self.structure._type_units(c)[self.t] for c in clusters])
+
+    def classes_batch(self, clusters, patterns):
+        units = self._units(clusters)
+        bit = np.where(units >= 0, patterns[np.arange(patterns.shape[0]), units], 0)
+        return np.repeat(bit.astype(np.int64)[:, None], patterns.shape[1], axis=1)
+
+    def class_masses_batch(self, clusters, probs):
+        units = self._units(clusters)
+        p = np.where(units >= 0, probs[np.arange(probs.shape[0]), units], 0.0)
+        masses = np.stack([1.0 - p, p], axis=1)
+        return np.repeat(masses[:, None], probs.shape[1], axis=1)
+
+
 class AdditiveTypes(LowRankStructure):
     """Additive per-type contribution encoding.
 
@@ -493,6 +530,13 @@ class AdditiveTypes(LowRankStructure):
 
     def dim(self, cluster=None, i=None):
         return 2 * self.s
+
+    def indicator_blocks(self, clusters):
+        """One own-bit block per type present in any of the clusters; a type
+        occurs at most once per cluster, so the blocks read distinct units."""
+        units = np.stack([self._type_units(c) for c in clusters])
+        present = np.flatnonzero(units.max(axis=0) >= 0)
+        return [_TypeBit(self, t, clusters, units[:, t]) for t in present]
 
     def _row(self, cluster, a):
         units = self._type_units(cluster)
@@ -537,6 +581,44 @@ class AdditiveTypes(LowRankStructure):
             row[2 * t] = 1.0 - probs_vec[t]
             row[2 * t + 1] = probs_vec[t]
         return row
+
+
+class _CountBin(ExposureMapping):
+    """One `CoarsenedCount` level block: the bin of each unit's count of
+    treated units at that graph level."""
+
+    fixed_dim = 3
+
+    def __init__(self, structure, lvl):
+        self.structure = structure
+        self.lvl = lvl
+
+    def _counted_values(self, clusters, values):
+        """values[r, j] of every unit's level units: (P, m) values -> (P, m,
+        L), from one cluster per row or one for all rows. Shorter lists are
+        padded with a column of zeros, which adds nothing to a count or its
+        pmf."""
+        lists = [self.structure._level_units(c)[self.lvl] for c in clusters]
+        p, m = values.shape
+        width = max(len(units) for per_unit in lists for units in per_unit)
+        idx = np.full((len(lists), m, width), m, dtype=np.int64)
+        for b, per_unit in enumerate(lists):
+            for i, units in enumerate(per_unit):
+                idx[b, i, : len(units)] = units
+        padded = np.concatenate([values, np.zeros((p, 1), dtype=values.dtype)], axis=1)
+        return padded[np.arange(p)[:, None, None], idx]
+
+    def classes_batch(self, clusters, patterns):
+        counts = self._counted_values(clusters, patterns).sum(axis=2, dtype=np.int64)
+        return self.structure._bin(counts, self.lvl)
+
+    def class_masses_batch(self, clusters, probs):
+        counted = self._counted_values(clusters, probs)
+        b, m, width = counted.shape
+        pmf = _kernels.pb_pmf_batch(np.ascontiguousarray(counted.reshape(b * m, width)))
+        bins = self.structure._bin(np.arange(width + 1), self.lvl)
+        out = np.stack([pmf[:, bins == k].sum(axis=1) for k in range(3)], axis=1)
+        return out.reshape(b, m, 3)
 
 
 class CoarsenedCount(LowRankStructure):
@@ -613,6 +695,22 @@ class CoarsenedCount(LowRankStructure):
     def dim(self, cluster=None, i=None):
         return 2 + 3 * self.order
 
+    def _blocks(self):
+        """The row's blocks, in column order: own treatment, then one count
+        bin per level."""
+        return [OwnTreatment()] + [_CountBin(self, lvl) for lvl in range(self.order)]
+
+    def indicator_blocks(self, clusters):
+        """k-NN lists never hold the unit itself, and level 2 excludes level
+        1, so the blocks read disjoint units; a given graph's lists may not,
+        and then there are no blocks."""
+        for c in clusters if self.graph is not None else ():
+            for i, *levels in zip(range(c.size), *self._level_units(c)):
+                units = np.concatenate([[i], *levels])
+                if np.unique(units).size < units.size:
+                    return None
+        return self._blocks()
+
     def _one_hot(self, own, level_counts):
         """Rows from own-treatment bits and per-level treated-neighbor counts."""
         out = np.zeros((own.size, self.dim()))
@@ -639,20 +737,10 @@ class CoarsenedCount(LowRankStructure):
         return self._one_hot(bits[:, i], counts)
 
     def expected_rows(self, cluster, probs):
-        probs = np.asarray(probs, dtype=np.float64)
-        m = cluster.size
-        mats = [np.column_stack([1.0 - probs, probs])]
-        for lvl, units in enumerate(self._level_units(cluster)):
-            t1, t2 = self._require_thresholds()[lvl]
-            mat = np.zeros((m, 3))
-            for i in range(m):
-                pmf = _kernels.pb_pmf_batch(probs[units[i]][None])[0]
-                counts = np.arange(pmf.size)
-                mat[i, 0] = pmf[counts <= t1].sum()
-                mat[i, 1] = pmf[(counts > t1) & (counts <= t2)].sum()
-                mat[i, 2] = pmf[counts > t2].sum()
-            mats.append(mat)
-        return np.hstack(mats)
+        probs = np.asarray(probs, dtype=np.float64)[None]
+        return np.concatenate(
+            [block.class_masses_batch([cluster], probs)[0] for block in self._blocks()], axis=1
+        )
 
 
 class Compose(LowRankStructure):
@@ -773,6 +861,11 @@ class TensorWithCovariates(LowRankStructure):
     @property
     def exposure_mapping(self):
         return self.inner.exposure_mapping
+
+    def indicator_blocks(self, clusters):
+        """The inner structure's blocks: a unit's rows are its inner rows times
+        its covariate row, whose span is the inner rows' unless that row is 0."""
+        return self.inner.indicator_blocks(clusters)
 
     def width(self, cluster):
         return len(self._slots(cluster.p))
@@ -956,54 +1049,37 @@ def design_matrix(structure, dataset):
     return phi.reshape(x.shape[0], -1)
 
 
-def _one_hot_contributions(structure, dataset, weight, out):
-    """Fill the rows of `out` that a one-hot tensor's product form gives.
-
-    For the clusters of one size m, row c is (1/m) sum_i masses[c, i] (x)
-    x_ci, a (B, slots, m) @ (B, m, w) product, with the unit x slot masses
-    under the weight's marginal probabilities. Returns a mask of the rows
-    filled; clusters whose weight or mapping has no product form are left.
-    """
-    mapping = _one_hot_mapping(structure)
-    done = np.zeros(dataset.n, dtype=bool)
-    for group, idx, rows in _size_groups(dataset):
-        probs = weight.marginal_probs_batch(group)
-        if probs is None:
-            continue
-        masses = mapping.class_masses_batch(group, probs)
-        if masses is None:
-            continue
-        x = structure.stacked_covariate_rows(group)
-        loads = masses.transpose(0, 2, 1) @ x
-        out[idx] = loads.reshape(len(group), -1) / rows.shape[1]
-        done[idx] = True
-    return done
-
-
 def target_contributions(structure, dataset, weight):
     """Per-cluster aggregated counterfactual feature loads: (n, d).
 
-    Row c is (1/M_c) * sum_{a in support(f)} f(a, X_c) * sum_i phi_ci(a),
-    evaluated through the intervention's product form when it has one;
-    one-hot tensors take it for all clusters of one size at once.
+    Row c is (1/M_c) * sum_{a in support(f)} f(a, X_c) * sum_i phi_ci(a).
+    The weight's `marginal_probs_batch` is asked once per size group. With
+    that product form, a one-hot tensor whose mapping has product-form class
+    masses takes the group's rows at once: row c is (1/m) sum_i masses[c,
+    i] (x) x_ci, a (B, slots, m) @ (B, m, w) product with the unit x slot
+    masses. Other structures take `expected_rows` per cluster, and a weight
+    without the product form its sparse support.
     """
     if structure.regime != "fixed":
         raise InvalidSpec("target vectors need a fixed-dimension structure")
     d = structure.dim(dataset.clusters[0])
     out = np.zeros((dataset.n, d))
-    done = np.zeros(dataset.n, dtype=bool)
-    if _one_hot_mapping(structure) is not None:
-        done = _one_hot_contributions(structure, dataset, weight, out)
-    for ci in np.flatnonzero(~done):
-        c = dataset.clusters[ci]
-        probs = weight.marginal_probs(c)
-        if probs is not None:
-            out[ci] = structure.expected_rows(c, probs).mean(axis=0)
-        else:
-            acc = np.zeros(d)
-            for pat, w in weight.support(c):
-                acc += w * structure.rows_at(c, pat).sum(axis=0)
-            out[ci] = acc / c.size
+    mapping = _one_hot_mapping(structure)
+    for group, idx, rows in _size_groups(dataset):
+        probs = weight.marginal_probs_batch(group)
+        if probs is None:
+            for ci, c in zip(idx, group):
+                for pat, w in weight.support(c):
+                    out[ci] += w * structure.rows_at(c, pat).sum(axis=0)
+                out[ci] /= c.size
+            continue
+        masses = None if mapping is None else mapping.class_masses_batch(group, probs)
+        if masses is not None:
+            loads = masses.transpose(0, 2, 1) @ structure.stacked_covariate_rows(group)
+            out[idx] = loads.reshape(len(group), -1) / rows.shape[1]
+            continue
+        for ci, c, p in zip(idx, group, probs):
+            out[ci] = structure.expected_rows(c, p).mean(axis=0)
     return out
 
 

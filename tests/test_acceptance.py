@@ -1,0 +1,121 @@
+"""Acceptance checks of the paper's claims.
+
+Exact checks enumerate every assignment of clusters of size <= 4; the
+Monte-Carlo checks are marked `slow` and run with `pytest -m slow`. Checks
+of other claims live beside the code they test:
+
+- exhaustive unbiasedness under a correct structure:
+  `test_estimators.py::test_ipw_exact_unbiasedness_bruteforce`,
+  `::test_balancing_conditional_unbiasedness_bruteforce` and
+  `::test_projection_exact_unbiasedness_bruteforce`;
+- OLS plug-in equivalence: `test_estimators.py::test_ols_equals_balancing_when_feasible`;
+- the exposure-class closed form of weighted projection:
+  `test_estimators.py::test_wproj_closed_form_matches_svd`;
+- noiseless recovery: `test_simulate.py::test_conditional_mu_equals_balancing_point_noiseless`;
+- serial/parallel identity: `test_simulate.py::test_monte_carlo_serial_parallel_identical`.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from scipy.stats import norm
+
+from clusterbal.core import (
+    BernoulliIntervention,
+    ClusterSample,
+    Dataset,
+    Gate,
+    IndependentBernoulli,
+    enumerate_patterns,
+)
+from clusterbal.estimators import ipw_weights, weighted_projection_fit
+from clusterbal.simulate import DGPConfig, monte_carlo
+from clusterbal.structures import AdditiveTypes, CoarsenedCount, target_contributions
+
+# ---------- efficiency of weighted projection with a known propensity ----------
+
+STRUCTURES = [
+    AdditiveTypes(4),
+    CoarsenedCount(order=1, thresholds=(0.0, 1.0), k=2),
+    CoarsenedCount(order=2, thresholds=(0.0, 1.0), k=1),
+]
+
+
+def _clusters():
+    rng = np.random.default_rng(41)
+    return [
+        ClusterSample(covariates=rng.standard_normal((m, 2)), treatments=np.zeros(m, dtype=int),
+                      outcomes=np.zeros(m), cluster_id=m)
+        for m in (1, 2, 3, 4)
+    ]
+
+
+def _at(c, a):
+    """Cluster c with treatments a, as a one-cluster dataset."""
+    return Dataset(clusters=(ClusterSample(covariates=c.covariates, treatments=a,
+                                           outcomes=np.zeros(c.size), cluster_id=c.cluster_id),))
+
+
+@pytest.mark.parametrize("structure", STRUCTURES, ids=lambda s: f"{s.label}{getattr(s, 'order', '')}")
+def test_wproj_is_unbiased_and_no_less_efficient_than_ipw(structure):
+    """Over every assignment a of a product-form propensity e, per cluster:
+
+    - E_e[w_i^2] of weighted projection is at most that of IPW, unit by unit
+      (a projection in L2(e) does not grow a norm);
+    - sum_a e(a) sum_i w_i(a) y_i(a) equals the target (1/M) sum_a f(a)
+      sum_i y_i(a) for every outcome y_i(a) = phi_i(a) . h in the
+      structure's span: exact unbiasedness.
+    """
+    rng = np.random.default_rng(43)
+    clusters = _clusters()
+    e_probs = {c.cluster_id: rng.uniform(0.2, 0.8, c.size) for c in clusters}
+    f_probs = {c.cluster_id: rng.uniform(0.1, 0.9, c.size) for c in clusters}
+    e = IndependentBernoulli(lambda c: e_probs[c.cluster_id])
+    for f in (BernoulliIntervention(lambda c: f_probs[c.cluster_id]), Gate()):
+        for c in clusters:
+            bits = enumerate_patterns(c.size)
+            masses = e.probabilities_for(bits, c)
+            h = rng.standard_normal(structure.dim(c))
+            second = {"wproj": np.zeros(c.size), "ipw": np.zeros(c.size)}
+            mean = 0.0
+            for a, mass in zip(bits, masses):
+                d = _at(c, a)
+                w = weighted_projection_fit(d, structure, f, e).weights.values
+                second["wproj"] += mass * w**2
+                second["ipw"] += mass * ipw_weights(d, f, e) ** 2
+                mean += mass * w @ (structure.rows_at(c, a) @ h)
+            assert (second["wproj"] <= second["ipw"] * (1 + 1e-12)).all()
+            target = target_contributions(structure, _at(c, bits[0]), f)[0] @ h
+            assert mean == pytest.approx(target, rel=1e-12, abs=1e-12)
+
+
+# ---------- Monte Carlo: coverage and variance of additive weighted projection ----------
+
+MC_SEED = 11
+MC_REPS = 2000
+MC_SDS = 4.0  # band half-width, in binomial or sampling SDs
+
+
+@pytest.mark.slow
+def test_additive_wproj_coverage_and_variance():
+    """Additive DGP (n=300), `wproj` with its i.i.d. cluster variance.
+
+    The seed, replicate count and bands are fixed: do not widen or re-seed.
+    - Coverage of the nominal 95% CI within 0.95 +- 4 binomial SDs at
+      2,000 replicates: sqrt(0.95 * 0.05 / 2000) = 0.0049, so [0.9305, 0.9695].
+    - se/sd, the mean CI half-length over 1.96 divided by the Monte-Carlo SD
+      of the points, within 1 +- 4 / sqrt(2 (R - 1)) = [0.937, 1.063]: the
+      relative sampling SD of an SD from R normal draws.
+    - |bias| within 4 SEs, sqrt(sd^2 / R + SE(true mu)^2).
+    """
+    result = monte_carlo(DGPConfig(n=300, interference="additive", seed=MC_SEED), MC_REPS,
+                         estimators=("wproj",))
+    m = result.metrics["wproj"]
+    assert m["errors"] == 0 and m["n_used"] == MC_REPS
+    cov_sd = math.sqrt(0.95 * 0.05 / MC_REPS)
+    assert abs(m["coverage"] - 0.95) <= MC_SDS * cov_sd, m
+    se_over_sd = m["ci_length"] / (2 * norm.ppf(0.975)) / m["sd"]
+    assert abs(se_over_sd - 1.0) <= MC_SDS / math.sqrt(2 * (MC_REPS - 1)), (se_over_sd, m)
+    bias_se = math.sqrt(m["sd"] ** 2 / MC_REPS + result.true_mu_se**2)
+    assert abs(m["bias"]) <= MC_SDS * bias_se, (bias_se, m)

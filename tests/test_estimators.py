@@ -21,6 +21,7 @@ from clusterbal.core import (
 )
 from clusterbal.errors import CapExceeded, PositivityViolation, PropensityUnavailable
 from clusterbal.estimators import (
+    _block_closed_form,
     _wproj_svd,
     balancing_fit,
     build_design,
@@ -42,6 +43,7 @@ from clusterbal.structures import (
     IdentityMapping,
     ConstantMapping,
     NeighborCount,
+    NeighborGraph,
     NeighborPattern,
     NoInterference,
     OwnTreatment,
@@ -478,8 +480,9 @@ def _probs_in(low, high):
 
 
 def _assert_closed_form_matches_svd(d, structure, f, e):
-    assert structure.exposure_mapping is not None
-    got = weighted_projection_fit(d, structure, f, e).weights.values
+    got = _block_closed_form(d, structure, f, e)
+    assert got is not None
+    assert np.array_equal(weighted_projection_fit(d, structure, f, e).weights.values, got)
     want = _wproj_svd(d, structure, f, e)
     scale = max(np.abs(want).max(initial=0.0), 1.0)
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * scale)
@@ -496,6 +499,31 @@ ONE_HOT = [
     FromExposureMapping(NeighborCount(2)),
     FromExposureMapping(NeighborPattern(1)),
 ]
+
+
+def _zero_rows(c):
+    x = c.covariates.copy()
+    x[:: 2] = 0.0  # units 0, 2, ...
+    return x
+
+
+SHARED_ROWS = {  # structure, and whether zeroing a unit's covariates zeroes its rows
+    "additive": (AdditiveTypes(5), False),
+    "tensor": (TensorWithCovariates(AdditiveTypes(5), columns=[0, 1]), True),
+    "tensor_cluster_mean": (
+        TensorWithCovariates(AdditiveTypes(5), columns=[0, {"cluster_mean": 1}]), False
+    ),
+    "tensor_of_tensor": (
+        TensorWithCovariates(TensorWithCovariates(AdditiveTypes(5), columns=[1]), columns=[0]),
+        True,
+    ),
+}
+# structures whose rows are sums of several indicator blocks over disjoint units
+BLOCKS = [structure for structure, _ in SHARED_ROWS.values()] + [
+    CoarsenedCount(order=1, thresholds=(0.0, 1.0), k=2),
+    CoarsenedCount(order=2, thresholds=(0.0, 1.0), k=2),
+    TensorWithCovariates(CoarsenedCount(order=2, thresholds=(1.0, 2.0), k=3), columns=[1]),
+]
 WEIGHTS = {
     "gate": Gate(),
     "uniform": uniform_intervention(),
@@ -504,12 +532,13 @@ WEIGHTS = {
 }
 
 
-@pytest.mark.parametrize("structure", ONE_HOT, ids=lambda s: s.label)
+@pytest.mark.parametrize("structure", ONE_HOT + BLOCKS, ids=lambda s: s.label)
 @pytest.mark.parametrize("weight", list(WEIGHTS.values()), ids=list(WEIGHTS))
 def test_wproj_closed_form_matches_svd(rng, structure, weight):
     d = make_dataset(rng, 6, sizes=(1, 5), p=2)
     assert min(c.size for c in d.clusters) < 3  # clusters smaller than k+1
-    _assert_closed_form_matches_svd(d, structure, weight, _probs_in(0.2, 0.8))
+    for data in (d, _with(d, covariates=_zero_rows)):
+        _assert_closed_form_matches_svd(data, structure, weight, _probs_in(0.2, 0.8))
 
 
 def _enumerated_class_ipw(d, mapping, f, e):
@@ -539,6 +568,102 @@ def test_wproj_closed_form_extreme_propensities(rng, structure):
         # to 1e9; 4e-11 relative was seen on tensor[knn_pattern] k=3
         svd = _wproj_svd(d, structure, f, e)
         np.testing.assert_allclose(got, svd, rtol=1e-9, atol=1e-12 * np.abs(svd).max())
+
+
+def _block_columns(structure, c, i):
+    """Unit i's all-pattern rows of the base structure under any covariate
+    tensors, split into its indicator blocks: AdditiveTypes' two columns per
+    present type, CoarsenedCount's own pair and three bins per level."""
+    while isinstance(structure, TensorWithCovariates):
+        structure = structure.inner
+    rows = structure.all_pattern_rows(c, i)
+    widths = [2] * structure.s if isinstance(structure, AdditiveTypes) else [2] + [3] * structure.order
+    blocks = np.split(rows, np.cumsum(widths)[:-1], axis=1)
+    return [b for b in blocks if b.any()]
+
+
+def _enumerated_block_anova(d, structure, f, e):
+    """(F0 + sum_b [F_b(k_b) / e_b(k_b) - F0]) / M_c from sums over all 2^m
+    pattern masses, unit by unit, with the rank cut: a class with sqrt(e_b)
+    <= max(2^m, d) * eps * sqrt(largest class mass of block b) gives F_b / e_b = 0."""
+    out = []
+    for c in d.clusters:
+        bits = enumerate_patterns(c.size)
+        e_all, f_all = e.probabilities_for(bits, c), f.weights_for(bits, c)
+        obs = pattern_index(c.treatments)
+        rcond = max(2**c.size, structure.dim(c)) * np.finfo(np.float64).eps
+        for i in range(c.size):
+            total = f_all.sum()
+            for block in _block_columns(structure, c, i):
+                cls = block.argmax(axis=1)
+                e_cls = np.bincount(cls, weights=e_all, minlength=block.shape[1])
+                f_cls = np.bincount(cls, weights=f_all, minlength=block.shape[1])
+                k = cls[obs]
+                cut = np.sqrt(e_cls[k]) <= rcond * np.sqrt(e_cls.max())
+                total += (0.0 if cut else f_cls[k] / e_cls[k]) - f_all.sum()
+            out.append(total / c.size)
+    return np.array(out)
+
+
+def _svd_tolerance(d, e, got):
+    """Per-unit bound on `_wproj_svd`'s error: 1e3 * eps * sqrt(largest /
+    smallest pattern mass of the unit's cluster) * max |w|. At most 172 *
+    eps * (...) was seen on AdditiveTypes over 40 datasets of cluster sizes
+    2-4 and propensities 1e-6 from 0 or 1, where the closed form matched a
+    60-digit projection to 1e-16."""
+    out = []
+    for c in d.clusters:
+        masses = e.probabilities_for(enumerate_patterns(c.size), c)
+        spread = np.sqrt(masses.max() / masses.min())
+        out += [1e3 * np.finfo(np.float64).eps * spread * np.abs(got).max()] * c.size
+    return np.array(out)
+
+
+BLOCKS_EXTREME = [
+    AdditiveTypes(4),
+    TensorWithCovariates(AdditiveTypes(4), columns=[0, 1]),
+    CoarsenedCount(order=1, thresholds=(0.0, 1.0), k=2),
+    CoarsenedCount(order=2, thresholds=(0.0, 1.0), k=1),
+]
+
+
+@pytest.mark.parametrize("structure", BLOCKS_EXTREME, ids=lambda s: s.label)
+def test_wproj_block_closed_form_extreme_propensities(rng, structure):
+    d = make_dataset(rng, 6, sizes=(2, 4), p=2)
+    table = {c.cluster_id: np.where(rng.random(c.size) < 0.5, 1e-6, 1 - 1e-6) for c in d.clusters}
+    e = IndependentBernoulli(lambda c: table[c.cluster_id])
+    for f in (uniform_intervention(), Gate(), probit_intervention(0.3)):
+        got = _block_closed_form(d, structure, f, e)
+        want = _enumerated_block_anova(d, structure, f, e)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+        svd = _wproj_svd(d, structure, f, e)
+        assert (np.abs(got - svd) <= _svd_tolerance(d, e, got)).all()
+
+
+@pytest.mark.parametrize("structure", BLOCKS_EXTREME, ids=lambda s: s.label)
+def test_wproj_block_closed_form_rank_cut(structure):
+    """Unit 0 of each cluster is treated with probability 1e-32: its own-bit
+    class of mass 1e-32 falls under the rank cut, and contributes F_b / e_b = 0.
+
+    In cluster 0 that unit is treated, so the cut class is observed; the SVD
+    is not determined there (its entry divides by sqrt(e(A_c)) <= 1e-16). In
+    cluster 1 it is untreated, and the weight puts mass 1e-32 on the class
+    too, so the cut changes nothing and the SVD agrees.
+    """
+    x = np.array([[0.0, 1.0], [1.0, 0.5], [2.0, -1.0], [0.5, 2.0]])
+    d = Dataset(clusters=(
+        ClusterSample(covariates=x, treatments=[1, 1, 0, 1], outcomes=np.zeros(4), cluster_id=0),
+        ClusterSample(covariates=x, treatments=[0, 1, 0, 1], outcomes=np.zeros(4), cluster_id=1),
+    ))
+    probs = np.array([1e-32, 0.3, 0.6, 0.45])
+    e = IndependentBernoulli(lambda c: probs)
+    f = BernoulliIntervention(lambda c: np.array([1e-32, 0.5, 0.5, 0.5]))
+    got = weighted_projection_fit(d, structure, f, e).weights.values
+    want = _enumerated_block_anova(d, structure, f, e)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+    assert np.isfinite(got).all()
+    svd = _wproj_svd(d, structure, f, e)
+    np.testing.assert_allclose(got[4:], svd[4:], rtol=1e-9, atol=0)
 
 
 def test_wproj_closed_form_zero_covariate_rows(rng):
@@ -600,14 +725,44 @@ def test_wproj_closed_form_joint_table_enumerates(rng):
     ids=lambda s: s.label,
 )
 def test_wproj_non_one_hot_takes_svd_path(rng, monkeypatch, structure):
+    """Compose always takes the per-unit SVD. Several indicator blocks take it
+    only under a propensity without product form: the same masses as a
+    JointTable, under which the blocks need not be independent."""
     from clusterbal import estimators
 
     assert structure.exposure_mapping is None
     calls = []
     monkeypatch.setattr(estimators, "_wproj_svd", lambda *a: calls.append(a) or _wproj_svd(*a))
     d = make_dataset(rng, 3, sizes=(2, 4), p=2)
+    f, e = uniform_intervention(), _probs_in(0.2, 0.8)
+    product = weighted_projection_fit(d, structure, f, e).weights.values
+    assert len(calls) == int(isinstance(structure, Compose))
+    joint = JointTable({
+        c.cluster_id: dict(zip(map(tuple, enumerate_patterns(c.size)),
+                               e.probabilities_for(enumerate_patterns(c.size), c)))
+        for c in d.clusters
+    })
+    got = weighted_projection_fit(d, structure, f, joint).weights.values
+    assert len(calls) == 1 + int(isinstance(structure, Compose))
+    np.testing.assert_allclose(got, product, rtol=1e-12, atol=1e-12)
+
+
+def test_wproj_overlapping_blocks_take_svd_path(rng, monkeypatch):
+    """A given graph whose lists hold the unit itself makes CoarsenedCount's
+    own-treatment and level-1 blocks overlap: no blocks, so the SVD."""
+    from clusterbal import estimators
+
+    d = make_dataset(rng, 3, sizes=(3, 3), p=2)
+    lists = {c.cluster_id: np.array([[0, 1], [1, 2], [2, 0]]) for c in d.clusters}
+    structure = CoarsenedCount(order=1, thresholds=(0.0, 1.0), graph=NeighborGraph(2, lists))
+    assert structure.indicator_blocks(list(d.clusters)) is None
+    calls = []
+    monkeypatch.setattr(estimators, "_wproj_svd", lambda *a: calls.append(a) or _wproj_svd(*a))
     weighted_projection_fit(d, structure, uniform_intervention(), half_bernoulli())
     assert len(calls) == 1
+    disjoint = {cid: np.array([[1], [2], [0]]) for cid in lists}
+    structure = CoarsenedCount(order=2, thresholds=(0.0, 1.0), graph=NeighborGraph(1, disjoint))
+    _assert_closed_form_matches_svd(d, structure, uniform_intervention(), half_bernoulli())
 
 
 def test_wproj_closed_form_above_pattern_cap(rng):
@@ -715,25 +870,6 @@ def _wproj_per_unit(d, structure, f, e):
     return np.array(out)
 
 
-def _zero_rows(c):
-    x = c.covariates.copy()
-    x[:: 2] = 0.0  # units 0, 2, ...
-    return x
-
-
-SHARED_ROWS = {  # structure, and whether zeroing a unit's covariates zeroes its rows
-    "additive": (AdditiveTypes(5), False),
-    "tensor": (TensorWithCovariates(AdditiveTypes(5), columns=[0, 1]), True),
-    "tensor_cluster_mean": (
-        TensorWithCovariates(AdditiveTypes(5), columns=[0, {"cluster_mean": 1}]), False
-    ),
-    "tensor_of_tensor": (
-        TensorWithCovariates(TensorWithCovariates(AdditiveTypes(5), columns=[1]), columns=[0]),
-        True,
-    ),
-}
-
-
 @pytest.mark.parametrize("case", list(SHARED_ROWS))
 @pytest.mark.parametrize("zero_rows", [False, True])
 def test_wproj_shared_rows_one_svd_per_cluster(rng, monkeypatch, case, zero_rows):
@@ -749,7 +885,7 @@ def test_wproj_shared_rows_one_svd_per_cluster(rng, monkeypatch, case, zero_rows
     monkeypatch.setattr(
         estimators, "project_colspace", lambda *a: calls.append(a) or project_colspace(*a)
     )
-    got = weighted_projection_fit(d, structure, f, e).weights.values
+    got = _wproj_svd(d, structure, f, e)
     assert len(calls) == d.n
     scale = max(np.abs(want).max(), 1.0)
     np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-10 * scale)

@@ -106,7 +106,7 @@ def test_closed_form_truth_matches_library_path(kind):
             assert got[b] == pytest.approx(expected, abs=1e-10), (m, b)
 
 
-@pytest.mark.parametrize("kind", ["knn1", "knn5", "stratified5"])
+@pytest.mark.parametrize("kind", ["knn1", "knn5", "stratified5", "additive"])
 def test_blocked_truth_equals_single_cluster_calls(kind):
     cfg = small_cfg(interference=kind)
     x = np.random.default_rng(8).standard_normal((1300, 15, 4))
@@ -118,9 +118,6 @@ def test_blocked_truth_equals_single_cluster_calls(kind):
 
 @pytest.mark.parametrize("kind", ["knn5", "stratified5", "additive"])
 def test_blocked_truth_equals_unblocked_batch(kind, monkeypatch):
-    # additive rows go through one BLAS matrix-vector product, whose rounding
-    # depends on a row's position in the batch, so single-cluster calls can
-    # differ in the last bit; blocking must still match the whole batch
     cfg = small_cfg(interference=kind)
     x = np.random.default_rng(8).standard_normal((1300, 15, 4))
     blocked = _expected_signal_from_x(cfg, cfg.gamma, x)

@@ -453,6 +453,38 @@ def test_target_vector_product_path_matches_support_path(rng):
     assert sorted(supported) == [c.cluster_id for c in d.clusters]
 
 
+@pytest.mark.parametrize(
+    "structure",
+    [TensorWithCovariates(StratifiedCount(2)), NoInterference(), AdditiveTypes(5)],
+    ids=lambda s: s.label,
+)
+def test_target_contributions_ask_the_batch_form_once_per_size_group(rng, structure):
+    """A weight that turns off only the per-cluster `marginal_probs` keeps its
+    product form on every structure: one-hot tensors and the others alike
+    read `marginal_probs_batch`, once per size group."""
+    d = make_dataset(rng, 6, sizes=(2, 5))
+    probs_by_id = {c.cluster_id: rng.uniform(0.2, 0.8, c.size) for c in d.clusters}
+    batches, supported = [], []
+
+    class BatchOnly(BernoulliIntervention):
+        def marginal_probs(self, cluster):
+            return None
+
+        def marginal_probs_batch(self, clusters):
+            batches.append(len(clusters))
+            return super().marginal_probs_batch(clusters)
+
+        def support(self, cluster):
+            supported.append(cluster.cluster_id)
+            return super().support(cluster)
+
+    got = target_contributions(structure, d, BatchOnly(lambda c: probs_by_id[c.cluster_id]))
+    assert supported == []
+    assert sorted(batches) == sorted(np.unique([c.size for c in d.clusters], return_counts=True)[1])
+    want = target_contributions(structure, d, BernoulliIntervention(lambda c: probs_by_id[c.cluster_id]))
+    assert np.array_equal(got, want)
+
+
 def test_target_vector_cap_propagates(rng):
     d = make_dataset(rng, 1, sizes=(PATTERN_CAP + 1, PATTERN_CAP + 1))
 
@@ -466,7 +498,7 @@ def test_target_vector_cap_propagates(rng):
 
     # enumeration path of a weight without a product form
     class NoProductForm(BernoulliIntervention):
-        def marginal_probs(self, cluster):
+        def marginal_probs_batch(self, clusters):
             return None
 
     slow = NoProductForm(lambda c: np.full(c.size, 0.5))
