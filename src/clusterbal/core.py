@@ -140,7 +140,13 @@ class Dataset:
 
 
 def _stacked_probs(prob_fn, clusters):
-    """prob_fn of clusters of one size m, stacked: (B, m) float."""
+    """prob_fn of clusters of one size m, stacked: (B, m) float.
+
+    A family with a `batch` method (`ProbitMean`) is evaluated once for the
+    whole group; any other callable once per cluster.
+    """
+    if hasattr(prob_fn, "batch"):
+        return prob_fn.batch(clusters)
     rows = [np.asarray(prob_fn(c), dtype=np.float64).ravel() for c in clusters]
     if [r.size for r in rows] != [c.size for c in clusters]:
         raise DimensionMismatch("prob_fn returned wrong length")
@@ -226,7 +232,8 @@ class BernoulliIntervention(CounterfactualWeight):
         private, so a subclass that turns `marginal_probs_batch` off keeps
         its pattern masses."""
         pi = _stacked_probs(self.prob_fn, clusters)
-        if ((pi < 0) | (pi > 1)).any():
+        # written so that NaN fails it
+        if not ((pi >= 0) & (pi <= 1)).all():
             raise InvalidSpec("intervention probabilities must lie in [0, 1]")
         return pi
 
@@ -461,7 +468,8 @@ class IndependentBernoulli(PropensityModel):
     def _probs(self, clusters):
         """prob_fn of clusters of one size m, stacked (B, m) and range checked."""
         pi = _stacked_probs(self.prob_fn, clusters)
-        if ((pi <= 0) | (pi >= 1)).any():
+        # written so that NaN fails it
+        if not ((pi > 0) & (pi < 1)).all():
             raise InvalidSpec("propensity probabilities must lie strictly in (0, 1)")
         return pi
 
@@ -551,26 +559,39 @@ def _probit_terms(x, kappa):
     """Probit probabilities of one cluster's covariates (m, p) or of a batch
     (B, m, p): Phi(p^{-1/2} * sum_j mean_j(X_c) + kappa * rowmean(X_ci))."""
     cluster_term = x.mean(axis=-2).sum(axis=-1) / math.sqrt(x.shape[-1])
-    return ndtr(cluster_term[..., None] + kappa * x.mean(axis=-1))
+    # a huge kappa overflows to +-inf, where Phi saturates to 1 or 0
+    with np.errstate(over="ignore"):
+        return ndtr(cluster_term[..., None] + kappa * x.mean(axis=-1))
+
+
+class ProbitMean:
+    """The probit probability family of the simulation design, tilt kappa.
+
+    Called on one cluster it gives that cluster's (m,) probabilities;
+    `batch` gives those of clusters of one size (B, m) from one evaluation
+    on their stacked covariates, which equals the per-cluster one bit for
+    bit.
+    """
+
+    def __init__(self, kappa):
+        self.kappa = float(kappa)
+
+    def __call__(self, cluster):
+        return _probit_terms(cluster.covariates, self.kappa)
+
+    def batch(self, clusters):
+        return _probit_terms(np.stack([c.covariates for c in clusters]), self.kappa)
 
 
 def probit_mean_probs(cluster, kappa):
-    """Per-unit probit probabilities driven by cluster and unit covariate means,
-    cached on the cluster; kappa tilts the law toward units with high average
-    covariates."""
-    key = ("probit_mean", float(kappa))
-    if key not in cluster._cache:
-        cluster._cache[key] = _probit_terms(cluster.covariates, kappa)
-    return cluster._cache[key]
+    """Per-unit probit probabilities driven by cluster and unit covariate means;
+    kappa tilts the law toward units with high average covariates."""
+    return ProbitMean(kappa)(cluster)
 
 
 def probit_intervention(kappa):
-    return BernoulliIntervention(
-        lambda c, k=kappa: probit_mean_probs(c, k), label=f"probit(kappa={kappa})"
-    )
+    return BernoulliIntervention(ProbitMean(kappa), label=f"probit(kappa={kappa})")
 
 
 def probit_propensity(kappa=0.0):
-    return IndependentBernoulli(
-        lambda c, k=kappa: probit_mean_probs(c, k), label=f"probit(kappa={kappa})"
-    )
+    return IndependentBernoulli(ProbitMean(kappa), label=f"probit(kappa={kappa})")

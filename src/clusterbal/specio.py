@@ -6,6 +6,8 @@ docs/formats.md. Structure documents are handled by structures.build_structure.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .core import (
@@ -46,13 +48,16 @@ def spec_int(doc, key, what):
 
 
 def spec_float(doc, key, what, default=None):
-    """doc[key] as a float, or `default` when given and the key is absent;
-    InvalidSpec naming the field when the value is not a number."""
+    """doc[key] as a finite float, or `default` when given and the key is
+    absent; InvalidSpec naming the field when the value is not a finite number."""
     value = doc.get(key, default) if default is not None else spec_field(doc, key, what)
     try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise InvalidSpec(f"{what} spec field {key!r} must be a number, got {value!r}") from None
+        number = float(value)
+    except (TypeError, ValueError, OverflowError):
+        number = math.nan
+    if not math.isfinite(number):
+        raise InvalidSpec(f"{what} spec field {key!r} must be a finite number, got {value!r}")
+    return number
 
 
 def _bernoulli_probs_fn(doc):

@@ -71,9 +71,31 @@ class NeighborGraph:
     lists: dict  # cluster_id -> (M_c, k_eff) int64 array
 
     def neighbors(self, cluster):
-        if cluster.cluster_id not in self.lists:
-            raise InvalidSpec(f"graph has no entry for cluster {cluster.cluster_id!r}")
-        return self.lists[cluster.cluster_id]
+        """The cluster's lists, (M_c, k_eff). InvalidSpec unless there
+        is one row per unit, each of distinct other units of the cluster."""
+        cid = cluster.cluster_id
+        if cid not in self.lists:
+            raise InvalidSpec(f"graph has no entry for cluster {cid!r}")
+        nbrs = np.asarray(self.lists[cid])
+        m = cluster.size
+        if nbrs.ndim != 2 or nbrs.shape[0] != m:
+            raise InvalidSpec(
+                f"graph lists of cluster {cid!r} have shape {nbrs.shape}, expected {m} rows"
+            )
+        ordered = np.sort(nbrs, axis=1)
+        bad = (
+            (nbrs < 0).any(axis=1)
+            | (nbrs >= m).any(axis=1)
+            | (nbrs == np.arange(m)[:, None]).any(axis=1)
+            | (ordered[:, 1:] == ordered[:, :-1]).any(axis=1)
+        )
+        if bad.any():
+            i = int(np.flatnonzero(bad)[0])
+            raise InvalidSpec(
+                f"graph list of unit {i} in cluster {cid!r} is {nbrs[i].tolist()}; it must "
+                f"list distinct other units of the cluster, in [0, {m})"
+            )
+        return nbrs
 
 
 def knn_graph(dataset, k):
@@ -701,14 +723,9 @@ class CoarsenedCount(LowRankStructure):
         return [OwnTreatment()] + [_CountBin(self, lvl) for lvl in range(self.order)]
 
     def indicator_blocks(self, clusters):
-        """k-NN lists never hold the unit itself, and level 2 excludes level
-        1, so the blocks read disjoint units; a given graph's lists may not,
-        and then there are no blocks."""
-        for c in clusters if self.graph is not None else ():
-            for i, *levels in zip(range(c.size), *self._level_units(c)):
-                units = np.concatenate([[i], *levels])
-                if np.unique(units).size < units.size:
-                    return None
+        """Neighbor lists never hold the unit itself or a unit twice
+        (`NeighborGraph.neighbors`), and level 2 excludes level 1, so the
+        blocks read disjoint units."""
         return self._blocks()
 
     def _one_hot(self, own, level_counts):

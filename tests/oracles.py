@@ -2,8 +2,10 @@
 sums, independent of the estimator code paths they check."""
 
 import itertools
+import math
 
 import numpy as np
+from scipy.special import ndtr
 
 from clusterbal.core import ClusterSample, Dataset, enumerate_patterns, eval_propensity, eval_weight
 
@@ -66,6 +68,15 @@ def mu_f_direct(dataset, weight, outcome_fn):
             g = outcome_fn(ci, c, a)
             total += w * g.sum() / c.size
     return total / dataset.n
+
+
+# ---------- the per-cluster probit law (the form `ProbitMean.batch` replaces) ----------
+
+
+def per_cluster_probit(x, kappa):
+    """The simulation design's probit probabilities of one cluster's (m, p)
+    covariates: Phi(sum_j mean_j(X_c) / sqrt(p) + kappa * rowmean(X_ci))."""
+    return ndtr(x.mean(axis=0).sum() / math.sqrt(x.shape[1]) + kappa * x.mean(axis=1))
 
 
 # ---------- per-cluster design assembly (the path the size-batched one replaces) ----------
@@ -141,8 +152,6 @@ def per_cluster_imbalance_scales(structure, dataset):
 
 def per_cluster_gen_dataset(cfg, replicate_index):
     """simulate.gen_dataset's dataset, drawn and evaluated one cluster at a time."""
-    import math
-
     from clusterbal import simulate
 
     cfg = simulate.resolve_gamma(cfg)
@@ -155,7 +164,7 @@ def per_cluster_gen_dataset(cfg, replicate_index):
     clusters = []
     for ci, m in enumerate(sizes):
         x = rng.standard_normal((m, cfg.p)) @ chol.T
-        pi0 = simulate._probit_terms(x, 0.0)
+        pi0 = per_cluster_probit(x, 0.0)
         a = (rng.random(m) < pi0).astype(np.int8)
         tmp = ClusterSample(covariates=x, treatments=a, outcomes=np.zeros(m), cluster_id=ci)
         g = structure.rows_at(tmp, a) @ h
@@ -179,9 +188,9 @@ def per_cluster_calibration_moments(cfg, draws=2000):
     norm2 = np.empty(draws)
     for r, m in enumerate(sizes):
         x = rng.standard_normal((m, cfg.p)) @ chol.T
-        pi0 = simulate._probit_terms(x, 0.0)
+        pi0 = per_cluster_probit(x, 0.0)
         a = (rng.random(m) < pi0).astype(np.int8)
-        pik = simulate._probit_terms(x, cfg.kappa)
+        pik = per_cluster_probit(x, cfg.kappa)
         af = a.astype(np.float64)
         ratio = np.prod(np.where(af == 1, pik / pi0, (1.0 - pik) / (1.0 - pi0)))
         w_scalar = ratio / m

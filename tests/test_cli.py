@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
@@ -577,6 +578,11 @@ def test_config_wrong_type_exits_1_with_one_line(tmp_path, capsys, command, doc,
         ("propensity", {"kind": "bernoulli", "family": "probit_mean", "kappa": None}, "'kappa'"),
         ("policy", {"kind": "sparse", "entries": [
             {"cluster_id": "a", "pattern": [1], "weight": "w"}]}, "'weight'"),
+        ("policy", {"kind": "bernoulli", "family": "probit_mean", "kappa": math.nan}, "'kappa'"),
+        ("propensity", {"kind": "bernoulli", "prob": math.nan}, "'prob'"),
+        ("policy", {"kind": "bernoulli", "prob": math.inf}, "'prob'"),
+        ("propensity", {"kind": "bernoulli", "family": "probit_mean", "kappa": -math.inf}, "'kappa'"),
+        ("policy", {"kind": "bernoulli", "prob": 10**400}, "'prob'"),
     ],
 )
 def test_non_numeric_spec_field_exits_1_with_one_line(tmp_path, capsys, name, doc, field):

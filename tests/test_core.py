@@ -12,6 +12,7 @@ from clusterbal.core import (
     Gate,
     IndependentBernoulli,
     JointTable,
+    ProbitMean,
     RandomSelection,
     SparseTable,
     UnknownPropensity,
@@ -19,7 +20,9 @@ from clusterbal.core import (
     eval_propensity,
     eval_weight,
     pattern_index,
+    probit_intervention,
     probit_mean_probs,
+    probit_propensity,
     sparse_support,
     uniform_intervention,
 )
@@ -30,8 +33,11 @@ from clusterbal.errors import (
     InvalidSpec,
     PropensityUnavailable,
 )
+from clusterbal.estimators import ipw_weights
+from clusterbal.structures import _size_groups
 
-from conftest import make_cluster
+from conftest import make_cluster, make_dataset
+from oracles import per_cluster_probit
 
 
 def const_cluster(m, treatments=None, x=None):
@@ -299,6 +305,78 @@ def test_probit_probs_shape_and_range(rng):
     # kappa = 0 removes unit-level variation
     pi0 = probit_mean_probs(c, 0.0)
     assert np.allclose(pi0, pi0[0])
+
+
+def _hex(rows):
+    return [[float.hex(float(v)) for v in row] for row in rows]
+
+
+@pytest.mark.parametrize("kappa", [0.0, 0.2, -1.5])
+@pytest.mark.parametrize("p", [1, 4, 9])
+def test_probit_batch_matches_per_cluster_formula_bit_for_bit(p, kappa):
+    rng = np.random.default_rng(p)
+    law = ProbitMean(kappa)
+    for m in range(1, 16):
+        clusters = [make_cluster(rng, m, p=p, cluster_id=i) for i in range(5)]
+        want = _hex(per_cluster_probit(c.covariates, kappa) for c in clusters)
+        assert _hex(law.batch(clusters)) == want
+        assert _hex(law(c) for c in clusters) == want
+        assert _hex(probit_mean_probs(c, kappa) for c in clusters) == want
+
+
+def test_probit_laws_match_per_cluster_formula_on_mixed_sizes(rng):
+    d = make_dataset(rng, 40, sizes=(1, 12), p=4)
+    f, e = probit_intervention(0.2), probit_propensity(0.0)
+    for group, _, _ in _size_groups(d):
+        assert _hex(f.marginal_probs_batch(group)) == _hex(
+            per_cluster_probit(c.covariates, 0.2) for c in group)
+        assert _hex(e.unit_probs_batch(group)) == _hex(
+            per_cluster_probit(c.covariates, 0.0) for c in group)
+
+
+def test_ipw_weights_evaluate_probit_once_per_size_group_and_law(rng, monkeypatch):
+    from clusterbal import core
+
+    calls = []
+    terms = core._probit_terms
+    monkeypatch.setattr(core, "_probit_terms", lambda x, k: calls.append((x.shape, k)) or terms(x, k))
+    d = Dataset(clusters=tuple(make_cluster(rng, 3 + 2 * (i % 2), cluster_id=i) for i in range(8)))
+    ipw_weights(d, probit_intervention(0.2), probit_propensity(0.0))
+    assert sorted(calls) == sorted(((4, m, 2), k) for m in (3, 5) for k in (0.0, 0.2))
+
+
+def test_probit_laws_at_saturated_probabilities():
+    """Rows whose means are +-40 put Phi at exactly 1.0 and 0.0: the
+    intervention takes them, the propensity refuses them on both paths."""
+    x = np.array([[40.0, 40.0], [0.0, 0.0], [-40.0, -40.0]])
+    clusters = [const_cluster(3, x=x), const_cluster(3, x=x[::-1].copy())]
+    f, e = probit_intervention(1.0), probit_propensity(1.0)
+    assert f.marginal_probs(clusters[0]).tolist() == [1.0, 0.5, 0.0]
+    assert f.marginal_probs_batch(clusters).tolist() == [[1.0, 0.5, 0.0], [0.0, 0.5, 1.0]]
+    with pytest.raises(InvalidSpec, match="strictly"):
+        e.unit_probs(clusters[0])
+    with pytest.raises(InvalidSpec, match="strictly"):
+        e.unit_probs_batch(clusters)
+
+
+class _NaNFamily:
+    def __call__(self, cluster):
+        return np.full(cluster.size, np.nan)
+
+    def batch(self, clusters):
+        return np.full((len(clusters), clusters[0].size), np.nan)
+
+
+@pytest.mark.parametrize("prob_fn", [lambda c: np.full(c.size, np.nan), _NaNFamily(),
+                                     ProbitMean(np.nan)], ids=["per_cluster", "batch", "probit"])
+def test_nan_probabilities_are_refused(rng, prob_fn):
+    clusters = [make_cluster(rng, 3, cluster_id=i) for i in range(2)]
+    for model, probs in ((BernoulliIntervention(prob_fn), "marginal_probs"),
+                         (IndependentBernoulli(prob_fn), "unit_probs")):
+        with pytest.raises(InvalidSpec):
+            getattr(model, probs)(clusters[0])
+        with pytest.raises(InvalidSpec):
+            getattr(model, probs + "_batch")(clusters)
 
 
 @pytest.mark.parametrize(

@@ -747,22 +747,15 @@ def test_wproj_non_one_hot_takes_svd_path(rng, monkeypatch, structure):
     np.testing.assert_allclose(got, product, rtol=1e-12, atol=1e-12)
 
 
-def test_wproj_overlapping_blocks_take_svd_path(rng, monkeypatch):
-    """A given graph whose lists hold the unit itself makes CoarsenedCount's
-    own-treatment and level-1 blocks overlap: no blocks, so the SVD."""
-    from clusterbal import estimators
-
+def test_wproj_given_graph_takes_closed_form(rng):
+    """A given graph lists distinct other units (`NeighborGraph.neighbors`
+    refuses anything else), so CoarsenedCount's blocks read disjoint units
+    and its weights take the closed form, equal to the SVD's."""
     d = make_dataset(rng, 3, sizes=(3, 3), p=2)
-    lists = {c.cluster_id: np.array([[0, 1], [1, 2], [2, 0]]) for c in d.clusters}
-    structure = CoarsenedCount(order=1, thresholds=(0.0, 1.0), graph=NeighborGraph(2, lists))
-    assert structure.indicator_blocks(list(d.clusters)) is None
-    calls = []
-    monkeypatch.setattr(estimators, "_wproj_svd", lambda *a: calls.append(a) or _wproj_svd(*a))
-    weighted_projection_fit(d, structure, uniform_intervention(), half_bernoulli())
-    assert len(calls) == 1
-    disjoint = {cid: np.array([[1], [2], [0]]) for cid in lists}
-    structure = CoarsenedCount(order=2, thresholds=(0.0, 1.0), graph=NeighborGraph(1, disjoint))
-    _assert_closed_form_matches_svd(d, structure, uniform_intervention(), half_bernoulli())
+    lists = {c.cluster_id: np.array([[1], [2], [0]]) for c in d.clusters}
+    for order in (1, 2):
+        structure = CoarsenedCount(order=order, thresholds=(0.0, 1.0), graph=NeighborGraph(1, lists))
+        _assert_closed_form_matches_svd(d, structure, uniform_intervention(), half_bernoulli())
 
 
 def test_wproj_closed_form_above_pattern_cap(rng):

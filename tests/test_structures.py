@@ -23,6 +23,7 @@ from clusterbal.structures import (
     KnnPattern,
     LowRankStructure,
     NeighborCount,
+    NeighborGraph,
     NeighborPattern,
     NoInterference,
     OwnTreatment,
@@ -532,6 +533,39 @@ def test_knn_graph_tie_break():
     d = Dataset(clusters=(c,))
     lists = knn_graph(d, 2).neighbors(c)
     assert lists[0].tolist() == [1, 2]  # ties by lower unit index
+
+
+_GRAPH_STRUCTURES = {
+    "stratified_count": lambda g: StratifiedCount(2, graph=g),
+    "coarsened_count": lambda g: CoarsenedCount(order=1, thresholds=(0.0, 1.0), graph=g),
+}
+_GRAPH_USES = {
+    "design_matrix": lambda s, c: design_matrix(s, Dataset(clusters=(c,))),
+    "expected_rows": lambda s, c: s.expected_rows(c, np.full(c.size, 0.5)),
+    "target_contributions": lambda s, c: target_contributions(
+        s, Dataset(clusters=(c,)), uniform_intervention()),
+}
+
+
+@pytest.mark.parametrize(
+    "lists, message",
+    [
+        ([[1, 1], [2, 0], [0, 1]], "unit 0 in cluster 0"),  # a repeat
+        ([[1, 2], [1, 0], [0, 1]], "unit 1 in cluster 0"),  # the unit itself
+        ([[1, 2], [2, 3], [0, 1]], "unit 1 in cluster 0"),  # past the last unit
+        ([[1, 2], [0, 2], [-1, 1]], "unit 2 in cluster 0"),  # negative
+        ([[1, 2], [0, 2]], "cluster 0"),  # a row short
+    ],
+)
+@pytest.mark.parametrize("use", list(_GRAPH_USES))
+@pytest.mark.parametrize("kind", list(_GRAPH_STRUCTURES))
+def test_graph_lists_must_be_distinct_other_units(kind, use, lists, message):
+    """A list with a repeat would count one unit twice in the rows but give
+    class masses for two independent copies; every use refuses it."""
+    c = cluster_with([[0.0], [1.0], [3.0]], [1, 0, 1])
+    structure = _GRAPH_STRUCTURES[kind](NeighborGraph(2, {0: np.array(lists)}))
+    with pytest.raises(InvalidSpec, match=message):
+        _GRAPH_USES[use](structure, c)
 
 
 @pytest.mark.parametrize("m, k", [(15, 5), (10, 3), (6, 5), (3, 5), (1, 2)])
