@@ -13,6 +13,7 @@ import hashlib
 import io
 import json
 import math
+import operator
 import os
 import sys
 import tempfile
@@ -49,20 +50,26 @@ EXIT_USAGE = 64
 
 
 def load_dataset(path, fmt=None):
-    """Dataset from CSV (cluster_id, unit_id, treatment, outcome, x1..xp) or JSON."""
+    """Dataset from CSV (cluster_id, unit_id, treatment, outcome, x1..xp) or JSON.
+
+    A CSV is parsed a whole column at a time and checked over whole arrays;
+    the rows are scanned one by one (`_first_bad_row`) only once a check has
+    failed, to name the first faulty row.
+    """
     fmt = fmt or ("json" if str(path).endswith(".json") else "csv")
     if fmt == "json":
         return _load_json_dataset(path)
     if fmt != "csv":
         raise ParseError(f"unknown dataset format {fmt!r}")
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        rows = [r for r in reader if r]
+        rows = list(filter(None, csv.reader(fh)))  # empty lines dropped
     if not rows:
         raise ParseError("no rows")
     header = [h.strip() for h in rows[0]]
-    required = ["cluster_id", "unit_id", "treatment", "outcome"]
-    for col in required:
+    for j, h in enumerate(header):
+        if h in header[:j]:
+            raise ParseError(f"duplicate column {h!r}", column=h)
+    for col in ("cluster_id", "unit_id", "treatment", "outcome"):
         if col not in header:
             raise ParseError(f"missing column {col!r}", column=col)
     xcols = [h for h in header if h.startswith("x")]
@@ -72,70 +79,78 @@ def load_dataset(path, fmt=None):
         raise ParseError(f"malformed covariate column name: {exc}") from exc
     if not xcols:
         raise ParseError("no covariate columns x1..xp found")
-    idx = {h: header.index(h) for h in header}
-    if len(rows) == 1:
+    body = rows[1:]
+    if not body:
         raise ParseError("no rows")
+    if set(map(len, body)) != {len(header)}:
+        _first_bad_row(header, body, xcols)
 
-    cids, treatments, values = [], [], []
+    n = len(body)
+    # one column at a time through itemgetter: zip(*body) would make one
+    # GC-tracked iterator per row and set off dozens of collections
+    column = {h: operator.itemgetter(j) for j, h in enumerate(header)}
+    cids = list(map(str.strip, map(column["cluster_id"], body)))
+    try:
+        unit, treatment, outcome, *xs = (
+            _float_column(body, column[col]) for col in ("unit_id", "treatment", "outcome", *xcols)
+        )
+    except ValueError:
+        _first_bad_row(header, body, xcols)
+    if not ((treatment == 0.0) | (treatment == 1.0)).all():
+        _first_bad_row(header, body, xcols)
+    code_of = {c: k for k, c in enumerate(dict.fromkeys(cids))}  # in file order of first appearance
+    codes = np.fromiter(map(code_of.__getitem__, cids), np.intp, count=n)
+    order = np.lexsort((unit, codes))  # by cluster, then unit_id; equal pairs end up adjacent
+    sorted_codes, sorted_units = codes[order], unit[order]
+    if ((sorted_codes[1:] == sorted_codes[:-1]) & (sorted_units[1:] == sorted_units[:-1])).any():
+        _first_bad_row(header, body, xcols)
+    x = np.stack(xs, axis=1)
+    _check_finite(np.column_stack([unit, outcome, x]), ["unit_id", "outcome", *xcols])
+
+    x, a, y = x[order], treatment[order].astype(np.int8), outcome[order]
+    ends = np.cumsum(np.bincount(codes)).tolist()
+    return Dataset(clusters=tuple(
+        ClusterSample(covariates=x[s:e], treatments=a[s:e], outcomes=y[s:e], cluster_id=cid)
+        for cid, s, e in zip(code_of, [0, *ends], ends)
+    ))
+
+
+def _float_column(body, get):
+    """The cells `get` picks from the rows of `body`, read by Python's float
+    once stripped of surrounding whitespace, as one float64 array."""
+    try:
+        return np.fromiter(map(float, map(get, body)), np.float64, count=len(body))
+    except ValueError:  # float() alone keeps U+001C..U+001F, which str.strip drops
+        return np.fromiter(map(float, map(str.strip, map(get, body))), np.float64, count=len(body))
+
+
+def _first_bad_row(header, body, xcols):
+    """Raise the ParseError of the first data row, in file order, with a width,
+    numeric, treatment 0/1 or duplicate-unit fault; within a row, the columns
+    are checked in that order (unit_id, treatment, outcome, then x1..xp)."""
+    idx = {h: j for j, h in enumerate(header)}
     first_row = {}  # (cluster_id, unit_id) -> the row that gave it
-    for r, row in enumerate(rows[1:], start=1):
+    for r, row in enumerate(body, start=1):
         if len(row) != len(header):
             raise ParseError(f"expected {len(header)} fields, got {len(row)}", row=r)
-
-        def cell(col, r=r, row=row):
-            return row[idx[col]].strip()
-
-        cid = cell("cluster_id")
-        try:
-            unit = float(cell("unit_id"))
-        except ValueError:
-            raise ParseError("unit_id is not numeric", row=r, column="unit_id") from None
-        try:
-            treatment = float(cell("treatment"))
-        except ValueError:
-            raise ParseError("treatment is not numeric", row=r, column="treatment") from None
-        if treatment not in (0.0, 1.0):
-            raise ParseError(f"treatment must be 0/1, got {cell('treatment')}", row=r, column="treatment")
-        try:
-            outcome = float(cell("outcome"))
-        except ValueError:
-            raise ParseError("outcome is not numeric", row=r, column="outcome") from None
-        xs = []
-        for col in xcols:
+        cell = {h: row[j].strip() for h, j in idx.items()}
+        values = {}
+        for col in ("unit_id", "treatment", "outcome", *xcols):
             try:
-                xs.append(float(cell(col)))
+                values[col] = float(cell[col])
             except ValueError:
-                raise ParseError("covariate is not numeric", row=r, column=col) from None
-        if (cid, unit) in first_row:
+                what = "covariate" if col in xcols else col
+                raise ParseError(f"{what} is not numeric", row=r, column=col) from None
+            if col == "treatment" and values[col] not in (0.0, 1.0):
+                raise ParseError(f"treatment must be 0/1, got {cell[col]}", row=r, column=col)
+        key = (cell["cluster_id"], values["unit_id"])
+        if key in first_row:
             raise ParseError(
-                f"duplicate unit: cluster_id {cid!r} with unit_id {cell('unit_id')} "
-                f"is already on row {first_row[cid, unit]}",
+                f"duplicate unit: cluster_id {key[0]!r} with unit_id {cell['unit_id']} "
+                f"is already on row {first_row[key]}",
                 row=r,
             )
-        first_row[cid, unit] = r
-        cids.append(cid)
-        treatments.append(int(treatment))
-        values.append([unit, outcome, *xs])
-
-    table = np.array(values)
-    _check_finite(table, ["unit_id", "outcome", *xcols])
-    groups = {}  # cluster_id -> its rows, clusters in file order
-    for i, cid in enumerate(cids):
-        groups.setdefault(cid, []).append(i)
-    treatments = np.array(treatments, dtype=np.int8)
-    clusters = []
-    for cid, rows_c in groups.items():
-        rows_c = np.array(rows_c)
-        rows_c = rows_c[np.argsort(table[rows_c, 0], kind="stable")]  # by unit_id
-        clusters.append(
-            ClusterSample(
-                covariates=table[rows_c, 2:],
-                treatments=treatments[rows_c],
-                outcomes=table[rows_c, 1],
-                cluster_id=cid,
-            )
-        )
-    return Dataset(clusters=tuple(clusters))
+        first_row[key] = r
 
 
 def _check_finite(table, columns):
@@ -176,15 +191,21 @@ def _load_json_dataset(path):
             bad = np.argwhere(~np.isfinite(np.atleast_1d(values)))
             if bad.size:
                 raise ParseError(f"cluster entry {r}: {key} of unit {bad[0][0]} is not finite")
-        clusters.append(
-            ClusterSample(
-                covariates=x,
-                treatments=np.asarray(entry["treatments"]),
-                outcomes=y,
-                cluster_id=cid,
-            )
-        )
+        a = _json_treatments(r, entry["treatments"])
+        clusters.append(ClusterSample(covariates=x, treatments=a, outcomes=y, cluster_id=cid))
     return Dataset(clusters=tuple(clusters))
+
+
+def _json_treatments(r, values):
+    """The int8 treatments of cluster entry `r`: a list of JSON numbers, each 0 or 1."""
+    if not isinstance(values, list):
+        raise ParseError(f"cluster entry {r}: treatments are not a list")
+    for i, v in enumerate(values):
+        if isinstance(v, bool) or not isinstance(v, (int, float)):
+            raise ParseError(f"cluster entry {r}: treatment of unit {i} is not numeric")
+        if v not in (0, 1):
+            raise ParseError(f"cluster entry {r}: treatment of unit {i} must be 0/1, got {v!r}")
+    return np.array(values, dtype=np.int8)
 
 
 def write_dataset(dataset, path, fmt=None):

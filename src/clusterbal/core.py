@@ -52,7 +52,7 @@ def pattern_index(pattern):
 
 def as_pattern(pattern):
     a = np.asarray(pattern, dtype=np.int8).ravel()
-    if a.size and not ((a | np.int8(1)) == 1).all():
+    if a.size and a.view(np.uint8).max() > 1:  # a negative entry reads as 128..255
         raise DimensionMismatch("treatment patterns must be binary")
     return a
 

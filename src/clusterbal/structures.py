@@ -27,7 +27,9 @@ def knn_order(x, k):
     Euclidean metric on covariate rows, ties broken by lower unit index (a
     stable argsort), so the lists at any k are a prefix of those at m - 1.
     The squared distances are summed one covariate at a time, which keeps
-    the arrays at (B, m, m).
+    the arrays at (B, m, m). The diagonal is set below every distance, so
+    each unit sorts first in its own row and is dropped with column 0, even
+    where a distance has overflowed to inf.
     """
     b, m, p = x.shape
     d2 = np.zeros((b, m, m))
@@ -36,8 +38,8 @@ def knn_order(x, k):
         diff *= diff
         d2 += diff
     idx = np.arange(m)
-    d2[:, idx, idx] = np.inf
-    return np.argsort(d2, axis=2, kind="stable")[:, :, : min(int(k), m - 1)]
+    d2[:, idx, idx] = -1.0
+    return np.argsort(d2, axis=2, kind="stable")[:, :, 1 : min(int(k), m - 1) + 1]
 
 
 def _knn_orders(clusters):

@@ -20,6 +20,7 @@ from clusterbal.cli import (
     write_dataset,
     write_json_artifact,
 )
+from clusterbal.core import ClusterSample, Dataset
 from clusterbal.errors import InvalidSpec, ParseError
 from clusterbal.inference import ESTIMATORS
 from clusterbal.specio import propensity_from_json, weight_from_json
@@ -85,17 +86,95 @@ def test_load_csv_orders_units_within_cluster(tmp_path):
     assert d.clusters[0].outcomes.tolist() == [1.0, 2.0, 3.0]
 
 
+def assert_same_dataset(got, want):
+    """The same cluster ids in the same order, equal arrays of equal dtypes,
+    and C-contiguous covariates."""
+    assert [c.cluster_id for c in got.clusters] == [c.cluster_id for c in want.clusters]
+    for g, w in zip(got.clusters, want.clusters):
+        for key in ("covariates", "treatments", "outcomes"):
+            a, b = getattr(g, key), getattr(w, key)
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+        assert g.covariates.flags.c_contiguous
+
+
 def test_roundtrip_csv_and_json(tmp_path, rng):
     d = make_dataset(rng, 3, sizes=(2, 4), p=3)
+    # cluster ids out of sorted order: clusters come back in file order
+    d = Dataset(clusters=tuple(
+        dataclasses.replace(c, cluster_id=f"c{9 - i}") for i, c in enumerate(d.clusters)
+    ))
     for name in ("out.csv", "out.json"):
         path = str(tmp_path / name)
         write_dataset(d, path)
-        back = load_dataset(path)
-        assert back.n == d.n
-        for c1, c2 in zip(d.clusters, back.clusters):
-            assert np.array_equal(c1.covariates, c2.covariates)
-            assert np.array_equal(c1.treatments, c2.treatments)
-            assert np.array_equal(c1.outcomes, c2.outcomes)
+        assert_same_dataset(load_dataset(path), d)
+
+
+def test_load_csv_interleaved_clusters_padding_and_quoting(tmp_path):
+    """Clusters interleaved across the file keep their order of first
+    appearance; units sort by unit_id within a cluster; cells may be padded
+    with whitespace (all that str.strip drops), numbers follow Python's float
+    (so `1_0` is 10), and a quoted cluster_id may hold a comma."""
+    text = (
+        "cluster_id,unit_id,treatment,outcome,x2,x1\n"
+        'b, 2 ,1,0.25,20,2\n'
+        '"a,z",1_0,0, 1.5 ,-1,-10\n'
+        'b,0,0,0.5,  30,3\n'
+        '"a,z",3,1,2.5,-2,-20\n'
+        ' b ,1,1e0,\x1c-0.75\t,40,4\n'  # str.strip drops U+001C, which float() alone keeps
+        "c,7,0,1,5,6\n"
+    )
+    want = Dataset(clusters=(
+        ClusterSample(covariates=[[3.0, 30.0], [4.0, 40.0], [2.0, 20.0]], treatments=[0, 1, 1],
+                      outcomes=[0.5, -0.75, 0.25], cluster_id="b"),
+        ClusterSample(covariates=[[-20.0, -2.0], [-10.0, -1.0]], treatments=[1, 0],
+                      outcomes=[2.5, 1.5], cluster_id="a,z"),
+        ClusterSample(covariates=[[6.0, 5.0]], treatments=[0], outcomes=[1.0], cluster_id="c"),
+    ))
+    assert_same_dataset(load_dataset(write(tmp_path, "d.csv", text)), want)
+
+
+def test_load_csv_scans_rows_only_for_malformed_input(tmp_path, monkeypatch):
+    from clusterbal import cli
+
+    calls = []
+    monkeypatch.setattr(cli, "_first_bad_row", lambda *args: calls.append(args))
+    load_dataset(write(tmp_path, "d.csv", CSV_6ROWS))
+    assert calls == []
+
+
+@pytest.mark.parametrize(
+    "edits, row, column, message",
+    [
+        # a non-finite value is reported only once no row has a parse fault
+        ([("a,1,0,2.5,0.3", "a,1,0,nan,0.3")], 2, "outcome", "outcome is not finite"),
+        ([("a,1,0,2.5,0.3", "a,1,0,nan,0.3"), ("b,1,1,2.0,0.9", "b,1,1,2.0,abc")],
+         5, "x1", "covariate is not numeric"),
+        ([("b,0,0,1.0,0.7,0.8", "b,0,0,1.0,0.7")], 4, None, "expected 6 fields, got 5"),
+        ([("b,0,0,1.0", "b,0,2,1.0")], 4, "treatment", "treatment must be 0/1, got 2"),
+        ([("b,2,0,3.0", "a, 1.0 ,0,3.0")], 6, None, "with unit_id 1.0 is already on row 2"),
+    ],
+)
+def test_load_csv_names_the_first_faulty_row(tmp_path, edits, row, column, message):
+    bad = CSV_6ROWS
+    for old, new in edits:
+        assert old in bad
+        bad = bad.replace(old, new)
+    with pytest.raises(ParseError, match=message) as err:
+        load_dataset(write(tmp_path, "d.csv", bad))
+    assert (err.value.row, err.value.column) == (row, column)
+
+
+@pytest.mark.parametrize("repeated", ["x1", "outcome"])
+def test_repeated_csv_header_name_exits_1_naming_it(tmp_path, capsys, repeated):
+    header, *rows = CSV_6ROWS.splitlines()
+    bad = "\n".join([f"{header},{repeated}"] + [f"{r},7" for r in rows]) + "\n"
+    with pytest.raises(ParseError, match=f"duplicate column '{repeated}'") as err:
+        load_dataset(write(tmp_path, "d.csv", bad))
+    assert err.value.column == repeated
+    assert run(_estimate_args(tmp_path, dataset=write(tmp_path, "bad.csv", bad))) == EXIT_ERROR
+    msg = capsys.readouterr().err
+    assert "Traceback" not in msg and len(msg.strip().splitlines()) == 1
+    assert msg.startswith("error:") and f"duplicate column '{repeated}'" in msg
 
 
 # ---------- estimate ----------
@@ -762,6 +841,40 @@ def test_non_finite_json_cell_is_a_parse_error(tmp_path, capsys, key, value, mes
     assert run(_estimate_args(tmp_path, dataset=path)) == EXIT_ERROR
     msg = capsys.readouterr().err
     assert "Traceback" not in msg and len(msg.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "treatments, message",
+    [
+        ([0.5, 1.9], "treatment of unit 0 must be 0/1, got 0.5"),
+        (["x", 0], "treatment of unit 0 is not numeric"),
+        ([1, 2], "treatment of unit 1 must be 0/1, got 2"),
+        ([0, True], "treatment of unit 1 is not numeric"),
+        (1, "treatments are not a list"),
+    ],
+)
+def test_json_treatments_must_be_0_1_numbers(tmp_path, capsys, treatments, message):
+    entries = [
+        {"cluster_id": "a", "covariates": [[0.1], [0.2]], "treatments": [1, 0], "outcomes": [1.0, 2.0]},
+        {"cluster_id": "b", "covariates": [[0.3], [0.4]], "treatments": treatments, "outcomes": [3.0, 4.0]},
+    ]
+    path = write_json(tmp_path, "d.json", {"clusters": entries})
+    with pytest.raises(ParseError, match=f"cluster entry 1: {message}"):
+        load_dataset(path)
+    policy = write_json(tmp_path, "policy.json", {"kind": "gate"})
+    structure = write_json(tmp_path, "structure.json", {"kind": "no_interference"})
+    args = ["balance-report", "--dataset", path, "--policy", policy, "--structure", structure,
+            "--out-dir", str(tmp_path / "out")]
+    assert run(args) == EXIT_ERROR
+    msg = capsys.readouterr().err
+    assert "Traceback" not in msg and len(msg.strip().splitlines()) == 1 and message in msg
+
+
+def test_json_treatments_accept_float_0_1(tmp_path):
+    entry = {"cluster_id": "a", "covariates": [[0.1], [0.2]], "treatments": [1.0, 0.0], "outcomes": [1.0, 2.0]}
+    d = load_dataset(write_json(tmp_path, "d.json", {"clusters": [entry]}))
+    assert d.clusters[0].treatments.dtype == np.int8
+    assert d.clusters[0].treatments.tolist() == [1, 0]
 
 
 def test_duplicate_unit_rows_exit_1_naming_the_second_row(tmp_path, capsys):

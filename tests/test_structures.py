@@ -582,6 +582,17 @@ def test_knn_order_matches_full_distance_tensor(m, k):
         assert np.array_equal(lists, oracle[b])
 
 
+def test_knn_order_never_lists_a_unit_as_its_own_neighbor():
+    """Squared distances between covariates 1e200 apart overflow to inf and
+    tie with each other; self-exclusion must not rest on the diagonal sorting
+    after them, and ties still go to the lower index."""
+    c = cluster_with([[0.0], [1e200], [2e200], [3.0]], [0, 0, 0, 0])
+    with np.errstate(over="ignore"):
+        order = knn_order(c.covariates[None], 3)[0]
+    assert order.tolist() == [[3, 1, 2], [0, 2, 3], [0, 1, 3], [0, 1, 2]]
+    assert order.tolist() == knn_lists(c, 3)
+
+
 # ---------- nesting ----------
 
 
