@@ -17,6 +17,7 @@ import operator
 import os
 import sys
 import tempfile
+import warnings
 from dataclasses import asdict, dataclass, fields, replace
 from datetime import datetime, timezone
 
@@ -180,20 +181,29 @@ def _load_json_dataset(path):
                 f"cluster entry {r} repeats cluster_id {cid!r} of entry {first_entry[cid]}"
             )
         first_entry[cid] = r
-        arrays = {}
-        for key in ("outcomes", "covariates"):
-            try:
-                arrays[key] = np.asarray(entry[key], dtype=np.float64)
-            except (TypeError, ValueError):
-                raise ParseError(f"cluster entry {r}: {key} are not numeric") from None
-        x, y = arrays["covariates"], arrays["outcomes"]
-        for key, values in arrays.items():
-            bad = np.argwhere(~np.isfinite(np.atleast_1d(values)))
-            if bad.size:
-                raise ParseError(f"cluster entry {r}: {key} of unit {bad[0][0]} is not finite")
+        y = _json_floats(r, "outcomes", entry["outcomes"])
+        x = _json_floats(r, "covariates", entry["covariates"])
         a = _json_treatments(r, entry["treatments"])
         clusters.append(ClusterSample(covariates=x, treatments=a, outcomes=y, cluster_id=cid))
     return Dataset(clusters=tuple(clusters))
+
+
+def _json_floats(r, key, values):
+    """The float64 `key` of cluster entry `r`: per unit a JSON number (outcomes)
+    or a list of them (covariates). A string, a `true`/`false` or a number
+    with no finite float64 value is a parse error naming the entry and unit."""
+    if not isinstance(values, list):
+        raise ParseError(f"cluster entry {r}: {key} are not a list")
+    for i, v in enumerate(values):
+        for cell in v if isinstance(v, list) else (v,):
+            if type(cell) not in (int, float):  # a bool is an int but not a number here
+                raise ParseError(f"cluster entry {r}: {key} of unit {i} is not numeric")
+            if not abs(cell) <= sys.float_info.max:  # NaN, +-inf, or an int beyond float64
+                raise ParseError(f"cluster entry {r}: {key} of unit {i} is not finite")
+    try:
+        return np.array(values, dtype=np.float64)
+    except ValueError:  # rows of different lengths
+        raise ParseError(f"cluster entry {r}: {key} are not numeric") from None
 
 
 def _json_treatments(r, values):
@@ -667,7 +677,8 @@ _COMMANDS = {
 
 
 def run(argv):
-    """Parse and execute; returns the process exit code."""
+    """Parse and execute; returns the process exit code. Each warning the
+    command raises is printed as one `warning: ...` line on stderr."""
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
@@ -678,7 +689,9 @@ def run(argv):
             sys.stderr.write("error: need --preset or --config\n")
             return EXIT_USAGE
     try:
-        return _COMMANDS[args.command](args, argv)
+        with warnings.catch_warnings():
+            warnings.showwarning = lambda message, *_: sys.stderr.write(f"warning: {message}\n")
+            return _COMMANDS[args.command](args, argv)
     except InfeasibleFit as exc:
         sys.stderr.write(f"infeasible: {exc}\n")
         return EXIT_INFEASIBLE

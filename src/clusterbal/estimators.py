@@ -15,10 +15,8 @@ from .structures import (
     ConstantMapping,
     FromExposureMapping,
     TensorWithCovariates,
-    _observed_slots,
-    _one_hot_mapping,
+    _observed_design,
     _size_groups,
-    design_matrix,
     target_contributions,
 )
 
@@ -102,17 +100,15 @@ class DesignSystem:
         return self._cache["ops"]
 
 
-def _block_pieces(phi, slots, n_blocks):
+def _block_pieces(x, slots, n_blocks):
     """One (rows, columns) DesignOps piece per effective treatment of a one-hot design.
 
-    Such a design is block diagonal up to a row permutation: each row lies
-    in the block of its observed slot. Blocks no row reaches and all-zero
-    rows join no piece.
+    Such a design is block diagonal up to a row permutation: each unit's row
+    is its covariate row `x` in the block of its observed slot. Blocks no row
+    reaches and all-zero rows join no piece.
     """
-    n_rows = phi.shape[0]
-    width = phi.shape[1] // n_blocks
-    hot = phi.reshape(n_rows, n_blocks, width)[np.arange(n_rows), slots]
-    rows = np.flatnonzero((hot != 0).any(axis=1))
+    width = x.shape[1]
+    rows = np.flatnonzero((x != 0).any(axis=1))
     block = slots[rows]
     bounds = np.cumsum(np.bincount(block, minlength=n_blocks))[:-1]
     groups = np.split(rows[np.argsort(block, kind="stable")], bounds)
@@ -124,11 +120,11 @@ def _block_pieces(phi, slots, n_blocks):
 def build_design(structure, dataset, weight):
     """Observed design and target; a one-hot tensor's comes with its slots and
     DesignOps pieces, other structures' with neither."""
-    phi = design_matrix(structure, dataset)
+    phi, units = _observed_design(structure, dataset)
     one_hot = pieces = None
-    if _one_hot_mapping(structure) is not None:
-        one_hot = (_observed_slots(structure, dataset), structure.inner.dim())
-        pieces = _block_pieces(phi, *one_hot)
+    if units is not None:
+        one_hot = (units[0], structure.inner.dim())
+        pieces = _block_pieces(units[1], *one_hot)
     return DesignSystem(
         phi=phi,
         contributions=target_contributions(structure, dataset, weight),

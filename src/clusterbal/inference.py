@@ -9,8 +9,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import connected_components
 from scipy.stats import chi2, norm
 
 from .errors import (
@@ -30,7 +28,7 @@ from .estimators import (
     weighted_projection_fit,
 )
 from .numerics import DesignOps
-from .structures import _nested_in_span, design_matrix
+from .structures import design_matrix
 
 __all__ = [
     "VarianceReport",
@@ -82,6 +80,7 @@ class SelectionReport:
     alpha: float
     sigma_hat: float
     labels: tuple = ()
+    nested: tuple = ()  # candidate i's design in candidate i + 1's span, i = 0..L-2
 
     def to_dict(self):
         return {
@@ -91,6 +90,7 @@ class SelectionReport:
             "alpha": self.alpha,
             "sigma_hat": self.sigma_hat,
             "labels": list(self.labels),
+            "nested": list(self.nested),
         }
 
 
@@ -242,55 +242,13 @@ def structure_test(dataset, weight, candidate, reference, sigma_hat, fits=None):
     return stat, float(chi2.sf(stat, df=1))
 
 
-def _designs_nested(small, large):
-    """True when the observed design `small` lies in the column span of `large`.
-
-    The dense test (`_nested_in_span`) compares rank([phi_s, phi_l]) with
-    rank(phi_l). When both designs come in DesignOps pieces, the stacked
-    matrix is block diagonal up to permutations: its blocks are the connected
-    components of the bipartite graph whose edges are the (small piece,
-    large piece) pairs that share a row. Each component takes one SVD; the
-    tolerance stays global, matrix_rank's max(N, d_s + d_l) * eps times the
-    largest singular value over all components. rank(phi_l) is the rank of
-    the large design's DesignOps, whose cut is matrix_rank's rule.
-    """
-    if small.pieces is None or large.pieces is None:
-        return _nested_in_span(small.phi, large.phi)
-    n_rows = small.phi.shape[0]
-    blocks = []  # (phi, column slice) of every piece, small ones first
-    owner = []  # per design: each row's piece number in `blocks`, -1 when none
-    for design in (small, large):
-        piece_of = np.full(n_rows, -1)
-        for rows, cols in design.pieces:
-            piece_of[rows] = len(blocks)
-            blocks.append((design.phi, cols))
-        owner.append(piece_of)
-    both = (owner[0] >= 0) & (owner[1] >= 0)
-    edges = coo_matrix(
-        (np.ones(int(both.sum())), (owner[0][both], owner[1][both])),
-        shape=(len(blocks), len(blocks)),
-    )
-    n_comp, comp = connected_components(edges, directed=False)
-    piece = np.where(owner[0] >= 0, owner[0], owner[1])
-    live = np.flatnonzero(piece >= 0)
-    row_comp = comp[piece[live]]
-    bounds = np.cumsum(np.bincount(row_comp, minlength=n_comp))[:-1]
-    comp_rows = np.split(live[np.argsort(row_comp, kind="stable")], bounds)
-    svals = []
-    for c, rows in zip(range(n_comp), comp_rows):  # no pieces: no component
-        parts = [phi[rows, cols] for (phi, cols), cc in zip(blocks, comp) if cc == c]
-        svals.append(np.linalg.svd(np.hstack(parts), compute_uv=False))
-    s_max = max((s[0] for s in svals if s.size), default=0.0)
-    width = small.phi.shape[1] + large.phi.shape[1]
-    tol = s_max * max(n_rows, width) * np.finfo(np.float64).eps
-    return int(sum((s > tol).sum() for s in svals)) == large.ops().rank
-
-
 def select_structure(dataset, weight, candidates, alpha=0.05, dof="units"):
     """Most informative candidate that the specification test does not reject.
 
     Candidates are ordered informative -> flexible; the last one is the
     reference. Any infeasible candidate fit aborts with the offender list.
+    Each adjacent pair's nesting is decided on the candidates' own DesignOps
+    (DesignOps.contains), recorded in `nested`, and warned about when false.
     """
     candidates = list(candidates)
     if not candidates:
@@ -300,13 +258,12 @@ def select_structure(dataset, weight, candidates, alpha=0.05, dof="units"):
     offenders = [s.label for s, f in zip(candidates, fits) if not f.feasible]
     if offenders:
         raise InfeasibleFit(f"infeasible balancing fits for candidates: {offenders}")
-    for i in range(len(candidates) - 1):
-        if not _designs_nested(designs[i], designs[i + 1]):
+    nested = tuple(large.ops().contains(small.ops()) for small, large in zip(designs, designs[1:]))
+    for i, ok in enumerate(nested):
+        if not ok:
             small, large = candidates[i].label, candidates[i + 1].label
-            warnings.warn(
-                f"candidate {small!r} is not nested in {large!r} on the observed design",
-                stacklevel=2,
-            )
+            warnings.warn(f"candidate {i} {small!r} is not nested in candidate {i + 1} "
+                          f"{large!r} on the observed design", stacklevel=2)
     reference = candidates[-1]
     sigma_hat = sigma_noise_hat(dataset, reference, dof=dof, design=designs[-1])
     threshold = chi2.ppf(1.0 - alpha, df=1)
@@ -332,6 +289,7 @@ def select_structure(dataset, weight, candidates, alpha=0.05, dof="units"):
         alpha=alpha,
         sigma_hat=sigma_hat,
         labels=tuple(s.label for s in candidates),
+        nested=nested,
     )
 
 

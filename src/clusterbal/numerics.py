@@ -76,8 +76,8 @@ class DesignOps:
             (rows, cols, *np.linalg.svd(phi[rows, cols], full_matrices=False))
             for rows, cols in pieces
         ]
-        s_max = max((s[0] for _, _, _, s, _ in svds if s.size), default=0.0)
-        cut = _default_rcond(phi.shape) * s_max
+        self.s_max = max((s[0] for _, _, _, s, _ in svds if s.size), default=0.0)
+        cut = _default_rcond(phi.shape) * self.s_max
         self._pieces = []
         for rows, cols, u, s, vt in svds:
             keep = s > cut
@@ -110,3 +110,23 @@ class DesignOps:
         for rows, _, u, _, _ in self._pieces:
             out[rows] = u @ (u.T @ v[rows])
         return out
+
+    def contains(self, other):
+        """True when the span of `other` (a DesignOps on the same rows) lies in this one's.
+
+        other's phi minus its projection on this design's kept left singular
+        vectors, piece by piece (rows no piece covers count whole), is held in
+        Frobenius norm against max(N, d_other + d) * eps * max(both s_max).
+        That is matrix_rank's rank([phi_other, phi]) == rank(phi) up to eps-scale
+        factors: sqrt(2) on the stacked s_max, sqrt(d_other) from Frobenius to spectral.
+        """
+        phi_s = other.phi
+        covered = np.zeros(phi_s.shape[0], dtype=bool)
+        resid2 = 0.0
+        for rows, _, u, _, _ in self._pieces:
+            block = phi_s[rows]
+            resid2 += float(np.sum((block - u @ (u.T @ block)) ** 2))
+            covered[rows] = True
+        resid2 += float(np.sum(phi_s[~covered] ** 2))
+        shape = (phi_s.shape[0], phi_s.shape[1] + self.phi.shape[1])
+        return bool(np.sqrt(resid2) <= _default_rcond(shape) * max(self.s_max, other.s_max))

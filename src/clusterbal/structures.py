@@ -15,6 +15,7 @@ import numpy as np
 from . import _kernels
 from .core import PATTERN_CAP, as_pattern, enumerate_patterns
 from .errors import CapExceeded, DimensionMismatch, InvalidSpec
+from .numerics import DesignOps
 from .specio import spec_field, spec_int
 
 # ---------- neighbor graphs ----------
@@ -1050,6 +1051,20 @@ def _observed_slots(structure, dataset):
     return slots
 
 
+def _observed_design(structure, dataset):
+    """design_matrix, with each unit's (observed slot, covariate row) of a
+    one-hot tensor, else None: (phi (N, d), None | (slots (N,), x (N, width)))."""
+    if structure.regime != "fixed":
+        raise InvalidSpec("design matrices need a fixed-dimension structure")
+    if _one_hot_mapping(structure) is None:
+        return np.vstack([structure.rows_at(c, c.treatments) for c in dataset.clusters]), None
+    slots = _observed_slots(structure, dataset)
+    x = _unit_covariate_rows(structure, dataset)
+    phi = np.zeros((x.shape[0], structure.inner.dim(), x.shape[1]))
+    phi[np.arange(x.shape[0]), slots] = x
+    return phi.reshape(x.shape[0], -1), (slots, x)
+
+
 def design_matrix(structure, dataset):
     """Observed design: rows phi_ci(A_c) stacked in dataset unit order.
 
@@ -1057,15 +1072,7 @@ def design_matrix(structure, dataset):
     blocks of the units' observed slots; other structures stack `rows_at`
     per cluster.
     """
-    if structure.regime != "fixed":
-        raise InvalidSpec("design matrices need a fixed-dimension structure")
-    if _one_hot_mapping(structure) is None:
-        return np.vstack([structure.rows_at(c, c.treatments) for c in dataset.clusters])
-    slots = _observed_slots(structure, dataset)
-    x = _unit_covariate_rows(structure, dataset)
-    phi = np.zeros((x.shape[0], structure.inner.dim(), x.shape[1]))
-    phi[np.arange(x.shape[0]), slots] = x
-    return phi.reshape(x.shape[0], -1)
+    return _observed_design(structure, dataset)[0]
 
 
 def target_contributions(structure, dataset, weight):
@@ -1108,12 +1115,7 @@ def target_vector(structure, dataset, weight):
 
 
 def nested_rank_check(small, large, dataset):
-    """True when the smaller structure's observed design lies in the larger's span."""
-    return _nested_in_span(design_matrix(small, dataset), design_matrix(large, dataset))
-
-
-def _nested_in_span(phi_s, phi_l):
-    """nested_rank_check on observed designs already built, at matrix_rank's
-    default cut max(N, d) * eps times the largest singular value."""
-    stacked = np.hstack([phi_s, phi_l])
-    return int(np.linalg.matrix_rank(stacked)) == int(np.linalg.matrix_rank(phi_l))
+    """True when the smaller structure's observed design lies in the larger's
+    span, by DesignOps.contains on the two dense designs."""
+    ops_s, ops_l = (DesignOps(design_matrix(s, dataset)) for s in (small, large))
+    return ops_l.contains(ops_s)

@@ -128,6 +128,13 @@ def scanned_pieces(phi, n_blocks):
     return tuple(pieces)
 
 
+def nested_in_span(phi_s, phi_l):
+    """Dense nesting test: rank([phi_s, phi_l]) == rank(phi_l) at matrix_rank's
+    default cut, max(N, d) * eps times the largest singular value."""
+    stacked = np.hstack([phi_s, phi_l])
+    return int(np.linalg.matrix_rank(stacked)) == int(np.linalg.matrix_rank(phi_l))
+
+
 def per_cluster_imbalance_scales(structure, dataset):
     """(sigma, m_counts) of the imbalance report, one cluster at a time.
 

@@ -219,18 +219,18 @@ def _knn_tensor(k):
     return {"kind": "tensor", "inner": {"kind": "knn_pattern", "k": k}, "columns": [0, 1]}
 
 
-def _count_design_matrix_calls(monkeypatch):
+def _count_design_builds(monkeypatch):
     from clusterbal import estimators, structures
 
     calls = []
-    original = structures.design_matrix
+    original = structures._observed_design
 
     def counted(structure, dataset):
         calls.append(structure.label)
         return original(structure, dataset)
 
-    monkeypatch.setattr(estimators, "design_matrix", counted)
-    monkeypatch.setattr(structures, "design_matrix", counted)
+    monkeypatch.setattr(estimators, "_observed_design", counted)
+    monkeypatch.setattr(structures, "_observed_design", counted)
     return calls
 
 
@@ -241,7 +241,7 @@ def test_estimate_csv_cells_parse_as_json_floats(tmp_path, rng, monkeypatch):
     policy = write_json(tmp_path, "policy.json", {"kind": "uniform"})
     structure = write_json(tmp_path, "structure.json", _knn_tensor(1))
     propensity = write_json(tmp_path, "prop.json", {"kind": "bernoulli", "prob": 0.5})
-    calls = _count_design_matrix_calls(monkeypatch)
+    calls = _count_design_builds(monkeypatch)
     out = tmp_path / "out"
     code = run(
         [
@@ -435,7 +435,7 @@ def test_select_builds_each_design_once(tmp_path, rng, monkeypatch):
     write_dataset(d, data)
     policy = write_json(tmp_path, "policy.json", {"kind": "uniform"})
     candidates = write_json(tmp_path, "cands.json", [_knn_tensor(1), _knn_tensor(2)])
-    calls = _count_design_matrix_calls(monkeypatch)
+    calls = _count_design_builds(monkeypatch)
     out = tmp_path / "out"
     code = run(
         [
@@ -446,6 +446,28 @@ def test_select_builds_each_design_once(tmp_path, rng, monkeypatch):
     assert code == EXIT_OK
     assert calls == ["tensor[knn_pattern]"] * 2
     assert len(json.loads((out / "selection.json").read_text())["result"]["statistics"]) == 1
+
+
+def test_select_warns_in_one_line_and_records_nesting(tmp_path, rng, capsys):
+    d = make_dataset(rng, 30, sizes=(3, 5), p=2)
+    data = str(tmp_path / "d.csv")
+    write_dataset(d, data)
+    policy = write_json(tmp_path, "policy.json", {"kind": "uniform"})
+    # knn2 is not nested in knn1; knn1 is nested in knn3
+    candidates = write_json(tmp_path, "cands.json", [_knn_tensor(k) for k in (2, 1, 3)])
+    out = tmp_path / "out"
+    code = run(
+        [
+            "select", "--dataset", data, "--policy", policy,
+            "--candidates", candidates, "--out-dir", str(out), "--seed", "5",
+        ]
+    )
+    assert code == EXIT_OK
+    assert capsys.readouterr().err == (
+        "warning: candidate 0 'tensor[knn_pattern]' is not nested in "
+        "candidate 1 'tensor[knn_pattern]' on the observed design\n"
+    )
+    assert json.loads((out / "selection.json").read_text())["result"]["nested"] == [False, True]
 
 
 # ---------- simulate / calibrate ----------
@@ -822,8 +844,13 @@ def test_non_finite_csv_cell_exits_1_naming_row_and_column(tmp_path, capsys, old
     [
         ("outcomes", float("nan"), "outcomes of unit 1 is not finite"),
         ("covariates", float("inf"), "covariates of unit 1 is not finite"),
-        ("outcomes", "x", "outcomes are not numeric"),
-        ("covariates", [1.0, 2.0], "covariates are not numeric"),
+        ("outcomes", 10**400, "outcomes of unit 1 is not finite"),
+        ("outcomes", "x", "outcomes of unit 1 is not numeric"),
+        ("outcomes", "1_0", "outcomes of unit 1 is not numeric"),
+        ("outcomes", True, "outcomes of unit 1 is not numeric"),
+        ("covariates", "1.5", "covariates of unit 1 is not numeric"),
+        ("covariates", False, "covariates of unit 1 is not numeric"),
+        ("covariates", [1.0, 2.0], "covariates of unit 1 is not numeric"),
     ],
 )
 def test_non_finite_json_cell_is_a_parse_error(tmp_path, capsys, key, value, message):

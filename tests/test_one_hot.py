@@ -3,8 +3,9 @@
 Tensors over one-hot encodings (`KnnPattern`, `StratifiedCount`,
 `NoInterference`, `FromExposureMapping`) build their design, target,
 DesignOps pieces and imbalance scales from per-unit slot indices, all
-clusters of one size at once; `select_structure` decides nesting per
-connected block. Each is checked here against the per-cluster path.
+clusters of one size at once; `select_structure` decides nesting by
+projecting onto the candidates' own DesignOps. Each is checked here against
+the per-cluster path or the dense rank test.
 """
 
 import warnings
@@ -22,7 +23,8 @@ from clusterbal.core import (
 )
 from clusterbal.diagnostics import imbalance_report
 from clusterbal.estimators import DesignSystem, balancing_fit, build_design
-from clusterbal.inference import _designs_nested, select_structure
+from clusterbal.inference import select_structure
+from clusterbal.numerics import DesignOps
 from clusterbal.simulate import DGPConfig, dgp_structure, gen_dataset
 from clusterbal.structures import (
     AdditiveTypes,
@@ -35,7 +37,6 @@ from clusterbal.structures import (
     OwnTreatment,
     StratifiedCount,
     TensorWithCovariates,
-    _nested_in_span,
     design_matrix,
     knn_graph,
     target_contributions,
@@ -44,6 +45,7 @@ from clusterbal.structures import (
 from conftest import make_dataset
 from oracles import (
     fresh_copy,
+    nested_in_span,
     per_cluster_contributions,
     per_cluster_design,
     per_cluster_imbalance_scales,
@@ -218,14 +220,14 @@ def test_knn_ladder_sorts_each_cluster_size_once(rng, monkeypatch):
     assert sorted(calls) == sorted({c.size for c in d.clusters})
 
 
-# ---------- block-wise nesting in select_structure ----------
+# ---------- nesting by DesignOps.contains ----------
 
 
 def _nesting_agrees(d, small, large):
     f = uniform_intervention()
     ds, dl = build_design(small, d, f), build_design(large, d, f)
-    got = _designs_nested(ds, dl)
-    assert got == _nested_in_span(ds.phi, dl.phi)
+    got = dl.ops().contains(ds.ops())
+    assert got == nested_in_span(ds.phi, dl.phi)
     return got
 
 
@@ -289,21 +291,30 @@ def test_block_nesting_all_zero_covariates(rng):
     assert _nesting_agrees(d, small, large)
 
 
-def test_block_nesting_falls_back_to_dense_for_non_one_hot(rng, monkeypatch):
+def test_block_nesting_between_one_hot_pieces_and_one_additive_piece(rng):
     d = make_dataset(rng, 30, sizes=(3, 5), p=3)
-    calls = []
-
-    def spy(phi_s, phi_l):
-        calls.append((phi_s.shape, phi_l.shape))
-        return _nested_in_span(phi_s, phi_l)
-
-    monkeypatch.setattr(inference, "_nested_in_span", spy)
     one_hot, additive = _tensor(KnnPattern(1)), _tensor(AdditiveTypes(5))
+    assert build_design(additive, d, uniform_intervention()).pieces is None
     _nesting_agrees(d, one_hot, additive)
     _nesting_agrees(d, additive, one_hot)
-    assert len(calls) == 2
-    _nesting_agrees(d, one_hot, _tensor(KnnPattern(2)))
-    assert len(calls) == 2
+
+
+def test_block_nesting_into_and_out_of_rank_deficient_pieces(rng):
+    # column 2 duplicates column 1: every piece of a design over all three columns
+    # is rank-deficient, and spans what the design over columns 0 and 1 spans
+    d = _replaced(make_dataset(rng, 40, sizes=(2, 6), p=3),
+                  covariates=lambda c: c.covariates[:, [0, 1, 1]])
+    knn1_two = TensorWithCovariates(KnnPattern(1), columns=[0, 1])
+    knn2_two = TensorWithCovariates(KnnPattern(2), columns=[0, 1])
+    knn2_three = TensorWithCovariates(KnnPattern(2), columns=[0, 1, 2])
+    f = uniform_intervention()
+    deficient = build_design(knn2_three, d, f)
+    assert deficient.ops().rank == build_design(knn2_two, d, f).ops().rank
+    assert deficient.ops().rank < deficient.phi.shape[1]
+    assert _nesting_agrees(d, knn2_two, knn2_three)
+    assert _nesting_agrees(d, knn2_three, knn2_two)
+    assert _nesting_agrees(d, knn1_two, knn2_three)
+    assert not _nesting_agrees(d, knn2_three, knn1_two)
 
 
 def _oracle_design(structure, dataset, weight):
@@ -336,12 +347,28 @@ def test_select_matches_per_cluster_dense_path(order, monkeypatch):
     f = probit_intervention(cfg.kappa)
     got, got_warnings = _select(d, f, candidates)
     monkeypatch.setattr(inference, "build_design", _oracle_design)
-    monkeypatch.setattr(
-        inference, "_designs_nested", lambda s, l: _nested_in_span(s.phi, l.phi)
-    )
+    monkeypatch.setattr(DesignOps, "contains", lambda large, small: nested_in_span(small.phi, large.phi))
     want, want_warnings = _select(d, f, candidates)
     assert got.chosen == want.chosen
+    assert got.nested == want.nested
     assert got_warnings == want_warnings
     assert bool(got_warnings) == (order != (0, 1, 2, 3, 4))
     assert np.isclose(got.sigma_hat, want.sigma_hat, rtol=1e-10, atol=0.0)
     assert np.allclose(got.statistics, want.statistics, rtol=1e-10, atol=0.0)
+
+
+def test_select_takes_no_svd_beyond_the_candidates_design_ops(rng, monkeypatch):
+    d = make_dataset(rng, 40, sizes=(2, 6), p=3)
+    f = uniform_intervention()
+    candidates = [_tensor(KnnPattern(k)) for k in (2, 1, 3)]  # knn2 is not nested in knn1
+    pieces = sum(len(build_design(s, d, f).pieces) for s in candidates)
+    calls = []
+    for name in ("svd", "matrix_rank"):
+        original = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name,
+                            lambda *a, _n=name, _f=original, **k: calls.append(_n) or _f(*a, **k))
+    report, warned = _select(d, f, candidates)
+    assert calls == ["svd"] * pieces
+    assert report.nested == (False, True)
+    assert warned == ["candidate 0 'tensor[knn_pattern]' is not nested in "
+                      "candidate 1 'tensor[knn_pattern]' on the observed design"]
