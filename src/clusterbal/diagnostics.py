@@ -15,12 +15,7 @@ import numpy as np
 
 from .core import uniform_intervention
 from .errors import InvalidSpec
-from .structures import (
-    TensorWithCovariates,
-    _observed_slots,
-    _one_hot_mapping,
-    target_contributions,
-)
+from .structures import TensorWithCovariates, target_contributions
 
 DEFAULT_THRESHOLD = 0.10
 
@@ -79,12 +74,13 @@ def imbalance_report(dataset, structure, weight, fit, threshold=DEFAULT_THRESHOL
     incidence of each coordinate. The covariate scales, and with them the
     relative and omnibus imbalance, need a covariate tensor, whose inner
     encoding defines the effective treatments; other structures report them
-    as NaN and flag nothing. The fit must carry its imbalance vector and
-    target.
+    as NaN and flag nothing. The fit must carry its imbalance vector, target
+    and design, as a balancing fit does; the design's observed slots count a
+    one-hot tensor's incidences.
     """
     if structure.regime != "fixed":
         raise InvalidSpec("imbalance reporting needs a fixed-dimension structure")
-    if fit.imbalance is None or fit.target is None:
+    if fit.imbalance is None or fit.target is None or "design" not in fit._context:
         raise InvalidSpec("fit does not carry an imbalance vector (not a balancing fit?)")
     if not isinstance(structure, TensorWithCovariates):
         return _raw_imbalance_report(dataset, structure, fit, threshold)
@@ -115,8 +111,9 @@ def imbalance_report(dataset, structure, weight, fit, threshold=DEFAULT_THRESHOL
                 nu_star[t, j] = nu_mat[j, t] / sig_mat[j, t]
 
     # observed incidences of each effective treatment
-    if _one_hot_mapping(structure) is not None:
-        m_counts = np.bincount(_observed_slots(structure, dataset), minlength=ell).astype(float)
+    one_hot = fit._context["design"].one_hot
+    if one_hot is not None:
+        m_counts = np.bincount(one_hot[0], minlength=ell).astype(float)
     else:
         m_counts = np.zeros(ell)
         for c in dataset.clusters:
@@ -150,14 +147,13 @@ def imbalance_report(dataset, structure, weight, fit, threshold=DEFAULT_THRESHOL
 
 def _raw_imbalance_report(dataset, structure, fit, threshold):
     """The report of a structure without covariates: the raw imbalance and the
-    units with a non-zero entry in each coordinate, one row per coordinate."""
+    units with a non-zero entry in each coordinate of the fit's design, one
+    row per coordinate."""
     nu = np.asarray(fit.imbalance, dtype=np.float64)
     d = structure.dim(dataset.clusters[0])
     if nu.size != d:
         raise InvalidSpec(f"imbalance length {nu.size} != structure dimension {d}")
-    m_counts = np.zeros(d)
-    for c in dataset.clusters:
-        m_counts += (structure.rows_at(c, c.treatments) != 0).sum(axis=0)
+    m_counts = (fit._context["design"].phi != 0).sum(axis=0).astype(float)
     return ImbalanceReport(
         nu=nu,
         nu_star=np.full((1, d), np.nan),

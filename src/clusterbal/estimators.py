@@ -309,15 +309,18 @@ def _block_closed_form(dataset, structure, weight, propensity, rank_cut=True):
     and elsewhere it agrees when the weight's mass on the class is as small
     as the propensity's. Clusters above
     PATTERN_CAP have no such SVD and keep every class of positive mass. A
-    unit whose covariate row is zero in a covariate tensor gets 0.
+    unit whose covariate row is zero in a covariate tensor gets 0, and so do
+    the units of a size group with no blocks, whose rows are all zero.
     """
     groups = []
-    e_low = np.empty(dataset.total_units)
+    e_low = np.ones(dataset.total_units)  # a unit without blocks has no empty class
     for group, _, rows in _size_groups(dataset):
         blocks = structure.indicator_blocks(group)
         e_probs = propensity.unit_probs_batch(group)
         if blocks is None or (len(blocks) > 1 and e_probs is None):
             return None
+        if not blocks:
+            continue
         f_probs = weight.marginal_probs_batch(group)
         bits = np.stack([c.treatments for c in group])
         # (f_obs, e_obs, e_max), each (blocks, B, m)
@@ -338,7 +341,7 @@ def _block_closed_form(dataset, structure, weight, propensity, rank_cut=True):
             f"exposure-class probability is 0 for unit {empty[0] - starts[ci]} of cluster "
             f"{dataset.clusters[ci].cluster_id!r}"
         )
-    out = np.empty(dataset.total_units)
+    out = np.zeros(dataset.total_units)
     for group, rows, (f_b, e_b, e_max), f0 in groups:
         m = rows.shape[1]
         keep = np.ones(e_b.shape, dtype=bool)

@@ -58,12 +58,14 @@ def _knn_orders(clusters):
 def _stacked_neighbors(clusters, k, graph=None):
     """Neighbor lists of clusters of one size, stacked: (B, m, k_eff) int64.
 
-    The lists come from `graph` when given (all of its lists when k is
-    None), and otherwise are the first k columns of each cluster's full
-    order, so every k reads the same sort.
+    The lists are the first k columns (all when k is None) of
+    `graph.stacked(clusters)` when a list source is given, a `NeighborGraph`
+    or a `Compose`'s `_UnitLists`, and otherwise of each cluster's full
+    k-NN order, so every k reads the same sort.
     """
-    lists = [graph.neighbors(c) for c in clusters] if graph is not None else _knn_orders(clusters)
-    return np.stack([nbrs[:, :k] for nbrs in lists])
+    if graph is not None:
+        return graph.stacked(clusters)[:, :, :k]
+    return np.stack([order[:, :k] for order in _knn_orders(clusters)])
 
 
 @dataclass(frozen=True)
@@ -99,6 +101,10 @@ class NeighborGraph:
                 f"list distinct other units of the cluster, in [0, {m})"
             )
         return nbrs
+
+    def stacked(self, clusters):
+        """`neighbors` of clusters of one size, stacked: (B, m, k_eff)."""
+        return np.stack([self.neighbors(c) for c in clusters])
 
 
 def knn_graph(dataset, k):
@@ -177,8 +183,7 @@ class LowRankStructure:
 
     def all_pattern_rows(self, cluster, i):
         """Feature rows of unit i at every pattern: a new (2^m, d) float array."""
-        bits = enumerate_patterns(cluster.size)
-        return np.stack([self.rows_at(cluster, bits[r])[i] for r in range(bits.shape[0])])
+        raise NotImplementedError
 
     def indicator_blocks(self, clusters):
         """The rows of clusters of one size as sums of indicator blocks: a list
@@ -189,13 +194,7 @@ class LowRankStructure:
 
     def expected_rows(self, cluster, probs):
         """E[phi_ci(A)] under independent Bernoulli(probs) treatments: (M_c, d)."""
-        bits = enumerate_patterns(cluster.size)
-        masses = _kernels.pattern_masses(np.ascontiguousarray(bits), np.asarray(probs, float))
-        out = np.zeros((cluster.size, self.dim(cluster)))
-        for r in range(bits.shape[0]):
-            if masses[r] != 0.0:
-                out += masses[r] * self.rows_at(cluster, bits[r])
-        return out
+        raise NotImplementedError
 
     def _check(self, cluster, i, pattern):
         self._check_index(cluster, i)
@@ -432,10 +431,6 @@ class NoInterference(FromExposureMapping):
     def __init__(self):
         super().__init__(OwnTreatment())
 
-    # composition roles: own bit in, own-treatment indicator out
-    def dep_units(self, cluster, i):
-        return np.array([i], dtype=np.int64)
-
 
 class StratifiedCount(FromExposureMapping):
     """Count-of-treated indicator over each unit's neighborhood.
@@ -468,20 +463,40 @@ class KnnPattern(FromExposureMapping):
         self.k = self.mapping.k
         self.graph = graph
 
-    # composition roles
-    def dep_units(self, cluster, i):
-        return _stacked_neighbors([cluster], self.k, self.graph)[0, i]
-
-    def row_on_bits(self, bits_vec):
-        row = np.zeros(2**self.k)
-        row[_msb_slots(np.asarray(bits_vec[: self.k]), self.k)] = 1.0
-        return row
-
-    def expected_row_on_probs(self, probs_vec):
-        return _msb_slot_masses(np.asarray(probs_vec[: self.k], dtype=np.float64), self.k)
-
 
 # ---------- other structures ----------
+
+
+class _BlockRows(LowRankStructure):
+    """A structure whose row is its `indicator_blocks` side by side in column
+    order, then zero columns: each block's class indicator in the observed
+    and all-pattern rows, its class masses in the expected rows."""
+
+    def _side_by_side(self, cluster, n_rows, part):
+        """part(block, [cluster]) (n_rows, n_classes) of each block: (n_rows, d)."""
+        group = [cluster]
+        out = np.zeros((n_rows, self.dim()))
+        col = 0
+        for block in self.indicator_blocks(group):
+            out[:, col : col + block.fixed_dim] = part(block, group)
+            col += block.fixed_dim
+        return out
+
+    def rows_at(self, cluster, pattern):
+        a = self._check_pattern(cluster, pattern)[None]
+        hot = lambda b, g: _one_hot_rows(b.classes_batch(g, a)[0], b.fixed_dim)  # noqa: E731
+        return self._side_by_side(cluster, cluster.size, hot)
+
+    def all_pattern_rows(self, cluster, i):
+        self._check_index(cluster, i)
+        bits = enumerate_patterns(cluster.size)
+        hot = lambda b, g: _one_hot_rows(b.classes_batch(g, bits)[:, i], b.fixed_dim)  # noqa: E731
+        return self._side_by_side(cluster, bits.shape[0], hot)
+
+    def expected_rows(self, cluster, probs):
+        probs = np.asarray(probs, dtype=np.float64)[None]
+        mass = lambda b, g: b.class_masses_batch(g, probs)[0]  # noqa: E731
+        return self._side_by_side(cluster, cluster.size, mass)
 
 
 class _TypeBit(ExposureMapping):
@@ -593,20 +608,6 @@ class AdditiveTypes(LowRankStructure):
         row[2 * present + 1] = probs[units[present]]
         return np.tile(row, (cluster.size, 1))
 
-    # composition role: additive encoding of ordered slot bits
-    def row_on_bits(self, bits_vec):
-        row = np.zeros(2 * self.s)
-        for t in range(min(self.s, bits_vec.size)):
-            row[2 * t + int(bits_vec[t])] = 1.0
-        return row
-
-    def expected_row_on_probs(self, probs_vec):
-        row = np.zeros(2 * self.s)
-        for t in range(min(self.s, probs_vec.size)):
-            row[2 * t] = 1.0 - probs_vec[t]
-            row[2 * t + 1] = probs_vec[t]
-        return row
-
 
 class _CountBin(ExposureMapping):
     """One `CoarsenedCount` level block: the bin of each unit's count of
@@ -646,7 +647,7 @@ class _CountBin(ExposureMapping):
         return out.reshape(b, m, 3)
 
 
-class CoarsenedCount(LowRankStructure):
+class CoarsenedCount(_BlockRows):
     """Own-treatment block plus binned treated-neighbor counts.
 
     Order 1 bins the count of treated direct neighbors into three categories
@@ -720,105 +721,101 @@ class CoarsenedCount(LowRankStructure):
     def dim(self, cluster=None, i=None):
         return 2 + 3 * self.order
 
-    def _blocks(self):
-        """The row's blocks, in column order: own treatment, then one count
-        bin per level."""
+    def indicator_blocks(self, clusters):
+        """Own treatment, then one count bin per level. Neighbor lists never
+        hold the unit itself or a unit twice (`NeighborGraph.neighbors`), and
+        level 2 excludes level 1, so the blocks read disjoint units."""
         return [OwnTreatment()] + [_CountBin(self, lvl) for lvl in range(self.order)]
 
-    def indicator_blocks(self, clusters):
-        """Neighbor lists never hold the unit itself or a unit twice
-        (`NeighborGraph.neighbors`), and level 2 excludes level 1, so the
-        blocks read disjoint units."""
-        return self._blocks()
 
-    def _one_hot(self, own, level_counts):
-        """Rows from own-treatment bits and per-level treated-neighbor counts."""
-        out = np.zeros((own.size, self.dim()))
-        rows = np.arange(own.size)
-        out[rows, own.astype(np.int64)] = 1.0
-        for lvl, counts in enumerate(level_counts):
-            out[rows, 2 + 3 * lvl + self._bin(counts, lvl)] = 1.0
-        return out
+class _UnitLists:
+    """The lists of distinct units a `Compose` reads from its inner, served
+    like a `NeighborGraph`: the unit itself under `NoInterference` (which a
+    `NeighborGraph` refuses), the lists of `KnnPattern`, and an inner
+    `Compose`'s own lists cut to its outer's k."""
 
-    def rows_at(self, cluster, pattern):
-        a = self._check_pattern(cluster, pattern)
-        counts = [
-            np.array([a[u].sum() for u in units], dtype=np.int64)
-            for units in self._level_units(cluster)
-        ]
-        return self._one_hot(a, counts)
+    def __init__(self, inner):
+        self.inner = inner
 
-    def all_pattern_rows(self, cluster, i):
-        self._check_index(cluster, i)
-        bits = enumerate_patterns(cluster.size)
-        counts = [
-            bits[:, units[i]].sum(axis=1, dtype=np.int64) for units in self._level_units(cluster)
-        ]
-        return self._one_hot(bits[:, i], counts)
-
-    def expected_rows(self, cluster, probs):
-        probs = np.asarray(probs, dtype=np.float64)[None]
-        return np.concatenate(
-            [block.class_masses_batch([cluster], probs)[0] for block in self._blocks()], axis=1
-        )
+    def stacked(self, clusters):
+        """The lists of clusters of one size: (B, m, L) int64."""
+        inner = self.inner
+        if isinstance(inner, NoInterference):
+            m = clusters[0].size
+            return np.broadcast_to(np.arange(m)[:, None], (len(clusters), m, 1))
+        if isinstance(inner, KnnPattern):
+            return _stacked_neighbors(clusters, inner.k, inner.graph)
+        return inner.lists.stacked(clusters)[:, :, : inner.outer.k]
 
 
-class Compose(LowRankStructure):
+class _ListBit(ExposureMapping):
+    """One block of `Compose(AdditiveTypes(s), inner)`: the treatment of the
+    t-th unit of each unit's list."""
+
+    fixed_dim = 2
+
+    def __init__(self, lists, t, clusters, units):
+        self.lists = lists
+        self.t = t
+        self.clusters = clusters  # the size group the block was made for
+        self.units = units  # and the t-th listed unit of each of its units, (B, m)
+
+    def _values(self, clusters, values):
+        """values[r, j] of every unit's t-th listed unit: (P, m) -> (P, m)."""
+        units = self.units
+        if clusters is not self.clusters:
+            units = self.lists.stacked(clusters)[:, :, self.t]
+        return values[np.arange(values.shape[0])[:, None], units]
+
+    def classes_batch(self, clusters, patterns):
+        return self._values(clusters, patterns).astype(np.int64)
+
+    def class_masses_batch(self, clusters, probs):
+        p = self._values(clusters, probs)
+        return np.stack([1.0 - p, p], axis=2)
+
+
+class Compose(_BlockRows):
     """Chained structure per the product-of-encodings construction.
 
-    The inner structure must be pattern valued (it exposes the ordered unit
-    indices its features depend on); the outer structure re-encodes those
-    dependency bits, and its dimension is the composition's. Realizes the
-    matrix product of the two encodings.
+    The inner (`NoInterference`, `KnnPattern`, or a `Compose` whose outer is
+    `KnnPattern`) gives each unit a list of distinct units, `_UnitLists`.
+    The outer re-encodes their treatments, in its own dimension:
+    `KnnPattern(k)` as their `NeighborPattern(k)` slot, which is one-hot,
+    `AdditiveTypes(s)` as one own-bit block per list position t < min(s,
+    L). An outer `Compose` encodes as its own outer.
     """
 
     def __init__(self, outer, inner):
-        for attr in ("row_on_bits", "expected_row_on_probs"):
-            if not hasattr(outer, attr):
-                raise InvalidSpec(
-                    f"outer structure {outer.label!r} does not support composition"
-                )
-        # a composition is pattern valued when its outer has k bits to pass on
-        if not hasattr(inner, "dep_units") or (
-            isinstance(inner, Compose) and not hasattr(inner.outer, "k")
+        base = outer._base if isinstance(outer, Compose) else outer
+        if not isinstance(base, (KnnPattern, AdditiveTypes)):
+            raise InvalidSpec(f"outer structure {outer.label!r} does not support composition")
+        if not (
+            isinstance(inner, (NoInterference, KnnPattern))
+            or (isinstance(inner, Compose) and isinstance(inner.outer, KnnPattern))
         ):
             raise InvalidSpec(f"inner structure {inner.label!r} is not pattern valued")
         self.outer = outer
         self.inner = inner
+        self.lists = _UnitLists(inner)
         self.label = f"compose[{outer.label} o {inner.label}]"
+        self._base = base
+        if isinstance(base, KnnPattern):
+            self.exposure_mapping = NeighborPattern(base.k, graph=self.lists)
 
     def dim(self, cluster=None, i=None):
         return self.outer.dim()
 
-    def feature_row(self, cluster, i, pattern):
-        a = self._check(cluster, i, pattern)
-        deps = self.inner.dep_units(cluster, i)
-        return self.outer.row_on_bits(a[deps])
-
-    def rows_at(self, cluster, pattern):
-        a = self._check_pattern(cluster, pattern)
-        return np.stack(
-            [self.outer.row_on_bits(a[self.inner.dep_units(cluster, i)]) for i in range(cluster.size)]
-        )
-
-    def expected_rows(self, cluster, probs):
-        probs = np.asarray(probs, dtype=np.float64)
-        return np.stack(
-            [
-                self.outer.expected_row_on_probs(probs[self.inner.dep_units(cluster, i)])
-                for i in range(cluster.size)
-            ]
-        )
-
-    # composition roles, as an inner whose outer is pattern valued: its first k bits
-    def dep_units(self, cluster, i):
-        return self.inner.dep_units(cluster, i)[: self.outer.k]
-
-    def row_on_bits(self, bits_vec):
-        return self.outer.row_on_bits(bits_vec)
-
-    def expected_row_on_probs(self, probs_vec):
-        return self.outer.expected_row_on_probs(probs_vec)
+    def indicator_blocks(self, clusters):
+        """The list's slot, or its own-bit blocks; the listed units are
+        distinct, so the blocks read disjoint units."""
+        if self.exposure_mapping is not None:
+            return [self.exposure_mapping]
+        lists = self.lists.stacked(clusters)
+        return [
+            _ListBit(self.lists, t, clusters, lists[:, :, t])
+            for t in range(min(self._base.s, lists.shape[2]))
+        ]
 
 
 class TensorWithCovariates(LowRankStructure):

@@ -264,3 +264,56 @@ def knn_one_hot_rows(cluster, pattern, kind, k=1, include_own=False):
                 slot = 2 * slot + (a[nbrs[t]] if t < len(nbrs) else 0)
         rows[i, slot] = 1.0
     return rows
+
+
+# ---------- composed encodings (the unit-by-unit rows `Compose` replaces) ----------
+
+
+def outer_row_on_bits(outer, bits):
+    """An outer encoding of one unit's ordered list bits.
+
+    KnnPattern(k): the indicator of the first k bits read first bit most
+    significant, the missing low bits zero, of 2^k. AdditiveTypes(s): an
+    (untreated, treated) pair for each position t < min(s, len(bits)), the
+    pairs after those zero. An outer Compose encodes as its own outer.
+    """
+    from clusterbal.structures import Compose, KnnPattern
+
+    while isinstance(outer, Compose):
+        outer = outer.outer
+    if isinstance(outer, KnnPattern):
+        slot = 0
+        for t in range(outer.k):
+            slot = 2 * slot + (int(bits[t]) if t < len(bits) else 0)
+        row = np.zeros(2**outer.k)
+        row[slot] = 1.0
+        return row
+    row = np.zeros(2 * outer.s)
+    for t in range(min(outer.s, len(bits))):
+        row[2 * t + int(bits[t])] = 1.0
+    return row
+
+
+def composed_unit_list(inner, cluster, i):
+    """The units whose bits a Compose with this inner encodes for unit i:
+    [i] under NoInterference, the k nearest other units (or the first k of
+    a given graph's list) under KnnPattern(k), and an inner Compose's own
+    list cut to its outer's k."""
+    from clusterbal.structures import KnnPattern, NoInterference
+
+    if isinstance(inner, NoInterference):
+        return [i]
+    if isinstance(inner, KnnPattern) and inner.graph is not None:
+        return list(inner.graph.lists[cluster.cluster_id][i][: inner.k])
+    if isinstance(inner, KnnPattern):
+        return knn_lists(cluster, inner.k)[i]
+    return composed_unit_list(inner.inner, cluster, i)[: inner.outer.k]
+
+
+def composed_rows(structure, cluster, pattern):
+    """A Compose's rows at one pattern, unit by unit."""
+    a = np.asarray(pattern)
+    return np.stack([
+        outer_row_on_bits(structure.outer, a[composed_unit_list(structure.inner, cluster, i)])
+        for i in range(cluster.size)
+    ])

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -169,3 +171,37 @@ def test_report_rows_shape(rng):
     rows = report.rows()
     assert len(rows) == report.nu_star.size
     assert {"covariate", "effective_treatment", "nu", "sigma", "nu_star", "flagged"} <= set(rows[0])
+
+
+def test_incidences_come_from_the_fits_design(rng, monkeypatch):
+    """A one-hot tensor's incidences are the counts of the balancing fit's
+    observed slots, and a structure without covariates counts the non-zero
+    entries of the fit's design; neither is recomputed."""
+    from clusterbal import structures
+
+    d = make_dataset(rng, 8, sizes=(1, 5), p=2)
+    s = TensorWithCovariates(StratifiedCount(2), columns=[0, 1])
+    f = uniform_intervention()
+    fit = balancing_fit(d, s, f)
+    want = np.bincount(structures._observed_slots(s, d), minlength=3).astype(float)
+    calls = []
+    monkeypatch.setattr(structures, "_observed_slots", lambda *a: calls.append(a))
+    assert np.array_equal(imbalance_report(d, s, f, fit).m_counts, want)
+    assert calls == []
+
+    raw = StratifiedCount(2)
+    fit = balancing_fit(d, raw, f)
+    want = sum((raw.rows_at(c, c.treatments) != 0).sum(axis=0) for c in d.clusters)
+    monkeypatch.setattr(raw, "rows_at", lambda *a: calls.append(a))
+    assert np.array_equal(imbalance_report(d, raw, f, fit).m_counts, want)
+    assert calls == []
+
+
+def test_imbalance_requires_the_fits_design(rng):
+    d = make_dataset(rng, 3, sizes=(2, 3), p=2)
+    s = TensorWithCovariates(StratifiedCount(1))
+    f = Gate()
+    fit = balancing_fit(d, s, f)
+    bare = dataclasses.replace(fit, _context={})
+    with pytest.raises(InvalidSpec, match="not a balancing fit"):
+        imbalance_report(d, s, f, bare)

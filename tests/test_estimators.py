@@ -725,9 +725,10 @@ def test_wproj_closed_form_joint_table_enumerates(rng):
     ids=lambda s: s.label,
 )
 def test_wproj_non_one_hot_takes_svd_path(rng, monkeypatch, structure):
-    """Compose always takes the per-unit SVD. Several indicator blocks take it
-    only under a propensity without product form: the same masses as a
-    JointTable, under which the blocks need not be independent."""
+    """Several indicator blocks, a Compose's with an additive outer among them,
+    take the per-unit SVD only under a propensity without product form: the
+    same masses as a JointTable, under which the blocks need not be
+    independent."""
     from clusterbal import estimators
 
     assert structure.exposure_mapping is None
@@ -736,15 +737,55 @@ def test_wproj_non_one_hot_takes_svd_path(rng, monkeypatch, structure):
     d = make_dataset(rng, 3, sizes=(2, 4), p=2)
     f, e = uniform_intervention(), _probs_in(0.2, 0.8)
     product = weighted_projection_fit(d, structure, f, e).weights.values
-    assert len(calls) == int(isinstance(structure, Compose))
+    assert len(calls) == 0
     joint = JointTable({
         c.cluster_id: dict(zip(map(tuple, enumerate_patterns(c.size)),
                                e.probabilities_for(enumerate_patterns(c.size), c)))
         for c in d.clusters
     })
     got = weighted_projection_fit(d, structure, f, joint).weights.values
-    assert len(calls) == 1 + int(isinstance(structure, Compose))
+    assert len(calls) == 1
     np.testing.assert_allclose(got, product, rtol=1e-12, atol=1e-12)
+
+
+COMPOSED = [
+    Compose(KnnPattern(2), NoInterference()),
+    Compose(KnnPattern(2), KnnPattern(3)),
+    Compose(AdditiveTypes(2), KnnPattern(2)),
+    Compose(AdditiveTypes(2), NoInterference()),
+    Compose(KnnPattern(1), Compose(KnnPattern(2), KnnPattern(3))),
+    TensorWithCovariates(Compose(KnnPattern(2), KnnPattern(2)), columns=[0, 1]),
+    TensorWithCovariates(Compose(AdditiveTypes(3), KnnPattern(1)), columns=[1]),
+]
+
+
+@pytest.mark.parametrize("structure", COMPOSED, ids=lambda s: s.label)
+@pytest.mark.parametrize("weight", [Gate(), uniform_intervention()], ids=["gate", "uniform"])
+def test_wproj_compose_takes_closed_form(rng, monkeypatch, structure, weight):
+    """A Compose's rows are its outer's blocks over lists of distinct units,
+    so under a product-form propensity its weighted projection is the block
+    closed form, equal to the per-unit SVD, and never calls `_wproj_svd`."""
+    from clusterbal import estimators
+
+    calls = []
+    monkeypatch.setattr(estimators, "_wproj_svd", lambda *a: calls.append(a) or _wproj_svd(*a))
+    d = make_dataset(rng, 6, sizes=(1, 6), p=2)
+    _assert_closed_form_matches_svd(d, structure, weight, _probs_in(0.2, 0.8))
+    assert calls == []
+
+
+def test_wproj_compose_over_empty_lists_is_zero(rng):
+    """A size-1 cluster's k-NN list is empty, so an additive outer has no
+    block there: the rows are zero, their span is {0}, and the weight is 0,
+    as the SVD's is."""
+    sizes = (1, 4, 1, 4, 4)
+    d = Dataset(clusters=tuple(make_cluster(rng, m, cluster_id=ci) for ci, m in enumerate(sizes)))
+    structure = Compose(AdditiveTypes(2), KnnPattern(2))
+    assert structure.indicator_blocks([d.clusters[0]]) == []
+    w = _assert_closed_form_matches_svd(d, structure, uniform_intervention(), _probs_in(0.2, 0.8))
+    single = np.repeat(np.array(sizes) == 1, sizes)
+    assert (w[single] == 0.0).all()
+    assert (w[~single] != 0.0).all()
 
 
 def test_wproj_given_graph_takes_closed_form(rng):

@@ -44,6 +44,12 @@ PROPERTY = settings(
 MAX_SIZE = 5  # 2^5 patterns per cluster keeps enumeration cheap
 
 ks = st.integers(1, 3)
+# the inner kinds a Compose accepts: each gives every unit a list of units
+compose_inner = st.one_of(
+    st.builds(KnnPattern, ks),
+    st.just(NoInterference()),
+    st.builds(lambda k, j: Compose(KnnPattern(k), KnnPattern(j)), ks, ks),
+)
 ONE_HOT = {
     "no_interference": st.just(NoInterference()),
     "stratified_count": st.builds(StratifiedCount, ks, include_own=st.booleans()),
@@ -54,6 +60,7 @@ ONE_HOT = {
         lambda k, own: FromExposureMapping(NeighborCount(k, include_own=own)), ks, st.booleans()
     ),
     "exposure_constant": st.just(FromExposureMapping(ConstantMapping())),
+    "compose_knn": st.builds(Compose, st.builds(KnnPattern, ks), compose_inner),
 }
 OTHERS = {
     "additive_types": st.builds(AdditiveTypes, st.integers(MAX_SIZE, MAX_SIZE + 2)),
@@ -61,11 +68,7 @@ OTHERS = {
         lambda order, k, low: CoarsenedCount(order=order, thresholds=(low, low + 1), k=k),
         st.sampled_from([1, 2]), st.integers(1, 2), st.integers(0, 1),
     ),
-    "compose": st.builds(
-        Compose,
-        st.one_of(st.builds(KnnPattern, ks), st.just(AdditiveTypes(2))),
-        st.builds(KnnPattern, ks),
-    ),
+    "compose_additive": st.builds(Compose, st.just(AdditiveTypes(2)), compose_inner),
 }
 one_hot_inner = st.one_of(*ONE_HOT.values())
 any_inner = st.one_of(one_hot_inner, *OTHERS.values())

@@ -40,7 +40,13 @@ from clusterbal.structures import (
 )
 
 from conftest import make_cluster, make_dataset
-from oracles import fresh_copy, knn_lists, knn_one_hot_rows
+from oracles import (
+    composed_rows,
+    fresh_copy,
+    knn_lists,
+    knn_one_hot_rows,
+    outer_row_on_bits,
+)
 
 
 def cluster_with(x, a):
@@ -333,7 +339,7 @@ def test_compose_matches_matrix_product_oracle(rng):
         lam1 = inner.all_pattern_rows(c, i)  # (16, 4) neighbor-pattern indicators
         # additive encoding of the 2 neighbor slots for each neighbor pattern
         slot_bits = enumerate_patterns(2)
-        lam2 = np.stack([outer.row_on_bits(b) for b in slot_bits])  # (4, 4)
+        lam2 = np.stack([outer_row_on_bits(outer, b) for b in slot_bits])  # (4, 4)
         product = lam1 @ lam2
         got = np.stack([composed.feature_row(c, i, bits[r]) for r in range(16)])
         assert np.allclose(got, product, atol=1e-12)
@@ -359,9 +365,84 @@ def test_compose_expected_rows_match_enumeration(rng):
     assert np.allclose(s.expected_rows(c, probs), brute, atol=1e-12)
 
 
+COMPOSED = [
+    Compose(KnnPattern(2), NoInterference()),
+    Compose(KnnPattern(2), KnnPattern(3)),
+    Compose(KnnPattern(3), KnnPattern(1)),
+    Compose(AdditiveTypes(2), KnnPattern(2)),
+    Compose(AdditiveTypes(3), KnnPattern(5)),
+    Compose(AdditiveTypes(2), NoInterference()),
+    Compose(KnnPattern(1), Compose(KnnPattern(2), KnnPattern(3))),
+    Compose(AdditiveTypes(4), Compose(KnnPattern(2), NoInterference())),
+    Compose(Compose(AdditiveTypes(2), KnnPattern(1)), KnnPattern(3)),
+]
+
+
+@pytest.mark.parametrize("structure", COMPOSED, ids=lambda s: s.label)
+def test_compose_rows_match_unit_by_unit_oracle(rng, structure):
+    """Every row form equals the outer encoding of each unit's list bits,
+    built unit by unit, on sizes 1 to 5 (lists shorter than k, and empty)."""
+    d = Dataset(clusters=tuple(make_cluster(rng, m, cluster_id=m) for m in range(1, 6)))
+    for c in d.clusters:
+        bits = enumerate_patterns(c.size)
+        want = np.stack([composed_rows(structure, c, a) for a in bits])  # (2^m, m, d)
+        for r, a in enumerate(bits):
+            assert np.array_equal(structure.rows_at(c, a), want[r])
+        for i in range(c.size):
+            assert np.array_equal(structure.all_pattern_rows(c, i), want[:, i])
+        probs = rng.uniform(0.2, 0.8, c.size)
+        masses = np.prod(np.where(bits == 1, probs, 1 - probs), axis=1)
+        np.testing.assert_allclose(
+            structure.expected_rows(c, probs), np.tensordot(masses, want, 1), rtol=1e-12, atol=1e-15
+        )
+    phi = np.vstack([composed_rows(structure, c, c.treatments) for c in d.clusters])
+    assert np.array_equal(design_matrix(structure, d), phi)
+
+
+def test_compose_reads_a_given_graph(rng):
+    """A graph-backed KnnPattern inner gives the graph's lists, cut to its k."""
+    d = Dataset(clusters=tuple(make_cluster(rng, 3, cluster_id=ci) for ci in range(2)))
+    graph = NeighborGraph(2, {c.cluster_id: np.array([[2, 1], [0, 2], [1, 0]]) for c in d.clusters})
+    for outer in (KnnPattern(2), AdditiveTypes(2), KnnPattern(3)):
+        for k in (1, 2):
+            structure = Compose(outer, KnnPattern(k, graph=graph))
+            for c in d.clusters:
+                for a in enumerate_patterns(3):
+                    assert np.array_equal(structure.rows_at(c, a), composed_rows(structure, c, a))
+
+
+def test_compose_with_knn_outer_is_one_hot(rng):
+    """A KnnPattern outer makes the composition one-hot: a tensor over it
+    takes the scattered design and its DesignOps block pieces."""
+    from clusterbal.estimators import build_design
+
+    d = make_dataset(rng, 6, sizes=(1, 5))
+    for structure in COMPOSED:
+        base = structure.outer.outer if isinstance(structure.outer, Compose) else structure.outer
+        one_hot = isinstance(base, KnnPattern)
+        assert (structure.exposure_mapping is not None) == one_hot
+        tensor = TensorWithCovariates(structure, columns=[0, 1])
+        assert (build_design(tensor, d, uniform_intervention()).pieces is not None) == one_hot
+        phi = np.vstack([tensor.rows_at(c, c.treatments) for c in d.clusters])
+        assert np.array_equal(design_matrix(tensor, d), phi)
+        np.testing.assert_allclose(
+            target_contributions(tensor, d, uniform_intervention()),
+            np.array([
+                tensor.expected_rows(c, np.full(c.size, 0.5)).mean(axis=0) for c in d.clusters
+            ]),
+            rtol=1e-12, atol=1e-15,
+        )
+
+
 def test_compose_rejects_unsupported():
-    with pytest.raises(InvalidSpec):
-        Compose(NoInterference(), StratifiedCount(2))
+    with pytest.raises(InvalidSpec, match="does not support composition"):
+        Compose(NoInterference(), KnnPattern(2))
+    with pytest.raises(InvalidSpec, match="does not support composition"):
+        Compose(StratifiedCount(2), KnnPattern(2))
+    with pytest.raises(InvalidSpec, match="not pattern valued"):
+        Compose(KnnPattern(2), StratifiedCount(2))
+    with pytest.raises(InvalidSpec, match="not pattern valued"):
+        Compose(AdditiveTypes(2), AdditiveTypes(2))
 
 
 def test_compose_inner_needs_a_pattern_valued_outer():
