@@ -9,8 +9,9 @@ counterfactual policy is a tilted intervention from the same probit family.
 from __future__ import annotations
 
 import math
-from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
+import os
+from collections import Counter, deque
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
@@ -254,34 +255,75 @@ def _expected_signal_block(cfg, gamma, x):
     return gamma * ((expected_slot + 1.0) * s).mean(axis=1)
 
 
+def _available_cpus():
+    """CPUs this process may run on (its affinity set where the OS has one)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _truth_workers(cfg):
+    """Threads that evaluate the truth's blocks; 1 means the calling thread.
+
+    A neighbor-based block spends its time in the (B, m, m) distance loops
+    and the stable argsort, which release the GIL, so it gets one worker per
+    available CPU. An additive block is a few short ufunc calls that hold the
+    GIL: threads would gain nothing and would make the drawing thread wait
+    for the GIL after every draw, so its blocks run in the calling thread.
+    """
+    return 1 if cfg.interference == "additive" else _available_cpus()
+
+
 @lru_cache(maxsize=32)
 def _true_mu_cached(cfg, draws):
-    cfg = resolve_gamma(cfg)
+    """(mu, se) of a gamma-resolved config; see `true_mu`.
+
+    The calling thread draws each size stratum in blocks of `_TRUTH_BLOCK`
+    clusters, in stream order. With more than one worker a thread pool
+    evaluates the blocks; at most two blocks per worker are in flight, and
+    their values are stored in submission order. A size of probability 0
+    adds nothing; any other draws at least two clusters, the fewest that
+    give a variance.
+    """
     rng = _rng(cfg, _STREAM_TRUTH)
     chol = _toeplitz_chol(cfg.rho, cfg.p)
-    vals = []
-    for m, q in cfg.cluster_sizes:
-        k = max(1, int(round(draws * q)))
-        chunks = []
-        done = 0
-        while done < k:
-            b = min(20_000, k - done)
-            x = rng.standard_normal((b, m, cfg.p)) @ chol.T
-            chunks.append(_expected_signal_from_x(cfg, cfg.gamma, x))
-            done += b
-        vals.append((q, np.concatenate(chunks)))
-    mu = sum(q * v.mean() for q, v in vals)
-    var = sum(q * q * v.var(ddof=1) / v.size for q, v in vals)
+    strata = [
+        (m, q, np.empty(max(2, round(draws * q)))) for m, q in cfg.cluster_sizes if q > 0
+    ]
+
+    def blocks():
+        for m, _, vals in strata:
+            for start in range(0, vals.size, _TRUTH_BLOCK):
+                block = vals[start : start + _TRUTH_BLOCK]
+                yield block, rng.standard_normal((block.size, m, cfg.p)) @ chol.T
+
+    workers = _truth_workers(cfg)
+    if workers == 1:
+        for block, x in blocks():
+            block[:] = _expected_signal_block(cfg, cfg.gamma, x)
+    else:
+        pending = deque()
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            for block, x in blocks():
+                if len(pending) == 2 * workers:
+                    view, future = pending.popleft()
+                    view[:] = future.result()
+                pending.append((block, pool.submit(_expected_signal_block, cfg, cfg.gamma, x)))
+            for view, future in pending:
+                view[:] = future.result()
+    mu = sum(q * v.mean() for _, q, v in strata)
+    var = sum(q * q * v.var(ddof=1) / v.size for _, q, v in strata)
     return float(mu), float(math.sqrt(var))
 
 
 def true_mu(cfg, draws=400_000):
     """Population estimand of a config by stratified cluster Monte Carlo.
 
-    Returns (mu, standard error); cached per config so replicates share one
-    evaluation.
+    Returns (mu, standard error); cached per config, so replicates share one
+    evaluation, and keyed on n=1, since the truth does not depend on the
+    number of clusters. The values do not depend on the number of workers.
     """
-    return _true_mu_cached(resolve_gamma(cfg), int(draws))
+    return _true_mu_cached(replace(resolve_gamma(cfg), n=1), int(draws))
 
 
 @dataclass(frozen=True)

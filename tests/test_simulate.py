@@ -1,4 +1,8 @@
+import math
+import sys
+import threading
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -156,6 +160,99 @@ def test_true_mu_reproducible_and_finite():
     assert np.isfinite(mu1) and se1 > 0
 
 
+def _reference_truth(cfg, draws):
+    """The stratified truth with each size's clusters drawn in one call, from
+    the stream that `true_mu` draws block by block."""
+    rng = simulate._rng(cfg, simulate._STREAM_TRUTH)
+    chol = simulate._toeplitz_chol(cfg.rho, cfg.p)
+    vals = []
+    for m, q in cfg.cluster_sizes:
+        x = rng.standard_normal((round(draws * q), m, cfg.p)) @ chol.T
+        vals.append((q, _expected_signal_from_x(cfg, cfg.gamma, x)))
+    mu = sum(q * v.mean() for q, v in vals)
+    var = sum(q * q * v.var(ddof=1) / v.size for q, v in vals)
+    return float(mu), math.sqrt(var)
+
+
+def _cold_true_mu(cfg, draws):
+    simulate._true_mu_cached.cache_clear()
+    return true_mu(cfg, draws)
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_streamed_truth_equals_one_draw_per_size(kind):
+    cfg = small_cfg(interference=kind)
+    draws = 2345  # 1172 clusters per size: two full blocks and a partial one
+    assert round(draws * 0.5) % _TRUTH_BLOCK
+    got = _cold_true_mu(cfg, draws)
+    assert [v.hex() for v in got] == [v.hex() for v in _reference_truth(cfg, draws)]
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_truth_does_not_depend_on_the_worker_count(workers, monkeypatch):
+    cfg = small_cfg(interference="knn5")
+    default = _cold_true_mu(cfg, 2345)
+    monkeypatch.setattr(simulate, "_available_cpus", lambda: workers)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads often, to expose a lost or misplaced block
+    try:
+        assert _cold_true_mu(cfg, 2345) == default
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_truth_leaves_no_thread_behind():
+    before = threading.active_count()
+    _cold_true_mu(small_cfg(interference="knn3"), 3000)
+    assert threading.active_count() == before
+
+
+def test_additive_truth_runs_in_the_calling_thread(monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("the additive truth opened a thread pool")
+
+    cfg = small_cfg(interference="additive")
+    monkeypatch.setattr(simulate, "ThreadPoolExecutor", no_pool)
+    got = _cold_true_mu(cfg, 2345)
+    assert [v.hex() for v in got] == [v.hex() for v in _reference_truth(cfg, 2345)]
+
+
+def test_truth_memory_stays_small():
+    cfg = small_cfg(interference="knn5")
+    simulate._true_mu_cached.cache_clear()
+    tracemalloc.start()
+    try:
+        true_mu(cfg, 60_000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * 2**20
+
+
+def test_truth_shared_across_n():
+    cfg = small_cfg(n=4, seed=23)
+    simulate._true_mu_cached.cache_clear()
+    rows = sweep(cfg, "n", (4, 6, 8), reps=1, estimators=("ipw",), truth_draws=2000)
+    assert simulate._true_mu_cached.cache_info().misses == 1
+    assert len({r["true_mu"] for r in rows}) == 1
+
+
+def test_zero_probability_size_adds_nothing_to_the_truth():
+    cfg = DGPConfig(n=10, interference="knn2", cluster_sizes=((10, 1.0), (15, 0.0)), gamma=1.0)
+    alone = replace(cfg, cluster_sizes=((10, 1.0),))
+    mu, se = true_mu(cfg, 2000)
+    assert np.isfinite(se) and se > 0
+    assert (mu, se) == true_mu(alone, 2000)
+
+
+def test_rare_size_draws_at_least_two_clusters():
+    # round(2000 * 0.0004) = 1 cluster of size 15 would leave no variance
+    cfg = DGPConfig(n=10, interference="knn2", cluster_sizes=((10, 0.9996), (15, 0.0004)),
+                    gamma=1.0)
+    mu, se = true_mu(cfg, 2000)
+    assert np.isfinite(mu) and np.isfinite(se) and se > 0
+
+
 def test_kappa_zero_weights_are_inverse_cluster_size():
     cfg = small_cfg(kappa=0.0)
     ds, _, e, f = gen_dataset(cfg, 0, truth=False)
@@ -217,6 +314,8 @@ def test_monte_carlo_metrics_and_rows():
 def test_monte_carlo_serial_parallel_identical():
     cfg = small_cfg(n=6)
     r1 = monte_carlo(cfg, reps=4, truth_draws=2000, parallel=False)
+    # a cold truth runs its thread pool right before the process pool forks
+    simulate._true_mu_cached.cache_clear()
     r2 = monte_carlo(cfg, reps=4, truth_draws=2000, parallel=True, workers=2)
     assert set(r1.metrics) == set(r2.metrics)
     for name in r1.metrics:
