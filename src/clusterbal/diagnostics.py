@@ -15,7 +15,7 @@ import numpy as np
 
 from .core import uniform_intervention
 from .errors import InvalidSpec
-from .structures import TensorWithCovariates, target_contributions
+from .structures import TensorWithCovariates, incidence_counts, target_contributions
 
 DEFAULT_THRESHOLD = 0.10
 
@@ -75,8 +75,8 @@ def imbalance_report(dataset, structure, weight, fit, threshold=DEFAULT_THRESHOL
     relative and omnibus imbalance, need a covariate tensor, whose inner
     encoding defines the effective treatments; other structures report them
     as NaN and flag nothing. The fit must carry its imbalance vector, target
-    and design, as a balancing fit does; the design's observed slots count a
-    one-hot tensor's incidences.
+    and design, as a balancing fit does. The incidences count the units whose
+    observed inner row is non-zero in each coordinate.
     """
     if structure.regime != "fixed":
         raise InvalidSpec("imbalance reporting needs a fixed-dimension structure")
@@ -85,7 +85,7 @@ def imbalance_report(dataset, structure, weight, fit, threshold=DEFAULT_THRESHOL
     if not isinstance(structure, TensorWithCovariates):
         return _raw_imbalance_report(dataset, structure, fit, threshold)
     ell = structure.inner.dim(dataset.clusters[0])
-    width = structure.covariate_rows(dataset.clusters[0]).shape[1]
+    width = structure.width(dataset.clusters[0])
     nu = np.asarray(fit.imbalance, dtype=np.float64)
     if nu.size != ell * width:
         raise InvalidSpec(
@@ -111,14 +111,7 @@ def imbalance_report(dataset, structure, weight, fit, threshold=DEFAULT_THRESHOL
                 nu_star[t, j] = nu_mat[j, t] / sig_mat[j, t]
 
     # observed incidences of each effective treatment
-    one_hot = fit._context["design"].one_hot
-    if one_hot is not None:
-        m_counts = np.bincount(one_hot[0], minlength=ell).astype(float)
-    else:
-        m_counts = np.zeros(ell)
-        for c in dataset.clusters:
-            inner_rows = structure.inner.rows_at(c, c.treatments)
-            m_counts += (inner_rows != 0).sum(axis=0)
+    m_counts = incidence_counts(structure.inner, dataset)
 
     omnibus = np.zeros(width)
     for t in range(width):

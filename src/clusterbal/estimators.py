@@ -16,6 +16,7 @@ from .structures import (
     FromExposureMapping,
     TensorWithCovariates,
     _observed_design,
+    _pattern_rows_by_unit,
     _size_groups,
     target_contributions,
 )
@@ -365,12 +366,14 @@ def _block_closed_form(dataset, structure, weight, propensity, rank_cut=True):
 def _wproj_svd(dataset, structure, weight, propensity):
     """Weighted-projection weights by one 2^m x d SVD per unit (any structure).
 
-    A structure with `shared_rows`, or covariate tensors over one, takes one
-    SVD per cluster. Unit i's rows there are sqrt(e) * (inner (x) x_i) for
-    the shared inner rows, whose span is that of sqrt(e) * inner when x_i is
-    non-zero and {0} when it is zero. Their singular values are those of
-    sqrt(e) * inner times |x_i|, so the cut rcond = max(2^m, d) * eps
-    relative to the largest keeps the same directions.
+    Each indicator block's classes at the 2^m patterns are taken once per
+    cluster, and every unit's rows are read from them. A structure with
+    `shared_rows`, or covariate tensors over one, takes one SVD per cluster.
+    Unit i's rows there are sqrt(e) * (inner (x) x_i) for the shared inner
+    rows, whose span is that of sqrt(e) * inner when x_i is non-zero and {0}
+    when it is zero. Their singular values are those of sqrt(e) * inner
+    times |x_i|, so the cut rcond = max(2^m, d) * eps relative to the
+    largest keeps the same directions.
     """
     base = structure
     while isinstance(base, TensorWithCovariates):
@@ -394,8 +397,9 @@ def _wproj_svd(dataset, structure, weight, propensity):
             value = project_colspace(lam, sqrt_e * w_tilde, rcond)[obs] / sqrt_e[obs]
             out[start:stop] = np.where(_live_units(structure, [c])[0], value, 0.0)
             continue
+        unit_rows = _pattern_rows_by_unit(structure, c)
         for i in range(c.size):
-            lam = structure.all_pattern_rows(c, i)
+            lam = unit_rows(i)
             # scaled in place: a second 2^m x d temporary made malloc re-fault pages per unit
             lam *= sqrt_e[:, None]
             scaled = project_colspace(lam, sqrt_e * w_tilde)

@@ -9,6 +9,7 @@ counterfactual policy is a tilted intervention from the same probit family.
 from __future__ import annotations
 
 import math
+import multiprocessing
 import os
 from collections import Counter, deque
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
@@ -26,11 +27,9 @@ from .structures import (
     KnnPattern,
     StratifiedCount,
     TensorWithCovariates,
-    _observed_slots,
-    _one_hot_mapping,
     _size_groups,
-    _unit_covariate_rows,
     knn_order,
+    observed_signal,
 )
 
 _STREAM_DATA = 0
@@ -158,29 +157,6 @@ def _draw_clusters(cfg, rng, sizes, noise):
     return x, a, eps
 
 
-def _signal(structure, h, dataset):
-    """rows_at(c, A_c) @ h of every cluster, in dataset unit order.
-
-    A one-hot DGP gathers the h block of each unit's observed slot and takes
-    its product with the unit's covariate row, without a dense design; that
-    gives the bits of the matrix-vector product of a cluster of two or more
-    units. A one-unit cluster's product is a dot product, whose bits can
-    differ, so it and AdditiveTypes (whose bits a stacked phi @ h changes)
-    keep the per-cluster product.
-    """
-    x = _unit_covariate_rows(structure, dataset)  # also fills the clusters' caches
-    one_hot = _one_hot_mapping(structure) is not None
-    if one_hot:
-        slots = _observed_slots(structure, dataset)
-        g = np.einsum("uw,uw->u", x, h.reshape(-1, x.shape[1])[slots])
-    else:
-        g = np.empty(dataset.total_units)
-    for c, (start, stop) in zip(dataset.clusters, dataset.cluster_slices()):
-        if not one_hot or c.size == 1:
-            g[start:stop] = structure.rows_at(c, c.treatments) @ h
-    return g
-
-
 def gen_dataset(cfg, replicate_index, truth=True):
     """One replicate: (dataset, true_mu_f, propensity model, counterfactual weight).
 
@@ -196,7 +172,7 @@ def gen_dataset(cfg, replicate_index, truth=True):
         ClusterSample(covariates=x[ci], treatments=a[ci], outcomes=np.zeros(m), cluster_id=ci)
         for ci, m in enumerate(sizes)
     ))
-    y = _signal(dgp_structure(cfg), dgp_h(cfg, cfg.gamma), dataset)
+    y = observed_signal(dgp_structure(cfg), dataset, dgp_h(cfg, cfg.gamma))
     y += math.sqrt(cfg.sigma2) * np.concatenate(eps)
     # the outcomes are filled in place: the signal needs the clusters' k-NN
     # lists, which stay cached on them
@@ -363,7 +339,7 @@ def _calibration_moments(cfg, draws):
             ClusterSample(covariates=x[r], treatments=a[r], outcomes=np.zeros(m), cluster_id=r)
             for r, m in enumerate(block)
         ))
-        g = _signal(structure, h1, dataset)
+        g = observed_signal(structure, dataset, h1)
         for group, idx, rows in _size_groups(dataset):
             m = rows.shape[1]
             xm = np.stack([c.covariates for c in group])
@@ -490,7 +466,9 @@ def monte_carlo(
     mu, mu_se = true_mu(cfg, truth_draws)
     tasks = [(cfg, r, estimators, level) for r in range(reps)]
     if parallel and reps > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # spawned, not forked: this process may already run BLAS and truth threads
+        spawn = multiprocessing.get_context("spawn")
+        with ProcessPoolExecutor(max_workers=workers, mp_context=spawn) as pool:
             results = list(pool.map(_replicate_task, tasks, chunksize=8))
     else:
         results = [_replicate_task(t) for t in tasks]

@@ -163,7 +163,11 @@ def _msb_slot_masses(probs, k):
 
 
 class LowRankStructure:
-    """Feature map phi_ci(a_c); regime 'fixed' shares one coefficient vector."""
+    """Feature map phi_ci(a_c); regime 'fixed' shares one coefficient vector.
+
+    A structure states its rows once, as `indicator_blocks` placed by
+    `block_layout`; `_GroupRows` builds every row, load and count from them.
+    """
 
     regime = "fixed"
     label = "structure"
@@ -173,18 +177,6 @@ class LowRankStructure:
     def dim(self, cluster=None, i=None):
         raise NotImplementedError
 
-    def feature_row(self, cluster, i, pattern):
-        a = self._check(cluster, i, pattern)
-        return self.rows_at(cluster, a)[i]
-
-    def rows_at(self, cluster, pattern):
-        """Feature rows of every unit at one pattern: (M_c, d)."""
-        raise NotImplementedError
-
-    def all_pattern_rows(self, cluster, i):
-        """Feature rows of unit i at every pattern: a new (2^m, d) float array."""
-        raise NotImplementedError
-
     def indicator_blocks(self, clusters):
         """The rows of clusters of one size as sums of indicator blocks: a list
         of exposure mappings whose classes read disjoint sets of units, and so
@@ -192,9 +184,47 @@ class LowRankStructure:
         have no such form. A one-hot structure is one block, its mapping."""
         return None if self.exposure_mapping is None else [self.exposure_mapping]
 
+    def block_layout(self, clusters):
+        """`indicator_blocks` of clusters of one size placed in the row: a list
+        of (first column, block, held), where held is None when the block
+        holds every unit and otherwise a (B, m) bool of the units it holds;
+        the others have no indicator, and no mass, in its columns. Here the
+        blocks sit side by side from column 0, then come zero columns."""
+        blocks = self.indicator_blocks(clusters)
+        if blocks is None:
+            raise NotImplementedError(f"structure {self.label!r} defines no indicator blocks")
+        out, col = [], 0
+        for block in blocks:
+            out.append((col, block, None))
+            col += block.fixed_dim or 0
+        return out
+
+    def feature_row(self, cluster, i, pattern):
+        a = self._check(cluster, i, pattern)
+        layout = _GroupRows(self, [cluster])
+        return layout.rows(layout.classes(a[None]), 1, unit=int(i))[0]
+
+    def rows_at(self, cluster, pattern):
+        """Feature rows of every unit at one pattern: (M_c, d)."""
+        self._require_fixed()
+        a = self._check_pattern(cluster, pattern)
+        layout = _GroupRows(self, [cluster])
+        return layout.rows(layout.classes(a[None]), 1)[0]
+
+    def all_pattern_rows(self, cluster, i):
+        """Feature rows of unit i at every pattern: a new (2^m, d) float array."""
+        self._check_index(cluster, i)
+        return _pattern_rows_by_unit(self, cluster)(int(i))
+
     def expected_rows(self, cluster, probs):
         """E[phi_ci(A)] under independent Bernoulli(probs) treatments: (M_c, d)."""
-        raise NotImplementedError
+        self._require_fixed()
+        layout = _GroupRows(self, [cluster])
+        return layout.expected_rows(layout.masses(np.asarray(probs, dtype=np.float64)[None]))[0]
+
+    def _require_fixed(self):
+        if self.regime != "fixed":
+            raise InvalidSpec("per-unit structure has no stacked design rows")
 
     def _check(self, cluster, i, pattern):
         self._check_index(cluster, i)
@@ -353,13 +383,6 @@ class ConstantMapping(ExposureMapping):
 # ---------- one-hot structures ----------
 
 
-def _one_hot_rows(slots, n_slots):
-    """Indicator rows of (U,) slots: (U, n_slots) float."""
-    out = np.zeros((slots.shape[0], n_slots))
-    out[np.arange(slots.shape[0]), slots] = 1.0
-    return out
-
-
 class FromExposureMapping(LowRankStructure):
     """Indicator structure over an exposure mapping's classes.
 
@@ -386,41 +409,6 @@ class FromExposureMapping(LowRankStructure):
         if cluster is None or i is None:
             raise InvalidSpec("per-unit structure dimension needs (cluster, i)")
         return self.mapping.n_classes(cluster, i)
-
-    def feature_row(self, cluster, i, pattern):
-        a = self._check(cluster, i, pattern)
-        row = np.zeros(self.dim(cluster, i))
-        row[self.mapping.classes_batch([cluster], a[None])[0, i]] = 1.0
-        return row
-
-    def _require_fixed(self):
-        if self.regime != "fixed":
-            raise InvalidSpec("per-unit structure has no stacked design rows")
-
-    def rows_at(self, cluster, pattern):
-        self._require_fixed()
-        a = self._check_pattern(cluster, pattern)
-        return _one_hot_rows(self.mapping.classes_batch([cluster], a[None])[0], self.dim())
-
-    def all_pattern_rows(self, cluster, i):
-        self._check_index(cluster, i)
-        classes = self.mapping.classes_batch([cluster], enumerate_patterns(cluster.size))
-        return _one_hot_rows(classes[:, i], self.dim(cluster, i))
-
-    def expected_rows(self, cluster, probs):
-        """Class masses in the mapping's product form, else by enumeration."""
-        self._require_fixed()
-        probs = np.asarray(probs, dtype=np.float64)
-        masses = self.mapping.class_masses_batch([cluster], probs[None])
-        if masses is not None:
-            return masses[0]
-        bits = enumerate_patterns(cluster.size)
-        pattern_mass = _kernels.pattern_masses(bits, probs)
-        classes = self.mapping.classes_batch([cluster], bits)
-        return np.stack([
-            np.bincount(classes[:, i], weights=pattern_mass, minlength=self.dim())
-            for i in range(cluster.size)
-        ])
 
 
 class NoInterference(FromExposureMapping):
@@ -467,42 +455,11 @@ class KnnPattern(FromExposureMapping):
 # ---------- other structures ----------
 
 
-class _BlockRows(LowRankStructure):
-    """A structure whose row is its `indicator_blocks` side by side in column
-    order, then zero columns: each block's class indicator in the observed
-    and all-pattern rows, its class masses in the expected rows."""
-
-    def _side_by_side(self, cluster, n_rows, part):
-        """part(block, [cluster]) (n_rows, n_classes) of each block: (n_rows, d)."""
-        group = [cluster]
-        out = np.zeros((n_rows, self.dim()))
-        col = 0
-        for block in self.indicator_blocks(group):
-            out[:, col : col + block.fixed_dim] = part(block, group)
-            col += block.fixed_dim
-        return out
-
-    def rows_at(self, cluster, pattern):
-        a = self._check_pattern(cluster, pattern)[None]
-        hot = lambda b, g: _one_hot_rows(b.classes_batch(g, a)[0], b.fixed_dim)  # noqa: E731
-        return self._side_by_side(cluster, cluster.size, hot)
-
-    def all_pattern_rows(self, cluster, i):
-        self._check_index(cluster, i)
-        bits = enumerate_patterns(cluster.size)
-        hot = lambda b, g: _one_hot_rows(b.classes_batch(g, bits)[:, i], b.fixed_dim)  # noqa: E731
-        return self._side_by_side(cluster, bits.shape[0], hot)
-
-    def expected_rows(self, cluster, probs):
-        probs = np.asarray(probs, dtype=np.float64)[None]
-        mass = lambda b, g: b.class_masses_batch(g, probs)[0]  # noqa: E731
-        return self._side_by_side(cluster, cluster.size, mass)
-
-
 class _TypeBit(ExposureMapping):
     """One `AdditiveTypes` block: the treatment of the unit carrying type t,
     the same class for every unit of the cluster. A cluster without the type
-    has class 0 with mass 1, which adds nothing to the block sum."""
+    has class 0 with mass 1, which adds nothing to the closed form's block
+    sum; its rows have no indicator in the block (`AdditiveTypes.block_layout`)."""
 
     fixed_dim = 2
 
@@ -578,35 +535,15 @@ class AdditiveTypes(LowRankStructure):
         present = np.flatnonzero(units.max(axis=0) >= 0)
         return [_TypeBit(self, t, clusters, units[:, t]) for t in present]
 
-    def _row(self, cluster, a):
-        units = self._type_units(cluster)
-        row = np.zeros(2 * self.s)
-        present = np.nonzero(units >= 0)[0]
-        row[2 * present + a[units[present]].astype(np.int64)] = 1.0
-        return row
-
-    def rows_at(self, cluster, pattern):
-        a = self._check_pattern(cluster, pattern)
-        return np.tile(self._row(cluster, a), (cluster.size, 1))
-
-    def all_pattern_rows(self, cluster, i):
-        self._check_index(cluster, i)
-        bits = enumerate_patterns(cluster.size)
-        units = self._type_units(cluster)
-        out = np.zeros((bits.shape[0], 2 * self.s))
-        rows = np.arange(bits.shape[0])
-        for t in np.nonzero(units >= 0)[0]:
-            out[rows, 2 * t + bits[:, units[t]].astype(np.int64)] = 1.0
-        return out
-
-    def expected_rows(self, cluster, probs):
-        probs = np.asarray(probs, dtype=np.float64)
-        units = self._type_units(cluster)
-        row = np.zeros(2 * self.s)
-        present = np.nonzero(units >= 0)[0]
-        row[2 * present] = 1.0 - probs[units[present]]
-        row[2 * present + 1] = probs[units[present]]
-        return np.tile(row, (cluster.size, 1))
+    def block_layout(self, clusters):
+        """Type t's block sits at columns 2t and holds the units of the
+        clusters that carry type t."""
+        m = clusters[0].size
+        return [
+            (2 * int(block.t), block,
+             None if (block.units >= 0).all() else np.repeat((block.units >= 0)[:, None], m, axis=1))
+            for block in self.indicator_blocks(clusters)
+        ]
 
 
 class _CountBin(ExposureMapping):
@@ -647,7 +584,7 @@ class _CountBin(ExposureMapping):
         return out.reshape(b, m, 3)
 
 
-class CoarsenedCount(_BlockRows):
+class CoarsenedCount(LowRankStructure):
     """Own-treatment block plus binned treated-neighbor counts.
 
     Order 1 bins the count of treated direct neighbors into three categories
@@ -775,7 +712,7 @@ class _ListBit(ExposureMapping):
         return np.stack([1.0 - p, p], axis=2)
 
 
-class Compose(_BlockRows):
+class Compose(LowRankStructure):
     """Chained structure per the product-of-encodings construction.
 
     The inner (`NoInterference`, `KnnPattern`, or a `Compose` whose outer is
@@ -848,32 +785,24 @@ class TensorWithCovariates(LowRankStructure):
                 raise InvalidSpec(f"unknown covariate slot {c!r}")
         return out
 
-    def covariate_rows(self, cluster):
-        key = ("tensor_cov", str(self.columns))
-        if key not in cluster._cache:
-            self._fill_covariate_rows([cluster], cluster.covariates[None], key)
-        return cluster._cache[key]
-
     def stacked_covariate_rows(self, clusters):
-        """`covariate_rows` of clusters of one size, stacked: (B, m, width)."""
+        """Each unit's covariate row of clusters of one size, (B, m, width),
+        cached on the clusters. The clusters not cached yet take one
+        evaluation over their stacked covariates; a cluster mean is the same
+        reduction for one cluster or many."""
         key = ("tensor_cov", str(self.columns))
         cold = [c for c in clusters if key not in c._cache]
         if cold:
-            self._fill_covariate_rows(cold, np.stack([c.covariates for c in cold]), key)
+            x = np.stack([c.covariates for c in cold])
+            slots = self._slots(x.shape[2])
+            rows = np.empty(x.shape[:2] + (len(slots),))
+            for t, (kind, j) in enumerate(slots):
+                if j >= x.shape[2]:
+                    raise InvalidSpec(f"covariate column {j} out of range (p={x.shape[2]})")
+                rows[:, :, t] = x[:, :, j] if kind == "col" else x[:, :, j].mean(axis=1)[:, None]
+            for c, r in zip(cold, rows):
+                c._cache[key] = r
         return np.stack([c._cache[key] for c in clusters])
-
-    def _fill_covariate_rows(self, clusters, x, key):
-        """Cache the covariate rows of clusters of one size from one evaluation
-        over their stacked covariates x (B, m, p); a cluster mean is the same
-        reduction for one cluster or many."""
-        slots = self._slots(x.shape[2])
-        rows = np.empty(x.shape[:2] + (len(slots),))
-        for t, (kind, j) in enumerate(slots):
-            if j >= x.shape[2]:
-                raise InvalidSpec(f"covariate column {j} out of range (p={x.shape[2]})")
-            rows[:, :, t] = x[:, :, j] if kind == "col" else x[:, :, j].mean(axis=1)[:, None]
-        for c, r in zip(clusters, rows):
-            c._cache[key] = r
 
     @property
     def exposure_mapping(self):
@@ -897,26 +826,6 @@ class TensorWithCovariates(LowRankStructure):
     @property
     def regime(self):
         return self.inner.regime
-
-    def feature_row(self, cluster, i, pattern):
-        a = self._check(cluster, i, pattern)
-        return np.kron(self.inner.feature_row(cluster, i, a), self.covariate_rows(cluster)[i])
-
-    def rows_at(self, cluster, pattern):
-        inner = self.inner.rows_at(cluster, pattern)
-        x = self.covariate_rows(cluster)
-        return np.einsum("ub,uw->ubw", inner, x).reshape(cluster.size, -1)
-
-    def all_pattern_rows(self, cluster, i):
-        inner = self.inner.all_pattern_rows(cluster, i)
-        return np.kron(inner, self.covariate_rows(cluster)[i][None, :]).reshape(
-            inner.shape[0], -1
-        )
-
-    def expected_rows(self, cluster, probs):
-        inner = self.inner.expected_rows(cluster, probs)
-        x = self.covariate_rows(cluster)
-        return np.einsum("ub,uw->ubw", inner, x).reshape(cluster.size, -1)
 
 
 # ---------- builders ----------
@@ -1006,19 +915,6 @@ def feature_row(structure, cluster, i, pattern):
     return structure.feature_row(cluster, i, pattern)
 
 
-def _one_hot_mapping(structure):
-    """The exposure mapping of a tensor over a one-hot encoding, else None.
-
-    Unit i's row of such a tensor is its covariate row in the block of its
-    exposure class (its slot), and zero elsewhere.
-    """
-    if isinstance(structure, TensorWithCovariates) and not isinstance(
-        structure.inner, TensorWithCovariates
-    ):
-        return structure.inner.exposure_mapping
-    return None
-
-
 def _size_groups(dataset):
     """(clusters, cluster indices, (B, m) unit rows) for each cluster size m."""
     sizes = np.array([c.size for c in dataset.clusters])
@@ -1028,47 +924,152 @@ def _size_groups(dataset):
         yield [dataset.clusters[i] for i in idx], idx, starts[idx, None] + np.arange(m)
 
 
-def _unit_covariate_rows(tensor, dataset):
-    """A covariate tensor's rows of every unit, in dataset unit order: (N, width)."""
-    out = np.empty((dataset.total_units, tensor.width(dataset.clusters[0])))
-    for group, _, rows in _size_groups(dataset):
-        out[rows] = tensor.stacked_covariate_rows(group)
-    return out
+class _GroupRows:
+    """The rows of a structure at clusters of one size m, from its blocks.
 
-
-def _observed_slots(structure, dataset):
-    """Each unit's observed slot of a one-hot tensor, in dataset unit order.
-
-    The slots (N,) int64 are taken for all clusters of one size at once.
+    Unit i's row is its indicator row in the base encoding (ell wide) (x)
+    its covariate row x_i: each `block_layout` block puts a 1 in the column
+    of the unit's class, and x_i is the Kronecker product of the unit's rows
+    in the covariate tensors around the base, innermost first, or the
+    width-1 row (1) of a bare structure. Every row, expected row, target
+    load and simulated signal of the package is built here.
     """
-    mapping = _one_hot_mapping(structure)
-    slots = np.empty(dataset.total_units, dtype=np.int64)
-    for group, _, rows in _size_groups(dataset):
-        slots[rows] = mapping.classes_batch(group, np.stack([c.treatments for c in group]))
-    return slots
+
+    def __init__(self, structure, clusters):
+        levels = []
+        while isinstance(structure, TensorWithCovariates):
+            levels.append(structure.stacked_covariate_rows(clusters))
+            structure = structure.inner
+        x = levels.pop() if levels else np.ones((len(clusters), clusters[0].size, 1))
+        while levels:
+            level = levels.pop()
+            x = (x[:, :, :, None] * level[:, :, None, :]).reshape(x.shape[:2] + (-1,))
+        self.clusters = clusters
+        self.blocks = structure.block_layout(clusters)
+        self.ell = structure.dim(clusters[0], 0)
+        self.x = x  # (B, m, w)
+
+    @staticmethod
+    def _held(held, values):
+        """values (B, m, ...) with the entries of units a block does not hold at 0."""
+        if held is None:
+            return values
+        return np.where(held.reshape(held.shape + (1,) * (values.ndim - 2)), values, 0.0)
+
+    def classes(self, patterns=None):
+        """Each block's classes at pattern rows (P, m), one per cluster of the
+        group or all of its one cluster, by default the observed patterns:
+        [(P, m) int64]."""
+        if patterns is None:
+            patterns = np.stack([c.treatments for c in self.clusters])
+        return [block.classes_batch(self.clusters, patterns) for _, block, _ in self.blocks]
+
+    def rows(self, classes, n_rows, unit=None):
+        """Rows at n_rows pattern rows whose block classes are `classes`:
+        (P, m, d), or unit i's (P, d) when unit is given."""
+        m, w = self.x.shape[1:]
+        i = slice(None) if unit is None else unit
+        lead = (np.arange(n_rows)[:, None], np.arange(m)) if unit is None else (np.arange(n_rows),)
+        out = np.zeros(tuple(len(a) for a in lead) + (self.ell, w))
+        for (col, _, held), cls in zip(self.blocks, classes):
+            out[lead + (col + cls[:, i],)] = self._held(held, self.x)[:, i]
+        return out.reshape(out.shape[:-2] + (-1,))
+
+    def masses(self, probs, weight=None):
+        """Each block's class masses (B, m, n_classes) of the group's units:
+        in the block's product form under Bernoulli(probs), probs (B, m), else
+        summed over the 2^m pattern masses; over the weight's sparse support
+        when probs is None."""
+        out = []
+        for _, block, held in self.blocks:
+            masses = None if probs is None else block.class_masses_batch(self.clusters, probs)
+            if masses is None:
+                masses = self._pattern_masses(block, probs, weight)
+            out.append(self._held(held, masses))
+        return out
+
+    def _pattern_masses(self, block, probs, weight):
+        """A block's class masses summed over weighted patterns, cluster by
+        cluster: the 2^m patterns under Bernoulli(probs), or the support."""
+        m = self.x.shape[1]
+        out = np.zeros((len(self.clusters), m, block.fixed_dim))
+        for b, c in enumerate(self.clusters):
+            if probs is None:
+                support = weight.support(c)
+                if not support:
+                    continue
+                patterns = np.array([pat for pat, _ in support], dtype=np.int8)
+                w = np.array([w for _, w in support], dtype=np.float64)
+            else:
+                patterns = enumerate_patterns(m)
+                w = _kernels.pattern_masses(patterns, probs[b])
+            np.add.at(out[b], (np.arange(m), block.classes_batch([c], patterns)), w[:, None])
+        return out
+
+    def expected_rows(self, masses):
+        """Rows with each block's class masses in place of its indicators: (B, m, d)."""
+        b, m, w = self.x.shape
+        out = np.zeros((b, m, self.ell, w))
+        for (col, _, _), mass in zip(self.blocks, masses):
+            out[:, :, col : col + mass.shape[2]] = mass[:, :, :, None] * self.x[:, :, None, :]
+        return out.reshape(b, m, -1)
+
+    def loads(self, masses):
+        """Sum over units of the expected rows, without them: one (B, n, m) @
+        (B, m, w) product per block, (B, d)."""
+        b, _, w = self.x.shape
+        out = np.zeros((b, self.ell, w))
+        for (col, _, _), mass in zip(self.blocks, masses):
+            out[:, col : col + mass.shape[2]] = mass.transpose(0, 2, 1) @ self.x
+        return out.reshape(b, -1)
+
+
+def _pattern_rows_by_unit(structure, cluster):
+    """Rows of the units of a cluster at all 2^m patterns, unit by unit: a
+    function i -> new (2^m, d) array. Each block's classes are taken once,
+    for every unit."""
+    layout = _GroupRows(structure, [cluster])
+    bits = enumerate_patterns(cluster.size)
+    classes = layout.classes(bits)
+    return lambda i: layout.rows(classes, bits.shape[0], unit=i)
 
 
 def _observed_design(structure, dataset):
     """design_matrix, with each unit's (observed slot, covariate row) of a
-    one-hot tensor, else None: (phi (N, d), None | (slots (N,), x (N, width)))."""
+    one-hot tensor, else None: (phi (N, d), None | (slots (N,), x (N, width))).
+
+    Each size group's blocks scatter the units' covariate rows into the
+    columns of their observed classes, in place in the design.
+    """
     if structure.regime != "fixed":
         raise InvalidSpec("design matrices need a fixed-dimension structure")
-    if _one_hot_mapping(structure) is None:
-        return np.vstack([structure.rows_at(c, c.treatments) for c in dataset.clusters]), None
-    slots = _observed_slots(structure, dataset)
-    x = _unit_covariate_rows(structure, dataset)
-    phi = np.zeros((x.shape[0], structure.inner.dim(), x.shape[1]))
-    phi[np.arange(x.shape[0]), slots] = x
-    return phi.reshape(x.shape[0], -1), (slots, x)
+    # a covariate tensor directly over a one-hot encoding: its design is block
+    # diagonal up to a row permutation (`estimators._block_pieces`)
+    one_hot = (
+        isinstance(structure, TensorWithCovariates)
+        and not isinstance(structure.inner, TensorWithCovariates)
+        and structure.exposure_mapping is not None
+    )
+    n_units = dataset.total_units
+    phi = slots = x = None
+    for group, _, rows in _size_groups(dataset):
+        layout = _GroupRows(structure, group)
+        if phi is None:
+            phi = np.zeros((n_units, layout.ell, layout.x.shape[2]))
+            if one_hot:
+                slots = np.empty(n_units, dtype=np.int64)
+                x = np.empty((n_units, layout.x.shape[2]))
+        units = rows.ravel()
+        for (col, _, held), cls in zip(layout.blocks, layout.classes()):
+            phi[units, col + cls.ravel()] = layout._held(held, layout.x).reshape(units.size, -1)
+            if one_hot:
+                slots[units], x[units] = cls.ravel(), layout.x.reshape(units.size, -1)
+    return phi.reshape(n_units, -1), ((slots, x) if one_hot else None)
 
 
 def design_matrix(structure, dataset):
-    """Observed design: rows phi_ci(A_c) stacked in dataset unit order.
-
-    A one-hot tensor's design is one scatter of the covariate rows into the
-    blocks of the units' observed slots; other structures stack `rows_at`
-    per cluster.
-    """
+    """Observed design: rows phi_ci(A_c) stacked in dataset unit order,
+    assembled one size group at a time from the structure's blocks."""
     return _observed_design(structure, dataset)[0]
 
 
@@ -1076,34 +1077,54 @@ def target_contributions(structure, dataset, weight):
     """Per-cluster aggregated counterfactual feature loads: (n, d).
 
     Row c is (1/M_c) * sum_{a in support(f)} f(a, X_c) * sum_i phi_ci(a).
-    The weight's `marginal_probs_batch` is asked once per size group. With
-    that product form, a one-hot tensor whose mapping has product-form class
-    masses takes the group's rows at once: row c is (1/m) sum_i masses[c,
-    i] (x) x_ci, a (B, slots, m) @ (B, m, w) product with the unit x slot
-    masses. Other structures take `expected_rows` per cluster, and a weight
-    without the product form its sparse support.
+    The weight's `marginal_probs_batch` is asked once per size group. Row c
+    is then (1/m) sum_i masses[c, i] (x) x_ci, one (B, n, m) @ (B, m, w)
+    product per block with its unit x class masses: in product form where
+    the block and the weight have one, else from the 2^m pattern masses, and
+    from the weight's sparse support where the weight has no product form.
     """
     if structure.regime != "fixed":
         raise InvalidSpec("target vectors need a fixed-dimension structure")
-    d = structure.dim(dataset.clusters[0])
-    out = np.zeros((dataset.n, d))
-    mapping = _one_hot_mapping(structure)
+    out = None
     for group, idx, rows in _size_groups(dataset):
-        probs = weight.marginal_probs_batch(group)
-        if probs is None:
-            for ci, c in zip(idx, group):
-                for pat, w in weight.support(c):
-                    out[ci] += w * structure.rows_at(c, pat).sum(axis=0)
-                out[ci] /= c.size
-            continue
-        masses = None if mapping is None else mapping.class_masses_batch(group, probs)
-        if masses is not None:
-            loads = masses.transpose(0, 2, 1) @ structure.stacked_covariate_rows(group)
-            out[idx] = loads.reshape(len(group), -1) / rows.shape[1]
-            continue
-        for ci, c, p in zip(idx, group, probs):
-            out[ci] = structure.expected_rows(c, p).mean(axis=0)
+        layout = _GroupRows(structure, group)
+        loads = layout.loads(layout.masses(weight.marginal_probs_batch(group), weight))
+        if out is None:
+            out = np.zeros((dataset.n, loads.shape[1]))
+        out[idx] = loads / rows.shape[1]
     return out
+
+
+def observed_signal(structure, dataset, h):
+    """phi_ci(A_c) @ h of every unit, in dataset unit order, without a design:
+    each block gathers the h block of each unit's observed class and takes its
+    product with the unit's covariate row."""
+    g = np.zeros(dataset.total_units)
+    for group, _, rows in _size_groups(dataset):
+        layout = _GroupRows(structure, group)
+        w = layout.x.shape[2]
+        h_blocks = h.reshape(layout.ell, w)
+        for (col, _, held), cls in zip(layout.blocks, layout.classes()):
+            x = layout._held(held, layout.x).reshape(-1, w)
+            g[rows.ravel()] += np.einsum("uw,uw->u", x, h_blocks[col + cls.ravel()])
+    return g
+
+
+def incidence_counts(structure, dataset):
+    """Units whose observed row is non-zero in each coordinate: (d,) float,
+    from each block's observed classes and the non-zero covariates."""
+    counts = None
+    for group, _, _ in _size_groups(dataset):
+        layout = _GroupRows(structure, group)
+        w = layout.x.shape[2]
+        if counts is None:
+            counts = np.zeros(layout.ell * w)
+        nonzero = (layout.x != 0).astype(np.float64)
+        for (col, _, held), cls in zip(layout.blocks, layout.classes()):
+            cells = (col + cls)[:, :, None] * w + np.arange(w)
+            weights = layout._held(held, nonzero).ravel()
+            counts += np.bincount(cells.ravel(), weights=weights, minlength=counts.size)
+    return counts
 
 
 def target_vector(structure, dataset, weight):

@@ -1,6 +1,7 @@
 """Brute-force oracles: exhaustive assignment enumeration and direct estimand
 sums, independent of the estimator code paths they check."""
 
+import functools
 import itertools
 import math
 
@@ -98,21 +99,122 @@ def fresh_copy(dataset):
 
 
 def per_cluster_design(structure, dataset):
-    """Observed design stacked from `rows_at`, one cluster at a time."""
-    return np.vstack([structure.rows_at(c, c.treatments) for c in dataset.clusters])
+    """Observed design stacked from `structure_rows`, one cluster at a time."""
+    return np.vstack([structure_rows(structure, c, c.treatments) for c in dataset.clusters])
+
+
+def count_pmf(probs):
+    """Distribution of the number of successes of independent Bernoulli(probs)."""
+    pmf = [1.0]
+    for q in probs:
+        pmf = [(pmf[j] * (1.0 - q) if j < len(pmf) else 0.0) + (pmf[j - 1] * q if j else 0.0)
+               for j in range(len(pmf) + 1)]
+    return pmf
+
+
+def slot_masses(probs, k):
+    """Masses of the 2^k k-NN pattern slots of a list with treatment
+    probabilities probs, first bit most significant, missing low bits zero."""
+    out = np.zeros(2**k)
+    for slot in range(2**k):
+        mass = 1.0
+        for t in range(k):
+            bit = (slot >> (k - 1 - t)) & 1
+            mass *= (probs[t] if bit else 1.0 - probs[t]) if t < len(probs) else float(not bit)
+        out[slot] = mass
+    return out
+
+
+def expected_rows(structure, cluster, probs):
+    """E[structure_rows] under independent Bernoulli(probs) treatments, unit by
+    unit from each encoding's class probabilities: a count's distribution
+    over its counted units, a pattern slot's product of its list's bits, and
+    a tensor's expected inner row times the unit's covariate row."""
+    from clusterbal.structures import (
+        AdditiveTypes,
+        CoarsenedCount,
+        Compose,
+        ConstantMapping,
+        KnnPattern,
+        NeighborCount,
+        NeighborPattern,
+        OwnTreatment,
+        TensorWithCovariates,
+    )
+
+    p = [float(v) for v in probs]
+    m = cluster.size
+    if isinstance(structure, TensorWithCovariates):
+        inner = expected_rows(structure.inner, cluster, probs)
+        x = covariate_slot_rows(structure.columns, cluster.covariates)
+        return np.stack([np.kron(inner[i], x[i]) for i in range(m)])
+    if isinstance(structure, AdditiveTypes):
+        row = np.zeros(2 * structure.s)
+        for u, t in enumerate(unit_types(structure, cluster)):
+            row[2 * (t - 1)], row[2 * (t - 1) + 1] = 1.0 - p[u], p[u]
+        return np.tile(row, (m, 1))
+    rows = []
+    for i in range(m):
+        if isinstance(structure, Compose):
+            outer = structure.outer
+            while isinstance(outer, Compose):
+                outer = outer.outer
+            listed = [p[j] for j in composed_unit_list(structure.inner, cluster, i)]
+            if isinstance(outer, KnnPattern):
+                rows.append(slot_masses(listed, outer.k))
+            else:
+                row = np.zeros(2 * outer.s)
+                for t, q in enumerate(listed[: outer.s]):
+                    row[2 * t], row[2 * t + 1] = 1.0 - q, q
+                rows.append(row)
+        elif isinstance(structure, CoarsenedCount):
+            k = None if structure.graph is not None else structure.k
+            direct = [set(r) for r in neighbor_lists(cluster, k, structure.graph)]
+            levels = [direct[i]]
+            if structure.order == 2:
+                levels.append(set().union(*(direct[j] for j in direct[i])) - direct[i] - {i})
+            row = [1.0 - p[i], p[i]]
+            for lvl, units in enumerate(levels):
+                low, high = structure.thresholds[lvl]
+                pmf = count_pmf([p[j] for j in sorted(units)])
+                bins = [0.0, 0.0, 0.0]
+                for count, mass in enumerate(pmf):
+                    bins[0 if count <= low else 1 if count <= high else 2] += mass
+                row += bins
+            rows.append(np.array(row))
+        else:
+            mapping = structure.mapping
+            if isinstance(mapping, OwnTreatment):
+                rows.append(np.array([1.0 - p[i], p[i]]))
+            elif isinstance(mapping, ConstantMapping):
+                rows.append(np.ones(1))
+            elif isinstance(mapping, NeighborCount):
+                lists = neighbor_lists(cluster, mapping.k, mapping.graph)
+                counted = [p[j] for j in lists[i]] + ([p[i]] if mapping.include_own else [])
+                row = np.zeros(mapping.k + 1 + int(mapping.include_own))
+                pmf = count_pmf(counted)
+                row[: len(pmf)] = pmf
+                rows.append(row)
+            else:
+                assert isinstance(mapping, NeighborPattern), mapping
+                lists = neighbor_lists(cluster, mapping.k, mapping.graph)
+                rows.append(slot_masses([p[j] for j in lists[i]], mapping.k))
+    return np.stack(rows)
 
 
 def per_cluster_contributions(structure, dataset, weight):
-    """Target contributions from `expected_rows` (or the weight's support) per cluster."""
-    out = np.zeros((dataset.n, structure.dim(dataset.clusters[0])))
-    for ci, c in enumerate(dataset.clusters):
+    """Target contributions per cluster: `expected_rows` under a product-form
+    weight, else the weighted sum of `structure_rows` over its support."""
+    out = []
+    for c in dataset.clusters:
         probs = weight.marginal_probs(c)
         if probs is not None:
-            out[ci] = structure.expected_rows(c, probs).mean(axis=0)
+            rows = expected_rows(structure, c, probs)
         else:
-            for pat, w in weight.support(c):
-                out[ci] += w * structure.rows_at(c, pat).sum(axis=0) / c.size
-    return out
+            zero = np.zeros((c.size, structure.dim(c)))
+            rows = sum((w * structure_rows(structure, c, pat) for pat, w in weight.support(c)), zero)
+        out.append(rows.sum(axis=0) / c.size)
+    return np.array(out)
 
 
 def scanned_pieces(phi, n_blocks):
@@ -139,17 +241,16 @@ def per_cluster_imbalance_scales(structure, dataset):
     """(sigma, m_counts) of the imbalance report, one cluster at a time.
 
     sigma (d,) is the across-cluster spread of each coordinate's load summed
-    over all 2^M_c patterns; m_counts counts the units in each effective
-    treatment at the observed patterns.
+    over all 2^M_c patterns; m_counts counts the units with a non-zero entry
+    in each coordinate of their observed inner row.
     """
-    z = np.array(
-        [
-            structure.expected_rows(c, np.full(c.size, 0.5)).mean(axis=0) * 2.0**c.size
-            for c in dataset.clusters
-        ]
-    )
+    z = np.array([
+        expected_rows(structure, c, np.full(c.size, 0.5)).mean(axis=0) * 2.0**c.size
+        for c in dataset.clusters
+    ])
     m_counts = sum(
-        (structure.inner.rows_at(c, c.treatments) != 0).sum(axis=0) for c in dataset.clusters
+        (structure_rows(structure.inner, c, c.treatments) != 0).sum(axis=0)
+        for c in dataset.clusters
     )
     return z.std(axis=0, ddof=1), np.asarray(m_counts, dtype=float)
 
@@ -174,11 +275,8 @@ def per_cluster_gen_dataset(cfg, replicate_index):
         pi0 = per_cluster_probit(x, 0.0)
         a = (rng.random(m) < pi0).astype(np.int8)
         tmp = ClusterSample(covariates=x, treatments=a, outcomes=np.zeros(m), cluster_id=ci)
-        g = structure.rows_at(tmp, a) @ h
-        y = g + sigma * rng.standard_normal(m)
-        cluster = ClusterSample(covariates=x, treatments=a, outcomes=y, cluster_id=ci)
-        cluster._cache.update(tmp._cache)
-        clusters.append(cluster)
+        y = structure_rows(structure, tmp, a) @ h + sigma * rng.standard_normal(m)
+        clusters.append(ClusterSample(covariates=x, treatments=a, outcomes=y, cluster_id=ci))
     return Dataset(clusters=tuple(clusters))
 
 
@@ -202,7 +300,7 @@ def per_cluster_calibration_moments(cfg, draws=2000):
         ratio = np.prod(np.where(af == 1, pik / pi0, (1.0 - pik) / (1.0 - pi0)))
         w_scalar = ratio / m
         tmp = ClusterSample(covariates=x, treatments=a, outcomes=np.zeros(m), cluster_id=r)
-        g = structure.rows_at(tmp, a) @ h1
+        g = structure_rows(structure, tmp, a) @ h1
         signal[r] = w_scalar * g.sum()
         norm2[r] = m * w_scalar**2
     return signal, norm2
@@ -228,7 +326,13 @@ def per_cluster_ipw_weights(dataset, weight, propensity):
 
 def knn_lists(cluster, k):
     """Each unit's k nearest other units, ordered by (squared distance, index)."""
-    x = cluster.covariates.tolist()
+    x = cluster.covariates
+    return [list(row) for row in _knn_lists(x.tobytes(), x.shape, k)]
+
+
+@functools.lru_cache(maxsize=4096)
+def _knn_lists(raw, shape, k):
+    x = np.frombuffer(raw).reshape(shape).tolist()
     lists = []
     for i, xi in enumerate(x):
         def key(j):
@@ -237,33 +341,143 @@ def knn_lists(cluster, k):
                 d2 += (a - b) * (a - b)
             return (d2, j)
 
-        lists.append(sorted((j for j in range(len(x)) if j != i), key=key)[:k])
-    return lists
+        lists.append(tuple(sorted((j for j in range(len(x)) if j != i), key=key)[:k]))
+    return tuple(lists)
 
 
-def knn_one_hot_rows(cluster, pattern, kind, k=1, include_own=False):
+def neighbor_lists(cluster, k, graph=None):
+    """The first k entries of each unit's list in a given graph (all of them
+    when k is None), else its k nearest other units."""
+    if graph is not None:
+        return [list(row[:k]) for row in np.asarray(graph.lists[cluster.cluster_id]).tolist()]
+    return knn_lists(cluster, k)
+
+
+def knn_one_hot_rows(cluster, pattern, kind, k=1, include_own=False, graph=None):
     """Rows of a named one-hot structure at one pattern, unit by unit.
 
     kind "own": slot a_i of 2. "count": the number of treated units among
     the k nearest neighbors (and i itself with include_own), of k + 1 (+ 1).
     "pattern": the neighbors' bits read first neighbor most significant,
     the missing low bits of a unit with fewer than k neighbors zero, of 2^k.
+    "constant": one slot. A given graph's lists replace the k-NN ones.
     """
     a = [int(b) for b in pattern]
-    lists = knn_lists(cluster, k)
-    n_slots = {"own": 2, "count": k + 1 + int(include_own), "pattern": 2**k}[kind]
+    lists = neighbor_lists(cluster, k, graph) if kind in ("count", "pattern") else []
+    n_slots = {"own": 2, "count": k + 1 + int(include_own), "pattern": 2**k, "constant": 1}[kind]
     rows = np.zeros((len(a), n_slots))
-    for i, nbrs in enumerate(lists):
+    for i in range(len(a)):
         if kind == "own":
             slot = a[i]
+        elif kind == "constant":
+            slot = 0
         elif kind == "count":
-            slot = sum(a[j] for j in nbrs) + (a[i] if include_own else 0)
+            slot = sum(a[j] for j in lists[i]) + (a[i] if include_own else 0)
         else:
             slot = 0
             for t in range(k):
-                slot = 2 * slot + (a[nbrs[t]] if t < len(nbrs) else 0)
+                slot = 2 * slot + (a[lists[i][t]] if t < len(lists[i]) else 0)
         rows[i, slot] = 1.0
     return rows
+
+
+# ---------- every structure's rows, from the definitions ----------
+
+
+def mapping_rows(mapping, cluster, pattern):
+    """Indicator rows of an exposure mapping's classes at one pattern."""
+    from clusterbal.structures import ConstantMapping, NeighborCount, NeighborPattern, OwnTreatment
+
+    if isinstance(mapping, OwnTreatment):
+        return knn_one_hot_rows(cluster, pattern, "own")
+    if isinstance(mapping, ConstantMapping):
+        return knn_one_hot_rows(cluster, pattern, "constant")
+    if isinstance(mapping, NeighborCount):
+        return knn_one_hot_rows(cluster, pattern, "count", mapping.k, mapping.include_own,
+                                mapping.graph)
+    assert isinstance(mapping, NeighborPattern), mapping
+    return knn_one_hot_rows(cluster, pattern, "pattern", mapping.k, graph=mapping.graph)
+
+
+def unit_types(structure, cluster):
+    """AdditiveTypes: the type of each unit, its index + 1 or a covariate's value."""
+    source = structure.type_source
+    if source == "unit_index":
+        return list(range(1, cluster.size + 1))
+    return [int(v) for v in cluster.covariates[:, source["column"]]]
+
+
+def additive_rows(structure, cluster, pattern):
+    """AdditiveTypes: one row for every unit, with an (untreated, treated)
+    pair per type, set at the treatment of the unit carrying the type and
+    zero for a type no unit carries."""
+    row = np.zeros(2 * structure.s)
+    for u, t in enumerate(unit_types(structure, cluster)):
+        row[2 * (t - 1) + int(pattern[u])] = 1.0
+    return np.tile(row, (cluster.size, 1))
+
+
+def coarsened_rows(structure, cluster, pattern):
+    """CoarsenedCount: the own pair, then per level the bin (count <= low,
+    <= high, above) of the treated units among the unit's direct neighbors
+    and, at order 2, among the units at graph distance exactly two."""
+    a = [int(b) for b in pattern]
+    k = None if structure.graph is not None else structure.k
+    direct = [set(row) for row in neighbor_lists(cluster, k, structure.graph)]
+    rows = np.zeros((cluster.size, 2 + 3 * structure.order))
+    for i in range(cluster.size):
+        rows[i, a[i]] = 1.0
+        levels = [direct[i]]
+        if structure.order == 2:
+            levels.append(set().union(*(direct[j] for j in direct[i])) - direct[i] - {i})
+        for lvl, units in enumerate(levels):
+            count = sum(a[j] for j in units)
+            low, high = structure.thresholds[lvl]
+            rows[i, 2 + 3 * lvl + (0 if count <= low else 1 if count <= high else 2)] = 1.0
+    return rows
+
+
+def covariate_slot_rows(columns, x):
+    """A covariate tensor's per-unit rows: raw columns (an index or "x<j+1>")
+    and cluster means of a column; every raw column when columns is None."""
+    cols = range(x.shape[1]) if columns is None else columns
+    out = []
+    for c in cols:
+        if isinstance(c, dict):
+            out.append(np.full(x.shape[0], x[:, c["cluster_mean"]].mean()))
+        elif isinstance(c, (tuple, list)):
+            out.append(np.full(x.shape[0], x[:, c[1]].mean()))
+        elif isinstance(c, str):
+            out.append(x[:, int(c[1:]) - 1])
+        else:
+            out.append(x[:, int(c)])
+    return np.column_stack(out)
+
+
+def structure_rows(structure, cluster, pattern):
+    """Any structure's rows at one pattern, unit by unit: the definitions of
+    each encoding, and a tensor's row as the Kronecker product of its inner
+    row with the unit's covariate row."""
+    from clusterbal.structures import (
+        AdditiveTypes,
+        CoarsenedCount,
+        Compose,
+        FromExposureMapping,
+        TensorWithCovariates,
+    )
+
+    if isinstance(structure, TensorWithCovariates):
+        inner = structure_rows(structure.inner, cluster, pattern)
+        x = covariate_slot_rows(structure.columns, cluster.covariates)
+        return np.stack([np.kron(inner[i], x[i]) for i in range(cluster.size)])
+    if isinstance(structure, Compose):
+        return composed_rows(structure, cluster, pattern)
+    if isinstance(structure, AdditiveTypes):
+        return additive_rows(structure, cluster, pattern)
+    if isinstance(structure, CoarsenedCount):
+        return coarsened_rows(structure, cluster, pattern)
+    assert isinstance(structure, FromExposureMapping), structure
+    return mapping_rows(structure.mapping, cluster, pattern)
 
 
 # ---------- composed encodings (the unit-by-unit rows `Compose` replaces) ----------

@@ -13,6 +13,9 @@ of other claims live beside the code they test:
   `test_estimators.py::test_wproj_closed_form_matches_svd`;
 - noiseless recovery: `test_simulate.py::test_conditional_mu_equals_balancing_point_noiseless`;
 - serial/parallel identity: `test_simulate.py::test_monte_carlo_serial_parallel_identical`.
+
+The robustness check here enumerates the assignments of a dependent
+(`JointTable`) law.
 """
 
 import math
@@ -27,11 +30,20 @@ from clusterbal.core import (
     Dataset,
     Gate,
     IndependentBernoulli,
+    JointTable,
     enumerate_patterns,
 )
-from clusterbal.estimators import ipw_weights, weighted_projection_fit
+from clusterbal.estimators import balancing_fit, ipw_fit, ipw_weights, weighted_projection_fit
 from clusterbal.simulate import DGPConfig, monte_carlo
-from clusterbal.structures import AdditiveTypes, CoarsenedCount, target_contributions
+from clusterbal.structures import (
+    AdditiveTypes,
+    CoarsenedCount,
+    KnnPattern,
+    target_contributions,
+    target_vector,
+)
+
+from oracles import expectation_over_assignments, mu_f_direct, structure_rows
 
 # ---------- efficiency of weighted projection with a known propensity ----------
 
@@ -88,6 +100,75 @@ def test_wproj_is_unbiased_and_no_less_efficient_than_ipw(structure):
             assert (second["wproj"] <= second["ipw"] * (1 + 1e-12)).all()
             target = target_contributions(structure, _at(c, bits[0]), f)[0] @ h
             assert mean == pytest.approx(target, rel=1e-12, abs=1e-12)
+
+
+# ---------- robustness to dependent assignments, by enumeration ----------
+
+# |E[IPW] - mu| / |mu| is at least this when IPW is given an independent
+# Bernoulli(1/2) propensity for assignments drawn from the dependent tables
+# below; fixed before the test's first run
+IPW_BIAS_MARGIN = 0.25
+
+# the true structure, its coefficients h and the cluster sizes: y_i = a of
+# unit i's nearest neighbor, and y_i = the number of treated units of the cluster
+ROBUSTNESS = {
+    "one-hot": (KnnPattern(1), [0.0, 1.0], (2, 3, 4)),
+    "additive": (AdditiveTypes(2), [0.0, 1.0, 0.0, 1.0], (1, 2, 2, 2)),
+}
+
+
+def _dependent_table(d):
+    """Per cluster, mass 9 on all treated and on all untreated and 1 on every
+    other pattern, normalized: each unit is treated with probability 1/2,
+    and the units of a cluster tend to move together."""
+    tables = {}
+    for c in d.clusters:
+        bits = enumerate_patterns(c.size)
+        count = bits.sum(axis=1)
+        mass = np.where((count == 0) | (count == c.size), 9.0, 1.0)
+        tables[c.cluster_id] = dict(zip(map(tuple, bits), mass / mass.sum()))
+    return JointTable(tables)
+
+
+@pytest.mark.parametrize("case", list(ROBUSTNESS))
+def test_balancing_is_robust_to_dependent_assignments(case):
+    """Assignments drawn dependently within clusters (a JointTable) and
+    outcomes y = phi(a) . h of the true structure. Over every joint
+    assignment, balancing, which never reads the propensity, is exactly
+    unbiased given feasibility. IPW is unbiased given the true table, and
+    biased by at least IPW_BIAS_MARGIN * |mu| given an independent
+    Bernoulli(1/2) propensity, although its unit marginals are right."""
+    structure, h, sizes = ROBUSTNESS[case]
+    h = np.array(h)
+    rng = np.random.default_rng(47)
+    d = Dataset(clusters=tuple(
+        ClusterSample(rng.standard_normal((m, 2)), np.zeros(m, dtype=int), np.zeros(m), cluster_id=ci)
+        for ci, m in enumerate(sizes)
+    ))
+    table, f = _dependent_table(d), Gate()
+    independent = IndependentBernoulli(lambda c: np.full(c.size, 0.5))
+
+    def outcome_fn(ci, c, a):
+        return structure_rows(structure, c, a) @ h
+
+    mu = mu_f_direct(d, f, outcome_fn)
+    assert target_vector(structure, d, f) @ h / d.n == pytest.approx(mu, rel=1e-12)
+
+    def balancing(ds):
+        fit = balancing_fit(ds, structure, f)
+        return fit.point, fit.feasible
+
+    got, mass = expectation_over_assignments(d, table, outcome_fn, balancing)
+    assert mass > 0
+    assert got == pytest.approx(mu, rel=1e-10, abs=1e-12)
+    for e, unbiased in ((table, True), (independent, False)):
+        ipw, mass = expectation_over_assignments(
+            d, table, outcome_fn, lambda ds: (ipw_fit(ds, f, e).point, True))
+        assert mass == pytest.approx(1.0, abs=1e-12)
+        if unbiased:
+            assert ipw == pytest.approx(mu, rel=1e-10, abs=1e-12)
+        else:
+            assert abs(ipw - mu) >= IPW_BIAS_MARGIN * abs(mu), (ipw, mu)
 
 
 # ---------- Monte Carlo: coverage and variance of additive weighted projection ----------

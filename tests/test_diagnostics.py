@@ -10,6 +10,7 @@ from clusterbal.estimators import balancing_fit
 from clusterbal.structures import (
     FromExposureMapping,
     IdentityMapping,
+    NeighborCount,
     NoInterference,
     StratifiedCount,
     TensorWithCovariates,
@@ -173,26 +174,34 @@ def test_report_rows_shape(rng):
     assert {"covariate", "effective_treatment", "nu", "sigma", "nu_star", "flagged"} <= set(rows[0])
 
 
-def test_incidences_come_from_the_fits_design(rng, monkeypatch):
-    """A one-hot tensor's incidences are the counts of the balancing fit's
-    observed slots, and a structure without covariates counts the non-zero
-    entries of the fit's design; neither is recomputed."""
+def test_incidences_count_the_observed_classes(rng, monkeypatch):
+    """A tensor's incidences count the units in each observed class of its
+    inner encoding (times each non-zero covariate of a nested tensor's inner
+    level), and a structure without covariates counts the non-zero entries
+    of the fit's design, which is not recomputed."""
     from clusterbal import structures
 
     d = make_dataset(rng, 8, sizes=(1, 5), p=2)
-    s = TensorWithCovariates(StratifiedCount(2), columns=[0, 1])
+    d.clusters[0].covariates[0] = 0.0
     f = uniform_intervention()
+    mapping = NeighborCount(2)
+    slots = np.concatenate([mapping.classes_batch([c], c.treatments[None])[0] for c in d.clusters])
+    s = TensorWithCovariates(StratifiedCount(2), columns=[0, 1])
     fit = balancing_fit(d, s, f)
-    want = np.bincount(structures._observed_slots(s, d), minlength=3).astype(float)
-    calls = []
-    monkeypatch.setattr(structures, "_observed_slots", lambda *a: calls.append(a))
-    assert np.array_equal(imbalance_report(d, s, f, fit).m_counts, want)
-    assert calls == []
+    assert np.array_equal(imbalance_report(d, s, f, fit).m_counts, np.bincount(slots, minlength=3))
+
+    nested = TensorWithCovariates(s, columns=[{"cluster_mean": 1}])
+    fit = balancing_fit(d, nested, f)
+    x = np.vstack([c.covariates for c in d.clusters])
+    want = np.zeros((3, 2))
+    np.add.at(want, slots, (x != 0).astype(float))
+    assert np.array_equal(imbalance_report(d, nested, f, fit).m_counts, want.ravel())
 
     raw = StratifiedCount(2)
     fit = balancing_fit(d, raw, f)
-    want = sum((raw.rows_at(c, c.treatments) != 0).sum(axis=0) for c in d.clusters)
-    monkeypatch.setattr(raw, "rows_at", lambda *a: calls.append(a))
+    want = np.bincount(slots, minlength=3)
+    calls = []
+    monkeypatch.setattr(structures, "_observed_design", lambda *a: calls.append(a))
     assert np.array_equal(imbalance_report(d, raw, f, fit).m_counts, want)
     assert calls == []
 

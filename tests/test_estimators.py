@@ -38,6 +38,7 @@ from clusterbal.structures import (
     AdditiveTypes,
     CoarsenedCount,
     Compose,
+    ExposureMapping,
     FromExposureMapping,
     KnnPattern,
     IdentityMapping,
@@ -55,7 +56,7 @@ from clusterbal.structures import (
 )
 
 from conftest import make_cluster, make_dataset
-from oracles import expectation_over_assignments, mu_f_direct
+from oracles import expectation_over_assignments, mu_f_direct, structure_rows
 
 
 def singleton(a, y, cid=0, x=0.0):
@@ -232,15 +233,9 @@ def test_projection_full_row_rank_is_identity(rng):
 def test_projection_intercept_column_gives_mean(rng):
     d = make_dataset(rng, 3, sizes=(2, 3), p=1)
 
-    class Intercept(NoInterference):
-        def dim(self, cluster=None, i=None):
-            return 1
-
-        def rows_at(self, cluster, pattern):
-            return np.ones((cluster.size, 1))
-
+    intercept = FromExposureMapping(ConstantMapping())  # one column of ones
     e = half_bernoulli()
-    fit = projection_fit(d, Intercept(), Gate(), e)
+    fit = projection_fit(d, intercept, Gate(), e)
     w_ipw = ipw_weights(d, Gate(), e)
     assert np.allclose(fit.weights.values, w_ipw.mean(), atol=1e-12)
 
@@ -926,3 +921,56 @@ def test_wproj_shared_rows_one_svd_per_cluster(rng, monkeypatch, case, zero_rows
     assert (got[want == 0.0] == 0.0).all()
     if zero_rows and zeroed:
         assert (want[[start for start, _ in d.cluster_slices()]] == 0.0).all()
+
+
+# ---------- weighted projection: each block's classes once per cluster ----------
+
+
+class _SpyBlock(ExposureMapping):
+    """A block that records the pattern rows of each `classes_batch` call."""
+
+    def __init__(self, block, calls):
+        self.block, self.calls, self.fixed_dim = block, calls, block.fixed_dim
+
+    def classes_batch(self, clusters, patterns):
+        self.calls.append(patterns.shape[0])
+        return self.block.classes_batch(clusters, patterns)
+
+    def class_masses_batch(self, clusters, probs):
+        return self.block.class_masses_batch(clusters, probs)
+
+
+class _SpiedCoarsenedCount(CoarsenedCount):
+    def __init__(self, calls, **kwargs):
+        super().__init__(**kwargs)
+        self.calls = calls
+
+    def indicator_blocks(self, clusters):
+        return [_SpyBlock(b, self.calls) for b in super().indicator_blocks(clusters)]
+
+
+def test_wproj_svd_takes_each_blocks_classes_once_per_cluster(rng):
+    """Under a JointTable several blocks take the per-unit SVD; its rows are
+    read from each block's classes at the 2^m patterns, taken once per
+    cluster and not once per unit, and the weights are the per-unit
+    projections of rows built from the definitions."""
+    d = make_dataset(rng, 4, sizes=(4, 6), p=2)
+    tables = {}
+    for c in d.clusters:
+        probs = rng.random(2**c.size) + 0.1
+        tables[c.cluster_id] = dict(zip(map(tuple, enumerate_patterns(c.size)), probs / probs.sum()))
+    e, f = JointTable(tables), uniform_intervention()
+    calls = []
+    structure = _SpiedCoarsenedCount(calls, order=2, thresholds=(0.0, 1.0), k=2)
+    got = weighted_projection_fit(d, structure, f, e).weights.values
+    assert calls == [2**c.size for c in d.clusters for _ in range(3)]
+    want = []
+    for c in d.clusters:
+        bits = enumerate_patterns(c.size)
+        rows = np.stack([structure_rows(structure, c, a) for a in bits])  # (2^m, m, d)
+        e_all, f_all = e.probabilities_for(bits, c), f.weights_for(bits, c)
+        sqrt_e, obs = np.sqrt(e_all), pattern_index(c.treatments)
+        for i in range(c.size):
+            w = project_colspace(rows[:, i] * sqrt_e[:, None], sqrt_e * f_all / (c.size * e_all))
+            want.append(w[obs] / sqrt_e[obs])
+    np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12)

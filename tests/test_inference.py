@@ -37,6 +37,7 @@ from clusterbal.inference import (
 from clusterbal.structures import (
     FromExposureMapping,
     KnnPattern,
+    LowRankStructure,
     NoInterference,
     OwnTreatment,
     StratifiedCount,
@@ -188,12 +189,14 @@ def test_sigma_hat_zero_in_span(rng):
 def test_sigma_hat_zero_column_design(rng):
     d = make_dataset(rng, 4, sizes=(2, 3), p=1)
 
-    class ZeroColumns(NoInterference):
+    class ZeroColumns(LowRankStructure):
+        """No indicator block and no column."""
+
         def dim(self, cluster=None, i=None):
             return 0
 
-        def rows_at(self, cluster, pattern):
-            return np.zeros((cluster.size, 0))
+        def indicator_blocks(self, clusters):
+            return []
 
     y = d.stacked_outcomes()
     got = sigma_noise_hat(d, ZeroColumns())

@@ -32,6 +32,7 @@ from clusterbal.structures import (
     FromExposureMapping,
     KnnPattern,
     NeighborCount,
+    NeighborGraph,
     NeighborPattern,
     NoInterference,
     OwnTreatment,
@@ -197,7 +198,9 @@ def test_batched_knn_lists_fill_and_reuse_the_cluster_caches(rng):
         c._cache["knn_order"] = _full_order(c)[:, ::-1].copy()
     for k in (1, 3, 7):
         s = TensorWithCovariates(KnnPattern(k))
-        assert np.array_equal(design_matrix(s, planted), per_cluster_design(s, planted))
+        lists = {c.cluster_id: c._cache["knn_order"][:, :k] for c in planted.clusters}
+        read = TensorWithCovariates(KnnPattern(k, graph=NeighborGraph(k, lists)))
+        assert np.array_equal(design_matrix(s, planted), per_cluster_design(read, planted))
         assert not np.array_equal(design_matrix(s, planted), design_matrix(s, d))
         graph = knn_graph(planted, k)
         for c in planted.clusters:

@@ -314,7 +314,7 @@ def test_monte_carlo_metrics_and_rows():
 def test_monte_carlo_serial_parallel_identical():
     cfg = small_cfg(n=6)
     r1 = monte_carlo(cfg, reps=4, truth_draws=2000, parallel=False)
-    # a cold truth runs its thread pool right before the process pool forks
+    # a cold truth runs its thread pool right before the process pool starts its workers
     simulate._true_mu_cached.cache_clear()
     r2 = monte_carlo(cfg, reps=4, truth_draws=2000, parallel=True, workers=2)
     assert set(r1.metrics) == set(r2.metrics)

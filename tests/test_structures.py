@@ -10,9 +10,13 @@ from clusterbal.core import (
     SparseTable,
     enumerate_patterns,
     pattern_index,
+    probit_intervention,
     uniform_intervention,
 )
+from clusterbal.diagnostics import imbalance_report
+from clusterbal.estimators import balancing_fit
 from clusterbal.errors import CapExceeded, DimensionMismatch, InvalidSpec
+from clusterbal.simulate import DGPConfig, dgp_structure, gen_dataset
 from clusterbal.structures import (
     AdditiveTypes,
     CoarsenedCount,
@@ -21,7 +25,6 @@ from clusterbal.structures import (
     FromExposureMapping,
     IdentityMapping,
     KnnPattern,
-    LowRankStructure,
     NeighborCount,
     NeighborGraph,
     NeighborPattern,
@@ -35,6 +38,7 @@ from clusterbal.structures import (
     knn_graph,
     knn_order,
     nested_rank_check,
+    observed_signal,
     target_contributions,
     target_vector,
 )
@@ -46,6 +50,10 @@ from oracles import (
     knn_lists,
     knn_one_hot_rows,
     outer_row_on_bits,
+    per_cluster_contributions,
+    per_cluster_design,
+    per_cluster_gen_dataset,
+    per_cluster_imbalance_scales,
 )
 
 
@@ -700,26 +708,16 @@ def test_nested_rank_check_true_nestings(rng):
 
 
 def test_nested_rank_check_orthogonal_columns():
-    c1 = cluster_with([[1.0]], [1])
-    c2 = ClusterSample(covariates=[[1.0]], treatments=[0], outcomes=[0.0], cluster_id=1)
+    # one column of ones times covariate 0 or 1: the designs [0, 1] and [1, 0]
+    c1 = ClusterSample(covariates=[[0.0, 1.0]], treatments=[1], outcomes=[0.0], cluster_id=0)
+    c2 = ClusterSample(covariates=[[1.0, 0.0]], treatments=[0], outcomes=[0.0], cluster_id=1)
     d = Dataset(clusters=(c1, c2))
-
-    class FirstColumn(LowRankStructure):
-        """The untreated indicator 1 - a_i."""
-
-        def rows_at(self, cluster, pattern):
-            return 1.0 - np.asarray(pattern, dtype=float)[:, None]
-
-        def dim(self, cluster=None, i=None):
-            return 1
-
-    class SecondColumn(FirstColumn):
-        """The treated indicator a_i."""
-
-        def rows_at(self, cluster, pattern):
-            return np.asarray(pattern, dtype=float)[:, None]
-
-    assert not nested_rank_check(FirstColumn(), SecondColumn(), d)
+    first, second = (
+        TensorWithCovariates(FromExposureMapping(ConstantMapping()), columns=[j]) for j in (0, 1)
+    )
+    assert design_matrix(first, d).ravel().tolist() == [0.0, 1.0]
+    assert design_matrix(second, d).ravel().tolist() == [1.0, 0.0]
+    assert not nested_rank_check(first, second, d)
 
 
 # ---------- exposure mappings ----------
@@ -815,3 +813,74 @@ def test_tensor_cluster_mean_column(rng):
     a0 = int(c.treatments[0])
     assert np.allclose(row[2 * a0 : 2 * a0 + 2], expected_block)
     assert np.allclose(row[2 * (1 - a0) : 2 * (1 - a0) + 2], [0.0, 0.0])
+
+
+# ---------- one row assembly: edge cases against the row oracles ----------
+
+
+def _assert_assembly_matches_oracles(structure, d, rng):
+    """Design (bitwise), target, observed signal and, for a covariate tensor,
+    the imbalance incidences, against the unit-by-unit definitions."""
+    phi = per_cluster_design(structure, fresh_copy(d))
+    assert np.array_equal(design_matrix(structure, d), phi)
+    for f in (probit_intervention(0.3), Gate()):
+        want = per_cluster_contributions(structure, fresh_copy(d), f)
+        scale = max(float(np.abs(want).max()), 1.0)
+        np.testing.assert_allclose(target_contributions(structure, d, f), want, rtol=1e-12,
+                                   atol=1e-12 * scale)
+    h = rng.standard_normal(phi.shape[1])
+    want = phi @ h
+    np.testing.assert_allclose(observed_signal(structure, d, h), want, rtol=1e-12,
+                               atol=1e-12 * max(float(np.abs(want).max()), 1.0))
+    if isinstance(structure, TensorWithCovariates):
+        f = uniform_intervention()
+        report = imbalance_report(d, structure, f, balancing_fit(d, structure, f))
+        _, m_counts = per_cluster_imbalance_scales(structure, fresh_copy(d))
+        assert np.array_equal(report.m_counts, m_counts)
+
+
+def _typed_cluster(rng, cid, types, a):
+    x = np.column_stack([types, rng.standard_normal((len(types), 2))])
+    return ClusterSample(covariates=x, treatments=a, outcomes=np.zeros(len(a)), cluster_id=cid)
+
+
+def test_additive_types_by_column_leave_an_absent_type_at_zero(rng):
+    """Clusters of size 2 carry two of three types, so each type is present in
+    some clusters of the size group and absent in others. An absent type's
+    columns are zero in the rows, the target and the incidences, not the
+    untreated indicator that its block's class 0 stands for in the weights."""
+    types = [(1, 2), (1, 3), (2, 3), (3, 1), (2,), (1, 2, 3)]
+    d = Dataset(clusters=tuple(
+        _typed_cluster(rng, ci, t, rng.integers(0, 2, len(t))) for ci, t in enumerate(types)
+    ))
+    bare = AdditiveTypes(3, type_source={"column": 0})
+    phi = design_matrix(bare, d)
+    for (start, stop), t in zip(d.cluster_slices(), types):
+        for absent in set(range(1, 4)) - set(t):
+            assert not phi[start:stop, 2 * absent - 2 : 2 * absent].any()
+    loads = target_contributions(bare, d, uniform_intervention())
+    for ci, t in enumerate(types):
+        assert np.array_equal(loads[ci].reshape(3, 2).sum(axis=1) != 0, [k in t for k in (1, 2, 3)])
+    for structure in (bare, TensorWithCovariates(bare, columns=[1, {"cluster_mean": 2}])):
+        _assert_assembly_matches_oracles(structure, d, rng)
+
+
+def test_nested_tensor_rows_are_the_kronecker_of_the_levels(rng):
+    d = make_dataset(rng, 12, sizes=(1, 5), p=3)
+    d.clusters[1].covariates[0] = 0.0
+    for inner in (StratifiedCount(2), AdditiveTypes(5)):
+        level = TensorWithCovariates(inner, columns=[0, 1])
+        _assert_assembly_matches_oracles(
+            TensorWithCovariates(level, columns=[{"cluster_mean": 2}, 2]), d, rng)
+
+
+@pytest.mark.parametrize("kind", ["knn2", "additive"])
+def test_size_one_clusters_in_the_dgp_match_the_oracles(kind, rng):
+    cfg = DGPConfig(n=40, interference=kind, cluster_sizes=((1, 0.3), (4, 0.7)), seed=8,
+                    gamma=0.5)
+    d = gen_dataset(cfg, 0, truth=False)[0]
+    assert {c.size for c in d.clusters} == {1, 4}
+    want = per_cluster_gen_dataset(cfg, 0)
+    np.testing.assert_allclose(d.stacked_outcomes(), want.stacked_outcomes(), rtol=1e-13,
+                               atol=1e-14)
+    _assert_assembly_matches_oracles(dgp_structure(cfg), d, rng)
