@@ -16,8 +16,6 @@ from .core import (
     UnknownPropensity,
     enumerate_patterns,
     eval_propensity,
-    eval_weight,
-    sparse_support,
     uniform_intervention,
 )
 from .diagnostics import ImbalanceReport, imbalance_report
@@ -63,7 +61,6 @@ from .structures import (
     TensorWithCovariates,
     build_structure,
     design_matrix,
-    feature_row,
     knn_graph,
     nested_rank_check,
     target_vector,

@@ -424,16 +424,6 @@ class DirectEffect(CounterfactualWeight):
         return out
 
 
-def eval_weight(f, pattern, cluster):
-    """Evaluate a counterfactual weight at one pattern."""
-    return f.weight(pattern, cluster)
-
-
-def sparse_support(f, cluster):
-    """Nonzero (pattern, weight) pairs of f on this cluster."""
-    return f.support(cluster)
-
-
 # ---------- propensity models ----------
 
 
@@ -449,6 +439,13 @@ class PropensityModel:
 
     def probabilities_for(self, bits, cluster):
         return np.array([self.probability(bits[r], cluster) for r in range(bits.shape[0])])
+
+    def support(self, cluster):
+        """Every pattern with its probability, as (pattern, mass) pairs: the
+        contract of `CounterfactualWeight.support`."""
+        bits = enumerate_patterns(cluster.size)
+        masses = self.probabilities_for(bits, cluster)
+        return [(bits[r], float(masses[r])) for r in range(bits.shape[0])]
 
     def unit_probs_batch(self, clusters):
         """Per-unit Bernoulli probabilities of clusters of one size m, stacked

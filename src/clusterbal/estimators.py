@@ -10,11 +10,12 @@ import numpy as np
 from . import _kernels
 from .core import PATTERN_CAP, enumerate_patterns, eval_propensity, pattern_index
 from .errors import PositivityViolation
-from .numerics import DesignOps, _default_rcond, _validate, project_colspace
+from .numerics import DesignOps, _default_rcond, project_colspace
 from .structures import (
     ConstantMapping,
     FromExposureMapping,
     TensorWithCovariates,
+    _GroupRows,
     _observed_design,
     _pattern_rows_by_unit,
     _size_groups,
@@ -86,7 +87,6 @@ class DesignSystem:
     phi: np.ndarray
     contributions: np.ndarray  # (n, d_h)
     slices: tuple
-    label: str
     pieces: tuple | None = None  # DesignOps blocks; None is the whole of phi
     one_hot: tuple | None = None  # (unit slots (N,), slot count) of a one-hot design
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
@@ -130,7 +130,6 @@ def build_design(structure, dataset, weight):
         phi=phi,
         contributions=target_contributions(structure, dataset, weight),
         slices=tuple(dataset.cluster_slices()),
-        label=structure.label,
         pieces=pieces,
         one_hot=one_hot,
     )
@@ -234,61 +233,15 @@ def projection_fit(dataset, structure, weight, propensity, design=None):
     )
 
 
-def _class_sums(group, mapping, bits, weight, propensity, f_probs, e_probs):
-    """Masses of one mapping's classes for the units of clusters of one size,
-    bits (B, m) their observed patterns: (f_obs, e_obs, e_max), each (B, m).
-
-    f_obs and e_obs are the counterfactual weight's and the propensity's mass
-    on the unit's observed class; e_max is the unit's largest class mass
-    under the propensity. They come from the mapping's product-form class
-    masses under e_probs (`propensity.unit_probs_batch`) and f_probs
-    (`weight.marginal_probs_batch`) when those exist. Otherwise f sums over
-    the weight's sparse support and e over the propensity's 2^m pattern
-    masses, one cluster at a time.
-    """
-    obs = mapping.classes_batch(group, bits)
-    e_cls = None if e_probs is None else mapping.class_masses_batch(group, e_probs)
-    if e_cls is not None:
-        e_obs = np.take_along_axis(e_cls, obs[:, :, None], axis=2)[:, :, 0]
-        e_max = e_cls.max(axis=2)
-    else:
-        e_obs, e_max = np.empty(obs.shape), np.empty(obs.shape)
-        for b, (c, o) in enumerate(zip(group, obs)):
-            patterns = enumerate_patterns(c.size)
-            masses = np.asarray(propensity.probabilities_for(patterns, c), dtype=np.float64)
-            classes = mapping.classes_batch([c], patterns)
-            for i in range(c.size):
-                cls = np.bincount(classes[:, i], weights=masses)
-                e_obs[b, i], e_max[b, i] = cls[o[i]], cls.max()
-    f_cls = None if f_probs is None else mapping.class_masses_batch(group, f_probs)
-    if f_cls is not None:
-        return np.take_along_axis(f_cls, obs[:, :, None], axis=2)[:, :, 0], e_obs, e_max
-    f_obs = np.zeros(obs.shape)
-    for b, (c, o) in enumerate(zip(group, obs)):
-        support = weight.support(c)
-        if support:
-            patterns = np.array([pat for pat, _ in support], dtype=np.int8)
-            w = np.array([w for _, w in support], dtype=np.float64)
-            classes = mapping.classes_batch([c], patterns)
-            for i in range(c.size):
-                f_obs[b, i] = w[classes[:, i] == o[i]].sum()
-    return f_obs, e_obs, e_max
-
-
-def _live_units(structure, clusters):
-    """Units of clusters of one size whose covariate rows, in every covariate
-    tensor around the base structure, are not all zero: (B, m) bool."""
-    live = np.ones((len(clusters), clusters[0].size), dtype=bool)
-    while isinstance(structure, TensorWithCovariates):
-        live &= (_validate(structure.stacked_covariate_rows(clusters)) != 0).any(axis=2)
-        structure = structure.inner
-    return live
+def _observed(masses, classes):
+    """Each unit's mass on its observed class: (B, m, n) masses, (B, m) classes -> (B, m)."""
+    return np.take_along_axis(masses, classes[:, :, None], axis=2)[:, :, 0]
 
 
 def _block_closed_form(dataset, structure, weight, propensity, rank_cut=True):
     """Weighted-projection weights of a structure whose rows are sums of
-    indicator blocks (`indicator_blocks`), or None when a size group has no
-    such blocks, or has several without a product-form propensity.
+    indicator blocks (`indicator_blocks`), or None when a size group has
+    several blocks and the propensity no product form.
 
     Under a product-form propensity, blocks over disjoint units are
     independent, and the e-weighted projection of f / (M_c e) onto sums of
@@ -297,9 +250,10 @@ def _block_closed_form(dataset, structure, weight, propensity, rank_cut=True):
         w_ci = (F0 + sum_b [F_b(k_b) / e_b(k_b) - F0]) / M_c,
 
     with k_b the unit's observed class in block b, F_b and e_b the weight's
-    and the propensity's class masses, and F0 the weight's total mass. One
-    block needs no product form; it gives f_class / (M_c e_class), taken
-    without the F0 round trip.
+    and the propensity's class masses (`_GroupRows.masses`), F0 the
+    weight's total mass, and the sum over the blocks that hold the unit.
+    One block needs no product form; it gives f_class / (M_c e_class),
+    taken without the F0 round trip.
 
     With `rank_cut`, a class with sqrt(e_b(k)) <= rcond * sqrt(largest class
     mass of the block), rcond = max(2^m, d) * eps, contributes F_b / e_b = 0.
@@ -313,27 +267,40 @@ def _block_closed_form(dataset, structure, weight, propensity, rank_cut=True):
     unit whose covariate row is zero in a covariate tensor gets 0, and so do
     the units of a size group with no blocks, whose rows are all zero.
     """
-    groups = []
+    out = np.zeros(dataset.total_units)
     e_low = np.ones(dataset.total_units)  # a unit without blocks has no empty class
     for group, _, rows in _size_groups(dataset):
-        blocks = structure.indicator_blocks(group)
+        layout = _GroupRows(structure, group)
         e_probs = propensity.unit_probs_batch(group)
-        if blocks is None or (len(blocks) > 1 and e_probs is None):
+        if len(layout.blocks) > 1 and e_probs is None:
             return None
-        if not blocks:
+        if not layout.blocks:
             continue
+        m = rows.shape[1]
+        obs = layout.classes()
         f_probs = weight.marginal_probs_batch(group)
-        bits = np.stack([c.treatments for c in group])
-        # (f_obs, e_obs, e_max), each (blocks, B, m)
-        sums = np.moveaxis(np.array([
-            _class_sums(group, mapping, bits, weight, propensity, f_probs, e_probs)
-            for mapping in blocks
-        ]), 1, 0)
-        f0 = None
-        if len(blocks) > 1:
-            f0 = _class_sums(group, ConstantMapping(), bits, weight, propensity, f_probs, e_probs)[0]
-        e_low[rows] = sums[1].min(axis=0)
-        groups.append((group, rows, sums, f0))
+        e_cls = layout.masses(e_probs, propensity)
+        f_cls = layout.masses(f_probs, weight)
+        # each unit's masses on its observed class in each block: (blocks, B, m)
+        e_b = np.array([_observed(mass, o) for mass, o in zip(e_cls, obs)])
+        f_b = np.array([_observed(mass, o) for mass, o in zip(f_cls, obs)])
+        held = np.array([np.ones(rows.shape, dtype=bool) if h is None else h
+                         for _, _, h in layout.blocks])
+        e_low[rows] = np.where(held, e_b, np.inf).min(axis=0)
+        keep = held & (e_b > 0.0)  # a held class of mass 0 raises below
+        if rank_cut and m <= PATTERN_CAP:
+            rcond = _default_rcond((2**m, structure.dim(group[0], 0)))
+            keep &= np.sqrt(e_b) > rcond * np.sqrt([mass.max(axis=2) for mass in e_cls])
+        if len(layout.blocks) == 1:
+            w = np.divide(f_b[0], m * e_b[0], out=np.zeros(rows.shape), where=keep[0])
+        else:
+            # F0 from the one class of the constant encoding, which holds every
+            # unit: a block's masses are 0 at the units it does not hold
+            constant = _GroupRows(FromExposureMapping(ConstantMapping()), group)
+            f0 = constant.masses(f_probs, weight)[0][:, :, 0]
+            ratio = np.divide(f_b, e_b, out=np.zeros(f_b.shape), where=keep)
+            w = (f0 + np.where(held, ratio - f0, 0.0).sum(axis=0)) / m
+        out[rows] = np.where(layout.live(), w, 0.0)
     empty = np.flatnonzero(e_low <= 0.0)
     if empty.size:
         starts = np.array([start for start, _ in dataset.cluster_slices()])
@@ -342,24 +309,6 @@ def _block_closed_form(dataset, structure, weight, propensity, rank_cut=True):
             f"exposure-class probability is 0 for unit {empty[0] - starts[ci]} of cluster "
             f"{dataset.clusters[ci].cluster_id!r}"
         )
-    out = np.zeros(dataset.total_units)
-    for group, rows, (f_b, e_b, e_max), f0 in groups:
-        m = rows.shape[1]
-        keep = np.ones(e_b.shape, dtype=bool)
-        if rank_cut and m <= PATTERN_CAP:
-            if structure.regime == "fixed":
-                rcond = _default_rcond((2**m, structure.dim(group[0])))
-            else:
-                rcond = np.array(
-                    [[_default_rcond((2**m, structure.dim(c, i))) for i in range(m)] for c in group]
-                )
-            keep = np.sqrt(e_b) > rcond * np.sqrt(e_max)
-        if f0 is None:
-            w = np.where(keep[0], f_b[0] / (m * e_b[0]), 0.0)
-        else:
-            ratio = np.divide(f_b, e_b, out=np.zeros(f_b.shape), where=keep)
-            w = (f0 + (ratio - f0).sum(axis=0)) / m
-        out[rows] = np.where(_live_units(structure, group), w, 0.0)
     return out
 
 
@@ -395,7 +344,7 @@ def _wproj_svd(dataset, structure, weight, propensity):
             lam *= sqrt_e[:, None]
             rcond = _default_rcond((bits.shape[0], structure.dim(c)))
             value = project_colspace(lam, sqrt_e * w_tilde, rcond)[obs] / sqrt_e[obs]
-            out[start:stop] = np.where(_live_units(structure, [c])[0], value, 0.0)
+            out[start:stop] = np.where(_GroupRows(structure, [c]).live()[0], value, 0.0)
             continue
         unit_rows = _pattern_rows_by_unit(structure, c)
         for i in range(c.size):
@@ -431,7 +380,8 @@ def exposure_collapsed_ipw(dataset, mapping, weight, propensity):
 
     The one-block case of the weighted projection's closed form, without its
     rank cut; the class masses come in product form when the mapping, the
-    weight and the propensity have one, and by enumeration otherwise.
+    weight and the propensity have one, and are summed over the weight's or
+    the propensity's support otherwise.
     """
     out = _block_closed_form(
         dataset, FromExposureMapping(mapping), weight, propensity, rank_cut=False

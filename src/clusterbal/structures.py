@@ -13,9 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .core import PATTERN_CAP, as_pattern, enumerate_patterns
+from .core import PATTERN_CAP, BernoulliIntervention, as_pattern, enumerate_patterns
 from .errors import CapExceeded, DimensionMismatch, InvalidSpec
-from .numerics import DesignOps
+from .numerics import DesignOps, _validate
 from .specio import spec_field, spec_int
 
 # ---------- neighbor graphs ----------
@@ -219,8 +219,10 @@ class LowRankStructure:
     def expected_rows(self, cluster, probs):
         """E[phi_ci(A)] under independent Bernoulli(probs) treatments: (M_c, d)."""
         self._require_fixed()
+        probs = np.asarray(probs, dtype=np.float64)
         layout = _GroupRows(self, [cluster])
-        return layout.expected_rows(layout.masses(np.asarray(probs, dtype=np.float64)[None]))[0]
+        law = BernoulliIntervention(lambda c: probs)
+        return layout.expected_rows(layout.masses(probs[None], law))[0]
 
     def _require_fixed(self):
         if self.regime != "fixed":
@@ -910,11 +912,6 @@ def exposure_from_spec(spec):
 # ---------- design assembly ----------
 
 
-def feature_row(structure, cluster, i, pattern):
-    """Feature vector of one (cluster, unit, pattern) triple."""
-    return structure.feature_row(cluster, i, pattern)
-
-
 def _size_groups(dataset):
     """(clusters, cluster indices, (B, m) unit rows) for each cluster size m."""
     sizes = np.array([c.size for c in dataset.clusters])
@@ -931,8 +928,8 @@ class _GroupRows:
     its covariate row x_i: each `block_layout` block puts a 1 in the column
     of the unit's class, and x_i is the Kronecker product of the unit's rows
     in the covariate tensors around the base, innermost first, or the
-    width-1 row (1) of a bare structure. Every row, expected row, target
-    load and simulated signal of the package is built here.
+    width-1 row (1) of a bare structure. Every row, class mass, expected
+    row, target load and simulated signal of the package is built here.
     """
 
     def __init__(self, structure, clusters):
@@ -975,36 +972,37 @@ class _GroupRows:
             out[lead + (col + cls[:, i],)] = self._held(held, self.x)[:, i]
         return out.reshape(out.shape[:-2] + (-1,))
 
-    def masses(self, probs, weight=None):
-        """Each block's class masses (B, m, n_classes) of the group's units:
-        in the block's product form under Bernoulli(probs), probs (B, m), else
-        summed over the 2^m pattern masses; over the weight's sparse support
-        when probs is None."""
+    def masses(self, probs, law):
+        """Each block's class masses (B, m, n_classes) of the group's units
+        under a law, a counterfactual weight or a propensity: in the block's
+        product form where the block has one and probs (B, m), the law's
+        per-unit Bernoulli probabilities, are given; else summed over
+        `law.support`. A block's masses are 0 at the units it does not hold."""
         out = []
         for _, block, held in self.blocks:
             masses = None if probs is None else block.class_masses_batch(self.clusters, probs)
             if masses is None:
-                masses = self._pattern_masses(block, probs, weight)
+                masses = self._support_masses(block, law)
             out.append(self._held(held, masses))
         return out
 
-    def _pattern_masses(self, block, probs, weight):
-        """A block's class masses summed over weighted patterns, cluster by
-        cluster: the 2^m patterns under Bernoulli(probs), or the support."""
+    def _support_masses(self, block, law):
+        """A block's class masses summed over the law's (pattern, mass)
+        support, cluster by cluster."""
         m = self.x.shape[1]
-        out = np.zeros((len(self.clusters), m, block.fixed_dim))
+        out = np.zeros((len(self.clusters), m, block.n_classes(self.clusters[0], 0)))
         for b, c in enumerate(self.clusters):
-            if probs is None:
-                support = weight.support(c)
-                if not support:
-                    continue
-                patterns = np.array([pat for pat, _ in support], dtype=np.int8)
-                w = np.array([w for _, w in support], dtype=np.float64)
-            else:
-                patterns = enumerate_patterns(m)
-                w = _kernels.pattern_masses(patterns, probs[b])
+            support = law.support(c)
+            if not support:
+                continue
+            patterns = np.array([pat for pat, _ in support], dtype=np.int8)
+            w = np.array([w for _, w in support], dtype=np.float64)
             np.add.at(out[b], (np.arange(m), block.classes_batch([c], patterns)), w[:, None])
         return out
+
+    def live(self):
+        """Units whose covariate row is not all zero: (B, m) bool."""
+        return (_validate(self.x) != 0).any(axis=2)
 
     def expected_rows(self, masses):
         """Rows with each block's class masses in place of its indicators: (B, m, d)."""
@@ -1079,9 +1077,9 @@ def target_contributions(structure, dataset, weight):
     Row c is (1/M_c) * sum_{a in support(f)} f(a, X_c) * sum_i phi_ci(a).
     The weight's `marginal_probs_batch` is asked once per size group. Row c
     is then (1/m) sum_i masses[c, i] (x) x_ci, one (B, n, m) @ (B, m, w)
-    product per block with its unit x class masses: in product form where
-    the block and the weight have one, else from the 2^m pattern masses, and
-    from the weight's sparse support where the weight has no product form.
+    product per block with its unit x class masses (`_GroupRows.masses`): in
+    product form where the block and the weight have one, else summed over
+    the weight's sparse support.
     """
     if structure.regime != "fixed":
         raise InvalidSpec("target vectors need a fixed-dimension structure")

@@ -8,7 +8,7 @@ import math
 import numpy as np
 from scipy.special import ndtr
 
-from clusterbal.core import ClusterSample, Dataset, enumerate_patterns, eval_propensity, eval_weight
+from clusterbal.core import ClusterSample, Dataset, enumerate_patterns, eval_propensity
 
 
 def reassign(dataset, assignments, outcome_fn):
@@ -63,7 +63,7 @@ def mu_f_direct(dataset, weight, outcome_fn):
     total = 0.0
     for ci, c in enumerate(dataset.clusters):
         for a in enumerate_patterns(c.size):
-            w = eval_weight(weight, a, c)
+            w = weight.weight(a, c)
             if w == 0.0:
                 continue
             g = outcome_fn(ci, c, a)

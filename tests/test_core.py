@@ -18,12 +18,10 @@ from clusterbal.core import (
     UnknownPropensity,
     enumerate_patterns,
     eval_propensity,
-    eval_weight,
     pattern_index,
     probit_intervention,
     probit_mean_probs,
     probit_propensity,
-    sparse_support,
     uniform_intervention,
 )
 from clusterbal.errors import (
@@ -93,26 +91,26 @@ def test_dataset_validation():
 
 def test_gate_values():
     c = const_cluster(3)
-    assert eval_weight(Gate(), [1, 1, 1], c) == 1.0
-    assert eval_weight(Gate(), [1, 0, 1], c) == 0.0
-    assert eval_weight(Gate(), [0, 0, 0], c) == -1.0
+    assert Gate().weight([1, 1, 1], c) == 1.0
+    assert Gate().weight([1, 0, 1], c) == 0.0
+    assert Gate().weight([0, 0, 0], c) == -1.0
 
 
 def test_gate_length_mismatch():
     with pytest.raises(DimensionMismatch):
-        eval_weight(Gate(), [1, 1], const_cluster(3))
+        Gate().weight([1, 1], const_cluster(3))
 
 
 def test_uniform_intervention_mass():
     c = const_cluster(4)
     f = uniform_intervention()
     for pat in enumerate_patterns(4):
-        assert eval_weight(f, pat, c) == pytest.approx(2.0**-4)
+        assert f.weight(pat, c) == pytest.approx(2.0**-4)
 
 
 def test_gate_sparse_support():
     c = const_cluster(3)
-    support = sparse_support(Gate(), c)
+    support = Gate().support(c)
     assert len(support) == 2
     lookup = {tuple(p.tolist()): w for p, w in support}
     assert lookup[(1, 1, 1)] == 1.0
@@ -121,7 +119,7 @@ def test_gate_sparse_support():
 
 def test_deterministic_target_support():
     c = const_cluster(3)
-    support = sparse_support(DeterministicTarget([2]), c)
+    support = DeterministicTarget([2]).support(c)
     assert len(support) == 1
     pat, w = support[0]
     assert pat.tolist() == [0, 0, 1] and w == 1.0
@@ -129,7 +127,7 @@ def test_deterministic_target_support():
 
 def test_random_selection_support():
     c = const_cluster(3)
-    support = sparse_support(RandomSelection(1), c)
+    support = RandomSelection(1).support(c)
     assert len(support) == 3
     assert all(w == pytest.approx(1 / 3) for _, w in support)
     assert all(p.sum() == 1 for p, _ in support)
@@ -143,15 +141,15 @@ def test_sparse_table_duplicate_patterns_rejected():
 def test_sparse_table_lookup():
     f = SparseTable({"c": [((0, 1), 2.0), ((1, 1), -1.0)]})
     c = const_cluster(2)
-    assert eval_weight(f, [0, 1], c) == 2.0
-    assert eval_weight(f, [1, 0], c) == 0.0
-    assert len(sparse_support(f, c)) == 2
+    assert f.weight([0, 1], c) == 2.0
+    assert f.weight([1, 0], c) == 0.0
+    assert len(f.support(c)) == 2
 
 
 def brute_support(f, cluster):
     out = []
     for pat in enumerate_patterns(cluster.size):
-        w = eval_weight(f, pat, cluster)
+        w = f.weight(pat, cluster)
         if w != 0.0:
             out.append((tuple(pat.tolist()), w))
     return dict(out)
@@ -168,7 +166,7 @@ def test_sparse_support_matches_bruteforce(rng, m):
         BernoulliIntervention(lambda cl: np.linspace(0.2, 0.8, cl.size)),
     ]
     for f in weights:
-        got = {tuple(p.tolist()): w for p, w in sparse_support(f, c)}
+        got = {tuple(p.tolist()): w for p, w in f.support(c)}
         expected = brute_support(f, c)
         assert set(got) == set(expected)
         for k in got:
@@ -185,7 +183,7 @@ def test_stochastic_interventions_sum_to_one(m, seed):
     c = const_cluster(m)
     probs = r.uniform(0.05, 0.95, size=m)
     for f in (uniform_intervention(), BernoulliIntervention(lambda cl, p=probs: p), RandomSelection(int(r.integers(0, m + 1)))):
-        total = sum(eval_weight(f, pat, c) for pat in enumerate_patterns(m))
+        total = sum(f.weight(pat, c) for pat in enumerate_patterns(m))
         assert total == pytest.approx(1.0, abs=1e-10)
 
 
@@ -201,12 +199,12 @@ def tau_h_oracle(base, cluster, g):
     for i in range(m):
         for arm in (0, 1):
             cond_total = sum(
-                eval_weight(base, p, cluster) for p in pats if p[i] == arm
+                base.weight(p, cluster) for p in pats if p[i] == arm
             )
             for p in pats:
                 if p[i] != arm:
                     continue
-                hw = eval_weight(base, p, cluster) / cond_total
+                hw = base.weight(p, cluster) / cond_total
                 total += (1 if arm == 1 else -1) * g(i, p) * hw / m
     return total
 
@@ -221,13 +219,13 @@ def test_direct_effect_formula(rng):
     marg = np.zeros((m, 2))
     for p in pats:
         for j in range(m):
-            marg[j, p[j]] += eval_weight(base, p, c)
+            marg[j, p[j]] += base.weight(p, c)
     for p in pats:
         expected = sum(
-            (1 if p[j] == 1 else -1) * eval_weight(base, p, c) / marg[j, p[j]]
+            (1 if p[j] == 1 else -1) * base.weight(p, c) / marg[j, p[j]]
             for j in range(m)
         )
-        assert eval_weight(f, p, c) == pytest.approx(expected, abs=1e-12)
+        assert f.weight(p, c) == pytest.approx(expected, abs=1e-12)
 
 
 def test_direct_effect_matches_tau_h_on_own_treatment_outcomes(rng):
@@ -244,7 +242,7 @@ def test_direct_effect_matches_tau_h_on_own_treatment_outcomes(rng):
         return own[i, pat[i]]
 
     via_f = sum(
-        g(i, p) * eval_weight(f, p, c) / m
+        g(i, p) * f.weight(p, c) / m
         for i in range(m)
         for p in enumerate_patterns(m)
     )
@@ -255,7 +253,7 @@ def test_direct_effect_degenerate_base():
     c = const_cluster(2)
     base = DeterministicTarget([0])  # unit 1 never treated under the base law
     with pytest.raises(DegenerateIntervention):
-        eval_weight(DirectEffect(base), [1, 0], c)
+        DirectEffect(base).weight([1, 0], c)
 
 
 # ---------- propensity models ----------
@@ -280,6 +278,22 @@ def test_propensity_sums_to_one_random(rng):
 def test_unknown_propensity_raises():
     with pytest.raises(PropensityUnavailable):
         eval_propensity(UnknownPropensity(), [0], const_cluster(1))
+    with pytest.raises(PropensityUnavailable):
+        UnknownPropensity().support(const_cluster(2))
+
+
+def test_propensity_support_is_every_pattern_with_its_probability(rng):
+    for m in (1, 3, 5):
+        c = make_cluster(rng, m, cluster_id="c")
+        probs = rng.uniform(0.1, 0.9, m)
+        masses = rng.uniform(0.5, 1.5, 2**m)
+        table = dict(zip(map(tuple, enumerate_patterns(m)), masses / masses.sum()))
+        for e in (IndependentBernoulli(lambda cl: probs), JointTable({"c": table})):
+            bits = enumerate_patterns(m)
+            support = e.support(c)
+            assert np.array_equal(np.array([a for a, _ in support]), bits)
+            assert all(a.dtype == np.int8 for a, _ in support)
+            assert np.array_equal([p for _, p in support], e.probabilities_for(bits, c))
 
 
 def test_joint_table_validation():

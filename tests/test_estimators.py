@@ -93,6 +93,24 @@ def test_ipw_needs_propensity():
         ipw_fit(d, Gate(), UnknownPropensity())
 
 
+@pytest.mark.parametrize(
+    "fit",
+    [
+        # one block: the closed form sums the propensity's support
+        lambda d, f, e: weighted_projection_fit(d, NoInterference(), f, e),
+        # several blocks and no product form: the per-unit SVD
+        lambda d, f, e: weighted_projection_fit(d, AdditiveTypes(4), f, e),
+        lambda d, f, e: exposure_collapsed_ipw(d, NeighborPattern(2), f, e),
+    ],
+    ids=["wproj_one_block", "wproj_several_blocks", "exposure_ipw"],
+)
+def test_weighted_projection_needs_propensity(rng, fit):
+    d = make_dataset(rng, 4, sizes=(2, 4))
+    for f in (Gate(), uniform_intervention()):
+        with pytest.raises(PropensityUnavailable):
+            fit(d, f, UnknownPropensity())
+
+
 def _linear_outcomes(structure, h):
     def outcome_fn(ci, cluster, a):
         return structure.rows_at(cluster, a) @ h

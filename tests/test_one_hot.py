@@ -328,7 +328,6 @@ def _oracle_design(structure, dataset, weight):
         phi=phi,
         contributions=per_cluster_contributions(structure, fresh_copy(dataset), weight),
         slices=tuple(dataset.cluster_slices()),
-        label=structure.label,
         pieces=scanned_pieces(phi, structure.inner.dim()) if one_hot else None,
     )
 

@@ -7,6 +7,7 @@ from clusterbal.core import (
     ClusterSample,
     Dataset,
     Gate,
+    IndependentBernoulli,
     SparseTable,
     enumerate_patterns,
     pattern_index,
@@ -14,7 +15,7 @@ from clusterbal.core import (
     uniform_intervention,
 )
 from clusterbal.diagnostics import imbalance_report
-from clusterbal.estimators import balancing_fit
+from clusterbal.estimators import _block_closed_form, _wproj_svd, balancing_fit
 from clusterbal.errors import CapExceeded, DimensionMismatch, InvalidSpec
 from clusterbal.simulate import DGPConfig, dgp_structure, gen_dataset
 from clusterbal.structures import (
@@ -34,7 +35,6 @@ from clusterbal.structures import (
     TensorWithCovariates,
     build_structure,
     design_matrix,
-    feature_row,
     knn_graph,
     knn_order,
     nested_rank_check,
@@ -69,29 +69,29 @@ def cluster_with(x, a):
 
 def test_no_interference_rows():
     c = cluster_with([[0.0], [0.0]], [0, 1])
-    assert feature_row(NoInterference(), c, 0, [0, 1]).tolist() == [1.0, 0.0]
-    assert feature_row(NoInterference(), c, 1, [0, 1]).tolist() == [0.0, 1.0]
+    assert NoInterference().feature_row(c, 0, [0, 1]).tolist() == [1.0, 0.0]
+    assert NoInterference().feature_row(c, 1, [0, 1]).tolist() == [0.0, 1.0]
 
 
 def test_stratified_count_one_treated_neighbor():
     # three units on a line; unit 0's 2 nearest neighbors are 1 and 2
     c = cluster_with([[0.0], [1.0], [2.0]], [0, 0, 0])
     s = StratifiedCount(2, include_own=False)
-    row = feature_row(s, c, 0, [0, 1, 0])
+    row = s.feature_row(c, 0, [0, 1, 0])
     assert row.tolist() == [0.0, 1.0, 0.0]
 
 
 def test_tensor_with_covariates_kron():
     c = cluster_with([[1.0, 2.0]], [1])
     s = TensorWithCovariates(NoInterference())
-    assert feature_row(s, c, 0, [1]).tolist() == [0.0, 0.0, 1.0, 2.0]
+    assert s.feature_row(c, 0, [1]).tolist() == [0.0, 0.0, 1.0, 2.0]
 
 
 def test_knn_pattern_neighbor_treated():
     c = cluster_with([[0.0], [0.1]], [0, 0])
     s = KnnPattern(1)
-    assert feature_row(s, c, 0, [0, 1]).tolist() == [0.0, 1.0]
-    assert feature_row(s, c, 0, [0, 0]).tolist() == [1.0, 0.0]
+    assert s.feature_row(c, 0, [0, 1]).tolist() == [0.0, 1.0]
+    assert s.feature_row(c, 0, [0, 0]).tolist() == [1.0, 0.0]
 
 
 def test_knn_pattern_slot_is_binary_encoding(rng):
@@ -102,7 +102,7 @@ def test_knn_pattern_slot_is_binary_encoding(rng):
     for _ in range(10):
         a = rng.integers(0, 2, 6).astype(np.int8)
         for i in range(6):
-            row = feature_row(s, c, i, a)
+            row = s.feature_row(c, i, a)
             assert row.sum() == 1.0
             expected_slot = int("".join(str(int(a[j])) for j in nbrs[i]), 2)
             assert row[expected_slot] == 1.0
@@ -191,15 +191,15 @@ def test_named_one_hot_structure_is_its_mapping_indicator(kind, k, include_own):
 def test_feature_row_index_errors(rng):
     c = make_cluster(rng, 3)
     with pytest.raises(DimensionMismatch):
-        feature_row(NoInterference(), c, 5, [0, 0, 0])
+        NoInterference().feature_row(c, 5, [0, 0, 0])
     with pytest.raises(DimensionMismatch):
-        feature_row(NoInterference(), c, 0, [0, 0])
+        NoInterference().feature_row(c, 0, [0, 0])
 
 
 def test_additive_types_encoding():
     c = cluster_with([[0.0], [0.0], [0.0]], [1, 0, 1])
     s = AdditiveTypes(4, type_source="unit_index")
-    row = feature_row(s, c, 0, [1, 0, 1])
+    row = s.feature_row(c, 0, [1, 0, 1])
     # types 1..3 present (status 1, 0, 1), type 4 absent
     assert row.tolist() == [0, 1, 1, 0, 0, 1, 0, 0]
     # rows identical across units
@@ -210,7 +210,7 @@ def test_additive_types_column_source():
     x = np.array([[3.0], [1.0]])
     c = ClusterSample(covariates=x, treatments=[1, 0], outcomes=[0, 0], cluster_id=0)
     s = AdditiveTypes(3, type_source={"column": 0})
-    row = feature_row(s, c, 0, [1, 0])
+    row = s.feature_row(c, 0, [1, 0])
     assert row.tolist() == [1, 0, 0, 0, 0, 1]
 
 
@@ -218,15 +218,15 @@ def test_additive_types_duplicate_type_rejected():
     x = np.array([[2.0], [2.0]])
     c = ClusterSample(covariates=x, treatments=[0, 0], outcomes=[0, 0], cluster_id=0)
     with pytest.raises(InvalidSpec):
-        feature_row(AdditiveTypes(3, type_source={"column": 0}), c, 0, [0, 0])
+        AdditiveTypes(3, type_source={"column": 0}).feature_row(c, 0, [0, 0])
 
 
 def test_coarsened_count_bins():
     c = cluster_with([[0.0], [1.0], [2.0], [3.0]], [0, 0, 0, 0])
     s = CoarsenedCount(order=1, thresholds=(0, 1), k=3)
-    row = feature_row(s, c, 0, [1, 1, 0, 0])  # own=1, one treated neighbor
+    row = s.feature_row(c, 0, [1, 1, 0, 0])  # own=1, one treated neighbor
     assert row.tolist() == [0, 1, 0, 1, 0]
-    row = feature_row(s, c, 0, [0, 1, 1, 1])  # three treated neighbors -> high
+    row = s.feature_row(c, 0, [0, 1, 1, 1])  # three treated neighbors -> high
     assert row.tolist() == [1, 0, 0, 0, 1]
 
 
@@ -241,7 +241,7 @@ def test_coarsened_count_fit_thresholds(rng):
     t = s.fit_thresholds(d)
     assert t.shape == (2, 2)
     assert (t[:, 0] <= t[:, 1]).all()
-    row = feature_row(s, d.clusters[0], 0, d.clusters[0].treatments)
+    row = s.feature_row(d.clusters[0], 0, d.clusters[0].treatments)
     assert row.shape == (8,)
     assert row[:2].sum() == 1.0 and row[2:5].sum() == 1.0 and row[5:8].sum() == 1.0
 
@@ -277,10 +277,10 @@ def test_feature_purity(rng):
     s = TensorWithCovariates(KnnPattern(2))
     c = make_cluster(rng, 4)
     a = c.treatments
-    r1 = feature_row(s, c, 1, a).copy()
+    r1 = s.feature_row(c, 1, a).copy()
     other = make_cluster(rng, 6, cluster_id=99)
     s.rows_at(other, other.treatments)
-    assert np.array_equal(feature_row(s, c, 1, a), r1)
+    assert np.array_equal(s.feature_row(c, 1, a), r1)
 
 
 # ---------- expected rows agree with enumeration ----------
@@ -330,7 +330,7 @@ def test_all_pattern_rows_match_feature_row(rng):
         for i in range(4):
             rows = s.all_pattern_rows(c, i)
             for r in range(16):
-                assert np.allclose(rows[r], feature_row(s, c, i, bits[r]))
+                assert np.allclose(rows[r], s.feature_row(c, i, bits[r]))
 
 
 # ---------- composition ----------
@@ -491,7 +491,7 @@ def test_design_matrix_rows_match_feature_row(rng):
     r = 0
     for c in d.clusters:
         for i in range(c.size):
-            assert np.allclose(phi[r], feature_row(s, c, i, c.treatments))
+            assert np.allclose(phi[r], s.feature_row(c, i, c.treatments))
             r += 1
 
 
@@ -807,7 +807,7 @@ def test_tensor_cluster_mean_column(rng):
     d = make_dataset(rng, 2, sizes=(3, 3), p=2)
     s = TensorWithCovariates(NoInterference(), columns=[0, {"cluster_mean": 1}])
     c = d.clusters[0]
-    row = feature_row(s, c, 0, c.treatments)
+    row = s.feature_row(c, 0, c.treatments)
     xbar = c.covariates[:, 1].mean()
     expected_block = [c.covariates[0, 0], xbar]
     a0 = int(c.treatments[0])
@@ -847,8 +847,11 @@ def _typed_cluster(rng, cid, types, a):
 def test_additive_types_by_column_leave_an_absent_type_at_zero(rng):
     """Clusters of size 2 carry two of three types, so each type is present in
     some clusters of the size group and absent in others. An absent type's
-    columns are zero in the rows, the target and the incidences, not the
-    untreated indicator that its block's class 0 stands for in the weights."""
+    columns are zero in the rows, the target and the incidences, and its
+    block has no mass there. In the weighted projection's closed form such
+    a block adds nothing, and is no positivity failure, while F0, the
+    weight's total mass, still counts at every unit: the closed form equals
+    the per-unit SVD."""
     types = [(1, 2), (1, 3), (2, 3), (3, 1), (2,), (1, 2, 3)]
     d = Dataset(clusters=tuple(
         _typed_cluster(rng, ci, t, rng.integers(0, 2, len(t))) for ci, t in enumerate(types)
@@ -861,8 +864,14 @@ def test_additive_types_by_column_leave_an_absent_type_at_zero(rng):
     loads = target_contributions(bare, d, uniform_intervention())
     for ci, t in enumerate(types):
         assert np.array_equal(loads[ci].reshape(3, 2).sum(axis=1) != 0, [k in t for k in (1, 2, 3)])
+    probs = {c.cluster_id: rng.uniform(0.2, 0.8, c.size) for c in d.clusters}
+    e = IndependentBernoulli(lambda c: probs[c.cluster_id])
     for structure in (bare, TensorWithCovariates(bare, columns=[1, {"cluster_mean": 2}])):
         _assert_assembly_matches_oracles(structure, d, rng)
+        for f in (Gate(), uniform_intervention(), probit_intervention(0.4)):
+            got = _block_closed_form(d, structure, f, e)
+            assert got is not None
+            np.testing.assert_allclose(got, _wproj_svd(d, structure, f, e), rtol=1e-12, atol=1e-12)
 
 
 def test_nested_tensor_rows_are_the_kronecker_of_the_levels(rng):
