@@ -41,13 +41,11 @@ def enumerate_patterns(m):
     return ((idx[:, None] >> shifts) & 1).astype(np.int8)
 
 
-def pattern_index(pattern):
-    """Lexicographic index of a pattern (inverse of enumerate_patterns rows)."""
-    a = np.asarray(pattern).astype(np.int64)
-    idx = 0
-    for b in a:
-        idx = (idx << 1) | int(b)
-    return idx
+def pattern_index(bits):
+    """Lexicographic index of a pattern, or (P,) of each row of a (P, m) bit
+    matrix: the inverse of enumerate_patterns."""
+    bits = np.asarray(bits, dtype=np.int64)
+    return bits @ (1 << np.arange(bits.shape[-1] - 1, -1, -1, dtype=np.int64))
 
 
 def as_pattern(pattern):
@@ -136,7 +134,15 @@ class Dataset:
         return np.concatenate([c.outcomes for c in self.clusters])
 
 
-# ---------- counterfactual weights ----------
+# ---------- pattern laws: counterfactual weights and propensities ----------
+
+
+def check_pattern(pattern, cluster):
+    """`as_pattern`, checked to have one entry per unit of the cluster."""
+    a = as_pattern(pattern)
+    if a.size != cluster.size:
+        raise DimensionMismatch(f"pattern length {a.size} != cluster size {cluster.size}")
+    return a
 
 
 def _stacked_probs(prob_fn, clusters):
@@ -153,59 +159,82 @@ def _stacked_probs(prob_fn, clusters):
     return np.array(rows)
 
 
-class CounterfactualWeight:
+class PatternLaw:
+    """A law over a cluster's treatment patterns: a counterfactual weight f
+    or a propensity e.
+
+    A law defines `masses` or `support`, and the other is derived from it;
+    `probs_batch` gives its product form when it has one.
+    """
+
+    def masses(self, bits, cluster):
+        """The law at each row of a (P, m) pattern bit matrix: (P,) float.
+        Derived: each support pair's value at the rows of its pattern, 0
+        elsewhere."""
+        out = np.zeros(bits.shape[0])
+        for pat, value in self.support(cluster):
+            out[(bits == pat).all(axis=1)] = value
+        return out
+
+    def support(self, cluster):
+        """The law's non-zero (pattern, value) pairs. Derived: `masses` at
+        every pattern, zeros dropped. A law that defines neither stops here."""
+        if type(self).masses is PatternLaw.masses:
+            raise NotImplementedError(f"{type(self).__name__} defines neither masses nor support")
+        bits = enumerate_patterns(cluster.size)
+        values = self.masses(bits, cluster)
+        return [(bits[r], float(values[r])) for r in np.flatnonzero(values)]
+
+    def mass(self, pattern, cluster):
+        """The law at one pattern of the cluster."""
+        return float(self.masses(check_pattern(pattern, cluster)[None], cluster)[0])
+
+    def probs_batch(self, clusters):
+        """Per-unit Bernoulli probabilities of clusters of one size m, stacked
+        (B, m), when the law is a product of Bernoullis; else None."""
+        return None
+
+
+class CounterfactualWeight(PatternLaw):
     """Function f(a_c, X_c) defining the estimand as a weighted outcome average."""
 
     kind = "generic"
 
-    def weight(self, pattern, cluster):
-        raise NotImplementedError
 
-    def weights_for(self, bits, cluster):
-        """Vectorized weight over a (P, m) pattern bit matrix."""
-        return np.array([self.weight(bits[r], cluster) for r in range(bits.shape[0])])
+class PropensityModel(PatternLaw):
+    """The assignment law e(a_c | X_c) of a cluster's treatment pattern."""
 
-    def support(self, cluster):
-        """Nonzero (pattern, weight) pairs; falls back to full enumeration."""
-        bits = enumerate_patterns(cluster.size)
-        w = self.weights_for(bits, cluster)
-        nz = np.nonzero(w)[0]
-        return [(bits[r], float(w[r])) for r in nz]
+    kind = "generic"
+    known = True
 
-    def marginal_probs(self, cluster):
-        """Per-unit Bernoulli probabilities when f factorizes; else None."""
-        return None
 
-    def marginal_probs_batch(self, clusters):
-        """`marginal_probs` of clusters of one size m, stacked (B, m); else None."""
-        probs = [self.marginal_probs(c) for c in clusters]
-        return None if any(p is None for p in probs) else np.stack(probs)
+class _ProductBernoulli(PatternLaw):
+    """Units treated independently: prob_fn maps a cluster to its (M_c,)
+    vector of treatment probabilities, which must pass `_in_range`."""
 
-    def _check(self, pattern, cluster):
-        a = as_pattern(pattern)
-        if a.size != cluster.size:
-            raise DimensionMismatch(
-                f"pattern length {a.size} != cluster size {cluster.size}"
-            )
-        return a
+    def __init__(self, prob_fn, label="bernoulli"):
+        self.prob_fn = prob_fn
+        self.label = label
+
+    def _probs(self, clusters):
+        """prob_fn of clusters of one size m, stacked (B, m) and range checked;
+        private, so a subclass that turns `probs_batch` off keeps its masses."""
+        pi = _stacked_probs(self.prob_fn, clusters)
+        if not self._in_range(pi).all():
+            raise InvalidSpec(self._range_message)
+        return pi
+
+    def masses(self, bits, cluster):
+        return _kernels.pattern_masses(bits, self._probs([cluster]))
+
+    def probs_batch(self, clusters):
+        return self._probs(clusters)
 
 
 class Gate(CounterfactualWeight):
     """Global treatment-vs-control contrast: +1 on all-ones, -1 on all-zeros."""
 
     kind = "gate"
-
-    def weight(self, pattern, cluster):
-        a = self._check(pattern, cluster)
-        if a.all():
-            return 1.0
-        if not a.any():
-            return -1.0
-        return 0.0
-
-    def weights_for(self, bits, cluster):
-        s = bits.sum(axis=1)
-        return np.where(s == bits.shape[1], 1.0, np.where(s == 0, -1.0, 0.0))
 
     def support(self, cluster):
         m = cluster.size
@@ -215,40 +244,15 @@ class Gate(CounterfactualWeight):
         ]
 
 
-class BernoulliIntervention(CounterfactualWeight):
-    """Stochastic intervention treating units independently.
-
-    prob_fn maps a cluster to its (M_c,) vector of treatment probabilities.
-    """
+class BernoulliIntervention(_ProductBernoulli, CounterfactualWeight):
+    """Stochastic intervention treating units independently."""
 
     kind = "stochastic"
+    _range_message = "intervention probabilities must lie in [0, 1]"
 
-    def __init__(self, prob_fn, label="bernoulli"):
-        self.prob_fn = prob_fn
-        self.label = label
-
-    def _probs(self, clusters):
-        """prob_fn of clusters of one size m, stacked (B, m) and range checked;
-        private, so a subclass that turns `marginal_probs_batch` off keeps
-        its pattern masses."""
-        pi = _stacked_probs(self.prob_fn, clusters)
-        # written so that NaN fails it
-        if not ((pi >= 0) & (pi <= 1)).all():
-            raise InvalidSpec("intervention probabilities must lie in [0, 1]")
-        return pi
-
-    def weight(self, pattern, cluster):
-        a = self._check(pattern, cluster)
-        return float(_kernels.pattern_masses(a[None], self._probs([cluster]))[0])
-
-    def weights_for(self, bits, cluster):
-        return _kernels.pattern_masses(bits, self._probs([cluster]))
-
-    def marginal_probs(self, cluster):
-        return self._probs([cluster])[0]
-
-    def marginal_probs_batch(self, clusters):
-        return self._probs(clusters)
+    @staticmethod
+    def _in_range(pi):
+        return (pi >= 0) & (pi <= 1)  # written so that NaN fails it
 
 
 def uniform_intervention():
@@ -271,17 +275,9 @@ class RandomSelection(CounterfactualWeight):
             raise InvalidSpec(f"selection count {k} outside [0, {cluster.size}]")
         return k
 
-    def weight(self, pattern, cluster):
-        a = self._check(pattern, cluster)
+    def masses(self, bits, cluster):
         k = self._count(cluster)
-        if int(a.sum()) != k:
-            return 0.0
-        return 1.0 / math.comb(cluster.size, k)
-
-    def weights_for(self, bits, cluster):
-        k = self._count(cluster)
-        w = 1.0 / math.comb(cluster.size, k)
-        return np.where(bits.sum(axis=1) == k, w, 0.0)
+        return np.where(bits.sum(axis=1) == k, 1.0 / math.comb(cluster.size, k), 0.0)
 
     def support(self, cluster):
         m, k = cluster.size, self._count(cluster)
@@ -320,17 +316,10 @@ class DeterministicTarget(CounterfactualWeight):
             raise DimensionMismatch("target unit index out of range")
         return units
 
-    def _pattern(self, cluster):
+    def support(self, cluster):
         a = np.zeros(cluster.size, dtype=np.int8)
         a[self._units(cluster)] = 1
-        return a
-
-    def weight(self, pattern, cluster):
-        a = self._check(pattern, cluster)
-        return 1.0 if np.array_equal(a, self._pattern(cluster)) else 0.0
-
-    def support(self, cluster):
-        return [(self._pattern(cluster), 1.0)]
+        return [(a, 1.0)]
 
 
 class SparseTable(CounterfactualWeight):
@@ -353,26 +342,14 @@ class SparseTable(CounterfactualWeight):
                 norm.append((a, float(w)))
             self.entries[cid] = norm
 
-    def _rows(self, cluster):
-        if cluster.cluster_id not in self.entries:
-            return []
-        rows = self.entries[cluster.cluster_id]
+    def support(self, cluster):
+        rows = self.entries.get(cluster.cluster_id, [])
         for a, _ in rows:
             if a.size != cluster.size:
                 raise DimensionMismatch(
                     f"table pattern length {a.size} != cluster size {cluster.size}"
                 )
-        return rows
-
-    def weight(self, pattern, cluster):
-        a = self._check(pattern, cluster)
-        for pat, w in self._rows(cluster):
-            if np.array_equal(pat, a):
-                return w
-        return 0.0
-
-    def support(self, cluster):
-        return [(a, w) for a, w in self._rows(cluster) if w != 0.0]
+        return [(a, w) for a, w in rows if w != 0.0]
 
 
 class DirectEffect(CounterfactualWeight):
@@ -404,86 +381,34 @@ class DirectEffect(CounterfactualWeight):
         cluster._cache[key] = marg
         return marg
 
-    def weight(self, pattern, cluster):
-        a = self._check(pattern, cluster)
-        h = self.base.weight(a, cluster)
-        if h == 0.0:
-            # every summand carries the factor base(a)
-            self._marginals(cluster)
-            return 0.0
+    def _at(self, bits, base_masses, cluster):
+        """f at each row of bits, given the base law's masses there: (P,)."""
         marg = self._marginals(cluster)
-        signs = np.where(a == 1, 1.0, -1.0)
-        return float(h * np.sum(signs / marg[np.arange(a.size), a]))
+        terms = np.where(bits == 1, 1.0, -1.0) / marg[np.arange(bits.shape[1]), bits]
+        # every summand carries the factor base(a); a bare product gives -0.0
+        return np.where(base_masses == 0.0, 0.0, base_masses * terms.sum(axis=1))
+
+    def masses(self, bits, cluster):
+        return self._at(bits, self.base.masses(bits, cluster), cluster)
 
     def support(self, cluster):
-        out = []
-        for pat, _ in self.base.support(cluster):
-            w = self.weight(pat, cluster)
-            if w != 0.0:
-                out.append((pat, w))
-        return out
+        base = self.base.support(cluster)
+        if not base:
+            return []
+        bits = np.array([pat for pat, _ in base], dtype=np.int8)
+        values = self._at(bits, np.array([h for _, h in base]), cluster)
+        return [(bits[r], float(values[r])) for r in np.flatnonzero(values)]
 
 
-# ---------- propensity models ----------
-
-
-class PropensityModel:
-    kind = "generic"
-
-    @property
-    def known(self):
-        return True
-
-    def probability(self, pattern, cluster):
-        raise NotImplementedError
-
-    def probabilities_for(self, bits, cluster):
-        return np.array([self.probability(bits[r], cluster) for r in range(bits.shape[0])])
-
-    def support(self, cluster):
-        """Every pattern with its probability, as (pattern, mass) pairs: the
-        contract of `CounterfactualWeight.support`."""
-        bits = enumerate_patterns(cluster.size)
-        masses = self.probabilities_for(bits, cluster)
-        return [(bits[r], float(masses[r])) for r in range(bits.shape[0])]
-
-    def unit_probs_batch(self, clusters):
-        """Per-unit Bernoulli probabilities of clusters of one size m, stacked
-        (B, m), when the model is a product form; else None."""
-        return None
-
-
-class IndependentBernoulli(PropensityModel):
+class IndependentBernoulli(_ProductBernoulli, PropensityModel):
     """Units treated independently with covariate-driven probabilities."""
 
     kind = "independent_bernoulli"
+    _range_message = "propensity probabilities must lie strictly in (0, 1)"
 
-    def __init__(self, prob_fn, label="bernoulli"):
-        self.prob_fn = prob_fn
-        self.label = label
-
-    def _probs(self, clusters):
-        """prob_fn of clusters of one size m, stacked (B, m) and range checked."""
-        pi = _stacked_probs(self.prob_fn, clusters)
-        # written so that NaN fails it
-        if not ((pi > 0) & (pi < 1)).all():
-            raise InvalidSpec("propensity probabilities must lie strictly in (0, 1)")
-        return pi
-
-    def unit_probs(self, cluster):
-        return self._probs([cluster])[0]
-
-    def unit_probs_batch(self, clusters):
-        return self._probs(clusters)
-
-    def probability(self, pattern, cluster):
-        a = as_pattern(pattern)
-        if a.size != cluster.size:
-            raise DimensionMismatch("pattern length != cluster size")
-        return float(_kernels.pattern_masses(a[None], self._probs([cluster]))[0])
-
-    def probabilities_for(self, bits, cluster):
-        return _kernels.pattern_masses(bits, self._probs([cluster]))
+    @staticmethod
+    def _in_range(pi):
+        return (pi > 0) & (pi < 1)  # written so that NaN fails it
 
 
 class JointTable(PropensityModel):
@@ -498,43 +423,46 @@ class JointTable(PropensityModel):
             for cid, tab in tables.items()
         }
         self.tol = tol
-        self._validated = set()
+        self._masses = {}
 
     def _table(self, cluster):
-        cid = cluster.cluster_id
+        """The cluster's probabilities in `enumerate_patterns` order, checked
+        on first use."""
+        cid, m = cluster.cluster_id, cluster.size
         if cid not in self.tables:
             raise InvalidSpec(f"no propensity table for cluster {cid!r}")
-        tab = self.tables[cid]
-        if cid not in self._validated:
-            m = cluster.size
+        if (cid, m) not in self._masses:
+            tab = self.tables[cid]
             if len(tab) != 2**m:
                 raise InvalidSpec(
                     f"propensity table for cluster {cid!r} has {len(tab)} entries, "
                     f"expected {2**m}"
                 )
+            for key in tab:
+                if len(key) != m or not set(key) <= {0, 1}:
+                    raise InvalidSpec(
+                        f"propensity table for cluster {cid!r} has key {key!r}, "
+                        f"not a pattern of {m} bits"
+                    )
             vals = np.array(list(tab.values()))
-            if (vals <= 0).any():
+            if not (vals > 0).all():  # written so that NaN fails it
                 raise InvalidSpec("joint propensity table entries must be positive")
             if abs(vals.sum() - 1.0) > self.tol:
                 raise InvalidSpec("joint propensity table must sum to 1")
-            self._validated.add(cid)
-        return tab
+            masses = np.empty(2**m)
+            masses[pattern_index(list(tab))] = vals
+            self._masses[cid, m] = masses
+        return self._masses[cid, m]
 
-    def probability(self, pattern, cluster):
-        a = as_pattern(pattern)
-        if a.size != cluster.size:
-            raise DimensionMismatch("pattern length != cluster size")
-        return self._table(cluster)[tuple(int(b) for b in a)]
+    def masses(self, bits, cluster):
+        return self._table(cluster)[pattern_index(bits)]
 
 
 class UnknownPropensity(PropensityModel):
     kind = "unknown"
+    known = False
 
-    @property
-    def known(self):
-        return False
-
-    def probability(self, pattern, cluster):
+    def masses(self, bits, cluster):
         raise PropensityUnavailable(
             "propensity model is unknown; only the balancing estimator applies"
         )
@@ -542,11 +470,7 @@ class UnknownPropensity(PropensityModel):
 
 def eval_propensity(e, pattern, cluster):
     """Cluster-level propensity of one pattern; errors if the model is unknown."""
-    if not e.known:
-        raise PropensityUnavailable(
-            "propensity model is unknown; only the balancing estimator applies"
-        )
-    return e.probability(pattern, cluster)
+    return e.mass(pattern, cluster)
 
 
 # ---------- the probit probability family of the simulation design ----------

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels
-from .core import PATTERN_CAP, enumerate_patterns, eval_propensity, pattern_index
+from .core import PATTERN_CAP, enumerate_patterns, pattern_index
 from .errors import PositivityViolation
 from .numerics import DesignOps, _default_rcond, project_colspace
 from .structures import (
@@ -139,34 +139,23 @@ def _point(dataset, values):
     return float(values @ dataset.stacked_outcomes() / dataset.n)
 
 
-def _observed_masses(group, probs, mass):
-    """Masses of the observed patterns of clusters of one size: (B,).
-
-    Product-form Bernoulli(probs) masses, probs (B, m), or mass(c) per
-    cluster when probs is None.
-    """
+def _observed_masses(group, law):
+    """The law's masses at the observed patterns of clusters of one size:
+    (B,), in product form when its `probs_batch` gives one, else cluster by
+    cluster."""
+    probs = law.probs_batch(group)
     if probs is None:
-        return [mass(c) for c in group]
+        return [law.mass(c.treatments, c) for c in group]
     return _kernels.pattern_masses(np.stack([c.treatments for c in group]), probs)
 
 
 def ipw_weights(dataset, weight, propensity):
-    """Observed-pattern IPW weights f(A_c)/(M_c e(A_c)), one entry per unit.
-
-    e and f come in product form for all clusters of one size at once when
-    the propensity's `unit_probs_batch` and the weight's
-    `marginal_probs_batch` give one; other models are evaluated per cluster.
-    """
+    """Observed-pattern IPW weights f(A_c)/(M_c e(A_c)), one entry per unit,
+    with e and f from `_observed_masses`."""
     f, e = np.empty(dataset.n), np.empty(dataset.n)
     for group, idx, _ in _size_groups(dataset):
-        e[idx] = _observed_masses(
-            group,
-            propensity.unit_probs_batch(group),
-            lambda c: eval_propensity(propensity, c.treatments, c),
-        )
-        f[idx] = _observed_masses(
-            group, weight.marginal_probs_batch(group), lambda c: weight.weight(c.treatments, c)
-        )
+        e[idx] = _observed_masses(group, propensity)
+        f[idx] = _observed_masses(group, weight)
     bad = np.flatnonzero(e <= 0.0)
     if bad.size:
         c = dataset.clusters[bad[0]]
@@ -271,14 +260,14 @@ def _block_closed_form(dataset, structure, weight, propensity, rank_cut=True):
     e_low = np.ones(dataset.total_units)  # a unit without blocks has no empty class
     for group, _, rows in _size_groups(dataset):
         layout = _GroupRows(structure, group)
-        e_probs = propensity.unit_probs_batch(group)
+        e_probs = propensity.probs_batch(group)
         if len(layout.blocks) > 1 and e_probs is None:
             return None
         if not layout.blocks:
             continue
         m = rows.shape[1]
         obs = layout.classes()
-        f_probs = weight.marginal_probs_batch(group)
+        f_probs = weight.probs_batch(group)
         e_cls = layout.masses(e_probs, propensity)
         f_cls = layout.masses(f_probs, weight)
         # each unit's masses on its observed class in each block: (blocks, B, m)
@@ -330,12 +319,12 @@ def _wproj_svd(dataset, structure, weight, propensity):
     out = np.empty(dataset.total_units)
     for (start, stop), c in zip(dataset.cluster_slices(), dataset.clusters):
         bits = enumerate_patterns(c.size)
-        e_all = np.asarray(propensity.probabilities_for(bits, c), dtype=np.float64)
+        e_all = propensity.masses(bits, c)
         if (e_all <= 0.0).any():
             raise PositivityViolation(
                 f"propensity has non-positive pattern mass in cluster {c.cluster_id!r}"
             )
-        f_all = np.asarray(weight.weights_for(bits, c), dtype=np.float64)
+        f_all = weight.masses(bits, c)
         w_tilde = f_all / (c.size * e_all)
         sqrt_e = np.sqrt(e_all)
         obs = pattern_index(c.treatments)

@@ -136,10 +136,16 @@ def propensity_from_json(doc):
             return probit_propensity(spec_float(doc, "kappa", "bernoulli propensity", default=0.0))
         return IndependentBernoulli(_bernoulli_probs_fn(doc))
     if kind == "joint_table":
-        tables = {}
-        for cid, table in spec_field(doc, "tables", "joint_table propensity").items():
-            tables[cid] = {
-                tuple(int(ch) for ch in key): float(v) for key, v in table.items()
-            }
-        return JointTable(tables)
+        tables = spec_field(doc, "tables", "joint_table propensity")
+        if not isinstance(tables, dict) or not all(isinstance(t, dict) for t in tables.values()):
+            raise InvalidSpec("joint_table spec field 'tables' must map cluster ids to objects")
+        for table in tables.values():
+            for key in table:
+                if not isinstance(key, str) or not key or set(key) - {"0", "1"}:
+                    raise InvalidSpec(f"joint_table key {key!r} is not a string of 0/1 bits")
+        return JointTable({
+            cid: {tuple(int(ch) for ch in key): spec_float(table, key, "joint_table propensity")
+                  for key in table}
+            for cid, table in tables.items()
+        })
     raise InvalidSpec(f"unknown propensity kind {kind!r}")

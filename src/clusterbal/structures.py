@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .core import PATTERN_CAP, BernoulliIntervention, as_pattern, enumerate_patterns
+from .core import PATTERN_CAP, BernoulliIntervention, check_pattern, enumerate_patterns
 from .errors import CapExceeded, DimensionMismatch, InvalidSpec
 from .numerics import DesignOps, _validate
 from .specio import spec_field, spec_int
@@ -207,7 +207,7 @@ class LowRankStructure:
     def rows_at(self, cluster, pattern):
         """Feature rows of every unit at one pattern: (M_c, d)."""
         self._require_fixed()
-        a = self._check_pattern(cluster, pattern)
+        a = check_pattern(pattern, cluster)
         layout = _GroupRows(self, [cluster])
         return layout.rows(layout.classes(a[None]), 1)[0]
 
@@ -230,16 +230,7 @@ class LowRankStructure:
 
     def _check(self, cluster, i, pattern):
         self._check_index(cluster, i)
-        return self._check_pattern(cluster, pattern)
-
-    @staticmethod
-    def _check_pattern(cluster, pattern):
-        a = as_pattern(pattern)
-        if a.size != cluster.size:
-            raise DimensionMismatch(
-                f"pattern length {a.size} != cluster size {cluster.size}"
-            )
-        return a
+        return check_pattern(pattern, cluster)
 
     @staticmethod
     def _check_index(cluster, i):
@@ -1075,7 +1066,7 @@ def target_contributions(structure, dataset, weight):
     """Per-cluster aggregated counterfactual feature loads: (n, d).
 
     Row c is (1/M_c) * sum_{a in support(f)} f(a, X_c) * sum_i phi_ci(a).
-    The weight's `marginal_probs_batch` is asked once per size group. Row c
+    The weight's `probs_batch` is asked once per size group. Row c
     is then (1/m) sum_i masses[c, i] (x) x_ci, one (B, n, m) @ (B, m, w)
     product per block with its unit x class masses (`_GroupRows.masses`): in
     product form where the block and the weight have one, else summed over
@@ -1086,7 +1077,7 @@ def target_contributions(structure, dataset, weight):
     out = None
     for group, idx, rows in _size_groups(dataset):
         layout = _GroupRows(structure, group)
-        loads = layout.loads(layout.masses(weight.marginal_probs_batch(group), weight))
+        loads = layout.loads(layout.masses(weight.probs_batch(group), weight))
         if out is None:
             out = np.zeros((dataset.n, loads.shape[1]))
         out[idx] = loads / rows.shape[1]

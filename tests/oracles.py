@@ -63,7 +63,7 @@ def mu_f_direct(dataset, weight, outcome_fn):
     total = 0.0
     for ci, c in enumerate(dataset.clusters):
         for a in enumerate_patterns(c.size):
-            w = weight.weight(a, c)
+            w = weight.mass(a, c)
             if w == 0.0:
                 continue
             g = outcome_fn(ci, c, a)
@@ -207,9 +207,9 @@ def per_cluster_contributions(structure, dataset, weight):
     weight, else the weighted sum of `structure_rows` over its support."""
     out = []
     for c in dataset.clusters:
-        probs = weight.marginal_probs(c)
+        probs = weight.probs_batch([c])
         if probs is not None:
-            rows = expected_rows(structure, c, probs)
+            rows = expected_rows(structure, c, probs[0])
         else:
             zero = np.zeros((c.size, structure.dim(c)))
             rows = sum((w * structure_rows(structure, c, pat) for pat, w in weight.support(c)), zero)
@@ -317,7 +317,7 @@ def per_cluster_ipw_weights(dataset, weight, propensity):
             raise PositivityViolation(
                 f"propensity {e_obs} <= 0 at the observed pattern of cluster {c.cluster_id!r}"
             )
-        out[start:stop] = weight.weight(c.treatments, c) / (c.size * e_obs)
+        out[start:stop] = weight.mass(c.treatments, c) / (c.size * e_obs)
     return out
 
 

@@ -14,7 +14,10 @@ of other claims live beside the code they test:
 - noiseless recovery: `test_simulate.py::test_conditional_mu_equals_balancing_point_noiseless`;
 - serial/parallel identity: `test_simulate.py::test_monte_carlo_serial_parallel_identical`.
 
-The robustness check here enumerates the assignments of a dependent
+The first two checks solve the unbiasedness equations of one cluster's
+m * 2^m weights exactly: IPW is their one solution when the propensity is
+known, and no weights solve them under two propensities at once. The
+robustness check here enumerates the assignments of a dependent
 (`JointTable`) law.
 """
 
@@ -31,7 +34,9 @@ from clusterbal.core import (
     Gate,
     IndependentBernoulli,
     JointTable,
+    SparseTable,
     enumerate_patterns,
+    uniform_intervention,
 )
 from clusterbal.estimators import balancing_fit, ipw_fit, ipw_weights, weighted_projection_fit
 from clusterbal.simulate import DGPConfig, monte_carlo
@@ -44,6 +49,76 @@ from clusterbal.structures import (
 )
 
 from oracles import expectation_over_assignments, mu_f_direct, structure_rows
+
+# ---------- uniform unbiasedness without a structure, by enumeration ----------
+
+
+def _unbiasedness_system(c, e, f):
+    """Uniform unbiasedness of sum_i w_i(A) Y_i(A) for one cluster, as linear
+    equations in the m * 2^m unknowns w_i(a) (column a * m + i).
+
+    Row a' * m + i matches the coefficient of the potential outcome Y_i(a')
+    in E_e[sum_j w_j(A) Y_j(A)] = sum_a e(a) sum_j w_j(a) Y_j(a) with its
+    coefficient f(a') / m in the estimand (1/m) sum_a f(a) sum_i Y_i(a).
+    """
+    bits = enumerate_patterns(c.size)
+    e_mass, f_mass = e.masses(bits, c), f.masses(bits, c)
+    # Y_i(a') enters sum_a e(a) sum_j w_j(a) Y_j(a) only through the term
+    # a = a', j = i, with coefficient e(a'): the system is diagonal
+    coef = np.diag(np.repeat(e_mass, c.size))
+    target = np.repeat(f_mass / c.size, c.size)
+    return coef, target
+
+
+def _one_cluster(m):
+    x = np.random.default_rng(m).standard_normal((m, 2))
+    return ClusterSample(covariates=x, treatments=np.zeros(m, dtype=int), outcomes=np.zeros(m),
+                         cluster_id="c")
+
+
+def _random_joint_table(m, seed):
+    masses = np.random.default_rng(seed).uniform(0.5, 1.5, 2**m)
+    return JointTable({"c": dict(zip(map(tuple, enumerate_patterns(m).tolist()),
+                                     masses / masses.sum()))})
+
+
+def _estimands(m):
+    table = [(a, w) for a, w in zip(enumerate_patterns(m), [0.7, -1.2, 2.5]) if a.any()]
+    return {"gate": Gate(), "uniform": uniform_intervention(),
+            "sparse": SparseTable({"c": table})}
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_ipw_is_the_only_uniformly_unbiased_estimator_with_a_known_propensity(m):
+    """With e known and positive the system has full rank m * 2^m, and its
+    one solution is the IPW weight f(a) / (m e(a)) at every pattern a."""
+    c = _one_cluster(m)
+    propensities = {"bernoulli": IndependentBernoulli(lambda cl: np.linspace(0.2, 0.7, cl.size)),
+                    "joint_table": _random_joint_table(m, 5)}
+    for e in propensities.values():
+        for f in _estimands(m).values():
+            coef, target = _unbiasedness_system(c, e, f)
+            assert np.linalg.matrix_rank(coef) == m * 2**m
+            w = np.linalg.solve(coef, target).reshape(2**m, m)
+            for a, w_a in zip(enumerate_patterns(m), w):
+                np.testing.assert_allclose(w_a, ipw_weights(_at(c, a), f, e), rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_no_estimator_is_uniformly_unbiased_with_an_unknown_propensity(m):
+    """Weights unbiased under two propensities that differ where f != 0 solve
+    both systems at once; the stacked system is inconsistent (its augmented
+    matrix has rank one more than its coefficient matrix)."""
+    c = _one_cluster(m)
+    bits = enumerate_patterns(m)
+    e1, e2 = IndependentBernoulli(lambda cl: np.full(cl.size, 0.5)), _random_joint_table(m, 6)
+    for f in _estimands(m).values():
+        assert ((e1.masses(bits, c) != e2.masses(bits, c)) & (f.masses(bits, c) != 0)).any()
+        (c1, t1), (c2, t2) = _unbiasedness_system(c, e1, f), _unbiasedness_system(c, e2, f)
+        coef, target = np.vstack([c1, c2]), np.concatenate([t1, t2])
+        rank = np.linalg.matrix_rank(coef)
+        assert np.linalg.matrix_rank(np.column_stack([coef, target])) == rank + 1
+
 
 # ---------- efficiency of weighted projection with a known propensity ----------
 
@@ -87,7 +162,7 @@ def test_wproj_is_unbiased_and_no_less_efficient_than_ipw(structure):
     for f in (BernoulliIntervention(lambda c: f_probs[c.cluster_id]), Gate()):
         for c in clusters:
             bits = enumerate_patterns(c.size)
-            masses = e.probabilities_for(bits, c)
+            masses = e.masses(bits, c)
             h = rng.standard_normal(structure.dim(c))
             second = {"wproj": np.zeros(c.size), "ipw": np.zeros(c.size)}
             mean = 0.0

@@ -613,6 +613,52 @@ def test_malformed_input_exits_1_with_one_line(tmp_path, capsys, case, expect):
     assert expect in err
 
 
+def _two_pair_csv():
+    rows = ["cluster_id,unit_id,treatment,outcome,x1"]
+    for cid, bits in (("c0", (1, 0)), ("c1", (0, 1))):
+        rows += [f"{cid},{i},{a},{1.0 + i},{0.5 - i}" for i, a in enumerate(bits)]
+    return "\n".join(rows) + "\n"
+
+
+_UNIFORM_TABLE = {"00": 0.25, "01": 0.25, "10": 0.25, "11": 0.25}
+
+
+def _with_key(old, new, value=0.25):
+    return {(new if k == old else k): (value if k == old else v) for k, v in _UNIFORM_TABLE.items()}
+
+
+@pytest.mark.parametrize(
+    "tables, expect",
+    [
+        ({"c0": _UNIFORM_TABLE, "c1": _UNIFORM_TABLE}, None),
+        ({"c0": _with_key("10", "12"), "c1": _UNIFORM_TABLE}, "'12'"),
+        ({"c0": _with_key("10", "1x"), "c1": _UNIFORM_TABLE}, "'1x'"),
+        ({"c0": _with_key("10", ""), "c1": _UNIFORM_TABLE}, "''"),
+        ({"c0": _UNIFORM_TABLE, "c1": _with_key("10", "000")}, "(0, 0, 0)"),
+        ({"c0": _with_key("10", "10", "x"), "c1": _UNIFORM_TABLE}, "'x'"),
+        ({"c0": _with_key("10", "10", None), "c1": _UNIFORM_TABLE}, "None"),
+        ({"c0": 1, "c1": _UNIFORM_TABLE}, "'tables'"),
+        ([1], "'tables'"),
+    ],
+    ids=["well_formed", "digit_2", "letter", "empty_key", "wrong_length", "value_not_number",
+         "value_null", "table_not_object", "tables_not_object"],
+)
+def test_malformed_joint_table_exits_1_with_one_line(tmp_path, capsys, tables, expect):
+    paths = {
+        "dataset": write(tmp_path, "pairs.csv", _two_pair_csv()),
+        "propensity": write_json(tmp_path, "p.json", {"kind": "joint_table", "tables": tables}),
+    }
+    args = _estimate_args(tmp_path, **paths) + ["--estimator", "ipw"]
+    if expect is None:
+        assert run(args) == 0
+        return
+    assert run(args) == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
+    assert err.startswith("error:") and expect in err
+
+
 def test_knn_k_beyond_the_pattern_cap_exits_1_naming_k(tmp_path, capsys):
     paths = {"structure": write_json(tmp_path, "s.json", {"kind": "knn_pattern", "k": 30})}
     assert run(_estimate_args(tmp_path, **paths)) == EXIT_ERROR

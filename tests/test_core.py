@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
+from clusterbal import _kernels
 from clusterbal.core import (
     BernoulliIntervention,
     ClusterSample,
+    CounterfactualWeight,
     Dataset,
     DeterministicTarget,
     DirectEffect,
@@ -13,6 +13,7 @@ from clusterbal.core import (
     IndependentBernoulli,
     JointTable,
     ProbitMean,
+    PropensityModel,
     RandomSelection,
     SparseTable,
     UnknownPropensity,
@@ -91,21 +92,21 @@ def test_dataset_validation():
 
 def test_gate_values():
     c = const_cluster(3)
-    assert Gate().weight([1, 1, 1], c) == 1.0
-    assert Gate().weight([1, 0, 1], c) == 0.0
-    assert Gate().weight([0, 0, 0], c) == -1.0
+    assert Gate().mass([1, 1, 1], c) == 1.0
+    assert Gate().mass([1, 0, 1], c) == 0.0
+    assert Gate().mass([0, 0, 0], c) == -1.0
 
 
 def test_gate_length_mismatch():
     with pytest.raises(DimensionMismatch):
-        Gate().weight([1, 1], const_cluster(3))
+        Gate().mass([1, 1], const_cluster(3))
 
 
 def test_uniform_intervention_mass():
     c = const_cluster(4)
     f = uniform_intervention()
     for pat in enumerate_patterns(4):
-        assert f.weight(pat, c) == pytest.approx(2.0**-4)
+        assert f.mass(pat, c) == pytest.approx(2.0**-4)
 
 
 def test_gate_sparse_support():
@@ -141,50 +142,78 @@ def test_sparse_table_duplicate_patterns_rejected():
 def test_sparse_table_lookup():
     f = SparseTable({"c": [((0, 1), 2.0), ((1, 1), -1.0)]})
     c = const_cluster(2)
-    assert f.weight([0, 1], c) == 2.0
-    assert f.weight([1, 0], c) == 0.0
+    assert f.mass([0, 1], c) == 2.0
+    assert f.mass([1, 0], c) == 0.0
     assert len(f.support(c)) == 2
 
 
-def brute_support(f, cluster):
-    out = []
-    for pat in enumerate_patterns(cluster.size):
-        w = f.weight(pat, cluster)
-        if w != 0.0:
-            out.append((tuple(pat.tolist()), w))
-    return dict(out)
+def _random_table(rng, m):
+    masses = rng.uniform(0.5, 1.5, 2**m)
+    return dict(zip(map(tuple, enumerate_patterns(m).tolist()), masses / masses.sum()))
 
 
-@pytest.mark.parametrize("m", [1, 2, 3, 5])
-def test_sparse_support_matches_bruteforce(rng, m):
-    c = make_cluster(rng, m)
-    weights = [
-        Gate(),
-        uniform_intervention(),
-        RandomSelection(min(1, m)),
-        DeterministicTarget(list(range(min(2, m)))),
-        BernoulliIntervention(lambda cl: np.linspace(0.2, 0.8, cl.size)),
-    ]
-    for f in weights:
-        got = {tuple(p.tolist()): w for p, w in f.support(c)}
-        expected = brute_support(f, c)
-        assert set(got) == set(expected)
-        for k in got:
-            assert got[k] == pytest.approx(expected[k], abs=1e-12)
+def _sparse(rng, m):
+    rows = rng.choice(2**m, size=min(3, 2**m), replace=False)
+    return SparseTable({"c": list(zip(enumerate_patterns(m)[rows], [1.5, -0.5, 0.0]))})
 
 
-@settings(max_examples=25, deadline=None)
-@given(
-    m=st.integers(min_value=1, max_value=8),
-    seed=st.integers(min_value=0, max_value=2**31),
-)
-def test_stochastic_interventions_sum_to_one(m, seed):
-    r = np.random.default_rng(seed)
-    c = const_cluster(m)
-    probs = r.uniform(0.05, 0.95, size=m)
-    for f in (uniform_intervention(), BernoulliIntervention(lambda cl, p=probs: p), RandomSelection(int(r.integers(0, m + 1)))):
-        total = sum(f.weight(pat, c) for pat in enumerate_patterns(m))
-        assert total == pytest.approx(1.0, abs=1e-10)
+# every law of a size-m cluster with id "c"
+LAWS = {
+    "gate": lambda rng, m: Gate(),
+    "uniform": lambda rng, m: uniform_intervention(),
+    "probit_intervention": lambda rng, m: probit_intervention(0.4),
+    "random_selection": lambda rng, m: RandomSelection(int(rng.integers(0, m + 1))),
+    "deterministic": lambda rng, m: DeterministicTarget(list(range(0, m, 2))),
+    "sparse": _sparse,
+    "direct_effect": lambda rng, m: DirectEffect(probit_intervention(0.4)),
+    "independent_bernoulli": lambda rng, m: IndependentBernoulli(
+        lambda c, p=rng.uniform(0.1, 0.9, m): p),
+    "probit_propensity": lambda rng, m: probit_propensity(0.3),
+    "joint_table": lambda rng, m: JointTable({"c": _random_table(rng, m)}),
+    "unknown": lambda rng, m: UnknownPropensity(),
+}
+PROBABILITY_LAWS = {"uniform", "probit_intervention", "random_selection", "deterministic",
+                    "independent_bernoulli", "probit_propensity", "joint_table"}
+
+
+@pytest.mark.parametrize("m", range(1, 6))
+@pytest.mark.parametrize("name", sorted(LAWS))
+def test_pattern_law_contract(name, m):
+    """`masses`, `support`, `mass` and `probs_batch` of every law state one
+    set of values, and a probability law's values sum to one."""
+    rng = np.random.default_rng(m)
+    c = make_cluster(rng, m, cluster_id="c")
+    law = LAWS[name](rng, m)
+    bits = enumerate_patterns(m)
+    with pytest.raises(DimensionMismatch, match=f"pattern length {m + 1} != cluster size {m}"):
+        law.mass(np.zeros(m + 1), c)
+    if name == "unknown":
+        assert law.probs_batch([c]) is None
+        for read in (lambda: law.masses(bits, c), lambda: law.support(c), lambda: law.mass(bits[0], c)):
+            with pytest.raises(PropensityUnavailable):
+                read()
+        return
+    masses = law.masses(bits, c)
+    scattered = np.zeros(2**m)
+    for a, v in law.support(c):
+        assert a.dtype == np.int8 and v != 0.0
+        scattered[pattern_index(a)] += v
+    assert np.array_equal(masses, scattered)
+    assert [law.mass(a, c) for a in bits] == masses.tolist()
+    probs = law.probs_batch([c])
+    if probs is not None:
+        assert np.array_equal(_kernels.pattern_masses(bits, probs), masses)
+    if name in PROBABILITY_LAWS:
+        assert masses.sum() == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("base", [CounterfactualWeight, PropensityModel])
+def test_a_law_defining_neither_masses_nor_support_names_its_class(base):
+    bare, c = type("Bare", (base,), {})(), const_cluster(2)
+    for read in (lambda: bare.masses(enumerate_patterns(2), c), lambda: bare.support(c),
+                 lambda: bare.mass([0, 1], c)):
+        with pytest.raises(NotImplementedError, match="Bare defines neither masses nor support"):
+            read()
 
 
 # ---------- direct effect ----------
@@ -199,12 +228,12 @@ def tau_h_oracle(base, cluster, g):
     for i in range(m):
         for arm in (0, 1):
             cond_total = sum(
-                base.weight(p, cluster) for p in pats if p[i] == arm
+                base.mass(p, cluster) for p in pats if p[i] == arm
             )
             for p in pats:
                 if p[i] != arm:
                     continue
-                hw = base.weight(p, cluster) / cond_total
+                hw = base.mass(p, cluster) / cond_total
                 total += (1 if arm == 1 else -1) * g(i, p) * hw / m
     return total
 
@@ -219,13 +248,13 @@ def test_direct_effect_formula(rng):
     marg = np.zeros((m, 2))
     for p in pats:
         for j in range(m):
-            marg[j, p[j]] += base.weight(p, c)
+            marg[j, p[j]] += base.mass(p, c)
     for p in pats:
         expected = sum(
-            (1 if p[j] == 1 else -1) * base.weight(p, c) / marg[j, p[j]]
+            (1 if p[j] == 1 else -1) * base.mass(p, c) / marg[j, p[j]]
             for j in range(m)
         )
-        assert f.weight(p, c) == pytest.approx(expected, abs=1e-12)
+        assert f.mass(p, c) == pytest.approx(expected, abs=1e-12)
 
 
 def test_direct_effect_matches_tau_h_on_own_treatment_outcomes(rng):
@@ -242,7 +271,7 @@ def test_direct_effect_matches_tau_h_on_own_treatment_outcomes(rng):
         return own[i, pat[i]]
 
     via_f = sum(
-        g(i, p) * f.weight(p, c) / m
+        g(i, p) * f.mass(p, c) / m
         for i in range(m)
         for p in enumerate_patterns(m)
     )
@@ -253,7 +282,22 @@ def test_direct_effect_degenerate_base():
     c = const_cluster(2)
     base = DeterministicTarget([0])  # unit 1 never treated under the base law
     with pytest.raises(DegenerateIntervention):
-        DirectEffect(base).weight([1, 0], c)
+        DirectEffect(base).mass([1, 0], c)
+
+
+def test_direct_effect_is_plus_zero_where_the_base_law_is_zero():
+    """At the all-zeros pattern the summands are negative, so base(a) times
+    their sum would be -0.0 there."""
+    masses = DirectEffect(RandomSelection(1)).masses(enumerate_patterns(2), const_cluster(2))
+    assert masses[[0, 3]].tolist() == [0.0, 0.0]
+    assert not np.signbit(masses).any()
+
+
+def test_direct_effect_over_an_empty_base_support_is_empty():
+    f = DirectEffect(SparseTable({}))
+    assert f.support(const_cluster(2)) == []
+    with pytest.raises(DegenerateIntervention):
+        f.masses(enumerate_patterns(2), const_cluster(2))
 
 
 # ---------- propensity models ----------
@@ -265,14 +309,6 @@ def test_independent_bernoulli_product():
     assert eval_propensity(e, [1, 0], c) == pytest.approx(0.25)
     total = sum(eval_propensity(e, p, c) for p in enumerate_patterns(2))
     assert total == pytest.approx(1.0, abs=1e-12)
-
-
-def test_propensity_sums_to_one_random(rng):
-    for m in (1, 3, 6):
-        c = make_cluster(rng, m)
-        e = IndependentBernoulli(lambda cl: rng.uniform(0.1, 0.9, cl.size))
-        probs = e.probabilities_for(enumerate_patterns(m), c)
-        assert probs.sum() == pytest.approx(1.0, abs=1e-10)
 
 
 def test_unknown_propensity_raises():
@@ -293,7 +329,7 @@ def test_propensity_support_is_every_pattern_with_its_probability(rng):
             support = e.support(c)
             assert np.array_equal(np.array([a for a, _ in support]), bits)
             assert all(a.dtype == np.int8 for a, _ in support)
-            assert np.array_equal([p for _, p in support], e.probabilities_for(bits, c))
+            assert np.array_equal([p for _, p in support], e.masses(bits, c))
 
 
 def test_joint_table_validation():
@@ -342,9 +378,9 @@ def test_probit_laws_match_per_cluster_formula_on_mixed_sizes(rng):
     d = make_dataset(rng, 40, sizes=(1, 12), p=4)
     f, e = probit_intervention(0.2), probit_propensity(0.0)
     for group, _, _ in _size_groups(d):
-        assert _hex(f.marginal_probs_batch(group)) == _hex(
+        assert _hex(f.probs_batch(group)) == _hex(
             per_cluster_probit(c.covariates, 0.2) for c in group)
-        assert _hex(e.unit_probs_batch(group)) == _hex(
+        assert _hex(e.probs_batch(group)) == _hex(
             per_cluster_probit(c.covariates, 0.0) for c in group)
 
 
@@ -365,12 +401,12 @@ def test_probit_laws_at_saturated_probabilities():
     x = np.array([[40.0, 40.0], [0.0, 0.0], [-40.0, -40.0]])
     clusters = [const_cluster(3, x=x), const_cluster(3, x=x[::-1].copy())]
     f, e = probit_intervention(1.0), probit_propensity(1.0)
-    assert f.marginal_probs(clusters[0]).tolist() == [1.0, 0.5, 0.0]
-    assert f.marginal_probs_batch(clusters).tolist() == [[1.0, 0.5, 0.0], [0.0, 0.5, 1.0]]
+    assert f.probs_batch(clusters[:1]).tolist() == [[1.0, 0.5, 0.0]]
+    assert f.probs_batch(clusters).tolist() == [[1.0, 0.5, 0.0], [0.0, 0.5, 1.0]]
     with pytest.raises(InvalidSpec, match="strictly"):
-        e.unit_probs(clusters[0])
+        e.probs_batch(clusters[:1])
     with pytest.raises(InvalidSpec, match="strictly"):
-        e.unit_probs_batch(clusters)
+        e.probs_batch(clusters)
 
 
 class _NaNFamily:
@@ -385,12 +421,13 @@ class _NaNFamily:
                                      ProbitMean(np.nan)], ids=["per_cluster", "batch", "probit"])
 def test_nan_probabilities_are_refused(rng, prob_fn):
     clusters = [make_cluster(rng, 3, cluster_id=i) for i in range(2)]
-    for model, probs in ((BernoulliIntervention(prob_fn), "marginal_probs"),
-                         (IndependentBernoulli(prob_fn), "unit_probs")):
+    for model in (BernoulliIntervention(prob_fn), IndependentBernoulli(prob_fn)):
         with pytest.raises(InvalidSpec):
-            getattr(model, probs)(clusters[0])
+            model.probs_batch(clusters[:1])
         with pytest.raises(InvalidSpec):
-            getattr(model, probs + "_batch")(clusters)
+            model.probs_batch(clusters)
+        with pytest.raises(InvalidSpec):
+            model.mass([1, 0, 1], clusters[0])
 
 
 @pytest.mark.parametrize(
@@ -404,10 +441,10 @@ def test_nan_probabilities_are_refused(rng, prob_fn):
 def test_intervention_probabilities_checked_per_cluster_and_per_batch(rng, probs, error):
     clusters = [make_cluster(rng, 3, cluster_id=i) for i in range(2)]
     f = BernoulliIntervention(lambda c: probs(c) if c.cluster_id == 1 else np.full(c.size, 0.5))
-    assert f.marginal_probs(clusters[0]).shape == (3,)
+    assert f.probs_batch(clusters[:1]).shape == (1, 3)
     with pytest.raises(error):
-        f.marginal_probs(clusters[1])
+        f.probs_batch(clusters[1:])
     with pytest.raises(error):
-        f.marginal_probs_batch(clusters)
+        f.probs_batch(clusters)
     good = BernoulliIntervention(lambda c: np.full(c.size, 0.25))
-    assert np.array_equal(good.marginal_probs_batch(clusters), np.full((2, 3), 0.25))
+    assert np.array_equal(good.probs_batch(clusters), np.full((2, 3), 0.25))

@@ -81,8 +81,8 @@ def test_ipw_zero_weight_everywhere():
     d = Dataset(clusters=(singleton(1, 3.0, 0), singleton(0, 5.0, 1)))
 
     class ZeroGate(Gate):
-        def weight(self, pattern, cluster):
-            return 0.0
+        def support(self, cluster):
+            return []
 
     assert ipw_fit(d, ZeroGate(), half_bernoulli()).point == 0.0
 
@@ -559,7 +559,7 @@ def _enumerated_class_ipw(d, mapping, f, e):
     out = []
     for c in d.clusters:
         bits = enumerate_patterns(c.size)
-        e_all, f_all = e.probabilities_for(bits, c), f.weights_for(bits, c)
+        e_all, f_all = e.masses(bits, c), f.masses(bits, c)
         obs = pattern_index(c.treatments)
         classes = mapping.classes_batch([c], bits)
         for i in range(c.size):
@@ -602,7 +602,7 @@ def _enumerated_block_anova(d, structure, f, e):
     out = []
     for c in d.clusters:
         bits = enumerate_patterns(c.size)
-        e_all, f_all = e.probabilities_for(bits, c), f.weights_for(bits, c)
+        e_all, f_all = e.masses(bits, c), f.masses(bits, c)
         obs = pattern_index(c.treatments)
         rcond = max(2**c.size, structure.dim(c)) * np.finfo(np.float64).eps
         for i in range(c.size):
@@ -626,7 +626,7 @@ def _svd_tolerance(d, e, got):
     60-digit projection to 1e-16."""
     out = []
     for c in d.clusters:
-        masses = e.probabilities_for(enumerate_patterns(c.size), c)
+        masses = e.masses(enumerate_patterns(c.size), c)
         spread = np.sqrt(masses.max() / masses.min())
         out += [1e3 * np.finfo(np.float64).eps * spread * np.abs(got).max()] * c.size
     return np.array(out)
@@ -719,7 +719,7 @@ def test_wproj_closed_form_joint_table_enumerates(rng):
         masses /= masses.sum()
         tables[c.cluster_id] = {tuple(a): p for a, p in zip(enumerate_patterns(c.size), masses)}
     e = JointTable(tables)
-    assert not hasattr(e, "unit_probs")  # no product form: class masses by enumeration
+    assert e.probs_batch(d.clusters[:1]) is None  # no product form: class masses by enumeration
     for structure in (ONE_HOT[0], ONE_HOT[3], ONE_HOT[5]):
         for f in (Gate(), uniform_intervention()):
             w = _assert_closed_form_matches_svd(d, structure, f, e)
@@ -753,7 +753,7 @@ def test_wproj_non_one_hot_takes_svd_path(rng, monkeypatch, structure):
     assert len(calls) == 0
     joint = JointTable({
         c.cluster_id: dict(zip(map(tuple, enumerate_patterns(c.size)),
-                               e.probabilities_for(enumerate_patterns(c.size), c)))
+                               e.masses(enumerate_patterns(c.size), c)))
         for c in d.clusters
     })
     got = weighted_projection_fit(d, structure, f, joint).weights.values
@@ -855,8 +855,8 @@ def test_pattern_enumeration_raises_beyond_cap(rng, path):
 
 def test_wproj_closed_form_positivity():
     class NeverTreatFirst(PropensityModel):
-        def probability(self, pattern, cluster):
-            return 0.0 if pattern[0] == 1 else 0.5
+        def masses(self, bits, cluster):
+            return np.where(bits[:, 0] == 1, 0.0, 0.5)
 
     c = ClusterSample(covariates=[[1.0], [2.0]], treatments=[1, 0], outcomes=[0.0, 0.0], cluster_id=0)
     d = Dataset(clusters=(c,))
@@ -880,8 +880,8 @@ def test_exposure_positivity_names_the_first_cluster_in_dataset_order():
     never = {"a": (), "b": (2,), "c": (0,)}
 
     class NeverTreat(PropensityModel):
-        def probability(self, pattern, cluster):
-            return 0.0 if any(pattern[i] for i in never[cluster.cluster_id]) else 0.5
+        def masses(self, bits, cluster):
+            return np.where(bits[:, list(never[cluster.cluster_id])].any(axis=1), 0.0, 0.5)
 
     d = Dataset(clusters=(cluster("a", [0, 1], [1, 1]), cluster("b", [0, 1, 2], [0, 0, 1]),
                           cluster("c", [0, 1], [1, 0])))
@@ -907,8 +907,8 @@ def _wproj_per_unit(d, structure, f, e):
     out = []
     for c in d.clusters:
         bits = enumerate_patterns(c.size)
-        e_all = e.probabilities_for(bits, c)
-        w_tilde = f.weights_for(bits, c) / (c.size * e_all)
+        e_all = e.masses(bits, c)
+        w_tilde = f.masses(bits, c) / (c.size * e_all)
         sqrt_e = np.sqrt(e_all)
         obs = pattern_index(c.treatments)
         for i in range(c.size):
@@ -986,7 +986,7 @@ def test_wproj_svd_takes_each_blocks_classes_once_per_cluster(rng):
     for c in d.clusters:
         bits = enumerate_patterns(c.size)
         rows = np.stack([structure_rows(structure, c, a) for a in bits])  # (2^m, m, d)
-        e_all, f_all = e.probabilities_for(bits, c), f.weights_for(bits, c)
+        e_all, f_all = e.masses(bits, c), f.masses(bits, c)
         sqrt_e, obs = np.sqrt(e_all), pattern_index(c.treatments)
         for i in range(c.size):
             w = project_colspace(rows[:, i] * sqrt_e[:, None], sqrt_e * f_all / (c.size * e_all))

@@ -190,8 +190,8 @@ class _ZeroAt(PropensityModel):
     def __init__(self, zero_ids):
         self.zero_ids = zero_ids
 
-    def probability(self, pattern, cluster):
-        return 0.0 if cluster.cluster_id in self.zero_ids else 0.5**cluster.size
+    def masses(self, bits, cluster):
+        return np.full(bits.shape[0], 0.0 if cluster.cluster_id in self.zero_ids else 0.5**cluster.size)
 
 
 def test_positivity_violation_on_the_per_cluster_fallback(rng):
@@ -205,11 +205,11 @@ def test_batched_propensity_range_check(rng):
     d = make_dataset(rng, 4, sizes=(3, 3))
     e = IndependentBernoulli(lambda c: np.full(c.size, 1.0))
     with pytest.raises(InvalidSpec, match="strictly in"):
-        e.unit_probs_batch(d.clusters)
+        e.probs_batch(d.clusters)
     with pytest.raises(InvalidSpec, match="strictly in"):
         ipw_weights(d, Gate(), e)
     good = IndependentBernoulli(lambda c: np.full(c.size, 0.25))
-    assert np.array_equal(good.unit_probs_batch(d.clusters), np.full((4, 3), 0.25))
+    assert np.array_equal(good.probs_batch(d.clusters), np.full((4, 3), 0.25))
 
 
 # ---------- sandwich loads ----------

@@ -45,24 +45,24 @@ DATASET = Dataset(
                      outcomes=[0.0, 0.0], cluster_id=99),)
 )
 BUILD = {
-    "weight": (weight_from_json, "marginal_probs", lambda pi: (pi >= 0) & (pi <= 1)),
-    "propensity": (propensity_from_json, "unit_probs", lambda pi: (pi > 0) & (pi < 1)),
+    "weight": (weight_from_json, lambda pi: (pi >= 0) & (pi <= 1)),
+    "propensity": (propensity_from_json, lambda pi: (pi > 0) & (pi < 1)),
 }
 
 
-def _probabilities(model, method):
-    """The model's probabilities on DATASET, per size group and per cluster."""
-    out = [getattr(model, method + "_batch")(group) for group, _, _ in _size_groups(DATASET)]
-    return out + [getattr(model, method)(c) for c in DATASET.clusters]
+def _probabilities(model):
+    """The model's `probs_batch` on DATASET, per size group and per cluster."""
+    groups = [group for group, _, _ in _size_groups(DATASET)] + [[c] for c in DATASET.clusters]
+    return [model.probs_batch(group) for group in groups]
 
 
 @FUZZ
 @given(base=st.sampled_from(VALID), mutation=MUTATIONS, role=st.sampled_from(sorted(BUILD)))
 def test_bernoulli_spec_builds_a_valid_model_or_raises_invalid_spec(base, mutation, role):
-    build, method, in_range = BUILD[role]
+    build, in_range = BUILD[role]
     doc = {**base, **mutation}
     try:
-        probs = _probabilities(build(doc), method)
+        probs = _probabilities(build(doc))
     except InvalidSpec:
         return
     for pi in probs:

@@ -526,10 +526,7 @@ def test_target_vector_product_path_matches_support_path(rng):
     supported = []
 
     class NoProductForm(BernoulliIntervention):
-        def marginal_probs(self, cluster):
-            return None
-
-        def marginal_probs_batch(self, clusters):
+        def probs_batch(self, clusters):
             return None
 
         def support(self, cluster):
@@ -549,20 +546,17 @@ def test_target_vector_product_path_matches_support_path(rng):
     ids=lambda s: s.label,
 )
 def test_target_contributions_ask_the_batch_form_once_per_size_group(rng, structure):
-    """A weight that turns off only the per-cluster `marginal_probs` keeps its
-    product form on every structure: one-hot tensors and the others alike
-    read `marginal_probs_batch`, once per size group."""
+    """A product-form weight is read through `probs_batch`, once per size
+    group, on every structure (one-hot tensors and the others alike), and
+    its support is never taken."""
     d = make_dataset(rng, 6, sizes=(2, 5))
     probs_by_id = {c.cluster_id: rng.uniform(0.2, 0.8, c.size) for c in d.clusters}
     batches, supported = [], []
 
     class BatchOnly(BernoulliIntervention):
-        def marginal_probs(self, cluster):
-            return None
-
-        def marginal_probs_batch(self, clusters):
+        def probs_batch(self, clusters):
             batches.append(len(clusters))
-            return super().marginal_probs_batch(clusters)
+            return super().probs_batch(clusters)
 
         def support(self, cluster):
             supported.append(cluster.cluster_id)
@@ -588,7 +582,7 @@ def test_target_vector_cap_propagates(rng):
 
     # enumeration path of a weight without a product form
     class NoProductForm(BernoulliIntervention):
-        def marginal_probs_batch(self, clusters):
+        def probs_batch(self, clusters):
             return None
 
     slow = NoProductForm(lambda c: np.full(c.size, 0.5))
