@@ -366,9 +366,10 @@ class DirectEffect(CounterfactualWeight):
         self.base = base
 
     def _marginals(self, cluster):
+        # the entry holds the base, so no other law can take its id
         key = ("direct_effect_marginals", id(self.base))
         if key in cluster._cache:
-            return cluster._cache[key]
+            return cluster._cache[key][1]
         m = cluster.size
         marg = np.zeros((m, 2))
         for pat, w in self.base.support(cluster):
@@ -378,7 +379,7 @@ class DirectEffect(CounterfactualWeight):
             raise DegenerateIntervention(
                 "base intervention puts zero mass on some unit's treatment arm"
             )
-        cluster._cache[key] = marg
+        cluster._cache[key] = (self.base, marg)
         return marg
 
     def _at(self, bits, base_masses, cluster):

@@ -35,14 +35,18 @@ def spec_field(doc, key, what):
         raise InvalidSpec(f"{what} spec is missing required field {key!r}") from None
 
 
+def _whole(value):
+    """True when value is a whole number, and not a bool."""
+    try:
+        return not isinstance(value, bool) and int(value) == value
+    except (TypeError, ValueError, OverflowError):
+        return False
+
+
 def spec_int(doc, key, what):
     """spec_field(doc, key, what) as an int; InvalidSpec naming the field otherwise."""
     value = spec_field(doc, key, what)
-    try:
-        whole = not isinstance(value, bool) and int(value) == value
-    except (TypeError, ValueError):
-        whole = False
-    if not whole:
+    if not _whole(value):
         raise InvalidSpec(f"{what} spec field {key!r} must be an integer, got {value!r}")
     return int(value)
 
@@ -58,6 +62,22 @@ def spec_float(doc, key, what, default=None):
     if not math.isfinite(number):
         raise InvalidSpec(f"{what} spec field {key!r} must be a finite number, got {value!r}")
     return number
+
+
+def _unit_lists(value, key):
+    """A deterministic weight's `units` (a list of whole numbers) or
+    `units_by_cluster` (an object of such lists) as ints; InvalidSpec naming
+    the field otherwise."""
+    by_cluster = value if key == "units_by_cluster" else {0: value}
+    if isinstance(by_cluster, dict) and all(
+        isinstance(v, list) and all(map(_whole, v)) for v in by_cluster.values()
+    ):
+        lists = {k: [int(u) for u in v] for k, v in by_cluster.items()}
+        return lists if key == "units_by_cluster" else lists[0]
+    shape = "an object of lists" if key == "units_by_cluster" else "a list"
+    raise InvalidSpec(
+        f"deterministic weight spec field {key!r} must be {shape} of integers, got {value!r}"
+    )
 
 
 def _bernoulli_probs_fn(doc):
@@ -92,12 +112,9 @@ def weight_from_json(doc):
     if kind == "random_selection":
         return RandomSelection(spec_int(doc, "count", "random_selection weight"))
     if kind == "deterministic":
-        if "units" in doc:
-            return DeterministicTarget([int(u) for u in doc["units"]])
-        if "units_by_cluster" in doc:
-            return DeterministicTarget(
-                {k: [int(u) for u in v] for k, v in doc["units_by_cluster"].items()}
-            )
+        for key in ("units", "units_by_cluster"):
+            if key in doc:
+                return DeterministicTarget(_unit_lists(doc[key], key))
         if "rank_column" in doc:
             return DeterministicTarget(
                 _rank_selector(

@@ -60,7 +60,7 @@ def _stacked_neighbors(clusters, k, graph=None):
 
     The lists are the first k columns (all when k is None) of
     `graph.stacked(clusters)` when a list source is given, a `NeighborGraph`
-    or a `Compose`'s `_UnitLists`, and otherwise of each cluster's full
+    or a `Compose`'s inner mapping, and otherwise of each cluster's full
     k-NN order, so every k reads the same sort.
     """
     if graph is not None:
@@ -137,24 +137,27 @@ def second_order_lists(cluster, nbrs):
 
 def _msb_slots(bits, k):
     """Slot of each bit row among 2^k slots: bits (..., k_eff) read first bit
-    most significant, the k - k_eff missing low bits zero: (...,) int64.
-    The bits are added one column at a time, so no int64 copy of them is made."""
-    slots = np.zeros(bits.shape[:-1], dtype=np.int64)
-    for t in range(bits.shape[-1]):
-        slots += bits[..., t].astype(np.int64) << (k - 1 - t)
+    most significant, the k - k_eff missing low bits zero: (...,) int64. The
+    bits are shifted in one column at a time, without an int64 copy."""
+    if bits.shape[-1] == 0:
+        return np.zeros(bits.shape[:-1], dtype=np.int64)
+    slots = bits[..., 0].astype(np.int64)
+    for t in range(1, bits.shape[-1]):
+        slots <<= 1
+        slots += bits[..., t]
+    if bits.shape[-1] < k:
+        slots <<= k - bits.shape[-1]
     return slots
 
 
 def _msb_slot_masses(probs, k):
     """Mass of each `_msb_slots` slot under independent Bernoulli(probs)
     bits, probs (..., k_eff); missing bits have probability 0: (..., 2^k)."""
-    slot_probs = np.zeros(probs.shape[:-1] + (k,))
-    slot_probs[..., : probs.shape[-1]] = probs
     # the first bit is the most significant: prepend one bit's (untreated,
     # treated) halves at a time, last bit first
     mass = np.ones(probs.shape[:-1] + (1,))
     for t in range(k - 1, -1, -1):
-        p_t = slot_probs[..., t, None]
+        p_t = probs[..., t, None] if t < probs.shape[-1] else 0.0
         mass = np.concatenate([(1.0 - p_t) * mass, p_t * mass], axis=-1)
     return mass
 
@@ -267,18 +270,74 @@ class ExposureMapping:
         return None
 
 
-class OwnTreatment(ExposureMapping):
-    label = "own_treatment"
-    fixed_dim = 2
+def _per_unit(values, m):
+    """Values (B, m or 1, ...) of every unit, those of lists shared per
+    cluster repeated for its m units: (B, m, ...)."""
+    return values if values.shape[1] == m else np.repeat(values, m, axis=1)
+
+
+class _ListMapping(ExposureMapping):
+    """A slot or a binned count of each unit's listed treatments.
+
+    A subclass states only `stacked(clusters)`: each unit's list of units in
+    clusters of one size m, (B, m, L) int64, or (B, 1, L) when every unit of
+    a cluster has the same list. Index m is "no unit", untreated with
+    probability 0; a mapping whose lists may hold it sets `pads` (a block,
+    when it is made). With
+    `slot_bits` set, the class is the `_msb_slots` slot of the listed bits;
+    otherwise it is the number of treated listed units, through `_bin`.
+    """
+
+    slot_bits = None
+    pads = False
+
+    def stacked(self, clusters):
+        raise NotImplementedError
+
+    def _bin(self, counts):
+        return counts
+
+    def _listed(self, clusters, values):
+        """values[r, j] of every listed unit j: (P, m) values -> (P, m or 1,
+        L), from one cluster per row or one for all rows."""
+        lists = self.stacked(clusters)
+        if self.pads:
+            values = np.concatenate([values, np.zeros((values.shape[0], 1), values.dtype)], axis=1)
+        return values[np.arange(values.shape[0])[:, None, None], lists]
 
     def classes_batch(self, clusters, patterns):
-        return patterns.astype(np.int64)
+        listed = self._listed(clusters, patterns)
+        if self.slot_bits is not None:
+            classes = _msb_slots(listed, self.slot_bits)
+        else:
+            classes = self._bin(listed.sum(axis=2, dtype=np.int64))
+        return _per_unit(classes, patterns.shape[1])
 
     def class_masses_batch(self, clusters, probs):
-        return np.stack([1.0 - probs, probs], axis=2)
+        listed = self._listed(clusters, probs)
+        if self.slot_bits is not None:
+            masses = _msb_slot_masses(listed, self.slot_bits)
+        else:
+            b, rows, width = listed.shape
+            pmf = _kernels.pb_pmf_batch(np.ascontiguousarray(listed.reshape(b * rows, width)))
+            bins = self._bin(np.arange(width + 1))
+            masses = np.stack(
+                [pmf[:, bins == k].sum(axis=1) for k in range(self.fixed_dim)], axis=1
+            ).reshape(b, rows, -1)
+        return _per_unit(masses, probs.shape[1])
 
 
-class NeighborPattern(ExposureMapping):
+class OwnTreatment(_ListMapping):
+    label = "own_treatment"
+    fixed_dim = 2
+    slot_bits = 1
+
+    def stacked(self, clusters):
+        m = clusters[0].size
+        return np.broadcast_to(np.arange(m)[:, None], (len(clusters), m, 1))
+
+
+class NeighborPattern(_ListMapping):
     """Exact treatment pattern of the k nearest neighbors: the `_msb_slots`
     slot of their bits in neighbor-list order."""
 
@@ -289,24 +348,15 @@ class NeighborPattern(ExposureMapping):
             raise InvalidSpec("k must be >= 1")
         if k > PATTERN_CAP:
             raise CapExceeded(k, "k-NN k")
-        self.k = int(k)
+        self.k = self.slot_bits = int(k)
         self.graph = graph
         self.fixed_dim = 2**self.k
 
-    def _neighbor_values(self, clusters, values):
-        """values[r, j] of every unit's neighbors, in list order: (P, m) values
-        -> (P, m, k_eff), from one cluster per row or one for all rows."""
-        nbrs = _stacked_neighbors(clusters, self.k, self.graph)
-        return values[np.arange(values.shape[0])[:, None, None], nbrs]
-
-    def classes_batch(self, clusters, patterns):
-        return _msb_slots(self._neighbor_values(clusters, patterns), self.k)
-
-    def class_masses_batch(self, clusters, probs):
-        return _msb_slot_masses(self._neighbor_values(clusters, probs), self.k)
+    def stacked(self, clusters):
+        return _stacked_neighbors(clusters, self.k, self.graph)
 
 
-class NeighborCount(ExposureMapping):
+class NeighborCount(_ListMapping):
     """Number of treated units among the k nearest neighbors, and the unit
     itself too with `include_own`."""
 
@@ -320,33 +370,12 @@ class NeighborCount(ExposureMapping):
         self.graph = graph
         self.fixed_dim = self.k + 1 + int(self.include_own)
 
-    def _counted(self, nbrs):
-        """Counted units from neighbor lists (..., m, k_eff), the unit itself
-        first when included."""
-        if not self.include_own:
-            return nbrs
-        own = np.arange(nbrs.shape[-2], dtype=np.int64)[:, None]
-        return np.concatenate([np.broadcast_to(own, nbrs.shape[:-1] + (1,)), nbrs], axis=-1)
-
-    def _counted_values(self, clusters, values):
-        """values[r, j] of every unit's counted units: (P, m) values -> (P, m,
-        counted), from one cluster per row or one for all rows."""
-        units = self._counted(_stacked_neighbors(clusters, self.k, self.graph))
-        return values[np.arange(values.shape[0])[:, None, None], units]
-
-    def classes_batch(self, clusters, patterns):
-        return self._counted_values(clusters, patterns).sum(axis=2, dtype=np.int64)
-
-    def class_masses_batch(self, clusters, probs):
-        counted = self._counted_values(clusters, probs)
-        b, m, n_counted = counted.shape
-        out = np.zeros((b, m, self.fixed_dim))
-        if n_counted == 0:
-            out[:, :, 0] = 1.0
-            return out
-        pmf = _kernels.pb_pmf_batch(np.ascontiguousarray(counted.reshape(b * m, n_counted)))
-        out[:, :, : n_counted + 1] = pmf.reshape(b, m, n_counted + 1)
-        return out
+    def stacked(self, clusters):
+        """The k-NN lists, the unit itself first when included."""
+        nbrs = _stacked_neighbors(clusters, self.k, self.graph)
+        if self.include_own:
+            nbrs = np.concatenate([OwnTreatment().stacked(clusters), nbrs], axis=2)
+        return nbrs
 
 
 class IdentityMapping(ExposureMapping):
@@ -362,15 +391,13 @@ class IdentityMapping(ExposureMapping):
         return np.repeat(_msb_slots(patterns, m)[:, None], m, axis=1)
 
 
-class ConstantMapping(ExposureMapping):
+class ConstantMapping(_ListMapping):
     label = "constant"
     fixed_dim = 1
+    slot_bits = 0
 
-    def classes_batch(self, clusters, patterns):
-        return np.zeros(patterns.shape, dtype=np.int64)
-
-    def class_masses_batch(self, clusters, probs):
-        return np.ones(probs.shape + (1,))
+    def stacked(self, clusters):
+        return np.zeros((len(clusters), 1, 0), dtype=np.int64)
 
 
 # ---------- one-hot structures ----------
@@ -448,35 +475,25 @@ class KnnPattern(FromExposureMapping):
 # ---------- other structures ----------
 
 
-class _TypeBit(ExposureMapping):
-    """One `AdditiveTypes` block: the treatment of the unit carrying type t,
-    the same class for every unit of the cluster. A cluster without the type
-    has class 0 with mass 1, which adds nothing to the closed form's block
-    sum; its rows have no indicator in the block (`AdditiveTypes.block_layout`)."""
+class _ListBit(_ListMapping):
+    """One additive block: the treatment of the t-th unit of each unit's list
+    in `source.stacked`, of `AdditiveTypes` or a `Compose`'s inner mapping.
+    It serves the clusters of its size group, or some of them."""
 
     fixed_dim = 2
+    slot_bits = 1
 
-    def __init__(self, structure, t, clusters, units):
-        self.structure = structure
+    def __init__(self, source, t, clusters, lists):
+        self.source = source
         self.t = t
         self.clusters = clusters  # the size group the block was made for
-        self.units = units  # and the type's unit in each of its clusters
+        self.lists = lists  # and its units' t-th listed units, (B, m or 1, 1)
+        self.pads = bool((lists == clusters[0].size).any())  # once, for the group
 
-    def _units(self, clusters):
+    def stacked(self, clusters):
         if clusters is self.clusters:
-            return self.units
-        return np.array([self.structure._type_units(c)[self.t] for c in clusters])
-
-    def classes_batch(self, clusters, patterns):
-        units = self._units(clusters)
-        bit = np.where(units >= 0, patterns[np.arange(patterns.shape[0]), units], 0)
-        return np.repeat(bit.astype(np.int64)[:, None], patterns.shape[1], axis=1)
-
-    def class_masses_batch(self, clusters, probs):
-        units = self._units(clusters)
-        p = np.where(units >= 0, probs[np.arange(probs.shape[0]), units], 0.0)
-        masses = np.stack([1.0 - p, p], axis=1)
-        return np.repeat(masses[:, None], probs.shape[1], axis=1)
+            return self.lists
+        return self.source.stacked(clusters)[:, :, self.t : self.t + 1]
 
 
 class AdditiveTypes(LowRankStructure):
@@ -497,13 +514,14 @@ class AdditiveTypes(LowRankStructure):
         self.type_source = type_source
 
     def _type_units(self, cluster):
-        """(s,) array: unit index carrying each type, -1 when absent."""
+        """(s,) array: unit index carrying each type, the size m when absent."""
         key = ("additive_types", self.s, str(self.type_source))
         if key in cluster._cache:
             return cluster._cache[key]
-        out = np.full(self.s, -1, dtype=np.int64)
+        m = cluster.size
+        out = np.full(self.s, m, dtype=np.int64)
         if self.type_source == "unit_index":
-            types = np.arange(1, cluster.size + 1)
+            types = np.arange(1, m + 1)
         elif isinstance(self.type_source, dict) and "column" in self.type_source:
             col = int(self.type_source["column"])
             types = cluster.covariates[:, col].astype(np.int64)
@@ -512,7 +530,7 @@ class AdditiveTypes(LowRankStructure):
         for u, t in enumerate(types):
             if not 1 <= t <= self.s:
                 raise InvalidSpec(f"type {t} outside 1..{self.s}")
-            if out[t - 1] != -1:
+            if out[t - 1] != m:
                 raise InvalidSpec(f"type {t} occurs more than once in a cluster")
             out[t - 1] = u
         cluster._cache[key] = out
@@ -521,60 +539,50 @@ class AdditiveTypes(LowRankStructure):
     def dim(self, cluster=None, i=None):
         return 2 * self.s
 
+    def stacked(self, clusters):
+        """Every unit lists its cluster's type units, (B, 1, s); an absent
+        type lists no unit (index m)."""
+        return np.stack([self._type_units(c) for c in clusters])[:, None]
+
     def indicator_blocks(self, clusters):
         """One own-bit block per type present in any of the clusters; a type
         occurs at most once per cluster, so the blocks read distinct units."""
-        units = np.stack([self._type_units(c) for c in clusters])
-        present = np.flatnonzero(units.max(axis=0) >= 0)
-        return [_TypeBit(self, t, clusters, units[:, t]) for t in present]
+        lists = self.stacked(clusters)
+        present = np.flatnonzero((lists[:, 0] < clusters[0].size).any(axis=0))
+        return [_ListBit(self, t, clusters, lists[:, :, t : t + 1]) for t in present]
 
     def block_layout(self, clusters):
         """Type t's block sits at columns 2t and holds the units of the
         clusters that carry type t."""
         m = clusters[0].size
         return [
-            (2 * int(block.t), block,
-             None if (block.units >= 0).all() else np.repeat((block.units >= 0)[:, None], m, axis=1))
+            (2 * int(block.t), block, _per_unit(block.lists[:, :, 0] < m, m) if block.pads else None)
             for block in self.indicator_blocks(clusters)
         ]
 
 
-class _CountBin(ExposureMapping):
+class _CountBin(_ListMapping):
     """One `CoarsenedCount` level block: the bin of each unit's count of
     treated units at that graph level."""
 
     fixed_dim = 3
+    pads = True
 
     def __init__(self, structure, lvl):
         self.structure = structure
         self.lvl = lvl
 
-    def _counted_values(self, clusters, values):
-        """values[r, j] of every unit's level units: (P, m) values -> (P, m,
-        L), from one cluster per row or one for all rows. Shorter lists are
-        padded with a column of zeros, which adds nothing to a count or its
-        pmf."""
-        lists = [self.structure._level_units(c)[self.lvl] for c in clusters]
-        p, m = values.shape
-        width = max(len(units) for per_unit in lists for units in per_unit)
-        idx = np.full((len(lists), m, width), m, dtype=np.int64)
-        for b, per_unit in enumerate(lists):
-            for i, units in enumerate(per_unit):
-                idx[b, i, : len(units)] = units
-        padded = np.concatenate([values, np.zeros((p, 1), dtype=values.dtype)], axis=1)
-        return padded[np.arange(p)[:, None, None], idx]
+    def stacked(self, clusters):
+        """Each unit's level units; shorter lists are padded with no unit."""
+        lists = [units for c in clusters for units in self.structure._level_units(c)[self.lvl]]
+        m = clusters[0].size
+        idx = np.full((len(lists), max(map(len, lists))), m, dtype=np.int64)
+        for row, units in zip(idx, lists):
+            row[: len(units)] = units
+        return idx.reshape(len(clusters), m, -1)
 
-    def classes_batch(self, clusters, patterns):
-        counts = self._counted_values(clusters, patterns).sum(axis=2, dtype=np.int64)
+    def _bin(self, counts):
         return self.structure._bin(counts, self.lvl)
-
-    def class_masses_batch(self, clusters, probs):
-        counted = self._counted_values(clusters, probs)
-        b, m, width = counted.shape
-        pmf = _kernels.pb_pmf_batch(np.ascontiguousarray(counted.reshape(b * m, width)))
-        bins = self.structure._bin(np.arange(width + 1), self.lvl)
-        out = np.stack([pmf[:, bins == k].sum(axis=1) for k in range(3)], axis=1)
-        return out.reshape(b, m, 3)
 
 
 class CoarsenedCount(LowRankStructure):
@@ -610,19 +618,17 @@ class CoarsenedCount(LowRankStructure):
             raise InvalidSpec("thresholds must be non-decreasing")
         return arr
 
-    def _neighbors(self, cluster):
-        # a given graph's lists are used whole; k sizes only the k-NN lists
-        return _stacked_neighbors([cluster], self.k if self.graph is None else None, self.graph)[0]
-
     def _level_units(self, cluster):
+        # the entry holds the graph, so no other graph can take its id
         key = ("coarsened_units", self.order, self.k, id(self.graph))
         if key in cluster._cache:
-            return cluster._cache[key]
-        nbrs = self._neighbors(cluster)
+            return cluster._cache[key][1]
+        # a given graph's lists are used whole; k sizes only the k-NN lists
+        nbrs = _stacked_neighbors([cluster], self.k if self.graph is None else None, self.graph)[0]
         levels = [[np.asarray(row, dtype=np.int64) for row in nbrs]]
         if self.order == 2:
             levels.append(second_order_lists(cluster, nbrs))
-        cluster._cache[key] = levels
+        cluster._cache[key] = (self.graph, levels)
         return levels
 
     def fit_thresholds(self, dataset):
@@ -658,58 +664,12 @@ class CoarsenedCount(LowRankStructure):
         return [OwnTreatment()] + [_CountBin(self, lvl) for lvl in range(self.order)]
 
 
-class _UnitLists:
-    """The lists of distinct units a `Compose` reads from its inner, served
-    like a `NeighborGraph`: the unit itself under `NoInterference` (which a
-    `NeighborGraph` refuses), the lists of `KnnPattern`, and an inner
-    `Compose`'s own lists cut to its outer's k."""
-
-    def __init__(self, inner):
-        self.inner = inner
-
-    def stacked(self, clusters):
-        """The lists of clusters of one size: (B, m, L) int64."""
-        inner = self.inner
-        if isinstance(inner, NoInterference):
-            m = clusters[0].size
-            return np.broadcast_to(np.arange(m)[:, None], (len(clusters), m, 1))
-        if isinstance(inner, KnnPattern):
-            return _stacked_neighbors(clusters, inner.k, inner.graph)
-        return inner.lists.stacked(clusters)[:, :, : inner.outer.k]
-
-
-class _ListBit(ExposureMapping):
-    """One block of `Compose(AdditiveTypes(s), inner)`: the treatment of the
-    t-th unit of each unit's list."""
-
-    fixed_dim = 2
-
-    def __init__(self, lists, t, clusters, units):
-        self.lists = lists
-        self.t = t
-        self.clusters = clusters  # the size group the block was made for
-        self.units = units  # and the t-th listed unit of each of its units, (B, m)
-
-    def _values(self, clusters, values):
-        """values[r, j] of every unit's t-th listed unit: (P, m) -> (P, m)."""
-        units = self.units
-        if clusters is not self.clusters:
-            units = self.lists.stacked(clusters)[:, :, self.t]
-        return values[np.arange(values.shape[0])[:, None], units]
-
-    def classes_batch(self, clusters, patterns):
-        return self._values(clusters, patterns).astype(np.int64)
-
-    def class_masses_batch(self, clusters, probs):
-        p = self._values(clusters, probs)
-        return np.stack([1.0 - p, p], axis=2)
-
-
 class Compose(LowRankStructure):
     """Chained structure per the product-of-encodings construction.
 
     The inner (`NoInterference`, `KnnPattern`, or a `Compose` whose outer is
-    `KnnPattern`) gives each unit a list of distinct units, `_UnitLists`.
+    `KnnPattern`) gives each unit a list of distinct units, the `stacked`
+    lists of its exposure mapping.
     The outer re-encodes their treatments, in its own dimension:
     `KnnPattern(k)` as their `NeighborPattern(k)` slot, which is one-hot,
     `AdditiveTypes(s)` as one own-bit block per list position t < min(s,
@@ -727,11 +687,10 @@ class Compose(LowRankStructure):
             raise InvalidSpec(f"inner structure {inner.label!r} is not pattern valued")
         self.outer = outer
         self.inner = inner
-        self.lists = _UnitLists(inner)
         self.label = f"compose[{outer.label} o {inner.label}]"
         self._base = base
         if isinstance(base, KnnPattern):
-            self.exposure_mapping = NeighborPattern(base.k, graph=self.lists)
+            self.exposure_mapping = NeighborPattern(base.k, graph=inner.exposure_mapping)
 
     def dim(self, cluster=None, i=None):
         return self.outer.dim()
@@ -741,9 +700,10 @@ class Compose(LowRankStructure):
         distinct, so the blocks read disjoint units."""
         if self.exposure_mapping is not None:
             return [self.exposure_mapping]
-        lists = self.lists.stacked(clusters)
+        source = self.inner.exposure_mapping
+        lists = source.stacked(clusters)
         return [
-            _ListBit(self.lists, t, clusters, lists[:, :, t])
+            _ListBit(source, t, clusters, lists[:, :, t : t + 1])
             for t in range(min(self._base.s, lists.shape[2]))
         ]
 
@@ -764,19 +724,26 @@ class TensorWithCovariates(LowRankStructure):
     def _slots(self, p):
         if self.columns is None:
             return [("col", j) for j in range(p)]
-        out = []
-        for c in self.columns:
-            if isinstance(c, (int, np.integer)):
-                out.append(("col", int(c)))
-            elif isinstance(c, str) and c.startswith("x"):
-                out.append(("col", int(c[1:]) - 1))
-            elif isinstance(c, dict) and "cluster_mean" in c:
-                out.append(("cluster_mean", int(c["cluster_mean"])))
-            elif isinstance(c, (tuple, list)) and c[0] == "cluster_mean":
-                out.append(("cluster_mean", int(c[1])))
-            else:
-                raise InvalidSpec(f"unknown covariate slot {c!r}")
-        return out
+        return [self._slot(c) for c in self.columns]
+
+    @staticmethod
+    def _slot(c):
+        """One `columns` entry as ("col" | "cluster_mean", column): a column
+        index, a name "x<k>" (column k - 1), or {"cluster_mean": j} or the
+        pair ("cluster_mean", j), every index a non-negative int."""
+        kind, j = "col", c
+        if isinstance(c, str) and c[:1] == "x" and c[1:].isascii() and c[1:].isdigit():
+            j = int(c[1:]) - 1
+        elif isinstance(c, dict) and list(c) == ["cluster_mean"]:
+            kind, j = "cluster_mean", c["cluster_mean"]
+        elif isinstance(c, tuple) and len(c) == 2 and c[0] == "cluster_mean":
+            kind, j = c
+        if isinstance(j, (int, np.integer)) and not isinstance(j, bool) and j >= 0:
+            return (kind, int(j))
+        raise InvalidSpec(
+            f"tensor column {c!r} is not a column index, an \"x<k>\" name (k >= 1) "
+            f"or {{\"cluster_mean\": j}}"
+        )
 
     def stacked_covariate_rows(self, clusters):
         """Each unit's covariate row of clusters of one size, (B, m, width),

@@ -659,6 +659,71 @@ def test_malformed_joint_table_exits_1_with_one_line(tmp_path, capsys, tables, e
     assert err.startswith("error:") and expect in err
 
 
+@pytest.mark.parametrize(
+    "weight, expect",
+    [
+        ({"kind": "deterministic", "units": [0]}, None),
+        ({"kind": "deterministic", "units_by_cluster": {"c0": [0], "c1": []}}, None),
+        ({"kind": "deterministic", "units": ["x"]}, "'units'"),
+        ({"kind": "deterministic", "units": [True]}, "'units'"),
+        ({"kind": "deterministic", "units": [math.inf]}, "'units'"),
+        ({"kind": "deterministic", "units": 0}, "'units'"),
+        ({"kind": "deterministic", "units_by_cluster": [1]}, "'units_by_cluster'"),
+        ({"kind": "deterministic", "units_by_cluster": {"c0": [0], "c1": 1}}, "'units_by_cluster'"),
+        ({"kind": "deterministic", "units_by_cluster": {"c0": ["a"], "c1": []}}, "'units_by_cluster'"),
+    ],
+    ids=["units", "units_by_cluster", "unit_not_number", "unit_bool", "unit_infinite", "units_not_list",
+         "by_cluster_not_object", "by_cluster_list_not_list", "by_cluster_unit_not_number"],
+)
+def test_malformed_deterministic_weight_exits_1_with_one_line(tmp_path, capsys, weight, expect):
+    paths = {
+        "dataset": write(tmp_path, "pairs.csv", _two_pair_csv()),
+        "policy": write_json(tmp_path, "w.json", weight),
+        "propensity": write_json(tmp_path, "p.json", {"kind": "bernoulli", "prob": 0.5}),
+    }
+    args = _estimate_args(tmp_path, **paths) + ["--estimator", "ipw"]
+    if expect is None:
+        assert run(args) == 0
+        return
+    assert run(args) == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
+    assert err.startswith("error:") and expect in err
+
+
+def _two_covariate_csv():
+    rows = ["cluster_id,unit_id,treatment,outcome,x1,x2"]
+    for cid, bits in (("c0", (1, 0)), ("c1", (0, 1)), ("c2", (1, 1)), ("c3", (0, 0))):
+        rows += [f"{cid},{i},{a},{1.0 + i},{0.5 - i},{i * i}" for i, a in enumerate(bits)]
+    return "\n".join(rows) + "\n"
+
+
+@pytest.mark.parametrize(
+    "column, ok",
+    [
+        (1, True), ("x2", True), ({"cluster_mean": 1}, True),
+        ("x0", False), (-1, False), (True, False), ({"cluster_mean": -1}, False),
+        ("xa", False), ({"cluster_mean": "a"}, False), (["cluster_mean", 0], False),
+    ],
+)
+def test_malformed_tensor_column_exits_1_with_one_line(tmp_path, capsys, column, ok):
+    structure = {"kind": "tensor", "inner": {"kind": "no_interference"}, "columns": [column]}
+    paths = {
+        "dataset": write(tmp_path, "two_covariates.csv", _two_covariate_csv()),
+        "structure": write_json(tmp_path, "s.json", structure),
+    }
+    args = _estimate_args(tmp_path, **paths)
+    if ok:
+        assert run(args) == 0
+        return
+    assert run(args) == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
+    assert err.startswith("error: tensor column " + repr(column))
+
+
 def test_knn_k_beyond_the_pattern_cap_exits_1_naming_k(tmp_path, capsys):
     paths = {"structure": write_json(tmp_path, "s.json", {"kind": "knn_pattern", "k": 30})}
     assert run(_estimate_args(tmp_path, **paths)) == EXIT_ERROR

@@ -278,6 +278,20 @@ def test_direct_effect_matches_tau_h_on_own_treatment_outcomes(rng):
     assert via_f == pytest.approx(tau_h_oracle(base, c, g), abs=1e-12)
 
 
+def test_direct_effect_never_reads_a_freed_bases_marginals(rng):
+    """Base laws made and freed one after another may reuse an id; the
+    marginals cached on the cluster must be those of the base in use."""
+    c = make_cluster(rng, 3)
+    bits = enumerate_patterns(3)
+    fresh = lambda: ClusterSample(covariates=c.covariates, treatments=c.treatments,  # noqa: E731
+                                  outcomes=c.outcomes, cluster_id=c.cluster_id)
+    expected = [DirectEffect(probit_intervention(kappa)).masses(bits, fresh()) for kappa in (0.0, 0.4)]
+    for r in range(20):
+        f = DirectEffect(probit_intervention(0.4 * (r % 2)))
+        assert np.array_equal(f.masses(bits, c), expected[r % 2])
+        del f
+
+
 def test_direct_effect_degenerate_base():
     c = const_cluster(2)
     base = DeterministicTarget([0])  # unit 1 never treated under the base law

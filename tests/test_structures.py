@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -26,6 +28,7 @@ from clusterbal.structures import (
     FromExposureMapping,
     IdentityMapping,
     KnnPattern,
+    LowRankStructure,
     NeighborCount,
     NeighborGraph,
     NeighborPattern,
@@ -244,6 +247,24 @@ def test_coarsened_count_fit_thresholds(rng):
     row = s.feature_row(d.clusters[0], 0, d.clusters[0].treatments)
     assert row.shape == (8,)
     assert row[:2].sum() == 1.0 and row[2:5].sum() == 1.0 and row[5:8].sum() == 1.0
+
+
+def test_coarsened_count_never_reads_a_freed_graphs_lists(rng):
+    """Graphs built and freed one after another over one cluster may reuse
+    an id; the level lists cached on the cluster must be those of the graph
+    in use, whatever id an earlier, freed graph had."""
+    d = Dataset(clusters=(make_cluster(rng, 4, treatments=np.array([1, 1, 0, 0])),))
+    lists = ([[1], [2], [3], [0]], [[3], [0], [1], [2]])
+
+    def design(r):
+        graph = NeighborGraph(order=1, lists={0: np.array(lists[r % 2])})
+        return design_matrix(CoarsenedCount(order=1, thresholds=(0, 0), graph=graph), d)
+
+    expected = [design_matrix(CoarsenedCount(order=1, thresholds=(0, 0), graph=NeighborGraph(
+        order=1, lists={0: np.array(lists[r])})), fresh_copy(d)) for r in range(2)]
+    assert not np.array_equal(*expected)
+    for r in range(20):
+        assert np.array_equal(design(r), expected[r % 2])
 
 
 # ---------- one-hot block invariant ----------
@@ -717,30 +738,9 @@ def test_nested_rank_check_orthogonal_columns():
 # ---------- exposure mappings ----------
 
 
-def test_exposure_class_probabilities_match_enumeration(rng):
-    d = make_dataset(rng, 12, sizes=(1, 6), p=2)
-    for m in sorted({c.size for c in d.clusters}):
-        group = [c for c in d.clusters if c.size == m]
-        a = np.stack([c.treatments for c in group])
-        probs = rng.uniform(0.2, 0.8, a.shape)
-        bits = enumerate_patterns(m)
-        for mapping in (OwnTreatment(), NeighborCount(2), NeighborCount(2, include_own=True),
-                        NeighborPattern(2), ConstantMapping()):
-            obs = mapping.classes_batch(group, a)
-            analytic = mapping.class_masses_batch(group, probs)
-            assert obs.shape == a.shape and analytic.shape[:2] == a.shape
-            for b, c in enumerate(group):
-                masses = np.prod(np.where(bits == 1, probs[b], 1 - probs[b]), axis=1)
-                classes = mapping.classes_batch([c], bits)
-                assert np.array_equal(obs[b], classes[pattern_index(c.treatments)])
-                for i in range(m):
-                    brute = np.bincount(classes[:, i], weights=masses, minlength=analytic.shape[2])
-                    assert np.allclose(analytic[b, i], brute, rtol=0, atol=1e-12)
-        identity = IdentityMapping().classes_batch(group, a)
-        for b, c in enumerate(group):
-            assert identity[b].tolist() == [pattern_index(c.treatments)] * m
-
-
+# the public mappings, then structures whose every `indicator_blocks` block
+# is checked as a mapping: shared per-cluster lists, absent types, level
+# lists of unequal lengths, and lists read from a `Compose`'s inner
 MAPPINGS = [
     OwnTreatment(),
     NeighborPattern(2),
@@ -749,21 +749,71 @@ MAPPINGS = [
     NeighborCount(2, include_own=True),
     IdentityMapping(),
     ConstantMapping(),
+    AdditiveTypes(6),
+    AdditiveTypes(6, type_source={"column": 0}),
+    CoarsenedCount(order=2, thresholds=(0, 1), k=2),
+    Compose(AdditiveTypes(3), KnnPattern(2)),
+    Compose(KnnPattern(1), Compose(KnnPattern(2), KnnPattern(3))),
 ]
 
 
-@pytest.mark.parametrize("mapping", MAPPINGS, ids=lambda mp: f"{mp.label}-{mp.fixed_dim}")
+def _mapping_id(source):
+    if isinstance(source, AdditiveTypes):
+        return f"{source.label}-{source.type_source}"
+    return f"{source.label}-{getattr(source, 'fixed_dim', 'blocks')}"
+
+
+def _blocks(source, group):
+    """A mapping, or every block a structure gives clusters of one size."""
+    return source.indicator_blocks(group) if isinstance(source, LowRankStructure) else [source]
+
+
+def _typed_group(rng, m, n=3):
+    """n clusters of size m whose column 0 holds distinct types in 1..6, so
+    below size 6 each cluster lacks some types."""
+    return [
+        ClusterSample(covariates=np.column_stack([rng.permutation(6)[:m] + 1, rng.standard_normal(m)]),
+                      treatments=rng.integers(0, 2, m), outcomes=np.zeros(m), cluster_id=b)
+        for b in range(n)
+    ]
+
+
+def test_exposure_class_probabilities_match_enumeration(rng):
+    for m in range(1, 7):
+        group = _typed_group(rng, m)
+        a = np.stack([c.treatments for c in group])
+        probs = rng.uniform(0.2, 0.8, a.shape)
+        bits = enumerate_patterns(m)
+        for mapping in (block for source in MAPPINGS for block in _blocks(source, group)):
+            obs = mapping.classes_batch(group, a)
+            analytic = mapping.class_masses_batch(group, probs)
+            assert obs.shape == a.shape and obs.dtype == np.int64
+            for b, c in enumerate(group):
+                classes = mapping.classes_batch([c], bits)
+                assert np.array_equal(obs[b], classes[pattern_index(c.treatments)])
+                if analytic is None:  # the identity mapping has no product form
+                    assert obs[b].tolist() == [pattern_index(c.treatments)] * m
+                    continue
+                assert analytic.shape[:2] == a.shape
+                masses = np.prod(np.where(bits == 1, probs[b], 1 - probs[b]), axis=1)
+                for i in range(m):
+                    brute = np.bincount(classes[:, i], weights=masses, minlength=analytic.shape[2])
+                    assert np.allclose(analytic[b, i], brute, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("mapping", MAPPINGS, ids=_mapping_id)
 @pytest.mark.parametrize("m", range(1, 7))
 def test_classes_batch_broadcasts_one_cluster_over_pattern_rows(rng, mapping, m):
     """One cluster for all 2^m rows gives the classes of that cluster repeated per row."""
-    group = [make_cluster(rng, m, cluster_id=b) for b in range(3)]
-    obs = mapping.classes_batch(group, np.stack([c.treatments for c in group]))
+    group = _typed_group(rng, m)
     bits = enumerate_patterns(m)
-    for b, c in enumerate(group):
-        one = mapping.classes_batch([c], bits)
-        assert one.shape == bits.shape and one.dtype == np.int64
-        assert np.array_equal(one, mapping.classes_batch([c] * bits.shape[0], bits))
-        assert np.array_equal(one[pattern_index(c.treatments)], obs[b])
+    for block in _blocks(mapping, group):
+        obs = block.classes_batch(group, np.stack([c.treatments for c in group]))
+        for b, c in enumerate(group):
+            one = block.classes_batch([c], bits)
+            assert one.shape == bits.shape and one.dtype == np.int64
+            assert np.array_equal(one, block.classes_batch([c] * bits.shape[0], bits))
+            assert np.array_equal(one[pattern_index(c.treatments)], obs[b])
 
 
 # ---------- builder ----------
@@ -807,6 +857,31 @@ def test_tensor_cluster_mean_column(rng):
     a0 = int(c.treatments[0])
     assert np.allclose(row[2 * a0 : 2 * a0 + 2], expected_block)
     assert np.allclose(row[2 * (1 - a0) : 2 * (1 - a0) + 2], [0.0, 0.0])
+
+
+@pytest.mark.parametrize(
+    "column, read",
+    [(0, ("col", 0)), (np.int64(1), ("col", 1)), ("x2", ("col", 1)),
+     ({"cluster_mean": 0}, ("mean", 0)), (("cluster_mean", 1), ("mean", 1))],
+)
+def test_tensor_columns_read_the_named_covariate(rng, column, read):
+    c = make_cluster(rng, 3, p=2)
+    rows = TensorWithCovariates(NoInterference(), columns=[column]).stacked_covariate_rows([c])
+    x = c.covariates[:, read[1]]
+    assert np.array_equal(rows[0, :, 0], x if read[0] == "col" else np.full(3, x.mean()))
+
+
+@pytest.mark.parametrize(
+    "column",
+    ["x0", -1, True, np.bool_(True), 1.0, {"cluster_mean": -1}, {"cluster_mean": True}, "xa",
+     "x", "y1", {"cluster_mean": "a"}, {"cluster_mean": 0, "x": 1}, ["cluster_mean", 0],
+     ("cluster_mean", -1), None],
+    ids=repr,
+)
+def test_tensor_column_of_another_form_is_refused(rng, column):
+    s = TensorWithCovariates(NoInterference(), columns=[0, column])
+    with pytest.raises(InvalidSpec, match="tensor column " + re.escape(repr(column))):
+        design_matrix(s, make_dataset(rng, 2, sizes=(3, 3), p=2))
 
 
 # ---------- one row assembly: edge cases against the row oracles ----------
