@@ -110,8 +110,9 @@ def imbalance_report(dataset, structure, weight, fit, threshold=DEFAULT_THRESHOL
             else:
                 nu_star[t, j] = nu_mat[j, t] / sig_mat[j, t]
 
-    # observed incidences of each effective treatment
-    m_counts = incidence_counts(structure.inner, dataset)
+    # observed incidences of each effective treatment, from the classes the
+    # fit's design observed
+    m_counts = incidence_counts(structure.inner, dataset, fit._context["design"].classes)
 
     omnibus = np.zeros(width)
     for t in range(width):

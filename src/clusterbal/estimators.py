@@ -89,6 +89,8 @@ class DesignSystem:
     slices: tuple
     pieces: tuple | None = None  # DesignOps blocks; None is the whole of phi
     one_hot: tuple | None = None  # (unit slots (N,), slot count) of a one-hot design
+    bases: tuple | None = None  # (unit rows, covariate rows) per size group of shared rows
+    classes: tuple = ()  # each block's observed classes per size group (`_observed_design`)
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
@@ -97,19 +99,22 @@ class DesignSystem:
 
     def ops(self):
         if "ops" not in self._cache:
-            self._cache["ops"] = DesignOps(self.phi, pieces=self.pieces)
+            pieces = self.pieces
+            if self.bases is not None:
+                pieces = ((slice(None), slice(None), self.bases),)
+            self._cache["ops"] = DesignOps(self.phi, pieces=pieces)
         return self._cache["ops"]
 
 
-def _block_pieces(x, slots, n_blocks):
+def _block_pieces(live, slots, n_blocks, width):
     """One (rows, columns) DesignOps piece per effective treatment of a one-hot design.
 
     Such a design is block diagonal up to a row permutation: each unit's row
-    is its covariate row `x` in the block of its observed slot. Blocks no row
-    reaches and all-zero rows join no piece.
+    is its covariate row (`width` wide) in the block of its observed slot.
+    Blocks no row reaches and the units whose covariate row is all zero (not
+    `live`) join no piece.
     """
-    width = x.shape[1]
-    rows = np.flatnonzero((x != 0).any(axis=1))
+    rows = np.flatnonzero(live)
     block = slots[rows]
     bounds = np.cumsum(np.bincount(block, minlength=n_blocks))[:-1]
     groups = np.split(rows[np.argsort(block, kind="stable")], bounds)
@@ -119,19 +124,40 @@ def _block_pieces(x, slots, n_blocks):
 
 
 def build_design(structure, dataset, weight):
-    """Observed design and target; a one-hot tensor's comes with its slots and
-    DesignOps pieces, other structures' with neither."""
-    phi, units = _observed_design(structure, dataset)
-    one_hot = pieces = None
-    if units is not None:
-        one_hot = (units[0], structure.inner.dim())
-        pieces = _block_pieces(units[1], *one_hot)
+    """Observed design and target, with what its decomposition reads: a
+    one-hot tensor's slots and DesignOps pieces, or the covariate rows of a
+    structure with `shared_rows`, alone or in covariate tensors.
+
+    A one-hot tensor's design is block diagonal up to a row permutation. In
+    a shared-row design, each cluster's units share their inner row b_c, so
+    the cluster's rows are X_c (b_c^T (x) I_w), in the column span of its
+    covariate rows X_c (m x w): DesignOps reduces the design through one
+    orthonormal basis of that span per cluster.
+    """
+    phi, groups = _observed_design(structure, dataset)
+    one_hot = pieces = bases = None
+    base = structure
+    while isinstance(base, TensorWithCovariates):
+        base = base.inner
+    # a covariate tensor directly over a one-hot encoding
+    if structure is not base and base is structure.inner and base.exposure_mapping is not None:
+        slots = np.empty(dataset.total_units, dtype=np.int64)
+        live = np.empty(dataset.total_units, dtype=bool)
+        for rows, x, classes in groups:
+            slots[rows.ravel()] = classes[0].ravel()
+            live[rows.ravel()] = (x != 0).any(axis=2).ravel()
+        one_hot = (slots, base.dim())
+        pieces = _block_pieces(live, *one_hot, groups[0][1].shape[2])
+    elif base.shared_rows:
+        bases = tuple((rows, x) for rows, x, _ in groups)
     return DesignSystem(
         phi=phi,
         contributions=target_contributions(structure, dataset, weight),
         slices=tuple(dataset.cluster_slices()),
         pieces=pieces,
         one_hot=one_hot,
+        bases=bases,
+        classes=tuple(classes for _, _, classes in groups),
     )
 
 

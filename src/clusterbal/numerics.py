@@ -53,6 +53,40 @@ def project_colspace(b, v, rcond=None):
     return uk @ (uk.T @ v)
 
 
+def _svd(block, bases=None):
+    """Thin SVD of a block as (left, s, vt), left(keep) its left singular
+    vectors at the kept singular values.
+
+    With bases, the block's rows fall in groups, each row block in the
+    column span of its own matrix: per group (rows (B, m) of the block,
+    spanning matrices (B, m, w)). One batched reduced QR per group gives
+    each row block orthonormal Q_c (m, min(m, w)) with block_c = Q_c Q_c^T
+    block_c, so block = blockdiag(Q_c) G for G the stacked Q_c^T block_c,
+    (sum_c min(m_c, w)) x d. blockdiag(Q_c) has orthonormal columns, so G's
+    SVD gives the block's singular values and right vectors, and its left
+    vectors times blockdiag(Q_c) are the block's.
+    """
+    if bases is None:
+        u, s, vt = np.linalg.svd(block, full_matrices=False)
+        return (lambda keep: u[:, keep]), s, vt
+    qs = [(rows, np.linalg.qr(x)[0]) for rows, x in bases]
+    g = np.concatenate(
+        [(q.transpose(0, 2, 1) @ block[rows]).reshape(-1, block.shape[1]) for rows, q in qs]
+    )
+    u_g, s, vt = np.linalg.svd(g, full_matrices=False)
+
+    def left(keep):
+        # blockdiag(Q_c) @ u_G: one batched product per group
+        u, at = np.zeros((block.shape[0], int(keep.sum()))), 0
+        for rows, q in qs:
+            b, _, k = q.shape
+            u[rows] = q @ u_g[at : at + b * k, keep].reshape(b, k, -1)
+            at += b * k
+        return u
+
+    return left, s, vt
+
+
 class DesignOps:
     """SVD of a design matrix, reused across every solver that needs it.
 
@@ -65,6 +99,11 @@ class DesignOps:
     singular values of a block-diagonal matrix are the union of its blocks',
     so the rank cut stays global: max(N, d) * eps times the largest singular
     value over all blocks.
+
+    A piece (rows, cols, bases) also names matrices whose columns span its
+    row blocks (`_svd`), and takes the SVD of the smaller matrix they reduce
+    it to. That matrix has the piece's singular values, so the same global
+    cut keeps the same directions.
     """
 
     def __init__(self, phi, pieces=None):
@@ -72,16 +111,13 @@ class DesignOps:
         self.phi = phi
         if pieces is None:
             pieces = ((slice(None), slice(None)),)
-        svds = [
-            (rows, cols, *np.linalg.svd(phi[rows, cols], full_matrices=False))
-            for rows, cols in pieces
-        ]
+        svds = [(rows, cols, *_svd(phi[rows, cols], *bases)) for rows, cols, *bases in pieces]
         self.s_max = max((s[0] for _, _, _, s, _ in svds if s.size), default=0.0)
         cut = _default_rcond(phi.shape) * self.s_max
         self._pieces = []
-        for rows, cols, u, s, vt in svds:
+        for rows, cols, left, s, vt in svds:
             keep = s > cut
-            self._pieces.append((rows, cols, u[:, keep], s[keep], vt[keep]))
+            self._pieces.append((rows, cols, left(keep), s[keep], vt[keep]))
         self.rank = int(sum(s.size for _, _, _, s, _ in self._pieces))
 
     def ols_coefficients(self, y):

@@ -9,6 +9,7 @@ only through the unit's own cluster (partial interference).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -513,36 +514,38 @@ class AdditiveTypes(LowRankStructure):
         self.s = int(s)
         self.type_source = type_source
 
-    def _type_units(self, cluster):
-        """(s,) array: unit index carrying each type, the size m when absent."""
-        key = ("additive_types", self.s, str(self.type_source))
-        if key in cluster._cache:
-            return cluster._cache[key]
-        m = cluster.size
-        out = np.full(self.s, m, dtype=np.int64)
-        if self.type_source == "unit_index":
-            types = np.arange(1, m + 1)
-        elif isinstance(self.type_source, dict) and "column" in self.type_source:
-            col = int(self.type_source["column"])
-            types = cluster.covariates[:, col].astype(np.int64)
-        else:
-            raise InvalidSpec(f"unknown type_source {self.type_source!r}")
-        for u, t in enumerate(types):
-            if not 1 <= t <= self.s:
-                raise InvalidSpec(f"type {t} outside 1..{self.s}")
-            if out[t - 1] != m:
-                raise InvalidSpec(f"type {t} occurs more than once in a cluster")
-            out[t - 1] = u
-        cluster._cache[key] = out
-        return out
-
     def dim(self, cluster=None, i=None):
         return 2 * self.s
 
     def stacked(self, clusters):
         """Every unit lists its cluster's type units, (B, 1, s); an absent
-        type lists no unit (index m)."""
-        return np.stack([self._type_units(c) for c in clusters])[:, None]
+        type lists no unit (index m). The types of clusters of one size are
+        checked together: InvalidSpec names the fault of the first cluster,
+        and in it of the first unit, whose type is outside 1..s or repeats
+        an earlier unit's."""
+        m = clusters[0].size
+        if self.type_source == "unit_index":
+            types = np.broadcast_to(np.arange(1, m + 1), (len(clusters), m))
+        elif isinstance(self.type_source, dict) and "column" in self.type_source:
+            col = int(self.type_source["column"])
+            types = np.stack([c.covariates[:, col] for c in clusters]).astype(np.int64)
+        else:
+            raise InvalidSpec(f"unknown type_source {self.type_source!r}")
+        outside = (types < 1) | (types > self.s)
+        # a stable sort puts each repeat right after an earlier unit's type
+        order = np.argsort(types, axis=1, kind="stable")
+        ordered = np.take_along_axis(types, order, axis=1)
+        repeats = np.zeros(types.shape, dtype=bool)
+        np.put_along_axis(repeats, order[:, 1:], ordered[:, 1:] == ordered[:, :-1], axis=1)
+        bad = np.argwhere(outside | repeats)
+        if bad.size:
+            b, u = bad[0]
+            if outside[b, u]:
+                raise InvalidSpec(f"type {types[b, u]} outside 1..{self.s}")
+            raise InvalidSpec(f"type {types[b, u]} occurs more than once in a cluster")
+        out = np.full((len(clusters), self.s), m, dtype=np.int64)
+        out[np.arange(len(clusters))[:, None], types - 1] = np.arange(m)
+        return out[:, None]
 
     def indicator_blocks(self, clusters):
         """One own-bit block per type present in any of the clusters; a type
@@ -573,13 +576,14 @@ class _CountBin(_ListMapping):
         self.lvl = lvl
 
     def stacked(self, clusters):
-        """Each unit's level units; shorter lists are padded with no unit."""
-        lists = [units for c in clusters for units in self.structure._level_units(c)[self.lvl]]
+        """Each unit's level units, from each cluster's cached lists; shorter
+        lists are padded with no unit (index m)."""
+        levels = [self.structure._level_units(c)[self.lvl] for c in clusters]
         m = clusters[0].size
-        idx = np.full((len(lists), max(map(len, lists))), m, dtype=np.int64)
-        for row, units in zip(idx, lists):
-            row[: len(units)] = units
-        return idx.reshape(len(clusters), m, -1)
+        out = np.full((len(clusters), m, max(lv.shape[1] for lv in levels)), m, dtype=np.int64)
+        for lists, lv in zip(out, levels):
+            lists[:, : lv.shape[1]] = lv
+        return out
 
     def _bin(self, counts):
         return self.structure._bin(counts, self.lvl)
@@ -619,15 +623,22 @@ class CoarsenedCount(LowRankStructure):
         return arr
 
     def _level_units(self, cluster):
+        """Each level's lists of units, (m, L) int64 per level, shorter lists
+        padded with no unit (index m); cached on the cluster."""
         # the entry holds the graph, so no other graph can take its id
         key = ("coarsened_units", self.order, self.k, id(self.graph))
         if key in cluster._cache:
             return cluster._cache[key][1]
         # a given graph's lists are used whole; k sizes only the k-NN lists
         nbrs = _stacked_neighbors([cluster], self.k if self.graph is None else None, self.graph)[0]
-        levels = [[np.asarray(row, dtype=np.int64) for row in nbrs]]
+        levels = [nbrs.astype(np.int64, copy=False)]
         if self.order == 2:
-            levels.append(second_order_lists(cluster, nbrs))
+            second = second_order_lists(cluster, nbrs)
+            m = cluster.size
+            padded = np.full((m, max(map(len, second), default=0)), m, dtype=np.int64)
+            for row, units in zip(padded, second):
+                row[: len(units)] = units
+            levels.append(padded)
         cluster._cache[key] = (self.graph, levels)
         return levels
 
@@ -635,9 +646,9 @@ class CoarsenedCount(LowRankStructure):
         """33rd/67th percentile thresholds of observed raw counts, per level."""
         counts = [[] for _ in range(self.order)]
         for c in dataset.clusters:
+            treated = np.append(c.treatments, 0)  # the padding index m is untreated
             for lvl, units in enumerate(self._level_units(c)):
-                for i in range(c.size):
-                    counts[lvl].append(int(c.treatments[units[i]].sum()))
+                counts[lvl].extend(treated[units].sum(axis=1).tolist())
         self.thresholds = np.array(
             [np.percentile(np.asarray(v, float), [33, 67]) for v in counts]
         )
@@ -991,36 +1002,27 @@ def _pattern_rows_by_unit(structure, cluster):
 
 
 def _observed_design(structure, dataset):
-    """design_matrix, with each unit's (observed slot, covariate row) of a
-    one-hot tensor, else None: (phi (N, d), None | (slots (N,), x (N, width))).
+    """design_matrix, with the layout of each size group: (phi (N, d),
+    ((unit rows (B, m), covariate rows x (B, m, w), each block's observed
+    classes [(B, m) int64]), ...)) in `_size_groups` order.
 
     Each size group's blocks scatter the units' covariate rows into the
     columns of their observed classes, in place in the design.
     """
     if structure.regime != "fixed":
         raise InvalidSpec("design matrices need a fixed-dimension structure")
-    # a covariate tensor directly over a one-hot encoding: its design is block
-    # diagonal up to a row permutation (`estimators._block_pieces`)
-    one_hot = (
-        isinstance(structure, TensorWithCovariates)
-        and not isinstance(structure.inner, TensorWithCovariates)
-        and structure.exposure_mapping is not None
-    )
     n_units = dataset.total_units
-    phi = slots = x = None
+    phi, groups = None, []
     for group, _, rows in _size_groups(dataset):
         layout = _GroupRows(structure, group)
         if phi is None:
             phi = np.zeros((n_units, layout.ell, layout.x.shape[2]))
-            if one_hot:
-                slots = np.empty(n_units, dtype=np.int64)
-                x = np.empty((n_units, layout.x.shape[2]))
         units = rows.ravel()
-        for (col, _, held), cls in zip(layout.blocks, layout.classes()):
+        classes = layout.classes()
+        for (col, _, held), cls in zip(layout.blocks, classes):
             phi[units, col + cls.ravel()] = layout._held(held, layout.x).reshape(units.size, -1)
-            if one_hot:
-                slots[units], x[units] = cls.ravel(), layout.x.reshape(units.size, -1)
-    return phi.reshape(n_units, -1), ((slots, x) if one_hot else None)
+        groups.append((rows, layout.x, classes))
+    return phi.reshape(n_units, -1), tuple(groups)
 
 
 def design_matrix(structure, dataset):
@@ -1066,17 +1068,20 @@ def observed_signal(structure, dataset, h):
     return g
 
 
-def incidence_counts(structure, dataset):
+def incidence_counts(structure, dataset, classes=None):
     """Units whose observed row is non-zero in each coordinate: (d,) float,
-    from each block's observed classes and the non-zero covariates."""
+    from each block's observed classes and the non-zero covariates. The
+    classes of a design of the structure, or of a covariate tensor over it,
+    may be passed in, as `_observed_design` gives them per size group."""
     counts = None
-    for group, _, _ in _size_groups(dataset):
+    for (group, _, _), observed in zip(_size_groups(dataset), classes or repeat(None)):
         layout = _GroupRows(structure, group)
         w = layout.x.shape[2]
         if counts is None:
             counts = np.zeros(layout.ell * w)
         nonzero = (layout.x != 0).astype(np.float64)
-        for (col, _, held), cls in zip(layout.blocks, layout.classes()):
+        observed = layout.classes() if observed is None else observed
+        for (col, _, held), cls in zip(layout.blocks, observed):
             cells = (col + cls)[:, :, None] * w + np.arange(w)
             weights = layout._held(held, nonzero).ravel()
             counts += np.bincount(cells.ravel(), weights=weights, minlength=counts.size)

@@ -8,13 +8,16 @@ from clusterbal.diagnostics import imbalance_report
 from clusterbal.errors import InvalidSpec
 from clusterbal.estimators import balancing_fit
 from clusterbal.structures import (
+    AdditiveTypes,
     FromExposureMapping,
     IdentityMapping,
+    KnnPattern,
     NeighborCount,
     NoInterference,
     StratifiedCount,
     TensorWithCovariates,
     design_matrix,
+    incidence_counts,
     target_vector,
 )
 
@@ -203,6 +206,30 @@ def test_incidences_count_the_observed_classes(rng, monkeypatch):
     calls = []
     monkeypatch.setattr(structures, "_observed_design", lambda *a: calls.append(a))
     assert np.array_equal(imbalance_report(d, raw, f, fit).m_counts, want)
+    assert calls == []
+
+
+@pytest.mark.parametrize(
+    "inner",
+    [KnnPattern(2), AdditiveTypes(5), TensorWithCovariates(StratifiedCount(1), columns=[1])],
+    ids=lambda s: s.label,
+)
+def test_imbalance_reads_the_classes_of_the_fits_design(rng, monkeypatch, inner):
+    """A tensor's incidences count the classes its balancing fit's design
+    observed: the report takes no block's classes again, and its counts are
+    those taken afresh."""
+    from clusterbal import structures
+
+    d = make_dataset(rng, 12, sizes=(1, 5), p=2)
+    d.clusters[2].covariates[0] = 0.0
+    s, f = TensorWithCovariates(inner, columns=[0]), uniform_intervention()
+    fit = balancing_fit(d, s, f)
+    want = incidence_counts(inner, d)
+    calls = []
+    original = structures._GroupRows.classes
+    monkeypatch.setattr(structures._GroupRows, "classes",
+                        lambda self, patterns=None: calls.append(1) or original(self, patterns))
+    assert np.array_equal(imbalance_report(d, s, f, fit).m_counts, want)
     assert calls == []
 
 

@@ -33,7 +33,7 @@ from clusterbal.estimators import (
     weighted_projection_fit,
 )
 from clusterbal.inference import sandwich_variance
-from clusterbal.numerics import project_colspace
+from clusterbal.numerics import DesignOps, project_colspace
 from clusterbal.structures import (
     AdditiveTypes,
     CoarsenedCount,
@@ -474,6 +474,78 @@ def test_non_one_hot_tensors_take_single_piece_path(rng, inner):
     d = make_dataset(rng, 20, sizes=(3, 4), p=2)
     design = build_design(TensorWithCovariates(inner, columns=[0, 1]), d, uniform_intervention())
     assert design.pieces is None
+
+
+# ---------- shared-row designs: per-cluster covariate bases vs the dense SVD ----------
+
+
+def _shared_row_dataset(rng):
+    """Three clusters of each size 1-15 with four covariate columns, so some
+    clusters have fewer units than a tensor's four covariate slots; one
+    cluster's covariate rows are all zero and another's all equal."""
+    clusters = []
+    for m in range(1, 16):
+        for _ in range(3):
+            clusters.append(make_cluster(rng, m, p=4, cluster_id=len(clusters)))
+    zero, same = clusters[20], clusters[31]
+    clusters[20] = dataclasses.replace(zero, covariates=np.zeros_like(zero.covariates))
+    clusters[31] = dataclasses.replace(same, covariates=np.tile(same.covariates[0], (same.size, 1)))
+    return Dataset(clusters=tuple(clusters))
+
+
+def _relative_gap(a, b):
+    return np.linalg.norm(np.asarray(a) - b) / max(np.linalg.norm(b), 1e-300)
+
+
+@pytest.mark.parametrize(
+    "structure",
+    [
+        AdditiveTypes(15),
+        TensorWithCovariates(AdditiveTypes(15), columns=[0, 1, 2, {"cluster_mean": 3}]),
+        TensorWithCovariates(
+            TensorWithCovariates(AdditiveTypes(15), columns=[0, 1]),
+            columns=[{"cluster_mean": 2}, 3],
+        ),
+    ],
+    ids=["bare", "dgp-columns", "nested"],
+)
+def test_shared_row_design_bases_match_the_dense_svd(rng, structure):
+    d = _shared_row_dataset(rng)
+    design = build_design(structure, d, uniform_intervention())
+    assert design.bases is not None and design.pieces is None
+    factored, dense = design.ops(), DesignOps(design.phi)
+    assert factored.rank == dense.rank < design.phi.shape[1]
+    ((_, _, u_f, s_f, _),), ((_, _, u_d, s_d, _),) = factored._pieces, dense._pieces
+    assert np.abs(s_f - s_d).max() <= 1e-13 * dense.s_max
+    assert np.abs(u_f @ u_f.T - u_d @ u_d.T).max() <= 1e-12
+
+    y = rng.standard_normal(d.total_units)
+    t = design.phi.T @ rng.standard_normal(d.total_units)
+    got, want = factored.min_norm_row_solve(t), dense.min_norm_row_solve(t)
+    assert got.feasible() and want.feasible() and got.rank == want.rank
+    assert _relative_gap(got.solution, want.solution) <= 1e-10
+    assert _relative_gap(factored.ols_coefficients(y), dense.ols_coefficients(y)) <= 1e-10
+    assert _relative_gap(factored.project(y), dense.project(y)) <= 1e-10
+
+    one_hot = DesignOps(design_matrix(TensorWithCovariates(KnnPattern(1), columns=[0, 1]), d))
+    assert factored.contains(dense) and dense.contains(factored)
+    assert factored.contains(one_hot) == dense.contains(one_hot)
+    assert one_hot.contains(factored) == one_hot.contains(dense)
+
+
+def test_shared_row_fits_match_the_dense_svd(rng):
+    d = _shared_row_dataset(rng)
+    structure = TensorWithCovariates(AdditiveTypes(15), columns=[0, 1, 2, {"cluster_mean": 3}])
+    f, e = probit_intervention(0.3), half_bernoulli()
+    factored = build_design(structure, d, f)
+    dense = dataclasses.replace(factored, bases=None, _cache={})
+    bal = [balancing_fit(d, structure, f, design=s) for s in (factored, dense)]
+    proj = [projection_fit(d, structure, f, e, design=s) for s in (factored, dense)]
+    for got, want in (bal, proj):
+        assert got.feasible == want.feasible
+        assert got.design_rank == want.design_rank
+        assert _close(got.weights.values, want.weights.values)
+    assert _close(*(ols_plugin(d, structure, f, design=s) for s in (factored, dense)))
 
 
 # ---------- weighted projection: exposure-class closed form vs per-unit SVD ----------

@@ -52,6 +52,7 @@ from oracles import (
     fresh_copy,
     knn_lists,
     knn_one_hot_rows,
+    neighbor_lists,
     outer_row_on_bits,
     per_cluster_contributions,
     per_cluster_design,
@@ -224,6 +225,39 @@ def test_additive_types_duplicate_type_rejected():
         AdditiveTypes(3, type_source={"column": 0}).feature_row(c, 0, [0, 0])
 
 
+def _typed(types):
+    """Clusters of one size whose column 0 holds the given types."""
+    return Dataset(clusters=tuple(
+        ClusterSample(covariates=np.array(t, float)[:, None], treatments=np.zeros(len(t), np.int8),
+                      outcomes=np.zeros(len(t)), cluster_id=ci)
+        for ci, t in enumerate(types)
+    ))
+
+
+@pytest.mark.parametrize(
+    "types, message",
+    [
+        ([[1, 2, 3], [2, 9, 2]], "type 9 outside 1..3"),
+        ([[1, 2, 3], [2, 2, 9]], "type 2 occurs more than once in a cluster"),
+        ([[3, 1, 3], [0, 1, 2]], "type 3 occurs more than once in a cluster"),
+        ([[1, 2, 3], [3, 2, 1], [0, 0, 0]], "type 0 outside 1..3"),
+        ([[2, 3, 1], [1, 4, 4], [2, 2, 2]], "type 4 outside 1..3"),
+    ],
+)
+def test_additive_types_name_the_first_faulty_cluster_then_unit(types, message):
+    """The types of a size group are checked together; the error is that of
+    the first faulty cluster in dataset order, and in it of the first faulty
+    unit, a type outside 1..s or one an earlier unit already carries."""
+    with pytest.raises(InvalidSpec, match=f"^{re.escape(message)}$"):
+        design_matrix(AdditiveTypes(3, type_source={"column": 0}), _typed(types))
+
+
+def test_additive_types_by_unit_index_need_as_many_types_as_units(rng):
+    d = make_dataset(rng, 4, sizes=(2, 3))
+    with pytest.raises(InvalidSpec, match=r"^type 3 outside 1\.\.2$"):
+        design_matrix(AdditiveTypes(2), d)
+
+
 def test_coarsened_count_bins():
     c = cluster_with([[0.0], [1.0], [2.0], [3.0]], [0, 0, 0, 0])
     s = CoarsenedCount(order=1, thresholds=(0, 1), k=3)
@@ -265,6 +299,38 @@ def test_coarsened_count_never_reads_a_freed_graphs_lists(rng):
     assert not np.array_equal(*expected)
     for r in range(20):
         assert np.array_equal(design(r), expected[r % 2])
+
+
+def test_coarsened_count_level_lists_are_cached_per_cluster(rng, monkeypatch):
+    """Each cluster's padded level lists are built once and cached with the
+    graph they were built from; a block reads them from warm clusters as it
+    does from fresh ones, and they list each unit's level units."""
+    from clusterbal import structures
+
+    built = []
+    original = structures.second_order_lists
+    monkeypatch.setattr(structures, "second_order_lists",
+                        lambda c, nbrs: built.append(c.cluster_id) or original(c, nbrs))
+    d = make_dataset(rng, 24, sizes=(1, 7), p=2)
+    graph = knn_graph(d, 3)
+    for s in (CoarsenedCount(order=2, thresholds=(0, 1), k=2),
+              CoarsenedCount(order=2, thresholds=(0, 1), graph=graph)):
+        built.clear()
+        for group, _, _ in structures._size_groups(d):
+            warm = [block.stacked(group) for block in s.indicator_blocks(group)[1:]]
+            again = [block.stacked(group) for block in s.indicator_blocks(group)[1:]]
+            fresh = fresh_copy(Dataset(clusters=tuple(group))).clusters
+            cold = [block.stacked(list(fresh)) for block in s.indicator_blocks(list(fresh))[1:]]
+            for w, a, c in zip(warm, again, cold):
+                assert np.array_equal(w, a) and np.array_equal(w, c)
+            m = group[0].size
+            for b, cluster in enumerate(group):
+                direct = [set(r) for r in neighbor_lists(cluster, None if s.graph else s.k, s.graph)]
+                second = [set().union(*(direct[j] for j in direct[i])) - direct[i] - {i}
+                          for i in range(m)]
+                for lists, want in zip((warm[0][b], warm[1][b]), (direct, second)):
+                    assert [sorted(row[row < m].tolist()) for row in lists] == [sorted(r) for r in want]
+        assert sorted(built) == sorted(2 * [c.cluster_id for c in d.clusters])
 
 
 # ---------- one-hot block invariant ----------
