@@ -89,7 +89,8 @@ class DesignSystem:
     slices: tuple
     pieces: tuple | None = None  # DesignOps blocks; None is the whole of phi
     one_hot: tuple | None = None  # (unit slots (N,), slot count) of a one-hot design
-    bases: tuple | None = None  # (unit rows, covariate rows) per size group of shared rows
+    # (unit rows, covariate rows, inner rows) per size group of a shared-row design
+    bases: tuple | None = None
     classes: tuple = ()  # each block's observed classes per size group (`_observed_design`)
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
@@ -104,6 +105,16 @@ class DesignSystem:
                 pieces = ((slice(None), slice(None), self.bases),)
             self._cache["ops"] = DesignOps(self.phi, pieces=pieces)
         return self._cache["ops"]
+
+    def keep_ipw_weights(self, propensity, values):
+        """Keep the IPW weights of an ipw fit that shares this design, for a
+        projection fit of the same set to read (`kept_ipw_weights`)."""
+        self._cache["w_ipw"] = (propensity, values)
+
+    def kept_ipw_weights(self, propensity):
+        """The kept IPW weights under this propensity, or None."""
+        held = self._cache.get("w_ipw")
+        return held[1] if held is not None and held[0] is propensity else None
 
 
 def _block_pieces(live, slots, n_blocks, width):
@@ -125,14 +136,15 @@ def _block_pieces(live, slots, n_blocks, width):
 
 def build_design(structure, dataset, weight):
     """Observed design and target, with what its decomposition reads: a
-    one-hot tensor's slots and DesignOps pieces, or the covariate rows of a
-    structure with `shared_rows`, alone or in covariate tensors.
+    one-hot tensor's slots and DesignOps pieces, or the covariate and inner
+    rows of a structure with `shared_rows`, alone or in covariate tensors.
 
     A one-hot tensor's design is block diagonal up to a row permutation. In
-    a shared-row design, each cluster's units share their inner row b_c, so
-    the cluster's rows are X_c (b_c^T (x) I_w), in the column span of its
-    covariate rows X_c (m x w): DesignOps reduces the design through one
-    orthonormal basis of that span per cluster.
+    a shared-row design, each cluster's units share their inner row b_c (ell
+    wide), so the cluster's rows are X_c (b_c (x) I_w), with X_c its
+    covariate rows (m x w): DesignOps reduces the design through one
+    orthonormal basis of X_c's span per cluster and one of the b_c's span,
+    and the sandwich sums each cluster's load as b_c (x) X_c^T w_c.
     """
     phi, groups = _observed_design(structure, dataset)
     one_hot = pieces = bases = None
@@ -143,13 +155,15 @@ def build_design(structure, dataset, weight):
     if structure is not base and base is structure.inner and base.exposure_mapping is not None:
         slots = np.empty(dataset.total_units, dtype=np.int64)
         live = np.empty(dataset.total_units, dtype=bool)
-        for rows, x, classes in groups:
+        for rows, layout, classes in groups:
             slots[rows.ravel()] = classes[0].ravel()
-            live[rows.ravel()] = (x != 0).any(axis=2).ravel()
+            live[rows.ravel()] = (layout.x != 0).any(axis=2).ravel()
         one_hot = (slots, base.dim())
-        pieces = _block_pieces(live, *one_hot, groups[0][1].shape[2])
+        pieces = _block_pieces(live, *one_hot, groups[0][1].x.shape[2])
     elif base.shared_rows:
-        bases = tuple((rows, x) for rows, x, _ in groups)
+        bases = tuple(
+            (rows, layout.x, layout.shared_inner(classes)) for rows, layout, classes in groups
+        )
     return DesignSystem(
         phi=phi,
         contributions=target_contributions(structure, dataset, weight),
@@ -234,10 +248,16 @@ def ols_plugin(dataset, structure, weight, design=None):
 
 
 def projection_fit(dataset, structure, weight, propensity, design=None):
-    """IPW weights projected onto the observed design's column space."""
+    """IPW weights projected onto the observed design's column space.
+
+    The IPW weights an ipw fit under the same propensity kept on the design
+    (`DesignSystem.keep_ipw_weights`) are read, not taken again.
+    """
     if design is None:
         design = build_design(structure, dataset, weight)
-    w_ipw = ipw_weights(dataset, weight, propensity)
+    w_ipw = design.kept_ipw_weights(propensity)
+    if w_ipw is None:
+        w_ipw = ipw_weights(dataset, weight, propensity)
     w = design.ops().project(w_ipw)
     return EstimateReport(
         point=_point(dataset, w),

@@ -104,15 +104,27 @@ def _per_cluster_sums(values, slices):
     return np.add.reduceat(values, starts)
 
 
-def _per_cluster_feature_loads(phi, weights, slices, one_hot=None):
+def _per_cluster_feature_loads(phi, weights, slices, one_hot=None, bases=None):
     """Lambda_c(A_c)^T w_c per cluster: (n, d).
 
     With the (slots, slot count) of a one-hot design, each unit's w_i x_i is
     scattered into its (cluster, slot) cell, without the N x d product
     phi * w; the cells sum their units in unit order, as the dense path does.
+    With a shared-row design's `bases` (unit rows, covariate rows, inner
+    rows per size group), cluster c's load is b_c (x) sum_i w_i x_i, the sum
+    over its units in unit order and b_c 0/1, so it equals the dense one
+    bit for bit.
     """
+    starts = np.array([s for s, _ in slices])
+    if bases is not None:
+        x = np.empty((phi.shape[0], bases[0][1].shape[2]))
+        inner = np.empty((len(slices), bases[0][2].shape[1]))
+        for rows, x_g, b in bases:
+            x[rows.ravel()] = x_g.reshape(rows.size, -1)
+            inner[np.searchsorted(starts, rows[:, 0])] = b
+        sums = np.add.reduceat(x * weights[:, None], starts, axis=0)
+        return (inner[:, :, None] * sums[:, None, :]).reshape(len(slices), -1)
     if one_hot is None:
-        starts = np.array([s for s, _ in slices])
         return np.add.reduceat(phi * weights[:, None], starts, axis=0)
     slots, n_slots = one_hot
     n_units, width = phi.shape[0], phi.shape[1] // n_slots
@@ -181,14 +193,14 @@ def sandwich_variance(
 
     h_hat = design.ops().ols_coefficients(y)
     w = fit.weights.values
-    loads = _per_cluster_feature_loads(phi, w, slices, design.one_hot)
+    loads = _per_cluster_feature_loads(phi, w, slices, design.one_hot, design.bases)
     if kind == "bal":
         v = design.contributions
     else:
         w_ipw = fit._context.get("w_ipw")
         if w_ipw is None:
             w_ipw = ipw_weights(dataset, weight, propensity)
-        v = _per_cluster_feature_loads(phi, w_ipw, slices, design.one_hot)
+        v = _per_cluster_feature_loads(phi, w_ipw, slices, design.one_hot, design.bases)
     s_c = _per_cluster_sums(w * y, slices)
     eta_dot_l = (loads - v) @ h_hat - (s_c - fit.point)
     sigma2 = float(np.mean(eta_dot_l**2))
@@ -315,14 +327,25 @@ class Estimator:
     `needs` names the inputs fit_estimator must be given ("structure",
     "exposure mapping"); `shared_design` marks the fits that take the
     caller's DesignSystem of the structure instead of building their own.
-    The functions call the fits and variances by their module names at call
-    time, so rebinding those names reaches every estimator.
+    The ipw fit needs no design, but keeps its IPW weights on the caller's
+    one, so a projection fit after it reads them instead of taking them
+    again. The functions call the fits and variances by their module names
+    at call time, so rebinding those names reaches every estimator.
     """
 
     fit: Callable  # _Inputs -> EstimateReport
     variance: Callable  # (_Inputs, EstimateReport) -> VarianceReport
     needs: tuple = ()
     shared_design: bool = False
+
+
+def _ipw(x):
+    """ipw_fit, whose weights are kept on the caller's design, when there is
+    one, for a projection fit of the same set to read."""
+    fit = ipw_fit(x.dataset, x.weight, x.propensity)
+    if x.design is not None:
+        x.design.keep_ipw_weights(x.propensity, fit.weights.values)
+    return fit
 
 
 def _iid(x, fit):
@@ -340,7 +363,7 @@ def _sandwich(kind):
 
 
 ESTIMATORS = {
-    "ipw": Estimator(lambda x: ipw_fit(x.dataset, x.weight, x.propensity), _iid),
+    "ipw": Estimator(_ipw, _iid),
     "balancing": Estimator(
         lambda x: balancing_fit(x.dataset, x.structure, x.weight, design=x.design),
         _sandwich("bal"),

@@ -57,31 +57,54 @@ def _svd(block, bases=None):
     """Thin SVD of a block as (left, s, vt), left(keep) its left singular
     vectors at the kept singular values.
 
-    With bases, the block's rows fall in groups, each row block in the
-    column span of its own matrix: per group (rows (B, m) of the block,
-    spanning matrices (B, m, w)). One batched reduced QR per group gives
-    each row block orthonormal Q_c (m, min(m, w)) with block_c = Q_c Q_c^T
-    block_c, so block = blockdiag(Q_c) G for G the stacked Q_c^T block_c,
-    (sum_c min(m_c, w)) x d. blockdiag(Q_c) has orthonormal columns, so G's
-    SVD gives the block's singular values and right vectors, and its left
-    vectors times blockdiag(Q_c) are the block's.
+    With bases, the block is a shared-row design: per size group, (rows
+    (B, m) of the block, covariate rows X_c (B, m, w), inner rows b_c
+    (B, ell)), and cluster c's rows are block_c = X_c (b_c (x) I_w). Take
+    X_c = Q_c R_c from one batched reduced QR per group, and K (r x ell,
+    orthonormal rows) spanning the b_c from one SVD of their stack B, so
+    b_c = z_c^T K with z_c = K b_c. Then
+
+        block = blockdiag(Q_c) G' (K (x) I_w),  G' = [R_c (z_c^T (x) I_w)],
+
+    with G' (sum_c min(m_c, w)) x (r w), built from R_c and z_c without
+    reading the block. blockdiag(Q_c) has orthonormal columns and K (x) I_w
+    orthonormal rows, so G' has the block's singular values, its left
+    vectors times blockdiag(Q_c) are the block's, and its right vectors
+    times K (x) I_w are the block's.
+
+    K drops a direction of B, of singular value sigma, only when sigma
+    times max_c |X_c| lies below the block's own rank cut max(N, d) * eps
+    * s_max. The dropped directions move the block by at most max_c |X_c|
+    times the root sum of squares of their sigmas, which on a 0/1 B are
+    rounding, so the same global cut keeps the same directions. The
+    bound |X_c|_F >= |X_c|_2 stands in for max_c |X_c|, and
+    max_c |b_c| |X_c|_F / sqrt(w) <= max_c |block_c|_2 <= s_max for s_max.
     """
     if bases is None:
         u, s, vt = np.linalg.svd(block, full_matrices=False)
         return (lambda keep: u[:, keep]), s, vt
-    qs = [(rows, np.linalg.qr(x)[0]) for rows, x in bases]
-    g = np.concatenate(
-        [(q.transpose(0, 2, 1) @ block[rows]).reshape(-1, block.shape[1]) for rows, q in qs]
-    )
-    u_g, s, vt = np.linalg.svd(g, full_matrices=False)
+    qs, rs = zip(*(np.linalg.qr(x) for _, x, _ in bases))
+    inner = np.concatenate([b for _, _, b in bases])
+    x_norm = np.concatenate([np.sqrt((r**2).sum(axis=(1, 2))) for r in rs])
+    w = rs[0].shape[2]
+    s_low = (np.sqrt((inner**2).sum(axis=1)) * x_norm).max() / np.sqrt(w)
+    _, s_b, k = np.linalg.svd(inner, full_matrices=False)
+    k = k[s_b * x_norm.max() >= _default_rcond(block.shape) * s_low]
+    g = np.concatenate([
+        # row j of cluster c: z_c (x) R_c[j]
+        ((b @ k.T)[:, None, :, None] * r[:, :, None, :]).reshape(-1, k.shape[0] * w)
+        for r, (_, _, b) in zip(rs, bases)
+    ])
+    u_g, s, vt_g = np.linalg.svd(g, full_matrices=False)
+    vt = (k.T @ vt_g.reshape(-1, k.shape[0], w)).reshape(-1, block.shape[1])
 
     def left(keep):
         # blockdiag(Q_c) @ u_G: one batched product per group
         u, at = np.zeros((block.shape[0], int(keep.sum()))), 0
-        for rows, q in qs:
-            b, _, k = q.shape
-            u[rows] = q @ u_g[at : at + b * k, keep].reshape(b, k, -1)
-            at += b * k
+        for (rows, _, _), q in zip(bases, qs):
+            b, _, j = q.shape
+            u[rows] = q @ u_g[at : at + b * j, keep].reshape(b, j, -1)
+            at += b * j
         return u
 
     return left, s, vt
@@ -100,10 +123,11 @@ class DesignOps:
     so the rank cut stays global: max(N, d) * eps times the largest singular
     value over all blocks.
 
-    A piece (rows, cols, bases) also names matrices whose columns span its
-    row blocks (`_svd`), and takes the SVD of the smaller matrix they reduce
-    it to. That matrix has the piece's singular values, so the same global
-    cut keeps the same directions.
+    A piece (rows, cols, bases) holds a shared-row design's covariate and
+    inner rows (`_svd`), and takes the SVD of the smaller matrix they reduce
+    it to. That matrix has the piece's singular values, and the inner rows'
+    basis drops only directions below the cut, so the same global cut keeps
+    the same directions.
     """
 
     def __init__(self, phi, pieces=None):

@@ -969,6 +969,16 @@ class _GroupRows:
             np.add.at(out[b], (np.arange(m), block.classes_batch([c], patterns)), w[:, None])
         return out
 
+    def shared_inner(self, classes):
+        """The inner row that each cluster's units share under a base with
+        `shared_rows`, read at unit 0: (B, ell) 0/1, with a 1 at the class of
+        each block that holds the cluster's units."""
+        b = self.x.shape[0]
+        out = np.zeros((b, self.ell))
+        for (col, _, held), cls in zip(self.blocks, classes):
+            out[np.arange(b), col + cls[:, 0]] = 1.0 if held is None else held[:, 0]
+        return out
+
     def live(self):
         """Units whose covariate row is not all zero: (B, m) bool."""
         return (_validate(self.x) != 0).any(axis=2)
@@ -1003,8 +1013,8 @@ def _pattern_rows_by_unit(structure, cluster):
 
 def _observed_design(structure, dataset):
     """design_matrix, with the layout of each size group: (phi (N, d),
-    ((unit rows (B, m), covariate rows x (B, m, w), each block's observed
-    classes [(B, m) int64]), ...)) in `_size_groups` order.
+    ((unit rows (B, m), its `_GroupRows`, each block's observed classes
+    [(B, m) int64]), ...)) in `_size_groups` order.
 
     Each size group's blocks scatter the units' covariate rows into the
     columns of their observed classes, in place in the design.
@@ -1021,7 +1031,7 @@ def _observed_design(structure, dataset):
         classes = layout.classes()
         for (col, _, held), cls in zip(layout.blocks, classes):
             phi[units, col + cls.ravel()] = layout._held(held, layout.x).reshape(units.size, -1)
-        groups.append((rows, layout.x, classes))
+        groups.append((rows, layout, classes))
     return phi.reshape(n_units, -1), tuple(groups)
 
 

@@ -265,6 +265,37 @@ def test_estimate_csv_cells_parse_as_json_floats(tmp_path, rng, monkeypatch):
             assert float(row[key]) == entry["variance"][key]
 
 
+def test_estimate_takes_the_ipw_weights_once(tmp_path, rng, monkeypatch):
+    from clusterbal import estimators, inference
+
+    d = make_dataset(rng, 30, sizes=(3, 5), p=2)
+    data = str(tmp_path / "d.csv")
+    write_dataset(d, data)
+    policy = write_json(tmp_path, "policy.json", {"kind": "uniform"})
+    structure = write_json(tmp_path, "structure.json", _knn_tensor(1))
+    propensity = write_json(tmp_path, "prop.json", {"kind": "bernoulli", "prob": 0.5})
+
+    def estimate(out, *names):
+        args = ["estimate", "--dataset", data, "--policy", policy, "--structure", structure,
+                "--propensity", propensity, "--seed", "7", "--out-dir", str(tmp_path / out)]
+        assert run(args + [a for name in names for a in ("--estimator", name)]) == EXIT_OK
+        return json.loads((tmp_path / out / "estimates.json").read_text())["result"]
+
+    # each estimator alone takes its own weights
+    alone = {name: estimate(name, name)[name] for name in ("ipw", "projection")}
+    calls = []
+    real = estimators.ipw_weights
+
+    def counted(*a):
+        calls.append(a)
+        return real(*a)
+
+    monkeypatch.setattr(estimators, "ipw_weights", counted)
+    monkeypatch.setattr(inference, "ipw_weights", counted)
+    assert estimate("both", "ipw", "projection") == alone
+    assert len(calls) == 1
+
+
 def test_estimate_manifest_names_every_input_spec(tmp_path):
     data = write(tmp_path, "d.csv", feasible_csv())
     policy = write_json(tmp_path, "policy.json", {"kind": "gate"})

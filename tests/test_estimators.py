@@ -32,7 +32,7 @@ from clusterbal.estimators import (
     projection_fit,
     weighted_projection_fit,
 )
-from clusterbal.inference import sandwich_variance
+from clusterbal.inference import _per_cluster_feature_loads, sandwich_variance
 from clusterbal.numerics import DesignOps, project_colspace
 from clusterbal.structures import (
     AdditiveTypes,
@@ -493,24 +493,59 @@ def _shared_row_dataset(rng):
     return Dataset(clusters=tuple(clusters))
 
 
+def _typed_shared_row_dataset(rng):
+    """Three clusters of each size 1-7 whose column 4 holds distinct types
+    from 1..7, so each cluster lacks some types, and one cluster of size 3
+    that alone carries type 8, on a treated unit. Types 6 and 7 occur in
+    the same clusters, so the inner rows' null space holds a direction off
+    the coordinate axes. Columns 0-3 are covariates, all zero in one
+    cluster and all equal in another."""
+    clusters = []
+    for m in range(1, 8):
+        for b in range(3):
+            c = make_cluster(rng, m, p=5, cluster_id=len(clusters))
+            pair = [6, 7] if m >= 6 or (m >= 2 and b == 0) else []
+            rest = rng.choice(5, size=m - len(pair), replace=False) + 1
+            c.covariates[:, 4] = rng.permutation(np.concatenate([rest, pair]))
+            clusters.append(c)
+    only = make_cluster(rng, 3, p=5, cluster_id=len(clusters), treatments=np.array([1, 0, 1]))
+    only.covariates[:, 4] = [8, 2, 5]
+    clusters.append(only)
+    clusters[10].covariates[:, :4] = 0.0
+    clusters[16].covariates[:, :4] = clusters[16].covariates[0, :4]
+    return Dataset(clusters=tuple(clusters))
+
+
 def _relative_gap(a, b):
     return np.linalg.norm(np.asarray(a) - b) / max(np.linalg.norm(b), 1e-300)
 
 
-@pytest.mark.parametrize(
-    "structure",
-    [
-        AdditiveTypes(15),
-        TensorWithCovariates(AdditiveTypes(15), columns=[0, 1, 2, {"cluster_mean": 3}]),
-        TensorWithCovariates(
-            TensorWithCovariates(AdditiveTypes(15), columns=[0, 1]),
-            columns=[{"cluster_mean": 2}, 3],
+def _shared_row_cases(inner, typed, prefix):
+    return [
+        pytest.param(inner, typed, id=f"{prefix}bare"),
+        pytest.param(
+            TensorWithCovariates(inner, columns=[0, 1, 2, {"cluster_mean": 3}]),
+            typed,
+            id=f"{prefix}dgp-columns",
         ),
-    ],
-    ids=["bare", "dgp-columns", "nested"],
+        pytest.param(
+            TensorWithCovariates(
+                TensorWithCovariates(inner, columns=[0, 1]), columns=[{"cluster_mean": 2}, 3]
+            ),
+            typed,
+            id=f"{prefix}nested",
+        ),
+    ]
+
+
+SHARED_ROW_CASES = _shared_row_cases(AdditiveTypes(15), False, "") + _shared_row_cases(
+    AdditiveTypes(8, type_source={"column": 4}), True, "typed-"
 )
-def test_shared_row_design_bases_match_the_dense_svd(rng, structure):
-    d = _shared_row_dataset(rng)
+
+
+@pytest.mark.parametrize("structure, typed", SHARED_ROW_CASES)
+def test_shared_row_design_bases_match_the_dense_svd(rng, structure, typed):
+    d = (_typed_shared_row_dataset if typed else _shared_row_dataset)(rng)
     design = build_design(structure, d, uniform_intervention())
     assert design.bases is not None and design.pieces is None
     factored, dense = design.ops(), DesignOps(design.phi)
@@ -531,6 +566,29 @@ def test_shared_row_design_bases_match_the_dense_svd(rng, structure):
     assert factored.contains(dense) and dense.contains(factored)
     assert factored.contains(one_hot) == dense.contains(one_hot)
     assert one_hot.contains(factored) == one_hot.contains(dense)
+
+
+@pytest.mark.parametrize("structure, typed", SHARED_ROW_CASES)
+def test_shared_row_loads_match_the_dense_loads(rng, structure, typed):
+    """Each cluster's load b_c (x) X_c^T w_c equals the dense reduceat of
+    phi * w bit for bit, for the balancing weights and for the projection
+    fit's own and IPW weights; the sandwich variances agree with those of
+    the dense design and SVD."""
+    d = (_typed_shared_row_dataset if typed else _shared_row_dataset)(rng)
+    f, e = probit_intervention(0.3), half_bernoulli()
+    design = build_design(structure, d, f)
+    dense = dataclasses.replace(design, bases=None, _cache={})
+    starts = np.array([start for start, _ in design.slices])
+    bal = balancing_fit(d, structure, f, design=design)
+    proj = projection_fit(d, structure, f, e, design=design)
+    for w in (bal.weights.values, proj.weights.values, proj._context["w_ipw"]):
+        got = _per_cluster_feature_loads(design.phi, w, design.slices, None, design.bases)
+        assert np.array_equal(got, np.add.reduceat(design.phi * w[:, None], starts, axis=0))
+    for fit, kind in ((bal, "bal"), (proj, "proj")):
+        got = sandwich_variance(d, structure, f, fit, kind, propensity=e, allow_infeasible=True)
+        other = dataclasses.replace(fit, _context={**fit._context, "design": dense})
+        want = sandwich_variance(d, structure, f, other, kind, propensity=e, allow_infeasible=True)
+        assert abs(got.sigma2_hat - want.sigma2_hat) <= 1e-10 * want.sigma2_hat
 
 
 def test_shared_row_fits_match_the_dense_svd(rng):

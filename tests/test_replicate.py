@@ -279,3 +279,41 @@ def test_monte_carlo_reports_failures_by_exception_class(monkeypatch):
     assert res.metrics["exposure-ipw"]["errors"] == 6
     assert res.metrics["ipw"]["errors"] == 0
     assert res.metrics["balancing"]["n_used"] <= 6 - forced
+
+
+# ---------- IPW weights once per set of fits ----------
+
+
+def _count_ipw_weights(monkeypatch):
+    from clusterbal import estimators
+
+    calls = []
+    real = estimators.ipw_weights
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(estimators, "ipw_weights", counted)
+    monkeypatch.setattr(inference, "ipw_weights", counted)
+    return calls
+
+
+def test_ipw_weights_are_taken_once_per_replicate(monkeypatch):
+    cfg = DGPConfig(n=20, interference="additive", seed=2, gamma=0.5)
+    names = ("ipw", "balancing", "projection")
+    # each fit and variance on its own, every one taking its own weights and design
+    dataset, _, propensity, weight = gen_dataset(cfg, 0, truth=False)
+    want = {}
+    for name in names:
+        fit, var = inference.fit_estimator(
+            name, dataset, weight, propensity, simulate.dgp_structure(cfg)
+        )
+        want[name] = (fit.point, var.ci_low, var.ci_high)
+    calls = _count_ipw_weights(monkeypatch)
+    got = simulate._replicate(cfg, 0, names, 0.95)
+    assert len(calls) == 1
+    assert {n: (r["point"], r["ci_low"], r["ci_high"]) for n, r in got.items()} == want
+    calls.clear()
+    monte_carlo(cfg, 3, estimators=names, truth_draws=2000)
+    assert len(calls) == 3
