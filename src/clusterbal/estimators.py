@@ -82,15 +82,14 @@ class EstimateReport:
 
 @dataclass(frozen=True)
 class DesignSystem:
-    """Observed design matrix and per-cluster target contributions."""
+    """Observed design matrix, its factors and per-cluster target contributions."""
 
     phi: np.ndarray
     contributions: np.ndarray  # (n, d_h)
     slices: tuple
-    pieces: tuple | None = None  # DesignOps blocks; None is the whole of phi
-    one_hot: tuple | None = None  # (unit slots (N,), slot count) of a one-hot design
-    # (unit rows, covariate rows, inner rows) per size group of a shared-row design
-    bases: tuple | None = None
+    # (unit rows (B, m), inner rows (B, m, ell) bool, covariate rows (B, m, w))
+    # per size group: unit i's row of phi is inner_i (x) x_i
+    factors: tuple
     classes: tuple = ()  # each block's observed classes per size group (`_observed_design`)
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
@@ -100,10 +99,7 @@ class DesignSystem:
 
     def ops(self):
         if "ops" not in self._cache:
-            pieces = self.pieces
-            if self.bases is not None:
-                pieces = ((slice(None), slice(None), self.bases),)
-            self._cache["ops"] = DesignOps(self.phi, pieces=pieces)
+            self._cache["ops"] = DesignOps(self.phi, self.factors)
         return self._cache["ops"]
 
     def keep_ipw_weights(self, propensity, values):
@@ -117,61 +113,17 @@ class DesignSystem:
         return held[1] if held is not None and held[0] is propensity else None
 
 
-def _block_pieces(live, slots, n_blocks, width):
-    """One (rows, columns) DesignOps piece per effective treatment of a one-hot design.
-
-    Such a design is block diagonal up to a row permutation: each unit's row
-    is its covariate row (`width` wide) in the block of its observed slot.
-    Blocks no row reaches and the units whose covariate row is all zero (not
-    `live`) join no piece.
-    """
-    rows = np.flatnonzero(live)
-    block = slots[rows]
-    bounds = np.cumsum(np.bincount(block, minlength=n_blocks))[:-1]
-    groups = np.split(rows[np.argsort(block, kind="stable")], bounds)
-    return tuple(
-        (r, slice(b * width, (b + 1) * width)) for b, r in enumerate(groups) if r.size
-    )
-
-
 def build_design(structure, dataset, weight):
-    """Observed design and target, with what its decomposition reads: a
-    one-hot tensor's slots and DesignOps pieces, or the covariate and inner
-    rows of a structure with `shared_rows`, alone or in covariate tensors.
-
-    A one-hot tensor's design is block diagonal up to a row permutation. In
-    a shared-row design, each cluster's units share their inner row b_c (ell
-    wide), so the cluster's rows are X_c (b_c (x) I_w), with X_c its
-    covariate rows (m x w): DesignOps reduces the design through one
-    orthonormal basis of X_c's span per cluster and one of the b_c's span,
-    and the sandwich sums each cluster's load as b_c (x) X_c^T w_c.
-    """
-    phi, groups = _observed_design(structure, dataset)
-    one_hot = pieces = bases = None
-    base = structure
-    while isinstance(base, TensorWithCovariates):
-        base = base.inner
-    # a covariate tensor directly over a one-hot encoding
-    if structure is not base and base is structure.inner and base.exposure_mapping is not None:
-        slots = np.empty(dataset.total_units, dtype=np.int64)
-        live = np.empty(dataset.total_units, dtype=bool)
-        for rows, layout, classes in groups:
-            slots[rows.ravel()] = classes[0].ravel()
-            live[rows.ravel()] = (layout.x != 0).any(axis=2).ravel()
-        one_hot = (slots, base.dim())
-        pieces = _block_pieces(live, *one_hot, groups[0][1].x.shape[2])
-    elif base.shared_rows:
-        bases = tuple(
-            (rows, layout.x, layout.shared_inner(classes)) for rows, layout, classes in groups
-        )
+    """Observed design and target, with the factors its decomposition and
+    sandwich loads read: each unit's inner row and covariate row, whose
+    Kronecker product is its row of the design (`_observed_design`)."""
+    phi, factors, classes = _observed_design(structure, dataset)
     return DesignSystem(
         phi=phi,
         contributions=target_contributions(structure, dataset, weight),
         slices=tuple(dataset.cluster_slices()),
-        pieces=pieces,
-        one_hot=one_hot,
-        bases=bases,
-        classes=tuple(classes for _, _, classes in groups),
+        factors=factors,
+        classes=classes,
     )
 
 

@@ -9,7 +9,8 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.stats import chi2, norm
+from scipy.special import ndtri
+from scipy.stats import chi2
 
 from .errors import (
     DegenerateContrast,
@@ -28,7 +29,7 @@ from .estimators import (
     weighted_projection_fit,
 )
 from .numerics import DesignOps
-from .structures import design_matrix
+from .structures import _observed_design
 
 __all__ = [
     "VarianceReport",
@@ -95,7 +96,7 @@ class SelectionReport:
 
 
 def _ci(point, sigma2, n, level):
-    half = norm.ppf(1.0 - (1.0 - level) / 2.0) * np.sqrt(sigma2 / n)
+    half = ndtri(1.0 - (1.0 - level) / 2.0) * np.sqrt(sigma2 / n)
     return point - half, point + half
 
 
@@ -104,37 +105,16 @@ def _per_cluster_sums(values, slices):
     return np.add.reduceat(values, starts)
 
 
-def _per_cluster_feature_loads(phi, weights, slices, one_hot=None, bases=None):
-    """Lambda_c(A_c)^T w_c per cluster: (n, d).
-
-    With the (slots, slot count) of a one-hot design, each unit's w_i x_i is
-    scattered into its (cluster, slot) cell, without the N x d product
-    phi * w; the cells sum their units in unit order, as the dense path does.
-    With a shared-row design's `bases` (unit rows, covariate rows, inner
-    rows per size group), cluster c's load is b_c (x) sum_i w_i x_i, the sum
-    over its units in unit order and b_c 0/1, so it equals the dense one
-    bit for bit.
-    """
-    starts = np.array([s for s, _ in slices])
-    if bases is not None:
-        x = np.empty((phi.shape[0], bases[0][1].shape[2]))
-        inner = np.empty((len(slices), bases[0][2].shape[1]))
-        for rows, x_g, b in bases:
-            x[rows.ravel()] = x_g.reshape(rows.size, -1)
-            inner[np.searchsorted(starts, rows[:, 0])] = b
-        sums = np.add.reduceat(x * weights[:, None], starts, axis=0)
-        return (inner[:, :, None] * sums[:, None, :]).reshape(len(slices), -1)
-    if one_hot is None:
-        return np.add.reduceat(phi * weights[:, None], starts, axis=0)
-    slots, n_slots = one_hot
-    n_units, width = phi.shape[0], phi.shape[1] // n_slots
-    x = phi.reshape(n_units, n_slots, width)[np.arange(n_units), slots]
-    cluster = np.repeat(np.arange(len(slices)), [stop - start for start, stop in slices])
-    cells = (cluster * n_slots + slots)[:, None] * width + np.arange(width)
-    loads = np.bincount(
-        cells.ravel(), weights=(x * weights[:, None]).ravel(), minlength=len(slices) * phi.shape[1]
-    )
-    return loads.reshape(len(slices), phi.shape[1])
+def _per_cluster_feature_loads(design, weights):
+    """Lambda_c(A_c)^T w_c per cluster: (n, d). Cluster c's load is
+    sum_i w_i r_i (x) x_i over its units, from the design's factors: one
+    batched (w * X)^T r product per size group, without phi."""
+    starts = np.array([s for s, _ in design.slices])
+    out = np.empty((len(starts), design.phi.shape[1]))
+    for rows, inner, x in design.factors:
+        loads = np.matmul((x * weights[rows][:, :, None]).transpose(0, 2, 1), inner)
+        out[np.searchsorted(starts, rows[:, 0])] = loads.transpose(0, 2, 1).reshape(len(rows), -1)
+    return out
 
 
 def iid_cluster_variance(dataset, fit, level=0.95):
@@ -187,20 +167,19 @@ def sandwich_variance(
     if design is None:
         design = build_design(structure, dataset, weight)
     slices = design.slices
-    phi = design.phi
     y = dataset.stacked_outcomes()
     n = dataset.n
 
     h_hat = design.ops().ols_coefficients(y)
     w = fit.weights.values
-    loads = _per_cluster_feature_loads(phi, w, slices, design.one_hot, design.bases)
+    loads = _per_cluster_feature_loads(design, w)
     if kind == "bal":
         v = design.contributions
     else:
         w_ipw = fit._context.get("w_ipw")
         if w_ipw is None:
             w_ipw = ipw_weights(dataset, weight, propensity)
-        v = _per_cluster_feature_loads(phi, w_ipw, slices, design.one_hot, design.bases)
+        v = _per_cluster_feature_loads(design, w_ipw)
     s_c = _per_cluster_sums(w * y, slices)
     eta_dot_l = (loads - v) @ h_hat - (s_c - fit.point)
     sigma2 = float(np.mean(eta_dot_l**2))
@@ -217,7 +196,7 @@ def sigma_noise_hat(dataset, structure, dof="units", design=None):
     literal cluster-count denominator, kept behind this flag.
     """
     if design is None:
-        ops = DesignOps(design_matrix(structure, dataset))
+        ops = DesignOps(*_observed_design(structure, dataset)[:2])
     else:
         ops = design.ops()
     y = dataset.stacked_outcomes()

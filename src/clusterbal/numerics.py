@@ -1,7 +1,7 @@
 """SVD-backed design solves (minimum-norm, OLS) and column-space projections.
 
-All decompositions are deterministic (LAPACK SVD, no randomization) so
-replicated runs are bit-stable on a given platform.
+All decompositions are deterministic (LAPACK QR and SVD, no
+randomization) so replicated runs are bit-stable on a given platform.
 """
 
 from __future__ import annotations
@@ -9,6 +9,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import csr_array
+from scipy.sparse.csgraph import connected_components
 
 from .errors import InvalidInput
 
@@ -53,61 +55,132 @@ def project_colspace(b, v, rcond=None):
     return uk @ (uk.T @ v)
 
 
-def _svd(block, bases=None):
-    """Thin SVD of a block as (left, s, vt), left(keep) its left singular
-    vectors at the kept singular values.
+def _column_components(rows):
+    """Each column's component label, numbered in order of the components'
+    smallest columns, where two columns are connected when some row of the
+    0/1 matrix holds both: the components of the graph joining each row to
+    its columns, which has as many edges as the matrix has 1s."""
+    n, ell = rows.shape
+    indptr = np.r_[np.zeros(ell + 1, dtype=np.int64), np.cumsum(np.count_nonzero(rows, axis=1))]
+    cols = np.flatnonzero(rows) % ell
+    graph = csr_array((np.ones(cols.size), cols, indptr), shape=(ell + n, ell + n))
+    return connected_components(graph, directed=False)[1][:ell]
 
-    With bases, the block is a shared-row design: per size group, (rows
-    (B, m) of the block, covariate rows X_c (B, m, w), inner rows b_c
-    (B, ell)), and cluster c's rows are block_c = X_c (b_c (x) I_w). Take
-    X_c = Q_c R_c from one batched reduced QR per group, and K (r x ell,
-    orthonormal rows) spanning the b_c from one SVD of their stack B, so
-    b_c = z_c^T K with z_c = K b_c. Then
 
-        block = blockdiag(Q_c) G' (K (x) I_w),  G' = [R_c (z_c^T (x) I_w)],
+def _factored_svds(factors, rcond):
+    """(rows, cols, u, s, vt) of the thin SVD of each connected component
+    of a factored design (`DesignOps`).
 
-    with G' (sum_c min(m_c, w)) x (r w), built from R_c and z_c without
-    reading the block. blockdiag(Q_c) has orthonormal columns and K (x) I_w
-    orthonormal rows, so G' has the block's singular values, its left
-    vectors times blockdiag(Q_c) are the block's, and its right vectors
-    times K (x) I_w are the block's.
+    Group the units by distinct inner row; the units whose row is zero join
+    no group. Group g of a component has rows X_g (b_g^T (x) I_w), with b_g
+    the inner row on the component's columns and X_g the covariate rows.
+    Take X_g = Q_g R_g from one batched reduced QR per group height (Q_g
+    and R_g filled out to w columns and rows with 0), and K (r x ell_c,
+    orthonormal rows) spanning the component's distinct rows from one SVD
+    of their stack B, so b_g = K^T z_g with z_g = K b_g. Then the
+    component's rows are
 
-    K drops a direction of B, of singular value sigma, only when sigma
-    times max_c |X_c| lies below the block's own rank cut max(N, d) * eps
-    * s_max. The dropped directions move the block by at most max_c |X_c|
-    times the root sum of squares of their sigmas, which on a 0/1 B are
-    rounding, so the same global cut keeps the same directions. The
-    bound |X_c|_F >= |X_c|_2 stands in for max_c |X_c|, and
-    max_c |b_c| |X_c|_F / sqrt(w) <= max_c |block_c|_2 <= s_max for s_max.
+        blockdiag(Q_g) G' (K (x) I_w),  G' = [R_g (z_g^T (x) I_w)],
+
+    with G' (groups * w) x (r w). blockdiag(Q_g) has orthonormal columns,
+    or 0 ones where G' has 0 rows (a group of fewer than w units), and
+    K (x) I_w orthonormal rows, so G' has the component's singular
+    values, its left vectors times blockdiag(Q_g) are the component's, and
+    its right vectors times K (x) I_w are. The SVDs of the B and of the G'
+    are taken stacked by shape: each slot of a one-hot design is a
+    component of one group, whose G' is the slot's R_g.
+
+    K drops a direction of B, of singular value sigma, only when sigma times
+    the component's max_g |X_g| lies below rcond * s_low, where s_low =
+    max_g |b_g| |X_g|_F / sqrt(w) <= max_g |rows of g|_2 <= s_max. The
+    dropped directions move the component by at most max_g |X_g| times the
+    root sum of squares of their sigmas, which on a 0/1 B are rounding, so
+    the global cut rcond * s_max keeps the same directions. |X_g|_F =
+    |R_g|_F >= |X_g|_2 stands in for |X_g|.
     """
-    if bases is None:
-        u, s, vt = np.linalg.svd(block, full_matrices=False)
-        return (lambda keep: u[:, keep]), s, vt
-    qs, rs = zip(*(np.linalg.qr(x) for _, x, _ in bases))
-    inner = np.concatenate([b for _, _, b in bases])
-    x_norm = np.concatenate([np.sqrt((r**2).sum(axis=(1, 2))) for r in rs])
-    w = rs[0].shape[2]
-    s_low = (np.sqrt((inner**2).sum(axis=1)) * x_norm).max() / np.sqrt(w)
-    _, s_b, k = np.linalg.svd(inner, full_matrices=False)
-    k = k[s_b * x_norm.max() >= _default_rcond(block.shape) * s_low]
-    g = np.concatenate([
-        # row j of cluster c: z_c (x) R_c[j]
-        ((b @ k.T)[:, None, :, None] * r[:, :, None, :]).reshape(-1, k.shape[0] * w)
-        for r, (_, _, b) in zip(rs, bases)
-    ])
-    u_g, s, vt_g = np.linalg.svd(g, full_matrices=False)
-    vt = (k.T @ vt_g.reshape(-1, k.shape[0], w)).reshape(-1, block.shape[1])
-
-    def left(keep):
-        # blockdiag(Q_c) @ u_G: one batched product per group
-        u, at = np.zeros((block.shape[0], int(keep.sum()))), 0
-        for (rows, _, _), q in zip(bases, qs):
-            b, _, j = q.shape
-            u[rows] = q @ u_g[at : at + b * j, keep].reshape(b, j, -1)
-            at += b * j
-        return u
-
-    return left, s, vt
+    ell, w = factors[0][1].shape[2], factors[0][2].shape[2]
+    units = np.concatenate([rows.ravel() for rows, _, _ in factors])
+    inner = np.concatenate([b.reshape(rows.size, ell) for rows, b, _ in factors])
+    x = np.concatenate([x.reshape(rows.size, w) for rows, _, x in factors])
+    # each inner row as one key: its bits in a 64-bit word, or its index
+    # among the distinct rows when they need more than one word
+    words = np.zeros((units.size, -(-ell // 64) * 8), dtype=np.uint8)
+    words[:, : -(-ell // 8)] = np.packbits(inner, axis=1)
+    keys = words.view(np.uint64)
+    live = np.flatnonzero(keys.any(axis=1) & x.any(axis=1))
+    if not live.size:
+        return []
+    if keys.shape[1] == 1:
+        key = keys[live, 0]
+    else:
+        key = np.unique(keys[live], axis=0, return_inverse=True)[1]
+    perm = np.argsort(key)
+    order, key = live[perm], key[perm]
+    start = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
+    height = np.diff(start, append=key.size)
+    distinct = inner[order[start]]
+    # the groups numbered component by component, and the units group by group
+    col_comp = _column_components(distinct)
+    comp = col_comp[distinct.argmax(axis=1)]
+    by_comp = np.argsort(comp, kind="stable")
+    distinct, start, height = distinct[by_comp], start[by_comp], height[by_comp]
+    comp = comp[by_comp]
+    first = np.cumsum(height) - height
+    order = order[np.repeat(start - first, height) + np.arange(order.size)]
+    # phi's entries are these covariate rows' or 0: it is finite when they are
+    units, x = units[order], _validate(x[order])
+    # one QR per height; each unit's row of its Q_g, which has min(h, w)
+    # columns, and R_g's rows beyond those are 0
+    r_all, q_rows = np.zeros((height.size, w, w)), np.zeros_like(x)
+    for h in np.unique(height):
+        gs = np.flatnonzero(height == h)
+        at = first[gs, None] + np.arange(h)
+        q_rows[at, : min(h, w)], r_all[gs, : min(h, w)] = np.linalg.qr(x[at])
+    x_norm = np.sqrt((r_all**2).sum(axis=(1, 2)))
+    s_low = (np.sqrt(distinct.sum(axis=1)) * x_norm).max() / np.sqrt(w)
+    # each component's first group and column, and its counts of both
+    g0 = np.flatnonzero(np.r_[True, comp[1:] != comp[:-1]])
+    n_groups, n_cols = np.diff(g0, append=comp.size), np.bincount(col_comp)[comp[g0]]
+    col_order = np.argsort(col_comp, kind="stable")
+    c0 = np.searchsorted(col_comp[col_order], comp[g0])
+    # the components of each (groups, columns) shape, stacked: B, K, G' and their SVDs
+    shapes = []
+    for k, ell_c in sorted(set(zip(n_groups.tolist(), n_cols.tolist()))):
+        cs = np.flatnonzero((n_groups == k) & (n_cols == ell_c))
+        gs = g0[cs, None] + np.arange(k)
+        cols = col_order[c0[cs, None] + np.arange(ell_c)]
+        b = distinct[gs[:, :, None], cols[:, None, :]].astype(np.float64)
+        _, s_b, kt = np.linalg.svd(b, full_matrices=False)
+        # a direction dropped in every component leaves K; one dropped in some is 0 in their z
+        kept = s_b * x_norm[gs].max(axis=1)[:, None] >= rcond * s_low
+        kt, kept = kt[:, kept.any(axis=0)], kept[:, kept.any(axis=0)]
+        z = (b @ kt.transpose(0, 2, 1)) * kept[:, None, :]
+        r = kt.shape[1]
+        # row j of group g: z_g (x) R_g[j]
+        g = (z[:, :, None, :, None] * r_all[gs][:, :, :, None, :]).reshape(cs.size, k * w, r * w)
+        u_g, s, vt_g = np.linalg.svd(g, full_matrices=False)
+        n = s.shape[1]
+        vt = kt.transpose(0, 2, 1)[:, None] @ vt_g.reshape(cs.size, n, r, w)
+        u_g, vt = u_g.reshape(cs.size * k, w, n), vt.reshape(cs.size, n, ell_c * w)
+        shapes.append((gs, u_g, cs, cols, s, vt))
+    # blockdiag(Q_g) u_G of every component, one batched product per group
+    # height, each component's u_G padded to the widest
+    u_blocks = np.zeros((comp.size, w, max(s.shape[1] for _, _, _, _, s, _ in shapes)))
+    for gs, u_g, *_ in shapes:
+        u_blocks[gs.ravel(), :, : u_g.shape[2]] = u_g
+    u_all = np.empty((x.shape[0], u_blocks.shape[2]))
+    for h in np.unique(height):
+        gs = np.flatnonzero(height == h)
+        at = first[gs, None] + np.arange(h)
+        u_all[at] = q_rows[at] @ u_blocks[gs]
+    out = []
+    for _, _, cs, cols, s, vt in shapes:
+        for c, col, s_c, vt_c in zip(cs, cols, s, vt):
+            g = g0[c] + n_groups[c] - 1
+            rows = slice(first[g0[c]], first[g] + height[g])
+            col = (col[:, None] * w + np.arange(w)).ravel()
+            out.append((units[rows], col, u_all[rows, : s_c.size], s_c, vt_c))
+    return out
 
 
 class DesignOps:
@@ -116,32 +189,33 @@ class DesignOps:
     Backs the balancing solve (min-norm row-space solve), the OLS coefficient
     map, and column-space projections, so a fit pays for one decomposition.
 
-    `pieces` factors the design as (row index, column slice) blocks whose
-    rows and columns are disjoint, with phi zero outside them; each block
-    takes its own SVD. The default is one piece holding all of phi. The
-    singular values of a block-diagonal matrix are the union of its blocks',
-    so the rank cut stays global: max(N, d) * eps times the largest singular
-    value over all blocks.
-
-    A piece (rows, cols, bases) holds a shared-row design's covariate and
-    inner rows (`_svd`), and takes the SVD of the smaller matrix they reduce
-    it to. That matrix has the piece's singular values, and the inner rows'
-    basis drops only directions below the cut, so the same global cut keeps
-    the same directions.
+    `factors` gives each unit's row as r_i (x) x_i: per size group, (unit
+    rows (B, m), inner rows r_i (B, m, ell) 0/1, covariate rows x_i (B, m,
+    w)), as `build_design` carries them. The inner columns split into
+    connected components, two columns joined when some inner row holds both;
+    the components share no rows and no columns, and each takes the SVD of a
+    small matrix with its singular values (`_factored_svds`). The singular
+    values of the design are the union of the components', so the rank cut
+    stays global: max(N, d) * eps times the largest singular value over all
+    of them. Without factors, phi takes one dense SVD: the tests' oracle.
     """
 
-    def __init__(self, phi, pieces=None):
-        phi = _validate(phi)
-        self.phi = phi
-        if pieces is None:
-            pieces = ((slice(None), slice(None)),)
-        svds = [(rows, cols, *_svd(phi[rows, cols], *bases)) for rows, cols, *bases in pieces]
+    def __init__(self, phi, factors=None):
+        self.phi = phi = np.asarray(phi, dtype=np.float64)
+        rcond = _default_rcond(phi.shape)
+        if factors is None:
+            u, s, vt = np.linalg.svd(_validate(phi), full_matrices=False)
+            svds = [(slice(None), slice(None), u, s, vt)]
+        else:
+            svds = _factored_svds(factors, rcond)
         self.s_max = max((s[0] for _, _, _, s, _ in svds if s.size), default=0.0)
-        cut = _default_rcond(phi.shape) * self.s_max
+        cut = rcond * self.s_max
         self._pieces = []
-        for rows, cols, left, s, vt in svds:
-            keep = s > cut
-            self._pieces.append((rows, cols, left(keep), s[keep], vt[keep]))
+        for rows, cols, u, s, vt in svds:
+            # s is descending, so the kept directions are its first ones
+            keep = int(np.count_nonzero(s > cut))
+            if keep:
+                self._pieces.append((rows, cols, u[:, :keep], s[:keep], vt[:keep]))
         self.rank = int(sum(s.size for _, _, _, s, _ in self._pieces))
 
     def ols_coefficients(self, y):
@@ -175,7 +249,7 @@ class DesignOps:
         """True when the span of `other` (a DesignOps on the same rows) lies in this one's.
 
         other's phi minus its projection on this design's kept left singular
-        vectors, piece by piece (rows no piece covers count whole), is held in
+        vectors, component by component (rows no component covers count whole), is held in
         Frobenius norm against max(N, d_other + d) * eps * max(both s_max).
         That is matrix_rank's rank([phi_other, phi]) == rank(phi) up to eps-scale
         factors: sqrt(2) on the stacked s_max, sqrt(d_other) from Frobenius to spectral.

@@ -14,7 +14,7 @@ from itertools import repeat
 import numpy as np
 
 from . import _kernels
-from .core import PATTERN_CAP, BernoulliIntervention, check_pattern, enumerate_patterns
+from .core import PATTERN_CAP, BernoulliIntervention, enumerate_patterns
 from .errors import CapExceeded, DimensionMismatch, InvalidSpec
 from .numerics import DesignOps, _validate
 from .specio import spec_field, spec_int
@@ -203,43 +203,20 @@ class LowRankStructure:
             col += block.fixed_dim or 0
         return out
 
-    def feature_row(self, cluster, i, pattern):
-        a = self._check(cluster, i, pattern)
-        layout = _GroupRows(self, [cluster])
-        return layout.rows(layout.classes(a[None]), 1, unit=int(i))[0]
-
-    def rows_at(self, cluster, pattern):
-        """Feature rows of every unit at one pattern: (M_c, d)."""
-        self._require_fixed()
-        a = check_pattern(pattern, cluster)
-        layout = _GroupRows(self, [cluster])
-        return layout.rows(layout.classes(a[None]), 1)[0]
-
     def all_pattern_rows(self, cluster, i):
         """Feature rows of unit i at every pattern: a new (2^m, d) float array."""
-        self._check_index(cluster, i)
+        if not 0 <= int(i) < cluster.size:
+            raise DimensionMismatch(f"unit index {i} out of range for size {cluster.size}")
         return _pattern_rows_by_unit(self, cluster)(int(i))
 
     def expected_rows(self, cluster, probs):
         """E[phi_ci(A)] under independent Bernoulli(probs) treatments: (M_c, d)."""
-        self._require_fixed()
+        if self.regime != "fixed":
+            raise InvalidSpec("per-unit structure has no stacked design rows")
         probs = np.asarray(probs, dtype=np.float64)
         layout = _GroupRows(self, [cluster])
         law = BernoulliIntervention(lambda c: probs)
         return layout.expected_rows(layout.masses(probs[None], law))[0]
-
-    def _require_fixed(self):
-        if self.regime != "fixed":
-            raise InvalidSpec("per-unit structure has no stacked design rows")
-
-    def _check(self, cluster, i, pattern):
-        self._check_index(cluster, i)
-        return check_pattern(pattern, cluster)
-
-    @staticmethod
-    def _check_index(cluster, i):
-        if not 0 <= int(i) < cluster.size:
-            raise DimensionMismatch(f"unit index {i} out of range for size {cluster.size}")
 
 
 # ---------- exposure mappings ----------
@@ -930,16 +907,13 @@ class _GroupRows:
             patterns = np.stack([c.treatments for c in self.clusters])
         return [block.classes_batch(self.clusters, patterns) for _, block, _ in self.blocks]
 
-    def rows(self, classes, n_rows, unit=None):
-        """Rows at n_rows pattern rows whose block classes are `classes`:
-        (P, m, d), or unit i's (P, d) when unit is given."""
-        m, w = self.x.shape[1:]
-        i = slice(None) if unit is None else unit
-        lead = (np.arange(n_rows)[:, None], np.arange(m)) if unit is None else (np.arange(n_rows),)
-        out = np.zeros(tuple(len(a) for a in lead) + (self.ell, w))
+    def rows(self, classes, n_rows, unit):
+        """The unit's rows of the group's one cluster at n_rows pattern rows
+        whose block classes are `classes`: (P, d)."""
+        out = np.zeros((n_rows, self.ell, self.x.shape[2]))
         for (col, _, held), cls in zip(self.blocks, classes):
-            out[lead + (col + cls[:, i],)] = self._held(held, self.x)[:, i]
-        return out.reshape(out.shape[:-2] + (-1,))
+            out[np.arange(n_rows), col + cls[:, unit]] = self._held(held, self.x)[:, unit]
+        return out.reshape(n_rows, -1)
 
     def masses(self, probs, law):
         """Each block's class masses (B, m, n_classes) of the group's units
@@ -969,14 +943,13 @@ class _GroupRows:
             np.add.at(out[b], (np.arange(m), block.classes_batch([c], patterns)), w[:, None])
         return out
 
-    def shared_inner(self, classes):
-        """The inner row that each cluster's units share under a base with
-        `shared_rows`, read at unit 0: (B, ell) 0/1, with a 1 at the class of
-        each block that holds the cluster's units."""
-        b = self.x.shape[0]
-        out = np.zeros((b, self.ell))
+    def inner(self, classes):
+        """Each unit's inner row at the blocks' classes: (B, m, ell) bool, with
+        a 1 at the class of each block that holds the unit."""
+        b, m = self.x.shape[:2]
+        out = np.zeros((b, m, self.ell), dtype=bool)
         for (col, _, held), cls in zip(self.blocks, classes):
-            out[np.arange(b), col + cls[:, 0]] = 1.0 if held is None else held[:, 0]
+            out[np.arange(b)[:, None], np.arange(m), col + cls] = True if held is None else held
         return out
 
     def live(self):
@@ -1012,9 +985,11 @@ def _pattern_rows_by_unit(structure, cluster):
 
 
 def _observed_design(structure, dataset):
-    """design_matrix, with the layout of each size group: (phi (N, d),
-    ((unit rows (B, m), its `_GroupRows`, each block's observed classes
-    [(B, m) int64]), ...)) in `_size_groups` order.
+    """design_matrix, with its factors and classes: (phi (N, d), ((unit rows
+    (B, m), inner rows (B, m, ell) bool, covariate rows (B, m, w)), ...),
+    (each block's observed classes [(B, m) int64], ...)), per size group in
+    `_size_groups` order. Unit i's row of phi is its inner row (x) its
+    covariate row (`_GroupRows`), the factored form `DesignOps` takes.
 
     Each size group's blocks scatter the units' covariate rows into the
     columns of their observed classes, in place in the design.
@@ -1022,7 +997,7 @@ def _observed_design(structure, dataset):
     if structure.regime != "fixed":
         raise InvalidSpec("design matrices need a fixed-dimension structure")
     n_units = dataset.total_units
-    phi, groups = None, []
+    phi, factors, observed = None, [], []
     for group, _, rows in _size_groups(dataset):
         layout = _GroupRows(structure, group)
         if phi is None:
@@ -1031,8 +1006,9 @@ def _observed_design(structure, dataset):
         classes = layout.classes()
         for (col, _, held), cls in zip(layout.blocks, classes):
             phi[units, col + cls.ravel()] = layout._held(held, layout.x).reshape(units.size, -1)
-        groups.append((rows, layout, classes))
-    return phi.reshape(n_units, -1), tuple(groups)
+        factors.append((rows, layout.inner(classes), layout.x))
+        observed.append(classes)
+    return phi.reshape(n_units, -1), tuple(factors), tuple(observed)
 
 
 def design_matrix(structure, dataset):
@@ -1105,6 +1081,6 @@ def target_vector(structure, dataset, weight):
 
 def nested_rank_check(small, large, dataset):
     """True when the smaller structure's observed design lies in the larger's
-    span, by DesignOps.contains on the two dense designs."""
-    ops_s, ops_l = (DesignOps(design_matrix(s, dataset)) for s in (small, large))
+    span, by DesignOps.contains on the two factored designs."""
+    ops_s, ops_l = (DesignOps(*_observed_design(s, dataset)[:2]) for s in (small, large))
     return ops_l.contains(ops_s)

@@ -1,6 +1,7 @@
 """Brute-force oracles: exhaustive assignment enumeration and direct estimand
 sums, independent of the estimator code paths they check."""
 
+import dataclasses
 import functools
 import itertools
 import math
@@ -9,6 +10,7 @@ import numpy as np
 from scipy.special import ndtr
 
 from clusterbal.core import ClusterSample, Dataset, enumerate_patterns, eval_propensity
+from clusterbal.numerics import DesignOps
 
 
 def reassign(dataset, assignments, outcome_fn):
@@ -228,6 +230,29 @@ def scanned_pieces(phi, n_blocks):
         if rows.size:
             pieces.append((rows, slice(b * width, (b + 1) * width)))
     return tuple(pieces)
+
+
+def design_rows(structure, cluster, pattern):
+    """A structure's rows of one cluster at a pattern: design_matrix of the
+    one-cluster dataset, (m, d). At the cluster's observed pattern the
+    cluster itself is used, with its caches; at another, a copy of it."""
+    from clusterbal.structures import design_matrix
+
+    if not np.array_equal(pattern, cluster.treatments):
+        cluster = ClusterSample(covariates=cluster.covariates, treatments=pattern,
+                                outcomes=cluster.outcomes, cluster_id=cluster.cluster_id)
+    return design_matrix(structure, Dataset(clusters=(cluster,)))
+
+
+def dense_loads(design, weights):
+    """Per-cluster sandwich loads as the reduction of the dense product phi * w."""
+    starts = np.array([start for start, _ in design.slices])
+    return np.add.reduceat(design.phi * weights[:, None], starts, axis=0)
+
+
+def with_dense_ops(design):
+    """A copy of a DesignSystem whose fits take the dense SVD of its phi."""
+    return dataclasses.replace(design, _cache={"ops": DesignOps(design.phi)})
 
 
 def nested_in_span(phi_s, phi_l):

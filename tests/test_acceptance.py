@@ -48,7 +48,7 @@ from clusterbal.structures import (
     target_vector,
 )
 
-from oracles import expectation_over_assignments, mu_f_direct, structure_rows
+from oracles import design_rows, expectation_over_assignments, mu_f_direct, structure_rows
 
 # ---------- uniform unbiasedness without a structure, by enumeration ----------
 
@@ -171,7 +171,7 @@ def test_wproj_is_unbiased_and_no_less_efficient_than_ipw(structure):
                 w = weighted_projection_fit(d, structure, f, e).weights.values
                 second["wproj"] += mass * w**2
                 second["ipw"] += mass * ipw_weights(d, f, e) ** 2
-                mean += mass * w @ (structure.rows_at(c, a) @ h)
+                mean += mass * w @ (design_rows(structure, c, a) @ h)
             assert (second["wproj"] <= second["ipw"] * (1 + 1e-12)).all()
             target = target_contributions(structure, _at(c, bits[0]), f)[0] @ h
             assert mean == pytest.approx(target, rel=1e-12, abs=1e-12)

@@ -22,6 +22,7 @@ from clusterbal.structures import (
 )
 
 from conftest import make_dataset
+from oracles import design_rows
 
 
 def infeasible_pair(rng):
@@ -90,7 +91,7 @@ def test_bias_imbalance_identity_noiseless(rng):
         ClusterSample(
             covariates=c.covariates,
             treatments=c.treatments,
-            outcomes=s.rows_at(c, c.treatments) @ h,
+            outcomes=design_rows(s, c, c.treatments) @ h,
             cluster_id=c.cluster_id,
         )
         for c in base.clusters

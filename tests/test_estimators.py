@@ -19,7 +19,7 @@ from clusterbal.core import (
     probit_intervention,
     uniform_intervention,
 )
-from clusterbal.errors import CapExceeded, PositivityViolation, PropensityUnavailable
+from clusterbal.errors import CapExceeded, InvalidInput, PositivityViolation, PropensityUnavailable
 from clusterbal.estimators import (
     _block_closed_form,
     _wproj_svd,
@@ -56,7 +56,14 @@ from clusterbal.structures import (
 )
 
 from conftest import make_cluster, make_dataset
-from oracles import expectation_over_assignments, mu_f_direct, structure_rows
+from oracles import (
+    dense_loads,
+    design_rows,
+    expectation_over_assignments,
+    mu_f_direct,
+    structure_rows,
+    with_dense_ops,
+)
 
 
 def singleton(a, y, cid=0, x=0.0):
@@ -113,7 +120,7 @@ def test_weighted_projection_needs_propensity(rng, fit):
 
 def _linear_outcomes(structure, h):
     def outcome_fn(ci, cluster, a):
-        return structure.rows_at(cluster, a) @ h
+        return design_rows(structure, cluster, a) @ h
 
     return outcome_fn
 
@@ -168,7 +175,7 @@ def test_balancing_noiseless_linear_recovery(rng):
             ClusterSample(
                 covariates=c.covariates,
                 treatments=c.treatments,
-                outcomes=structure.rows_at(c, c.treatments) @ h,
+                outcomes=design_rows(structure, c, c.treatments) @ h,
                 cluster_id=c.cluster_id,
             )
             for c in d.clusters
@@ -390,8 +397,9 @@ def _close(a, b):
 def _assert_block_path_matches_single_piece(d, structure):
     f, e = uniform_intervention(), half_bernoulli()
     blocks = build_design(structure, d, f)
-    assert blocks.pieces is not None
-    single = dataclasses.replace(blocks, pieces=None, _cache={})
+    width = blocks.phi.shape[1] // blocks.factors[0][1].shape[2]
+    assert all(np.unique(cols // width).size == 1 for _, cols, *_ in blocks.ops()._pieces)
+    single = with_dense_ops(blocks)
     bal = [balancing_fit(d, structure, f, design=s) for s in (blocks, single)]
     proj = [projection_fit(d, structure, f, e, design=s) for s in (blocks, single)]
     for got, want in (bal, proj):
@@ -444,7 +452,8 @@ def test_block_path_zero_covariate_rows(rng):
     d = _with(make_dataset(rng, 40, sizes=(3, 5), p=2), covariates=zero_first)
     structure = TensorWithCovariates(KnnPattern(2), columns=[0, 1])
     _assert_block_path_matches_single_piece(d, structure)
-    rows = np.concatenate([r for r, _ in build_design(structure, d, uniform_intervention()).pieces])
+    pieces = build_design(structure, d, uniform_intervention()).ops()._pieces
+    rows = np.concatenate([r for r, *_ in pieces])
     assert rows.size == d.total_units - d.n
 
 
@@ -461,8 +470,8 @@ def test_block_path_without_columns(rng):
     assert structure.columns is None
     fit = _assert_block_path_matches_single_piece(d, structure)
     assert fit.feasible
-    pieces = build_design(structure, d, uniform_intervention()).pieces
-    assert {cols.stop - cols.start for _, cols in pieces} == {3}
+    pieces = build_design(structure, d, uniform_intervention()).ops()._pieces
+    assert {cols.size for _, cols, *_ in pieces} == {3}
 
 
 @pytest.mark.parametrize(
@@ -473,10 +482,10 @@ def test_block_path_without_columns(rng):
 def test_non_one_hot_tensors_take_single_piece_path(rng, inner):
     d = make_dataset(rng, 20, sizes=(3, 4), p=2)
     design = build_design(TensorWithCovariates(inner, columns=[0, 1]), d, uniform_intervention())
-    assert design.pieces is None
+    assert len(design.ops()._pieces) == 1
 
 
-# ---------- shared-row designs: per-cluster covariate bases vs the dense SVD ----------
+# ---------- the factored design of every structure vs the dense SVD ----------
 
 
 def _shared_row_dataset(rng):
@@ -516,87 +525,154 @@ def _typed_shared_row_dataset(rng):
     return Dataset(clusters=tuple(clusters))
 
 
+def _linked_typed_dataset(rng):
+    """Three clusters under AdditiveTypes(3) on column 4: types 1 and 2 both
+    treated, 1 and 3 both untreated, and 2 treated with 3 untreated. Their
+    inner rows hold columns {1, 3}, {0, 4} and {3, 4}; only the last row
+    joins the first two into one component."""
+    clusters = []
+    for types, treated in (([1, 2], [1, 1]), ([1, 3], [0, 0]), ([2, 3], [1, 0])):
+        c = make_cluster(rng, 2, p=5, cluster_id=len(clusters), treatments=np.array(treated))
+        c.covariates[:, 4] = types
+        clusters.append(c)
+    return Dataset(clusters=tuple(clusters))
+
+
 def _relative_gap(a, b):
     return np.linalg.norm(np.asarray(a) - b) / max(np.linalg.norm(b), 1e-300)
 
 
-def _shared_row_cases(inner, typed, prefix):
-    return [
-        pytest.param(inner, typed, id=f"{prefix}bare"),
-        pytest.param(
-            TensorWithCovariates(inner, columns=[0, 1, 2, {"cluster_mean": 3}]),
-            typed,
-            id=f"{prefix}dgp-columns",
-        ),
-        pytest.param(
-            TensorWithCovariates(
-                TensorWithCovariates(inner, columns=[0, 1]), columns=[{"cluster_mean": 2}, 3]
+def _all_treated(d):
+    """The dataset with every unit treated: each one-hot slot of an untreated
+    unit, and each additive block's untreated column, is empty."""
+    return Dataset(clusters=tuple(
+        dataclasses.replace(c, treatments=np.ones(c.size, dtype=np.int8)) for c in d.clusters
+    ))
+
+
+FACTORED_DATASETS = {
+    "sizes": _shared_row_dataset,
+    "treated": lambda rng: _all_treated(_shared_row_dataset(rng)),
+    "typed": _typed_shared_row_dataset,
+    "linked": _linked_typed_dataset,
+}
+DGP_COLUMNS = [0, 1, 2, {"cluster_mean": 3}]
+
+
+def _factored_cases():
+    """Bare and tensor one-hot and other indicator structures on the sizes
+    and all-treated datasets, and the additive cases on those, the typed
+    one and the linked one."""
+    # KnnPattern(7)'s 128 slots take two 64-bit words per inner row
+    one_hot = [KnnPattern(2), StratifiedCount(2), NoInterference(),
+               FromExposureMapping(NeighborCount(2, include_own=True)), KnnPattern(7)]
+    others = [CoarsenedCount(order=1, thresholds=(0, 1), k=2),
+              CoarsenedCount(order=2, thresholds=(0, 1), k=2),
+              Compose(KnnPattern(2), KnnPattern(1)), Compose(AdditiveTypes(3), KnnPattern(2))]
+    cases = []
+    for inner in one_hot + others:
+        for structure in (inner, TensorWithCovariates(inner, columns=DGP_COLUMNS)):
+            for data in ("sizes", "treated"):
+                cases.append(pytest.param(structure, data, id=f"{structure.label}-{data}"))
+    additive = ((AdditiveTypes(15), "sizes", ""), (AdditiveTypes(15), "treated", "treated-"),
+                (AdditiveTypes(8, type_source={"column": 4}), "typed", "typed-"),
+                (AdditiveTypes(3, type_source={"column": 4}), "linked", "linked-"))
+    for inner, data, prefix in additive:
+        cases += [
+            pytest.param(inner, data, id=f"{prefix}bare"),
+            pytest.param(TensorWithCovariates(inner, columns=DGP_COLUMNS), data,
+                         id=f"{prefix}dgp-columns"),
+            pytest.param(
+                TensorWithCovariates(
+                    TensorWithCovariates(inner, columns=[0, 1]), columns=[{"cluster_mean": 2}, 3]
+                ),
+                data,
+                id=f"{prefix}nested",
             ),
-            typed,
-            id=f"{prefix}nested",
-        ),
-    ]
+        ]
+    return cases
 
 
-SHARED_ROW_CASES = _shared_row_cases(AdditiveTypes(15), False, "") + _shared_row_cases(
-    AdditiveTypes(8, type_source={"column": 4}), True, "typed-"
-)
+def _projector(ops, n):
+    """U U^T of a DesignOps' kept left singular vectors: (N, N)."""
+    p = np.zeros((n, n))
+    for rows, _, u, _, _ in ops._pieces:
+        p[np.ix_(np.arange(n)[rows], np.arange(n)[rows])] += u @ u.T
+    return p
 
 
-@pytest.mark.parametrize("structure, typed", SHARED_ROW_CASES)
-def test_shared_row_design_bases_match_the_dense_svd(rng, structure, typed):
-    d = (_typed_shared_row_dataset if typed else _shared_row_dataset)(rng)
-    design = build_design(structure, d, uniform_intervention())
-    assert design.bases is not None and design.pieces is None
-    factored, dense = design.ops(), DesignOps(design.phi)
-    assert factored.rank == dense.rank < design.phi.shape[1]
-    ((_, _, u_f, s_f, _),), ((_, _, u_d, s_d, _),) = factored._pieces, dense._pieces
-    assert np.abs(s_f - s_d).max() <= 1e-13 * dense.s_max
-    assert np.abs(u_f @ u_f.T - u_d @ u_d.T).max() <= 1e-12
+@pytest.mark.parametrize("structure, data", _factored_cases())
+def test_factored_design_matches_the_dense_svd(rng, structure, data):
+    """The factored decomposition of every structure kind against np.linalg.svd
+    of its phi: the same rank, singular values within 1e-13 s_max, U U^T
+    within 1e-12, the three solves within 1e-10 relative and `contains`
+    both ways; each cluster's sandwich load against the dense phi * w
+    reduction, and the `bal` and `proj` sandwich variances within 1e-10
+    of those of fits on the dense SVD. A one-hot design takes one
+    component per slot."""
+    d = FACTORED_DATASETS[data](rng)
+    f, e = probit_intervention(0.3), half_bernoulli()
+    design = build_design(structure, d, f)
+    phi, n = design.phi, d.total_units
+    factored, dense = design.ops(), DesignOps(phi)
+    u, s, _ = np.linalg.svd(phi, full_matrices=False)
+    assert factored.rank == dense.rank == int((s > max(phi.shape) * np.finfo(float).eps * s[0]).sum())
+    s_f = np.sort(np.concatenate([p[3] for p in factored._pieces]))[::-1]
+    assert np.abs(s_f - s[: factored.rank]).max() <= 1e-13 * s[0]
+    u = u[:, : factored.rank]
+    assert np.abs(_projector(factored, n) - u @ u.T).max() <= 1e-12
+    if structure.exposure_mapping is not None:
+        width = phi.shape[1] // design.factors[0][1].shape[2]
+        assert all(np.unique(cols // width).size == 1 for _, cols, *_ in factored._pieces)
 
-    y = rng.standard_normal(d.total_units)
-    t = design.phi.T @ rng.standard_normal(d.total_units)
+    y = rng.standard_normal(n)
+    t = phi.T @ rng.standard_normal(n)
     got, want = factored.min_norm_row_solve(t), dense.min_norm_row_solve(t)
     assert got.feasible() and want.feasible() and got.rank == want.rank
     assert _relative_gap(got.solution, want.solution) <= 1e-10
     assert _relative_gap(factored.ols_coefficients(y), dense.ols_coefficients(y)) <= 1e-10
     assert _relative_gap(factored.project(y), dense.project(y)) <= 1e-10
 
-    one_hot = DesignOps(design_matrix(TensorWithCovariates(KnnPattern(1), columns=[0, 1]), d))
+    other = build_design(TensorWithCovariates(KnnPattern(1), columns=[0, 1]), d, f)
     assert factored.contains(dense) and dense.contains(factored)
-    assert factored.contains(one_hot) == dense.contains(one_hot)
-    assert one_hot.contains(factored) == one_hot.contains(dense)
+    for ops in (other.ops(), DesignOps(other.phi)):
+        assert factored.contains(ops) == dense.contains(ops)
+        assert ops.contains(factored) == ops.contains(dense)
 
-
-@pytest.mark.parametrize("structure, typed", SHARED_ROW_CASES)
-def test_shared_row_loads_match_the_dense_loads(rng, structure, typed):
-    """Each cluster's load b_c (x) X_c^T w_c equals the dense reduceat of
-    phi * w bit for bit, for the balancing weights and for the projection
-    fit's own and IPW weights; the sandwich variances agree with those of
-    the dense design and SVD."""
-    d = (_typed_shared_row_dataset if typed else _shared_row_dataset)(rng)
-    f, e = probit_intervention(0.3), half_bernoulli()
-    design = build_design(structure, d, f)
-    dense = dataclasses.replace(design, bases=None, _cache={})
-    starts = np.array([start for start, _ in design.slices])
     bal = balancing_fit(d, structure, f, design=design)
     proj = projection_fit(d, structure, f, e, design=design)
-    for w in (bal.weights.values, proj.weights.values, proj._context["w_ipw"]):
-        got = _per_cluster_feature_loads(design.phi, w, design.slices, None, design.bases)
-        assert np.array_equal(got, np.add.reduceat(design.phi * w[:, None], starts, axis=0))
-    for fit, kind in ((bal, "bal"), (proj, "proj")):
-        got = sandwich_variance(d, structure, f, fit, kind, propensity=e, allow_infeasible=True)
-        other = dataclasses.replace(fit, _context={**fit._context, "design": dense})
-        want = sandwich_variance(d, structure, f, other, kind, propensity=e, allow_infeasible=True)
-        assert abs(got.sigma2_hat - want.sigma2_hat) <= 1e-10 * want.sigma2_hat
+    for weights in (bal.weights.values, proj.weights.values, proj._context["w_ipw"]):
+        want = dense_loads(design, weights)
+        got = _per_cluster_feature_loads(design, weights)
+        assert np.abs(got - want).max() <= 1e-12 * max(np.abs(want).max(), 1e-300)
+    on_dense = with_dense_ops(design)
+    fits = ((bal, balancing_fit(d, structure, f, design=on_dense), "bal"),
+            (proj, projection_fit(d, structure, f, e, design=on_dense), "proj"))
+    for fit, dense_fit, kind in fits:
+        got, want = (sandwich_variance(d, structure, f, x, kind, propensity=e, allow_infeasible=True)
+                     for x in (fit, dense_fit))
+        assert abs(got.sigma2_hat - want.sigma2_hat) <= 1e-10 * abs(want.sigma2_hat)
 
 
-def test_shared_row_fits_match_the_dense_svd(rng):
+@pytest.mark.parametrize("inner", [KnnPattern(2), AdditiveTypes(15)], ids=lambda s: s.label)
+def test_factored_design_refuses_non_finite_covariates(rng, inner):
+    """The factored path reads the covariate rows in place of phi, whose
+    entries are theirs or 0, and refuses a non-finite one as the dense SVD
+    does."""
     d = _shared_row_dataset(rng)
-    structure = TensorWithCovariates(AdditiveTypes(15), columns=[0, 1, 2, {"cluster_mean": 3}])
+    d.clusters[5].covariates[0, 1] = np.nan
+    design = build_design(TensorWithCovariates(inner, columns=DGP_COLUMNS), d, uniform_intervention())
+    for ops in (design.ops, lambda: DesignOps(design.phi)):
+        with pytest.raises(InvalidInput, match="non-finite"):
+            ops()
+
+
+def test_factored_fits_match_the_dense_svd(rng):
+    d = _shared_row_dataset(rng)
+    structure = TensorWithCovariates(AdditiveTypes(15), columns=DGP_COLUMNS)
     f, e = probit_intervention(0.3), half_bernoulli()
     factored = build_design(structure, d, f)
-    dense = dataclasses.replace(factored, bases=None, _cache={})
+    dense = with_dense_ops(factored)
     bal = [balancing_fit(d, structure, f, design=s) for s in (factored, dense)]
     proj = [projection_fit(d, structure, f, e, design=s) for s in (factored, dense)]
     for got, want in (bal, proj):

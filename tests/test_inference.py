@@ -46,6 +46,7 @@ from clusterbal.structures import (
 )
 
 from conftest import make_cluster, make_dataset
+from oracles import design_rows
 
 
 def half_bernoulli():
@@ -70,7 +71,7 @@ def linear_dataset(rng, n, structure, h, sizes=(2, 4), p=2, sigma=0.0):
     base = make_dataset(rng, n, sizes=sizes, p=p)
     clusters = []
     for c in base.clusters:
-        y = structure.rows_at(c, c.treatments) @ h + sigma * rng.standard_normal(c.size)
+        y = design_rows(structure, c, c.treatments) @ h + sigma * rng.standard_normal(c.size)
         clusters.append(
             ClusterSample(c.covariates, c.treatments, y, cluster_id=c.cluster_id)
         )
@@ -84,7 +85,7 @@ def test_identical_clusters_zero_variance(rng):
     c = make_cluster(rng, 3, p=1, treatments=np.array([1, 0, 1]))
     structure = NoInterference()
     h = np.array([0.5, -1.0])
-    y = structure.rows_at(c, c.treatments) @ h
+    y = design_rows(structure, c, c.treatments) @ h
     base = ClusterSample(c.covariates, c.treatments, y, cluster_id=0)
     d = replicated_dataset(base, 6)
     f = Gate()
@@ -101,7 +102,7 @@ def test_eta_first_block_ties_to_imbalance(rng):
     f = uniform_intervention()
     fit = balancing_fit(d, structure, f)
     design = fit._context["design"]
-    loads = _per_cluster_feature_loads(design.phi, fit.weights.values, design.slices)
+    loads = _per_cluster_feature_loads(design, fit.weights.values)
     first_block_sum = (loads - design.contributions).sum(axis=0)
     assert np.allclose(first_block_sum, d.n * fit.imbalance, atol=1e-10)
     if fit.feasible:
@@ -154,7 +155,7 @@ def test_ci_halfwidth_scales_with_n(rng):
 
     def noiseless(cl, cid):
         return ClusterSample(
-            cl.covariates, cl.treatments, structure.rows_at(cl, cl.treatments) @ h, cluster_id=cid
+            cl.covariates, cl.treatments, design_rows(structure, cl, cl.treatments) @ h, cluster_id=cid
         )
 
     pair = [noiseless(c, 0), noiseless(c2, 1)]

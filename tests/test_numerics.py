@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clusterbal.errors import InvalidInput
-from clusterbal.numerics import DesignOps, project_colspace
+from clusterbal.numerics import DesignOps, _column_components, project_colspace
 
 
 def random_conditioned(rng, rows, cols, cond=1e3):
@@ -147,24 +147,24 @@ def test_design_ops_consistency(rng):
 
 
 def _block_design(rng, blocks, width=3, zero_rows=2):
-    """Row-permuted block-diagonal matrix and its (rows, columns) pieces."""
-    sizes = [rows for rows, _ in blocks]
-    n = sum(sizes) + zero_rows
-    phi = np.zeros((n, len(blocks) * width))
-    perm = rng.permutation(n)
-    pieces, start = [], 0
+    """Row-permuted block-diagonal matrix and its factors, as one size group
+    of one-unit clusters: row i is r_i (x) x_i, with r_i the 0/1 indicator
+    of the row's block, or 0 for the zero rows."""
+    n = sum(rows for rows, _ in blocks) + zero_rows
+    inner = np.zeros((n, len(blocks)), dtype=bool)
+    x = rng.standard_normal((n, width))
+    perm, start = rng.permutation(n), 0
     for b, (rows, scale) in enumerate(blocks):
-        idx = np.sort(perm[start : start + rows])
-        cols = slice(b * width, (b + 1) * width)
-        phi[idx, cols] = scale * rng.standard_normal((rows, width))
-        if rows:
-            pieces.append((idx, cols))
+        idx = perm[start : start + rows]
+        inner[idx, b] = True
+        x[idx] *= scale
         start += rows
-    return phi, tuple(pieces)
+    phi = (inner[:, :, None] * x[:, None, :]).reshape(n, -1)
+    return phi, ((np.arange(n)[:, None], inner[:, None], x[:, None]),)
 
 
-def _assert_ops_agree(phi, pieces, rng):
-    whole, split = DesignOps(phi), DesignOps(phi, pieces=pieces)
+def _assert_ops_agree(phi, factors, rng):
+    whole, split = DesignOps(phi), DesignOps(phi, factors)
     y = rng.standard_normal(phi.shape[0])
     t = rng.standard_normal(phi.shape[1])
     assert split.rank == whole.rank
@@ -178,15 +178,16 @@ def _assert_ops_agree(phi, pieces, rng):
 
 
 def test_design_ops_pieces_match_single_piece(rng):
-    phi, pieces = _block_design(rng, [(7, 1.0), (5, 2.0), (9, 0.5), (4, 1.0)])
-    whole, _ = _assert_ops_agree(phi, pieces, rng)
+    phi, factors = _block_design(rng, [(7, 1.0), (5, 2.0), (9, 0.5), (4, 1.0)])
+    whole, split = _assert_ops_agree(phi, factors, rng)
+    assert len(split._pieces) == 4
     assert whole.rank == phi.shape[1]
 
 
 def test_design_ops_pieces_empty_block_and_zero_rows(rng):
     # block 1 has no rows: its columns are zero, so phi^T w = t is infeasible
-    phi, pieces = _block_design(rng, [(6, 1.0), (0, 1.0), (8, 1.0)], zero_rows=3)
-    whole, split = _assert_ops_agree(phi, pieces, rng)
+    phi, factors = _block_design(rng, [(6, 1.0), (0, 1.0), (8, 1.0)], zero_rows=3)
+    whole, split = _assert_ops_agree(phi, factors, rng)
     assert whole.rank == 6
     assert not split.min_norm_row_solve(rng.standard_normal(phi.shape[1])).feasible()
 
@@ -196,10 +197,10 @@ def test_design_ops_pieces_empty_block_and_zero_rows(rng):
 def test_ols_coefficients_of_a_matrix_rhs_are_pinv(rng, split, q_minus_rank):
     # (N, q) outcomes, q equal to and other than the kept rank
     if split:
-        phi, pieces = _block_design(rng, [(4, 1.0), (3, 2.0)], width=2, zero_rows=1)
+        phi, factors = _block_design(rng, [(4, 1.0), (3, 2.0)], width=2, zero_rows=1)
     else:
-        phi, pieces = rng.standard_normal((6, 3)), None
-    ops = DesignOps(phi, pieces=pieces)
+        phi, factors = rng.standard_normal((6, 3)), None
+    ops = DesignOps(phi, factors)
     assert ops.rank == phi.shape[1]
     y = rng.standard_normal((phi.shape[0], ops.rank + q_minus_rank))
     got = ops.ols_coefficients(y)
@@ -210,6 +211,25 @@ def test_ols_coefficients_of_a_matrix_rhs_are_pinv(rng, split, q_minus_rank):
 def test_design_ops_pieces_rank_cut_is_global(rng):
     # a block whose singular values are all below rcond * sigma_max of the whole
     # design is dropped on both paths, although it is well conditioned alone
-    phi, pieces = _block_design(rng, [(6, 1.0), (6, 1e-17), (2, 1.0)])
-    whole, split = _assert_ops_agree(phi, pieces, rng)
+    phi, factors = _block_design(rng, [(6, 1.0), (6, 1e-17), (2, 1.0)])
+    whole, split = _assert_ops_agree(phi, factors, rng)
     assert whole.rank == split.rank == 5
+
+
+def test_design_ops_component_wholly_below_the_cut(rng):
+    # the rows of block 1 also hold column 2: a two-column component, alone in
+    # its shape and wholly below the global cut, which takes none of its directions
+    phi, ((rows, inner, x),) = _block_design(rng, [(6, 1.0), (5, 1e-17), (0, 1.0)])
+    inner[:, 0, 2] = inner[:, 0, 1]
+    phi = (inner[:, 0, :, None] * x[:, 0, None, :]).reshape(phi.shape)
+    whole, split = _assert_ops_agree(phi, ((rows, inner, x),), rng)
+    assert whole.rank == split.rank == 3
+
+
+def test_column_components_join_rows_through_a_later_row():
+    # the row {3, 4} joins {1, 3} and {0, 4}; columns 2 and 5 are in no row
+    rows = np.zeros((3, 6), dtype=bool)
+    for r, cols in enumerate(([1, 3], [0, 4], [3, 4])):
+        rows[r, cols] = True
+    assert _column_components(rows).tolist() == [0, 0, 1, 0, 0, 2]
+

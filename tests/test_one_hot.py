@@ -148,12 +148,12 @@ def test_contributions_match_per_cluster(rng, data, inner, weight):
 @pytest.mark.parametrize("data", DATA)
 def test_pieces_match_scan_of_dense_design(rng, data, inner):
     d, s = _case(rng, data, inner, "cols")
-    design = build_design(s, d, uniform_intervention())
+    pieces = build_design(s, d, uniform_intervention()).ops()._pieces
     want = scanned_pieces(per_cluster_design(s, fresh_copy(d)), s.inner.dim())
-    assert len(design.pieces) == len(want)
-    for (rows, cols), (rows_w, cols_w) in zip(design.pieces, want):
-        assert np.array_equal(rows, rows_w)
-        assert cols == cols_w
+    assert len(pieces) == len(want)
+    for (rows, cols, *_), (rows_w, cols_w) in zip(sorted(pieces, key=lambda p: p[1][0]), want):
+        assert np.array_equal(np.sort(rows), rows_w)
+        assert np.array_equal(cols, np.arange(cols_w.start, cols_w.stop))
 
 
 @pytest.mark.parametrize("inner", list(INNERS))
@@ -290,14 +290,14 @@ def test_block_nesting_all_zero_covariates(rng):
     d = _replaced(make_dataset(rng, 10, sizes=(2, 4), p=3),
                   covariates=lambda c: np.zeros_like(c.covariates))
     small, large = _tensor(KnnPattern(1)), _tensor(KnnPattern(2))
-    assert build_design(small, d, uniform_intervention()).pieces == ()
+    assert build_design(small, d, uniform_intervention()).ops()._pieces == []
     assert _nesting_agrees(d, small, large)
 
 
 def test_block_nesting_between_one_hot_pieces_and_one_additive_piece(rng):
     d = make_dataset(rng, 30, sizes=(3, 5), p=3)
     one_hot, additive = _tensor(KnnPattern(1)), _tensor(AdditiveTypes(5))
-    assert build_design(additive, d, uniform_intervention()).pieces is None
+    assert len(build_design(additive, d, uniform_intervention()).ops()._pieces) == 1
     _nesting_agrees(d, one_hot, additive)
     _nesting_agrees(d, additive, one_hot)
 
@@ -321,14 +321,13 @@ def test_block_nesting_into_and_out_of_rank_deficient_pieces(rng):
 
 
 def _oracle_design(structure, dataset, weight):
-    """build_design from the per-cluster path, pieces scanned off the dense design."""
-    phi = per_cluster_design(structure, fresh_copy(dataset))
-    one_hot = structure.exposure_mapping is not None
+    """build_design from the per-cluster path, without factors: its fits take
+    the dense SVD."""
     return DesignSystem(
-        phi=phi,
+        phi=per_cluster_design(structure, fresh_copy(dataset)),
         contributions=per_cluster_contributions(structure, fresh_copy(dataset), weight),
         slices=tuple(dataset.cluster_slices()),
-        pieces=scanned_pieces(phi, structure.inner.dim()) if one_hot else None,
+        factors=None,
     )
 
 
@@ -363,14 +362,17 @@ def test_select_takes_no_svd_beyond_the_candidates_design_ops(rng, monkeypatch):
     d = make_dataset(rng, 40, sizes=(2, 6), p=3)
     f = uniform_intervention()
     candidates = [_tensor(KnnPattern(k)) for k in (2, 1, 3)]  # knn2 is not nested in knn1
-    pieces = sum(len(build_design(s, d, f).pieces) for s in candidates)
     calls = []
-    for name in ("svd", "matrix_rank"):
+    for name in ("svd", "qr", "matrix_rank"):
         original = getattr(np.linalg, name)
         monkeypatch.setattr(np.linalg, name,
                             lambda *a, _n=name, _f=original, **k: calls.append(_n) or _f(*a, **k))
+    for s in candidates:
+        build_design(s, d, f).ops()
+    decompositions, calls[:] = list(calls), []
     report, warned = _select(d, f, candidates)
-    assert calls == ["svd"] * pieces
+    assert "matrix_rank" not in decompositions
+    assert calls == decompositions
     assert report.nested == (False, True)
     assert warned == ["candidate 0 'tensor[knn_pattern]' is not nested in "
                       "candidate 1 'tensor[knn_pattern]' on the observed design"]

@@ -33,7 +33,7 @@ from clusterbal.structures import (
     target_contributions,
 )
 
-from oracles import fresh_copy, per_cluster_contributions, per_cluster_design
+from oracles import design_rows, fresh_copy, per_cluster_contributions, per_cluster_design
 
 PROPERTY = settings(
     max_examples=100,
@@ -111,7 +111,7 @@ def test_expected_rows_are_the_enumeration_average(structure, d):
         probs = _probs(c)
         bits = enumerate_patterns(c.size)
         masses = np.prod(np.where(bits == 1, probs, 1.0 - probs), axis=1)
-        average = sum(m * structure.rows_at(c, a) for m, a in zip(masses, bits))
+        average = sum(m * design_rows(structure, c, a) for m, a in zip(masses, bits))
         np.testing.assert_allclose(
             structure.expected_rows(c, probs), average, rtol=1e-12, atol=1e-12
         )
@@ -125,14 +125,14 @@ def test_one_hot_rows_sum_to_one(structure, d):
             rows = structure.all_pattern_rows(c, i)
             assert set(np.unique(rows)) <= {0.0, 1.0}
             assert (rows.sum(axis=1) == 1.0).all()
-        assert (structure.rows_at(c, c.treatments).sum(axis=1) == 1.0).all()
+        assert (design_rows(structure, c, c.treatments).sum(axis=1) == 1.0).all()
 
 
 @PROPERTY
 @given(any_structure, datasets())
 def test_all_pattern_rows_at_the_observed_pattern_are_the_observed_rows(structure, d):
     for c in d.clusters:
-        observed = structure.rows_at(c, c.treatments)
+        observed = design_rows(structure, c, c.treatments)
         r = pattern_index(c.treatments)
         for i in range(c.size):
             assert np.array_equal(structure.all_pattern_rows(c, i)[r], observed[i])

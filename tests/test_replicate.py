@@ -1,8 +1,6 @@
 """The size-batched Monte-Carlo replicate against its per-cluster oracles:
 the DGP draw, the calibration signal, the IPW weights and the sandwich loads."""
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -33,10 +31,12 @@ from clusterbal.structures import AdditiveTypes, KnnPattern, StratifiedCount, Te
 
 from conftest import make_dataset
 from oracles import (
+    dense_loads,
     knn_lists,
     per_cluster_calibration_moments,
     per_cluster_gen_dataset,
     per_cluster_ipw_weights,
+    with_dense_ops,
 )
 
 KINDS = ("knn1", "knn2", "knn3", "knn4", "knn5", "stratified5", "additive")
@@ -225,12 +225,10 @@ def test_scattered_loads_equal_dense_loads(rng, inner):
     structure = _tensor(inner)
     f, e = probit_intervention(0.3), probit_propensity(0.0)
     design = build_design(structure, d, f)
-    assert design.one_hot is not None
-    dense = replace(design, one_hot=None)
+    dense = with_dense_ops(design)
     w = rng.standard_normal(d.total_units)
-    got = _per_cluster_feature_loads(design.phi, w, design.slices, design.one_hot)
-    want = _per_cluster_feature_loads(design.phi, w, design.slices)
-    assert np.allclose(got, want, rtol=1e-12, atol=0)
+    want = dense_loads(design, w)
+    assert np.allclose(_per_cluster_feature_loads(design, w), want, rtol=1e-12, atol=0)
     for kind, fit_fn in (("bal", balancing_fit), ("proj", projection_fit)):
         extra = {} if kind == "bal" else {"propensity": e}
         args = (d, structure, f) + ((e,) if kind == "proj" else ())
@@ -243,10 +241,12 @@ def test_scattered_loads_equal_dense_loads(rng, inner):
         assert got == pytest.approx(want, rel=1e-12, abs=0)
 
 
-def test_non_one_hot_designs_keep_dense_loads(rng):
+def test_non_one_hot_designs_factor_their_loads(rng):
     d = make_dataset(rng, 10, sizes=(2, 4), p=2)
     design = build_design(TensorWithCovariates(AdditiveTypes(4)), d, uniform_intervention())
-    assert design.one_hot is None and design.pieces is None
+    w = rng.standard_normal(d.total_units)
+    want = dense_loads(design, w)
+    assert np.allclose(_per_cluster_feature_loads(design, w), want, rtol=1e-12, atol=0)
 
 
 # ---------- Monte-Carlo failures by exception class ----------

@@ -28,6 +28,8 @@ from clusterbal.simulate import (
 )
 from clusterbal.structures import NeighborPattern
 
+from oracles import design_rows
+
 SMALL = dict(n=8, snr_target=0.2, kappa=0.2, seed=11, gamma=0.15)
 
 
@@ -81,7 +83,7 @@ def test_outcomes_follow_linear_signal():
     structure = dgp_structure(cfg)
     h = dgp_h(cfg, cfg.gamma)
     for c in ds.clusters:
-        g = structure.rows_at(c, c.treatments) @ h
+        g = design_rows(structure, c, c.treatments) @ h
         assert np.allclose(c.outcomes, g, atol=1e-4)
 
 

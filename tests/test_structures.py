@@ -49,6 +49,7 @@ from clusterbal.structures import (
 from conftest import make_cluster, make_dataset
 from oracles import (
     composed_rows,
+    design_rows,
     fresh_copy,
     knn_lists,
     knn_one_hot_rows,
@@ -73,29 +74,29 @@ def cluster_with(x, a):
 
 def test_no_interference_rows():
     c = cluster_with([[0.0], [0.0]], [0, 1])
-    assert NoInterference().feature_row(c, 0, [0, 1]).tolist() == [1.0, 0.0]
-    assert NoInterference().feature_row(c, 1, [0, 1]).tolist() == [0.0, 1.0]
+    assert design_rows(NoInterference(), c, [0, 1])[0].tolist() == [1.0, 0.0]
+    assert design_rows(NoInterference(), c, [0, 1])[1].tolist() == [0.0, 1.0]
 
 
 def test_stratified_count_one_treated_neighbor():
     # three units on a line; unit 0's 2 nearest neighbors are 1 and 2
     c = cluster_with([[0.0], [1.0], [2.0]], [0, 0, 0])
     s = StratifiedCount(2, include_own=False)
-    row = s.feature_row(c, 0, [0, 1, 0])
+    row = design_rows(s, c, [0, 1, 0])[0]
     assert row.tolist() == [0.0, 1.0, 0.0]
 
 
 def test_tensor_with_covariates_kron():
     c = cluster_with([[1.0, 2.0]], [1])
     s = TensorWithCovariates(NoInterference())
-    assert s.feature_row(c, 0, [1]).tolist() == [0.0, 0.0, 1.0, 2.0]
+    assert design_rows(s, c, [1])[0].tolist() == [0.0, 0.0, 1.0, 2.0]
 
 
 def test_knn_pattern_neighbor_treated():
     c = cluster_with([[0.0], [0.1]], [0, 0])
     s = KnnPattern(1)
-    assert s.feature_row(c, 0, [0, 1]).tolist() == [0.0, 1.0]
-    assert s.feature_row(c, 0, [0, 0]).tolist() == [1.0, 0.0]
+    assert design_rows(s, c, [0, 1])[0].tolist() == [0.0, 1.0]
+    assert design_rows(s, c, [0, 0])[0].tolist() == [1.0, 0.0]
 
 
 def test_knn_pattern_slot_is_binary_encoding(rng):
@@ -105,8 +106,9 @@ def test_knn_pattern_slot_is_binary_encoding(rng):
     nbrs = knn_lists(c, 3)
     for _ in range(10):
         a = rng.integers(0, 2, 6).astype(np.int8)
+        rows = design_rows(s, c, a)
         for i in range(6):
-            row = s.feature_row(c, i, a)
+            row = rows[i]
             assert row.sum() == 1.0
             expected_slot = int("".join(str(int(a[j])) for j in nbrs[i]), 2)
             assert row[expected_slot] == 1.0
@@ -151,7 +153,7 @@ def test_one_hot_rows_match_knn_oracle(kind, k, include_own):
         bits = enumerate_patterns(c.size)
         oracle = np.stack([knn_one_hot_rows(c, b, kind, k, include_own) for b in bits])
         for r in range(bits.shape[0]):
-            assert np.array_equal(s.rows_at(c, bits[r]), oracle[r])
+            assert np.array_equal(design_rows(s, c, bits[r]), oracle[r])
         for i in range(c.size):
             assert np.array_equal(s.all_pattern_rows(c, i), oracle[:, i])
     want = np.vstack([knn_one_hot_rows(c, c.treatments, kind, k, include_own) for c in d.clusters])
@@ -178,7 +180,7 @@ def test_named_one_hot_structure_is_its_mapping_indicator(kind, k, include_own):
     for c in d.clusters:
         bits = enumerate_patterns(c.size)
         for r in range(bits.shape[0]):
-            assert np.array_equal(named.rows_at(c, bits[r]), generic.rows_at(c, bits[r]))
+            assert np.array_equal(design_rows(named, c, bits[r]), design_rows(generic, c, bits[r]))
         for i in range(c.size):
             assert np.array_equal(named.all_pattern_rows(c, i), generic.all_pattern_rows(c, i))
         probs = rng.uniform(0.1, 0.9, c.size)
@@ -192,29 +194,29 @@ def test_named_one_hot_structure_is_its_mapping_indicator(kind, k, include_own):
         )
 
 
-def test_feature_row_index_errors(rng):
+def test_row_index_and_pattern_errors(rng):
     c = make_cluster(rng, 3)
     with pytest.raises(DimensionMismatch):
-        NoInterference().feature_row(c, 5, [0, 0, 0])
+        NoInterference().all_pattern_rows(c, 5)
     with pytest.raises(DimensionMismatch):
-        NoInterference().feature_row(c, 0, [0, 0])
+        design_rows(NoInterference(), c, [0, 0])
 
 
 def test_additive_types_encoding():
     c = cluster_with([[0.0], [0.0], [0.0]], [1, 0, 1])
     s = AdditiveTypes(4, type_source="unit_index")
-    row = s.feature_row(c, 0, [1, 0, 1])
+    row = design_rows(s, c, [1, 0, 1])[0]
     # types 1..3 present (status 1, 0, 1), type 4 absent
     assert row.tolist() == [0, 1, 1, 0, 0, 1, 0, 0]
     # rows identical across units
-    assert np.array_equal(s.rows_at(c, c.treatments), np.tile(row, (3, 1)))
+    assert np.array_equal(design_rows(s, c, c.treatments), np.tile(row, (3, 1)))
 
 
 def test_additive_types_column_source():
     x = np.array([[3.0], [1.0]])
     c = ClusterSample(covariates=x, treatments=[1, 0], outcomes=[0, 0], cluster_id=0)
     s = AdditiveTypes(3, type_source={"column": 0})
-    row = s.feature_row(c, 0, [1, 0])
+    row = design_rows(s, c, [1, 0])[0]
     assert row.tolist() == [1, 0, 0, 0, 0, 1]
 
 
@@ -222,7 +224,7 @@ def test_additive_types_duplicate_type_rejected():
     x = np.array([[2.0], [2.0]])
     c = ClusterSample(covariates=x, treatments=[0, 0], outcomes=[0, 0], cluster_id=0)
     with pytest.raises(InvalidSpec):
-        AdditiveTypes(3, type_source={"column": 0}).feature_row(c, 0, [0, 0])
+        design_rows(AdditiveTypes(3, type_source={"column": 0}), c, [0, 0])
 
 
 def _typed(types):
@@ -261,9 +263,9 @@ def test_additive_types_by_unit_index_need_as_many_types_as_units(rng):
 def test_coarsened_count_bins():
     c = cluster_with([[0.0], [1.0], [2.0], [3.0]], [0, 0, 0, 0])
     s = CoarsenedCount(order=1, thresholds=(0, 1), k=3)
-    row = s.feature_row(c, 0, [1, 1, 0, 0])  # own=1, one treated neighbor
+    row = design_rows(s, c, [1, 1, 0, 0])[0]  # own=1, one treated neighbor
     assert row.tolist() == [0, 1, 0, 1, 0]
-    row = s.feature_row(c, 0, [0, 1, 1, 1])  # three treated neighbors -> high
+    row = design_rows(s, c, [0, 1, 1, 1])[0]  # three treated neighbors -> high
     assert row.tolist() == [1, 0, 0, 0, 1]
 
 
@@ -278,7 +280,7 @@ def test_coarsened_count_fit_thresholds(rng):
     t = s.fit_thresholds(d)
     assert t.shape == (2, 2)
     assert (t[:, 0] <= t[:, 1]).all()
-    row = s.feature_row(d.clusters[0], 0, d.clusters[0].treatments)
+    row = design_rows(s, d.clusters[0], d.clusters[0].treatments)[0]
     assert row.shape == (8,)
     assert row[:2].sum() == 1.0 and row[2:5].sum() == 1.0 and row[5:8].sum() == 1.0
 
@@ -351,7 +353,7 @@ def test_indicator_rows_one_hot_per_block(rng, builder):
     c = make_cluster(rng, 5)
     for _ in range(5):
         a = rng.integers(0, 2, 5).astype(np.int8)
-        rows = s.rows_at(c, a)
+        rows = design_rows(s, c, a)
         assert set(np.unique(rows)) <= {0.0, 1.0}
         if isinstance(s, CoarsenedCount):
             assert np.allclose(rows[:, :2].sum(axis=1), 1.0)
@@ -364,10 +366,10 @@ def test_feature_purity(rng):
     s = TensorWithCovariates(KnnPattern(2))
     c = make_cluster(rng, 4)
     a = c.treatments
-    r1 = s.feature_row(c, 1, a).copy()
+    r1 = design_rows(s, c, a)[1].copy()
     other = make_cluster(rng, 6, cluster_id=99)
-    s.rows_at(other, other.treatments)
-    assert np.array_equal(s.feature_row(c, 1, a), r1)
+    design_rows(s, other, other.treatments)
+    assert np.array_equal(design_rows(s, c, a)[1], r1)
 
 
 # ---------- expected rows agree with enumeration ----------
@@ -396,7 +398,7 @@ def test_expected_rows_match_enumeration(rng, builder):
     d = s.dim(c)
     brute = np.zeros((5, d))
     for r in range(bits.shape[0]):
-        brute += masses[r] * s.rows_at(c, bits[r])
+        brute += masses[r] * design_rows(s, c, bits[r])
     assert np.allclose(s.expected_rows(c, probs), brute, atol=1e-12)
 
 
@@ -417,7 +419,7 @@ def test_all_pattern_rows_match_feature_row(rng):
         for i in range(4):
             rows = s.all_pattern_rows(c, i)
             for r in range(16):
-                assert np.allclose(rows[r], s.feature_row(c, i, bits[r]))
+                assert np.allclose(rows[r], design_rows(s, c, bits[r])[i])
 
 
 # ---------- composition ----------
@@ -436,7 +438,7 @@ def test_compose_matches_matrix_product_oracle(rng):
         slot_bits = enumerate_patterns(2)
         lam2 = np.stack([outer_row_on_bits(outer, b) for b in slot_bits])  # (4, 4)
         product = lam1 @ lam2
-        got = np.stack([composed.feature_row(c, i, bits[r]) for r in range(16)])
+        got = np.stack([design_rows(composed, c, bits[r])[i] for r in range(16)])
         assert np.allclose(got, product, atol=1e-12)
 
 
@@ -456,7 +458,7 @@ def test_compose_expected_rows_match_enumeration(rng):
     probs = rng.uniform(0.2, 0.8, 4)
     bits = enumerate_patterns(4)
     masses = np.prod(np.where(bits == 1, probs, 1 - probs), axis=1)
-    brute = sum(masses[r] * s.rows_at(c, bits[r]) for r in range(16))
+    brute = sum(masses[r] * design_rows(s, c, bits[r]) for r in range(16))
     assert np.allclose(s.expected_rows(c, probs), brute, atol=1e-12)
 
 
@@ -482,7 +484,7 @@ def test_compose_rows_match_unit_by_unit_oracle(rng, structure):
         bits = enumerate_patterns(c.size)
         want = np.stack([composed_rows(structure, c, a) for a in bits])  # (2^m, m, d)
         for r, a in enumerate(bits):
-            assert np.array_equal(structure.rows_at(c, a), want[r])
+            assert np.array_equal(design_rows(structure, c, a), want[r])
         for i in range(c.size):
             assert np.array_equal(structure.all_pattern_rows(c, i), want[:, i])
         probs = rng.uniform(0.2, 0.8, c.size)
@@ -503,12 +505,12 @@ def test_compose_reads_a_given_graph(rng):
             structure = Compose(outer, KnnPattern(k, graph=graph))
             for c in d.clusters:
                 for a in enumerate_patterns(3):
-                    assert np.array_equal(structure.rows_at(c, a), composed_rows(structure, c, a))
+                    assert np.array_equal(design_rows(structure, c, a), composed_rows(structure, c, a))
 
 
 def test_compose_with_knn_outer_is_one_hot(rng):
     """A KnnPattern outer makes the composition one-hot: a tensor over it
-    takes the scattered design and its DesignOps block pieces."""
+    takes the scattered design, and its DesignOps one component per slot."""
     from clusterbal.estimators import build_design
 
     d = make_dataset(rng, 6, sizes=(1, 5))
@@ -517,8 +519,10 @@ def test_compose_with_knn_outer_is_one_hot(rng):
         one_hot = isinstance(base, KnnPattern)
         assert (structure.exposure_mapping is not None) == one_hot
         tensor = TensorWithCovariates(structure, columns=[0, 1])
-        assert (build_design(tensor, d, uniform_intervention()).pieces is not None) == one_hot
-        phi = np.vstack([tensor.rows_at(c, c.treatments) for c in d.clusters])
+        if one_hot:
+            pieces = build_design(tensor, d, uniform_intervention()).ops()._pieces
+            assert all(cols.size == 2 and cols[0] % 2 == 0 for _, cols, *_ in pieces)
+        phi = np.vstack([design_rows(tensor, c, c.treatments) for c in d.clusters])
         assert np.array_equal(design_matrix(tensor, d), phi)
         np.testing.assert_allclose(
             target_contributions(tensor, d, uniform_intervention()),
@@ -578,7 +582,7 @@ def test_design_matrix_rows_match_feature_row(rng):
     r = 0
     for c in d.clusters:
         for i in range(c.size):
-            assert np.allclose(phi[r], s.feature_row(c, i, c.treatments))
+            assert np.allclose(phi[r], design_rows(s, c, c.treatments)[i])
             r += 1
 
 
@@ -917,7 +921,7 @@ def test_tensor_cluster_mean_column(rng):
     d = make_dataset(rng, 2, sizes=(3, 3), p=2)
     s = TensorWithCovariates(NoInterference(), columns=[0, {"cluster_mean": 1}])
     c = d.clusters[0]
-    row = s.feature_row(c, 0, c.treatments)
+    row = design_rows(s, c, c.treatments)[0]
     xbar = c.covariates[:, 1].mean()
     expected_block = [c.covariates[0, 0], xbar]
     a0 = int(c.treatments[0])

@@ -10,7 +10,10 @@ in is the one measured:
     python3 ../parent/tools/identity_digests.py > old.txt   # or a copy of this file
     diff old.txt new.txt
 
-The digests depend on the BLAS build, so compare runs on one machine only.
+The structure outputs include the balancing and projection weights and
+their sandwich variances, which pin the design decomposition of every
+structure kind. The digests depend on the BLAS build, so compare runs on
+one machine only.
 It takes a few seconds; most of it is the `monte_carlo` runs and the three
 commands on the 3,000-cluster analysis data, which are the benchmark's
 `analysis-n3000` inputs (seed 2102).
@@ -39,7 +42,13 @@ from clusterbal.core import (  # noqa: E402
     probit_intervention,
     probit_propensity,
 )
-from clusterbal.estimators import weighted_projection_fit  # noqa: E402
+from clusterbal.estimators import (  # noqa: E402
+    balancing_fit,
+    build_design,
+    projection_fit,
+    weighted_projection_fit,
+)
+from clusterbal.inference import sandwich_variance  # noqa: E402
 from clusterbal.simulate import DGPConfig, monte_carlo  # noqa: E402
 from clusterbal.structures import (  # noqa: E402
     AdditiveTypes,
@@ -135,6 +144,24 @@ def structure_outputs():
         for law_name, law in laws.items():
             fit = weighted_projection_fit(dataset, structure, weight, law)
             emit(f"{name}.wproj.{law_name}", fit.weights.values)
+        design_outputs(name, structure, dataset, weight, laws)
+
+
+def design_outputs(name, structure, dataset, weight, laws):
+    """The balancing and projection weights on the structure's design, and
+    their sandwich variances (sigma2, CI ends), the projection's under each
+    law; the balancing variance is taken for infeasible fits too."""
+    design = build_design(structure, dataset, weight)
+    fit = balancing_fit(dataset, structure, weight, design=design)
+    emit(f"{name}.balancing", fit.weights.values)
+    var = sandwich_variance(dataset, structure, weight, fit, "bal", allow_infeasible=True)
+    emit(f"{name}.balancing.sandwich", np.array([var.sigma2_hat, var.ci_low, var.ci_high]))
+    for law_name, law in laws.items():
+        fit = projection_fit(dataset, structure, weight, law, design=design)
+        emit(f"{name}.projection.{law_name}", fit.weights.values)
+        var = sandwich_variance(dataset, structure, weight, fit, "proj", propensity=law)
+        emit(f"{name}.projection.{law_name}.sandwich",
+             np.array([var.sigma2_hat, var.ci_low, var.ci_high]))
 
 
 def analysis_outputs():
