@@ -147,7 +147,7 @@ def _raw_imbalance_report(dataset, structure, fit, threshold):
     d = structure.dim(dataset.clusters[0])
     if nu.size != d:
         raise InvalidSpec(f"imbalance length {nu.size} != structure dimension {d}")
-    m_counts = (fit._context["design"].phi != 0).sum(axis=0).astype(float)
+    m_counts = incidence_counts(structure, dataset, fit._context["design"].classes)
     return ImbalanceReport(
         nu=nu,
         nu_star=np.full((1, d), np.nan),

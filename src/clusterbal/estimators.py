@@ -82,13 +82,12 @@ class EstimateReport:
 
 @dataclass(frozen=True)
 class DesignSystem:
-    """Observed design matrix, its factors and per-cluster target contributions."""
+    """Observed design, held only as its factors (unit i's row is inner_i (x)
+    x_i; `design_matrix` builds it dense), and per-cluster target contributions."""
 
-    phi: np.ndarray
     contributions: np.ndarray  # (n, d_h)
     slices: tuple
-    # (unit rows (B, m), inner rows (B, m, ell) bool, covariate rows (B, m, w))
-    # per size group: unit i's row of phi is inner_i (x) x_i
+    # per size group: (unit rows (B, m), inner rows (B, m, ell) bool, covariate rows (B, m, w))
     factors: tuple
     classes: tuple = ()  # each block's observed classes per size group (`_observed_design`)
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
@@ -99,7 +98,7 @@ class DesignSystem:
 
     def ops(self):
         if "ops" not in self._cache:
-            self._cache["ops"] = DesignOps(self.phi, self.factors)
+            self._cache["ops"] = DesignOps(self.factors)
         return self._cache["ops"]
 
     def keep_ipw_weights(self, propensity, values):
@@ -114,12 +113,11 @@ class DesignSystem:
 
 
 def build_design(structure, dataset, weight):
-    """Observed design and target, with the factors its decomposition and
-    sandwich loads read: each unit's inner row and covariate row, whose
-    Kronecker product is its row of the design (`_observed_design`)."""
-    phi, factors, classes = _observed_design(structure, dataset)
+    """Observed design and target. The design is its factors, each unit's
+    inner row and covariate row, whose Kronecker product is its row
+    (`_observed_design`); the decomposition, residual and loads read them."""
+    factors, classes = _observed_design(structure, dataset)
     return DesignSystem(
-        phi=phi,
         contributions=target_contributions(structure, dataset, weight),
         slices=tuple(dataset.cluster_slices()),
         factors=factors,
@@ -172,15 +170,16 @@ def balancing_fit(dataset, structure, weight, design=None):
     """Minimum-norm solution of the balancing equations phi^T w = t.
 
     The point estimate is reported even when the equations are infeasible
-    (feasible=False); the imbalance vector is always attached so the fit can
-    be assessed per the imbalance diagnostics.
+    (feasible=False); the imbalance vector, the solve's residual
+    phi^T w - t over n, is always attached so the fit can be assessed per
+    the imbalance diagnostics.
     """
     if design is None:
         design = build_design(structure, dataset, weight)
     t = design.target
     report = design.ops().min_norm_row_solve(t)
     w = report.solution
-    nu = (design.phi.T @ w - t) / dataset.n
+    nu = report.residual / dataset.n
     return EstimateReport(
         point=_point(dataset, w),
         weights=WeightSet(values=w, kind="balancing", feasible=report.feasible()),

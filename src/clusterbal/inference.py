@@ -108,12 +108,13 @@ def _per_cluster_sums(values, slices):
 def _per_cluster_feature_loads(design, weights):
     """Lambda_c(A_c)^T w_c per cluster: (n, d). Cluster c's load is
     sum_i w_i r_i (x) x_i over its units, from the design's factors: one
-    batched (w * X)^T r product per size group, without phi."""
+    batched r^T (w * X) product per size group."""
     starts = np.array([s for s, _ in design.slices])
-    out = np.empty((len(starts), design.phi.shape[1]))
+    _, inner, x = design.factors[0]
+    out = np.empty((len(starts), inner.shape[2] * x.shape[2]))
     for rows, inner, x in design.factors:
-        loads = np.matmul((x * weights[rows][:, :, None]).transpose(0, 2, 1), inner)
-        out[np.searchsorted(starts, rows[:, 0])] = loads.transpose(0, 2, 1).reshape(len(rows), -1)
+        loads = np.matmul(inner.astype(float).transpose(0, 2, 1), x * weights[rows][:, :, None])
+        out[np.searchsorted(starts, rows[:, 0])] = loads.reshape(len(rows), -1)
     return out
 
 
@@ -195,10 +196,7 @@ def sigma_noise_hat(dataset, structure, dof="units", design=None):
     dof='units' divides by (total units - rank); dof='clusters' is the
     literal cluster-count denominator, kept behind this flag.
     """
-    if design is None:
-        ops = DesignOps(*_observed_design(structure, dataset)[:2])
-    else:
-        ops = design.ops()
+    ops = DesignOps(_observed_design(structure, dataset)[0]) if design is None else design.ops()
     y = dataset.stacked_outcomes()
     resid = y - ops.project(y)
     denom = (dataset.total_units if dof == "units" else dataset.n) - ops.rank

@@ -33,6 +33,7 @@ class SolveReport:
     """Minimum-norm solve outcome with feasibility evidence."""
 
     solution: np.ndarray
+    residual: np.ndarray  # phi^T w - t
     residual_norm: float
     relative_residual: float
     rank: int
@@ -67,6 +68,14 @@ def _column_components(rows):
     return connected_components(graph, directed=False)[1][:ell]
 
 
+def _stacked(factors):
+    """A factored design's unit rows (N,), inner rows (N, ell) and covariate rows (N, w)."""
+    n = [rows.size for rows, _, _ in factors]
+    units, inner, x = (np.concatenate([a.reshape(k, -1) for a, k in zip(part, n)])
+                       for part in zip(*factors))
+    return units.ravel(), inner, x
+
+
 def _factored_svds(factors, rcond):
     """(rows, cols, u, s, vt) of the thin SVD of each connected component
     of a factored design (`DesignOps`).
@@ -98,10 +107,8 @@ def _factored_svds(factors, rcond):
     the global cut rcond * s_max keeps the same directions. |X_g|_F =
     |R_g|_F >= |X_g|_2 stands in for |X_g|.
     """
-    ell, w = factors[0][1].shape[2], factors[0][2].shape[2]
-    units = np.concatenate([rows.ravel() for rows, _, _ in factors])
-    inner = np.concatenate([b.reshape(rows.size, ell) for rows, b, _ in factors])
-    x = np.concatenate([x.reshape(rows.size, w) for rows, _, x in factors])
+    units, inner, x = _stacked(factors)
+    ell, w = inner.shape[1], x.shape[1]
     # each inner row as one key: its bits in a 64-bit word, or its index
     # among the distinct rows when they need more than one word
     words = np.zeros((units.size, -(-ell // 64) * 8), dtype=np.uint8)
@@ -127,7 +134,7 @@ def _factored_svds(factors, rcond):
     comp = comp[by_comp]
     first = np.cumsum(height) - height
     order = order[np.repeat(start - first, height) + np.arange(order.size)]
-    # phi's entries are these covariate rows' or 0: it is finite when they are
+    # the design's entries are these covariate rows' or 0: it is finite when they are
     units, x = units[order], _validate(x[order])
     # one QR per height; each unit's row of its Q_g, which has min(h, w)
     # columns, and R_g's rows beyond those are 0
@@ -183,31 +190,40 @@ def _factored_svds(factors, rcond):
     return out
 
 
+def dense_design(factors):
+    """The N x d design of a factored one: each unit's covariate row x_i
+    scattered into the w-wide column blocks its inner row r_i sets, which
+    is r_i (x) x_i with no -0.0 where x_i < 0."""
+    units, inner, x = _stacked(factors)
+    out = np.zeros((units.size, inner.shape[1], x.shape[1]))
+    unit, col = np.nonzero(inner)
+    out[units[unit], col] = x[unit]
+    return out.reshape(units.size, -1)
+
+
 class DesignOps:
-    """SVD of a design matrix, reused across every solver that needs it.
+    """SVD of a factored design, reused across every solver that needs it.
 
     Backs the balancing solve (min-norm row-space solve), the OLS coefficient
     map, and column-space projections, so a fit pays for one decomposition.
 
-    `factors` gives each unit's row as r_i (x) x_i: per size group, (unit
-    rows (B, m), inner rows r_i (B, m, ell) 0/1, covariate rows x_i (B, m,
-    w)), as `build_design` carries them. The inner columns split into
+    `factors` gives each unit's row as r_i (x) x_i, the design's only form:
+    per size group, (unit rows (B, m), inner rows r_i (B, m, ell) bool,
+    covariate rows x_i (B, m, w)), so N x d is units x (ell * w); a dense
+    matrix is one group of inner rows [1]. The inner columns split into
     connected components, two columns joined when some inner row holds both;
     the components share no rows and no columns, and each takes the SVD of a
     small matrix with its singular values (`_factored_svds`). The singular
     values of the design are the union of the components', so the rank cut
-    stays global: max(N, d) * eps times the largest singular value over all
-    of them. Without factors, phi takes one dense SVD: the tests' oracle.
+    stays global: max(N, d) * eps times the largest singular value over all.
     """
 
-    def __init__(self, phi, factors=None):
-        self.phi = phi = np.asarray(phi, dtype=np.float64)
-        rcond = _default_rcond(phi.shape)
-        if factors is None:
-            u, s, vt = np.linalg.svd(_validate(phi), full_matrices=False)
-            svds = [(slice(None), slice(None), u, s, vt)]
-        else:
-            svds = _factored_svds(factors, rcond)
+    def __init__(self, factors):
+        self.factors = factors
+        _, inner, x = factors[0]
+        self.shape = (sum(rows.size for rows, _, _ in factors), inner.shape[-1] * x.shape[-1])
+        rcond = _default_rcond(self.shape)
+        svds = _factored_svds(factors, rcond)
         self.s_max = max((s[0] for _, _, _, s, _ in svds if s.size), default=0.0)
         cut = rcond * self.s_max
         self._pieces = []
@@ -218,29 +234,42 @@ class DesignOps:
                 self._pieces.append((rows, cols, u[:, :keep], s[:keep], vt[:keep]))
         self.rank = int(sum(s.size for _, _, _, s, _ in self._pieces))
 
+    @property
+    def phi(self):
+        """The dense design, built anew from the factors on every read
+        (`dense_design`). Its only reader is the benchmark's tracer
+        (`perfbench/tracing.py`), which counts an SVD of this shape; the
+        benchmark change of ROADMAP.md's direction 2 removes it."""
+        return dense_design(self.factors)
+
     def ols_coefficients(self, y):
         """phi^+ y: minimum-norm least-squares coefficients, y (N,) or (N, q)."""
         y = np.asarray(y, float)
-        out = np.zeros((self.phi.shape[1],) + y.shape[1:])
+        out = np.zeros((self.shape[1],) + y.shape[1:])
         for rows, cols, u, s, vt in self._pieces:
             # one singular value per row of u.T @ y: divide along the first axis
             out[cols] = vt.T @ ((u.T @ y[rows]) / s.reshape((-1,) + (1,) * (y.ndim - 1)))
         return out
 
     def min_norm_row_solve(self, t):
-        """Minimum-norm w with phi^T w = t, as a SolveReport."""
+        """Minimum-norm w with phi^T w = t, as a SolveReport; the residual
+        phi^T w - t takes one r^T (w * X) product per size group."""
         t = np.asarray(t, dtype=np.float64).ravel()
-        w = np.zeros(self.phi.shape[0])
+        w = np.zeros(self.shape[0])
         for rows, cols, u, s, vt in self._pieces:
             w[rows] = u @ ((vt @ t[cols]) / s)
-        resid = float(np.linalg.norm(self.phi.T @ w - t))
-        rel = resid / max(float(np.linalg.norm(t)), 1.0)
-        return SolveReport(solution=w, residual_norm=resid, relative_residual=rel, rank=self.rank)
+        resid = -t
+        for rows, inner, x in self.factors:
+            wx = (x * w[rows][:, :, None]).reshape(rows.size, -1)
+            resid = resid + (inner.reshape(rows.size, -1).astype(np.float64).T @ wx).ravel()
+        norm = float(np.linalg.norm(resid))
+        rel = norm / max(float(np.linalg.norm(t)), 1.0)
+        return SolveReport(w, resid, norm, rel, self.rank)
 
     def project(self, v):
         """Projection of v onto the column space of phi."""
         v = np.asarray(v, dtype=np.float64).ravel()
-        out = np.zeros(self.phi.shape[0])
+        out = np.zeros(self.shape[0])
         for rows, _, u, _, _ in self._pieces:
             out[rows] = u @ (u.T @ v[rows])
         return out
@@ -248,19 +277,24 @@ class DesignOps:
     def contains(self, other):
         """True when the span of `other` (a DesignOps on the same rows) lies in this one's.
 
-        other's phi minus its projection on this design's kept left singular
-        vectors, component by component (rows no component covers count whole), is held in
-        Frobenius norm against max(N, d_other + d) * eps * max(both s_max).
+        other's design minus its projection on this design's kept left singular
+        vectors, component by component, is held in Frobenius norm against
+        max(N, d_other + d) * eps * max(both s_max). Each component's rows of
+        other's design are built from other's factors, one component at a
+        time; a row no component covers counts whole, |r_i|^2 |x_i|^2.
         That is matrix_rank's rank([phi_other, phi]) == rank(phi) up to eps-scale
         factors: sqrt(2) on the stacked s_max, sqrt(d_other) from Frobenius to spectral.
         """
-        phi_s = other.phi
-        covered = np.zeros(phi_s.shape[0], dtype=bool)
+        units, inner, x = _stacked(other.factors)
+        order = np.argsort(units)  # other's rows in unit order
+        inner, x = inner[order], x[order]
+        covered = np.zeros(units.size, dtype=bool)
         resid2 = 0.0
         for rows, _, u, _, _ in self._pieces:
-            block = phi_s[rows]
+            block = dense_design(((np.arange(len(rows)), inner[rows], x[rows]),))
             resid2 += float(np.sum((block - u @ (u.T @ block)) ** 2))
             covered[rows] = True
-        resid2 += float(np.sum(phi_s[~covered] ** 2))
-        shape = (phi_s.shape[0], phi_s.shape[1] + self.phi.shape[1])
+        rest = ~covered
+        resid2 += float(np.count_nonzero(inner[rest], axis=1) @ np.sum(x[rest] ** 2, axis=1))
+        shape = (self.shape[0], other.shape[1] + self.shape[1])
         return bool(np.sqrt(resid2) <= _default_rcond(shape) * max(self.s_max, other.s_max))

@@ -16,7 +16,7 @@ import numpy as np
 from . import _kernels
 from .core import PATTERN_CAP, BernoulliIntervention, enumerate_patterns
 from .errors import CapExceeded, DimensionMismatch, InvalidSpec
-from .numerics import DesignOps, _validate
+from .numerics import DesignOps, _validate, dense_design
 from .specio import spec_field, spec_int
 
 # ---------- neighbor graphs ----------
@@ -985,36 +985,25 @@ def _pattern_rows_by_unit(structure, cluster):
 
 
 def _observed_design(structure, dataset):
-    """design_matrix, with its factors and classes: (phi (N, d), ((unit rows
-    (B, m), inner rows (B, m, ell) bool, covariate rows (B, m, w)), ...),
-    (each block's observed classes [(B, m) int64], ...)), per size group in
-    `_size_groups` order. Unit i's row of phi is its inner row (x) its
-    covariate row (`_GroupRows`), the factored form `DesignOps` takes.
-
-    Each size group's blocks scatter the units' covariate rows into the
-    columns of their observed classes, in place in the design.
-    """
+    """The observed design's factors and classes, per size group in
+    `_size_groups` order: (((unit rows (B, m), inner rows (B, m, ell) bool,
+    covariate rows (B, m, w)), ...), (each block's classes [(B, m)], ...)).
+    Unit i's row is its inner row (x) its covariate row (`_GroupRows`)."""
     if structure.regime != "fixed":
         raise InvalidSpec("design matrices need a fixed-dimension structure")
-    n_units = dataset.total_units
-    phi, factors, observed = None, [], []
+    factors, observed = [], []
     for group, _, rows in _size_groups(dataset):
         layout = _GroupRows(structure, group)
-        if phi is None:
-            phi = np.zeros((n_units, layout.ell, layout.x.shape[2]))
-        units = rows.ravel()
         classes = layout.classes()
-        for (col, _, held), cls in zip(layout.blocks, classes):
-            phi[units, col + cls.ravel()] = layout._held(held, layout.x).reshape(units.size, -1)
         factors.append((rows, layout.inner(classes), layout.x))
         observed.append(classes)
-    return phi.reshape(n_units, -1), tuple(factors), tuple(observed)
+    return tuple(factors), tuple(observed)
 
 
 def design_matrix(structure, dataset):
-    """Observed design: rows phi_ci(A_c) stacked in dataset unit order,
-    assembled one size group at a time from the structure's blocks."""
-    return _observed_design(structure, dataset)[0]
+    """Observed design (N, d): rows phi_ci(A_c) in dataset unit order, built
+    on request from `_observed_design`'s factors (`dense_design`); no fit reads it."""
+    return dense_design(_observed_design(structure, dataset)[0])
 
 
 def target_contributions(structure, dataset, weight):
@@ -1081,6 +1070,6 @@ def target_vector(structure, dataset, weight):
 
 def nested_rank_check(small, large, dataset):
     """True when the smaller structure's observed design lies in the larger's
-    span, by DesignOps.contains on the two factored designs."""
-    ops_s, ops_l = (DesignOps(*_observed_design(s, dataset)[:2]) for s in (small, large))
+    span, by DesignOps.contains on the two designs' factors, neither formed whole."""
+    ops_s, ops_l = (DesignOps(_observed_design(s, dataset)[0]) for s in (small, large))
     return ops_l.contains(ops_s)

@@ -10,7 +10,7 @@ import numpy as np
 from scipy.special import ndtr
 
 from clusterbal.core import ClusterSample, Dataset, enumerate_patterns, eval_propensity
-from clusterbal.numerics import DesignOps
+from clusterbal.numerics import DesignOps, _default_rcond, _validate, dense_design
 
 
 def reassign(dataset, assignments, outcome_fn):
@@ -244,15 +244,38 @@ def design_rows(structure, cluster, pattern):
     return design_matrix(structure, Dataset(clusters=(cluster,)))
 
 
+def one_group(a):
+    """A dense (N, d) matrix as factors: one size group of N units whose inner
+    rows are all [1] and whose covariate rows are a's rows."""
+    a = np.asarray(a, dtype=np.float64)
+    n = a.shape[0]
+    return ((np.arange(n)[None], np.ones((1, n, 1), dtype=bool), a[None]),)
+
+
+class DenseOps(DesignOps):
+    """DesignOps on np.linalg.svd of a dense matrix, cut at rank like it: the
+    oracle of the factored decomposition. Its factors are `one_group(phi)`,
+    which its residual and `contains` read."""
+
+    def __init__(self, phi):
+        phi = _validate(phi)
+        self.factors, self.shape = one_group(phi), phi.shape
+        u, s, vt = np.linalg.svd(phi, full_matrices=False)
+        self.s_max = float(s[0]) if s.size else 0.0
+        self.rank = keep = int(np.count_nonzero(s > _default_rcond(phi.shape) * self.s_max))
+        rows, cols = np.arange(phi.shape[0]), np.arange(phi.shape[1])
+        self._pieces = [(rows, cols, u[:, :keep], s[:keep], vt[:keep])] if keep else []
+
+
 def dense_loads(design, weights):
     """Per-cluster sandwich loads as the reduction of the dense product phi * w."""
     starts = np.array([start for start, _ in design.slices])
-    return np.add.reduceat(design.phi * weights[:, None], starts, axis=0)
+    return np.add.reduceat(dense_design(design.factors) * weights[:, None], starts, axis=0)
 
 
 def with_dense_ops(design):
-    """A copy of a DesignSystem whose fits take the dense SVD of its phi."""
-    return dataclasses.replace(design, _cache={"ops": DesignOps(design.phi)})
+    """A copy of a DesignSystem whose fits take the dense SVD of its design."""
+    return dataclasses.replace(design, _cache={"ops": DenseOps(dense_design(design.factors))})
 
 
 def nested_in_span(phi_s, phi_l):

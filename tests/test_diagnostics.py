@@ -159,6 +159,22 @@ def test_imbalance_report_without_covariates_reports_raw_imbalance_only(rng):
     assert [r["nu"] for r in rows] == list(fit.imbalance)
 
 
+@pytest.mark.parametrize(
+    "structure",
+    [KnnPattern(2), AdditiveTypes(5), StratifiedCount(2, include_own=True),
+     FromExposureMapping(NeighborCount(2))],
+    ids=lambda s: s.label,
+)
+def test_bare_incidences_are_the_dense_designs_nonzeros(rng, structure):
+    """A structure without covariates counts, per coordinate, the units whose
+    row of the dense design is non-zero there."""
+    d = make_dataset(rng, 12, sizes=(1, 5), p=2)
+    f = uniform_intervention()
+    fit = balancing_fit(d, structure, f)
+    want = (design_matrix(structure, d) != 0).sum(axis=0)
+    assert np.array_equal(imbalance_report(d, structure, f, fit).m_counts, want)
+
+
 def test_imbalance_requires_fixed_dimension_structure(rng):
     d = make_dataset(rng, 3, sizes=(2, 3), p=2)
     f = Gate()

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -33,7 +34,8 @@ from clusterbal.estimators import (
     weighted_projection_fit,
 )
 from clusterbal.inference import _per_cluster_feature_loads, sandwich_variance
-from clusterbal.numerics import DesignOps, project_colspace
+from clusterbal.numerics import project_colspace
+from clusterbal.simulate import DGPConfig, dgp_structure, gen_dataset
 from clusterbal.structures import (
     AdditiveTypes,
     CoarsenedCount,
@@ -57,6 +59,7 @@ from clusterbal.structures import (
 
 from conftest import make_cluster, make_dataset
 from oracles import (
+    DenseOps,
     dense_loads,
     design_rows,
     expectation_over_assignments,
@@ -397,7 +400,7 @@ def _close(a, b):
 def _assert_block_path_matches_single_piece(d, structure):
     f, e = uniform_intervention(), half_bernoulli()
     blocks = build_design(structure, d, f)
-    width = blocks.phi.shape[1] // blocks.factors[0][1].shape[2]
+    width = blocks.factors[0][2].shape[2]
     assert all(np.unique(cols // width).size == 1 for _, cols, *_ in blocks.ops()._pieces)
     single = with_dense_ops(blocks)
     bal = [balancing_fit(d, structure, f, design=s) for s in (blocks, single)]
@@ -607,14 +610,15 @@ def test_factored_design_matches_the_dense_svd(rng, structure, data):
     of its phi: the same rank, singular values within 1e-13 s_max, U U^T
     within 1e-12, the three solves within 1e-10 relative and `contains`
     both ways; each cluster's sandwich load against the dense phi * w
-    reduction, and the `bal` and `proj` sandwich variances within 1e-10
+    reduction, the balancing imbalance times n plus t against phi^T w
+    within 1e-12, and the `bal` and `proj` sandwich variances within 1e-10
     of those of fits on the dense SVD. A one-hot design takes one
     component per slot."""
     d = FACTORED_DATASETS[data](rng)
     f, e = probit_intervention(0.3), half_bernoulli()
     design = build_design(structure, d, f)
-    phi, n = design.phi, d.total_units
-    factored, dense = design.ops(), DesignOps(phi)
+    phi, n = design_matrix(structure, d), d.total_units
+    factored, dense = design.ops(), DenseOps(phi)
     u, s, _ = np.linalg.svd(phi, full_matrices=False)
     assert factored.rank == dense.rank == int((s > max(phi.shape) * np.finfo(float).eps * s[0]).sum())
     s_f = np.sort(np.concatenate([p[3] for p in factored._pieces]))[::-1]
@@ -622,7 +626,7 @@ def test_factored_design_matches_the_dense_svd(rng, structure, data):
     u = u[:, : factored.rank]
     assert np.abs(_projector(factored, n) - u @ u.T).max() <= 1e-12
     if structure.exposure_mapping is not None:
-        width = phi.shape[1] // design.factors[0][1].shape[2]
+        width = design.factors[0][2].shape[2]
         assert all(np.unique(cols // width).size == 1 for _, cols, *_ in factored._pieces)
 
     y = rng.standard_normal(n)
@@ -633,13 +637,17 @@ def test_factored_design_matches_the_dense_svd(rng, structure, data):
     assert _relative_gap(factored.ols_coefficients(y), dense.ols_coefficients(y)) <= 1e-10
     assert _relative_gap(factored.project(y), dense.project(y)) <= 1e-10
 
-    other = build_design(TensorWithCovariates(KnnPattern(1), columns=[0, 1]), d, f)
+    knn1 = TensorWithCovariates(KnnPattern(1), columns=[0, 1])
+    other = build_design(knn1, d, f)
     assert factored.contains(dense) and dense.contains(factored)
-    for ops in (other.ops(), DesignOps(other.phi)):
+    for ops in (other.ops(), DenseOps(design_matrix(knn1, d))):
         assert factored.contains(ops) == dense.contains(ops)
         assert ops.contains(factored) == ops.contains(dense)
 
     bal = balancing_fit(d, structure, f, design=design)
+    want = phi.T @ bal.weights.values
+    got = bal.imbalance * d.n + bal.target
+    assert np.abs(got - want).max() <= 1e-12 * max(np.abs(want).max(), 1e-300)
     proj = projection_fit(d, structure, f, e, design=design)
     for weights in (bal.weights.values, proj.weights.values, proj._context["w_ipw"]):
         want = dense_loads(design, weights)
@@ -661,8 +669,9 @@ def test_factored_design_refuses_non_finite_covariates(rng, inner):
     does."""
     d = _shared_row_dataset(rng)
     d.clusters[5].covariates[0, 1] = np.nan
-    design = build_design(TensorWithCovariates(inner, columns=DGP_COLUMNS), d, uniform_intervention())
-    for ops in (design.ops, lambda: DesignOps(design.phi)):
+    structure = TensorWithCovariates(inner, columns=DGP_COLUMNS)
+    design = build_design(structure, d, uniform_intervention())
+    for ops in (design.ops, lambda: DenseOps(design_matrix(structure, d))):
         with pytest.raises(InvalidInput, match="non-finite"):
             ops()
 
@@ -680,6 +689,27 @@ def test_factored_fits_match_the_dense_svd(rng):
         assert got.design_rank == want.design_rank
         assert _close(got.weights.values, want.weights.values)
     assert _close(*(ols_plugin(d, structure, f, design=s) for s in (factored, dense)))
+
+
+def test_no_fit_allocates_the_dense_design():
+    """build_design, the balancing and projection fits and both sandwich
+    variances on knn5 data peak below N x d float64s, the dense design's
+    size: none of them forms it."""
+    cfg = DGPConfig(n=200, interference="knn5", seed=3)
+    d, _, e, f = gen_dataset(cfg, 0, truth=False)
+    structure = dgp_structure(cfg)
+    dense_bytes = d.total_units * structure.dim(d.clusters[0]) * 8
+    tracemalloc.start()
+    try:
+        design = build_design(structure, d, f)
+        bal = balancing_fit(d, structure, f, design=design)
+        proj = projection_fit(d, structure, f, e, design=design)
+        sandwich_variance(d, structure, f, bal, "bal")
+        sandwich_variance(d, structure, f, proj, "proj", propensity=e)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < dense_bytes
 
 
 # ---------- weighted projection: exposure-class closed form vs per-unit SVD ----------

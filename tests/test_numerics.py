@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from clusterbal.errors import InvalidInput
 from clusterbal.numerics import DesignOps, _column_components, project_colspace
+from oracles import DenseOps, one_group
 
 
 def random_conditioned(rng, rows, cols, cond=1e3):
@@ -18,12 +19,12 @@ def random_conditioned(rng, rows, cols, cond=1e3):
 
 def design_pinv(a):
     """a^+ as the OLS coefficients of the identity right-hand side."""
-    return DesignOps(a).ols_coefficients(np.eye(np.shape(a)[0]))
+    return DesignOps(one_group(a)).ols_coefficients(np.eye(np.shape(a)[0]))
 
 
 def design_min_norm_solve(a, b):
     """Minimum-norm solve of a x = b: the row-space solve of the design a^T."""
-    return DesignOps(np.transpose(a)).min_norm_row_solve(b)
+    return DesignOps(one_group(np.transpose(a))).min_norm_row_solve(b)
 
 
 def test_pinv_identity():
@@ -137,7 +138,7 @@ def test_design_ops_consistency(rng):
     phi = rng.standard_normal((20, 4))
     y = rng.standard_normal(20)
     t = rng.standard_normal(4)
-    ops = DesignOps(phi)
+    ops = DesignOps(one_group(phi))
     assert np.allclose(ops.ols_coefficients(y), np.linalg.pinv(phi) @ y, atol=1e-10)
     assert np.allclose(ops.project(y), project_colspace(phi, y), atol=1e-10)
     r = ops.min_norm_row_solve(t)
@@ -164,7 +165,7 @@ def _block_design(rng, blocks, width=3, zero_rows=2):
 
 
 def _assert_ops_agree(phi, factors, rng):
-    whole, split = DesignOps(phi), DesignOps(phi, factors)
+    whole, split = DenseOps(phi), DesignOps(factors)
     y = rng.standard_normal(phi.shape[0])
     t = rng.standard_normal(phi.shape[1])
     assert split.rank == whole.rank
@@ -199,8 +200,9 @@ def test_ols_coefficients_of_a_matrix_rhs_are_pinv(rng, split, q_minus_rank):
     if split:
         phi, factors = _block_design(rng, [(4, 1.0), (3, 2.0)], width=2, zero_rows=1)
     else:
-        phi, factors = rng.standard_normal((6, 3)), None
-    ops = DesignOps(phi, factors)
+        phi = rng.standard_normal((6, 3))
+        factors = one_group(phi)
+    ops = DesignOps(factors)
     assert ops.rank == phi.shape[1]
     y = rng.standard_normal((phi.shape[0], ops.rank + q_minus_rank))
     got = ops.ols_coefficients(y)

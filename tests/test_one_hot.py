@@ -24,7 +24,7 @@ from clusterbal.core import (
 from clusterbal.diagnostics import imbalance_report
 from clusterbal.estimators import DesignSystem, balancing_fit, build_design
 from clusterbal.inference import select_structure
-from clusterbal.numerics import DesignOps
+from clusterbal.numerics import DesignOps, dense_design
 from clusterbal.simulate import DGPConfig, dgp_structure, gen_dataset
 from clusterbal.structures import (
     AdditiveTypes,
@@ -45,6 +45,7 @@ from clusterbal.structures import (
 
 from conftest import make_dataset
 from oracles import (
+    DenseOps,
     fresh_copy,
     nested_in_span,
     per_cluster_contributions,
@@ -230,7 +231,7 @@ def _nesting_agrees(d, small, large):
     f = uniform_intervention()
     ds, dl = build_design(small, d, f), build_design(large, d, f)
     got = dl.ops().contains(ds.ops())
-    assert got == nested_in_span(ds.phi, dl.phi)
+    assert got == nested_in_span(design_matrix(small, d), design_matrix(large, d))
     return got
 
 
@@ -313,7 +314,7 @@ def test_block_nesting_into_and_out_of_rank_deficient_pieces(rng):
     f = uniform_intervention()
     deficient = build_design(knn2_three, d, f)
     assert deficient.ops().rank == build_design(knn2_two, d, f).ops().rank
-    assert deficient.ops().rank < deficient.phi.shape[1]
+    assert deficient.ops().rank < deficient.ops().shape[1]
     assert _nesting_agrees(d, knn2_two, knn2_three)
     assert _nesting_agrees(d, knn2_three, knn2_two)
     assert _nesting_agrees(d, knn1_two, knn2_three)
@@ -321,13 +322,14 @@ def test_block_nesting_into_and_out_of_rank_deficient_pieces(rng):
 
 
 def _oracle_design(structure, dataset, weight):
-    """build_design from the per-cluster path, without factors: its fits take
-    the dense SVD."""
+    """build_design from the per-cluster path, without the program's factors:
+    its fits take the dense SVD."""
+    ops = DenseOps(per_cluster_design(structure, fresh_copy(dataset)))
     return DesignSystem(
-        phi=per_cluster_design(structure, fresh_copy(dataset)),
         contributions=per_cluster_contributions(structure, fresh_copy(dataset), weight),
         slices=tuple(dataset.cluster_slices()),
-        factors=None,
+        factors=ops.factors,
+        _cache={"ops": ops},
     )
 
 
@@ -348,7 +350,8 @@ def test_select_matches_per_cluster_dense_path(order, monkeypatch):
     f = probit_intervention(cfg.kappa)
     got, got_warnings = _select(d, f, candidates)
     monkeypatch.setattr(inference, "build_design", _oracle_design)
-    monkeypatch.setattr(DesignOps, "contains", lambda large, small: nested_in_span(small.phi, large.phi))
+    monkeypatch.setattr(DesignOps, "contains", lambda large, small: nested_in_span(
+        dense_design(small.factors), dense_design(large.factors)))
     want, want_warnings = _select(d, f, candidates)
     assert got.chosen == want.chosen
     assert got.nested == want.nested
