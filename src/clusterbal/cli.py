@@ -494,6 +494,8 @@ def _config_from_file(path, seed):
     if not isinstance(doc, dict):
         raise InvalidSpec(f"{path}: config document must be a JSON object")
     axis = doc.pop("axis", "n")
+    if axis not in ("n", "kappa", "snr_target"):
+        raise InvalidSpec(f"{path}: config field 'axis' must be n, kappa or snr_target, got {axis!r}")
     values = doc.pop("values", (doc.get("n", 300),))
     if not isinstance(values, (list, tuple)):
         raise InvalidSpec(f"{path}: config field 'values' must be a list, got {values!r}")
@@ -522,7 +524,9 @@ def _config_from_file(path, seed):
                 f"{what} spec field 'cluster_sizes' must be [[m, prob], ...], "
                 f"got {doc['cluster_sizes']!r}"
             ) from None
-    return DGPConfig(**doc), axis, tuple(values)
+    # each sweep value is checked as the field its axis sets
+    check = spec_int if axis == "n" else spec_float
+    return DGPConfig(**doc), axis, tuple(check({"values": v}, "values", what) for v in values)
 
 
 def _simulate_config(args, seed):

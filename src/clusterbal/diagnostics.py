@@ -110,9 +110,9 @@ def imbalance_report(dataset, structure, weight, fit, threshold=DEFAULT_THRESHOL
             else:
                 nu_star[t, j] = nu_mat[j, t] / sig_mat[j, t]
 
-    # observed incidences of each effective treatment, from the classes the
-    # fit's design observed
-    m_counts = incidence_counts(structure.inner, dataset, fit._context["design"].classes)
+    # observed incidences of each effective treatment, from the inner rows of
+    # the fit's design
+    m_counts = incidence_counts(structure.inner, dataset, fit._context["design"].factors)
 
     omnibus = np.zeros(width)
     for t in range(width):
@@ -147,7 +147,7 @@ def _raw_imbalance_report(dataset, structure, fit, threshold):
     d = structure.dim(dataset.clusters[0])
     if nu.size != d:
         raise InvalidSpec(f"imbalance length {nu.size} != structure dimension {d}")
-    m_counts = incidence_counts(structure, dataset, fit._context["design"].classes)
+    m_counts = incidence_counts(structure, dataset, fit._context["design"].factors)
     return ImbalanceReport(
         nu=nu,
         nu_star=np.full((1, d), np.nan),

@@ -14,10 +14,8 @@ from .numerics import DesignOps, _default_rcond, project_colspace
 from .structures import (
     ConstantMapping,
     FromExposureMapping,
-    TensorWithCovariates,
     _GroupRows,
     _observed_design,
-    _pattern_rows_by_unit,
     _size_groups,
     target_contributions,
 )
@@ -83,13 +81,14 @@ class EstimateReport:
 @dataclass(frozen=True)
 class DesignSystem:
     """Observed design, held only as its factors (unit i's row is inner_i (x)
-    x_i; `design_matrix` builds it dense), and per-cluster target contributions."""
+    x_i; `design_matrix` builds it dense), and per-cluster target
+    contributions. The decomposition, the residual, the sandwich loads and
+    the imbalance report's incidences read the factors."""
 
     contributions: np.ndarray  # (n, d_h)
     slices: tuple
     # per size group: (unit rows (B, m), inner rows (B, m, ell) bool, covariate rows (B, m, w))
     factors: tuple
-    classes: tuple = ()  # each block's observed classes per size group (`_observed_design`)
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
@@ -116,12 +115,10 @@ def build_design(structure, dataset, weight):
     """Observed design and target. The design is its factors, each unit's
     inner row and covariate row, whose Kronecker product is its row
     (`_observed_design`); the decomposition, residual and loads read them."""
-    factors, classes = _observed_design(structure, dataset)
     return DesignSystem(
         contributions=target_contributions(structure, dataset, weight),
         slices=tuple(dataset.cluster_slices()),
-        factors=factors,
-        classes=classes,
+        factors=_observed_design(structure, dataset),
     )
 
 
@@ -299,20 +296,19 @@ def _block_closed_form(dataset, structure, weight, propensity, rank_cut=True):
 
 
 def _wproj_svd(dataset, structure, weight, propensity):
-    """Weighted-projection weights by one 2^m x d SVD per unit (any structure).
+    """Weighted-projection weights by one 2^m x ell SVD per distinct unit
+    matrix of each cluster (any structure).
 
-    Each indicator block's classes at the 2^m patterns are taken once per
-    cluster, and every unit's rows are read from them. A structure with
-    `shared_rows`, or covariate tensors over one, takes one SVD per cluster.
-    Unit i's rows there are sqrt(e) * (inner (x) x_i) for the shared inner
-    rows, whose span is that of sqrt(e) * inner when x_i is non-zero and {0}
-    when it is zero. Their singular values are those of sqrt(e) * inner
-    times |x_i|, so the cut rcond = max(2^m, d) * eps relative to the
-    largest keeps the same directions.
+    Unit i's rows at the 2^m patterns are R_i (x) x_i: R_i its inner rows
+    there (`_GroupRows.inner`, each block's classes taken once per cluster)
+    and x_i its covariate row. When x_i is non-zero, sqrt(e) * (R_i (x) x_i)
+    has the span of sqrt(e) * R_i, and its singular values are those of
+    sqrt(e) * R_i times |x_i|, so the cut rcond = max(2^m, d) * eps relative
+    to the largest keeps the same directions; when x_i is zero the span is
+    {0}. So the units of equal R_i share one SVD (one per cluster for
+    `AdditiveTypes`, whose units all have the same rows), and a unit whose
+    covariate row is zero gets 0.
     """
-    base = structure
-    while isinstance(base, TensorWithCovariates):
-        base = base.inner
     out = np.empty(dataset.total_units)
     for (start, stop), c in zip(dataset.cluster_slices(), dataset.clusters):
         bits = enumerate_patterns(c.size)
@@ -325,20 +321,17 @@ def _wproj_svd(dataset, structure, weight, propensity):
         w_tilde = f_all / (c.size * e_all)
         sqrt_e = np.sqrt(e_all)
         obs = pattern_index(c.treatments)
-        if base.shared_rows:
-            lam = base.all_pattern_rows(c, 0)
-            lam *= sqrt_e[:, None]
-            rcond = _default_rcond((bits.shape[0], structure.dim(c)))
-            value = project_colspace(lam, sqrt_e * w_tilde, rcond)[obs] / sqrt_e[obs]
-            out[start:stop] = np.where(_GroupRows(structure, [c]).live()[0], value, 0.0)
-            continue
-        unit_rows = _pattern_rows_by_unit(structure, c)
-        for i in range(c.size):
-            lam = unit_rows(i)
-            # scaled in place: a second 2^m x d temporary made malloc re-fault pages per unit
-            lam *= sqrt_e[:, None]
-            scaled = project_colspace(lam, sqrt_e * w_tilde)
-            out[start + i] = scaled[obs] / sqrt_e[obs]
+        layout = _GroupRows(structure, [c])
+        # each unit's (2^m, ell) inner rows, one flat row per unit
+        units = layout.inner(bits).transpose(1, 0, 2).reshape(c.size, -1)
+        distinct, which = np.unique(units, axis=0, return_inverse=True)
+        rcond = _default_rcond((bits.shape[0], layout.ell * layout.x.shape[2]))
+        value = np.array([
+            project_colspace(r.reshape(bits.shape[0], -1) * sqrt_e[:, None], sqrt_e * w_tilde,
+                             rcond)[obs]
+            for r in distinct
+        ]) / sqrt_e[obs]
+        out[start:stop] = np.where(layout.live()[0], value[which.ravel()], 0.0)
     return out
 
 
@@ -350,7 +343,8 @@ def weighted_projection_fit(dataset, structure, weight, propensity):
     observed-pattern entry is that unit's weight. Structures whose rows are
     sums of indicator blocks take the block closed form (one-hot structures
     are its one-block case); the others, and several blocks under a
-    propensity without product form, take one SVD per unit.
+    propensity without product form, take one SVD per distinct unit matrix
+    of inner rows (`_wproj_svd`).
     """
     out = _block_closed_form(dataset, structure, weight, propensity)
     if out is None:

@@ -196,7 +196,7 @@ def sigma_noise_hat(dataset, structure, dof="units", design=None):
     dof='units' divides by (total units - rank); dof='clusters' is the
     literal cluster-count denominator, kept behind this flag.
     """
-    ops = DesignOps(_observed_design(structure, dataset)[0]) if design is None else design.ops()
+    ops = DesignOps(_observed_design(structure, dataset)) if design is None else design.ops()
     y = dataset.stacked_outcomes()
     resid = y - ops.project(y)
     denom = (dataset.total_units if dof == "units" else dataset.n) - ops.rank

@@ -30,6 +30,7 @@ from .structures import (
     _size_groups,
     knn_order,
     observed_signal,
+    target_vector,
 )
 
 _STREAM_DATA = 0
@@ -187,8 +188,7 @@ def conditional_true_mu(cfg, dataset):
     cfg = resolve_gamma(cfg)
     structure = dgp_structure(cfg)
     h = dgp_h(cfg, cfg.gamma)
-    design = build_design(structure, dataset, probit_intervention(cfg.kappa))
-    return float(design.target @ h / dataset.n)
+    return float(target_vector(structure, dataset, probit_intervention(cfg.kappa)) @ h / dataset.n)
 
 
 # clusters per block of the closed-form truth; keeps its arrays near cache

@@ -9,8 +9,6 @@ only through the unit's own cluster (partial interference).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat
-
 import numpy as np
 
 from . import _kernels
@@ -176,7 +174,6 @@ class LowRankStructure:
     regime = "fixed"
     label = "structure"
     exposure_mapping = None  # set on one-hot structures: the mapping whose class is the hot slot
-    shared_rows = False  # True when every unit of a cluster has the same rows
 
     def dim(self, cluster=None, i=None):
         raise NotImplementedError
@@ -204,10 +201,14 @@ class LowRankStructure:
         return out
 
     def all_pattern_rows(self, cluster, i):
-        """Feature rows of unit i at every pattern: a new (2^m, d) float array."""
+        """Feature rows of unit i at every pattern: a new (2^m, d) float array,
+        its inner rows there and its covariate row scattered by `dense_design`."""
         if not 0 <= int(i) < cluster.size:
             raise DimensionMismatch(f"unit index {i} out of range for size {cluster.size}")
-        return _pattern_rows_by_unit(self, cluster)(int(i))
+        layout = _GroupRows(self, [cluster])
+        inner = layout.inner(enumerate_patterns(cluster.size))[:, int(i)]
+        x = np.broadcast_to(layout.x[0, int(i)], (inner.shape[0], layout.x.shape[2]))
+        return dense_design(((np.arange(inner.shape[0]), inner, x),))
 
     def expected_rows(self, cluster, probs):
         """E[phi_ci(A)] under independent Bernoulli(probs) treatments: (M_c, d)."""
@@ -483,7 +484,6 @@ class AdditiveTypes(LowRankStructure):
     """
 
     label = "additive_types"
-    shared_rows = True
 
     def __init__(self, s, type_source="unit_index"):
         if s < 1:
@@ -907,14 +907,6 @@ class _GroupRows:
             patterns = np.stack([c.treatments for c in self.clusters])
         return [block.classes_batch(self.clusters, patterns) for _, block, _ in self.blocks]
 
-    def rows(self, classes, n_rows, unit):
-        """The unit's rows of the group's one cluster at n_rows pattern rows
-        whose block classes are `classes`: (P, d)."""
-        out = np.zeros((n_rows, self.ell, self.x.shape[2]))
-        for (col, _, held), cls in zip(self.blocks, classes):
-            out[np.arange(n_rows), col + cls[:, unit]] = self._held(held, self.x)[:, unit]
-        return out.reshape(n_rows, -1)
-
     def masses(self, probs, law):
         """Each block's class masses (B, m, n_classes) of the group's units
         under a law, a counterfactual weight or a propensity: in the block's
@@ -943,13 +935,15 @@ class _GroupRows:
             np.add.at(out[b], (np.arange(m), block.classes_batch([c], patterns)), w[:, None])
         return out
 
-    def inner(self, classes):
-        """Each unit's inner row at the blocks' classes: (B, m, ell) bool, with
-        a 1 at the class of each block that holds the unit."""
-        b, m = self.x.shape[:2]
-        out = np.zeros((b, m, self.ell), dtype=bool)
-        for (col, _, held), cls in zip(self.blocks, classes):
-            out[np.arange(b)[:, None], np.arange(m), col + cls] = True if held is None else held
+    def inner(self, patterns=None):
+        """Each unit's inner row at pattern rows (P, m), as `classes` takes
+        them, by default the observed patterns: (P, m, ell) bool, with a 1 at
+        the class of each block that holds the unit. A group with no blocks
+        has P zero rows."""
+        n_rows, m = self.x.shape[:2] if patterns is None else patterns.shape
+        out = np.zeros((n_rows, m, self.ell), dtype=bool)
+        for (col, _, held), cls in zip(self.blocks, self.classes(patterns)):
+            out[np.arange(n_rows)[:, None], np.arange(m), col + cls] = True if held is None else held
         return out
 
     def live(self):
@@ -974,36 +968,21 @@ class _GroupRows:
         return out.reshape(b, -1)
 
 
-def _pattern_rows_by_unit(structure, cluster):
-    """Rows of the units of a cluster at all 2^m patterns, unit by unit: a
-    function i -> new (2^m, d) array. Each block's classes are taken once,
-    for every unit."""
-    layout = _GroupRows(structure, [cluster])
-    bits = enumerate_patterns(cluster.size)
-    classes = layout.classes(bits)
-    return lambda i: layout.rows(classes, bits.shape[0], unit=i)
-
-
 def _observed_design(structure, dataset):
-    """The observed design's factors and classes, per size group in
-    `_size_groups` order: (((unit rows (B, m), inner rows (B, m, ell) bool,
-    covariate rows (B, m, w)), ...), (each block's classes [(B, m)], ...)).
-    Unit i's row is its inner row (x) its covariate row (`_GroupRows`)."""
+    """The observed design's factors, per size group in `_size_groups`
+    order: ((unit rows (B, m), inner rows (B, m, ell) bool, covariate rows
+    (B, m, w)), ...). Unit i's row is its inner row (x) its covariate row
+    (`_GroupRows`)."""
     if structure.regime != "fixed":
         raise InvalidSpec("design matrices need a fixed-dimension structure")
-    factors, observed = [], []
-    for group, _, rows in _size_groups(dataset):
-        layout = _GroupRows(structure, group)
-        classes = layout.classes()
-        factors.append((rows, layout.inner(classes), layout.x))
-        observed.append(classes)
-    return tuple(factors), tuple(observed)
+    layouts = ((rows, _GroupRows(structure, group)) for group, _, rows in _size_groups(dataset))
+    return tuple((rows, layout.inner(), layout.x) for rows, layout in layouts)
 
 
 def design_matrix(structure, dataset):
     """Observed design (N, d): rows phi_ci(A_c) in dataset unit order, built
     on request from `_observed_design`'s factors (`dense_design`); no fit reads it."""
-    return dense_design(_observed_design(structure, dataset)[0])
+    return dense_design(_observed_design(structure, dataset))
 
 
 def target_contributions(structure, dataset, weight):
@@ -1043,23 +1022,17 @@ def observed_signal(structure, dataset, h):
     return g
 
 
-def incidence_counts(structure, dataset, classes=None):
+def incidence_counts(structure, dataset, factors=None):
     """Units whose observed row is non-zero in each coordinate: (d,) float,
-    from each block's observed classes and the non-zero covariates. The
-    classes of a design of the structure, or of a covariate tensor over it,
-    may be passed in, as `_observed_design` gives them per size group."""
-    counts = None
-    for (group, _, _), observed in zip(_size_groups(dataset), classes or repeat(None)):
-        layout = _GroupRows(structure, group)
-        w = layout.x.shape[2]
-        if counts is None:
-            counts = np.zeros(layout.ell * w)
-        nonzero = (layout.x != 0).astype(np.float64)
-        observed = layout.classes() if observed is None else observed
-        for (col, _, held), cls in zip(layout.blocks, observed):
-            cells = (col + cls)[:, :, None] * w + np.arange(w)
-            weights = layout._held(held, nonzero).ravel()
-            counts += np.bincount(cells.ravel(), weights=weights, minlength=counts.size)
+    the sum over units of r_i (x) [x_i != 0], one product per size group of
+    the inner rows r_i and the structure's covariate rows x_i. The inner rows
+    are those of `factors`, a design's factors (`_observed_design`) of the
+    structure or of a covariate tensor over it, by default the structure's."""
+    counts = 0.0
+    factors = factors or _observed_design(structure, dataset)
+    for (group, _, _), (_, inner, _) in zip(_size_groups(dataset), factors):
+        x = _GroupRows(structure, group).x
+        counts = counts + np.einsum("bml,bmw->lw", inner, x != 0, dtype=np.float64).ravel()
     return counts
 
 
@@ -1071,5 +1044,5 @@ def target_vector(structure, dataset, weight):
 def nested_rank_check(small, large, dataset):
     """True when the smaller structure's observed design lies in the larger's
     span, by DesignOps.contains on the two designs' factors, neither formed whole."""
-    ops_s, ops_l = (DesignOps(_observed_design(s, dataset)[0]) for s in (small, large))
+    ops_s, ops_l = (DesignOps(_observed_design(s, dataset)) for s in (small, large))
     return ops_l.contains(ops_s)

@@ -800,6 +800,13 @@ def test_config_unknown_field_exits_1_with_one_line(tmp_path, capsys, command):
         ({"n": 10, "interference": 5}, "'interference'"),
         ({"n": 10, "cluster_sizes": [[10]]}, "'cluster_sizes'"),
         ({"n": 10, "values": 5}, "'values'"),
+        # each sweep value is checked as the field its axis sets
+        ({"n": 10, "values": ["abc"]}, "'values'"),
+        ({"n": 10, "values": [None]}, "'values'"),
+        ({"n": 10, "values": [2.7]}, "'values'"),
+        ({"n": 10, "axis": "kappa", "values": [math.inf]}, "'values'"),
+        ({"n": 10, "axis": "snr_target", "values": [0.5, "x"]}, "'values'"),
+        ({"n": 10, "axis": "rho", "values": [0.1]}, "'axis'"),
     ],
 )
 def test_config_wrong_type_exits_1_with_one_line(tmp_path, capsys, command, doc, field):

@@ -231,10 +231,10 @@ def test_incidences_count_the_observed_classes(rng, monkeypatch):
     [KnnPattern(2), AdditiveTypes(5), TensorWithCovariates(StratifiedCount(1), columns=[1])],
     ids=lambda s: s.label,
 )
-def test_imbalance_reads_the_classes_of_the_fits_design(rng, monkeypatch, inner):
-    """A tensor's incidences count the classes its balancing fit's design
-    observed: the report takes no block's classes again, and its counts are
-    those taken afresh."""
+def test_imbalance_reads_the_inner_rows_of_the_fits_design(rng, monkeypatch, inner):
+    """A tensor's incidences are read from the inner rows of its balancing
+    fit's design: the report takes no block's classes again, and its counts
+    are those taken afresh."""
     from clusterbal import structures
 
     d = make_dataset(rng, 12, sizes=(1, 5), p=2)

@@ -756,19 +756,12 @@ def _zero_rows(c):
     return x
 
 
-SHARED_ROWS = {  # structure, and whether zeroing a unit's covariates zeroes its rows
-    "additive": (AdditiveTypes(5), False),
-    "tensor": (TensorWithCovariates(AdditiveTypes(5), columns=[0, 1]), True),
-    "tensor_cluster_mean": (
-        TensorWithCovariates(AdditiveTypes(5), columns=[0, {"cluster_mean": 1}]), False
-    ),
-    "tensor_of_tensor": (
-        TensorWithCovariates(TensorWithCovariates(AdditiveTypes(5), columns=[1]), columns=[0]),
-        True,
-    ),
-}
 # structures whose rows are sums of several indicator blocks over disjoint units
-BLOCKS = [structure for structure, _ in SHARED_ROWS.values()] + [
+BLOCKS = [
+    AdditiveTypes(5),
+    TensorWithCovariates(AdditiveTypes(5), columns=[0, 1]),
+    TensorWithCovariates(AdditiveTypes(5), columns=[0, {"cluster_mean": 1}]),
+    TensorWithCovariates(TensorWithCovariates(AdditiveTypes(5), columns=[1]), columns=[0]),
     CoarsenedCount(order=1, thresholds=(0.0, 1.0), k=2),
     CoarsenedCount(order=2, thresholds=(0.0, 1.0), k=2),
     TensorWithCovariates(CoarsenedCount(order=2, thresholds=(1.0, 2.0), k=3), columns=[1]),
@@ -1135,7 +1128,7 @@ def test_exposure_positivity_names_the_first_cluster_in_dataset_order():
         exposure_collapsed_ipw(d, NeighborPattern(2), uniform_intervention(), e)
 
 
-# ---------- weighted projection: one SVD per cluster for rows shared by every unit ----------
+# ---------- weighted projection: one SVD per distinct unit matrix ----------
 
 
 def _wproj_per_unit(d, structure, f, e):
@@ -1153,28 +1146,57 @@ def _wproj_per_unit(d, structure, f, e):
     return np.array(out)
 
 
-@pytest.mark.parametrize("case", list(SHARED_ROWS))
-@pytest.mark.parametrize("zero_rows", [False, True])
-def test_wproj_shared_rows_one_svd_per_cluster(rng, monkeypatch, case, zero_rows):
+MULTI_BLOCK = {
+    "additive": AdditiveTypes(5),
+    "coarsened2": CoarsenedCount(order=2, thresholds=(0.0, 1.0), k=2),
+    "compose_additive_knn": Compose(AdditiveTypes(3), KnnPattern(2)),
+}
+TENSORS = {  # a covariate tensor over a structure, and whether `_zero_rows` zeroes its rows
+    "bare": (lambda s: s, False),
+    "tensor": (lambda s: TensorWithCovariates(s, columns=[0, 1]), True),
+    "cluster_mean": (lambda s: TensorWithCovariates(s, columns=[0, {"cluster_mean": 1}]), False),
+    "tensor_of_tensor": (
+        lambda s: TensorWithCovariates(TensorWithCovariates(s, columns=[1]), columns=[0]), True
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(MULTI_BLOCK))
+@pytest.mark.parametrize("wrap", list(TENSORS))
+def test_wproj_svd_one_svd_per_distinct_unit_matrix(rng, monkeypatch, case, wrap):
+    """Several blocks under a joint table take `_wproj_svd`: one SVD per
+    distinct unit matrix of inner rows (one per cluster for `AdditiveTypes`,
+    whose units all have the same rows), equal to the per-unit SVD of the
+    full rows, with weight 0 where a unit's covariate row is zero."""
     from clusterbal import estimators
 
-    structure, zeroed = SHARED_ROWS[case]
-    d = make_dataset(rng, 8, sizes=(1, 5), p=2)
-    if zero_rows:
-        d = _with(d, covariates=_zero_rows)
-    e, f = _probs_in(0.2, 0.8), probit_intervention(0.4)
+    tensor, zeroed = TENSORS[wrap]
+    base = MULTI_BLOCK[case]
+    structure = tensor(base)
+    d = _with(make_dataset(rng, 8, sizes=(1, 5), p=2), covariates=_zero_rows)
+    tables = {}
+    for c in d.clusters:
+        p = rng.uniform(0.5, 1.5, 2**c.size)
+        tables[c.cluster_id] = dict(zip(map(tuple, enumerate_patterns(c.size).tolist()), p / p.sum()))
+    e, f = JointTable(tables), probit_intervention(0.4)
     want = _wproj_per_unit(d, structure, f, e)
     calls = []
     monkeypatch.setattr(
         estimators, "project_colspace", lambda *a: calls.append(a) or project_colspace(*a)
     )
     got = _wproj_svd(d, structure, f, e)
-    assert len(calls) == d.n
+    distinct = sum(
+        np.unique(np.stack([base.all_pattern_rows(c, i) for i in range(c.size)]), axis=0).shape[0]
+        for c in d.clusters
+    )
+    assert len(calls) == distinct
+    if case == "additive":
+        assert distinct == d.n
     scale = max(np.abs(want).max(), 1.0)
     np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-10 * scale)
     assert (got[want == 0.0] == 0.0).all()
-    if zero_rows and zeroed:
-        assert (want[[start for start, _ in d.cluster_slices()]] == 0.0).all()
+    if zeroed:
+        assert (got[[start for start, _ in d.cluster_slices()]] == 0.0).all()
 
 
 # ---------- weighted projection: each block's classes once per cluster ----------
@@ -1204,8 +1226,8 @@ class _SpiedCoarsenedCount(CoarsenedCount):
 
 
 def test_wproj_svd_takes_each_blocks_classes_once_per_cluster(rng):
-    """Under a JointTable several blocks take the per-unit SVD; its rows are
-    read from each block's classes at the 2^m patterns, taken once per
+    """Under a JointTable several blocks take `_wproj_svd`; its inner rows
+    are read from each block's classes at the 2^m patterns, taken once per
     cluster and not once per unit, and the weights are the per-unit
     projections of rows built from the definitions."""
     d = make_dataset(rng, 4, sizes=(4, 6), p=2)

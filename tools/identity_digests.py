@@ -108,11 +108,14 @@ def joint_table(dataset):
 
 
 def structures():
+    """Every structure kind; the covariate tensors over several blocks take
+    `_wproj_svd` under the joint table."""
     additive = AdditiveTypes(6)
+    columns = [1, {"cluster_mean": 2}]
     return {
         "additive6": additive,
         "additive_column": AdditiveTypes(6, type_source={"column": 0}),
-        "additive_tensor": TensorWithCovariates(additive, columns=[1, {"cluster_mean": 2}]),
+        "additive_tensor": TensorWithCovariates(additive, columns=columns),
         "coarsened1": CoarsenedCount(order=1, thresholds=(0, 1), k=2),
         "coarsened2": CoarsenedCount(order=2, thresholds=(0, 1), k=2),
         "no_interference": NoInterference(),
@@ -122,6 +125,10 @@ def structures():
         "compose_additive_own": Compose(AdditiveTypes(2), NoInterference()),
         "compose_knn_own": Compose(KnnPattern(2), NoInterference()),
         "compose_knn_nested": Compose(KnnPattern(1), Compose(KnnPattern(2), KnnPattern(3))),
+        "coarsened2_tensor": TensorWithCovariates(
+            CoarsenedCount(order=2, thresholds=(0, 1), k=2), columns=columns),
+        "compose_additive_knn_tensor": TensorWithCovariates(
+            Compose(AdditiveTypes(3), KnnPattern(2)), columns=columns),
     }
 
 
