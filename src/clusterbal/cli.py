@@ -28,7 +28,7 @@ from .core import ClusterSample, Dataset
 from .diagnostics import imbalance_report
 from .errors import ClusterbalError, InfeasibleFit, InvalidSpec, ParseError
 from .estimators import balancing_fit, build_design
-from .inference import ESTIMATORS, fit_estimator, select_structure
+from .inference import DESIGN_FITS, ESTIMATORS, fit_estimator, select_structure
 from .simulate import (
     DEFAULT_ESTIMATORS,
     PRESETS,
@@ -37,6 +37,7 @@ from .simulate import (
     preset_config,
     resolve_gamma,
     sweep,
+    sweep_values,
 )
 from .specio import propensity_from_json, spec_float, spec_int, weight_from_json
 from .structures import build_structure, exposure_from_spec
@@ -365,7 +366,7 @@ def _cmd_estimate(args, argv):
     structure = design = mapping = None
     if args.structure:
         structure = build_structure(_load_json_file(args.structure), dataset)
-        if any(ESTIMATORS[name].shared_design for name in names):
+        if any(name in DESIGN_FITS for name in names):
             design = build_design(structure, dataset, weight)
     if args.exposure_mapping:
         mapping = exposure_from_spec(_load_json_file(args.exposure_mapping))
@@ -494,8 +495,6 @@ def _config_from_file(path, seed):
     if not isinstance(doc, dict):
         raise InvalidSpec(f"{path}: config document must be a JSON object")
     axis = doc.pop("axis", "n")
-    if axis not in ("n", "kappa", "snr_target"):
-        raise InvalidSpec(f"{path}: config field 'axis' must be n, kappa or snr_target, got {axis!r}")
     values = doc.pop("values", (doc.get("n", 300),))
     if not isinstance(values, (list, tuple)):
         raise InvalidSpec(f"{path}: config field 'values' must be a list, got {values!r}")
@@ -524,9 +523,7 @@ def _config_from_file(path, seed):
                 f"{what} spec field 'cluster_sizes' must be [[m, prob], ...], "
                 f"got {doc['cluster_sizes']!r}"
             ) from None
-    # each sweep value is checked as the field its axis sets
-    check = spec_int if axis == "n" else spec_float
-    return DGPConfig(**doc), axis, tuple(check({"values": v}, "values", what) for v in values)
+    return DGPConfig(**doc), axis, sweep_values(axis, values, what)
 
 
 def _simulate_config(args, seed):

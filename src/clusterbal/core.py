@@ -94,6 +94,7 @@ class Dataset:
     """Ordered collection of clusters sharing one covariate dimension."""
 
     clusters: tuple
+    _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         cl = tuple(self.clusters)

@@ -80,7 +80,7 @@ def imbalance_report(dataset, structure, weight, fit, threshold=DEFAULT_THRESHOL
     """
     if structure.regime != "fixed":
         raise InvalidSpec("imbalance reporting needs a fixed-dimension structure")
-    if fit.imbalance is None or fit.target is None or "design" not in fit._context:
+    if fit.imbalance is None or fit.target is None or fit.design is None:
         raise InvalidSpec("fit does not carry an imbalance vector (not a balancing fit?)")
     if not isinstance(structure, TensorWithCovariates):
         return _raw_imbalance_report(dataset, structure, fit, threshold)
@@ -112,7 +112,7 @@ def imbalance_report(dataset, structure, weight, fit, threshold=DEFAULT_THRESHOL
 
     # observed incidences of each effective treatment, from the inner rows of
     # the fit's design
-    m_counts = incidence_counts(structure.inner, dataset, fit._context["design"].factors)
+    m_counts = incidence_counts(structure.inner, dataset, fit.design.factors)
 
     omnibus = np.zeros(width)
     for t in range(width):
@@ -147,7 +147,7 @@ def _raw_imbalance_report(dataset, structure, fit, threshold):
     d = structure.dim(dataset.clusters[0])
     if nu.size != d:
         raise InvalidSpec(f"imbalance length {nu.size} != structure dimension {d}")
-    m_counts = incidence_counts(structure, dataset, fit._context["design"].factors)
+    m_counts = incidence_counts(structure, dataset, fit.design.factors)
     return ImbalanceReport(
         nu=nu,
         nu_star=np.full((1, d), np.nan),

@@ -49,14 +49,18 @@ class WeightSet:
 
 @dataclass(frozen=True)
 class EstimateReport:
-    """Point estimate with the weights and design evidence that produced it."""
+    """Point estimate with the weights and design evidence that produced it.
+
+    `design` is the DesignSystem a balancing or projection fit read (None for
+    the other fits); the sandwich variance and the imbalance report read it.
+    """
 
     point: float
     weights: WeightSet
     imbalance: np.ndarray | None = None
     target: np.ndarray | None = None
     design_rank: int | None = None
-    _context: dict = field(default_factory=dict, repr=False, compare=False)
+    design: DesignSystem | None = field(default=None, repr=False, compare=False)
 
     @property
     def feasible(self):
@@ -83,7 +87,9 @@ class DesignSystem:
     """Observed design, held only as its factors (unit i's row is inner_i (x)
     x_i; `design_matrix` builds it dense), and per-cluster target
     contributions. The decomposition, the residual, the sandwich loads and
-    the imbalance report's incidences read the factors."""
+    the imbalance report's incidences read the factors. It depends on the
+    structure and the weight only; the IPW weights, which do not depend on
+    the structure, are kept on the dataset (`ipw_weights`)."""
 
     contributions: np.ndarray  # (n, d_h)
     slices: tuple
@@ -99,16 +105,6 @@ class DesignSystem:
         if "ops" not in self._cache:
             self._cache["ops"] = DesignOps(self.factors)
         return self._cache["ops"]
-
-    def keep_ipw_weights(self, propensity, values):
-        """Keep the IPW weights of an ipw fit that shares this design, for a
-        projection fit of the same set to read (`kept_ipw_weights`)."""
-        self._cache["w_ipw"] = (propensity, values)
-
-    def kept_ipw_weights(self, propensity):
-        """The kept IPW weights under this propensity, or None."""
-        held = self._cache.get("w_ipw")
-        return held[1] if held is not None and held[0] is propensity else None
 
 
 def build_design(structure, dataset, weight):
@@ -137,8 +133,20 @@ def _observed_masses(group, law):
 
 
 def ipw_weights(dataset, weight, propensity):
-    """Observed-pattern IPW weights f(A_c)/(M_c e(A_c)), one entry per unit,
-    with e and f from `_observed_masses`."""
+    """Observed-pattern IPW weights f(A_c)/(M_c e(A_c)), one entry per unit
+    (`_ipw_weights`), taken once per dataset and pair of laws: the dataset
+    keeps one read-only array per (weight, propensity)."""
+    # the entry holds both laws, so no other law can take their ids
+    key = ("ipw_weights", id(weight), id(propensity))
+    if key not in dataset._cache:
+        w = _ipw_weights(dataset, weight, propensity)
+        w.flags.writeable = False
+        dataset._cache[key] = (weight, propensity, w)
+    return dataset._cache[key][2]
+
+
+def _ipw_weights(dataset, weight, propensity):
+    """f(A_c)/(M_c e(A_c)) per unit, with e and f from `_observed_masses`."""
     f, e = np.empty(dataset.n), np.empty(dataset.n)
     for group, idx, _ in _size_groups(dataset):
         e[idx] = _observed_masses(group, propensity)
@@ -183,7 +191,7 @@ def balancing_fit(dataset, structure, weight, design=None):
         imbalance=nu,
         target=t,
         design_rank=report.rank,
-        _context={"design": design},
+        design=design,
     )
 
 
@@ -198,21 +206,18 @@ def ols_plugin(dataset, structure, weight, design=None):
 def projection_fit(dataset, structure, weight, propensity, design=None):
     """IPW weights projected onto the observed design's column space.
 
-    The IPW weights an ipw fit under the same propensity kept on the design
-    (`DesignSystem.keep_ipw_weights`) are read, not taken again.
+    The IPW weights are the dataset's (`ipw_weights`), so an ipw fit or a
+    projection sandwich under the same laws reads the same array.
     """
     if design is None:
         design = build_design(structure, dataset, weight)
-    w_ipw = design.kept_ipw_weights(propensity)
-    if w_ipw is None:
-        w_ipw = ipw_weights(dataset, weight, propensity)
-    w = design.ops().project(w_ipw)
+    w = design.ops().project(ipw_weights(dataset, weight, propensity))
     return EstimateReport(
         point=_point(dataset, w),
         weights=WeightSet(values=w, kind="projection"),
         target=design.target,
         design_rank=design.ops().rank,
-        _context={"design": design, "w_ipw": w_ipw},
+        design=design,
     )
 
 

@@ -1,12 +1,11 @@
 """Sandwich variance estimation, confidence intervals, noise-scale
-estimation, the data-adaptive structure selection test, and the table that
-pairs each estimator with its variance."""
+estimation, the data-adaptive structure selection test, and the dispatch
+that runs each estimator with its variance."""
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 from scipy.special import ndtri
@@ -39,8 +38,8 @@ __all__ = [
     "sigma_noise_hat",
     "structure_test",
     "select_structure",
-    "Estimator",
     "ESTIMATORS",
+    "DESIGN_FITS",
     "fit_estimator",
 ]
 
@@ -148,8 +147,10 @@ def sandwich_variance(
 
     kind 'bal' uses the counterfactual feature loads as the balance target of
     the estimating equations; 'proj' uses the observed IPW feature loads and
-    needs the propensity; 'wproj' reduces to the i.i.d. cluster sample
-    variance since its per-cluster weights depend on that cluster alone.
+    needs the propensity, the fit's, whose IPW weights the dataset keeps
+    (`ipw_weights`). Both read the design the fit names (`fit.design`), or
+    build it when the fit names none. 'wproj' reduces to the i.i.d. cluster
+    sample variance since its per-cluster weights depend on that cluster alone.
     """
     if kind not in ("bal", "proj", "wproj"):
         raise ValueError(f"unknown variance kind {kind!r}")
@@ -164,7 +165,7 @@ def sandwich_variance(
     if kind == "wproj":
         return iid_cluster_variance(dataset, fit, level)
 
-    design = fit._context.get("design")
+    design = fit.design
     if design is None:
         design = build_design(structure, dataset, weight)
     slices = design.slices
@@ -177,10 +178,7 @@ def sandwich_variance(
     if kind == "bal":
         v = design.contributions
     else:
-        w_ipw = fit._context.get("w_ipw")
-        if w_ipw is None:
-            w_ipw = ipw_weights(dataset, weight, propensity)
-        v = _per_cluster_feature_loads(design, w_ipw)
+        v = _per_cluster_feature_loads(design, ipw_weights(dataset, weight, propensity))
     s_c = _per_cluster_sums(w * y, slices)
     eta_dot_l = (loads - v) @ h_hat - (s_c - fit.point)
     sigma2 = float(np.mean(eta_dot_l**2))
@@ -282,88 +280,11 @@ def select_structure(dataset, weight, candidates, alpha=0.05, dof="units"):
     )
 
 
-# ---------- the estimator table ----------
+# ---------- the estimator dispatch ----------
 
-
-@dataclass(frozen=True)
-class _Inputs:
-    dataset: object
-    weight: object
-    propensity: object
-    structure: object
-    design: object
-    mapping: object
-    level: float
-    allow_infeasible: bool
-
-
-@dataclass(frozen=True)
-class Estimator:
-    """One entry of ESTIMATORS: a fit, its variance, and the inputs it needs.
-
-    `needs` names the inputs fit_estimator must be given ("structure",
-    "exposure mapping"); `shared_design` marks the fits that take the
-    caller's DesignSystem of the structure instead of building their own.
-    The ipw fit needs no design, but keeps its IPW weights on the caller's
-    one, so a projection fit after it reads them instead of taking them
-    again. The functions call the fits and variances by their module names
-    at call time, so rebinding those names reaches every estimator.
-    """
-
-    fit: Callable  # _Inputs -> EstimateReport
-    variance: Callable  # (_Inputs, EstimateReport) -> VarianceReport
-    needs: tuple = ()
-    shared_design: bool = False
-
-
-def _ipw(x):
-    """ipw_fit, whose weights are kept on the caller's design, when there is
-    one, for a projection fit of the same set to read."""
-    fit = ipw_fit(x.dataset, x.weight, x.propensity)
-    if x.design is not None:
-        x.design.keep_ipw_weights(x.propensity, fit.weights.values)
-    return fit
-
-
-def _iid(x, fit):
-    return iid_cluster_variance(x.dataset, fit, x.level)
-
-
-def _sandwich(kind):
-    def variance(x, fit):
-        return sandwich_variance(
-            x.dataset, x.structure, x.weight, fit, kind, propensity=x.propensity,
-            level=x.level, allow_infeasible=x.allow_infeasible,
-        )
-
-    return variance
-
-
-ESTIMATORS = {
-    "ipw": Estimator(_ipw, _iid),
-    "balancing": Estimator(
-        lambda x: balancing_fit(x.dataset, x.structure, x.weight, design=x.design),
-        _sandwich("bal"),
-        needs=("structure",),
-        shared_design=True,
-    ),
-    "projection": Estimator(
-        lambda x: projection_fit(x.dataset, x.structure, x.weight, x.propensity, design=x.design),
-        _sandwich("proj"),
-        needs=("structure",),
-        shared_design=True,
-    ),
-    "wproj": Estimator(
-        lambda x: weighted_projection_fit(x.dataset, x.structure, x.weight, x.propensity),
-        _sandwich("wproj"),
-        needs=("structure",),
-    ),
-    "exposure-ipw": Estimator(
-        lambda x: exposure_collapsed_ipw(x.dataset, x.mapping, x.weight, x.propensity),
-        _iid,
-        needs=("exposure mapping",),
-    ),
-}
+ESTIMATORS = ("ipw", "balancing", "projection", "wproj", "exposure-ipw")
+# the fits that read a DesignSystem of the structure, which their callers share
+DESIGN_FITS = ("balancing", "projection")
 
 
 def fit_estimator(
@@ -379,20 +300,36 @@ def fit_estimator(
 ):
     """(EstimateReport, VarianceReport | None) of the estimator `name`.
 
-    `design` is the structure's DesignSystem, shared by the fits that take
-    one (they build it when it is None). The variance is computed only for a
-    feasible fit, or for any fit when `allow_infeasible` is set; only
-    balancing fits can be infeasible. A name not in ESTIMATORS, or a needed
-    input that is None, raises InvalidSpec.
+    ipw and exposure-ipw take the i.i.d. cluster variance; balancing,
+    projection and wproj the sandwich of kind bal, proj and wproj. `design`
+    is the structure's DesignSystem, shared by the DESIGN_FITS (they build it
+    when it is None). The variance is computed only for a feasible fit, or
+    for any fit when `allow_infeasible` is set; only balancing fits can be
+    infeasible. A name not in ESTIMATORS, or a needed input that is None,
+    raises InvalidSpec. The fits and variances are called by their module
+    names at call time, so rebinding those names reaches every estimator.
     """
-    entry = ESTIMATORS.get(name)
-    if entry is None:
+    if name not in ESTIMATORS:
         raise InvalidSpec(f"unknown estimator {name!r}; choose from {list(ESTIMATORS)}")
-    given = {"structure": structure, "exposure mapping": mapping}
-    for need in entry.needs:
-        if given[need] is None:
-            raise InvalidSpec(f"estimator {name!r} needs the {need} input, and none was given")
-    x = _Inputs(dataset, weight, propensity, structure, design, mapping, level, allow_infeasible)
-    fit = entry.fit(x)
-    var = entry.variance(x, fit) if fit.feasible or allow_infeasible else None
-    return fit, var
+    need, given = ("exposure mapping", mapping) if name == "exposure-ipw" else ("structure", structure)
+    if name != "ipw" and given is None:
+        raise InvalidSpec(f"estimator {name!r} needs the {need} input, and none was given")
+    if name == "ipw":
+        fit = ipw_fit(dataset, weight, propensity)
+    elif name == "balancing":
+        fit = balancing_fit(dataset, structure, weight, design=design)
+    elif name == "projection":
+        fit = projection_fit(dataset, structure, weight, propensity, design=design)
+    elif name == "wproj":
+        fit = weighted_projection_fit(dataset, structure, weight, propensity)
+    else:
+        fit = exposure_collapsed_ipw(dataset, mapping, weight, propensity)
+    if not (fit.feasible or allow_infeasible):
+        return fit, None
+    if name in ("ipw", "exposure-ipw"):
+        return fit, iid_cluster_variance(dataset, fit, level)
+    kind = {"balancing": "bal", "projection": "proj", "wproj": "wproj"}[name]
+    return fit, sandwich_variance(
+        dataset, structure, weight, fit, kind, propensity=propensity, level=level,
+        allow_infeasible=allow_infeasible,
+    )

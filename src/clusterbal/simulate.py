@@ -21,7 +21,8 @@ import numpy as np
 from .core import ClusterSample, Dataset, _probit_terms, probit_intervention, probit_propensity
 from .errors import CalibrationFailed, InvalidSpec
 from .estimators import build_design
-from .inference import ESTIMATORS, fit_estimator
+from .inference import DESIGN_FITS, ESTIMATORS, fit_estimator
+from .specio import spec_float, spec_int
 from .structures import (
     AdditiveTypes,
     KnnPattern,
@@ -390,7 +391,7 @@ def _replicate(cfg, replicate_index, estimators, level):
     dataset, _, propensity, weight = gen_dataset(cfg, replicate_index, truth=False)
     structure = dgp_structure(cfg)
     design = None
-    if any(ESTIMATORS[name].shared_design for name in estimators):
+    if any(name in DESIGN_FITS for name in estimators):
         design = build_design(structure, dataset, weight)
     out = {}
     for name in estimators:
@@ -524,6 +525,16 @@ PRESETS = {
 }
 
 
+def sweep_values(axis, values, what="sweep"):
+    """The sweep values checked as the DGPConfig field their axis sets: whole
+    numbers for n, finite numbers for kappa and snr_target, the only axes;
+    InvalidSpec naming the axis, or the first value, that is not."""
+    if axis not in ("n", "kappa", "snr_target"):
+        raise InvalidSpec(f"{what} spec field 'axis' must be n, kappa or snr_target, got {axis!r}")
+    check = spec_int if axis == "n" else spec_float
+    return tuple(check({"values": v}, "values", what) for v in values)
+
+
 def sweep(
     cfg,
     axis,
@@ -535,12 +546,11 @@ def sweep(
     workers=None,
     truth_draws=400_000,
 ):
-    """Vary one config axis (n | kappa | snr_target) and collect MC rows."""
-    if axis not in ("n", "kappa", "snr_target"):
-        raise InvalidSpec(f"sweep axis must be n, kappa, or snr_target, got {axis!r}")
+    """Vary one config axis (n | kappa | snr_target) and collect MC rows,
+    each labelled with its value as checked by `sweep_values`."""
     rows = []
-    for v in values:
-        point_cfg = replace(cfg, **{axis: type(getattr(cfg, axis))(v)}, gamma=None)
+    for v in sweep_values(axis, values):
+        point_cfg = replace(cfg, **{axis: v}, gamma=None)
         res = monte_carlo(
             point_cfg,
             reps,

@@ -266,7 +266,7 @@ def test_estimate_csv_cells_parse_as_json_floats(tmp_path, rng, monkeypatch):
 
 
 def test_estimate_takes_the_ipw_weights_once(tmp_path, rng, monkeypatch):
-    from clusterbal import estimators, inference
+    from clusterbal import estimators
 
     d = make_dataset(rng, 30, sizes=(3, 5), p=2)
     data = str(tmp_path / "d.csv")
@@ -284,16 +284,17 @@ def test_estimate_takes_the_ipw_weights_once(tmp_path, rng, monkeypatch):
     # each estimator alone takes its own weights
     alone = {name: estimate(name, name)[name] for name in ("ipw", "projection")}
     calls = []
-    real = estimators.ipw_weights
+    real = estimators._ipw_weights
 
     def counted(*a):
         calls.append(a)
         return real(*a)
 
-    monkeypatch.setattr(estimators, "ipw_weights", counted)
-    monkeypatch.setattr(inference, "ipw_weights", counted)
-    assert estimate("both", "ipw", "projection") == alone
-    assert len(calls) == 1
+    monkeypatch.setattr(estimators, "_ipw_weights", counted)
+    for order in (("ipw", "projection"), ("projection", "ipw")):
+        calls.clear()
+        assert estimate("-".join(order), *order) == alone
+        assert len(calls) == 1
 
 
 def test_estimate_manifest_names_every_input_spec(tmp_path):

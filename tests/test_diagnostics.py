@@ -255,6 +255,6 @@ def test_imbalance_requires_the_fits_design(rng):
     s = TensorWithCovariates(StratifiedCount(1))
     f = Gate()
     fit = balancing_fit(d, s, f)
-    bare = dataclasses.replace(fit, _context={})
+    bare = dataclasses.replace(fit, design=None)
     with pytest.raises(InvalidSpec, match="not a balancing fit"):
         imbalance_report(d, s, f, bare)

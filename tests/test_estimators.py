@@ -275,7 +275,7 @@ def test_projection_orthogonality_and_contraction(rng):
         probs = {c.cluster_id: rng.uniform(0.3, 0.7, c.size) for c in d.clusters}
         e = IndependentBernoulli(lambda c: probs[c.cluster_id])
         fit = projection_fit(d, structure, uniform_intervention(), e)
-        w_ipw = fit._context["w_ipw"]
+        w_ipw = ipw_weights(d, uniform_intervention(), e)
         phi = design_matrix(structure, d)
         resid = phi.T @ (fit.weights.values - w_ipw)
         assert np.linalg.norm(resid) <= 1e-8 * (1 + np.linalg.norm(phi.T @ w_ipw))
@@ -649,7 +649,7 @@ def test_factored_design_matches_the_dense_svd(rng, structure, data):
     got = bal.imbalance * d.n + bal.target
     assert np.abs(got - want).max() <= 1e-12 * max(np.abs(want).max(), 1e-300)
     proj = projection_fit(d, structure, f, e, design=design)
-    for weights in (bal.weights.values, proj.weights.values, proj._context["w_ipw"]):
+    for weights in (bal.weights.values, proj.weights.values, ipw_weights(d, f, e)):
         want = dense_loads(design, weights)
         got = _per_cluster_feature_loads(design, weights)
         assert np.abs(got - want).max() <= 1e-12 * max(np.abs(want).max(), 1e-300)

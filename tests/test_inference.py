@@ -101,7 +101,7 @@ def test_eta_first_block_ties_to_imbalance(rng):
     structure = TensorWithCovariates(StratifiedCount(1))
     f = uniform_intervention()
     fit = balancing_fit(d, structure, f)
-    design = fit._context["design"]
+    design = fit.design
     loads = _per_cluster_feature_loads(design, fit.weights.values)
     first_block_sum = (loads - design.contributions).sum(axis=0)
     assert np.allclose(first_block_sum, d.n * fit.imbalance, atol=1e-10)

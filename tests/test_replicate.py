@@ -1,6 +1,9 @@
 """The size-batched Monte-Carlo replicate against its per-cluster oracles:
 the DGP draw, the calibration signal, the IPW weights and the sandwich loads."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -284,18 +287,40 @@ def test_monte_carlo_reports_failures_by_exception_class(monkeypatch):
 # ---------- IPW weights once per set of fits ----------
 
 
+def test_the_dataset_keeps_one_read_only_ipw_array_per_pair_of_laws(rng):
+    d = make_dataset(rng, 12, sizes=(2, 3), p=1)
+    f = Gate()
+    laws = [IndependentBernoulli(lambda c, q=q: np.full(c.size, q)) for q in (0.3, 0.3, 0.6)]
+    got = [ipw_weights(d, f, e) for e in laws]
+    for w, e in zip(got, laws):
+        assert not w.flags.writeable
+        with pytest.raises(ValueError):
+            w[0] = 0.0
+        assert ipw_weights(d, f, e) is w
+        assert np.allclose(w, per_cluster_ipw_weights(d, f, e), rtol=1e-15, atol=0)
+    # equal laws that are distinct objects get their own entries
+    assert got[0] is not got[1] and np.array_equal(got[0], got[1])
+    assert not np.array_equal(got[0], got[2])
+    # the entry holds its laws, so a dropped law's id cannot be taken by another
+    law = IndependentBernoulli(lambda c: np.full(c.size, 0.4))
+    ref = weakref.ref(law)
+    ipw_weights(d, f, law)
+    del law
+    gc.collect()
+    assert ref() is not None
+
+
 def _count_ipw_weights(monkeypatch):
     from clusterbal import estimators
 
     calls = []
-    real = estimators.ipw_weights
+    real = estimators._ipw_weights
 
     def counted(*args):
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(estimators, "ipw_weights", counted)
-    monkeypatch.setattr(inference, "ipw_weights", counted)
+    monkeypatch.setattr(estimators, "_ipw_weights", counted)
     return calls
 
 
@@ -311,9 +336,11 @@ def test_ipw_weights_are_taken_once_per_replicate(monkeypatch):
         )
         want[name] = (fit.point, var.ci_low, var.ci_high)
     calls = _count_ipw_weights(monkeypatch)
-    got = simulate._replicate(cfg, 0, names, 0.95)
-    assert len(calls) == 1
-    assert {n: (r["point"], r["ci_low"], r["ci_high"]) for n, r in got.items()} == want
+    for order in (names, names[::-1]):
+        calls.clear()
+        got = simulate._replicate(cfg, 0, order, 0.95)
+        assert len(calls) == 1
+        assert {n: (r["point"], r["ci_low"], r["ci_high"]) for n, r in got.items()} == want
     calls.clear()
     monte_carlo(cfg, 3, estimators=names, truth_draws=2000)
     assert len(calls) == 3

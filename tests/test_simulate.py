@@ -334,6 +334,16 @@ def test_sweep_rows_shape():
     assert {r["n"] for r in rows} == {4, 6}
 
 
+def test_sweep_checks_each_value_as_its_field():
+    cfg = small_cfg(n=6)
+    for axis, values in (("n", [2.7]), ("n", ["4"]), ("kappa", [math.nan])):
+        with pytest.raises(InvalidSpec, match="sweep spec field 'values'"):
+            sweep(cfg, axis, values, reps=1, estimators=("ipw",))
+    # each row is labelled with the value it ran
+    rows = sweep(cfg, "n", [3.0], reps=1, estimators=("ipw",), truth_draws=2000)
+    assert [(r["n"], type(r["n"])) for r in rows] == [(3, int)]
+
+
 def test_presets_resolve():
     for name in ("fig1-left", "fig1-mid", "fig1-right", "stratified", "additive"):
         cfg, axis, values = preset_config(name, seed=5)
