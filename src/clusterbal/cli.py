@@ -39,7 +39,7 @@ from .simulate import (
     sweep,
     sweep_values,
 )
-from .specio import propensity_from_json, spec_float, spec_int, weight_from_json
+from .specio import propensity_from_json, weight_from_json
 from .structures import build_structure, exposure_from_spec
 
 EXIT_OK = 0
@@ -504,26 +504,11 @@ def _config_from_file(path, seed):
     for key in doc:
         if key not in known:
             raise InvalidSpec(f"{path}: unknown config field {key!r}")
-    what = f"{path}: config"
-    for key in ("n", "p"):
-        if key in doc:
-            doc[key] = spec_int(doc, key, what)
-    for key in ("kappa", "snr_target", "sigma2", "rho", "gamma"):
-        if doc.get(key) is not None:
-            doc[key] = spec_float(doc, key, what)
-    if not isinstance(doc.get("interference", ""), str):
-        raise InvalidSpec(
-            f"{what} spec field 'interference' must be a string, got {doc['interference']!r}"
-        )
-    if "cluster_sizes" in doc:
-        try:
-            doc["cluster_sizes"] = tuple((int(m), float(q)) for m, q in doc["cluster_sizes"])
-        except (TypeError, ValueError):
-            raise InvalidSpec(
-                f"{what} spec field 'cluster_sizes' must be [[m, prob], ...], "
-                f"got {doc['cluster_sizes']!r}"
-            ) from None
-    return DGPConfig(**doc), axis, sweep_values(axis, values, what)
+    try:
+        cfg = DGPConfig(**doc)
+    except InvalidSpec as exc:
+        raise InvalidSpec(f"{path}: {exc}") from None
+    return cfg, axis, sweep_values(axis, values, f"{path}: config")
 
 
 def _simulate_config(args, seed):
@@ -531,7 +516,7 @@ def _simulate_config(args, seed):
         cfg, axis, values = preset_config(args.preset, seed=seed)
     else:
         cfg, axis, values = _config_from_file(args.config, seed)
-    if args.n is not None:
+    if getattr(args, "n", None) is not None:  # simulate's --n; calibrate has none
         axis, values = "n", tuple(args.n)
     return cfg, axis, values
 
@@ -576,10 +561,7 @@ def _cmd_simulate(args, argv):
 
 def _cmd_calibrate(args, argv):
     seed = _resolve_seed(args)
-    if args.preset:
-        cfg, _, _ = preset_config(args.preset, seed=seed)
-    else:
-        cfg, _, _ = _config_from_file(args.config, seed)
+    cfg, _, _ = _simulate_config(args, seed)
     if args.snr_target is not None:
         cfg = replace(cfg, snr_target=args.snr_target)
     report = calibrate_snr(cfg)

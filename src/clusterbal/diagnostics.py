@@ -76,8 +76,11 @@ def imbalance_report(dataset, structure, weight, fit, threshold=DEFAULT_THRESHOL
     encoding defines the effective treatments; other structures report them
     as NaN and flag nothing. The fit must carry its imbalance vector, target
     and design, as a balancing fit does. The incidences count the units whose
-    observed inner row is non-zero in each coordinate.
+    observed inner row is non-zero in each coordinate. A negative or NaN
+    threshold raises InvalidSpec.
     """
+    if not threshold >= 0.0:
+        raise InvalidSpec(f"threshold must be a non-negative number, got {threshold!r}")
     if structure.regime != "fixed":
         raise InvalidSpec("imbalance reporting needs a fixed-dimension structure")
     if fit.imbalance is None or fit.target is None or fit.design is None:

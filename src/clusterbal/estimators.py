@@ -86,13 +86,13 @@ class EstimateReport:
 class DesignSystem:
     """Observed design, held only as its factors (unit i's row is inner_i (x)
     x_i; `design_matrix` builds it dense), and per-cluster target
-    contributions. The decomposition, the residual, the sandwich loads and
-    the imbalance report's incidences read the factors. It depends on the
-    structure and the weight only; the IPW weights, which do not depend on
-    the structure, are kept on the dataset (`ipw_weights`)."""
+    contributions. The decomposition, the balancing solve's residual and
+    the imbalance report's incidences read the factors; the sandwich
+    variance reads only the decomposition's fitted values. It depends on
+    the structure and the weight only; the IPW weights, which do not depend
+    on the structure, are kept on the dataset (`ipw_weights`)."""
 
     contributions: np.ndarray  # (n, d_h)
-    slices: tuple
     # per size group: (unit rows (B, m), inner rows (B, m, ell) bool, covariate rows (B, m, w))
     factors: tuple
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
@@ -110,10 +110,9 @@ class DesignSystem:
 def build_design(structure, dataset, weight):
     """Observed design and target. The design is its factors, each unit's
     inner row and covariate row, whose Kronecker product is its row
-    (`_observed_design`); the decomposition, residual and loads read them."""
+    (`_observed_design`); the decomposition reads them."""
     return DesignSystem(
         contributions=target_contributions(structure, dataset, weight),
-        slices=tuple(dataset.cluster_slices()),
         factors=_observed_design(structure, dataset),
     )
 
@@ -277,7 +276,7 @@ def _block_closed_form(dataset, structure, weight, propensity, rank_cut=True):
         e_low[rows] = np.where(held, e_b, np.inf).min(axis=0)
         keep = held & (e_b > 0.0)  # a held class of mass 0 raises below
         if rank_cut and m <= PATTERN_CAP:
-            rcond = _default_rcond((2**m, structure.dim(group[0], 0)))
+            rcond = _default_rcond((2**m, structure.dim(group[0])))
             keep &= np.sqrt(e_b) > rcond * np.sqrt([mass.max(axis=2) for mass in e_cls])
         if len(layout.blocks) == 1:
             w = np.divide(f_b[0], m * e_b[0], out=np.zeros(rows.shape), where=keep[0])

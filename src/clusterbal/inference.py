@@ -5,7 +5,7 @@ that runs each estimator with its variance."""
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy.special import ndtri
@@ -60,14 +60,7 @@ class VarianceReport:
         return self.ci_high - self.ci_low
 
     def to_dict(self):
-        return {
-            "sigma2_hat": self.sigma2_hat,
-            "point": self.point,
-            "ci_low": self.ci_low,
-            "ci_high": self.ci_high,
-            "level": self.level,
-            "n": self.n,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -94,43 +87,33 @@ class SelectionReport:
         }
 
 
-def _ci(point, sigma2, n, level):
+def _check_unit_interval(value, name):
+    """InvalidSpec unless value, a confidence level or a test size, lies in (0, 1)."""
+    if not 0.0 < value < 1.0:
+        raise InvalidSpec(f"{name} must lie in (0, 1), got {value!r}")
+
+
+def _report(fit, sigma2, dataset, level):
+    """The fit's VarianceReport: sigma2 with its normal CI over the n clusters."""
+    _check_unit_interval(level, "level")
+    n = dataset.n
     half = ndtri(1.0 - (1.0 - level) / 2.0) * np.sqrt(sigma2 / n)
-    return point - half, point + half
+    return VarianceReport(sigma2_hat=sigma2, point=fit.point, ci_low=fit.point - half,
+                          ci_high=fit.point + half, level=level, n=n)
 
 
-def _per_cluster_sums(values, slices):
-    starts = np.array([s for s, _ in slices])
-    return np.add.reduceat(values, starts)
-
-
-def _per_cluster_feature_loads(design, weights):
-    """Lambda_c(A_c)^T w_c per cluster: (n, d). Cluster c's load is
-    sum_i w_i r_i (x) x_i over its units, from the design's factors: one
-    batched r^T (w * X) product per size group."""
-    starts = np.array([s for s, _ in design.slices])
-    _, inner, x = design.factors[0]
-    out = np.empty((len(starts), inner.shape[2] * x.shape[2]))
-    for rows, inner, x in design.factors:
-        loads = np.matmul(inner.astype(float).transpose(0, 2, 1), x * weights[rows][:, :, None])
-        out[np.searchsorted(starts, rows[:, 0])] = loads.reshape(len(rows), -1)
-    return out
+def _per_cluster_sums(values, dataset):
+    return np.add.reduceat(values, [start for start, _ in dataset.cluster_slices()])
 
 
 def iid_cluster_variance(dataset, fit, level=0.95):
     """Sample-variance CI from i.i.d. per-cluster contributions.
 
     Appropriate whenever the per-cluster weights are functions of that
-    cluster's data alone (IPW, weighted projection).
+    cluster's data alone (IPW, weighted projection). One cluster gives NaN.
     """
-    slices = dataset.cluster_slices()
-    s_c = _per_cluster_sums(fit.weights.values * dataset.stacked_outcomes(), slices)
-    n = dataset.n
-    sigma2 = float(s_c.var(ddof=1)) if n > 1 else float("nan")
-    lo, hi = _ci(fit.point, sigma2, n, level) if n > 1 else (float("nan"), float("nan"))
-    return VarianceReport(
-        sigma2_hat=sigma2, point=fit.point, ci_low=lo, ci_high=hi, level=level, n=n
-    )
+    s_c = _per_cluster_sums(fit.weights.values * dataset.stacked_outcomes(), dataset)
+    return _report(fit, float(s_c.var(ddof=1)) if dataset.n > 1 else float("nan"), dataset, level)
 
 
 def sandwich_variance(
@@ -145,18 +128,22 @@ def sandwich_variance(
 ):
     """Z-estimator sandwich variance for the design-based weighting fits.
 
-    kind 'bal' uses the counterfactual feature loads as the balance target of
-    the estimating equations; 'proj' uses the observed IPW feature loads and
-    needs the propensity, the fit's, whose IPW weights the dataset keeps
-    (`ipw_weights`). Both read the design the fit names (`fit.design`), or
-    build it when the fit names none. 'wproj' reduces to the i.i.d. cluster
-    sample variance since its per-cluster weights depend on that cluster alone.
+    sigma2 = mean_c eta_c^2, eta_c = (L_c(w) - v_c) . h - (s_c - theta),
+    with L_c(w) = sum_{i in c} w_i phi_i, s_c = w_c^T y_c and h = phi^+ y.
+    Since L_c(w) . h = sum_{i in c} w_i yhat_i, yhat = phi h = U U^T y, it is
+    taken in residual form, -eta_c = (g_c - theta) + w_c^T e_c with e = y -
+    yhat and g_c = v_c . h, and no load is formed. Kind 'bal' balances the
+    target contributions, g_c = contributions_c . h; 'proj' the loads of the
+    IPW weights of the fit's propensity, g_c = w_ipw,c^T yhat_c, with no h.
+    A unit no decomposition piece covers has yhat = 0, as its load is 0.
+    Both read `fit.design`, or build the design when the fit names none.
+    'wproj' is the i.i.d. cluster sample variance: its per-cluster weights
+    depend on that cluster alone.
     """
     if kind not in ("bal", "proj", "wproj"):
         raise ValueError(f"unknown variance kind {kind!r}")
-    if kind in ("proj", "wproj"):
-        if propensity is None or not propensity.known:
-            raise PropensityUnavailable(f"kind {kind!r} needs a known propensity model")
+    if kind != "bal" and (propensity is None or not propensity.known):
+        raise PropensityUnavailable(f"kind {kind!r} needs a known propensity model")
     if kind == "bal" and not fit.feasible and not allow_infeasible:
         raise InfeasibleFit(
             "balancing fit is infeasible; CI construction refused "
@@ -168,24 +155,15 @@ def sandwich_variance(
     design = fit.design
     if design is None:
         design = build_design(structure, dataset, weight)
-    slices = design.slices
+    ops = design.ops()
     y = dataset.stacked_outcomes()
-    n = dataset.n
-
-    h_hat = design.ops().ols_coefficients(y)
-    w = fit.weights.values
-    loads = _per_cluster_feature_loads(design, w)
+    e = y - ops.project(y)
     if kind == "bal":
-        v = design.contributions
+        g = design.contributions @ ops.ols_coefficients(y)
     else:
-        v = _per_cluster_feature_loads(design, ipw_weights(dataset, weight, propensity))
-    s_c = _per_cluster_sums(w * y, slices)
-    eta_dot_l = (loads - v) @ h_hat - (s_c - fit.point)
-    sigma2 = float(np.mean(eta_dot_l**2))
-    lo, hi = _ci(fit.point, sigma2, n, level)
-    return VarianceReport(
-        sigma2_hat=sigma2, point=fit.point, ci_low=lo, ci_high=hi, level=level, n=n
-    )
+        g = _per_cluster_sums(ipw_weights(dataset, weight, propensity) * (y - e), dataset)
+    eta = g - fit.point + _per_cluster_sums(fit.weights.values * e, dataset)
+    return _report(fit, float(np.mean(eta**2)), dataset, level)
 
 
 def sigma_noise_hat(dataset, structure, dof="units", design=None):
@@ -233,10 +211,12 @@ def select_structure(dataset, weight, candidates, alpha=0.05, dof="units"):
     """Most informative candidate that the specification test does not reject.
 
     Candidates are ordered informative -> flexible; the last one is the
-    reference. Any infeasible candidate fit aborts with the offender list.
+    reference. Any infeasible candidate fit aborts with the offender list,
+    and an alpha outside (0, 1) with InvalidSpec before any fit.
     Each adjacent pair's nesting is decided on the candidates' own DesignOps
     (DesignOps.contains), recorded in `nested`, and warned about when false.
     """
+    _check_unit_interval(alpha, "alpha")
     candidates = list(candidates)
     if not candidates:
         raise ValueError("need at least one candidate structure")
@@ -305,15 +285,17 @@ def fit_estimator(
     is the structure's DesignSystem, shared by the DESIGN_FITS (they build it
     when it is None). The variance is computed only for a feasible fit, or
     for any fit when `allow_infeasible` is set; only balancing fits can be
-    infeasible. A name not in ESTIMATORS, or a needed input that is None,
-    raises InvalidSpec. The fits and variances are called by their module
-    names at call time, so rebinding those names reaches every estimator.
+    infeasible. A name not in ESTIMATORS, a needed input that is None, or a
+    level outside (0, 1) raises InvalidSpec before any fit. The fits and
+    variances are called by their module names at call time, so rebinding
+    those names reaches every estimator.
     """
     if name not in ESTIMATORS:
         raise InvalidSpec(f"unknown estimator {name!r}; choose from {list(ESTIMATORS)}")
     need, given = ("exposure mapping", mapping) if name == "exposure-ipw" else ("structure", structure)
     if name != "ipw" and given is None:
         raise InvalidSpec(f"estimator {name!r} needs the {need} input, and none was given")
+    _check_unit_interval(level, "level")
     if name == "ipw":
         fit = ipw_fit(dataset, weight, propensity)
     elif name == "balancing":

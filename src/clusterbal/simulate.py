@@ -21,7 +21,7 @@ import numpy as np
 from .core import ClusterSample, Dataset, _probit_terms, probit_intervention, probit_propensity
 from .errors import CalibrationFailed, InvalidSpec
 from .estimators import build_design
-from .inference import DESIGN_FITS, ESTIMATORS, fit_estimator
+from .inference import DESIGN_FITS, ESTIMATORS, _check_unit_interval, fit_estimator
 from .specio import spec_float, spec_int
 from .structures import (
     AdditiveTypes,
@@ -55,19 +55,32 @@ class DGPConfig:
     gamma: float | None = None  # signal scale; calibrated from snr_target when None
 
     def __post_init__(self):
+        """Each field checked as a config spec field and kept as the int or
+        float it was checked as; InvalidSpec names the first bad field."""
+        what, doc = "config", vars(self)
+        for key in ("n", "p", "seed"):
+            object.__setattr__(self, key, spec_int(doc, key, what))
+        for key in ("kappa", "snr_target", "sigma2", "rho") + ("gamma",) * (self.gamma is not None):
+            object.__setattr__(self, key, spec_float(doc, key, what))
+        kinds = ("knn1", "knn2", "knn3", "knn4", "knn5", "stratified5", "additive")
+        if self.interference not in kinds:
+            raise InvalidSpec(f"{what} spec field 'interference' must be one of {', '.join(kinds)}, "
+                              f"got {self.interference!r}")
+        try:
+            sizes = tuple((spec_int({"cluster_sizes": m}, "cluster_sizes", what),
+                           spec_float({"cluster_sizes": q}, "cluster_sizes", what))
+                          for m, q in self.cluster_sizes)
+        except (TypeError, ValueError):
+            raise InvalidSpec(f"{what} spec field 'cluster_sizes' must be [[m, prob], ...], "
+                              f"got {self.cluster_sizes!r}") from None
         if self.n < 1:
             raise InvalidSpec("n must be >= 1")
-        if self.interference not in (
-            "knn1", "knn2", "knn3", "knn4", "knn5", "stratified5", "additive"
-        ):
-            raise InvalidSpec(f"unknown interference kind {self.interference!r}")
         if not -1.0 < self.rho < 1.0:
             raise InvalidSpec("rho must lie in (-1, 1)")
         if self.sigma2 <= 0:
             raise InvalidSpec("sigma2 must be positive")
         if self.snr_target <= 0:
             raise InvalidSpec("snr_target must be positive")
-        sizes = tuple((int(m), float(q)) for m, q in self.cluster_sizes)
         if abs(sum(q for _, q in sizes) - 1.0) > 1e-10:
             raise InvalidSpec("cluster size probabilities must sum to 1")
         if any(m < 1 or q < 0 for m, q in sizes):
@@ -454,11 +467,12 @@ def monte_carlo(
     can be infeasible); failed estimator evaluations count as failed
     replicates for that estimator (`metrics[e]["errors"]`), and
     `error_classes[e]` counts them by exception class. An estimator name not
-    in ESTIMATORS raises InvalidSpec before any work.
+    in ESTIMATORS, or a level outside (0, 1), raises InvalidSpec before any work.
     Deterministic in (cfg, reps) regardless of parallelism.
     """
     if reps < 1:
         raise InvalidSpec("reps must be >= 1")
+    _check_unit_interval(level, "level")
     estimators = tuple(estimators)
     unknown = [name for name in estimators if name not in ESTIMATORS]
     if unknown:

@@ -175,7 +175,7 @@ class LowRankStructure:
     label = "structure"
     exposure_mapping = None  # set on one-hot structures: the mapping whose class is the hot slot
 
-    def dim(self, cluster=None, i=None):
+    def dim(self, cluster=None):
         raise NotImplementedError
 
     def indicator_blocks(self, clusters):
@@ -231,9 +231,9 @@ class ExposureMapping:
     """
 
     label = "exposure"
-    fixed_dim = None  # class count when it does not vary with (cluster, i)
+    fixed_dim = None  # class count when it does not vary with the cluster
 
-    def n_classes(self, cluster, i):
+    def n_classes(self, cluster):
         return self.fixed_dim
 
     def classes_batch(self, clusters, patterns):
@@ -362,7 +362,7 @@ class IdentityMapping(ExposureMapping):
 
     label = "identity"
 
-    def n_classes(self, cluster, i):
+    def n_classes(self, cluster):
         return 2**cluster.size
 
     def classes_batch(self, clusters, patterns):
@@ -402,12 +402,10 @@ class FromExposureMapping(LowRankStructure):
     def exposure_mapping(self):
         return self.mapping
 
-    def dim(self, cluster=None, i=None):
-        if self.mapping.fixed_dim is not None:
-            return self.mapping.fixed_dim
-        if cluster is None or i is None:
-            raise InvalidSpec("per-unit structure dimension needs (cluster, i)")
-        return self.mapping.n_classes(cluster, i)
+    def dim(self, cluster=None):
+        if self.mapping.fixed_dim is None and cluster is None:
+            raise InvalidSpec("per-unit structure dimension needs a cluster")
+        return self.mapping.n_classes(cluster)
 
 
 class NoInterference(FromExposureMapping):
@@ -491,7 +489,7 @@ class AdditiveTypes(LowRankStructure):
         self.s = int(s)
         self.type_source = type_source
 
-    def dim(self, cluster=None, i=None):
+    def dim(self, cluster=None):
         return 2 * self.s
 
     def stacked(self, clusters):
@@ -642,7 +640,7 @@ class CoarsenedCount(LowRankStructure):
         t1, t2 = self._require_thresholds()[lvl]
         return np.where(counts <= t1, 0, np.where(counts <= t2, 1, 2)).astype(np.int64)
 
-    def dim(self, cluster=None, i=None):
+    def dim(self, cluster=None):
         return 2 + 3 * self.order
 
     def indicator_blocks(self, clusters):
@@ -680,7 +678,7 @@ class Compose(LowRankStructure):
         if isinstance(base, KnnPattern):
             self.exposure_mapping = NeighborPattern(base.k, graph=inner.exposure_mapping)
 
-    def dim(self, cluster=None, i=None):
+    def dim(self, cluster=None):
         return self.outer.dim()
 
     def indicator_blocks(self, clusters):
@@ -764,12 +762,12 @@ class TensorWithCovariates(LowRankStructure):
     def width(self, cluster):
         return len(self._slots(cluster.p))
 
-    def dim(self, cluster=None, i=None):
+    def dim(self, cluster=None):
         if self.columns is None:
             if cluster is None:
                 raise InvalidSpec("dimension needs a cluster when columns default to all")
-            return self.inner.dim(cluster, i) * cluster.p
-        return self.inner.dim(cluster, i) * len(self.columns)
+            return self.inner.dim(cluster) * cluster.p
+        return self.inner.dim(cluster) * len(self.columns)
 
     @property
     def regime(self):
@@ -889,7 +887,7 @@ class _GroupRows:
             x = (x[:, :, :, None] * level[:, :, None, :]).reshape(x.shape[:2] + (-1,))
         self.clusters = clusters
         self.blocks = structure.block_layout(clusters)
-        self.ell = structure.dim(clusters[0], 0)
+        self.ell = structure.dim(clusters[0])
         self.x = x  # (B, m, w)
 
     @staticmethod
@@ -925,7 +923,7 @@ class _GroupRows:
         """A block's class masses summed over the law's (pattern, mass)
         support, cluster by cluster."""
         m = self.x.shape[1]
-        out = np.zeros((len(self.clusters), m, block.n_classes(self.clusters[0], 0)))
+        out = np.zeros((len(self.clusters), m, block.n_classes(self.clusters[0])))
         for b, c in enumerate(self.clusters):
             support = law.support(c)
             if not support:

@@ -267,10 +267,32 @@ class DenseOps(DesignOps):
         self._pieces = [(rows, cols, u[:, :keep], s[:keep], vt[:keep])] if keep else []
 
 
+def _cluster_starts(design):
+    """Each cluster's first unit row, read from the design's factors, whose
+    size groups list every cluster's unit rows."""
+    return np.sort(np.concatenate([rows[:, 0] for rows, _, _ in design.factors]))
+
+
 def dense_loads(design, weights):
-    """Per-cluster sandwich loads as the reduction of the dense product phi * w."""
-    starts = np.array([start for start, _ in design.slices])
-    return np.add.reduceat(dense_design(design.factors) * weights[:, None], starts, axis=0)
+    """Per-cluster sandwich loads L_c(w) = sum_{i in c} w_i phi_i, as the
+    reduction of the dense product phi * w: (n, d)."""
+    phi = dense_design(design.factors)
+    return np.add.reduceat(phi * weights[:, None], _cluster_starts(design), axis=0)
+
+
+def loads_form_sigma2(dataset, design, fit, w_ipw=None):
+    """The sandwich variance of a balancing fit, or with `w_ipw` (the IPW
+    weights) a projection fit, in its loads form on the dense SVD: the mean
+    over clusters of eta_c^2, eta_c = (L_c(w) - v_c) . h - (s_c - theta),
+    with L_c(w) = `dense_loads`, v_c the target contributions or the IPW
+    weights' loads, s_c = w_c^T y_c and h = phi^+ y."""
+    y = dataset.stacked_outcomes()
+    w = fit.weights.values
+    h = DenseOps(dense_design(design.factors)).ols_coefficients(y)
+    v = design.contributions if w_ipw is None else dense_loads(design, w_ipw)
+    s_c = np.add.reduceat(w * y, _cluster_starts(design))
+    eta = (dense_loads(design, w) - v) @ h - (s_c - fit.point)
+    return float(np.mean(eta**2))
 
 
 def with_dense_ops(design):

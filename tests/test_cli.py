@@ -586,12 +586,53 @@ def test_calibrate_snr_target_replaces_only_that_field(tmp_path):
 
 def test_calibrate_non_positive_snr_target_exits_1_with_one_line(tmp_path, capsys):
     out = tmp_path / "cal"
-    argv = ["calibrate", "--config", sim_config(tmp_path), "--seed", "2",
-            "--snr-target", "0", "--out-dir", str(out)]
-    assert run(argv) == EXIT_ERROR
+    for value in ("0", "nan", "inf"):
+        argv = ["calibrate", "--config", sim_config(tmp_path), "--seed", "2",
+                "--snr-target", value, "--out-dir", str(out)]
+        assert run(argv) == EXIT_ERROR
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "snr_target" in err[0]
+        assert not out.exists()
+
+
+def _range_args(tmp_path, command):
+    """argv of a command that succeeds with tmp_path / "out" as its out-dir."""
+    if command == "estimate":
+        return _estimate_args(tmp_path)
+    out = ["--out-dir", str(tmp_path / "out")]
+    if command == "simulate":
+        return ["simulate", "--config", sim_config(tmp_path), "--reps", "2", "--seed", "1"] + out
+    data = write(tmp_path, "d.csv", feasible_csv())
+    policy = write_json(tmp_path, "policy.json", {"kind": "uniform"})
+    if command == "select":
+        candidates = write_json(tmp_path, "cands.json", [{"kind": "no_interference"}])
+        return ["select", "--dataset", data, "--policy", policy, "--candidates", candidates] + out
+    structure = write_json(tmp_path, "structure.json", {"kind": "no_interference"})
+    return ["balance-report", "--dataset", data, "--policy", policy, "--structure", structure] + out
+
+
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [("estimate", "--level", v) for v in ("1.5", "-1", "nan", "0", "1")]
+    + [("simulate", "--level", v) for v in ("1.5", "nan")]
+    + [("select", "--alpha", v) for v in ("2", "nan", "0")]
+    + [("balance-report", "--threshold", v) for v in ("nan", "-0.1")],
+)
+def test_out_of_range_level_alpha_or_threshold_exits_1_with_one_line(
+    tmp_path, capsys, monkeypatch, command, flag, value
+):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("ran before the level was checked")
+
+    monkeypatch.setattr(simulate, "true_mu", forbidden)
+    argv = _range_args(tmp_path, command)
+    assert run(argv + [flag, value]) == EXIT_ERROR
     err = capsys.readouterr().err.strip().splitlines()
-    assert len(err) == 1 and err[0].startswith("error:") and "snr_target" in err[0]
-    assert not out.exists()
+    assert len(err) == 1 and err[0].startswith("error:") and flag[2:] in err[0]
+    assert not (tmp_path / "out").exists()
+    # the same command runs with the default
+    if command != "simulate":
+        assert run(argv) == EXIT_OK
 
 
 def test_usage_errors_exit_64(tmp_path):
@@ -808,6 +849,17 @@ def test_config_unknown_field_exits_1_with_one_line(tmp_path, capsys, command):
         ({"n": 10, "axis": "kappa", "values": [math.inf]}, "'values'"),
         ({"n": 10, "axis": "snr_target", "values": [0.5, "x"]}, "'values'"),
         ({"n": 10, "axis": "rho", "values": [0.1]}, "'axis'"),
+        # DGPConfig checks its own fields, each as a config spec field
+        ({"n": 2.7}, "'n'"),
+        ({"n": 10, "p": 4.5}, "'p'"),
+        ({"n": 10, "kappa": math.nan}, "'kappa'"),
+        ({"n": 10, "gamma": math.nan}, "'gamma'"),
+        ({"n": 10, "sigma2": math.nan}, "'sigma2'"),
+        ({"n": 10, "snr_target": math.inf}, "'snr_target'"),
+        ({"n": 10, "cluster_sizes": [[3.5, 1.0]]}, "'cluster_sizes'"),
+        ({"n": 10, "cluster_sizes": [[True, 1.0]]}, "'cluster_sizes'"),
+        ({"n": 10, "cluster_sizes": [[10, "x"]]}, "'cluster_sizes'"),
+        ({"n": 10, "cluster_sizes": [[10, math.nan]]}, "'cluster_sizes'"),
     ],
 )
 def test_config_wrong_type_exits_1_with_one_line(tmp_path, capsys, command, doc, field):

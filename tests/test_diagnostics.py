@@ -52,6 +52,16 @@ def test_feasible_fit_reports_no_flags(rng):
     assert report.flagged == ()
 
 
+@pytest.mark.parametrize("threshold", [-0.1, float("nan")])
+def test_negative_or_nan_threshold_raises(rng, threshold):
+    d = infeasible_pair(rng)
+    s = TensorWithCovariates(NoInterference())
+    fit = balancing_fit(d, s, Gate())
+    with pytest.raises(InvalidSpec, match="threshold must be a non-negative number"):
+        imbalance_report(d, s, Gate(), fit, threshold=threshold)
+    assert imbalance_report(d, s, Gate(), fit, threshold=0.0).threshold == 0.0
+
+
 def test_threshold_semantics_strictly_greater(rng):
     d = infeasible_pair(rng)
     s = TensorWithCovariates(NoInterference())

@@ -33,7 +33,7 @@ from clusterbal.estimators import (
     projection_fit,
     weighted_projection_fit,
 )
-from clusterbal.inference import _per_cluster_feature_loads, sandwich_variance
+from clusterbal.inference import sandwich_variance
 from clusterbal.numerics import project_colspace
 from clusterbal.simulate import DGPConfig, dgp_structure, gen_dataset
 from clusterbal.structures import (
@@ -60,9 +60,9 @@ from clusterbal.structures import (
 from conftest import make_cluster, make_dataset
 from oracles import (
     DenseOps,
-    dense_loads,
     design_rows,
     expectation_over_assignments,
+    loads_form_sigma2,
     mu_f_direct,
     structure_rows,
     with_dense_ops,
@@ -609,10 +609,10 @@ def test_factored_design_matches_the_dense_svd(rng, structure, data):
     """The factored decomposition of every structure kind against np.linalg.svd
     of its phi: the same rank, singular values within 1e-13 s_max, U U^T
     within 1e-12, the three solves within 1e-10 relative and `contains`
-    both ways; each cluster's sandwich load against the dense phi * w
-    reduction, the balancing imbalance times n plus t against phi^T w
-    within 1e-12, and the `bal` and `proj` sandwich variances within 1e-10
-    of those of fits on the dense SVD. A one-hot design takes one
+    both ways; the balancing imbalance times n plus t against phi^T w
+    within 1e-12, the `bal` and `proj` sandwich variances within 1e-12 of
+    their loads form on the dense SVD (`loads_form_sigma2`), and within
+    1e-10 of those of fits on the dense SVD. A one-hot design takes one
     component per slot."""
     d = FACTORED_DATASETS[data](rng)
     f, e = probit_intervention(0.3), half_bernoulli()
@@ -649,10 +649,10 @@ def test_factored_design_matches_the_dense_svd(rng, structure, data):
     got = bal.imbalance * d.n + bal.target
     assert np.abs(got - want).max() <= 1e-12 * max(np.abs(want).max(), 1e-300)
     proj = projection_fit(d, structure, f, e, design=design)
-    for weights in (bal.weights.values, proj.weights.values, ipw_weights(d, f, e)):
-        want = dense_loads(design, weights)
-        got = _per_cluster_feature_loads(design, weights)
-        assert np.abs(got - want).max() <= 1e-12 * max(np.abs(want).max(), 1e-300)
+    for fit, kind, w_ipw in ((bal, "bal", None), (proj, "proj", ipw_weights(d, f, e))):
+        got = sandwich_variance(d, structure, f, fit, kind, propensity=e, allow_infeasible=True)
+        want = loads_form_sigma2(d, design, fit, w_ipw)
+        assert got.sigma2_hat == pytest.approx(want, rel=1e-12, abs=0)
     on_dense = with_dense_ops(design)
     fits = ((bal, balancing_fit(d, structure, f, design=on_dense), "bal"),
             (proj, projection_fit(d, structure, f, e, design=on_dense), "proj"))

@@ -26,7 +26,6 @@ from clusterbal.estimators import (
 )
 from clusterbal.inference import (
     ESTIMATORS,
-    _per_cluster_feature_loads,
     fit_estimator,
     iid_cluster_variance,
     sandwich_variance,
@@ -46,7 +45,7 @@ from clusterbal.structures import (
 )
 
 from conftest import make_cluster, make_dataset
-from oracles import design_rows
+from oracles import dense_loads, design_rows
 
 
 def half_bernoulli():
@@ -102,7 +101,7 @@ def test_eta_first_block_ties_to_imbalance(rng):
     f = uniform_intervention()
     fit = balancing_fit(d, structure, f)
     design = fit.design
-    loads = _per_cluster_feature_loads(design, fit.weights.values)
+    loads = dense_loads(design, fit.weights.values)
     first_block_sum = (loads - design.contributions).sum(axis=0)
     assert np.allclose(first_block_sum, d.n * fit.imbalance, atol=1e-10)
     if fit.feasible:
@@ -193,7 +192,7 @@ def test_sigma_hat_zero_column_design(rng):
     class ZeroColumns(LowRankStructure):
         """No indicator block and no column."""
 
-        def dim(self, cluster=None, i=None):
+        def dim(self, cluster=None):
             return 0
 
         def indicator_blocks(self, clusters):
@@ -360,6 +359,31 @@ def test_fit_estimator_names_the_missing_input(rng, name, missing):
 def test_fit_estimator_rejects_unknown_names(rng):
     with pytest.raises(InvalidSpec, match="unknown estimator 'foo'"):
         fit_estimator("foo", make_dataset(rng, 5), Gate(), half_bernoulli())
+
+
+@pytest.mark.parametrize("level", [1.5, -1.0, float("nan"), 0.0, 1.0])
+def test_levels_and_alphas_outside_the_unit_interval_raise_before_any_fit(
+    rng, monkeypatch, level
+):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("fitted before the level was checked")
+
+    for name in ("ipw_fit", "balancing_fit", "build_design"):
+        monkeypatch.setattr(inference, name, forbidden)
+    d = make_dataset(rng, 6)
+    with pytest.raises(InvalidSpec, match=r"level must lie in \(0, 1\)"):
+        fit_estimator("ipw", d, Gate(), half_bernoulli(), level=level)
+    with pytest.raises(InvalidSpec, match=r"level must lie in \(0, 1\)"):
+        fit_estimator("balancing", d, Gate(), half_bernoulli(), NoInterference(), level=level)
+    with pytest.raises(InvalidSpec, match=r"alpha must lie in \(0, 1\)"):
+        select_structure(d, Gate(), [NoInterference()], alpha=level)
+    # the variances called directly refuse it too
+    e = half_bernoulli()
+    with pytest.raises(InvalidSpec, match=r"level must lie in \(0, 1\)"):
+        iid_cluster_variance(d, ipw_fit(d, Gate(), e), level=level)
+    fit = projection_fit(d, NoInterference(), Gate(), e)
+    with pytest.raises(InvalidSpec, match=r"level must lie in \(0, 1\)"):
+        sandwich_variance(d, NoInterference(), Gate(), fit, "proj", propensity=e, level=level)
 
 
 def test_fit_estimator_infeasible_balancing_variance_only_when_allowed():

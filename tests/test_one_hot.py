@@ -327,7 +327,6 @@ def _oracle_design(structure, dataset, weight):
     ops = DenseOps(per_cluster_design(structure, fresh_copy(dataset)))
     return DesignSystem(
         contributions=per_cluster_contributions(structure, fresh_copy(dataset), weight),
-        slices=tuple(dataset.cluster_slices()),
         factors=ops.factors,
         _cache={"ops": ops},
     )

@@ -1,5 +1,5 @@
 """The size-batched Monte-Carlo replicate against its per-cluster oracles:
-the DGP draw, the calibration signal, the IPW weights and the sandwich loads."""
+the DGP draw, the calibration signal, the IPW weights and the sandwich's loads form."""
 
 import gc
 import weakref
@@ -22,7 +22,7 @@ from clusterbal.core import (
 )
 from clusterbal.errors import InvalidSpec, PositivityViolation
 from clusterbal.estimators import balancing_fit, build_design, ipw_weights, projection_fit
-from clusterbal.inference import _per_cluster_feature_loads, sandwich_variance
+from clusterbal.inference import sandwich_variance
 from clusterbal.simulate import (
     DGPConfig,
     _calibration_report,
@@ -30,12 +30,20 @@ from clusterbal.simulate import (
     gen_dataset,
     monte_carlo,
 )
-from clusterbal.structures import AdditiveTypes, KnnPattern, StratifiedCount, TensorWithCovariates
+from clusterbal.structures import (
+    AdditiveTypes,
+    CoarsenedCount,
+    Compose,
+    KnnPattern,
+    NoInterference,
+    StratifiedCount,
+    TensorWithCovariates,
+)
 
 from conftest import make_dataset
 from oracles import (
-    dense_loads,
     knn_lists,
+    loads_form_sigma2,
     per_cluster_calibration_moments,
     per_cluster_gen_dataset,
     per_cluster_ipw_weights,
@@ -215,41 +223,76 @@ def test_batched_propensity_range_check(rng):
     assert np.array_equal(good.probs_batch(d.clusters), np.full((4, 3), 0.25))
 
 
-# ---------- sandwich loads ----------
+# ---------- the sandwich against its loads form ----------
 
 
 def _tensor(inner):
     return TensorWithCovariates(inner, columns=[0, 1, {"cluster_mean": 2}])
 
 
-@pytest.mark.parametrize("inner", [KnnPattern(2), KnnPattern(3), StratifiedCount(2)])
-def test_scattered_loads_equal_dense_loads(rng, inner):
+LOADS_FORM_CASES = [
+    _tensor(KnnPattern(2)),
+    _tensor(KnnPattern(3)),
+    _tensor(StratifiedCount(2)),
+    TensorWithCovariates(AdditiveTypes(5)),
+    Compose(AdditiveTypes(3), KnnPattern(2)),
+    _tensor(CoarsenedCount(order=2, thresholds=(0, 1), k=2)),
+]
+
+
+def _zero_covariates(dataset, ci):
+    """The dataset with cluster ci's covariate rows all 0, so a covariate
+    tensor gives its units zero design rows, which no decomposition piece covers."""
+    clusters = list(dataset.clusters)
+    c = clusters[ci]
+    clusters[ci] = ClusterSample(np.zeros_like(c.covariates), c.treatments, c.outcomes,
+                                 cluster_id=c.cluster_id)
+    return Dataset(clusters=tuple(clusters))
+
+
+def _assert_loads_form(d, structure, f, e, fits):
+    for fit, kind in fits:
+        got = sandwich_variance(d, structure, f, fit, kind, propensity=e, allow_infeasible=True)
+        w_ipw = ipw_weights(d, f, e) if kind == "proj" else None
+        want = loads_form_sigma2(d, fit.design, fit, w_ipw)
+        assert got.sigma2_hat == pytest.approx(want, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("zeroed", [False, True], ids=["data", "zeroed-cluster"])
+@pytest.mark.parametrize("structure", LOADS_FORM_CASES, ids=lambda s: s.label)
+def test_sandwich_equals_its_loads_form(rng, structure, zeroed):
+    """The residual-form `bal` and `proj` sandwich against the loads form
+    (L_c(w) - v_c) . h - (s_c - theta) on the dense design and its SVD, and
+    against the sandwich of fits on the dense SVD."""
     d = make_dataset(rng, 40, sizes=(1, 5), p=3)
-    structure = _tensor(inner)
+    if zeroed:
+        d = _zero_covariates(d, 3)
     f, e = probit_intervention(0.3), probit_propensity(0.0)
     design = build_design(structure, d, f)
+    fits = ((balancing_fit(d, structure, f, design=design), "bal"),
+            (projection_fit(d, structure, f, e, design=design), "proj"))
+    _assert_loads_form(d, structure, f, e, fits)
     dense = with_dense_ops(design)
-    w = rng.standard_normal(d.total_units)
-    want = dense_loads(design, w)
-    assert np.allclose(_per_cluster_feature_loads(design, w), want, rtol=1e-12, atol=0)
-    for kind, fit_fn in (("bal", balancing_fit), ("proj", projection_fit)):
-        extra = {} if kind == "bal" else {"propensity": e}
-        args = (d, structure, f) + ((e,) if kind == "proj" else ())
-        fits = [fit_fn(*args, design=ds) for ds in (design, dense)]
-        if kind == "bal" and not fits[0].feasible:
-            continue
-        got, want = (
-            sandwich_variance(d, structure, f, fit, kind, **extra).sigma2_hat for fit in fits
-        )
-        assert got == pytest.approx(want, rel=1e-12, abs=0)
+    dense_fits = (balancing_fit(d, structure, f, design=dense),
+                  projection_fit(d, structure, f, e, design=dense))
+    for (fit, kind), dense_fit in zip(fits, dense_fits):
+        got, want = (sandwich_variance(d, structure, f, x, kind, propensity=e, allow_infeasible=True)
+                     for x in (fit, dense_fit))
+        assert got.sigma2_hat == pytest.approx(want.sigma2_hat, rel=1e-12, abs=0)
 
 
-def test_non_one_hot_designs_factor_their_loads(rng):
-    d = make_dataset(rng, 10, sizes=(2, 4), p=2)
-    design = build_design(TensorWithCovariates(AdditiveTypes(4)), d, uniform_intervention())
-    w = rng.standard_normal(d.total_units)
-    want = dense_loads(design, w)
-    assert np.allclose(_per_cluster_feature_loads(design, w), want, rtol=1e-12, atol=0)
+def test_infeasible_sandwich_equals_its_loads_form(rng):
+    """An untreated dataset leaves the treated columns of the design empty,
+    so balancing the all-treated gate is infeasible."""
+    d = make_dataset(rng, 30, sizes=(1, 4), p=2)
+    d = Dataset(clusters=tuple(
+        ClusterSample(c.covariates, np.zeros(c.size, dtype=int), c.outcomes, cluster_id=c.cluster_id)
+        for c in d.clusters
+    ))
+    structure, f, e = TensorWithCovariates(NoInterference()), Gate(), probit_propensity(0.0)
+    fit = balancing_fit(d, structure, f)
+    assert not fit.feasible
+    _assert_loads_form(d, structure, f, e, [(fit, "bal")])
 
 
 # ---------- Monte-Carlo failures by exception class ----------

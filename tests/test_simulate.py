@@ -48,6 +48,41 @@ def test_config_validation():
         DGPConfig(n=5, cluster_sizes=((10, 0.5), (15, 0.6)))
     with pytest.raises(InvalidSpec):
         DGPConfig(n=5, interference="ring")
+    # each field is checked as a config spec field, from Python as from --config
+    bad = [
+        ({"n": 2.7}, "n"), ({"n": "abc"}, "n"), ({"p": 4.5}, "p"), ({"seed": 1.5}, "seed"),
+        ({"kappa": math.nan}, "kappa"), ({"gamma": math.nan}, "gamma"),
+        ({"gamma": math.inf}, "gamma"), ({"sigma2": math.nan}, "sigma2"),
+        ({"snr_target": math.inf}, "snr_target"), ({"rho": "x"}, "rho"),
+        ({"interference": 5}, "interference"),
+        ({"cluster_sizes": ((10.5, 1.0),)}, "cluster_sizes"),
+        ({"cluster_sizes": ((True, 1.0),)}, "cluster_sizes"),
+        ({"cluster_sizes": ((10, math.nan),)}, "cluster_sizes"),
+        ({"cluster_sizes": ((10,),)}, "cluster_sizes"), ({"cluster_sizes": 5}, "cluster_sizes"),
+    ]
+    for over, field in bad:
+        with pytest.raises(InvalidSpec, match=f"config spec field '{field}'"):
+            DGPConfig(**{"n": 5, **over})
+
+
+def test_config_stores_the_checked_values():
+    cfg = DGPConfig(n=5.0, kappa=1, seed=np.int64(3), cluster_sizes=[[10.0, 1]])
+    assert (cfg.n, cfg.kappa, cfg.seed, cfg.cluster_sizes) == (5, 1.0, 3, ((10, 1.0),))
+    assert [type(v) for v in (cfg.n, cfg.kappa, cfg.seed)] == [int, float, int]
+    assert cfg == DGPConfig(n=5, kappa=1.0, seed=3, cluster_sizes=((10, 1.0),))
+
+
+@pytest.mark.parametrize("level", [1.5, 0.0, float("nan")])
+def test_monte_carlo_refuses_a_level_outside_the_unit_interval_before_any_work(
+    monkeypatch, level
+):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("ran before the level was checked")
+
+    monkeypatch.setattr(simulate, "true_mu", forbidden)
+    monkeypatch.setattr(simulate, "resolve_gamma", forbidden)
+    with pytest.raises(InvalidSpec, match=r"level must lie in \(0, 1\)"):
+        monte_carlo(small_cfg(), 2, level=level)
 
 
 def test_dataset_shapes():
