@@ -35,7 +35,6 @@ from .simulate import (
     DGPConfig,
     calibrate_snr,
     preset_config,
-    resolve_gamma,
     sweep,
     sweep_values,
 )
@@ -262,9 +261,9 @@ class RunManifest:
     output_digest: str = ""
 
 
-def _new_manifest(args, inputs, seed):
+def _new_manifest(argv, inputs, seed):
     return RunManifest(
-        command="clusterbal " + " ".join(args),
+        command="clusterbal " + " ".join(argv),
         inputs=inputs,
         seed=int(seed),
         version=__version__,
@@ -331,6 +330,18 @@ def write_csv_artifact(path, rows, fieldnames, manifest):
     )
 
 
+def _write_artifacts(out_dir, artifacts, manifest):
+    """Write each `stem: (document, rows, fieldnames)` of a command as
+    <stem>.json when it has a document and <stem>.csv (with its manifest
+    sidecar) when it has rows; fieldnames None takes the keys of the first row."""
+    for stem, (doc, rows, fieldnames) in artifacts.items():
+        path = os.path.join(out_dir, stem)
+        if doc is not None:
+            write_json_artifact(path + ".json", doc, manifest)
+        if rows is not None:
+            write_csv_artifact(path + ".csv", rows, fieldnames or list(rows[0]), manifest)
+
+
 def _fmt(v):
     if isinstance(v, (float, np.floating)):
         return repr(float(v))
@@ -349,12 +360,12 @@ def _load_json_file(path):
 
 
 def _resolve_seed(args):
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         return int(args.seed)
     return int(np.random.SeedSequence().entropy % (2**63))
 
 
-def _cmd_estimate(args, argv):
+def _cmd_estimate(args, seed):
     dataset = load_dataset(args.dataset, args.format)
     weight = weight_from_json(_load_json_file(args.policy))
     propensity = (
@@ -370,15 +381,8 @@ def _cmd_estimate(args, argv):
             design = build_design(structure, dataset, weight)
     if args.exposure_mapping:
         mapping = exposure_from_spec(_load_json_file(args.exposure_mapping))
-    seed = _resolve_seed(args)
-    inputs = {
-        "dataset": args.dataset,
-        "policy": args.policy,
-        "propensity": args.propensity,
-        "structure": args.structure,
-        "exposure_mapping": args.exposure_mapping,
-    }
     exit_code = EXIT_OK
+    artifacts = {}
     results = {}
     rows = []
     for name in names:
@@ -389,13 +393,7 @@ def _cmd_estimate(args, argv):
         if not fit.feasible:
             report = imbalance_report(dataset, structure, weight, fit)
             results["imbalance"] = report.to_dict()
-            rows_i = report.rows()
-            write_csv_artifact(
-                os.path.join(args.out_dir, "imbalance.csv"),
-                rows_i,
-                list(rows_i[0].keys()),
-                _new_manifest(argv, inputs, seed),
-            )
+            artifacts["imbalance"] = (None, report.rows(), None)
             if not args.allow_infeasible:
                 exit_code = EXIT_INFEASIBLE
         entry = fit.to_dict()
@@ -413,53 +411,28 @@ def _cmd_estimate(args, argv):
                 "level": args.level,
             }
         )
-    manifest = _new_manifest(argv, inputs, seed)
-    write_json_artifact(os.path.join(args.out_dir, "estimates.json"), results, manifest)
-    write_csv_artifact(
-        os.path.join(args.out_dir, "estimates.csv"),
-        rows,
-        ["estimator", "point", "feasible", "sigma2_hat", "ci_low", "ci_high", "level"],
-        _new_manifest(argv, inputs, seed),
-    )
-    return exit_code
+    artifacts["estimates"] = (results, rows, None)
+    return exit_code, artifacts
 
 
-def _cmd_balance_report(args, argv):
+def _cmd_balance_report(args, seed):
     dataset = load_dataset(args.dataset, args.format)
     weight = weight_from_json(_load_json_file(args.policy))
     structure = build_structure(_load_json_file(args.structure), dataset)
     fit = balancing_fit(dataset, structure, weight)
     report = imbalance_report(dataset, structure, weight, fit, threshold=args.threshold)
-    seed = _resolve_seed(args)
-    inputs = {"dataset": args.dataset, "policy": args.policy, "structure": args.structure}
     doc = report.to_dict()
     doc["feasible"] = fit.feasible
     doc["point"] = fit.point
-    write_json_artifact(
-        os.path.join(args.out_dir, "balance_report.json"), doc, _new_manifest(argv, inputs, seed)
-    )
-    rows = report.rows()
-    write_csv_artifact(
-        os.path.join(args.out_dir, "balance_report.csv"),
-        rows,
-        list(rows[0].keys()),
-        _new_manifest(argv, inputs, seed),
-    )
-    return EXIT_OK
+    return EXIT_OK, {"balance_report": (doc, report.rows(), None)}
 
 
-def _cmd_select(args, argv):
+def _cmd_select(args, seed):
     dataset = load_dataset(args.dataset, args.format)
     weight = weight_from_json(_load_json_file(args.policy))
     specs = _load_json_file(args.candidates)
     candidates = [build_structure(s, dataset) for s in specs]
-    seed = _resolve_seed(args)
-    inputs = {"dataset": args.dataset, "policy": args.policy, "candidates": args.candidates}
     report = select_structure(dataset, weight, candidates, alpha=args.alpha)
-    doc = report.to_dict()
-    write_json_artifact(
-        os.path.join(args.out_dir, "selection.json"), doc, _new_manifest(argv, inputs, seed)
-    )
     rows = [
         {
             "candidate": report.labels[l],
@@ -480,13 +453,7 @@ def _cmd_select(args, argv):
                 "chosen": True,
             }
         ]
-    write_csv_artifact(
-        os.path.join(args.out_dir, "selection.csv"),
-        rows,
-        ["candidate", "reference", "statistic", "p_value", "chosen"],
-        _new_manifest(argv, inputs, seed),
-    )
-    return EXIT_OK
+    return EXIT_OK, {"selection": (report.to_dict(), rows, None)}
 
 
 def _config_from_file(path, seed):
@@ -521,8 +488,7 @@ def _simulate_config(args, seed):
     return cfg, axis, values
 
 
-def _cmd_simulate(args, argv):
-    seed = _resolve_seed(args)
+def _cmd_simulate(args, seed):
     cfg, axis, values = _simulate_config(args, seed)
     estimators = tuple(args.estimators.split(",")) if args.estimators else DEFAULT_ESTIMATORS
     rows = sweep(
@@ -549,18 +515,10 @@ def _cmd_simulate(args, argv):
         "reps",
         "true_mu",
     ]
-    inputs = {"preset": args.preset, "config": args.config}
-    write_csv_artifact(
-        os.path.join(args.out_dir, "simulate.csv"), rows, fieldnames, _new_manifest(argv, inputs, seed)
-    )
-    write_json_artifact(
-        os.path.join(args.out_dir, "simulate.json"), rows, _new_manifest(argv, inputs, seed)
-    )
-    return EXIT_OK
+    return EXIT_OK, {"simulate": (rows, rows, fieldnames)}
 
 
-def _cmd_calibrate(args, argv):
-    seed = _resolve_seed(args)
+def _cmd_calibrate(args, seed):
     cfg, _, _ = _simulate_config(args, seed)
     if args.snr_target is not None:
         cfg = replace(cfg, snr_target=args.snr_target)
@@ -572,13 +530,8 @@ def _cmd_calibrate(args, argv):
         "draws": report.draws,
         "snr_target": cfg.snr_target,
     }
-    write_json_artifact(
-        os.path.join(args.out_dir, "calibration.json"),
-        doc,
-        _new_manifest(argv, {"preset": args.preset, "config": args.config}, seed),
-    )
     print(f"gamma = {report.gamma!r} (snr at gamma=1: {report.snr_at_unit_gamma!r})")
-    return EXIT_OK
+    return EXIT_OK, {"calibration": (doc, None, None)}
 
 
 # ---------- parser ----------
@@ -598,12 +551,15 @@ def _build_parser():
     def common(p):
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--out-dir", default=".")
+
+    def with_dataset(p):
+        common(p)
         p.add_argument("--format", choices=["csv", "json"], default=None, help="dataset file format")
+        p.add_argument("--dataset", required=True)
+        p.add_argument("--policy", required=True, help="counterfactual weight JSON spec")
 
     p_est = sub.add_parser("estimate", help="fit weighting estimators with CIs")
-    common(p_est)
-    p_est.add_argument("--dataset", required=True)
-    p_est.add_argument("--policy", required=True, help="counterfactual weight JSON spec")
+    with_dataset(p_est)
     p_est.add_argument("--propensity", default="unknown", help="JSON spec path or 'unknown'")
     p_est.add_argument("--structure", default=None, help="structure JSON spec")
     p_est.add_argument("--exposure-mapping", default=None, help="exposure mapping JSON spec")
@@ -617,16 +573,12 @@ def _build_parser():
     p_est.add_argument("--allow-infeasible", action="store_true")
 
     p_bal = sub.add_parser("balance-report", help="imbalance diagnostics for a balancing fit")
-    common(p_bal)
-    p_bal.add_argument("--dataset", required=True)
-    p_bal.add_argument("--policy", required=True)
+    with_dataset(p_bal)
     p_bal.add_argument("--structure", required=True)
     p_bal.add_argument("--threshold", type=float, default=0.10)
 
     p_sel = sub.add_parser("select", help="data-adaptive structure selection")
-    common(p_sel)
-    p_sel.add_argument("--dataset", required=True)
-    p_sel.add_argument("--policy", required=True)
+    with_dataset(p_sel)
     p_sel.add_argument("--candidates", required=True, help="JSON list of structure specs")
     p_sel.add_argument("--alpha", type=float, default=0.05)
 
@@ -659,9 +611,16 @@ _COMMANDS = {
 }
 
 
+# the arguments recorded as a manifest's inputs, those of them a subcommand has
+_INPUTS = ("dataset", "policy", "propensity", "structure", "exposure_mapping", "candidates",
+           "preset", "config")
+
+
 def run(argv):
     """Parse and execute; returns the process exit code. Each warning the
-    command raises is printed as one `warning: ...` line on stderr."""
+    command raises is printed as one `warning: ...` line on stderr. The
+    command's artifacts, all under one manifest, are written once it has
+    returned, so a command that raises writes none."""
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
@@ -671,10 +630,14 @@ def run(argv):
         if not args.preset and not args.config:
             sys.stderr.write("error: need --preset or --config\n")
             return EXIT_USAGE
+    seed = _resolve_seed(args)
+    inputs = {name: vars(args)[name] for name in _INPUTS if name in vars(args)}
     try:
         with warnings.catch_warnings():
             warnings.showwarning = lambda message, *_: sys.stderr.write(f"warning: {message}\n")
-            return _COMMANDS[args.command](args, argv)
+            exit_code, artifacts = _COMMANDS[args.command](args, seed)
+        _write_artifacts(args.out_dir, artifacts, _new_manifest(argv, inputs, seed))
+        return exit_code
     except InfeasibleFit as exc:
         sys.stderr.write(f"infeasible: {exc}\n")
         return EXIT_INFEASIBLE

@@ -199,13 +199,10 @@ class PatternLaw:
 class CounterfactualWeight(PatternLaw):
     """Function f(a_c, X_c) defining the estimand as a weighted outcome average."""
 
-    kind = "generic"
-
 
 class PropensityModel(PatternLaw):
     """The assignment law e(a_c | X_c) of a cluster's treatment pattern."""
 
-    kind = "generic"
     known = True
 
 
@@ -213,9 +210,8 @@ class _ProductBernoulli(PatternLaw):
     """Units treated independently: prob_fn maps a cluster to its (M_c,)
     vector of treatment probabilities, which must pass `_in_range`."""
 
-    def __init__(self, prob_fn, label="bernoulli"):
+    def __init__(self, prob_fn):
         self.prob_fn = prob_fn
-        self.label = label
 
     def _probs(self, clusters):
         """prob_fn of clusters of one size m, stacked (B, m) and range checked;
@@ -235,8 +231,6 @@ class _ProductBernoulli(PatternLaw):
 class Gate(CounterfactualWeight):
     """Global treatment-vs-control contrast: +1 on all-ones, -1 on all-zeros."""
 
-    kind = "gate"
-
     def support(self, cluster):
         m = cluster.size
         return [
@@ -248,7 +242,6 @@ class Gate(CounterfactualWeight):
 class BernoulliIntervention(_ProductBernoulli, CounterfactualWeight):
     """Stochastic intervention treating units independently."""
 
-    kind = "stochastic"
     _range_message = "intervention probabilities must lie in [0, 1]"
 
     @staticmethod
@@ -258,13 +251,11 @@ class BernoulliIntervention(_ProductBernoulli, CounterfactualWeight):
 
 def uniform_intervention():
     """Uniform stochastic intervention: every pattern gets mass 2^-m."""
-    return BernoulliIntervention(lambda c: np.full(c.size, 0.5), label="uniform")
+    return BernoulliIntervention(lambda c: np.full(c.size, 0.5))
 
 
 class RandomSelection(CounterfactualWeight):
     """Uniformly random selection of a fixed number of treated units."""
-
-    kind = "stochastic"
 
     def __init__(self, count):
         self.count = count
@@ -297,8 +288,6 @@ class RandomSelection(CounterfactualWeight):
 class DeterministicTarget(CounterfactualWeight):
     """Point mass on the pattern treating exactly a selected unit set."""
 
-    kind = "deterministic"
-
     def __init__(self, selector):
         self.selector = selector
 
@@ -325,8 +314,6 @@ class DeterministicTarget(CounterfactualWeight):
 
 class SparseTable(CounterfactualWeight):
     """Explicit (pattern, weight) table per cluster."""
-
-    kind = "sparse"
 
     def __init__(self, entries):
         # entries: {cluster_id: [(pattern, weight), ...]}
@@ -360,8 +347,6 @@ class DirectEffect(CounterfactualWeight):
     weight whose estimand is the own-treatment contrast averaged over the base
     intervention's conditional law for the other units.
     """
-
-    kind = "direct_effect"
 
     def __init__(self, base):
         self.base = base
@@ -405,7 +390,6 @@ class DirectEffect(CounterfactualWeight):
 class IndependentBernoulli(_ProductBernoulli, PropensityModel):
     """Units treated independently with covariate-driven probabilities."""
 
-    kind = "independent_bernoulli"
     _range_message = "propensity probabilities must lie strictly in (0, 1)"
 
     @staticmethod
@@ -415,8 +399,6 @@ class IndependentBernoulli(_ProductBernoulli, PropensityModel):
 
 class JointTable(PropensityModel):
     """Explicit pattern -> probability table per cluster."""
-
-    kind = "joint_table"
 
     def __init__(self, tables, tol=1e-10):
         # tables: {cluster_id: {pattern tuple: probability}}
@@ -461,7 +443,6 @@ class JointTable(PropensityModel):
 
 
 class UnknownPropensity(PropensityModel):
-    kind = "unknown"
     known = False
 
     def masses(self, bits, cluster):
@@ -513,8 +494,8 @@ def probit_mean_probs(cluster, kappa):
 
 
 def probit_intervention(kappa):
-    return BernoulliIntervention(ProbitMean(kappa), label=f"probit(kappa={kappa})")
+    return BernoulliIntervention(ProbitMean(kappa))
 
 
 def probit_propensity(kappa=0.0):
-    return IndependentBernoulli(ProbitMean(kappa), label=f"probit(kappa={kappa})")
+    return IndependentBernoulli(ProbitMean(kappa))

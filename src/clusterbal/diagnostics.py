@@ -30,7 +30,6 @@ class ImbalanceReport:
     flagged: tuple  # ((covariate, effective treatment), ...) with |nu*| > threshold
     degenerate: tuple  # ((covariate, effective treatment), ...) zero-scale entries
     threshold: float
-    labels: tuple = ()
     has_covariates: bool = True  # False: one row per coordinate, raw imbalance only
 
     def rows(self):
@@ -73,8 +72,9 @@ def imbalance_report(dataset, structure, weight, fit, threshold=DEFAULT_THRESHOL
     Any fixed-dimension structure gets its raw imbalance and the observed
     incidence of each coordinate. The covariate scales, and with them the
     relative and omnibus imbalance, need a covariate tensor, whose inner
-    encoding defines the effective treatments; other structures report them
-    as NaN and flag nothing. The fit must carry its imbalance vector, target
+    encoding defines the effective treatments; any other structure is its
+    own inner encoding under one covariate of NaN scales, so it reports them
+    as NaN and flags nothing. The fit must carry its imbalance vector, target
     and design, as a balancing fit does. The incidences count the units whose
     observed inner row is non-zero in each coordinate. A negative or NaN
     threshold raises InvalidSpec.
@@ -85,81 +85,48 @@ def imbalance_report(dataset, structure, weight, fit, threshold=DEFAULT_THRESHOL
         raise InvalidSpec("imbalance reporting needs a fixed-dimension structure")
     if fit.imbalance is None or fit.target is None or fit.design is None:
         raise InvalidSpec("fit does not carry an imbalance vector (not a balancing fit?)")
-    if not isinstance(structure, TensorWithCovariates):
-        return _raw_imbalance_report(dataset, structure, fit, threshold)
-    ell = structure.inner.dim(dataset.clusters[0])
-    width = structure.width(dataset.clusters[0])
+    tensor = isinstance(structure, TensorWithCovariates)
+    c0 = dataset.clusters[0]
+    inner, width = (structure.inner, structure.width(c0)) if tensor else (structure, 1)
+    ell = inner.dim(c0)
     nu = np.asarray(fit.imbalance, dtype=np.float64)
     if nu.size != ell * width:
-        raise InvalidSpec(
-            f"imbalance length {nu.size} != blocks*width = {ell}*{width}"
-        )
+        raise InvalidSpec(f"imbalance length {nu.size} != blocks*width = {ell}*{width}")
 
-    # per-cluster counterfactual load of each coordinate, summed over patterns:
-    # the mean load under probability 1/2 times the 2^M_c patterns
-    sizes = np.array([c.size for c in dataset.clusters])
-    z = target_contributions(structure, dataset, uniform_intervention())
-    z *= 2.0 ** sizes[:, None]
-    sigma = z.std(axis=0, ddof=1) if dataset.n > 1 else np.zeros(ell * width)
+    if tensor and dataset.n > 1:
+        # per-cluster counterfactual load of each coordinate, summed over
+        # patterns: the mean load under probability 1/2 times the 2^M_c patterns
+        sizes = np.array([c.size for c in dataset.clusters])
+        z = target_contributions(structure, dataset, uniform_intervention())
+        z *= 2.0 ** sizes[:, None]
+        sigma = z.std(axis=0, ddof=1)
+    else:  # one cluster has no spread, and a structure without covariates no scale
+        sigma = np.full(nu.size, 0.0 if tensor else np.nan)
 
-    nu_mat = nu.reshape(ell, width)  # [j, t]
-    sig_mat = sigma.reshape(ell, width)
-    nu_star = np.full((width, ell), np.nan)
-    degenerate = []
-    for t in range(width):
-        for j in range(ell):
-            if sig_mat[j, t] == 0.0:
-                degenerate.append((t, j))
-            else:
-                nu_star[t, j] = nu_mat[j, t] / sig_mat[j, t]
+    # [covariate t, effective treatment j]; a zero scale leaves nu* NaN
+    sig_mat = sigma.reshape(ell, width).T
+    nu_star = np.divide(nu.reshape(ell, width).T, sig_mat,
+                        out=np.full((width, ell), np.nan), where=sig_mat != 0.0)
 
     # observed incidences of each effective treatment, from the inner rows of
     # the fit's design
-    m_counts = incidence_counts(structure.inner, dataset, fit.design.factors)
+    m_counts = incidence_counts(inner, dataset, fit.design.factors)
 
-    omnibus = np.zeros(width)
+    omnibus = np.full(width, np.nan)
     for t in range(width):
         ok = ~np.isnan(nu_star[t])
         total = m_counts[ok].sum()
-        omnibus[t] = (nu_star[t, ok] * m_counts[ok]).sum() / total if total > 0 else np.nan
+        if total > 0:
+            omnibus[t] = (nu_star[t, ok] * m_counts[ok]).sum() / total
 
-    flagged = tuple(
-        (t, j)
-        for t in range(width)
-        for j in range(ell)
-        if not np.isnan(nu_star[t, j]) and abs(nu_star[t, j]) > threshold
-    )
     return ImbalanceReport(
         nu=nu,
         nu_star=nu_star,
-        sigma_scale=sig_mat.T.copy(),
+        sigma_scale=sig_mat,
         omnibus=omnibus,
         m_counts=m_counts,
-        flagged=flagged,
-        degenerate=tuple(degenerate),
+        flagged=tuple(map(tuple, np.argwhere(np.abs(nu_star) > threshold).tolist())),
+        degenerate=tuple(map(tuple, np.argwhere(sig_mat == 0.0).tolist())),
         threshold=threshold,
-        labels=(structure.label,),
-    )
-
-
-def _raw_imbalance_report(dataset, structure, fit, threshold):
-    """The report of a structure without covariates: the raw imbalance and the
-    units with a non-zero entry in each coordinate of the fit's design, one
-    row per coordinate."""
-    nu = np.asarray(fit.imbalance, dtype=np.float64)
-    d = structure.dim(dataset.clusters[0])
-    if nu.size != d:
-        raise InvalidSpec(f"imbalance length {nu.size} != structure dimension {d}")
-    m_counts = incidence_counts(structure, dataset, fit.design.factors)
-    return ImbalanceReport(
-        nu=nu,
-        nu_star=np.full((1, d), np.nan),
-        sigma_scale=np.full((1, d), np.nan),
-        omnibus=np.full(1, np.nan),
-        m_counts=m_counts,
-        flagged=(),
-        degenerate=(),
-        threshold=threshold,
-        labels=(structure.label,),
-        has_covariates=False,
+        has_covariates=tensor,
     )

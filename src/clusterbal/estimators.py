@@ -344,11 +344,11 @@ def weighted_projection_fit(dataset, structure, weight, propensity):
 
     For each unit, the 2^{M_c} potential IPW weights are projected onto the
     propensity-scaled span of the unit's per-pattern feature matrix; the
-    observed-pattern entry is that unit's weight. Structures whose rows are
-    sums of indicator blocks take the block closed form (one-hot structures
-    are its one-block case); the others, and several blocks under a
-    propensity without product form, take one SVD per distinct unit matrix
-    of inner rows (`_wproj_svd`).
+    observed-pattern entry is that unit's weight. Every structure states its
+    rows as sums of indicator blocks, so the block closed form serves all of
+    them (one-hot structures are its one-block case) but one: several blocks
+    under a propensity without product form (a `JointTable`) take one SVD
+    per distinct unit matrix of inner rows (`_wproj_svd`).
     """
     out = _block_closed_form(dataset, structure, weight, propensity)
     if out is None:

@@ -312,8 +312,16 @@ def true_mu(cfg, draws=400_000):
     Returns (mu, standard error); cached per config, so replicates share one
     evaluation, and keyed on n=1, since the truth does not depend on the
     number of clusters. The values do not depend on the number of workers.
+    Fewer than one draw raises InvalidSpec before any work.
     """
+    _check_count(draws, "draws")
     return _true_mu_cached(replace(resolve_gamma(cfg), n=1), int(draws))
+
+
+def _check_count(value, name):
+    """InvalidSpec unless value, a count of draws, replicates or workers, is at least 1."""
+    if not value >= 1:
+        raise InvalidSpec(f"{name} must be >= 1, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -467,11 +475,14 @@ def monte_carlo(
     can be infeasible); failed estimator evaluations count as failed
     replicates for that estimator (`metrics[e]["errors"]`), and
     `error_classes[e]` counts them by exception class. An estimator name not
-    in ESTIMATORS, or a level outside (0, 1), raises InvalidSpec before any work.
+    in ESTIMATORS, a level outside (0, 1), or fewer than one replicate,
+    worker or truth draw raises InvalidSpec before any work.
     Deterministic in (cfg, reps) regardless of parallelism.
     """
-    if reps < 1:
-        raise InvalidSpec("reps must be >= 1")
+    _check_count(reps, "reps")
+    if workers is not None:
+        _check_count(workers, "workers")
+    _check_count(truth_draws, "truth_draws")
     _check_unit_interval(level, "level")
     estimators = tuple(estimators)
     unknown = [name for name in estimators if name not in ESTIMATORS]

@@ -375,6 +375,69 @@ def test_estimate_infeasible_exit_code(tmp_path):
     assert code2 == EXIT_OK
 
 
+def test_a_failing_estimate_writes_no_artifact(tmp_path, capsys):
+    """An infeasible balancing fit, then an estimator that fails: the command
+    exits 1 with one line and writes nothing, not even the imbalance report."""
+    data = write(tmp_path, "d.csv", infeasible_csv())
+    policy = write_json(tmp_path, "policy.json", {"kind": "gate"})
+    structure = write_json(
+        tmp_path, "structure.json", {"kind": "tensor", "inner": {"kind": "no_interference"}, "columns": [0]}
+    )
+    out = tmp_path / "out"
+    code = run(
+        [
+            "estimate", "--dataset", data, "--policy", policy, "--structure", structure,
+            "--estimator", "balancing", "--estimator", "projection", "--propensity", "unknown",
+            "--seed", "1", "--out-dir", str(out),
+        ]
+    )
+    assert code == EXIT_ERROR
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert not out.exists()
+
+
+def _manifests(out):
+    """{file name: manifest} of every artifact in out: a JSON document's own
+    manifest, and a CSV's sidecar."""
+    found = {}
+    for path in out.glob("*.json"):
+        doc = json.loads(path.read_text())
+        found[path.name] = doc if path.name.endswith(".manifest.json") else doc["manifest"]
+    return found
+
+
+def test_every_artifact_of_a_run_carries_the_same_manifest(tmp_path):
+    data = write(tmp_path, "d.csv", infeasible_csv())
+    policy = write_json(tmp_path, "policy.json", {"kind": "gate"})
+    structure = write_json(
+        tmp_path, "structure.json", {"kind": "tensor", "inner": {"kind": "no_interference"}, "columns": [0]}
+    )
+    estimate = ["estimate", "--dataset", data, "--policy", policy, "--structure", structure,
+                "--estimator", "balancing", "--out-dir", str(tmp_path / "est")]
+    simulate_argv = ["simulate", "--config", sim_config(tmp_path), "--reps", "1", "--seed", "3",
+                     "--truth-draws", "2000", "--estimators", "ipw", "--out-dir", str(tmp_path / "sim")]
+    for argv, out, files, inputs in [
+        (estimate, "est",
+         {"estimates.json", "estimates.csv.manifest.json", "imbalance.csv.manifest.json"},
+         {"dataset": data, "policy": policy, "propensity": "unknown", "structure": structure,
+          "exposure_mapping": None}),
+        (simulate_argv, "sim", {"simulate.json", "simulate.csv.manifest.json"},
+         {"preset": None, "config": str(tmp_path / "cfg.json")}),
+    ]:
+        assert run(argv) in (EXIT_OK, EXIT_INFEASIBLE)
+        manifests = _manifests(tmp_path / out)
+        assert set(manifests) == files
+        shared = {(m["command"], m["seed"], json.dumps(m["inputs"], sort_keys=True), m["version"])
+                  for m in manifests.values()}
+        assert len(shared) == 1
+        command, seed, got_inputs, _ = shared.pop()
+        assert command == "clusterbal " + " ".join(argv)
+        assert json.loads(got_inputs) == inputs
+        if "--seed" in argv:
+            assert seed == int(argv[argv.index("--seed") + 1])
+
+
 def test_estimate_unknown_propensity_rejects_ipw(tmp_path):
     data = write(tmp_path, "d.csv", feasible_csv())
     policy = write_json(tmp_path, "policy.json", {"kind": "gate"})
@@ -616,7 +679,8 @@ def _range_args(tmp_path, command):
     [("estimate", "--level", v) for v in ("1.5", "-1", "nan", "0", "1")]
     + [("simulate", "--level", v) for v in ("1.5", "nan")]
     + [("select", "--alpha", v) for v in ("2", "nan", "0")]
-    + [("balance-report", "--threshold", v) for v in ("nan", "-0.1")],
+    + [("balance-report", "--threshold", v) for v in ("nan", "-0.1")]
+    + [("simulate", "--workers", "0"), ("simulate", "--truth-draws", "-5")],
 )
 def test_out_of_range_level_alpha_or_threshold_exits_1_with_one_line(
     tmp_path, capsys, monkeypatch, command, flag, value
@@ -628,11 +692,24 @@ def test_out_of_range_level_alpha_or_threshold_exits_1_with_one_line(
     argv = _range_args(tmp_path, command)
     assert run(argv + [flag, value]) == EXIT_ERROR
     err = capsys.readouterr().err.strip().splitlines()
-    assert len(err) == 1 and err[0].startswith("error:") and flag[2:] in err[0]
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert flag[2:].replace("-", "_") in err[0]
     assert not (tmp_path / "out").exists()
     # the same command runs with the default
     if command != "simulate":
         assert run(argv) == EXIT_OK
+
+
+@pytest.mark.parametrize("command", ["estimate", "balance-report", "select", "simulate", "calibrate"])
+def test_format_is_an_option_of_the_dataset_commands_only(tmp_path, capsys, command):
+    argv = (["calibrate", "--config", sim_config(tmp_path), "--out-dir", str(tmp_path / "out")]
+            if command == "calibrate" else _range_args(tmp_path, command))
+    if command in ("simulate", "calibrate"):
+        assert run(argv + ["--format", "csv"]) == EXIT_USAGE
+        assert "unrecognized arguments: --format" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+    else:
+        assert run(argv + ["--format", "csv"]) == EXIT_OK
 
 
 def test_usage_errors_exit_64(tmp_path):

@@ -9,6 +9,7 @@ from clusterbal.errors import InvalidSpec
 from clusterbal.estimators import balancing_fit
 from clusterbal.structures import (
     AdditiveTypes,
+    CoarsenedCount,
     FromExposureMapping,
     IdentityMapping,
     KnnPattern,
@@ -153,18 +154,30 @@ def test_scale_degenerate_entries_excluded(rng):
     assert set(report.degenerate).isdisjoint(set(report.flagged))
 
 
-def test_imbalance_report_without_covariates_reports_raw_imbalance_only(rng):
+@pytest.mark.parametrize(
+    "structure",
+    [NoInterference(), KnnPattern(2), AdditiveTypes(5),
+     CoarsenedCount(order=2, thresholds=(0.0, 1.0), k=1)],
+    ids=lambda s: s.label,
+)
+def test_imbalance_report_without_covariates_reports_raw_imbalance_only(rng, structure):
+    """A structure without covariates is reported as one covariate of NaN
+    scales: raw imbalance, no relative or omnibus value, nothing flagged."""
     d = make_dataset(rng, 3, sizes=(2, 3), p=2)
     f = Gate()
-    fit = balancing_fit(d, NoInterference(), f)
-    report = imbalance_report(d, NoInterference(), f, fit)
+    fit = balancing_fit(d, structure, f)
+    report = imbalance_report(d, structure, f, fit, threshold=0.0)
     assert np.array_equal(report.nu, fit.imbalance)
     assert np.isnan(report.nu_star).all() and np.isnan(report.sigma_scale).all()
+    assert report.nu_star.shape == report.sigma_scale.shape == (1, fit.imbalance.size)
+    assert np.isnan(report.omnibus).all() and report.omnibus.shape == (1,)
     assert report.flagged == () and report.degenerate == ()
-    treated = sum(int(c.treatments.sum()) for c in d.clusters)
-    assert np.array_equal(report.m_counts, [d.total_units - treated, treated])
+    assert np.array_equal(report.m_counts, (design_matrix(structure, d) != 0).sum(axis=0))
+    if isinstance(structure, NoInterference):
+        treated = sum(int(c.treatments.sum()) for c in d.clusters)
+        assert np.array_equal(report.m_counts, [d.total_units - treated, treated])
     rows = report.rows()
-    assert [r["effective_treatment"] for r in rows] == [0, 1]
+    assert [r["effective_treatment"] for r in rows] == list(range(fit.imbalance.size))
     assert all(r["covariate"] is None for r in rows)
     assert [r["nu"] for r in rows] == list(fit.imbalance)
 

@@ -85,6 +85,36 @@ def test_monte_carlo_refuses_a_level_outside_the_unit_interval_before_any_work(
         monte_carlo(small_cfg(), 2, level=level)
 
 
+@pytest.mark.parametrize(
+    "kwargs, name",
+    [({"workers": 0}, "workers"), ({"workers": -2, "parallel": True}, "workers"),
+     ({"truth_draws": 0}, "truth_draws"), ({"truth_draws": -5}, "truth_draws"),
+     ({"reps": 0}, "reps")],
+)
+def test_monte_carlo_refuses_fewer_than_one_worker_draw_or_replicate_before_any_work(
+    monkeypatch, kwargs, name
+):
+    def forbidden(*args, **kw):
+        raise AssertionError("ran before the counts were checked")
+
+    monkeypatch.setattr(simulate, "true_mu", forbidden)
+    monkeypatch.setattr(simulate, "resolve_gamma", forbidden)
+    kwargs = {"reps": 2, **kwargs}
+    with pytest.raises(InvalidSpec, match=f"{name} must be >= 1"):
+        monte_carlo(small_cfg(), **kwargs)
+
+
+@pytest.mark.parametrize("draws", [0, -5])
+def test_true_mu_refuses_fewer_than_one_draw_before_any_work(monkeypatch, draws):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("ran before the draws were checked")
+
+    monkeypatch.setattr(simulate, "_true_mu_cached", forbidden)
+    monkeypatch.setattr(simulate, "resolve_gamma", forbidden)
+    with pytest.raises(InvalidSpec, match="draws must be >= 1"):
+        simulate.true_mu(small_cfg(), draws)
+
+
 def test_dataset_shapes():
     cfg = small_cfg(n=10)
     ds, mu, e, f = gen_dataset(cfg, 0)
