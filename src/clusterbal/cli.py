@@ -108,12 +108,8 @@ def load_dataset(path, fmt=None):
     x = np.stack(xs, axis=1)
     _check_finite(np.column_stack([unit, outcome, x]), ["unit_id", "outcome", *xcols])
 
-    x, a, y = x[order], treatment[order].astype(np.int8), outcome[order]
-    ends = np.cumsum(np.bincount(codes)).tolist()
-    return Dataset(clusters=tuple(
-        ClusterSample(covariates=x[s:e], treatments=a[s:e], outcomes=y[s:e], cluster_id=cid)
-        for cid, s, e in zip(code_of, [0, *ends], ends)
-    ))
+    return Dataset.from_arrays(x[order], treatment[order].astype(np.int8), outcome[order],
+                               np.bincount(codes), code_of)
 
 
 def _float_column(body, get):
@@ -326,7 +322,8 @@ def write_csv_artifact(path, rows, fieldnames, manifest):
     _atomic_write(path, data)
     manifest.output_digest = _digest(data)
     _atomic_write(
-        path + ".manifest.json", json.dumps(asdict(manifest), indent=1, allow_nan=False).encode()
+        path + ".manifest.json",
+        json.dumps(asdict(manifest), indent=1, sort_keys=True, allow_nan=False).encode(),
     )
 
 

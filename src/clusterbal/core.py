@@ -8,6 +8,7 @@ expansion of j).
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, field
 from itertools import combinations
 
@@ -57,7 +58,14 @@ def as_pattern(pattern):
 
 @dataclass(frozen=True)
 class ClusterSample:
-    """One cluster: covariate rows, binary treatments, outcomes."""
+    """One cluster: covariate rows (m, p) float64, binary treatments (m,)
+    int8 and outcomes (m,) float64.
+
+    Built by hand, a cluster checks and converts its arrays here (an array
+    already of its dtype is kept, not copied). The clusters of a `Dataset`
+    are read-only views into its arrays, which the dataset checked as
+    arrays, and are not checked again.
+    """
 
     covariates: np.ndarray
     treatments: np.ndarray
@@ -80,6 +88,9 @@ class ClusterSample:
         object.__setattr__(self, "treatments", a)
         object.__setattr__(self, "outcomes", y)
 
+    def __reduce__(self):
+        return ClusterSample, (self.covariates, self.treatments, self.outcomes, self.cluster_id)
+
     @property
     def size(self):
         return self.covariates.shape[0]
@@ -88,16 +99,70 @@ class ClusterSample:
     def p(self):
         return self.covariates.shape[1]
 
+    @property
+    def group(self):
+        """The cluster as a one-cluster SizeGroup of [None] views of its
+        covariates and treatments. While its dataset lives, a dataset's
+        cluster reads its row of its size group's cached results."""
+        return SizeGroup((self,), None, None, self.covariates[None], self.treatments[None],
+                         self._cache)
 
-@dataclass(frozen=True)
+
+class SizeGroup(tuple):
+    """The clusters of one size m of a dataset, in dataset order: a sequence
+    of them that also holds their cluster indices `idx` (B,), their unit
+    rows `rows` (B, m) and their stacked `covariates` (B, m, p) and
+    `treatments` (B, m), read-only, which the batch methods read. A lone
+    cluster's group (`ClusterSample.group`) has no idx or rows.
+    """
+
+    def __new__(cls, clusters, idx, rows, covariates, treatments, cluster_cache=None):
+        self = super().__new__(cls, clusters)
+        self.idx, self.rows, self.covariates, self.treatments = idx, rows, covariates, treatments
+        # a lone cluster's group keeps its results in the cluster's cache, where
+        # a dataset's cluster finds (a weak reference to it, group, position):
+        # no cluster refers to its dataset or group, so no cycle keeps them alive
+        self._cache = {} if cluster_cache is None else cluster_cache.setdefault("group", {})
+        self._within = None if cluster_cache is None else cluster_cache.get("within")
+        return self
+
+    def cached(self, key, compute):
+        """compute(group), an array or a list of arrays with one row per
+        cluster, taken once for the group and kept read-only. The group of
+        one cluster of a dataset reads its row of its size group's entry."""
+        dataset = self._within and self._within[0]()
+        if dataset is not None:
+            _, g, b = self._within
+            value, row = dataset.groups[g].cached(key, compute), slice(b, b + 1)
+            return value[row] if isinstance(value, np.ndarray) else [v[row] for v in value]
+        if key not in self._cache:
+            self._cache[key] = value = compute(self)
+            for v in [value] if isinstance(value, np.ndarray) else value:
+                v.flags.writeable = False
+        return self._cache[key]
+
+
+def _read_only(a):
+    a = a.view()
+    a.flags.writeable = False
+    return a
+
+
 class Dataset:
-    """Ordered collection of clusters sharing one covariate dimension."""
+    """Clusters sharing one covariate dimension, held as read-only
+    unit-stacked arrays: `covariates` (N, p) float64, `treatments` (N,)
+    int8, `outcomes` (N,) float64, the cluster `starts` (n + 1,), the last
+    N, `sizes` (n,) int64 and the tuple `ids`, in cluster order. `clusters`
+    are ClusterSample views into them, and `groups` their size groups
+    (`SizeGroup`), by ascending size, which keep their cached results.
 
-    clusters: tuple
-    _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    `Dataset(clusters)` gathers clusters, which checked themselves, and
+    checks their covariate dimension; `Dataset.from_arrays` holds read-only
+    views of the arrays given. Both check the arrays once, as arrays.
+    """
 
-    def __post_init__(self):
-        cl = tuple(self.clusters)
+    def __init__(self, clusters):
+        cl = tuple(clusters)
         if len(cl) < 1:
             raise DimensionMismatch("dataset must contain at least one cluster")
         p = cl[0].p
@@ -106,33 +171,79 @@ class Dataset:
                 raise DimensionMismatch(
                     f"cluster {c.cluster_id!r} has covariate dimension {c.p}, expected {p}"
                 )
-        ids = [c.cluster_id for c in cl]
+        self._hold(*(np.concatenate([getattr(c, name) for c in cl])
+                     for name in ("covariates", "treatments", "outcomes")),
+                   [c.size for c in cl], [c.cluster_id for c in cl])
+
+    @classmethod
+    def from_arrays(cls, covariates, treatments, outcomes, sizes, ids):
+        """The dataset whose clusters, in order, have these sizes and ids."""
+        dataset = cls.__new__(cls)
+        dataset._hold(covariates, treatments, outcomes, sizes, ids)
+        return dataset
+
+    def _hold(self, covariates, treatments, outcomes, sizes, ids):
+        x = np.asarray(covariates, dtype=np.float64)
+        a = as_pattern(treatments)
+        y = np.asarray(outcomes, dtype=np.float64).ravel()
+        sizes, ids = np.asarray(sizes, dtype=np.int64).ravel(), tuple(ids)
+        if not (x.ndim == 2 and x.shape[0] == a.size == y.size == sizes.sum()
+                and sizes.size == len(ids) >= 1 and sizes.min() >= 1):
+            raise DimensionMismatch(
+                f"covariates {x.shape}, {a.size} treatments, {y.size} outcomes and {len(ids)} "
+                f"ids disagree with the {sizes.size} cluster sizes, each of which must be >= 1"
+            )
         if len(set(ids)) != len(ids):
             raise InvalidSpec("cluster_id values must be unique within a dataset")
-        object.__setattr__(self, "clusters", cl)
+        starts = np.zeros(sizes.size + 1, dtype=np.int64)
+        np.cumsum(sizes, out=starts[1:])
+        x, a, y, self.starts, self.sizes = map(_read_only, (x, a, y, starts, sizes))
+        self.covariates, self.treatments, self.outcomes, self.ids = x, a, y, ids
+        self._cache = {}
+        bounds = starts.tolist()
+        self.clusters = tuple(_view(x[s:e], a[s:e], y[s:e], cid)
+                              for s, e, cid in zip(bounds, bounds[1:], ids))
+        self.groups, me = [], weakref.ref(self)
+        for g, m in enumerate(np.unique(sizes).tolist()):
+            idx = np.flatnonzero(sizes == m)
+            rows = starts[idx, None] + np.arange(m)
+            group = SizeGroup([self.clusters[i] for i in idx.tolist()],
+                              *map(_read_only, (idx, rows, x[rows], a[rows])))
+            for b, c in enumerate(group):
+                c._cache["within"] = (me, g, b)
+            self.groups.append(group)
+
+    def __reduce__(self):
+        return Dataset.from_arrays, (self.covariates, self.treatments, self.outcomes, self.sizes,
+                                     self.ids)
+
+    def with_outcomes(self, outcomes):
+        """This dataset with other outcomes (N,). It shares the size groups'
+        cached results, which read no outcome."""
+        out = Dataset.from_arrays(self.covariates, self.treatments, outcomes, self.sizes, self.ids)
+        for new, old in zip(out.groups, self.groups):
+            new._cache = old._cache
+        return out
 
     @property
     def n(self):
-        return len(self.clusters)
+        return self.sizes.size
 
     @property
     def p(self):
-        return self.clusters[0].p
+        return self.covariates.shape[1]
 
     @property
     def total_units(self):
-        return sum(c.size for c in self.clusters)
+        return self.outcomes.size
 
-    def cluster_slices(self):
-        """(start, stop) row range of each cluster in unit-stacked arrays."""
-        out, start = [], 0
-        for c in self.clusters:
-            out.append((start, start + c.size))
-            start += c.size
-        return out
 
-    def stacked_outcomes(self):
-        return np.concatenate([c.outcomes for c in self.clusters])
+def _view(covariates, treatments, outcomes, cluster_id):
+    """A dataset's cluster over its checked arrays: no check, no copy."""
+    c = object.__new__(ClusterSample)
+    c.__dict__.update(covariates=covariates, treatments=treatments, outcomes=outcomes,
+                      cluster_id=cluster_id, _cache={})
+    return c
 
 
 # ---------- pattern laws: counterfactual weights and propensities ----------
@@ -146,16 +257,17 @@ def check_pattern(pattern, cluster):
     return a
 
 
-def _stacked_probs(prob_fn, clusters):
-    """prob_fn of clusters of one size m, stacked: (B, m) float.
+def _stacked_probs(prob_fn, group):
+    """prob_fn of the clusters of a size group (`SizeGroup`), stacked: (B, m)
+    float.
 
-    A family with a `batch` method (`ProbitMean`) is evaluated once for the
-    whole group; any other callable once per cluster.
+    A family with a `batch` method (`ProbitMean`) is evaluated once on the
+    group's covariates; any other callable once per cluster.
     """
     if hasattr(prob_fn, "batch"):
-        return prob_fn.batch(clusters)
-    rows = [np.asarray(prob_fn(c), dtype=np.float64).ravel() for c in clusters]
-    if [r.size for r in rows] != [c.size for c in clusters]:
+        return prob_fn.batch(group)
+    rows = [np.asarray(prob_fn(c), dtype=np.float64).ravel() for c in group]
+    if [r.size for r in rows] != [c.size for c in group]:
         raise DimensionMismatch("prob_fn returned wrong length")
     return np.array(rows)
 
@@ -190,9 +302,10 @@ class PatternLaw:
         """The law at one pattern of the cluster."""
         return float(self.masses(check_pattern(pattern, cluster)[None], cluster)[0])
 
-    def probs_batch(self, clusters):
-        """Per-unit Bernoulli probabilities of clusters of one size m, stacked
-        (B, m), when the law is a product of Bernoullis; else None."""
+    def probs_batch(self, group):
+        """Per-unit Bernoulli probabilities of the clusters of a size group
+        (`SizeGroup`), stacked (B, m), when the law is a product of
+        Bernoullis; else None."""
         return None
 
 
@@ -213,19 +326,19 @@ class _ProductBernoulli(PatternLaw):
     def __init__(self, prob_fn):
         self.prob_fn = prob_fn
 
-    def _probs(self, clusters):
-        """prob_fn of clusters of one size m, stacked (B, m) and range checked;
-        private, so a subclass that turns `probs_batch` off keeps its masses."""
-        pi = _stacked_probs(self.prob_fn, clusters)
+    def _probs(self, group):
+        """prob_fn of a size group, stacked (B, m) and range checked; private,
+        so a subclass that turns `probs_batch` off keeps its masses."""
+        pi = _stacked_probs(self.prob_fn, group)
         if not self._in_range(pi).all():
             raise InvalidSpec(self._range_message)
         return pi
 
     def masses(self, bits, cluster):
-        return _kernels.pattern_masses(bits, self._probs([cluster]))
+        return _kernels.pattern_masses(bits, self._probs(cluster.group))
 
-    def probs_batch(self, clusters):
-        return self._probs(clusters)
+    def probs_batch(self, group):
+        return self._probs(group)
 
 
 class Gate(CounterfactualWeight):
@@ -472,9 +585,8 @@ class ProbitMean:
     """The probit probability family of the simulation design, tilt kappa.
 
     Called on one cluster it gives that cluster's (m,) probabilities;
-    `batch` gives those of clusters of one size (B, m) from one evaluation
-    on their stacked covariates, which equals the per-cluster one bit for
-    bit.
+    `batch` gives those of a size group (B, m) from one evaluation on its
+    stacked covariates, which equals the per-cluster one bit for bit.
     """
 
     def __init__(self, kappa):
@@ -483,8 +595,8 @@ class ProbitMean:
     def __call__(self, cluster):
         return _probit_terms(cluster.covariates, self.kappa)
 
-    def batch(self, clusters):
-        return _probit_terms(np.stack([c.covariates for c in clusters]), self.kappa)
+    def batch(self, group):
+        return _probit_terms(group.covariates, self.kappa)
 
 
 def probit_mean_probs(cluster, kappa):

@@ -96,9 +96,8 @@ def imbalance_report(dataset, structure, weight, fit, threshold=DEFAULT_THRESHOL
     if tensor and dataset.n > 1:
         # per-cluster counterfactual load of each coordinate, summed over
         # patterns: the mean load under probability 1/2 times the 2^M_c patterns
-        sizes = np.array([c.size for c in dataset.clusters])
         z = target_contributions(structure, dataset, uniform_intervention())
-        z *= 2.0 ** sizes[:, None]
+        z *= 2.0 ** dataset.sizes[:, None]
         sigma = z.std(axis=0, ddof=1)
     else:  # one cluster has no spread, and a structure without covariates no scale
         sigma = np.full(nu.size, 0.0 if tensor else np.nan)

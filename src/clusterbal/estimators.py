@@ -118,17 +118,16 @@ def build_design(structure, dataset, weight):
 
 
 def _point(dataset, values):
-    return float(values @ dataset.stacked_outcomes() / dataset.n)
+    return float(values @ dataset.outcomes / dataset.n)
 
 
 def _observed_masses(group, law):
-    """The law's masses at the observed patterns of clusters of one size:
-    (B,), in product form when its `probs_batch` gives one, else cluster by
-    cluster."""
+    """The law's masses at the observed patterns of a size group: (B,), in
+    product form when its `probs_batch` gives one, else cluster by cluster."""
     probs = law.probs_batch(group)
     if probs is None:
         return [law.mass(c.treatments, c) for c in group]
-    return _kernels.pattern_masses(np.stack([c.treatments for c in group]), probs)
+    return _kernels.pattern_masses(group.treatments, probs)
 
 
 def ipw_weights(dataset, weight, propensity):
@@ -152,13 +151,11 @@ def _ipw_weights(dataset, weight, propensity):
         f[idx] = _observed_masses(group, weight)
     bad = np.flatnonzero(e <= 0.0)
     if bad.size:
-        c = dataset.clusters[bad[0]]
         raise PositivityViolation(
             f"propensity {float(e[bad[0]])} <= 0 at the observed pattern of cluster "
-            f"{c.cluster_id!r}"
+            f"{dataset.ids[bad[0]]!r}"
         )
-    sizes = np.array([c.size for c in dataset.clusters])
-    return np.repeat(f / (sizes * e), sizes)
+    return np.repeat(f / (dataset.sizes * e), dataset.sizes)
 
 
 def ipw_fit(dataset, weight, propensity):
@@ -198,7 +195,7 @@ def ols_plugin(dataset, structure, weight, design=None):
     """Plug-in estimate (1/n) t^T (phi^+ y) from the fitted coefficient vector."""
     if design is None:
         design = build_design(structure, dataset, weight)
-    h_hat = design.ops().ols_coefficients(dataset.stacked_outcomes())
+    h_hat = design.ops().ols_coefficients(dataset.outcomes)
     return float(design.target @ h_hat / dataset.n)
 
 
@@ -290,11 +287,10 @@ def _block_closed_form(dataset, structure, weight, propensity, rank_cut=True):
         out[rows] = np.where(layout.live(), w, 0.0)
     empty = np.flatnonzero(e_low <= 0.0)
     if empty.size:
-        starts = np.array([start for start, _ in dataset.cluster_slices()])
-        ci = int(np.searchsorted(starts, empty[0], side="right")) - 1
+        ci = int(np.searchsorted(dataset.starts, empty[0], side="right")) - 1
         raise PositivityViolation(
-            f"exposure-class probability is 0 for unit {empty[0] - starts[ci]} of cluster "
-            f"{dataset.clusters[ci].cluster_id!r}"
+            f"exposure-class probability is 0 for unit {empty[0] - dataset.starts[ci]} of "
+            f"cluster {dataset.ids[ci]!r}"
         )
     return out
 
@@ -314,7 +310,7 @@ def _wproj_svd(dataset, structure, weight, propensity):
     covariate row is zero gets 0.
     """
     out = np.empty(dataset.total_units)
-    for (start, stop), c in zip(dataset.cluster_slices(), dataset.clusters):
+    for c, start, stop in zip(dataset.clusters, dataset.starts[:-1], dataset.starts[1:]):
         bits = enumerate_patterns(c.size)
         e_all = propensity.masses(bits, c)
         if (e_all <= 0.0).any():
@@ -325,7 +321,7 @@ def _wproj_svd(dataset, structure, weight, propensity):
         w_tilde = f_all / (c.size * e_all)
         sqrt_e = np.sqrt(e_all)
         obs = pattern_index(c.treatments)
-        layout = _GroupRows(structure, [c])
+        layout = _GroupRows(structure, c.group)
         # each unit's (2^m, ell) inner rows, one flat row per unit
         units = layout.inner(bits).transpose(1, 0, 2).reshape(c.size, -1)
         distinct, which = np.unique(units, axis=0, return_inverse=True)

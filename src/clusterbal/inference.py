@@ -103,7 +103,7 @@ def _report(fit, sigma2, dataset, level):
 
 
 def _per_cluster_sums(values, dataset):
-    return np.add.reduceat(values, [start for start, _ in dataset.cluster_slices()])
+    return np.add.reduceat(values, dataset.starts[:-1])
 
 
 def iid_cluster_variance(dataset, fit, level=0.95):
@@ -112,7 +112,7 @@ def iid_cluster_variance(dataset, fit, level=0.95):
     Appropriate whenever the per-cluster weights are functions of that
     cluster's data alone (IPW, weighted projection). One cluster gives NaN.
     """
-    s_c = _per_cluster_sums(fit.weights.values * dataset.stacked_outcomes(), dataset)
+    s_c = _per_cluster_sums(fit.weights.values * dataset.outcomes, dataset)
     return _report(fit, float(s_c.var(ddof=1)) if dataset.n > 1 else float("nan"), dataset, level)
 
 
@@ -155,11 +155,11 @@ def sandwich_variance(
     design = fit.design
     if design is None:
         design = build_design(structure, dataset, weight)
-    ops = design.ops()
-    y = dataset.stacked_outcomes()
-    e = y - ops.project(y)
+    y = dataset.outcomes
+    y_hat, h = design.ops().least_squares(y)
+    e = y - y_hat
     if kind == "bal":
-        g = design.contributions @ ops.ols_coefficients(y)
+        g = design.contributions @ h
     else:
         g = _per_cluster_sums(ipw_weights(dataset, weight, propensity) * (y - e), dataset)
     eta = g - fit.point + _per_cluster_sums(fit.weights.values * e, dataset)
@@ -173,7 +173,7 @@ def sigma_noise_hat(dataset, structure, dof="units", design=None):
     literal cluster-count denominator, kept behind this flag.
     """
     ops = DesignOps(_observed_design(structure, dataset)) if design is None else design.ops()
-    y = dataset.stacked_outcomes()
+    y = dataset.outcomes
     resid = y - ops.project(y)
     denom = (dataset.total_units if dof == "units" else dataset.n) - ops.rank
     if denom <= 0:
@@ -203,7 +203,7 @@ def structure_test(dataset, weight, candidate, reference, sigma_hat, fits=None):
     scale = max(fit_l.weights.norm(), fit_ref.weights.norm(), 1.0)
     if norm_delta <= 1e-12 * scale:
         raise DegenerateContrast("candidate and reference weights are identical")
-    stat = float((delta @ dataset.stacked_outcomes() / (sigma_hat * norm_delta)) ** 2)
+    stat = float((delta @ dataset.outcomes / (sigma_hat * norm_delta)) ** 2)
     return stat, float(chi2.sf(stat, df=1))
 
 

@@ -242,14 +242,22 @@ class DesignOps:
         benchmark change of ROADMAP.md's direction 2 removes it."""
         return dense_design(self.factors)
 
+    def least_squares(self, y):
+        """(phi phi^+ y, phi^+ y): the fitted values and the minimum-norm
+        least-squares coefficients of y (N,) or (N, q), from one u^T y per
+        decomposition piece."""
+        y = np.asarray(y, dtype=np.float64)
+        fitted, coef = np.zeros(y.shape), np.zeros((self.shape[1],) + y.shape[1:])
+        for rows, cols, u, s, vt in self._pieces:
+            uty = u.T @ y[rows]
+            fitted[rows] = u @ uty
+            # one singular value per row of u.T @ y: divide along the first axis
+            coef[cols] = vt.T @ (uty / s.reshape((-1,) + (1,) * (y.ndim - 1)))
+        return fitted, coef
+
     def ols_coefficients(self, y):
         """phi^+ y: minimum-norm least-squares coefficients, y (N,) or (N, q)."""
-        y = np.asarray(y, float)
-        out = np.zeros((self.shape[1],) + y.shape[1:])
-        for rows, cols, u, s, vt in self._pieces:
-            # one singular value per row of u.T @ y: divide along the first axis
-            out[cols] = vt.T @ ((u.T @ y[rows]) / s.reshape((-1,) + (1,) * (y.ndim - 1)))
-        return out
+        return self.least_squares(y)[1]
 
     def min_norm_row_solve(self, t):
         """Minimum-norm w with phi^T w = t, as a SolveReport; the residual
@@ -268,11 +276,7 @@ class DesignOps:
 
     def project(self, v):
         """Projection of v onto the column space of phi."""
-        v = np.asarray(v, dtype=np.float64).ravel()
-        out = np.zeros(self.shape[0])
-        for rows, _, u, _, _ in self._pieces:
-            out[rows] = u @ (u.T @ v[rows])
-        return out
+        return self.least_squares(np.ravel(v))[0]
 
     def contains(self, other):
         """True when the span of `other` (a DesignOps on the same rows) lies in this one's.

@@ -18,7 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import ClusterSample, Dataset, _probit_terms, probit_intervention, probit_propensity
+from .core import Dataset, _probit_terms, probit_intervention, probit_propensity
 from .errors import CalibrationFailed, InvalidSpec
 from .estimators import build_design
 from .inference import DESIGN_FITS, ESTIMATORS, _check_unit_interval, fit_estimator
@@ -146,29 +146,30 @@ def _draw_sizes(cfg, rng, n):
 
 
 def _draw_clusters(cfg, rng, sizes, noise):
-    """Covariates, treatments and outcome noise of clusters of the drawn sizes.
+    """Unit-stacked covariates (N, p), treatments (N,) int8 and outcome noise
+    (N,) of clusters of the drawn sizes, in cluster order.
 
     The RNG calls stay in one loop over clusters, in the order covariates,
-    uniforms, noise (noise=False draws none), which is the stream of a
-    per-cluster draw. The covariate transform, the probit masses and the
-    treatments are computed once per cluster size. Returns per-cluster lists
-    (x, a, eps); eps is empty when noise is False.
+    uniforms, noise (noise=False draws none, and the noise is empty), which
+    is the stream of a per-cluster draw. The covariate transform, the probit
+    masses and the treatments are computed once per cluster size.
     """
     chol = _toeplitz_chol(cfg.rho, cfg.p)
-    z, u, eps = [], [], []
-    for m in sizes:
-        z.append(rng.standard_normal((m, cfg.p)))
-        u.append(rng.random(m))
+    starts = np.cumsum(sizes) - sizes
+    total = int(sizes.sum())
+    z, u, eps = np.empty((total, cfg.p)), np.empty(total), np.empty(total if noise else 0)
+    for start, m in zip(starts.tolist(), sizes.tolist()):
+        z[start : start + m] = rng.standard_normal((m, cfg.p))
+        u[start : start + m] = rng.random(m)
         if noise:
-            eps.append(rng.standard_normal(m))
-    x, a = [None] * len(sizes), [None] * len(sizes)
-    for m in np.unique(sizes):
-        idx = np.flatnonzero(sizes == m)
+            eps[start : start + m] = rng.standard_normal(m)
+    x, a = np.empty_like(z), np.empty(total, dtype=np.int8)
+    for m in np.unique(sizes).tolist():
+        rows = starts[sizes == m, None] + np.arange(m)
         # a stacked (B, m, p) @ (p, p) keeps each cluster's bits; a (B*m, p) one does not
-        xm = np.stack([z[i] for i in idx]) @ chol.T
-        am = (np.stack([u[i] for i in idx]) < _probit_terms(xm, 0.0)).astype(np.int8)
-        for j, i in enumerate(idx):
-            x[i], a[i] = xm[j], am[j]
+        xm = z[rows] @ chol.T
+        x[rows] = xm
+        a[rows] = u[rows] < _probit_terms(xm, 0.0)
     return x, a, eps
 
 
@@ -183,18 +184,12 @@ def gen_dataset(cfg, replicate_index, truth=True):
     rng = _rng(cfg, _STREAM_DATA, replicate_index)
     sizes = _draw_sizes(cfg, rng, cfg.n)
     x, a, eps = _draw_clusters(cfg, rng, sizes, noise=True)
-    dataset = Dataset(clusters=tuple(
-        ClusterSample(covariates=x[ci], treatments=a[ci], outcomes=np.zeros(m), cluster_id=ci)
-        for ci, m in enumerate(sizes)
-    ))
+    dataset = Dataset.from_arrays(x, a, np.zeros(a.size), sizes, range(cfg.n))
     y = observed_signal(dgp_structure(cfg), dataset, dgp_h(cfg, cfg.gamma))
-    y += math.sqrt(cfg.sigma2) * np.concatenate(eps)
-    # the outcomes are filled in place: the signal needs the clusters' k-NN
-    # lists, which stay cached on them
-    for c, (start, stop) in zip(dataset.clusters, dataset.cluster_slices()):
-        c.outcomes[:] = y[start:stop]
+    y += math.sqrt(cfg.sigma2) * eps
     mu = true_mu(cfg)[0] if truth else None
-    return dataset, mu, probit_propensity(0.0), probit_intervention(cfg.kappa)
+    # the dataset with the outcomes keeps the k-NN lists the signal cached
+    return dataset.with_outcomes(y), mu, probit_propensity(0.0), probit_intervention(cfg.kappa)
 
 
 def conditional_true_mu(cfg, dataset):
@@ -357,17 +352,13 @@ def _calibration_moments(cfg, draws):
     for start in range(0, draws, _CALIBRATION_BLOCK):
         block = sizes[start : start + _CALIBRATION_BLOCK]
         x, a, _ = _draw_clusters(cfg, rng, block, noise=False)
-        dataset = Dataset(clusters=tuple(
-            ClusterSample(covariates=x[r], treatments=a[r], outcomes=np.zeros(m), cluster_id=r)
-            for r, m in enumerate(block)
-        ))
+        dataset = Dataset.from_arrays(x, a, np.zeros(a.size), block, range(block.size))
         g = observed_signal(structure, dataset, h1)
         for group, idx, rows in _size_groups(dataset):
             m = rows.shape[1]
-            xm = np.stack([c.covariates for c in group])
-            pi0 = _probit_terms(xm, 0.0)
-            pik = _probit_terms(xm, cfg.kappa)
-            af = np.stack([c.treatments for c in group]).astype(np.float64)
+            pi0 = _probit_terms(group.covariates, 0.0)
+            pik = _probit_terms(group.covariates, cfg.kappa)
+            af = group.treatments.astype(np.float64)
             ratio = np.prod(np.where(af == 1, pik / pi0, (1.0 - pik) / (1.0 - pi0)), axis=1)
             w_scalar = ratio / m
             signal[start + idx] = w_scalar * g[rows].sum(axis=1)

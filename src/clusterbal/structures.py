@@ -42,34 +42,31 @@ def knn_order(x, k):
     return np.argsort(d2, axis=2, kind="stable")[:, :, 1 : min(int(k), m - 1) + 1]
 
 
-def _knn_orders(clusters):
-    """Each cluster's full stable neighbor order (m, m - 1) int64, from its
-    cache; one `knn_order` call fills the clusters of one size still cold."""
-    cold = [c for c in clusters if "knn_order" not in c._cache]
-    if cold:
-        x = np.stack([c.covariates for c in cold])
-        orders = knn_order(x, x.shape[1] - 1).astype(np.int64, copy=False)
-        for c, order in zip(cold, orders):
-            c._cache["knn_order"] = order
-    return [c._cache["knn_order"] for c in clusters]
+def _knn_order(group):
+    """The full stable neighbor order of each cluster of a size group, (B, m,
+    m - 1) int64, from one `knn_order` call cached on the group."""
+    def full(g):
+        return knn_order(g.covariates, g.covariates.shape[1] - 1).astype(np.int64, copy=False)
+
+    return group.cached("knn_order", full)
 
 
 def _stacked_neighbors(clusters, k, graph=None):
-    """Neighbor lists of clusters of one size, stacked: (B, m, k_eff) int64.
+    """Neighbor lists of a size group, stacked: (B, m, k_eff) int64.
 
     The lists are the first k columns (all when k is None) of
     `graph.stacked(clusters)` when a list source is given, a `NeighborGraph`
-    or a `Compose`'s inner mapping, and otherwise of each cluster's full
-    k-NN order, so every k reads the same sort.
+    or a `Compose`'s inner mapping, and otherwise of the group's full k-NN
+    order, so every k reads the same sort.
     """
     if graph is not None:
         return graph.stacked(clusters)[:, :, :k]
-    return np.stack([order[:, :k] for order in _knn_orders(clusters)])
+    return _knn_order(clusters)[:, :, :k]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NeighborGraph:
-    """Per-cluster, per-unit ordered neighbor lists."""
+    """Per-cluster, per-unit ordered neighbor lists; equal only to itself."""
 
     order: int
     lists: dict  # cluster_id -> (M_c, k_eff) int64 array
@@ -114,21 +111,6 @@ def knn_graph(dataset, k):
     for group, _, _ in _size_groups(dataset):
         lists.update(zip((c.cluster_id for c in group), _stacked_neighbors(group, int(k))))
     return NeighborGraph(order=int(k), lists=lists)
-
-
-def second_order_lists(cluster, nbrs):
-    """Units at graph distance exactly two, per unit, sorted ascending."""
-    m = cluster.size
-    out = []
-    sets = [set(row.tolist()) for row in nbrs]
-    for i in range(m):
-        two = set()
-        for j in nbrs[i]:
-            two |= sets[int(j)]
-        two -= sets[i]
-        two.discard(i)
-        out.append(np.array(sorted(two), dtype=np.int64))
-    return out
 
 
 # ---------- k-NN pattern slots ----------
@@ -179,10 +161,11 @@ class LowRankStructure:
         raise NotImplementedError
 
     def indicator_blocks(self, clusters):
-        """The rows of clusters of one size as sums of indicator blocks: a list
-        of exposure mappings whose classes read disjoint sets of units, and so
-        are independent under a product-form propensity; None when the rows
-        have no such form. A one-hot structure is one block, its mapping."""
+        """The rows of a size group (`SizeGroup`) as sums of indicator
+        blocks: a list of exposure mappings whose classes read disjoint sets
+        of units, and so are independent under a product-form propensity;
+        None when the rows have no such form. A one-hot structure is one
+        block, its mapping."""
         return None if self.exposure_mapping is None else [self.exposure_mapping]
 
     def block_layout(self, clusters):
@@ -205,7 +188,7 @@ class LowRankStructure:
         its inner rows there and its covariate row scattered by `dense_design`."""
         if not 0 <= int(i) < cluster.size:
             raise DimensionMismatch(f"unit index {i} out of range for size {cluster.size}")
-        layout = _GroupRows(self, [cluster])
+        layout = _GroupRows(self, cluster.group)
         inner = layout.inner(enumerate_patterns(cluster.size))[:, int(i)]
         x = np.broadcast_to(layout.x[0, int(i)], (inner.shape[0], layout.x.shape[2]))
         return dense_design(((np.arange(inner.shape[0]), inner, x),))
@@ -215,7 +198,7 @@ class LowRankStructure:
         if self.regime != "fixed":
             raise InvalidSpec("per-unit structure has no stacked design rows")
         probs = np.asarray(probs, dtype=np.float64)
-        layout = _GroupRows(self, [cluster])
+        layout = _GroupRows(self, cluster.group)
         law = BernoulliIntervention(lambda c: probs)
         return layout.expected_rows(layout.masses(probs[None], law))[0]
 
@@ -238,12 +221,12 @@ class ExposureMapping:
 
     def classes_batch(self, clusters, patterns):
         """Class of every unit at every pattern row: (P, m) patterns -> (P, m)
-        int64. `clusters` holds one cluster of size m per row, or one cluster
-        for all P rows."""
+        int64. `clusters`, a size group (`SizeGroup`), holds one cluster of
+        size m per row, or one cluster for all P rows."""
         raise NotImplementedError
 
     def class_masses_batch(self, clusters, probs):
-        """Class probabilities of every unit of clusters of one size m under
+        """Class probabilities of every unit of a size group under
         independent Bernoulli(probs) treatments, in product form: (B, m) probs
         -> (B, m, n_classes), or None when the mapping has no product form."""
         return None
@@ -259,8 +242,8 @@ class _ListMapping(ExposureMapping):
     """A slot or a binned count of each unit's listed treatments.
 
     A subclass states only `stacked(clusters)`: each unit's list of units in
-    clusters of one size m, (B, m, L) int64, or (B, 1, L) when every unit of
-    a cluster has the same list. Index m is "no unit", untreated with
+    a size group of clusters of size m, (B, m, L) int64, or (B, 1, L) when
+    every unit of a cluster has the same list. Index m is "no unit", untreated with
     probability 0; a mapping whose lists may hold it sets `pads` (a block,
     when it is made). With
     `slot_bits` set, the class is the `_msb_slots` slot of the listed bits;
@@ -455,21 +438,18 @@ class KnnPattern(FromExposureMapping):
 class _ListBit(_ListMapping):
     """One additive block: the treatment of the t-th unit of each unit's list
     in `source.stacked`, of `AdditiveTypes` or a `Compose`'s inner mapping.
-    It serves the clusters of its size group, or some of them."""
+    It `pads` when some list of the size group it was made for has no t-th
+    unit."""
 
     fixed_dim = 2
     slot_bits = 1
 
-    def __init__(self, source, t, clusters, lists):
+    def __init__(self, source, t, clusters):
         self.source = source
         self.t = t
-        self.clusters = clusters  # the size group the block was made for
-        self.lists = lists  # and its units' t-th listed units, (B, m or 1, 1)
-        self.pads = bool((lists == clusters[0].size).any())  # once, for the group
+        self.pads = bool((self.stacked(clusters) == clusters[0].size).any())
 
     def stacked(self, clusters):
-        if clusters is self.clusters:
-            return self.lists
         return self.source.stacked(clusters)[:, :, self.t : self.t + 1]
 
 
@@ -494,16 +474,19 @@ class AdditiveTypes(LowRankStructure):
 
     def stacked(self, clusters):
         """Every unit lists its cluster's type units, (B, 1, s); an absent
-        type lists no unit (index m). The types of clusters of one size are
-        checked together: InvalidSpec names the fault of the first cluster,
-        and in it of the first unit, whose type is outside 1..s or repeats
-        an earlier unit's."""
+        type lists no unit (index m). Cached on the size group, whose types
+        are checked together: InvalidSpec names the fault of the first
+        cluster, and in it of the first unit, whose type is outside 1..s or
+        repeats an earlier unit's."""
+        return clusters.cached(("type_units", self.s, str(self.type_source)), self._type_units)
+
+    def _type_units(self, clusters):
         m = clusters[0].size
         if self.type_source == "unit_index":
             types = np.broadcast_to(np.arange(1, m + 1), (len(clusters), m))
         elif isinstance(self.type_source, dict) and "column" in self.type_source:
             col = int(self.type_source["column"])
-            types = np.stack([c.covariates[:, col] for c in clusters]).astype(np.int64)
+            types = clusters.covariates[:, :, col].astype(np.int64)
         else:
             raise InvalidSpec(f"unknown type_source {self.type_source!r}")
         outside = (types < 1) | (types > self.s)
@@ -527,14 +510,14 @@ class AdditiveTypes(LowRankStructure):
         occurs at most once per cluster, so the blocks read distinct units."""
         lists = self.stacked(clusters)
         present = np.flatnonzero((lists[:, 0] < clusters[0].size).any(axis=0))
-        return [_ListBit(self, t, clusters, lists[:, :, t : t + 1]) for t in present]
+        return [_ListBit(self, t, clusters) for t in present]
 
     def block_layout(self, clusters):
         """Type t's block sits at columns 2t and holds the units of the
         clusters that carry type t."""
-        m = clusters[0].size
+        m, lists = clusters[0].size, self.stacked(clusters)
         return [
-            (2 * int(block.t), block, _per_unit(block.lists[:, :, 0] < m, m) if block.pads else None)
+            (2 * int(block.t), block, _per_unit(lists[:, :, block.t] < m, m) if block.pads else None)
             for block in self.indicator_blocks(clusters)
         ]
 
@@ -551,14 +534,8 @@ class _CountBin(_ListMapping):
         self.lvl = lvl
 
     def stacked(self, clusters):
-        """Each unit's level units, from each cluster's cached lists; shorter
-        lists are padded with no unit (index m)."""
-        levels = [self.structure._level_units(c)[self.lvl] for c in clusters]
-        m = clusters[0].size
-        out = np.full((len(clusters), m, max(lv.shape[1] for lv in levels)), m, dtype=np.int64)
-        for lists, lv in zip(out, levels):
-            lists[:, : lv.shape[1]] = lv
-        return out
+        """Each unit's level units, from the group's cached lists."""
+        return self.structure._level_units(clusters)[self.lvl]
 
     def _bin(self, counts):
         return self.structure._bin(counts, self.lvl)
@@ -597,35 +574,38 @@ class CoarsenedCount(LowRankStructure):
             raise InvalidSpec("thresholds must be non-decreasing")
         return arr
 
-    def _level_units(self, cluster):
-        """Each level's lists of units, (m, L) int64 per level, shorter lists
-        padded with no unit (index m); cached on the cluster."""
-        # the entry holds the graph, so no other graph can take its id
-        key = ("coarsened_units", self.order, self.k, id(self.graph))
-        if key in cluster._cache:
-            return cluster._cache[key][1]
+    def _level_units(self, group):
+        """Each level's lists of units of a size group, (B, m, L) int64 per
+        level, shorter lists padded with no unit (index m); cached on the
+        group under a key that holds the graph."""
+        return group.cached(("coarsened_units", self.order, self.k, self.graph), self._levels)
+
+    def _levels(self, group):
         # a given graph's lists are used whole; k sizes only the k-NN lists
-        nbrs = _stacked_neighbors([cluster], self.k if self.graph is None else None, self.graph)[0]
+        nbrs = _stacked_neighbors(group, self.k if self.graph is None else None, self.graph)
         levels = [nbrs.astype(np.int64, copy=False)]
         if self.order == 2:
-            second = second_order_lists(cluster, nbrs)
-            m = cluster.size
-            padded = np.full((m, max(map(len, second), default=0)), m, dtype=np.int64)
-            for row, units in zip(padded, second):
-                row[: len(units)] = units
-            levels.append(padded)
-        cluster._cache[key] = (self.graph, levels)
+            # the units at graph distance exactly two, ascending: those two
+            # steps away that are not a neighbor or the unit itself
+            b, m, _ = nbrs.shape
+            near = np.zeros((b, m, m), dtype=np.int64)
+            near[np.arange(b)[:, None, None], np.arange(m)[:, None], nbrs] = 1
+            second = (near @ near > 0) & (near == 0) & ~np.eye(m, dtype=bool)
+            order = np.argsort(~second, axis=2, kind="stable")[:, :, : second.sum(axis=2).max()]
+            levels.append(np.where(np.take_along_axis(second, order, axis=2), order, m))
         return levels
 
     def fit_thresholds(self, dataset):
         """33rd/67th percentile thresholds of observed raw counts, per level."""
         counts = [[] for _ in range(self.order)]
-        for c in dataset.clusters:
-            treated = np.append(c.treatments, 0)  # the padding index m is untreated
-            for lvl, units in enumerate(self._level_units(c)):
-                counts[lvl].extend(treated[units].sum(axis=1).tolist())
+        for group, _, _ in _size_groups(dataset):
+            # the padding index m is untreated
+            treated = np.pad(group.treatments, ((0, 0), (0, 1)))
+            b = np.arange(len(group))[:, None, None]
+            for lvl, units in enumerate(self._level_units(group)):
+                counts[lvl].append(treated[b, units].sum(axis=2).ravel())
         self.thresholds = np.array(
-            [np.percentile(np.asarray(v, float), [33, 67]) for v in counts]
+            [np.percentile(np.concatenate(v).astype(float), [33, 67]) for v in counts]
         )
         return self.thresholds
 
@@ -688,10 +668,7 @@ class Compose(LowRankStructure):
             return [self.exposure_mapping]
         source = self.inner.exposure_mapping
         lists = source.stacked(clusters)
-        return [
-            _ListBit(source, t, clusters, lists[:, :, t : t + 1])
-            for t in range(min(self._base.s, lists.shape[2]))
-        ]
+        return [_ListBit(source, t, clusters) for t in range(min(self._base.s, lists.shape[2]))]
 
 
 class TensorWithCovariates(LowRankStructure):
@@ -732,23 +709,19 @@ class TensorWithCovariates(LowRankStructure):
         )
 
     def stacked_covariate_rows(self, clusters):
-        """Each unit's covariate row of clusters of one size, (B, m, width),
-        cached on the clusters. The clusters not cached yet take one
-        evaluation over their stacked covariates; a cluster mean is the same
-        reduction for one cluster or many."""
-        key = ("tensor_cov", str(self.columns))
-        cold = [c for c in clusters if key not in c._cache]
-        if cold:
-            x = np.stack([c.covariates for c in cold])
-            slots = self._slots(x.shape[2])
-            rows = np.empty(x.shape[:2] + (len(slots),))
-            for t, (kind, j) in enumerate(slots):
-                if j >= x.shape[2]:
-                    raise InvalidSpec(f"covariate column {j} out of range (p={x.shape[2]})")
-                rows[:, :, t] = x[:, :, j] if kind == "col" else x[:, :, j].mean(axis=1)[:, None]
-            for c, r in zip(cold, rows):
-                c._cache[key] = r
-        return np.stack([c._cache[key] for c in clusters])
+        """Each unit's covariate row of a size group, (B, m, width), from one
+        evaluation over the group's covariates cached on the group."""
+        return clusters.cached(("tensor_cov", str(self.columns)), self._covariate_rows)
+
+    def _covariate_rows(self, group):
+        x = group.covariates
+        slots = self._slots(x.shape[2])
+        rows = np.empty(x.shape[:2] + (len(slots),))
+        for t, (kind, j) in enumerate(slots):
+            if j >= x.shape[2]:
+                raise InvalidSpec(f"covariate column {j} out of range (p={x.shape[2]})")
+            rows[:, :, t] = x[:, :, j] if kind == "col" else x[:, :, j].mean(axis=1)[:, None]
+        return rows
 
     @property
     def exposure_mapping(self):
@@ -857,12 +830,9 @@ def exposure_from_spec(spec):
 
 
 def _size_groups(dataset):
-    """(clusters, cluster indices, (B, m) unit rows) for each cluster size m."""
-    sizes = np.array([c.size for c in dataset.clusters])
-    starts = np.cumsum(sizes) - sizes
-    for m in np.unique(sizes):
-        idx = np.flatnonzero(sizes == m)
-        yield [dataset.clusters[i] for i in idx], idx, starts[idx, None] + np.arange(m)
+    """(size group, cluster indices (B,), unit rows (B, m)) for each cluster
+    size m, ascending: the dataset's own groups (`Dataset.groups`)."""
+    return [(group, group.idx, group.rows) for group in dataset.groups]
 
 
 class _GroupRows:
@@ -902,7 +872,7 @@ class _GroupRows:
         group or all of its one cluster, by default the observed patterns:
         [(P, m) int64]."""
         if patterns is None:
-            patterns = np.stack([c.treatments for c in self.clusters])
+            patterns = self.clusters.treatments
         return [block.classes_batch(self.clusters, patterns) for _, block, _ in self.blocks]
 
     def masses(self, probs, law):
@@ -930,7 +900,7 @@ class _GroupRows:
                 continue
             patterns = np.array([pat for pat, _ in support], dtype=np.int8)
             w = np.array([w for _, w in support], dtype=np.float64)
-            np.add.at(out[b], (np.arange(m), block.classes_batch([c], patterns)), w[:, None])
+            np.add.at(out[b], (np.arange(m), block.classes_batch(c.group, patterns)), w[:, None])
         return out
 
     def inner(self, patterns=None):

@@ -73,6 +73,53 @@ def mu_f_direct(dataset, weight, outcome_fn):
     return total / dataset.n
 
 
+# ---------- the dataset layout, derived one cluster at a time ----------
+
+
+def cluster_slices(clusters):
+    """(start, stop) row range of each cluster in unit-stacked arrays."""
+    out, start = [], 0
+    for c in clusters:
+        out.append((start, start + c.size))
+        start += c.size
+    return out
+
+
+def size_group_rows(clusters):
+    """(cluster indices (B,), unit rows (B, m)) of each cluster size m, ascending."""
+    sizes = np.array([c.size for c in clusters])
+    starts = np.cumsum(sizes) - sizes
+    return [(np.flatnonzero(sizes == m), starts[sizes == m, None] + np.arange(m))
+            for m in np.unique(sizes)]
+
+
+def with_covariate(dataset, ci, at, value):
+    """The dataset built again from its clusters, with covariates[at] of
+    cluster ci set to value on a copy of them."""
+    clusters = list(dataset.clusters)
+    c = clusters[ci]
+    x = c.covariates.copy()
+    x[at] = value
+    clusters[ci] = ClusterSample(covariates=x, treatments=c.treatments, outcomes=c.outcomes,
+                                 cluster_id=c.cluster_id)
+    return Dataset(clusters=tuple(clusters))
+
+
+def cached_row(cluster, key):
+    """The cluster's row of its size group's cached entry `key`, which must
+    be cached already."""
+    def cold(group):
+        raise AssertionError(f"{key!r} is not cached on the size group")
+    return cluster.group.cached(key, cold)[0]
+
+
+def one_size_group(clusters):
+    """Clusters of one size as the size group (`SizeGroup`) that a dataset
+    of them holds: views of their values, with their ids."""
+    (group,) = Dataset(clusters=tuple(clusters)).groups
+    return group
+
+
 # ---------- the per-cluster probit law (the form `ProbitMean.batch` replaces) ----------
 
 
@@ -209,7 +256,7 @@ def per_cluster_contributions(structure, dataset, weight):
     weight, else the weighted sum of `structure_rows` over its support."""
     out = []
     for c in dataset.clusters:
-        probs = weight.probs_batch([c])
+        probs = weight.probs_batch(c.group)
         if probs is not None:
             rows = expected_rows(structure, c, probs[0])
         else:
@@ -286,7 +333,7 @@ def loads_form_sigma2(dataset, design, fit, w_ipw=None):
     over clusters of eta_c^2, eta_c = (L_c(w) - v_c) . h - (s_c - theta),
     with L_c(w) = `dense_loads`, v_c the target contributions or the IPW
     weights' loads, s_c = w_c^T y_c and h = phi^+ y."""
-    y = dataset.stacked_outcomes()
+    y = dataset.outcomes
     w = fit.weights.values
     h = DenseOps(dense_design(design.factors)).ols_coefficients(y)
     v = design.contributions if w_ipw is None else dense_loads(design, w_ipw)
@@ -381,7 +428,7 @@ def per_cluster_ipw_weights(dataset, weight, propensity):
     from clusterbal.errors import PositivityViolation
 
     out = np.empty(dataset.total_units)
-    for (start, stop), c in zip(dataset.cluster_slices(), dataset.clusters):
+    for (start, stop), c in zip(cluster_slices(dataset.clusters), dataset.clusters):
         e_obs = eval_propensity(propensity, c.treatments, c)
         if e_obs <= 0.0:
             raise PositivityViolation(

@@ -436,6 +436,10 @@ def test_every_artifact_of_a_run_carries_the_same_manifest(tmp_path):
         assert json.loads(got_inputs) == inputs
         if "--seed" in argv:
             assert seed == int(argv[argv.index("--seed") + 1])
+        # a CSV's sidecar is dumped as the JSON artifacts' manifests are, keys sorted
+        for name in (f for f in files if f.endswith(".csv.manifest.json")):
+            text = (tmp_path / out / name).read_text()
+            assert text == json.dumps(json.loads(text), indent=1, sort_keys=True)
 
 
 def test_estimate_unknown_propensity_rejects_ipw(tmp_path):

@@ -1,7 +1,16 @@
+import gc
+import os
+import pickle
+import tempfile
+import weakref
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clusterbal import _kernels
+from clusterbal.cli import load_dataset, write_dataset
 from clusterbal.core import (
     BernoulliIntervention,
     ClusterSample,
@@ -33,16 +42,17 @@ from clusterbal.errors import (
     PropensityUnavailable,
 )
 from clusterbal.estimators import ipw_weights
-from clusterbal.structures import _size_groups
+from clusterbal.simulate import DGPConfig, _calibration_moments, gen_dataset
+from clusterbal.structures import _size_groups, knn_graph
 
 from conftest import make_cluster, make_dataset
-from oracles import per_cluster_probit
+from oracles import cached_row, cluster_slices, one_size_group, per_cluster_probit, size_group_rows
 
 
-def const_cluster(m, treatments=None, x=None):
+def const_cluster(m, treatments=None, x=None, cluster_id="c"):
     x = np.zeros((m, 1)) if x is None else x
     a = np.zeros(m, dtype=int) if treatments is None else treatments
-    return ClusterSample(covariates=x, treatments=a, outcomes=np.zeros(m), cluster_id="c")
+    return ClusterSample(covariates=x, treatments=a, outcomes=np.zeros(m), cluster_id=cluster_id)
 
 
 # ---------- pattern enumeration ----------
@@ -85,6 +95,119 @@ def test_dataset_validation():
         Dataset(clusters=(c1, c2))
     with pytest.raises(InvalidSpec):
         Dataset(clusters=(c1, const_cluster(3)))  # duplicate cluster_id
+
+
+def test_dataset_from_arrays_checks_the_arrays():
+    x, a, y = np.zeros((3, 2)), np.array([0, 1, 0]), np.zeros(3)
+    assert Dataset.from_arrays(x, a, y, [1, 2], ["a", "b"]).sizes.tolist() == [1, 2]
+    for args, error in [
+        ((x, a, y, [1, 1], ["a", "b"]), DimensionMismatch),  # the sizes sum to 2, not 3
+        ((x, a, y, [3, 0], ["a", "b"]), DimensionMismatch),  # an empty cluster
+        ((x, a, y, [], []), DimensionMismatch),  # no cluster
+        ((x, a, y[:2], [1, 2], ["a", "b"]), DimensionMismatch),  # too few outcomes
+        ((x[:, 0], a, y, [1, 2], ["a", "b"]), DimensionMismatch),  # covariates not (N, p)
+        ((x, [0, 2, 0], y, [1, 2], ["a", "b"]), DimensionMismatch),  # a treatment not 0/1
+        ((x, a, y, [1, 2], ["a"]), DimensionMismatch),  # one id for two clusters
+        ((x, a, y, [1, 2], ["a", "a"]), InvalidSpec),  # a repeated id
+    ]:
+        with pytest.raises(error):
+            Dataset.from_arrays(*args)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(sizes=st.lists(st.integers(1, 5), min_size=1, max_size=10), p=st.integers(1, 3),
+       seed=st.integers(0, 2**32 - 1))
+def test_clusters_csv_and_arrays_hold_one_layout(sizes, p, seed):
+    """`Dataset(clusters=...)`, the CSV loader and `Dataset.from_arrays` hold
+    clusters of interleaved sizes in one layout: the same arrays, cluster
+    starts and size groups (the per-cluster derivations of `oracles`), each
+    group's stacked arrays, and cluster views into the arrays."""
+    rng = np.random.default_rng(seed)
+    clusters = [make_cluster(rng, m, p=p, cluster_id=f"c{i}") for i, m in enumerate(sizes)]
+    names = ("covariates", "treatments", "outcomes")
+    stacked = {name: np.concatenate([getattr(c, name) for c in clusters]) for name in names}
+    by_clusters = Dataset(clusters=tuple(clusters))
+    with tempfile.TemporaryDirectory() as tmp:
+        write_dataset(by_clusters, os.path.join(tmp, "d.csv"))
+        loaded = load_dataset(os.path.join(tmp, "d.csv"))
+    by_arrays = Dataset.from_arrays(*stacked.values(), sizes, [c.cluster_id for c in clusters])
+    slices = cluster_slices(clusters)
+    for d in (by_clusters, loaded, by_arrays):
+        assert (d.n, d.p, d.total_units) == (len(sizes), p, sum(sizes))
+        assert d.ids == tuple(c.cluster_id for c in clusters) and d.sizes.tolist() == sizes
+        assert list(zip(d.starts[:-1].tolist(), d.starts[1:].tolist())) == slices
+        assert d.treatments.dtype == np.int8
+        for name in names:
+            assert np.array_equal(getattr(d, name), stacked[name])
+        groups = size_group_rows(clusters)
+        assert len(d.groups) == len(groups)
+        for group, (idx, rows) in zip(d.groups, groups):
+            assert np.array_equal(group.idx, idx) and np.array_equal(group.rows, rows)
+            for name in ("covariates", "treatments"):
+                want = np.stack([getattr(clusters[i], name) for i in idx])
+                assert np.array_equal(getattr(group, name), want)
+            assert all(c is d.clusters[i] for c, i in zip(group, idx))
+        for view, c, (start, stop) in zip(d.clusters, clusters, slices):
+            assert view.cluster_id == c.cluster_id and view.size == c.size
+            for name in names:
+                got, whole = getattr(view, name), getattr(d, name)
+                assert np.array_equal(got, getattr(c, name))
+                assert np.shares_memory(got, whole) and np.array_equal(got, whole[start:stop])
+            assert np.array_equal(view.group.covariates, c.covariates[None])
+            assert np.array_equal(view.group.treatments, c.treatments[None])
+
+
+def test_a_datasets_arrays_and_their_views_are_read_only(rng):
+    d = make_dataset(rng, 8, sizes=(1, 4), p=2)
+    graph = knn_graph(d, 2)
+    c, group = d.clusters[3], d.groups[-1]
+    arrays = [getattr(d, name) for name in ("covariates", "treatments", "outcomes", "starts", "sizes")]
+    arrays += [c.covariates, c.treatments, c.outcomes, group.covariates, group.treatments,
+               group.idx, group.rows, cached_row(group[0], "knn_order"), graph.neighbors(group[0])]
+    for a in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            a[...] = 0
+
+
+def test_a_dataset_and_its_clusters_pickle_as_their_arrays(rng):
+    d = make_dataset(rng, 8, sizes=(1, 4), p=2)
+    knn_graph(d, 2)  # a warm cache is left behind
+    copy = pickle.loads(pickle.dumps(d))
+    for name in ("covariates", "treatments", "outcomes", "starts", "sizes"):
+        assert np.array_equal(getattr(copy, name), getattr(d, name))
+    assert copy.ids == d.ids and [len(g) for g in copy.groups] == [len(g) for g in d.groups]
+    c = pickle.loads(pickle.dumps(d.clusters[3]))
+    assert c.cluster_id == d.clusters[3].cluster_id
+    for name in ("covariates", "treatments", "outcomes"):
+        assert np.array_equal(getattr(c, name), getattr(d.clusters[3], name))
+
+
+def test_a_dataset_is_freed_without_the_cycle_collector(rng):
+    """No cluster refers to its dataset or size group, so a dataset, warm
+    caches and all, goes when its last reference does."""
+    d = gen_dataset(DGPConfig(n=30, interference="knn2", seed=4, gamma=1.0), 0, truth=False)[0]
+    cached_row(d.clusters[0], "knn_order")
+    gone = weakref.ref(d)
+    gc.disable()
+    try:
+        del d
+        assert gone() is None
+    finally:
+        gc.enable()
+
+
+def test_loading_drawing_and_calibrating_check_no_cluster_one_by_one(rng, tmp_path, monkeypatch):
+    """The CSV loader, a `gen_dataset` replicate and a calibration block build
+    their datasets from arrays, without one ClusterSample check per cluster."""
+    write_dataset(make_dataset(rng, 20, sizes=(1, 4)), tmp_path / "d.csv")
+    checked = []
+    check = ClusterSample.__post_init__
+    monkeypatch.setattr(ClusterSample, "__post_init__", lambda c: checked.append(c) or check(c))
+    assert load_dataset(tmp_path / "d.csv").n == 20
+    cfg = DGPConfig(n=30, interference="knn2", seed=4)
+    assert gen_dataset(cfg, 0, truth=False)[0].n == 30
+    assert _calibration_moments(cfg, 300)[0].size == 300
+    assert checked == []
 
 
 # ---------- counterfactual weights ----------
@@ -188,7 +311,7 @@ def test_pattern_law_contract(name, m):
     with pytest.raises(DimensionMismatch, match=f"pattern length {m + 1} != cluster size {m}"):
         law.mass(np.zeros(m + 1), c)
     if name == "unknown":
-        assert law.probs_batch([c]) is None
+        assert law.probs_batch(c.group) is None
         for read in (lambda: law.masses(bits, c), lambda: law.support(c), lambda: law.mass(bits[0], c)):
             with pytest.raises(PropensityUnavailable):
                 read()
@@ -200,7 +323,7 @@ def test_pattern_law_contract(name, m):
         scattered[pattern_index(a)] += v
     assert np.array_equal(masses, scattered)
     assert [law.mass(a, c) for a in bits] == masses.tolist()
-    probs = law.probs_batch([c])
+    probs = law.probs_batch(c.group)
     if probs is not None:
         assert np.array_equal(_kernels.pattern_masses(bits, probs), masses)
     if name in PROBABILITY_LAWS:
@@ -383,7 +506,7 @@ def test_probit_batch_matches_per_cluster_formula_bit_for_bit(p, kappa):
     for m in range(1, 16):
         clusters = [make_cluster(rng, m, p=p, cluster_id=i) for i in range(5)]
         want = _hex(per_cluster_probit(c.covariates, kappa) for c in clusters)
-        assert _hex(law.batch(clusters)) == want
+        assert _hex(law.batch(one_size_group(clusters))) == want
         assert _hex(law(c) for c in clusters) == want
         assert _hex(probit_mean_probs(c, kappa) for c in clusters) == want
 
@@ -413,14 +536,14 @@ def test_probit_laws_at_saturated_probabilities():
     """Rows whose means are +-40 put Phi at exactly 1.0 and 0.0: the
     intervention takes them, the propensity refuses them on both paths."""
     x = np.array([[40.0, 40.0], [0.0, 0.0], [-40.0, -40.0]])
-    clusters = [const_cluster(3, x=x), const_cluster(3, x=x[::-1].copy())]
+    clusters = [const_cluster(3, x=x), const_cluster(3, x=x[::-1].copy(), cluster_id="d")]
     f, e = probit_intervention(1.0), probit_propensity(1.0)
-    assert f.probs_batch(clusters[:1]).tolist() == [[1.0, 0.5, 0.0]]
-    assert f.probs_batch(clusters).tolist() == [[1.0, 0.5, 0.0], [0.0, 0.5, 1.0]]
+    assert f.probs_batch(clusters[0].group).tolist() == [[1.0, 0.5, 0.0]]
+    assert f.probs_batch(one_size_group(clusters)).tolist() == [[1.0, 0.5, 0.0], [0.0, 0.5, 1.0]]
     with pytest.raises(InvalidSpec, match="strictly"):
-        e.probs_batch(clusters[:1])
+        e.probs_batch(clusters[0].group)
     with pytest.raises(InvalidSpec, match="strictly"):
-        e.probs_batch(clusters)
+        e.probs_batch(one_size_group(clusters))
 
 
 class _NaNFamily:
@@ -437,9 +560,9 @@ def test_nan_probabilities_are_refused(rng, prob_fn):
     clusters = [make_cluster(rng, 3, cluster_id=i) for i in range(2)]
     for model in (BernoulliIntervention(prob_fn), IndependentBernoulli(prob_fn)):
         with pytest.raises(InvalidSpec):
-            model.probs_batch(clusters[:1])
+            model.probs_batch(clusters[0].group)
         with pytest.raises(InvalidSpec):
-            model.probs_batch(clusters)
+            model.probs_batch(one_size_group(clusters))
         with pytest.raises(InvalidSpec):
             model.mass([1, 0, 1], clusters[0])
 
@@ -455,10 +578,10 @@ def test_nan_probabilities_are_refused(rng, prob_fn):
 def test_intervention_probabilities_checked_per_cluster_and_per_batch(rng, probs, error):
     clusters = [make_cluster(rng, 3, cluster_id=i) for i in range(2)]
     f = BernoulliIntervention(lambda c: probs(c) if c.cluster_id == 1 else np.full(c.size, 0.5))
-    assert f.probs_batch(clusters[:1]).shape == (1, 3)
+    assert f.probs_batch(clusters[0].group).shape == (1, 3)
     with pytest.raises(error):
-        f.probs_batch(clusters[1:])
+        f.probs_batch(clusters[1].group)
     with pytest.raises(error):
-        f.probs_batch(clusters)
+        f.probs_batch(one_size_group(clusters))
     good = BernoulliIntervention(lambda c: np.full(c.size, 0.25))
-    assert np.array_equal(good.probs_batch(clusters), np.full((2, 3), 0.25))
+    assert np.array_equal(good.probs_batch(one_size_group(clusters)), np.full((2, 3), 0.25))

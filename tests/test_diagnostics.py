@@ -23,7 +23,7 @@ from clusterbal.structures import (
 )
 
 from conftest import make_dataset
-from oracles import design_rows
+from oracles import design_rows, with_covariate
 
 
 def infeasible_pair(rng):
@@ -224,11 +224,10 @@ def test_incidences_count_the_observed_classes(rng, monkeypatch):
     of the fit's design, which is not recomputed."""
     from clusterbal import structures
 
-    d = make_dataset(rng, 8, sizes=(1, 5), p=2)
-    d.clusters[0].covariates[0] = 0.0
+    d = with_covariate(make_dataset(rng, 8, sizes=(1, 5), p=2), 0, 0, 0.0)
     f = uniform_intervention()
     mapping = NeighborCount(2)
-    slots = np.concatenate([mapping.classes_batch([c], c.treatments[None])[0] for c in d.clusters])
+    slots = np.concatenate([mapping.classes_batch(c.group, c.treatments[None])[0] for c in d.clusters])
     s = TensorWithCovariates(StratifiedCount(2), columns=[0, 1])
     fit = balancing_fit(d, s, f)
     assert np.array_equal(imbalance_report(d, s, f, fit).m_counts, np.bincount(slots, minlength=3))
@@ -260,8 +259,7 @@ def test_imbalance_reads_the_inner_rows_of_the_fits_design(rng, monkeypatch, inn
     are those taken afresh."""
     from clusterbal import structures
 
-    d = make_dataset(rng, 12, sizes=(1, 5), p=2)
-    d.clusters[2].covariates[0] = 0.0
+    d = with_covariate(make_dataset(rng, 12, sizes=(1, 5), p=2), 2, 0, 0.0)
     s, f = TensorWithCovariates(inner, columns=[0]), uniform_intervention()
     fit = balancing_fit(d, s, f)
     want = incidence_counts(inner, d)

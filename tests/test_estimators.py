@@ -65,6 +65,7 @@ from oracles import (
     loads_form_sigma2,
     mu_f_direct,
     structure_rows,
+    with_covariate,
     with_dense_ops,
 )
 
@@ -242,7 +243,7 @@ def test_ols_square_invertible_design():
     f = Gate()
     phi = design_matrix(structure, d)
     t = target_vector(structure, d, f)
-    y = d.stacked_outcomes()
+    y = d.outcomes
     expected = t @ np.linalg.inv(phi) @ y / d.n
     assert ols_plugin(d, structure, f) == pytest.approx(expected, abs=1e-12)
 
@@ -667,8 +668,7 @@ def test_factored_design_refuses_non_finite_covariates(rng, inner):
     """The factored path reads the covariate rows in place of phi, whose
     entries are theirs or 0, and refuses a non-finite one as the dense SVD
     does."""
-    d = _shared_row_dataset(rng)
-    d.clusters[5].covariates[0, 1] = np.nan
+    d = with_covariate(_shared_row_dataset(rng), 5, (0, 1), np.nan)
     structure = TensorWithCovariates(inner, columns=DGP_COLUMNS)
     design = build_design(structure, d, uniform_intervention())
     for ops in (design.ops, lambda: DenseOps(design_matrix(structure, d))):
@@ -790,7 +790,7 @@ def _enumerated_class_ipw(d, mapping, f, e):
         bits = enumerate_patterns(c.size)
         e_all, f_all = e.masses(bits, c), f.masses(bits, c)
         obs = pattern_index(c.treatments)
-        classes = mapping.classes_batch([c], bits)
+        classes = mapping.classes_batch(c.group, bits)
         for i in range(c.size):
             same = classes[:, i] == classes[obs, i]
             out.append(f_all[same].sum() / (c.size * e_all[same].sum()))
@@ -917,7 +917,7 @@ def test_wproj_closed_form_zero_covariate_rows(rng):
     d = _with(make_dataset(rng, 6, sizes=(2, 4), p=2), covariates=zero_first)
     structure = TensorWithCovariates(KnnPattern(2), columns=[0, 1])
     w = _assert_closed_form_matches_svd(d, structure, uniform_intervention(), half_bernoulli())
-    starts = [start for start, _ in d.cluster_slices()]
+    starts = d.starts[:-1]
     assert (w[starts] == 0.0).all()
     assert (np.delete(w, starts) != 0.0).all()
 
@@ -948,7 +948,7 @@ def test_wproj_closed_form_joint_table_enumerates(rng):
         masses /= masses.sum()
         tables[c.cluster_id] = {tuple(a): p for a, p in zip(enumerate_patterns(c.size), masses)}
     e = JointTable(tables)
-    assert e.probs_batch(d.clusters[:1]) is None  # no product form: class masses by enumeration
+    assert e.probs_batch(d.clusters[0].group) is None  # no product form: class masses by enumeration
     for structure in (ONE_HOT[0], ONE_HOT[3], ONE_HOT[5]):
         for f in (Gate(), uniform_intervention()):
             w = _assert_closed_form_matches_svd(d, structure, f, e)
@@ -1023,7 +1023,7 @@ def test_wproj_compose_over_empty_lists_is_zero(rng):
     sizes = (1, 4, 1, 4, 4)
     d = Dataset(clusters=tuple(make_cluster(rng, m, cluster_id=ci) for ci, m in enumerate(sizes)))
     structure = Compose(AdditiveTypes(2), KnnPattern(2))
-    assert structure.indicator_blocks([d.clusters[0]]) == []
+    assert structure.indicator_blocks(d.clusters[0].group) == []
     w = _assert_closed_form_matches_svd(d, structure, uniform_intervention(), _probs_in(0.2, 0.8))
     single = np.repeat(np.array(sizes) == 1, sizes)
     assert (w[single] == 0.0).all()
@@ -1196,7 +1196,7 @@ def test_wproj_svd_one_svd_per_distinct_unit_matrix(rng, monkeypatch, case, wrap
     np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-10 * scale)
     assert (got[want == 0.0] == 0.0).all()
     if zeroed:
-        assert (got[[start for start, _ in d.cluster_slices()]] == 0.0).all()
+        assert (got[d.starts[:-1]] == 0.0).all()
 
 
 # ---------- weighted projection: each block's classes once per cluster ----------

@@ -198,7 +198,7 @@ def test_sigma_hat_zero_column_design(rng):
         def indicator_blocks(self, clusters):
             return []
 
-    y = d.stacked_outcomes()
+    y = d.outcomes
     got = sigma_noise_hat(d, ZeroColumns())
     assert got == pytest.approx(np.sqrt(y @ y / d.total_units), abs=1e-12)
 

@@ -46,6 +46,7 @@ from clusterbal.structures import (
 from conftest import make_dataset
 from oracles import (
     DenseOps,
+    cached_row,
     fresh_copy,
     nested_in_span,
     per_cluster_contributions,
@@ -188,24 +189,24 @@ def _full_order(c):
     return np.argsort(d2, axis=1, kind="stable")[:, : c.size - 1]
 
 
-def test_batched_knn_lists_fill_and_reuse_the_cluster_caches(rng):
+def test_batched_knn_lists_fill_and_reuse_the_size_group_caches(rng):
     d = make_dataset(rng, 30, sizes=(1, 6), p=3)
     design_matrix(TensorWithCovariates(KnnPattern(3)), d)
     for c in d.clusters:
-        assert np.array_equal(c._cache["knn_order"], _full_order(c))
+        assert np.array_equal(cached_row(c, "knn_order"), _full_order(c))
     # an order already cached is used as it is, at every k
     planted = fresh_copy(d)
-    for c in planted.clusters:
-        c._cache["knn_order"] = _full_order(c)[:, ::-1].copy()
+    for group in planted.groups:
+        group._cache["knn_order"] = np.array([_full_order(c)[:, ::-1] for c in group])
     for k in (1, 3, 7):
         s = TensorWithCovariates(KnnPattern(k))
-        lists = {c.cluster_id: c._cache["knn_order"][:, :k] for c in planted.clusters}
+        lists = {c.cluster_id: cached_row(c, "knn_order")[:, :k] for c in planted.clusters}
         read = TensorWithCovariates(KnnPattern(k, graph=NeighborGraph(k, lists)))
         assert np.array_equal(design_matrix(s, planted), per_cluster_design(read, planted))
         assert not np.array_equal(design_matrix(s, planted), design_matrix(s, d))
         graph = knn_graph(planted, k)
         for c in planted.clusters:
-            assert np.array_equal(graph.neighbors(c), c._cache["knn_order"][:, :k])
+            assert np.array_equal(graph.neighbors(c), cached_row(c, "knn_order")[:, :k])
 
 
 def test_knn_ladder_sorts_each_cluster_size_once(rng, monkeypatch):

@@ -42,6 +42,7 @@ from clusterbal.structures import (
 
 from conftest import make_dataset
 from oracles import (
+    cached_row,
     knn_lists,
     loads_form_sigma2,
     per_cluster_calibration_moments,
@@ -95,9 +96,9 @@ def test_gen_dataset_equals_per_cluster_draw(kind, sizes):
             # the caches the signal filled come back warm: the covariate rows
             # and, for a neighbor-based kind, each unit's full k-NN order
             key = ("tensor_cov", str(simulate._DGP_COLUMNS))
-            assert np.array_equal(a._cache[key], _old_covariate_rows(a.covariates))
+            assert np.array_equal(cached_row(a, key), _old_covariate_rows(a.covariates))
             if kind != "additive":
-                assert a._cache["knn_order"].tolist() == knn_lists(a, a.size - 1)
+                assert cached_row(a, "knn_order").tolist() == knn_lists(a, a.size - 1)
 
 
 def test_size_one_clusters_agree_with_the_dot_product_to_rounding():
@@ -105,7 +106,7 @@ def test_size_one_clusters_agree_with_the_dot_product_to_rounding():
     cfg = _cfg("knn1", ((1, 1.0),), n=200)
     got, _, _, _ = gen_dataset(cfg, 0, truth=False)
     want = per_cluster_gen_dataset(cfg, 0)
-    np.testing.assert_allclose(got.stacked_outcomes(), want.stacked_outcomes(), rtol=1e-13, atol=1e-14)
+    np.testing.assert_allclose(got.outcomes, want.outcomes, rtol=1e-13, atol=1e-14)
 
 
 @pytest.mark.parametrize("kind", KINDS)

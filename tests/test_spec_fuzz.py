@@ -52,7 +52,7 @@ BUILD = {
 
 def _probabilities(model):
     """The model's `probs_batch` on DATASET, per size group and per cluster."""
-    groups = [group for group, _, _ in _size_groups(DATASET)] + [[c] for c in DATASET.clusters]
+    groups = [group for group, _, _ in _size_groups(DATASET)] + [c.group for c in DATASET.clusters]
     return [model.probs_batch(group) for group in groups]
 
 

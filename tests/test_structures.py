@@ -1,4 +1,5 @@
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -48,12 +49,15 @@ from clusterbal.structures import (
 
 from conftest import make_cluster, make_dataset
 from oracles import (
+    cluster_slices,
     composed_rows,
     design_rows,
     fresh_copy,
     knn_lists,
     knn_one_hot_rows,
     neighbor_lists,
+    one_size_group,
+    with_covariate,
     outer_row_on_bits,
     per_cluster_contributions,
     per_cluster_design,
@@ -303,16 +307,16 @@ def test_coarsened_count_never_reads_a_freed_graphs_lists(rng):
         assert np.array_equal(design(r), expected[r % 2])
 
 
-def test_coarsened_count_level_lists_are_cached_per_cluster(rng, monkeypatch):
-    """Each cluster's padded level lists are built once and cached with the
-    graph they were built from; a block reads them from warm clusters as it
-    does from fresh ones, and they list each unit's level units."""
+def test_coarsened_count_level_lists_are_cached_per_size_group(rng, monkeypatch):
+    """Each size group's padded level lists are built once and cached with
+    the graph they were built from; a block reads them from a warm group as
+    it does from a fresh one, and they list each unit's level units."""
     from clusterbal import structures
 
     built = []
-    original = structures.second_order_lists
-    monkeypatch.setattr(structures, "second_order_lists",
-                        lambda c, nbrs: built.append(c.cluster_id) or original(c, nbrs))
+    original = CoarsenedCount._levels
+    monkeypatch.setattr(CoarsenedCount, "_levels",
+                        lambda s, g: built.extend(c.cluster_id for c in g) or original(s, g))
     d = make_dataset(rng, 24, sizes=(1, 7), p=2)
     graph = knn_graph(d, 3)
     for s in (CoarsenedCount(order=2, thresholds=(0, 1), k=2),
@@ -321,8 +325,8 @@ def test_coarsened_count_level_lists_are_cached_per_cluster(rng, monkeypatch):
         for group, _, _ in structures._size_groups(d):
             warm = [block.stacked(group) for block in s.indicator_blocks(group)[1:]]
             again = [block.stacked(group) for block in s.indicator_blocks(group)[1:]]
-            fresh = fresh_copy(Dataset(clusters=tuple(group))).clusters
-            cold = [block.stacked(list(fresh)) for block in s.indicator_blocks(list(fresh))[1:]]
+            (fresh,) = fresh_copy(Dataset(clusters=tuple(group))).groups
+            cold = [block.stacked(fresh) for block in s.indicator_blocks(fresh)[1:]]
             for w, a, c in zip(warm, again, cold):
                 assert np.array_equal(w, a) and np.array_equal(w, c)
             m = group[0].size
@@ -839,13 +843,13 @@ def _blocks(source, group):
 
 
 def _typed_group(rng, m, n=3):
-    """n clusters of size m whose column 0 holds distinct types in 1..6, so
-    below size 6 each cluster lacks some types."""
-    return [
+    """The size group of n clusters of size m whose column 0 holds distinct
+    types in 1..6, so below size 6 each cluster lacks some types."""
+    return one_size_group(
         ClusterSample(covariates=np.column_stack([rng.permutation(6)[:m] + 1, rng.standard_normal(m)]),
                       treatments=rng.integers(0, 2, m), outcomes=np.zeros(m), cluster_id=b)
         for b in range(n)
-    ]
+    )
 
 
 def test_exposure_class_probabilities_match_enumeration(rng):
@@ -859,7 +863,7 @@ def test_exposure_class_probabilities_match_enumeration(rng):
             analytic = mapping.class_masses_batch(group, probs)
             assert obs.shape == a.shape and obs.dtype == np.int64
             for b, c in enumerate(group):
-                classes = mapping.classes_batch([c], bits)
+                classes = mapping.classes_batch(c.group, bits)
                 assert np.array_equal(obs[b], classes[pattern_index(c.treatments)])
                 if analytic is None:  # the identity mapping has no product form
                     assert obs[b].tolist() == [pattern_index(c.treatments)] * m
@@ -880,9 +884,10 @@ def test_classes_batch_broadcasts_one_cluster_over_pattern_rows(rng, mapping, m)
     for block in _blocks(mapping, group):
         obs = block.classes_batch(group, np.stack([c.treatments for c in group]))
         for b, c in enumerate(group):
-            one = block.classes_batch([c], bits)
+            one = block.classes_batch(c.group, bits)
             assert one.shape == bits.shape and one.dtype == np.int64
-            assert np.array_equal(one, block.classes_batch([c] * bits.shape[0], bits))
+            copies = one_size_group(replace(c, cluster_id=r) for r in range(bits.shape[0]))
+            assert np.array_equal(one, block.classes_batch(copies, bits))
             assert np.array_equal(one[pattern_index(c.treatments)], obs[b])
 
 
@@ -936,7 +941,7 @@ def test_tensor_cluster_mean_column(rng):
 )
 def test_tensor_columns_read_the_named_covariate(rng, column, read):
     c = make_cluster(rng, 3, p=2)
-    rows = TensorWithCovariates(NoInterference(), columns=[column]).stacked_covariate_rows([c])
+    rows = TensorWithCovariates(NoInterference(), columns=[column]).stacked_covariate_rows(c.group)
     x = c.covariates[:, read[1]]
     assert np.array_equal(rows[0, :, 0], x if read[0] == "col" else np.full(3, x.mean()))
 
@@ -997,7 +1002,7 @@ def test_additive_types_by_column_leave_an_absent_type_at_zero(rng):
     ))
     bare = AdditiveTypes(3, type_source={"column": 0})
     phi = design_matrix(bare, d)
-    for (start, stop), t in zip(d.cluster_slices(), types):
+    for (start, stop), t in zip(cluster_slices(d.clusters), types):
         for absent in set(range(1, 4)) - set(t):
             assert not phi[start:stop, 2 * absent - 2 : 2 * absent].any()
     loads = target_contributions(bare, d, uniform_intervention())
@@ -1014,8 +1019,7 @@ def test_additive_types_by_column_leave_an_absent_type_at_zero(rng):
 
 
 def test_nested_tensor_rows_are_the_kronecker_of_the_levels(rng):
-    d = make_dataset(rng, 12, sizes=(1, 5), p=3)
-    d.clusters[1].covariates[0] = 0.0
+    d = with_covariate(make_dataset(rng, 12, sizes=(1, 5), p=3), 1, 0, 0.0)
     for inner in (StratifiedCount(2), AdditiveTypes(5)):
         level = TensorWithCovariates(inner, columns=[0, 1])
         _assert_assembly_matches_oracles(
@@ -1029,6 +1033,6 @@ def test_size_one_clusters_in_the_dgp_match_the_oracles(kind, rng):
     d = gen_dataset(cfg, 0, truth=False)[0]
     assert {c.size for c in d.clusters} == {1, 4}
     want = per_cluster_gen_dataset(cfg, 0)
-    np.testing.assert_allclose(d.stacked_outcomes(), want.stacked_outcomes(), rtol=1e-13,
+    np.testing.assert_allclose(d.outcomes, want.outcomes, rtol=1e-13,
                                atol=1e-14)
     _assert_assembly_matches_oracles(dgp_structure(cfg), d, rng)
