@@ -53,24 +53,32 @@ EXIT_USAGE = 64
 def load_dataset(path, fmt=None):
     """Dataset from CSV (cluster_id, unit_id, treatment, outcome, x1..xp) or JSON.
 
-    A CSV is parsed a whole column at a time and checked over whole arrays;
-    the rows are scanned one by one (`_first_bad_row`) only once a check has
-    failed, to name the first faulty row.
+    A CSV is read as UTF-8, a leading byte-order mark skipped. A file that
+    holds no quote, carriage return or NUL is read by numpy's C reader
+    (`_csv_columns`). Any other file, and one that reader refuses or whose
+    arrays fail a check, is parsed by `_csv_rows`, which names the faulty row.
     """
     fmt = fmt or ("json" if str(path).endswith(".json") else "csv")
     if fmt == "json":
         return _load_json_dataset(path)
     if fmt != "csv":
         raise ParseError(f"unknown dataset format {fmt!r}")
-    with open(path, newline="") as fh:
-        rows = list(filter(None, csv.reader(fh)))  # empty lines dropped
-    if not rows:
-        raise ParseError("no rows")
-    header = [h.strip() for h in rows[0]]
+    text = _read_text(path, encoding="utf-8-sig", newline="")
+    dataset = None if any(c in text for c in '"\r\0') else _csv_columns(text)
+    return dataset if dataset is not None else _csv_rows(text)
+
+
+_NUMERIC = ("unit_id", "treatment", "outcome")
+
+
+def _csv_header(row):
+    """The stripped header names of `row` and the covariate names x1..xp in
+    order of p."""
+    header = [h.strip() for h in row]
     for j, h in enumerate(header):
         if h in header[:j]:
             raise ParseError(f"duplicate column {h!r}", column=h)
-    for col in ("cluster_id", "unit_id", "treatment", "outcome"):
+    for col in ("cluster_id", *_NUMERIC):
         if col not in header:
             raise ParseError(f"missing column {col!r}", column=col)
     xcols = [h for h in header if h.startswith("x")]
@@ -80,35 +88,97 @@ def load_dataset(path, fmt=None):
         raise ParseError(f"malformed covariate column name: {exc}") from exc
     if not xcols:
         raise ParseError("no covariate columns x1..xp found")
+    return header, xcols
+
+
+def _csv_columns(text):
+    """The dataset of CSV `text` with no quote, carriage return or NUL, read by
+    numpy's C reader; None when a line is longer than csv's field limit, a row
+    has the wrong number of fields, the reader refuses a cell or warns, or
+    `_dataset_from_table` finds a fault.
+    Without those characters `csv.reader`'s fields are the text between commas,
+    and the reader strips a cell of what `str.strip` drops before reading it as
+    `float` does, so both paths read the same values."""
+    start = len(text) - len(text.lstrip("\n"))  # empty lines before the header
+    end = text.find("\n", start)
+    limit = csv.field_size_limit()  # csv.reader refuses a longer field; a line's bytes bound its fields
+    if not 0 <= end - start <= limit:
+        return None
+    header, xcols = _csv_header(text[start:end].split(","))
+    body = text[end + 1:] if text.endswith("\n") else text[end + 1:] + "\n"
+    # the reader drops fields beyond usecols, so the widths are counted here:
+    # row r holds the r-th run of len(header) - 1 commas, all before its newline
+    raw = np.frombuffer(body.encode(), np.uint8)
+    breaks, commas = np.flatnonzero(raw == ord("\n")), np.flatnonzero(raw == ord(","))
+    n, k = breaks.size, len(header) - 1
+    if not n or commas.size != n * k or np.diff(breaks, prepend=-1).max() > limit:
+        return None
+    commas = commas.reshape(n, k)
+    if not ((commas[:, 0] > np.r_[-1, breaks[:-1]]).all() and (commas[:, -1] < breaks).all()):
+        return None
+    col = {h: j for j, h in enumerate(header)}
+    numeric = [col[h] for h in (*_NUMERIC, *xcols)]
+    # one pass: each row's cluster_id as a Python str, then its float64 cells
+    dtype = np.dtype([("cid", object), ("num", np.float64, (len(numeric),))])
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = np.loadtxt(io.StringIO(body), dtype, delimiter=",", comments=None,
+                              usecols=[col["cluster_id"], *numeric], ndmin=1)
+    except (ValueError, Warning):
+        return None
+    if len(rows) != n:
+        return None
+    return _dataset_from_table(list(map(str.strip, rows["cid"].tolist())), rows["num"])
+
+
+def _csv_rows(text):
+    """The dataset of CSV `text`, split into rows by `csv.reader` and read
+    by Python's `float`; a fault raises the ParseError of the first faulty row."""
+    try:
+        rows = list(filter(None, csv.reader(io.StringIO(text, newline=""))))  # empty lines dropped
+    except csv.Error as exc:  # a field over csv.field_size_limit(), or a NUL before Python 3.11
+        raise ParseError(f"unreadable CSV: {exc}") from None
+    if not rows:
+        raise ParseError("no rows")
+    header, xcols = _csv_header(rows[0])
     body = rows[1:]
     if not body:
         raise ParseError("no rows")
     if set(map(len, body)) != {len(header)}:
         _first_bad_row(header, body, xcols)
 
-    n = len(body)
     # one column at a time through itemgetter: zip(*body) would make one
     # GC-tracked iterator per row and set off dozens of collections
     column = {h: operator.itemgetter(j) for j, h in enumerate(header)}
-    cids = list(map(str.strip, map(column["cluster_id"], body)))
+    columns = (*_NUMERIC, *xcols)
+    table = np.empty((len(body), len(columns)))
     try:
-        unit, treatment, outcome, *xs = (
-            _float_column(body, column[col]) for col in ("unit_id", "treatment", "outcome", *xcols)
-        )
+        for j, col in enumerate(columns):
+            table[:, j] = _float_column(body, column[col])
     except ValueError:
         _first_bad_row(header, body, xcols)
-    if not ((treatment == 0.0) | (treatment == 1.0)).all():
-        _first_bad_row(header, body, xcols)
+    dataset = _dataset_from_table(list(map(str.strip, map(column["cluster_id"], body))), table)
+    if dataset is None:
+        _first_bad_row(header, body, xcols)  # a treatment or a repeated unit
+        _check_finite(table, columns)
+    return dataset
+
+
+def _dataset_from_table(cids, table):
+    """The dataset of the rows' cluster ids and their float table, whose
+    columns are unit_id, treatment, outcome and x1..xp; None when a treatment
+    is not 0/1, a value is not finite or a (cluster_id, unit_id) pair repeats."""
+    unit, treatment, outcome = table[:, 0], table[:, 1], table[:, 2]
+    if not (((treatment == 0.0) | (treatment == 1.0)).all() and np.isfinite(table).all()):
+        return None
     code_of = {c: k for k, c in enumerate(dict.fromkeys(cids))}  # in file order of first appearance
-    codes = np.fromiter(map(code_of.__getitem__, cids), np.intp, count=n)
+    codes = np.fromiter(map(code_of.__getitem__, cids), np.intp, count=len(cids))
     order = np.lexsort((unit, codes))  # by cluster, then unit_id; equal pairs end up adjacent
     sorted_codes, sorted_units = codes[order], unit[order]
     if ((sorted_codes[1:] == sorted_codes[:-1]) & (sorted_units[1:] == sorted_units[:-1])).any():
-        _first_bad_row(header, body, xcols)
-    x = np.stack(xs, axis=1)
-    _check_finite(np.column_stack([unit, outcome, x]), ["unit_id", "outcome", *xcols])
-
-    return Dataset.from_arrays(x[order], treatment[order].astype(np.int8), outcome[order],
+        return None
+    return Dataset.from_arrays(table[order, 3:], treatment[order].astype(np.int8), outcome[order],
                                np.bincount(codes), code_of)
 
 
@@ -132,7 +202,7 @@ def _first_bad_row(header, body, xcols):
             raise ParseError(f"expected {len(header)} fields, got {len(row)}", row=r)
         cell = {h: row[j].strip() for h, j in idx.items()}
         values = {}
-        for col in ("unit_id", "treatment", "outcome", *xcols):
+        for col in (*_NUMERIC, *xcols):
             try:
                 values[col] = float(cell[col])
             except ValueError:
@@ -284,31 +354,44 @@ def _digest(data):
     return hashlib.sha256(data).hexdigest()
 
 
-def _finite_or_null(obj):
-    """obj with every NaN or infinite float replaced by None, which JSON writes as null."""
+def _json_text(obj, pad="\n"):
+    """`json.dumps(obj, indent=1, sort_keys=True, default=float, allow_nan=False)`
+    at the indent of `pad`, with every NaN or infinite float written as null.
+    A list of finite floats (the weights) takes one call of json's C encoder,
+    whose ", " separators become line breaks: a float's repr holds no comma."""
+    inner = pad + " "
     if isinstance(obj, dict):
-        return {k: _finite_or_null(v) for k, v in obj.items()}
+        items = [f"{_json_key(k)}: {_json_text(v, inner)}" for k, v in sorted(obj.items())]
+        return "{" + inner + ("," + inner).join(items) + pad + "}" if items else "{}"
     if isinstance(obj, (list, tuple)):
-        if all(type(v) is float and v - v == 0.0 for v in obj):  # finite floats: the weights
-            return obj
-        return [_finite_or_null(v) for v in obj]
-    if isinstance(obj, (float, np.floating)):
-        return float(obj) if math.isfinite(obj) else None
-    return obj
+        if set(map(type, obj)) == {float}:
+            try:
+                text = json.dumps(obj, allow_nan=False)
+                return "[" + inner + text[1:-1].replace(", ", "," + inner) + pad + "]"
+            except ValueError:  # a NaN or an infinity among them
+                pass
+        items = [_json_text(v, inner) for v in obj]
+        return "[" + inner + ("," + inner).join(items) + pad + "]" if items else "[]"
+    if isinstance(obj, (float, np.floating)) and not math.isfinite(obj):
+        obj = None
+    return json.dumps(obj, default=float, allow_nan=False)
+
+
+def _json_key(key):
+    """A dict key as json writes it: a string, or the JSON text of a number,
+    bool or None in quotes."""
+    return json.dumps(key if isinstance(key, str) else json.dumps(key, allow_nan=False))
 
 
 def write_json_artifact(path, result, manifest):
     """Strict (RFC 8259) JSON: NaN and infinite floats are written as null."""
-    dump = lambda doc: json.dumps(  # noqa: E731
-        doc, indent=1, sort_keys=True, default=float, allow_nan=False
-    )
-    text = dump(_finite_or_null(result))
+    text = _json_text(result)
     manifest.output_digest = _digest(text.encode())
-    # the document is {"manifest": ..., "result": ...} dumped the same way; a
-    # value one level down is its own dump indented by one more space (JSON
+    # the document is {"manifest": ..., "result": ...} written the same way; a
+    # value one level down is its own text indented by one more space (JSON
     # escapes newlines inside strings, so every newline is a line break)
     nest = lambda t: t.replace("\n", "\n ")  # noqa: E731
-    doc = f'{{\n "manifest": {nest(dump(asdict(manifest)))},\n "result": {nest(text)}\n}}'
+    doc = f'{{\n "manifest": {nest(_json_text(asdict(manifest)))},\n "result": {nest(text)}\n}}'
     _atomic_write(path, doc.encode())
 
 
@@ -345,12 +428,22 @@ def _fmt(v):
     return v
 
 
+def _read_text(path, encoding="utf-8", newline=None):
+    """The text of the UTF-8 file at `path`; a byte that is not UTF-8 is a
+    ParseError naming the file."""
+    try:
+        with open(path, encoding=encoding, newline=newline) as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: byte {exc.object[exc.start]:#04x} is not UTF-8 text") from None
+
+
 def _load_json_file(path):
-    with open(path) as fh:
-        try:
-            return json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise json.JSONDecodeError(f"{path}: {exc.msg}", exc.doc, exc.pos) from None
+    text = _read_text(path)
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise json.JSONDecodeError(f"{path}: {exc.msg}", exc.doc, exc.pos) from None
 
 
 # ---------- subcommands ----------

@@ -4,6 +4,7 @@ sums, independent of the estimator code paths they check."""
 import dataclasses
 import functools
 import itertools
+import json
 import math
 
 import numpy as np
@@ -648,3 +649,20 @@ def composed_rows(structure, cluster, pattern):
         outer_row_on_bits(structure.outer, a[composed_unit_list(structure.inner, cluster, i)])
         for i in range(cluster.size)
     ])
+
+
+def finite_or_null(obj):
+    """obj with every NaN or infinite float replaced by None, which JSON writes as null."""
+    if isinstance(obj, dict):
+        return {k: finite_or_null(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [finite_or_null(v) for v in obj]
+    if isinstance(obj, (float, np.floating)):
+        return float(obj) if math.isfinite(obj) else None
+    return obj
+
+
+def json_artifact_text(doc):
+    """The text of a JSON artifact document as json's pure-Python encoder
+    writes it at indent=1, its NaN and infinite floats first made null."""
+    return json.dumps(finite_or_null(doc), indent=1, sort_keys=True, default=float, allow_nan=False)

@@ -75,6 +75,12 @@ def test_load_csv_empty(tmp_path):
         load_dataset(write(tmp_path, "h.csv", "cluster_id,unit_id,treatment,outcome,x1\n"))
 
 
+def test_header_only_csv_exits_1_with_one_no_rows_line(tmp_path, capsys):
+    for text in ("cluster_id,unit_id,treatment,outcome,x1\n", "cluster_id,unit_id,treatment,outcome,x1"):
+        assert run(_estimate_args(tmp_path, dataset=write(tmp_path, "h.csv", text))) == EXIT_ERROR
+        assert capsys.readouterr().err == "error: no rows\n"
+
+
 def test_load_csv_orders_units_within_cluster(tmp_path):
     scrambled = (
         "cluster_id,unit_id,treatment,outcome,x1\n"
@@ -150,6 +156,7 @@ def test_load_csv_scans_rows_only_for_malformed_input(tmp_path, monkeypatch):
         ([("a,1,0,2.5,0.3", "a,1,0,nan,0.3"), ("b,1,1,2.0,0.9", "b,1,1,2.0,abc")],
          5, "x1", "covariate is not numeric"),
         ([("b,0,0,1.0,0.7,0.8", "b,0,0,1.0,0.7")], 4, None, "expected 6 fields, got 5"),
+        ([("b,0,0,1.0,0.7,0.8", "b,0,0,1.0,0.7,0.8,9")], 4, None, "expected 6 fields, got 7"),
         ([("b,0,0,1.0", "b,0,2,1.0")], 4, "treatment", "treatment must be 0/1, got 2"),
         ([("b,2,0,3.0", "a, 1.0 ,0,3.0")], 6, None, "with unit_id 1.0 is already on row 2"),
     ],
@@ -162,6 +169,61 @@ def test_load_csv_names_the_first_faulty_row(tmp_path, edits, row, column, messa
     with pytest.raises(ParseError, match=message) as err:
         load_dataset(write(tmp_path, "d.csv", bad))
     assert (err.value.row, err.value.column) == (row, column)
+
+
+def test_load_csv_skips_a_leading_byte_order_mark(tmp_path):
+    """Excel's "CSV UTF-8" starts the file with U+FEFF, which str.strip keeps."""
+    path = tmp_path / "bom.csv"
+    path.write_bytes(b"\xef\xbb\xbf" + CSV_6ROWS.encode())
+    assert_same_dataset(load_dataset(str(path)), load_dataset(write(tmp_path, "d.csv", CSV_6ROWS)))
+    quoted = tmp_path / "bom-quoted.csv"  # read row by row: a quote keeps numpy's reader out
+    quoted.write_bytes(b"\xef\xbb\xbf" + CSV_6ROWS.replace("a,", '"a",').encode())
+    assert_same_dataset(load_dataset(str(quoted)), load_dataset(str(path)))
+
+
+@pytest.mark.parametrize(
+    "kind, name",
+    [("dataset_csv", "bad.csv"), ("dataset_json", "bad.json"), ("spec_json", "bad-structure.json")],
+)
+def test_non_utf8_input_exits_1_naming_the_file(tmp_path, capsys, kind, name):
+    if kind == "dataset_csv":
+        data = CSV_6ROWS.replace("0.7,0.8", "0.7,0.8\udcff").encode(errors="surrogateescape")
+    elif kind == "dataset_json":
+        entry = {"cluster_id": "a\udcff", "covariates": [[0.1]], "treatments": [1], "outcomes": [1.0]}
+        data = json.dumps({"clusters": [entry]}, ensure_ascii=False).encode(errors="surrogateescape")
+    else:
+        data = b'{"kind": "no_interference\xff"}'
+    assert b"\xff" in data
+    path = tmp_path / name
+    path.write_bytes(data)
+    key = "structure" if kind == "spec_json" else "dataset"
+    out = tmp_path / "out"
+    args = _estimate_args(tmp_path, **{key: str(path)})
+    assert run(args) == EXIT_ERROR
+    msg = capsys.readouterr().err
+    assert "Traceback" not in msg and len(msg.strip().splitlines()) == 1
+    assert msg.startswith("error:") and str(path) in msg and "0xff is not UTF-8" in msg
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        ("b,0,0", "b" * 131073 + ",0,0"),
+        ("b,0,0", '"' + "b" * 131073 + '",0,0'),
+        ("outcome,x1", "outcome," + "n" * 131073 + ",x1"),
+    ],
+    ids=["cell", "quoted_cell", "header"],
+)
+def test_csv_field_beyond_the_csv_limit_exits_1_with_one_line(tmp_path, capsys, old, new):
+    """csv.reader refuses a field of more than csv.field_size_limit() characters
+    (131,072); numpy's reader would take it, so such a file is read row by row."""
+    bad = CSV_6ROWS.replace(old, new, 1)
+    with pytest.raises(ParseError, match=r"unreadable CSV: field larger than field limit \(131072\)"):
+        load_dataset(write(tmp_path, "d.csv", bad))
+    assert run(_estimate_args(tmp_path, dataset=write(tmp_path, "bad.csv", bad))) == EXIT_ERROR
+    msg = capsys.readouterr().err
+    assert "Traceback" not in msg and len(msg.strip().splitlines()) == 1 and msg.startswith("error:")
 
 
 @pytest.mark.parametrize("repeated", ["x1", "outcome"])
