@@ -27,8 +27,8 @@ from . import __version__
 from .core import ClusterSample, Dataset
 from .diagnostics import imbalance_report
 from .errors import ClusterbalError, InfeasibleFit, InvalidSpec, ParseError
-from .estimators import balancing_fit, build_design
-from .inference import DESIGN_FITS, ESTIMATORS, fit_estimator, select_structure
+from .estimators import balancing_fit
+from .inference import ESTIMATORS, fit_estimator, select_structure
 from .simulate import (
     DEFAULT_ESTIMATORS,
     PRESETS,
@@ -464,11 +464,9 @@ def _cmd_estimate(args, seed):
         else propensity_from_json(_load_json_file(args.propensity))
     )
     names = list(dict.fromkeys(args.estimator))  # a repeated estimator is fitted once
-    structure = design = mapping = None
+    structure = mapping = None
     if args.structure:
         structure = build_structure(_load_json_file(args.structure), dataset)
-        if any(name in DESIGN_FITS for name in names):
-            design = build_design(structure, dataset, weight)
     if args.exposure_mapping:
         mapping = exposure_from_spec(_load_json_file(args.exposure_mapping))
     exit_code = EXIT_OK
@@ -477,7 +475,7 @@ def _cmd_estimate(args, seed):
     rows = []
     for name in names:
         fit, var = fit_estimator(
-            name, dataset, weight, propensity, structure, design, mapping,
+            name, dataset, weight, propensity, structure, mapping,
             level=args.level, allow_infeasible=args.allow_infeasible,
         )
         if not fit.feasible:

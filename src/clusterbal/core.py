@@ -217,6 +217,16 @@ class Dataset:
         return Dataset.from_arrays, (self.covariates, self.treatments, self.outcomes, self.sizes,
                                      self.ids)
 
+    def cached(self, key, compute):
+        """compute(), kept once per key: the store of what is derived from the
+        dataset. A key is a name and the objects the value depends on (a
+        structure, a law), told apart by identity, held by the entry and taken
+        as unchanged once used on the dataset. No entry may refer back to it."""
+        ids = (key[0],) + tuple(map(id, key[1:]))
+        if ids not in self._cache:
+            self._cache[ids] = (key, compute())
+        return self._cache[ids][1]
+
     def with_outcomes(self, outcomes):
         """This dataset with other outcomes (N,). It shares the size groups'
         cached results, which read no outcome."""

@@ -15,6 +15,7 @@ import numpy as np
 
 from .core import uniform_intervention
 from .errors import InvalidSpec
+from .estimators import build_design
 from .structures import TensorWithCovariates, incidence_counts, target_contributions
 
 DEFAULT_THRESHOLD = 0.10
@@ -74,16 +75,16 @@ def imbalance_report(dataset, structure, weight, fit, threshold=DEFAULT_THRESHOL
     relative and omnibus imbalance, need a covariate tensor, whose inner
     encoding defines the effective treatments; any other structure is its
     own inner encoding under one covariate of NaN scales, so it reports them
-    as NaN and flags nothing. The fit must carry its imbalance vector, target
-    and design, as a balancing fit does. The incidences count the units whose
-    observed inner row is non-zero in each coordinate. A negative or NaN
-    threshold raises InvalidSpec.
+    as NaN and flags nothing. The fit must carry its imbalance vector and
+    target, as a balancing fit does. The incidences count the units whose
+    observed inner row (`build_design`) is non-zero in each coordinate. A
+    negative or NaN threshold raises InvalidSpec.
     """
     if not threshold >= 0.0:
         raise InvalidSpec(f"threshold must be a non-negative number, got {threshold!r}")
     if structure.regime != "fixed":
         raise InvalidSpec("imbalance reporting needs a fixed-dimension structure")
-    if fit.imbalance is None or fit.target is None or fit.design is None:
+    if fit.imbalance is None or fit.target is None:
         raise InvalidSpec("fit does not carry an imbalance vector (not a balancing fit?)")
     tensor = isinstance(structure, TensorWithCovariates)
     c0 = dataset.clusters[0]
@@ -108,8 +109,8 @@ def imbalance_report(dataset, structure, weight, fit, threshold=DEFAULT_THRESHOL
                         out=np.full((width, ell), np.nan), where=sig_mat != 0.0)
 
     # observed incidences of each effective treatment, from the inner rows of
-    # the fit's design
-    m_counts = incidence_counts(inner, dataset, fit.design.factors)
+    # the design the fit read
+    m_counts = incidence_counts(inner, dataset, build_design(structure, dataset).factors)
 
     omnibus = np.full(width, np.nan)
     for t in range(width):

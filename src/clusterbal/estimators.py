@@ -3,12 +3,12 @@ and the exposure-collapsed IPW closed form, plus the OLS plug-in."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import _kernels
-from .core import PATTERN_CAP, enumerate_patterns, pattern_index
+from .core import PATTERN_CAP, _read_only, enumerate_patterns, pattern_index
 from .errors import PositivityViolation
 from .numerics import DesignOps, _default_rcond, project_colspace
 from .structures import (
@@ -16,7 +16,6 @@ from .structures import (
     FromExposureMapping,
     _GroupRows,
     _observed_design,
-    _size_groups,
     target_contributions,
 )
 
@@ -49,18 +48,13 @@ class WeightSet:
 
 @dataclass(frozen=True)
 class EstimateReport:
-    """Point estimate with the weights and design evidence that produced it.
-
-    `design` is the DesignSystem a balancing or projection fit read (None for
-    the other fits); the sandwich variance and the imbalance report read it.
-    """
+    """Point estimate with the weights and design evidence that produced it."""
 
     point: float
     weights: WeightSet
     imbalance: np.ndarray | None = None
     target: np.ndarray | None = None
     design_rank: int | None = None
-    design: DesignSystem | None = field(default=None, repr=False, compare=False)
 
     @property
     def feasible(self):
@@ -85,14 +79,13 @@ class EstimateReport:
 @dataclass(frozen=True)
 class DesignSystem:
     """Observed design, held only as its factors (unit i's row is inner_i (x)
-    x_i; `design_matrix` builds it dense), and per-cluster target
-    contributions. The decomposition, the balancing solve's residual and
-    the imbalance report's incidences read the factors; the sandwich
-    variance reads only the decomposition's fitted values. It depends on
-    the structure and the weight only; the IPW weights, which do not depend
-    on the structure, are kept on the dataset (`ipw_weights`)."""
+    x_i; `design_matrix` builds it dense), and the per-cluster target
+    contributions of a weight (None without one). The decomposition, the
+    balancing solve's residual and the imbalance report's incidences read
+    the factors; the sandwich variance reads only the decomposition's fitted
+    values. The designs of every weight share the decomposition (`_cache`)."""
 
-    contributions: np.ndarray  # (n, d_h)
+    contributions: np.ndarray | None  # (n, d_h)
     # per size group: (unit rows (B, m), inner rows (B, m, ell) bool, covariate rows (B, m, w))
     factors: tuple
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
@@ -107,14 +100,18 @@ class DesignSystem:
         return self._cache["ops"]
 
 
-def build_design(structure, dataset, weight):
-    """Observed design and target. The design is its factors, each unit's
-    inner row and covariate row, whose Kronecker product is its row
-    (`_observed_design`); the decomposition reads them."""
-    return DesignSystem(
-        contributions=target_contributions(structure, dataset, weight),
-        factors=_observed_design(structure, dataset),
-    )
+def build_design(structure, dataset, weight=None):
+    """The dataset's design of a structure (`Dataset.cached`): its factors,
+    each unit's inner row and covariate row, whose Kronecker product is its
+    row (`_observed_design`), and their decomposition, kept per structure;
+    with `weight`, its read-only target contributions, kept per (structure,
+    weight)."""
+    bare = dataset.cached(("design", structure), lambda: DesignSystem(
+        contributions=None, factors=_observed_design(structure, dataset)))
+    if weight is None:
+        return bare
+    return dataset.cached(("design", structure, weight), lambda: replace(
+        bare, contributions=_read_only(target_contributions(structure, dataset, weight))))
 
 
 def _point(dataset, values):
@@ -133,22 +130,17 @@ def _observed_masses(group, law):
 def ipw_weights(dataset, weight, propensity):
     """Observed-pattern IPW weights f(A_c)/(M_c e(A_c)), one entry per unit
     (`_ipw_weights`), taken once per dataset and pair of laws: the dataset
-    keeps one read-only array per (weight, propensity)."""
-    # the entry holds both laws, so no other law can take their ids
-    key = ("ipw_weights", id(weight), id(propensity))
-    if key not in dataset._cache:
-        w = _ipw_weights(dataset, weight, propensity)
-        w.flags.writeable = False
-        dataset._cache[key] = (weight, propensity, w)
-    return dataset._cache[key][2]
+    keeps one read-only array per (weight, propensity) (`Dataset.cached`)."""
+    return dataset.cached(("ipw_weights", weight, propensity),
+                          lambda: _read_only(_ipw_weights(dataset, weight, propensity)))
 
 
 def _ipw_weights(dataset, weight, propensity):
     """f(A_c)/(M_c e(A_c)) per unit, with e and f from `_observed_masses`."""
     f, e = np.empty(dataset.n), np.empty(dataset.n)
-    for group, idx, _ in _size_groups(dataset):
-        e[idx] = _observed_masses(group, propensity)
-        f[idx] = _observed_masses(group, weight)
+    for group in dataset.groups:
+        e[group.idx] = _observed_masses(group, propensity)
+        f[group.idx] = _observed_masses(group, weight)
     bad = np.flatnonzero(e <= 0.0)
     if bad.size:
         raise PositivityViolation(
@@ -167,16 +159,15 @@ def ipw_fit(dataset, weight, propensity):
     )
 
 
-def balancing_fit(dataset, structure, weight, design=None):
+def balancing_fit(dataset, structure, weight):
     """Minimum-norm solution of the balancing equations phi^T w = t.
 
     The point estimate is reported even when the equations are infeasible
     (feasible=False); the imbalance vector, the solve's residual
     phi^T w - t over n, is always attached so the fit can be assessed per
-    the imbalance diagnostics.
+    the imbalance diagnostics. The design is the dataset's (`build_design`).
     """
-    if design is None:
-        design = build_design(structure, dataset, weight)
+    design = build_design(structure, dataset, weight)
     t = design.target
     report = design.ops().min_norm_row_solve(t)
     w = report.solution
@@ -187,33 +178,29 @@ def balancing_fit(dataset, structure, weight, design=None):
         imbalance=nu,
         target=t,
         design_rank=report.rank,
-        design=design,
     )
 
 
-def ols_plugin(dataset, structure, weight, design=None):
+def ols_plugin(dataset, structure, weight):
     """Plug-in estimate (1/n) t^T (phi^+ y) from the fitted coefficient vector."""
-    if design is None:
-        design = build_design(structure, dataset, weight)
+    design = build_design(structure, dataset, weight)
     h_hat = design.ops().ols_coefficients(dataset.outcomes)
     return float(design.target @ h_hat / dataset.n)
 
 
-def projection_fit(dataset, structure, weight, propensity, design=None):
+def projection_fit(dataset, structure, weight, propensity):
     """IPW weights projected onto the observed design's column space.
 
-    The IPW weights are the dataset's (`ipw_weights`), so an ipw fit or a
-    projection sandwich under the same laws reads the same array.
+    The design and the IPW weights are the dataset's (`build_design`,
+    `ipw_weights`), which the other fits and the sandwich read.
     """
-    if design is None:
-        design = build_design(structure, dataset, weight)
+    design = build_design(structure, dataset, weight)
     w = design.ops().project(ipw_weights(dataset, weight, propensity))
     return EstimateReport(
         point=_point(dataset, w),
         weights=WeightSet(values=w, kind="projection"),
         target=design.target,
         design_rank=design.ops().rank,
-        design=design,
     )
 
 
@@ -253,7 +240,8 @@ def _block_closed_form(dataset, structure, weight, propensity, rank_cut=True):
     """
     out = np.zeros(dataset.total_units)
     e_low = np.ones(dataset.total_units)  # a unit without blocks has no empty class
-    for group, _, rows in _size_groups(dataset):
+    for group in dataset.groups:
+        rows = group.rows
         layout = _GroupRows(structure, group)
         e_probs = propensity.probs_batch(group)
         if len(layout.blocks) > 1 and e_probs is None:

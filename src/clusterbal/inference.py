@@ -27,8 +27,6 @@ from .estimators import (
     projection_fit,
     weighted_projection_fit,
 )
-from .numerics import DesignOps
-from .structures import _observed_design
 
 __all__ = [
     "VarianceReport",
@@ -39,7 +37,6 @@ __all__ = [
     "structure_test",
     "select_structure",
     "ESTIMATORS",
-    "DESIGN_FITS",
     "fit_estimator",
 ]
 
@@ -136,7 +133,7 @@ def sandwich_variance(
     target contributions, g_c = contributions_c . h; 'proj' the loads of the
     IPW weights of the fit's propensity, g_c = w_ipw,c^T yhat_c, with no h.
     A unit no decomposition piece covers has yhat = 0, as its load is 0.
-    Both read `fit.design`, or build the design when the fit names none.
+    Both read the dataset's design (`build_design`), which the fit read.
     'wproj' is the i.i.d. cluster sample variance: its per-cluster weights
     depend on that cluster alone.
     """
@@ -151,10 +148,8 @@ def sandwich_variance(
         )
     if kind == "wproj":
         return iid_cluster_variance(dataset, fit, level)
-
-    design = fit.design
-    if design is None:
-        design = build_design(structure, dataset, weight)
+    _check_unit_interval(level, "level")  # before the design is taken
+    design = build_design(structure, dataset, weight)
     y = dataset.outcomes
     y_hat, h = design.ops().least_squares(y)
     e = y - y_hat
@@ -166,13 +161,14 @@ def sandwich_variance(
     return _report(fit, float(np.mean(eta**2)), dataset, level)
 
 
-def sigma_noise_hat(dataset, structure, dof="units", design=None):
-    """Regression noise scale from the residual of the most flexible design.
+def sigma_noise_hat(dataset, structure, dof="units"):
+    """Regression noise scale from the residual of the most flexible design
+    (`build_design`).
 
     dof='units' divides by (total units - rank); dof='clusters' is the
     literal cluster-count denominator, kept behind this flag.
     """
-    ops = DesignOps(_observed_design(structure, dataset)) if design is None else design.ops()
+    ops = build_design(structure, dataset).ops()
     y = dataset.outcomes
     resid = y - ops.project(y)
     denom = (dataset.total_units if dof == "units" else dataset.n) - ops.rank
@@ -213,26 +209,26 @@ def select_structure(dataset, weight, candidates, alpha=0.05, dof="units"):
     Candidates are ordered informative -> flexible; the last one is the
     reference. Any infeasible candidate fit aborts with the offender list,
     and an alpha outside (0, 1) with InvalidSpec before any fit.
-    Each adjacent pair's nesting is decided on the candidates' own DesignOps
-    (DesignOps.contains), recorded in `nested`, and warned about when false.
+    Each adjacent pair's nesting is decided on the DesignOps the fits read
+    (`build_design`, `contains`), recorded in `nested`, warned about if false.
     """
     _check_unit_interval(alpha, "alpha")
     candidates = list(candidates)
     if not candidates:
         raise ValueError("need at least one candidate structure")
-    designs = [build_design(s, dataset, weight) for s in candidates]
-    fits = [balancing_fit(dataset, s, weight, design=d) for s, d in zip(candidates, designs)]
+    fits = [balancing_fit(dataset, s, weight) for s in candidates]
     offenders = [s.label for s, f in zip(candidates, fits) if not f.feasible]
     if offenders:
         raise InfeasibleFit(f"infeasible balancing fits for candidates: {offenders}")
-    nested = tuple(large.ops().contains(small.ops()) for small, large in zip(designs, designs[1:]))
+    ops = [build_design(s, dataset).ops() for s in candidates]
+    nested = tuple(large.contains(small) for small, large in zip(ops, ops[1:]))
     for i, ok in enumerate(nested):
         if not ok:
             small, large = candidates[i].label, candidates[i + 1].label
             warnings.warn(f"candidate {i} {small!r} is not nested in candidate {i + 1} "
                           f"{large!r} on the observed design", stacklevel=2)
     reference = candidates[-1]
-    sigma_hat = sigma_noise_hat(dataset, reference, dof=dof, design=designs[-1])
+    sigma_hat = sigma_noise_hat(dataset, reference, dof=dof)
     threshold = chi2.ppf(1.0 - alpha, df=1)
     stats, pvals = [], []
     chosen = len(candidates) - 1
@@ -263,8 +259,6 @@ def select_structure(dataset, weight, candidates, alpha=0.05, dof="units"):
 # ---------- the estimator dispatch ----------
 
 ESTIMATORS = ("ipw", "balancing", "projection", "wproj", "exposure-ipw")
-# the fits that read a DesignSystem of the structure, which their callers share
-DESIGN_FITS = ("balancing", "projection")
 
 
 def fit_estimator(
@@ -273,7 +267,6 @@ def fit_estimator(
     weight,
     propensity,
     structure=None,
-    design=None,
     mapping=None,
     level=0.95,
     allow_infeasible=False,
@@ -281,9 +274,9 @@ def fit_estimator(
     """(EstimateReport, VarianceReport | None) of the estimator `name`.
 
     ipw and exposure-ipw take the i.i.d. cluster variance; balancing,
-    projection and wproj the sandwich of kind bal, proj and wproj. `design`
-    is the structure's DesignSystem, shared by the DESIGN_FITS (they build it
-    when it is None). The variance is computed only for a feasible fit, or
+    projection and wproj the sandwich of kind bal, proj and wproj; a fit and
+    its sandwich read the dataset's design of the structure (`build_design`).
+    The variance is computed only for a feasible fit, or
     for any fit when `allow_infeasible` is set; only balancing fits can be
     infeasible. A name not in ESTIMATORS, a needed input that is None, or a
     level outside (0, 1) raises InvalidSpec before any fit. The fits and
@@ -299,9 +292,9 @@ def fit_estimator(
     if name == "ipw":
         fit = ipw_fit(dataset, weight, propensity)
     elif name == "balancing":
-        fit = balancing_fit(dataset, structure, weight, design=design)
+        fit = balancing_fit(dataset, structure, weight)
     elif name == "projection":
-        fit = projection_fit(dataset, structure, weight, propensity, design=design)
+        fit = projection_fit(dataset, structure, weight, propensity)
     elif name == "wproj":
         fit = weighted_projection_fit(dataset, structure, weight, propensity)
     else:

@@ -20,15 +20,13 @@ import numpy as np
 
 from .core import Dataset, _probit_terms, probit_intervention, probit_propensity
 from .errors import CalibrationFailed, InvalidSpec
-from .estimators import build_design
-from .inference import DESIGN_FITS, ESTIMATORS, _check_unit_interval, fit_estimator
+from .inference import ESTIMATORS, _check_unit_interval, fit_estimator
 from .specio import spec_float, spec_int
 from .structures import (
     AdditiveTypes,
     KnnPattern,
     StratifiedCount,
     TensorWithCovariates,
-    _size_groups,
     knn_order,
     observed_signal,
     target_vector,
@@ -354,15 +352,15 @@ def _calibration_moments(cfg, draws):
         x, a, _ = _draw_clusters(cfg, rng, block, noise=False)
         dataset = Dataset.from_arrays(x, a, np.zeros(a.size), block, range(block.size))
         g = observed_signal(structure, dataset, h1)
-        for group, idx, rows in _size_groups(dataset):
-            m = rows.shape[1]
+        for group in dataset.groups:
+            m = group.rows.shape[1]
             pi0 = _probit_terms(group.covariates, 0.0)
             pik = _probit_terms(group.covariates, cfg.kappa)
             af = group.treatments.astype(np.float64)
             ratio = np.prod(np.where(af == 1, pik / pi0, (1.0 - pik) / (1.0 - pi0)), axis=1)
             w_scalar = ratio / m
-            signal[start + idx] = w_scalar * g[rows].sum(axis=1)
-            norm2[start + idx] = m * w_scalar**2
+            signal[start + group.idx] = w_scalar * g[group.rows].sum(axis=1)
+            norm2[start + group.idx] = m * w_scalar**2
     return signal, norm2
 
 
@@ -402,15 +400,11 @@ def resolve_gamma(cfg):
 def _replicate(cfg, replicate_index, estimators, level):
     dataset, _, propensity, weight = gen_dataset(cfg, replicate_index, truth=False)
     structure = dgp_structure(cfg)
-    design = None
-    if any(name in DESIGN_FITS for name in estimators):
-        design = build_design(structure, dataset, weight)
     out = {}
     for name in estimators:
         try:
             fit, var = fit_estimator(
-                name, dataset, weight, propensity, structure, design,
-                structure.exposure_mapping, level,
+                name, dataset, weight, propensity, structure, structure.exposure_mapping, level
             )
             out[name] = {
                 "point": fit.point,

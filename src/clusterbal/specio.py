@@ -43,12 +43,28 @@ def _whole(value):
         return False
 
 
+def finite_number(value):
+    """True when value is a finite real number, and not a bool."""
+    try:
+        return not isinstance(value, (bool, np.bool_)) and math.isfinite(value)
+    except (TypeError, OverflowError):
+        return False
+
+
 def spec_int(doc, key, what):
     """spec_field(doc, key, what) as an int; InvalidSpec naming the field otherwise."""
     value = spec_field(doc, key, what)
     if not _whole(value):
         raise InvalidSpec(f"{what} spec field {key!r} must be an integer, got {value!r}")
     return int(value)
+
+
+def spec_bool(doc, key, what):
+    """doc[key], true or false (false when absent); InvalidSpec naming the field otherwise."""
+    value = doc.get(key, False)
+    if not isinstance(value, bool):
+        raise InvalidSpec(f"{what} spec field {key!r} must be true or false, got {value!r}")
+    return value
 
 
 def spec_float(doc, key, what, default=None):

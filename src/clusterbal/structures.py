@@ -15,7 +15,7 @@ from . import _kernels
 from .core import PATTERN_CAP, BernoulliIntervention, enumerate_patterns
 from .errors import CapExceeded, DimensionMismatch, InvalidSpec
 from .numerics import DesignOps, _validate, dense_design
-from .specio import spec_field, spec_int
+from .specio import _whole, finite_number, spec_bool, spec_field, spec_int
 
 # ---------- neighbor graphs ----------
 
@@ -108,7 +108,7 @@ def knn_graph(dataset, k):
     if k < 1:
         raise InvalidSpec("k must be >= 1")
     lists = {}
-    for group, _, _ in _size_groups(dataset):
+    for group in dataset.groups:
         lists.update(zip((c.cluster_id for c in group), _stacked_neighbors(group, int(k))))
     return NeighborGraph(order=int(k), lists=lists)
 
@@ -485,8 +485,11 @@ class AdditiveTypes(LowRankStructure):
         if self.type_source == "unit_index":
             types = np.broadcast_to(np.arange(1, m + 1), (len(clusters), m))
         elif isinstance(self.type_source, dict) and "column" in self.type_source:
-            col = int(self.type_source["column"])
-            types = clusters.covariates[:, :, col].astype(np.int64)
+            col, p = self.type_source["column"], clusters.covariates.shape[2]
+            if not (_whole(col) and 0 <= col < p):
+                raise InvalidSpec(f"additive_types type_source field 'column' must be an "
+                                  f"integer in [0, {p}), got {col!r}")
+            types = clusters.covariates[:, :, int(col)].astype(np.int64)
         else:
             raise InvalidSpec(f"unknown type_source {self.type_source!r}")
         outside = (types < 1) | (types > self.s)
@@ -565,14 +568,15 @@ class CoarsenedCount(LowRankStructure):
         self.thresholds = thresholds
 
     def _norm_thresholds(self, thresholds):
-        arr = np.asarray(thresholds, dtype=np.float64)
+        arr = np.asarray(thresholds, dtype=object)
         if arr.ndim == 1:
             arr = np.tile(arr, (self.order, 1))
-        if arr.shape != (self.order, 2):
-            raise InvalidSpec("thresholds must be one or `order` (low, high) pairs")
+        if arr.shape != (self.order, 2) or not all(map(finite_number, arr.flat)):
+            raise InvalidSpec(f"coarsened_count field 'thresholds' must be one or `order` "
+                              f"(low, high) pairs of finite numbers, got {thresholds!r}")
         if (arr[:, 0] > arr[:, 1]).any():
             raise InvalidSpec("thresholds must be non-decreasing")
-        return arr
+        return arr.astype(np.float64)
 
     def _level_units(self, group):
         """Each level's lists of units of a size group, (B, m, L) int64 per
@@ -598,7 +602,7 @@ class CoarsenedCount(LowRankStructure):
     def fit_thresholds(self, dataset):
         """33rd/67th percentile thresholds of observed raw counts, per level."""
         counts = [[] for _ in range(self.order)]
-        for group, _, _ in _size_groups(dataset):
+        for group in dataset.groups:
             # the padding index m is untreated
             treated = np.pad(group.treatments, ((0, 0), (0, 1)))
             b = np.arange(len(group))[:, None, None]
@@ -762,25 +766,26 @@ def build_structure(spec, dataset=None):
         )
     kind = spec["kind"]
 
+    what = f"{kind} structure"
     def field(key):
-        return spec_field(spec, key, f"{kind} structure")
+        return spec_field(spec, key, what)
 
     def int_field(key):
-        return spec_int(spec, key, f"{kind} structure")
+        return spec_int(spec, key, what)
 
     if kind == "no_interference":
         return NoInterference()
     if kind == "stratified_count":
-        return StratifiedCount(int_field("k"), include_own=spec.get("include_own", False))
+        return StratifiedCount(int_field("k"), include_own=spec_bool(spec, "include_own", what))
     if kind == "knn_pattern":
         return KnnPattern(int_field("k"))
     if kind == "additive_types":
         return AdditiveTypes(int_field("s"), type_source=spec.get("type_source", "unit_index"))
     if kind == "coarsened_count":
         coarsened = CoarsenedCount(
-            order=spec.get("order", 1),
+            order=int_field("order") if "order" in spec else 1,
             thresholds=spec.get("thresholds"),
-            k=spec.get("k"),
+            k=int_field("k"),
         )
         if coarsened.thresholds is None:
             if dataset is None:
@@ -817,7 +822,7 @@ def exposure_from_spec(spec):
     if name == "neighbor_count":
         return NeighborCount(
             spec_int(spec, "k", "neighbor_count mapping"),
-            include_own=spec.get("include_own", False),
+            include_own=spec_bool(spec, "include_own", "neighbor_count mapping"),
         )
     if name == "identity":
         return IdentityMapping()
@@ -827,12 +832,6 @@ def exposure_from_spec(spec):
 
 
 # ---------- design assembly ----------
-
-
-def _size_groups(dataset):
-    """(size group, cluster indices (B,), unit rows (B, m)) for each cluster
-    size m, ascending: the dataset's own groups (`Dataset.groups`)."""
-    return [(group, group.idx, group.rows) for group in dataset.groups]
 
 
 class _GroupRows:
@@ -937,13 +936,13 @@ class _GroupRows:
 
 
 def _observed_design(structure, dataset):
-    """The observed design's factors, per size group in `_size_groups`
+    """The observed design's factors, per size group in `Dataset.groups`
     order: ((unit rows (B, m), inner rows (B, m, ell) bool, covariate rows
     (B, m, w)), ...). Unit i's row is its inner row (x) its covariate row
     (`_GroupRows`)."""
     if structure.regime != "fixed":
         raise InvalidSpec("design matrices need a fixed-dimension structure")
-    layouts = ((rows, _GroupRows(structure, group)) for group, _, rows in _size_groups(dataset))
+    layouts = ((group.rows, _GroupRows(structure, group)) for group in dataset.groups)
     return tuple((rows, layout.inner(), layout.x) for rows, layout in layouts)
 
 
@@ -966,12 +965,12 @@ def target_contributions(structure, dataset, weight):
     if structure.regime != "fixed":
         raise InvalidSpec("target vectors need a fixed-dimension structure")
     out = None
-    for group, idx, rows in _size_groups(dataset):
+    for group in dataset.groups:
         layout = _GroupRows(structure, group)
         loads = layout.loads(layout.masses(weight.probs_batch(group), weight))
         if out is None:
             out = np.zeros((dataset.n, loads.shape[1]))
-        out[idx] = loads / rows.shape[1]
+        out[group.idx] = loads / group.rows.shape[1]
     return out
 
 
@@ -980,13 +979,13 @@ def observed_signal(structure, dataset, h):
     each block gathers the h block of each unit's observed class and takes its
     product with the unit's covariate row."""
     g = np.zeros(dataset.total_units)
-    for group, _, rows in _size_groups(dataset):
+    for group in dataset.groups:
         layout = _GroupRows(structure, group)
         w = layout.x.shape[2]
         h_blocks = h.reshape(layout.ell, w)
         for (col, _, held), cls in zip(layout.blocks, layout.classes()):
             x = layout._held(held, layout.x).reshape(-1, w)
-            g[rows.ravel()] += np.einsum("uw,uw->u", x, h_blocks[col + cls.ravel()])
+            g[group.rows.ravel()] += np.einsum("uw,uw->u", x, h_blocks[col + cls.ravel()])
     return g
 
 
@@ -998,7 +997,7 @@ def incidence_counts(structure, dataset, factors=None):
     structure or of a covariate tensor over it, by default the structure's."""
     counts = 0.0
     factors = factors or _observed_design(structure, dataset)
-    for (group, _, _), (_, inner, _) in zip(_size_groups(dataset), factors):
+    for group, (_, inner, _) in zip(dataset.groups, factors):
         x = _GroupRows(structure, group).x
         counts = counts + np.einsum("bml,bmw->lw", inner, x != 0, dtype=np.float64).ravel()
     return counts

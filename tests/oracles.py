@@ -1,6 +1,7 @@
 """Brute-force oracles: exhaustive assignment enumeration and direct estimand
 sums, independent of the estimator code paths they check."""
 
+import contextlib
 import dataclasses
 import functools
 import itertools
@@ -8,8 +9,10 @@ import json
 import math
 
 import numpy as np
+import pytest
 from scipy.special import ndtr
 
+from clusterbal import estimators, inference
 from clusterbal.core import ClusterSample, Dataset, enumerate_patterns, eval_propensity
 from clusterbal.numerics import DesignOps, _default_rcond, _validate, dense_design
 
@@ -346,6 +349,27 @@ def loads_form_sigma2(dataset, design, fit, w_ipw=None):
 def with_dense_ops(design):
     """A copy of a DesignSystem whose fits take the dense SVD of its design."""
     return dataclasses.replace(design, _cache={"ops": DenseOps(dense_design(design.factors))})
+
+
+@contextlib.contextmanager
+def served_designs(make=None):
+    """Within the block, the fits (`estimators.build_design`) and the
+    variances, noise scale and selection (`inference.build_design`) read
+    make(structure, dataset, weight) in place of the dataset's design, by
+    default `with_dense_ops` of it, so they take the dense SVD. Yields the
+    list of designs served; a test checks its length, so it fails when a
+    patch is taken out and the program is compared with itself."""
+    real, served = estimators.build_design, []
+    make = make or (lambda *args: with_dense_ops(real(*args)))
+
+    def serve(structure, dataset, weight=None):
+        served.append(make(structure, dataset, weight))
+        return served[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        for module in (estimators, inference):
+            patch.setattr(module, "build_design", serve)
+        yield served
 
 
 def nested_in_span(phi_s, phi_l):

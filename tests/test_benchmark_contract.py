@@ -31,7 +31,8 @@ def test_the_tracer_counts_a_traced_fit_and_nesting_check(rng):
     finally:
         tracer.uninstall()
     assert fit.feasible and nested
-    assert tracer.counts["numerics.design_ops_calls"] == 3
+    # the fit and the nesting check read the dataset's one decomposition of `large`
+    assert tracer.counts["numerics.design_ops_calls"] == 2
     assert tracer.counts["numerics.svd_flops"] > 0
     assert np.isfinite(fit.point)
     assert {"estimators.balancing_fit", "numerics.design_ops"} <= {s[0] for s in tracer.spans}

@@ -940,6 +940,48 @@ def test_malformed_tensor_column_exits_1_with_one_line(tmp_path, capsys, column,
     assert err.startswith("error: tensor column " + repr(column))
 
 
+@pytest.mark.parametrize(
+    "structure, field",
+    [
+        ({"kind": "coarsened_count", "k": "abc"}, "'k'"),
+        ({"kind": "coarsened_count", "k": 2.5}, "'k'"),
+        ({"kind": "coarsened_count", "k": 1, "order": True}, "'order'"),
+        ({"kind": "coarsened_count", "k": 1, "thresholds": "ab"}, "'thresholds'"),
+        ({"kind": "coarsened_count", "k": 1, "thresholds": [1, "x"]}, "'thresholds'"),
+        ({"kind": "coarsened_count", "k": 1, "order": 2, "thresholds": [[1, 2], [3]]},
+         "'thresholds'"),
+        ({"kind": "coarsened_count", "k": 1, "thresholds": [math.nan, 1]}, "'thresholds'"),
+        ({"kind": "coarsened_count", "k": 1, "thresholds": [True, 1]}, "'thresholds'"),
+        ({"kind": "additive_types", "s": 2, "type_source": {"column": "a"}}, "'column'"),
+        ({"kind": "additive_types", "s": 2, "type_source": {"column": 9}}, "'column'"),
+        ({"kind": "additive_types", "s": 2, "type_source": {"column": -1}}, "'column'"),
+        ({"kind": "additive_types", "s": 2, "type_source": {"column": 1.5}}, "'column'"),
+        ({"kind": "stratified_count", "k": 1, "include_own": "no"}, "'include_own'"),
+        ({"kind": "exposure", "mapping": {"name": "neighbor_count", "k": 1, "include_own": "no"}},
+         "'include_own'"),
+    ],
+)
+def test_malformed_structure_field_exits_1_naming_it(tmp_path, capsys, structure, field):
+    """A structure field of the wrong type, shape or range is one `error:`
+    line naming it, exit 1 and no artifact, whether the spec builder or the
+    first fit finds it (a type column is checked against the data's p)."""
+    paths = {"dataset": write(tmp_path, "four.csv", _four_covariate_csv()),
+             "structure": write_json(tmp_path, "s.json", structure)}
+    assert run(_estimate_args(tmp_path, **paths)) == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
+    assert err.startswith("error:") and field in err
+    assert not (tmp_path / "out").exists()
+
+
+def _four_covariate_csv():
+    rows = ["cluster_id,unit_id,treatment,outcome,x1,x2,x3,x4"]
+    for cid, bits in (("c0", (1, 0)), ("c1", (0, 1)), ("c2", (1, 1)), ("c3", (0, 0))):
+        rows += [f"{cid},{i},{a},{1.0 + i},{i + 1},1.0,0.5,{-i}" for i, a in enumerate(bits)]
+    return "\n".join(rows) + "\n"
+
+
 def test_knn_k_beyond_the_pattern_cap_exits_1_naming_k(tmp_path, capsys):
     paths = {"structure": write_json(tmp_path, "s.json", {"kind": "knn_pattern", "k": 30})}
     assert run(_estimate_args(tmp_path, **paths)) == EXIT_ERROR

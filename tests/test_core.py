@@ -42,8 +42,9 @@ from clusterbal.errors import (
     PropensityUnavailable,
 )
 from clusterbal.estimators import ipw_weights
-from clusterbal.simulate import DGPConfig, _calibration_moments, gen_dataset
-from clusterbal.structures import _size_groups, knn_graph
+from clusterbal.inference import fit_estimator
+from clusterbal.simulate import DGPConfig, _calibration_moments, dgp_structure, gen_dataset
+from clusterbal.structures import knn_graph
 
 from conftest import make_cluster, make_dataset
 from oracles import cached_row, cluster_slices, one_size_group, per_cluster_probit, size_group_rows
@@ -182,11 +183,19 @@ def test_a_dataset_and_its_clusters_pickle_as_their_arrays(rng):
         assert np.array_equal(getattr(c, name), getattr(d.clusters[3], name))
 
 
-def test_a_dataset_is_freed_without_the_cycle_collector(rng):
-    """No cluster refers to its dataset or size group, so a dataset, warm
-    caches and all, goes when its last reference does."""
-    d = gen_dataset(DGPConfig(n=30, interference="knn2", seed=4, gamma=1.0), 0, truth=False)[0]
+@pytest.mark.parametrize("fitted", [False, True], ids=["caches", "fits"])
+def test_a_dataset_is_freed_without_the_cycle_collector(rng, fitted):
+    """No cluster refers to its dataset or size group, and no entry of its
+    store to the dataset, so a dataset, warm caches, designs and weights
+    and all, goes when its last reference does."""
+    cfg = DGPConfig(n=30, interference="knn2", seed=4, gamma=1.0)
+    d, _, e, f = gen_dataset(cfg, 0, truth=False)
     cached_row(d.clusters[0], "knn_order")
+    if fitted:
+        structure = dgp_structure(cfg)
+        for name in ("ipw", "balancing", "projection"):
+            fit_estimator(name, d, f, e, structure)
+        assert len(d._cache) == 3  # the IPW weights, the design and its target
     gone = weakref.ref(d)
     gc.disable()
     try:
@@ -514,7 +523,7 @@ def test_probit_batch_matches_per_cluster_formula_bit_for_bit(p, kappa):
 def test_probit_laws_match_per_cluster_formula_on_mixed_sizes(rng):
     d = make_dataset(rng, 40, sizes=(1, 12), p=4)
     f, e = probit_intervention(0.2), probit_propensity(0.0)
-    for group, _, _ in _size_groups(d):
+    for group in d.groups:
         assert _hex(f.probs_batch(group)) == _hex(
             per_cluster_probit(c.covariates, 0.2) for c in group)
         assert _hex(e.probs_batch(group)) == _hex(

@@ -271,11 +271,12 @@ def test_imbalance_reads_the_inner_rows_of_the_fits_design(rng, monkeypatch, inn
     assert calls == []
 
 
-def test_imbalance_requires_the_fits_design(rng):
+@pytest.mark.parametrize("missing", ["imbalance", "target"])
+def test_imbalance_requires_the_fits_imbalance_and_target(rng, missing):
     d = make_dataset(rng, 3, sizes=(2, 3), p=2)
     s = TensorWithCovariates(StratifiedCount(1))
     f = Gate()
     fit = balancing_fit(d, s, f)
-    bare = dataclasses.replace(fit, design=None)
+    bare = dataclasses.replace(fit, **{missing: None})
     with pytest.raises(InvalidSpec, match="not a balancing fit"):
         imbalance_report(d, s, f, bare)

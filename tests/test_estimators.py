@@ -65,8 +65,8 @@ from oracles import (
     loads_form_sigma2,
     mu_f_direct,
     structure_rows,
+    served_designs,
     with_covariate,
-    with_dense_ops,
 )
 
 
@@ -398,28 +398,35 @@ def _close(a, b):
     return np.allclose(a, b, rtol=1e-10, atol=1e-10 * max(np.abs(b).max(initial=0.0), 1.0))
 
 
+def _design_fits(d, structure, f, e):
+    """The balancing and projection fits, the OLS plug-in and the `proj`
+    sandwich, and the `bal` one when the balancing fit is feasible."""
+    bal, proj = balancing_fit(d, structure, f), projection_fit(d, structure, f, e)
+    return (bal, proj, ols_plugin(d, structure, f),
+            sandwich_variance(d, structure, f, proj, "proj", propensity=e),
+            sandwich_variance(d, structure, f, bal, "bal") if bal.feasible else None)
+
+
 def _assert_block_path_matches_single_piece(d, structure):
     f, e = uniform_intervention(), half_bernoulli()
     blocks = build_design(structure, d, f)
     width = blocks.factors[0][2].shape[2]
     assert all(np.unique(cols // width).size == 1 for _, cols, *_ in blocks.ops()._pieces)
-    single = with_dense_ops(blocks)
-    bal = [balancing_fit(d, structure, f, design=s) for s in (blocks, single)]
-    proj = [projection_fit(d, structure, f, e, design=s) for s in (blocks, single)]
-    for got, want in (bal, proj):
+    bal, proj, ols, var_proj, var_bal = _design_fits(d, structure, f, e)
+    with served_designs() as served:
+        single = _design_fits(d, structure, f, e)
+    assert len(served) == (5 if single[0].feasible else 4)
+    for got, want in ((bal, single[0]), (proj, single[1])):
         assert got.feasible == want.feasible
         assert got.design_rank == want.design_rank
         assert _close(got.weights.values, want.weights.values)
         assert _close(got.point, want.point)
-    assert _close(bal[0].imbalance, bal[1].imbalance)
-    ols = [ols_plugin(d, structure, f, design=s) for s in (blocks, single)]
-    assert _close(ols[0], ols[1])
-    var = [sandwich_variance(d, structure, f, fit, "proj", propensity=e) for fit in proj]
-    assert _close(var[0].sigma2_hat, var[1].sigma2_hat)
-    if bal[1].feasible:
-        var = [sandwich_variance(d, structure, f, fit, "bal") for fit in bal]
-        assert _close(var[0].sigma2_hat, var[1].sigma2_hat)
-    return bal[1]
+    assert _close(bal.imbalance, single[0].imbalance)
+    assert _close(ols, single[2])
+    assert _close(var_proj.sigma2_hat, single[3].sigma2_hat)
+    if single[0].feasible:
+        assert _close(var_bal.sigma2_hat, single[4].sigma2_hat)
+    return single[0]
 
 
 @pytest.mark.parametrize(
@@ -645,21 +652,24 @@ def test_factored_design_matches_the_dense_svd(rng, structure, data):
         assert factored.contains(ops) == dense.contains(ops)
         assert ops.contains(factored) == ops.contains(dense)
 
-    bal = balancing_fit(d, structure, f, design=design)
+    def fits():
+        bal, proj = balancing_fit(d, structure, f), projection_fit(d, structure, f, e)
+        return [(fit, kind, sandwich_variance(d, structure, f, fit, kind, propensity=e,
+                                              allow_infeasible=True))
+                for fit, kind in ((bal, "bal"), (proj, "proj"))]
+
+    factored_fits = fits()
+    bal = factored_fits[0][0]
     want = phi.T @ bal.weights.values
     got = bal.imbalance * d.n + bal.target
     assert np.abs(got - want).max() <= 1e-12 * max(np.abs(want).max(), 1e-300)
-    proj = projection_fit(d, structure, f, e, design=design)
-    for fit, kind, w_ipw in ((bal, "bal", None), (proj, "proj", ipw_weights(d, f, e))):
-        got = sandwich_variance(d, structure, f, fit, kind, propensity=e, allow_infeasible=True)
-        want = loads_form_sigma2(d, design, fit, w_ipw)
+    for fit, kind, got in factored_fits:
+        want = loads_form_sigma2(d, design, fit, ipw_weights(d, f, e) if kind == "proj" else None)
         assert got.sigma2_hat == pytest.approx(want, rel=1e-12, abs=0)
-    on_dense = with_dense_ops(design)
-    fits = ((bal, balancing_fit(d, structure, f, design=on_dense), "bal"),
-            (proj, projection_fit(d, structure, f, e, design=on_dense), "proj"))
-    for fit, dense_fit, kind in fits:
-        got, want = (sandwich_variance(d, structure, f, x, kind, propensity=e, allow_infeasible=True)
-                     for x in (fit, dense_fit))
+    with served_designs() as served:
+        dense_fits = fits()
+    assert len(served) == 4
+    for (_, _, got), (_, _, want) in zip(factored_fits, dense_fits):
         assert abs(got.sigma2_hat - want.sigma2_hat) <= 1e-10 * abs(want.sigma2_hat)
 
 
@@ -680,15 +690,15 @@ def test_factored_fits_match_the_dense_svd(rng):
     d = _shared_row_dataset(rng)
     structure = TensorWithCovariates(AdditiveTypes(15), columns=DGP_COLUMNS)
     f, e = probit_intervention(0.3), half_bernoulli()
-    factored = build_design(structure, d, f)
-    dense = with_dense_ops(factored)
-    bal = [balancing_fit(d, structure, f, design=s) for s in (factored, dense)]
-    proj = [projection_fit(d, structure, f, e, design=s) for s in (factored, dense)]
-    for got, want in (bal, proj):
+    factored = _design_fits(d, structure, f, e)
+    with served_designs() as served:
+        dense = _design_fits(d, structure, f, e)
+    assert len(served) == (5 if dense[0].feasible else 4)
+    for got, want in zip(factored[:2], dense[:2]):
         assert got.feasible == want.feasible
         assert got.design_rank == want.design_rank
         assert _close(got.weights.values, want.weights.values)
-    assert _close(*(ols_plugin(d, structure, f, design=s) for s in (factored, dense)))
+    assert _close(factored[2], dense[2])
 
 
 def test_no_fit_allocates_the_dense_design():
@@ -701,9 +711,8 @@ def test_no_fit_allocates_the_dense_design():
     dense_bytes = d.total_units * structure.dim(d.clusters[0]) * 8
     tracemalloc.start()
     try:
-        design = build_design(structure, d, f)
-        bal = balancing_fit(d, structure, f, design=design)
-        proj = projection_fit(d, structure, f, e, design=design)
+        bal = balancing_fit(d, structure, f)
+        proj = projection_fit(d, structure, f, e)
         sandwich_variance(d, structure, f, bal, "bal")
         sandwich_variance(d, structure, f, proj, "proj", propensity=e)
         peak = tracemalloc.get_traced_memory()[1]

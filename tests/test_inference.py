@@ -1,7 +1,9 @@
+import json
+
 import numpy as np
 import pytest
 
-from clusterbal import inference
+from clusterbal import cli, inference, simulate
 from clusterbal.core import (
     ClusterSample,
     Dataset,
@@ -9,6 +11,7 @@ from clusterbal.core import (
     IndependentBernoulli,
     uniform_intervention,
 )
+from clusterbal.diagnostics import imbalance_report
 from clusterbal.errors import (
     DegenerateContrast,
     DegenerateDF,
@@ -21,6 +24,7 @@ from clusterbal.estimators import (
     build_design,
     exposure_collapsed_ipw,
     ipw_fit,
+    ols_plugin,
     projection_fit,
     weighted_projection_fit,
 )
@@ -43,6 +47,8 @@ from clusterbal.structures import (
     TensorWithCovariates,
     design_matrix,
 )
+from clusterbal.numerics import DesignOps
+from clusterbal.simulate import DGPConfig
 
 from conftest import make_cluster, make_dataset
 from oracles import dense_loads, design_rows
@@ -100,7 +106,7 @@ def test_eta_first_block_ties_to_imbalance(rng):
     structure = TensorWithCovariates(StratifiedCount(1))
     f = uniform_intervention()
     fit = balancing_fit(d, structure, f)
-    design = fit.design
+    design = build_design(structure, d, f)
     loads = dense_loads(design, fit.weights.values)
     first_block_sum = (loads - design.contributions).sum(axis=0)
     assert np.allclose(first_block_sum, d.n * fit.imbalance, atol=1e-10)
@@ -330,10 +336,9 @@ def test_fit_estimator_matches_the_direct_fit(rng, name, shared):
     d = make_dataset(rng, 30, sizes=(2, 4), p=2)
     structure = TensorWithCovariates(KnnPattern(1))
     f, e = uniform_intervention(), half_bernoulli()
-    design = build_design(structure, d, f) if shared else None
-    fit, var = fit_estimator(
-        name, d, f, e, structure, design, structure.exposure_mapping, level=0.9
-    )
+    if shared:  # the dataset already holds the design
+        build_design(structure, d, f).ops()
+    fit, var = fit_estimator(name, d, f, e, structure, structure.exposure_mapping, level=0.9)
     want_fit, want_var = _direct(name, d, structure, f, e, 0.9)
     assert fit.feasible and fit.kind == want_fit.kind
     np.testing.assert_allclose(fit.weights.values, want_fit.weights.values, rtol=1e-12, atol=1e-15)
@@ -429,3 +434,70 @@ def test_table_calls_the_module_names_at_call_time(rng, monkeypatch, name, names
     fit_estimator(name, d, uniform_intervention(), half_bernoulli(), structure,
                   mapping=structure.exposure_mapping)
     assert called == list(names)
+
+
+# ---------- one decomposition per structure per dataset ----------
+
+LADDER = [{"kind": "tensor", "inner": {"kind": "knn_pattern", "k": k}, "columns": [0, 1]}
+          for k in (1, 2, 3)]
+
+
+def _cli(tmp_path, rng, command):
+    """`clusterbal <command>` on a written dataset, the last rung of LADDER
+    its structure and the whole ladder its candidates."""
+    data = str(tmp_path / "d.csv")
+    cli.write_dataset(make_dataset(rng, 30, sizes=(3, 5), p=2), data)
+    docs = {"policy": {"kind": "uniform"}, "propensity": {"kind": "bernoulli", "prob": 0.5},
+            "structure": LADDER[-1], "candidates": LADDER}
+    for name, doc in docs.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+    path = {name: str(tmp_path / f"{name}.json") for name in docs}
+    argv = [command, "--dataset", data, "--policy", path["policy"],
+            "--out-dir", str(tmp_path / "out"), "--seed", "1"]
+    if command == "estimate":
+        argv += ["--structure", path["structure"], "--propensity", path["propensity"],
+                 "--estimator", "ipw", "--estimator", "balancing", "--estimator", "projection"]
+    elif command == "balance-report":
+        argv += ["--structure", path["structure"]]
+    else:
+        argv += ["--candidates", path["candidates"]]
+    assert cli.run(argv) == cli.EXIT_OK
+
+
+def _replicate():
+    out = simulate._replicate(DGPConfig(n=40, interference="knn2", seed=5, gamma=1.0), 0,
+                              ("ipw", "balancing", "projection"), 0.95)
+    assert all("error" not in entry for entry in out.values())
+
+
+def _direct_sequence(rng):
+    """The fits, the `proj` sandwich, the OLS plug-in, the noise scale and
+    the imbalance report of one structure, each called on its own."""
+    d = make_dataset(rng, 30, sizes=(3, 5), p=2)
+    s, f, e = TensorWithCovariates(KnnPattern(2), columns=[0, 1]), uniform_intervention(), half_bernoulli()
+    bal = balancing_fit(d, s, f)
+    proj = projection_fit(d, s, f, e)
+    sandwich_variance(d, s, f, proj, "proj", propensity=e)
+    ols_plugin(d, s, f)
+    sigma_noise_hat(d, s)
+    imbalance_report(d, s, f, bal)
+
+
+@pytest.mark.parametrize(
+    "case, want",
+    [("estimate", 1), ("balance-report", 1), ("select", len(LADDER)), ("replicate", 1),
+     ("direct", 1)],
+)
+def test_one_decomposition_per_structure_per_dataset(rng, tmp_path, monkeypatch, case, want):
+    """Every reader of a structure's design takes the dataset's one
+    decomposition (`build_design`), whichever path calls it."""
+    calls = []
+    init = DesignOps.__init__
+    monkeypatch.setattr(DesignOps, "__init__", lambda ops, factors: calls.append(1) or init(ops, factors))
+    if case == "replicate":
+        _replicate()
+    elif case == "direct":
+        _direct_sequence(rng)
+    else:
+        _cli(tmp_path, rng, case)
+    assert len(calls) == want

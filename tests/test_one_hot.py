@@ -13,7 +13,7 @@ import warnings
 import numpy as np
 import pytest
 
-from clusterbal import inference, structures
+from clusterbal import structures
 from clusterbal.core import (
     ClusterSample,
     Dataset,
@@ -53,6 +53,7 @@ from oracles import (
     per_cluster_design,
     per_cluster_imbalance_scales,
     scanned_pieces,
+    served_designs,
 )
 
 
@@ -327,7 +328,8 @@ def _oracle_design(structure, dataset, weight):
     its fits take the dense SVD."""
     ops = DenseOps(per_cluster_design(structure, fresh_copy(dataset)))
     return DesignSystem(
-        contributions=per_cluster_contributions(structure, fresh_copy(dataset), weight),
+        contributions=None if weight is None else
+        per_cluster_contributions(structure, fresh_copy(dataset), weight),
         factors=ops.factors,
         _cache={"ops": ops},
     )
@@ -349,10 +351,12 @@ def test_select_matches_per_cluster_dense_path(order, monkeypatch):
     candidates = [ladder[i] for i in order]
     f = probit_intervention(cfg.kappa)
     got, got_warnings = _select(d, f, candidates)
-    monkeypatch.setattr(inference, "build_design", _oracle_design)
     monkeypatch.setattr(DesignOps, "contains", lambda large, small: nested_in_span(
         dense_design(small.factors), dense_design(large.factors)))
-    want, want_warnings = _select(d, f, candidates)
+    with served_designs(_oracle_design) as served:
+        want, want_warnings = _select(d, f, candidates)
+    # each candidate's fit and nesting check, and the reference's noise scale
+    assert len(served) == 2 * len(candidates) + 1
     assert got.chosen == want.chosen
     assert got.nested == want.nested
     assert got_warnings == want_warnings
@@ -370,9 +374,11 @@ def test_select_takes_no_svd_beyond_the_candidates_design_ops(rng, monkeypatch):
         original = getattr(np.linalg, name)
         monkeypatch.setattr(np.linalg, name,
                             lambda *a, _n=name, _f=original, **k: calls.append(_n) or _f(*a, **k))
+    cold = fresh_copy(d)  # d keeps no design of its own
     for s in candidates:
-        build_design(s, d, f).ops()
+        build_design(s, cold, f).ops()
     decompositions, calls[:] = list(calls), []
+    assert decompositions
     report, warned = _select(d, f, candidates)
     assert "matrix_rank" not in decompositions
     assert calls == decompositions

@@ -48,7 +48,7 @@ from oracles import (
     per_cluster_calibration_moments,
     per_cluster_gen_dataset,
     per_cluster_ipw_weights,
-    with_dense_ops,
+    served_designs,
 )
 
 KINDS = ("knn1", "knn2", "knn3", "knn4", "knn5", "stratified5", "additive")
@@ -252,10 +252,11 @@ def _zero_covariates(dataset, ci):
 
 
 def _assert_loads_form(d, structure, f, e, fits):
+    design = build_design(structure, d, f)
     for fit, kind in fits:
         got = sandwich_variance(d, structure, f, fit, kind, propensity=e, allow_infeasible=True)
         w_ipw = ipw_weights(d, f, e) if kind == "proj" else None
-        want = loads_form_sigma2(d, fit.design, fit, w_ipw)
+        want = loads_form_sigma2(d, design, fit, w_ipw)
         assert got.sigma2_hat == pytest.approx(want, rel=1e-12, abs=0)
 
 
@@ -269,17 +270,19 @@ def test_sandwich_equals_its_loads_form(rng, structure, zeroed):
     if zeroed:
         d = _zero_covariates(d, 3)
     f, e = probit_intervention(0.3), probit_propensity(0.0)
-    design = build_design(structure, d, f)
-    fits = ((balancing_fit(d, structure, f, design=design), "bal"),
-            (projection_fit(d, structure, f, e, design=design), "proj"))
+
+    def sandwiches():
+        fits = ((balancing_fit(d, structure, f), "bal"), (projection_fit(d, structure, f, e), "proj"))
+        return fits, [sandwich_variance(d, structure, f, fit, kind, propensity=e,
+                                        allow_infeasible=True) for fit, kind in fits]
+
+    fits, got = sandwiches()
     _assert_loads_form(d, structure, f, e, fits)
-    dense = with_dense_ops(design)
-    dense_fits = (balancing_fit(d, structure, f, design=dense),
-                  projection_fit(d, structure, f, e, design=dense))
-    for (fit, kind), dense_fit in zip(fits, dense_fits):
-        got, want = (sandwich_variance(d, structure, f, x, kind, propensity=e, allow_infeasible=True)
-                     for x in (fit, dense_fit))
-        assert got.sigma2_hat == pytest.approx(want.sigma2_hat, rel=1e-12, abs=0)
+    with served_designs() as served:
+        _, want = sandwiches()
+    assert len(served) == 4
+    for g, w in zip(got, want):
+        assert g.sigma2_hat == pytest.approx(w.sigma2_hat, rel=1e-12, abs=0)
 
 
 def test_infeasible_sandwich_equals_its_loads_form(rng):

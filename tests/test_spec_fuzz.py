@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 from clusterbal.core import ClusterSample, Dataset
 from clusterbal.errors import InvalidSpec
 from clusterbal.specio import propensity_from_json, weight_from_json
-from clusterbal.structures import _size_groups
 
 from conftest import make_dataset
 
@@ -52,7 +51,7 @@ BUILD = {
 
 def _probabilities(model):
     """The model's `probs_batch` on DATASET, per size group and per cluster."""
-    groups = [group for group, _, _ in _size_groups(DATASET)] + [c.group for c in DATASET.clusters]
+    groups = list(DATASET.groups) + [c.group for c in DATASET.clusters]
     return [model.probs_batch(group) for group in groups]
 
 

@@ -311,8 +311,6 @@ def test_coarsened_count_level_lists_are_cached_per_size_group(rng, monkeypatch)
     """Each size group's padded level lists are built once and cached with
     the graph they were built from; a block reads them from a warm group as
     it does from a fresh one, and they list each unit's level units."""
-    from clusterbal import structures
-
     built = []
     original = CoarsenedCount._levels
     monkeypatch.setattr(CoarsenedCount, "_levels",
@@ -322,7 +320,7 @@ def test_coarsened_count_level_lists_are_cached_per_size_group(rng, monkeypatch)
     for s in (CoarsenedCount(order=2, thresholds=(0, 1), k=2),
               CoarsenedCount(order=2, thresholds=(0, 1), graph=graph)):
         built.clear()
-        for group, _, _ in structures._size_groups(d):
+        for group in d.groups:
             warm = [block.stacked(group) for block in s.indicator_blocks(group)[1:]]
             again = [block.stacked(group) for block in s.indicator_blocks(group)[1:]]
             (fresh,) = fresh_copy(Dataset(clusters=tuple(group))).groups

@@ -44,7 +44,6 @@ from clusterbal.core import (  # noqa: E402
 )
 from clusterbal.estimators import (  # noqa: E402
     balancing_fit,
-    build_design,
     projection_fit,
     weighted_projection_fit,
 )
@@ -59,7 +58,6 @@ from clusterbal.structures import (  # noqa: E402
     StratifiedCount,
     TensorWithCovariates,
     _GroupRows,
-    _size_groups,
     design_matrix,
     target_contributions,
 )
@@ -137,7 +135,7 @@ def structure_outputs():
     weight = probit_intervention(0.4)
     laws = {"probit": probit_propensity(0.0), "joint": joint_table(dataset)}
     for name, structure in structures().items():
-        for group, _, _ in _size_groups(dataset):
+        for group in dataset.groups:
             layout = _GroupRows(structure, group)
             m = group[0].size
             for b, cls in enumerate(layout.classes()):
@@ -158,13 +156,12 @@ def design_outputs(name, structure, dataset, weight, laws):
     """The balancing and projection weights on the structure's design, and
     their sandwich variances (sigma2, CI ends), the projection's under each
     law; the balancing variance is taken for infeasible fits too."""
-    design = build_design(structure, dataset, weight)
-    fit = balancing_fit(dataset, structure, weight, design=design)
+    fit = balancing_fit(dataset, structure, weight)
     emit(f"{name}.balancing", fit.weights.values)
     var = sandwich_variance(dataset, structure, weight, fit, "bal", allow_infeasible=True)
     emit(f"{name}.balancing.sandwich", np.array([var.sigma2_hat, var.ci_low, var.ci_high]))
     for law_name, law in laws.items():
-        fit = projection_fit(dataset, structure, weight, law, design=design)
+        fit = projection_fit(dataset, structure, weight, law)
         emit(f"{name}.projection.{law_name}", fit.weights.values)
         var = sandwich_variance(dataset, structure, weight, fit, "proj", propensity=law)
         emit(f"{name}.projection.{law_name}.sandwich",
